@@ -22,22 +22,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (
-    Kratzer,
-    Oscillator,
-    PhysicalParams,
-    ProblemSpec,
-    Pseudospin,
-    QuantumNumbers,
-    RingParams,
-    Spin,
-)
+from .model import Kratzer, Oscillator, ProblemSpec, RingParams
 from .spectrum import (
     DEFAULT_PARAMS,
     TABLE_KINDS,
     audit_table,
     find_roots,
     load_table_data,
+    table_spec,
 )
 from .wavefun import ComplexSectorError, NonNormalizableError, SpinorField
 
@@ -111,18 +103,8 @@ def build_spec(args, cfg: RunConfig) -> ProblemSpec:
         raise UsageError("quantum numbers n and nprime must be nonnegative")
     if args.a < 0 or args.b < 0:
         raise UsageError("ring strengths a and b must be nonnegative")
-    symmetry = Spin(cfg.c_s) if args.symmetry == "spin" else Pseudospin(cfg.c_ps)
-    if args.potential == "kratzer":
-        potential = Kratzer(cfg.d_e, cfg.r_e)
-    else:
-        potential = Oscillator(cfg.k)
-    return ProblemSpec(
-        symmetry=symmetry,
-        potential=potential,
-        ring=RingParams(args.a, args.b),
-        params=PhysicalParams(cfg.mass),
-        qn=QuantumNumbers(n=args.n, n_prime=args.nprime, m=args.m),
-    )
+    table = next(t for t, k in TABLE_KINDS.items() if k == (args.symmetry, args.potential))
+    return table_spec(table, args.n, args.nprime, args.m, args.a, args.b, cfg.as_params())
 
 
 def _root_row(root):
@@ -158,13 +140,7 @@ def cmd_table(args) -> int:
     sym_kind, pot_kind = TABLE_KINDS[args.table]
     lines = ["n,n_prime,m,a,b,symmetry,potential,energy_re,energy_im,class,residual,branch"]
     for n, n_prime, m, a, b, _values in rows:
-        spec = ProblemSpec(
-            symmetry=Spin(cfg.c_s) if sym_kind == "spin" else Pseudospin(cfg.c_ps),
-            potential=Kratzer(cfg.d_e, cfg.r_e) if pot_kind == "kratzer" else Oscillator(cfg.k),
-            ring=RingParams(a, b),
-            params=PhysicalParams(cfg.mass),
-            qn=QuantumNumbers(n=n, n_prime=n_prime, m=m),
-        )
+        spec = table_spec(args.table, n, n_prime, m, a, b, cfg.as_params())
         for r in find_roots(spec, mode=args.mode):
             row = _root_row(r)
             lines.append(
@@ -210,11 +186,16 @@ def cmd_audit(args) -> int:
 def cmd_wavefunction(args) -> int:
     cfg = resolve_config(args)
     spec = build_spec(args, cfg)
+    if args.state < 0:
+        raise UsageError("--state must be nonnegative")
     roots = find_roots(spec, mode="strict")
-    if not roots:
-        print("no class-A root found for this spec", file=sys.stderr)
+    if args.state >= len(roots):
+        print(
+            f"no class-A root with index {args.state} for this spec: {len(roots)} found",
+            file=sys.stderr,
+        )
         return 1
-    energy = roots[args.state].energy.real if args.state < len(roots) else roots[0].energy.real
+    energy = roots[args.state].energy.real
     try:
         field = SpinorField.build(spec, energy)
     except (ComplexSectorError, NonNormalizableError) as exc:

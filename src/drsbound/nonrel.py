@@ -18,8 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import Kratzer, Oscillator, QuantumNumbers, RingParams, SpecError
-from .specfun import gamma_fn
-from .wavefun import _series_1f1, _series_2f1
+from .specfun import gamma_fn, hyp1f1_terminating, hyp2f1_terminating
 
 
 @dataclass(frozen=True)
@@ -132,9 +131,9 @@ def wavefunction_nr(p: NonRelParams, qn: QuantumNumbers, r, theta, phi, energy=N
     r = np.asarray(r, dtype=float)
     theta = np.asarray(theta, dtype=float)
     s2 = np.sin(theta) ** 2
-    ang = s2**eta * (np.cos(theta) ** 2) ** pp * _series_2f1(
+    ang = s2**eta * (np.cos(theta) ** 2) ** pp * hyp2f1_terminating(
         qn.n_prime, qn.n_prime + 2 * (eta + pp), 2 * eta + 0.5, s2
-    )
+    ).value
     azi = np.exp(1j * qn.m * phi) / math.sqrt(2.0 * math.pi)
     if isinstance(p.potential, Kratzer):
         if energy is None:
@@ -147,7 +146,7 @@ def wavefunction_nr(p: NonRelParams, qn: QuantumNumbers, r, theta, phi, energy=N
         rad = (
             r**zeta_bar
             * np.exp(-beta_bar * r)
-            * _series_1f1(qn.n, 2 * zeta_bar, 2 * beta_bar * r)
+            * hyp1f1_terminating(qn.n, 2 * zeta_bar, 2 * beta_bar * r).value
         )
     else:
         k = p.potential.k
@@ -156,7 +155,7 @@ def wavefunction_nr(p: NonRelParams, qn: QuantumNumbers, r, theta, phi, energy=N
         rad = (
             r ** (ell_eff + 0.5)
             * np.exp(-width * r * r)
-            * _series_1f1(qn.n, ell_eff + 1.0, 2.0 * width * r * r)
+            * hyp1f1_terminating(qn.n, ell_eff + 1.0, 2.0 * width * r * r).value
         )
     pref = pref * gamma_fn(2 * eta + 0.5 + qn.n) / gamma_fn(2 * eta + 0.5)
     return pref * rad * ang * azi / (r * np.sqrt(np.sin(theta)))

@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 
 class PoleError(ValueError):
     """Evaluation at a pole of Gamma or a Pochhammer symbol."""
@@ -20,7 +22,7 @@ class PoleError(ValueError):
 class PolynomialValue:
     """Value of a terminating series together with its polynomial degree."""
 
-    value: complex
+    value: complex | np.ndarray
     degree: int
 
 
@@ -44,34 +46,41 @@ def pochhammer(z, n: int):
     return out
 
 
-def hyp1f1_terminating(n: int, c, x) -> PolynomialValue:
-    """1F1(-n; c; x) as a finite sum of n + 1 terms."""
+def _terminating_series(n, c, x, b=None) -> PolynomialValue:
+    """Sum of t_0..t_n with t_0 = 1, t_(j+1) = t_j (-n+j) [(b+j)] x / ((c+j)(j+1)).
+
+    A Python number x is summed in complex arithmetic.  Arrays and numpy
+    scalars keep their dtype, so real ones stay on float arithmetic, and are
+    summed elementwise.
+    """
     if n < 0:
         raise ValueError("degree must be nonnegative")
     for j in range(n):
         if abs(complex(c) + j) < 1e-14:
             raise PoleError(f"Pochhammer pole: c = {c} hits a nonpositive integer")
-    total = 1.0 + 0.0j
-    term = 1.0 + 0.0j
+    if isinstance(x, (int, float, complex)) and not isinstance(x, np.generic):
+        c, x = complex(c), complex(x)
+        b = None if b is None else complex(b)
+        total = term = 1.0 + 0.0j
+    else:
+        x = np.asarray(x)
+        x = x.astype(np.result_type(x, float), copy=False)
+        total = term = np.ones_like(x)
     for j in range(n):
-        term *= (-n + j) * complex(x) / ((complex(c) + j) * (j + 1))
-        total += term
+        step = -n + j if b is None else (-n + j) * (b + j)
+        term = term * (step * x / ((c + j) * (j + 1)))
+        total = total + term
     return PolynomialValue(total, n)
+
+
+def hyp1f1_terminating(n: int, c, x) -> PolynomialValue:
+    """1F1(-n; c; x) as a finite sum of n + 1 terms; x may be an array."""
+    return _terminating_series(n, c, x)
 
 
 def hyp2f1_terminating(n: int, b, c, x) -> PolynomialValue:
-    """2F1(-n, b; c; x) as a finite sum of n + 1 terms."""
-    if n < 0:
-        raise ValueError("degree must be nonnegative")
-    for j in range(n):
-        if abs(complex(c) + j) < 1e-14:
-            raise PoleError(f"Pochhammer pole: c = {c} hits a nonpositive integer")
-    total = 1.0 + 0.0j
-    term = 1.0 + 0.0j
-    for j in range(n):
-        term *= (-n + j) * (complex(b) + j) * complex(x) / ((complex(c) + j) * (j + 1))
-        total += term
-    return PolynomialValue(total, n)
+    """2F1(-n, b; c; x) as a finite sum of n + 1 terms; x may be an array."""
+    return _terminating_series(n, c, x, b)
 
 
 def laguerre(n: int, alpha, x):

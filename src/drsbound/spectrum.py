@@ -13,13 +13,20 @@ convention.  Published tables mix three kinds of entries:
      form of the condition,
   D  entries matched by none of the above within tolerance.
 
+Each condition is defined once (`_condition`) and serves both scalar
+evaluation, where a pole raises SpectralPoleError, and the vectorized
+real-axis scan, where poles are masked; the squared form shares its radical
+term (`_radical_term`).
+
 For the pure central cases (a = b = 0) the squared forms are polynomials --
 a cubic for the oscillator, one quartic per sigma_rhs for the Kratzer -- and
-are solved exactly through companion matrices.  For the ring-dressed
-oscillator the squared form stays transcendental and its complex zeros are
-located by secant iteration; the Kratzer analogue with a or b nonzero has no
+are solved exactly through companion matrices.  Elsewhere the squared form
+stays transcendental and its complex zeros are located by one secant
+multistart (`_complex_multistart`): for the ring-dressed oscillator this is
+part of the search; the Kratzer analogue with a or b nonzero has no
 polynomial form and no agreed generation convention, so those table entries
-are audited to class D with diagnostics rather than guessed at.
+are audited to class D, with the multistart's nearest pair as a diagnostic,
+rather than guessed at.
 """
 
 from __future__ import annotations
@@ -44,7 +51,6 @@ from .model import (
     RingParams,
     Spin,
     branch_sqrt,
-    gamma_of,
 )
 
 #: Reference parameter set used by all bundled tables (fm^-1 units).
@@ -137,81 +143,90 @@ def angular_quantization(gamma, ring: RingParams, m: int, n_prime: int, sqrt_mod
     return sq(ring.a * gamma + 0.25) + sq(ring.b * gamma + m * m) + 2 * n_prime + 1
 
 
-def _drsk_parts(energy, spec: ProblemSpec, branch: BranchStrategy):
-    pot = spec.potential
+def _radical_term(e, spec: ProblemSpec, sq):
+    """The potential's radical term at energy e, with square root sq.
+
+    With omega = sq(a gamma + 1/4) + sq(b gamma + m^2): d = omega + 2 n' + 2
+    + 2 n for the oscillator, the big radical sq((omega + 2 n' + 1)^2 +
+    gamma De re^2) for the Kratzer.  e is a complex or a complex array.
+    """
     m_, c = spec.mass, spec.symmetry.constant
-    e = complex(energy)
-    g = gamma_of(spec, e)
-    sq = lambda z: branch_sqrt(z, branch.sqrt_mode)
+    g = e + m_ - c if spec.is_spin else e - m_ - c
     omega = sq(spec.ring.a * g + 0.25) + sq(spec.ring.b * g + spec.qn.m**2)
-    big = sq((omega + 2 * spec.qn.n_prime + 1) ** 2 + g * pot.d_e * pot.r_e**2)
-    den = spec.qn.n + 0.5 + branch.sigma_inner * big
+    if isinstance(spec.potential, Oscillator):
+        return omega + 2 * spec.qn.n_prime + 2 + 2 * spec.qn.n
+    pot = spec.potential
+    return sq((omega + 2 * spec.qn.n_prime + 1) ** 2 + g * pot.d_e * pot.r_e**2)
+
+
+def _raise_at_pole(at_pole, what):
+    if at_pole:
+        raise SpectralPoleError(what)
+    return True
+
+
+def _mask_pole(at_pole, what):
+    return ~at_pole
+
+
+def _condition(e, spec: ProblemSpec, branch: BranchStrategy, sqrt, pole):
+    """(lhs, rhs, valid) of the spectral condition lhs = rhs at energy e.
+
+    e is a complex or a complex array and sqrt(z, mode) the square root
+    matching it.  pole(at_pole, what) runs before every division that can
+    vanish and decides what a pole does: scalar callers raise, the array
+    scan masks; `valid` combines its results.
+    """
+    sq = lambda z: sqrt(z, branch.sqrt_mode)
+    m_, c = spec.mass, spec.symmetry.constant
+    pot = spec.potential
+    rad = _radical_term(e, spec, sq)
+    if isinstance(pot, Oscillator):
+        if spec.is_spin:
+            return (m_ - e) * sq(c - e - m_), branch.sigma_rhs * sq(2.0 * pot.k) * rad, True
+        return (m_ + e) * sq(e - m_ - c), branch.sigma_rhs * sq(-2.0 * pot.k) * rad, True
+    den = spec.qn.n + 0.5 + branch.sigma_inner * rad
+    ok = pole(abs(den) < POLE_TOL * (1.0 + abs(rad)), "vanishing Kratzer denominator")
     t_sq = (pot.d_e * pot.r_e) ** 2
-    if abs(den) < POLE_TOL * (1.0 + abs(big)):
-        raise SpectralPoleError("vanishing Kratzer denominator")
     if spec.is_spin:
         lhs_den = m_ + e - c
-        if abs(lhs_den) < POLE_TOL * (1.0 + abs(e)):
-            raise SpectralPoleError("spin residual pole: M + E - C_s = 0")
-        lhs = (e - m_) / lhs_den
-        rhs = -branch.sigma_rhs * t_sq / den**2
-    else:
-        lhs_den = m_ - e + c
-        if abs(lhs_den) < POLE_TOL * (1.0 + abs(e)):
-            raise SpectralPoleError("pseudospin residual pole: M - E + C_ps = 0")
-        lhs = (e + m_) / lhs_den
-        rhs = branch.sigma_rhs * t_sq / den**2
-    return lhs, rhs
+        ok = ok & pole(
+            abs(lhs_den) < POLE_TOL * (1.0 + abs(e)), "spin residual pole: M + E - C_s = 0"
+        )
+        return (e - m_) / lhs_den, -branch.sigma_rhs * t_sq / den**2, ok
+    lhs_den = m_ - e + c
+    ok = ok & pole(
+        abs(lhs_den) < POLE_TOL * (1.0 + abs(e)), "pseudospin residual pole: M - E + C_ps = 0"
+    )
+    return (e + m_) / lhs_den, branch.sigma_rhs * t_sq / den**2, ok
+
+
+def residual(energy, spec: ProblemSpec, branch: BranchStrategy = CANONICAL):
+    """Residual lhs - rhs of the spec's spectral condition; 0 at a root.
+
+    Raises SpectralPoleError at a pole of the condition.
+    """
+    lhs, rhs, _ = _condition(complex(energy), spec, branch, branch_sqrt, _raise_at_pole)
+    return lhs - rhs
 
 
 def residual_drsk(energy, spec: ProblemSpec, branch: BranchStrategy = CANONICAL):
     """Residual of the ring-shaped Kratzer spectral condition; 0 at a root."""
     if not isinstance(spec.potential, Kratzer):
         raise TypeError("spec does not carry a Kratzer potential")
-    lhs, rhs = _drsk_parts(energy, spec, branch)
-    return lhs - rhs
-
-
-def _drso_parts(energy, spec: ProblemSpec, branch: BranchStrategy):
-    pot = spec.potential
-    m_, c = spec.mass, spec.symmetry.constant
-    e = complex(energy)
-    g = gamma_of(spec, e)
-    sq = lambda z: branch_sqrt(z, branch.sqrt_mode)
-    d = (
-        sq(spec.ring.a * g + 0.25)
-        + sq(spec.ring.b * g + spec.qn.m**2)
-        + 2 * spec.qn.n_prime
-        + 2
-        + 2 * spec.qn.n
-    )
-    if spec.is_spin:
-        lhs = (m_ - e) * sq(c - e - m_)
-        rhs = branch.sigma_rhs * sq(2.0 * pot.k) * d
-    else:
-        lhs = (m_ + e) * sq(e - m_ - c)
-        rhs = branch.sigma_rhs * sq(-2.0 * pot.k) * d
-    return lhs, rhs
+    return residual(energy, spec, branch)
 
 
 def residual_drso(energy, spec: ProblemSpec, branch: BranchStrategy = CANONICAL):
     """Residual of the ring-shaped oscillator spectral condition."""
     if not isinstance(spec.potential, Oscillator):
         raise TypeError("spec does not carry an Oscillator potential")
-    lhs, rhs = _drso_parts(energy, spec, branch)
-    return lhs - rhs
-
-
-def residual(energy, spec: ProblemSpec, branch: BranchStrategy = CANONICAL):
-    if isinstance(spec.potential, Kratzer):
-        return residual_drsk(energy, spec, branch)
-    return residual_drso(energy, spec, branch)
+    return residual(energy, spec, branch)
 
 
 def _residual_scaled(energy, spec, branch):
     """(residual, scale) with scale = 1 + |lhs| + |rhs| for tolerance tests."""
-    parts = _drsk_parts if isinstance(spec.potential, Kratzer) else _drso_parts
-    lhs, rhs = parts(energy, spec, branch)
+    lhs, rhs, _ = _condition(complex(energy), spec, branch, branch_sqrt, _raise_at_pole)
     return lhs - rhs, 1.0 + abs(lhs) + abs(rhs)
 
 
@@ -285,27 +300,17 @@ def squared_form(energy, spec: ProblemSpec, sigma_rhs: int = 1):
     """
     e = complex(energy)
     m_, c = spec.mass, spec.symmetry.constant
-    g = gamma_of(spec, e)
-    if isinstance(spec.potential, Oscillator):
-        k = spec.potential.k
-        d = (
-            cmath.sqrt(spec.ring.a * g + 0.25)
-            + cmath.sqrt(spec.ring.b * g + spec.qn.m**2)
-            + 2 * spec.qn.n_prime
-            + 2
-            + 2 * spec.qn.n
-        )
-        if spec.is_spin:
-            return (m_ - e) ** 2 * (c - e - m_) - 2.0 * k * d * d
-        return (m_ + e) ** 2 * (e - m_ - c) + 2.0 * k * d * d
     pot = spec.potential
+    rad = _radical_term(e, spec, cmath.sqrt)
+    if isinstance(pot, Oscillator):
+        if spec.is_spin:
+            return (m_ - e) ** 2 * (c - e - m_) - 2.0 * pot.k * rad * rad
+        return (m_ + e) ** 2 * (e - m_ - c) + 2.0 * pot.k * rad * rad
     t_sq = (pot.d_e * pot.r_e) ** 2
-    omega = cmath.sqrt(spec.ring.a * g + 0.25) + cmath.sqrt(spec.ring.b * g + spec.qn.m**2)
-    big = cmath.sqrt((omega + 2 * spec.qn.n_prime + 1) ** 2 + g * pot.d_e * pot.r_e**2)
     nu = spec.qn.n + 0.5
     if spec.is_spin:
-        return (e - m_) * (nu + big) ** 2 + sigma_rhs * t_sq * (e + m_ - c)
-    return (e + m_) * (nu + big) ** 2 - sigma_rhs * t_sq * (m_ - e + c)
+        return (e - m_) * (nu + rad) ** 2 + sigma_rhs * t_sq * (e + m_ - c)
+    return (e + m_) * (nu + rad) ** 2 - sigma_rhs * t_sq * (m_ - e + c)
 
 
 def _secant_complex(f, z0, z1, maxit=100, tol=1e-13):
@@ -322,33 +327,53 @@ def _secant_complex(f, z0, z1, maxit=100, tol=1e-13):
     return None
 
 
+def _complex_multistart(spec: ProblemSpec, x, imag_starts, sigma_rhs=1):
+    """Off-axis zeros of the squared form reached by secant from above x.
+
+    One secant run per imaginary offset im, started from the pair
+    (x + i im, x (1 + 1e-4) + 1e-4 + 1.01 i im).  A zero is kept when it is
+    off the real axis and the squared form vanishes there to
+    1e-8 (1 + |z|)^degree, the degree of the squared form (3 for the
+    oscillator, 4 for the Kratzer); kept zeros are reflected into the upper
+    half-plane.
+    """
+    degree = 3 if isinstance(spec.potential, Oscillator) else 4
+    f = lambda z: squared_form(z, spec, sigma_rhs)
+    out = []
+    for im in imag_starts:
+        z = _secant_complex(f, complex(x, im), complex(x * (1 + 1e-4) + 1e-4, im * 1.01))
+        if z is not None and abs(z.imag) > 1e-8 and abs(f(z)) < 1e-8 * (1 + abs(z)) ** degree:
+            out.append(complex(z.real, abs(z.imag)))
+    return out
+
+
 def complex_zeros_drso(spec: ProblemSpec, interval, imag_starts=(0.5, 2.0, 6.0), re_step=1.0):
     """Complex zeros of the squared oscillator form inside the Re-interval."""
     lo, hi = interval
     zeros = []
-    f = lambda z: squared_form(z, spec)
     for re in np.arange(lo, hi + re_step / 2, re_step):
-        for im in imag_starts:
-            z = _secant_complex(f, complex(re, im), complex(re * (1 + 1e-4) + 1e-4, im * 1.01))
-            if z is None or abs(z.imag) < 1e-8 or not (lo - 1e-9 <= z.real <= hi + 1e-9):
-                continue
-            z = complex(z.real, abs(z.imag))
-            if abs(f(z)) > 1e-8 * (1.0 + abs(z)) ** 3:
-                continue
-            if all(abs(z - w) > 1e-7 * (1 + abs(z)) for w in zeros):
+        for z in _complex_multistart(spec, re, imag_starts):
+            if lo - 1e-9 <= z.real <= hi + 1e-9 and all(
+                abs(z - w) > 1e-7 * (1 + abs(z)) for w in zeros
+            ):
                 zeros.append(z)
     return sorted(zeros, key=lambda z: (z.real, z.imag))
 
 
-def _verify_real_root(spec, e, branches, tol=1e-6):
-    """Best branch whose residual vanishes at e, or None."""
+def _best_branch(spec, z, branches, tol=None):
+    """(branch, |residual|) of the branch with the smallest residual at z.
+
+    Branches with a pole at z are skipped; with tol, a branch qualifies only
+    if its residual is below tol * (1 + |lhs| + |rhs|).  None if no branch
+    qualifies.
+    """
     best = None
     for br in branches:
         try:
-            res, scale = _residual_scaled(e, spec, br)
+            res, scale = _residual_scaled(z, spec, br)
         except SpectralPoleError:
             continue
-        if abs(res) < tol * scale and (best is None or abs(res) < best[1]):
+        if (tol is None or abs(res) < tol * scale) and (best is None or abs(res) < best[1]):
             best = (br, abs(res))
     return best
 
@@ -373,45 +398,11 @@ def _array_sqrt(z, mode):
 def _residual_array(spec, es, branch):
     """Residual over an energy array; (values, valid mask). Poles masked."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        return _residual_array_inner(spec, es, branch)
-
-
-def _residual_array_inner(spec, es, branch):
-    e = np.asarray(es, dtype=complex)
-    m_, c = spec.mass, spec.symmetry.constant
-    g = (e + m_ - c) if spec.is_spin else (e - m_ - c)
-    sq = lambda z: _array_sqrt(z, branch.sqrt_mode)
-    a, b, mm = spec.ring.a, spec.ring.b, spec.qn.m
-    if isinstance(spec.potential, Kratzer):
-        pot = spec.potential
-        t_sq = (pot.d_e * pot.r_e) ** 2
-        omega = sq(a * g + 0.25) + sq(b * g + mm * mm)
-        big = sq((omega + 2 * spec.qn.n_prime + 1) ** 2 + g * pot.d_e * pot.r_e**2)
-        den = spec.qn.n + 0.5 + branch.sigma_inner * big
-        if spec.is_spin:
-            lhs_den = m_ + e - c
-            lhs = (e - m_) / lhs_den
-            rhs = -branch.sigma_rhs * t_sq / den**2
-        else:
-            lhs_den = m_ - e + c
-            lhs = (e + m_) / lhs_den
-            rhs = branch.sigma_rhs * t_sq / den**2
-        ok = (np.abs(lhs_den) > POLE_TOL * (1 + np.abs(e))) & (
-            np.abs(den) > POLE_TOL * (1 + np.abs(big))
+        lhs, rhs, ok = _condition(
+            np.asarray(es, dtype=complex), spec, branch, _array_sqrt, _mask_pole
         )
-    else:
-        k = spec.potential.k
-        d = sq(a * g + 0.25) + sq(b * g + mm * mm) + 2 * spec.qn.n_prime + 2 + 2 * spec.qn.n
-        if spec.is_spin:
-            lhs = (m_ - e) * sq(c - e - m_)
-            rhs = branch.sigma_rhs * sq(2.0 * k) * d
-        else:
-            lhs = (m_ + e) * sq(e - m_ - c)
-            rhs = branch.sigma_rhs * sq(-2.0 * k) * d
-        ok = np.ones(e.shape, dtype=bool)
-    vals = lhs - rhs
-    ok &= np.isfinite(vals.real) & np.isfinite(vals.imag)
-    return vals, ok
+        vals = lhs - rhs
+    return vals, ok & np.isfinite(vals.real) & np.isfinite(vals.imag)
 
 
 def _scan_branch(spec, branch, interval, panels_per_unit):
@@ -442,18 +433,6 @@ def _scan_branch(spec, branch, interval, panels_per_unit):
     return roots
 
 
-def _best_branch_at(spec, z, branches):
-    best = None
-    for br in branches:
-        try:
-            r = abs(residual(z, spec, br))
-        except SpectralPoleError:
-            continue
-        if best is None or r < best[1]:
-            best = (br, r)
-    return best
-
-
 def _polynomial_roots(spec, paper_compat):
     """Roots of the exact squared-polynomial paths (a = b = 0 only)."""
     out = []
@@ -471,7 +450,7 @@ def _polynomial_roots(spec, paper_compat):
                     if polished is not None:
                         e = polished
                         break
-                hit = _verify_real_root(spec, e, principal)
+                hit = _best_branch(spec, e, principal, tol=1e-6)
                 if hit is None:
                     continue  # squaring artifact of the rationalization
                 br, res = hit
@@ -480,7 +459,7 @@ def _polynomial_roots(spec, paper_compat):
                 f = lambda w: squared_form(w, spec, 1 if srhs is None else srhs)
                 zz = _secant_complex(f, complex(z), complex(z) * (1 + 1e-8) + 1e-8j)
                 zz = complex(z) if zz is None else complex(zz.real, abs(zz.imag))
-                best = _best_branch_at(spec, zz, principal)
+                best = _best_branch(spec, zz, principal)
                 if best is not None:
                     out.append(ClassifiedRoot(zz, best[0], best[1], RootClass.C))
     return out
@@ -540,13 +519,13 @@ def find_roots(
     # path already found will be merged away by deduplication)
     for br in branches:
         for e in _scan_branch(spec, br, interval, panels_per_unit):
-            hit = _verify_real_root(spec, e, [br])
+            hit = _best_branch(spec, e, [br], tol=1e-6)
             if hit is None:
                 continue
             found.append(ClassifiedRoot(complex(e), br, hit[1], _class_for_branch(br)))
     if paper_compat and isinstance(spec.potential, Oscillator) and not central:
         for z in complex_zeros_drso(spec, interval):
-            best = _best_branch_at(spec, z, principal_branches())
+            best = _best_branch(spec, z, principal_branches())
             if best is not None:
                 found.append(ClassifiedRoot(z, best[0], best[1], RootClass.C))
 
@@ -800,12 +779,9 @@ def classify_value(spec: ProblemSpec, value: float, match_tol=1e-4):
         root = _polish_branch_root(spec, br, value)
         if root is None or abs(root - value) > match_tol:
             continue
-        try:
-            res, scale = _residual_scaled(root, spec, br)
-        except SpectralPoleError:
-            continue
-        if abs(res) < 1e-8 * scale:
-            candidates.append((_class_for_branch(br), abs(root - value), br.label(), abs(res)))
+        hit = _best_branch(spec, root, [br], tol=1e-8)
+        if hit is not None:
+            candidates.append((_class_for_branch(br), abs(root - value), br.label(), hit[1]))
     central = spec.ring.a == 0 and spec.ring.b == 0
     pair_zeros = []
     if central:
@@ -823,18 +799,11 @@ def classify_value(spec: ProblemSpec, value: float, match_tol=1e-4):
         for poly in polys:
             pair_zeros.extend(z for z in np.roots(poly) if z.imag > 1e-7)
     elif isinstance(spec.potential, Oscillator):
-        f = lambda z: squared_form(z, spec)
-        for im in (0.25, 0.5, 1.0, 2.0, 4.0, 8.0):
-            z = _secant_complex(f, complex(value, im), complex(value * (1 + 1e-4) + 1e-4, im * 1.01))
-            if z is not None and abs(z.imag) > 1e-8 and abs(f(z)) < 1e-8 * (1 + abs(z)) ** 3:
-                pair_zeros.append(complex(z.real, abs(z.imag)))
+        pair_zeros = _complex_multistart(spec, value, (0.25, 0.5, 1.0, 2.0, 4.0, 8.0))
     for z in pair_zeros:
         dev = abs(z.real - value)
-        if dev <= match_tol:
-            best = min(
-                ((br, abs(residual(complex(z), spec, br))) for br in principal),
-                key=lambda u: u[1],
-            )
+        best = _best_branch(spec, z, principal) if dev <= match_tol else None
+        if best is not None:
             candidates.append((RootClass.C, dev, best[0].label(), best[1]))
     if candidates:
         order = {RootClass.A: 0, RootClass.B: 1, RootClass.C: 2, RootClass.D: 3}
@@ -860,11 +829,7 @@ def classify_value(spec: ProblemSpec, value: float, match_tol=1e-4):
         # informational only: the squared Kratzer form has no polynomial
         # representation with ring terms and is not part of the search space
         for srhs in (1, -1):
-            f = lambda z: squared_form(z, spec, srhs)
-            for im in (0.5, 1.0, 2.0, 4.0):
-                z = _secant_complex(f, complex(value, im), complex(value * (1 + 1e-4) + 1e-4, im * 1.01))
-                if z is not None and abs(z.imag) > 1e-8 and abs(f(z)) < 1e-8 * (1 + abs(z)) ** 4:
-                    near_pairs.append(z)
+            near_pairs.extend(_complex_multistart(spec, value, (0.5, 1.0, 2.0, 4.0), srhs))
     if pair_zeros:
         near_pairs.extend(pair_zeros)
     if near_pairs:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import CoefficientSet, Kratzer, Oscillator, ProblemSpec, derive_coefficients
-from .specfun import gamma_fn
+from .specfun import gamma_fn, hyp1f1_terminating, hyp2f1_terminating
 
 
 class ComplexSectorError(ValueError):
@@ -46,28 +46,6 @@ def _real(z, what):
     return z.real
 
 
-def _series_1f1(n, c, x):
-    """1F1(-n; c; x) on scalar or array x."""
-    x = np.asarray(x, dtype=float)
-    total = np.ones_like(x)
-    term = np.ones_like(x)
-    for j in range(n):
-        term = term * ((-n + j) * x / ((c + j) * (j + 1)))
-        total = total + term
-    return total
-
-
-def _series_2f1(n, b, c, x):
-    """2F1(-n, b; c; x) on scalar or array x."""
-    x = np.asarray(x, dtype=float)
-    total = np.ones_like(x)
-    term = np.ones_like(x)
-    for j in range(n):
-        term = term * ((-n + j) * (b + j) * x / ((c + j) * (j + 1)))
-        total = total + term
-    return total
-
-
 def radial_kratzer(r, coeffs: CoefficientSet, n: int):
     """Kratzer radial factor r^zeta exp(-w r) 1F1(-n; 2 zeta; 2 w r)."""
     w = complex(coeffs.decay)
@@ -76,7 +54,7 @@ def radial_kratzer(r, coeffs: CoefficientSet, n: int):
     zeta = _real(coeffs.zeta, "zeta")
     w = w.real
     r = np.asarray(r, dtype=float)
-    return r**zeta * np.exp(-w * r) * _series_1f1(n, 2 * zeta, 2 * w * r)
+    return r**zeta * np.exp(-w * r) * hyp1f1_terminating(n, 2 * zeta, 2 * w * r).value
 
 
 def radial_oscillator(r, coeffs: CoefficientSet, n: int, ell_eff=None):
@@ -87,7 +65,8 @@ def radial_oscillator(r, coeffs: CoefficientSet, n: int, ell_eff=None):
     leff = _real(coeffs.ell_eff if ell_eff is None else ell_eff, "ell_eff")
     w = w.real
     r = np.asarray(r, dtype=float)
-    return r ** (leff + 0.5) * np.exp(-w * r * r) * _series_1f1(n, leff + 1.0, 2 * w * r * r)
+    series = hyp1f1_terminating(n, leff + 1.0, 2 * w * r * r).value
+    return r ** (leff + 0.5) * np.exp(-w * r * r) * series
 
 
 def angular_H(theta, coeffs: CoefficientSet, n_prime: int):
@@ -97,7 +76,7 @@ def angular_H(theta, coeffs: CoefficientSet, n_prime: int):
     theta = np.asarray(theta, dtype=float)
     s2 = np.sin(theta) ** 2
     c2 = np.cos(theta) ** 2
-    poly = _series_2f1(n_prime, n_prime + 2 * (eta + p), 2 * eta + 0.5, s2)
+    poly = hyp2f1_terminating(n_prime, n_prime + 2 * (eta + p), 2 * eta + 0.5, s2).value
     return s2**eta * c2**p * poly
 
 

@@ -102,6 +102,19 @@ class TestCriterion2AuditCompleteness:
         assert d_entries, "expected unexplained entries in the ring-dressed columns"
         for table, e in d_entries:
             assert table in (1, 2) and (e.a != 0 or e.b != 0), (table, e)
+        # regression anchor: per-table A/B/C/D counts
+        anchor = {
+            1: {"A": 15, "B": 1, "C": 14, "D": 44},
+            2: {"A": 1, "B": 0, "C": 59, "D": 0},
+            3: {"A": 60, "B": 73, "C": 0, "D": 0},
+            4: {"A": 15, "B": 0, "C": 60, "D": 0},
+        }
+        assert {t: r.summary for t, r in reports.items()} == anchor
+        # every class-D entry sits on the real part of a complex pair of the
+        # squared form; the diagnostic search must keep finding it
+        for table, e in d_entries:
+            pair_re = e.diagnostics["nearest_pair_re"]
+            assert pair_re is not None and abs(pair_re - e.value) < 1e-6, (table, e)
         print(
             f"PASS criterion 2: {total} entries audited in {elapsed:.1f}s; "
             f"{len(d_entries)} class-D, all in tables 1-2 with ring terms"

@@ -272,6 +272,30 @@ class TestWavefunction:
         assert lines
         assert all(len(l.split()) == 5 for l in lines)
 
+    def test_state_beyond_root_count_exits_one(self, capsys, tmp_path):
+        out = tmp_path / "wf.txt"
+        code, _, err = run(
+            capsys,
+            "wavefunction", "--symmetry", "spin", "--potential", "kratzer",
+            "--n", "0", "--nprime", "0", "--m", "0", "--a", "1", "--b", "1",
+            "--state", "7", "--output", str(out),
+        )
+        assert code == 1
+        assert "1 found" in err
+        assert not out.exists()
+
+    def test_negative_state_is_usage_error(self, capsys, tmp_path):
+        out = tmp_path / "wf.txt"
+        code, _, err = run(
+            capsys,
+            "wavefunction", "--symmetry", "spin", "--potential", "kratzer",
+            "--n", "0", "--nprime", "0", "--m", "0", "--a", "1", "--b", "1",
+            "--state", "-1", "--output", str(out),
+        )
+        assert code == 2
+        assert "--state" in err
+        assert not out.exists()
+
     def test_complex_sector_exits_one(self, capsys, tmp_path):
         code, _, err = run(
             capsys,

@@ -215,3 +215,27 @@ class TestComplexParameters:
     def test_laguerre_accepts_complex(self):
         alpha = 1.0 + 0.5j
         assert laguerre(1, alpha, 0.3) == pytest.approx(1 + alpha - 0.3, rel=1e-14)
+
+
+class TestArrayInput:
+    def test_array_equals_elementwise_scalar_calls(self):
+        x = np.linspace(-2.0, 3.0, 11).reshape(1, 11)
+        cases = [
+            (hyp1f1_terminating, (4, 2.5)),
+            (hyp1f1_terminating, (3, 1.5 + 0.4j)),
+            (hyp2f1_terminating, (3, 4.25, 1.75)),
+            (hyp2f1_terminating, (2, 0.5 - 0.3j, 2.0 + 0.1j)),
+        ]
+        for fn, args in cases:
+            for xs in (x, x + 0.25j * x):
+                got = fn(*args, xs)
+                assert got.degree == args[0]
+                assert got.value.shape == xs.shape
+                expected = np.array([fn(*args, complex(v)).value for v in xs.ravel()])
+                if np.isrealobj(xs) and not any(isinstance(a, complex) for a in args):
+                    # real input stays on float arithmetic, which reproduces
+                    # the complex scalar sum exactly
+                    assert got.value.dtype == np.float64
+                    assert np.array_equal(got.value.ravel(), expected)
+                else:
+                    np.testing.assert_allclose(got.value.ravel(), expected, rtol=1e-13)
