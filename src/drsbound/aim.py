@@ -150,22 +150,14 @@ class AimSeriesResult:
 def aim_delta(problem: AimProblem, eigenparameter, k: int):
     """delta_k(x0) = lambda_k s_{k-1} - lambda_{k-1} s_k, rescaled each step.
 
-    The running rescale divides both sequences by a common magnitude, which
-    multiplies delta_k by a positive constant and leaves its zeros (the
-    quantization condition) untouched while preventing overflow.
+    The last delta of aim_series: the running rescale divides both sequences
+    by a common magnitude, which multiplies delta_k by a positive constant
+    and leaves its zeros (the quantization condition) untouched while
+    preventing overflow.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    lam0, s0 = problem.jets(eigenparameter)
-    lam, s = lam0, s0
-    delta = None
-    for _ in range(k):
-        lam_next = lam.deriv() + s + lam0 * lam
-        s_next = s.deriv() + s0 * lam
-        delta = lam_next.value * s.value - lam.value * s_next.value
-        scale = max(abs(lam_next.value), abs(s_next.value), 1e-300)
-        lam, s = lam_next * (1.0 / scale), s_next * (1.0 / scale)
-    return delta
+    return aim_series(problem, eigenparameter, k).deltas[-1]
 
 
 def aim_series(problem: AimProblem, eigenparameter, k_max=None, rescale=True) -> AimSeriesResult:

@@ -18,11 +18,10 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Kratzer, Oscillator, ProblemSpec, RingParams
+from .model import Kratzer, Oscillator, ProblemSpec, RingParams, SpecError
 from .spectrum import (
     DEFAULT_PARAMS,
     TABLE_KINDS,
@@ -41,22 +40,24 @@ class UsageError(Exception):
     pass
 
 
-@dataclass
-class RunConfig:
-    mass: float = DEFAULT_PARAMS["mass"]
-    c_s: float = DEFAULT_PARAMS["c_s"]
-    c_ps: float = DEFAULT_PARAMS["c_ps"]
-    d_e: float = DEFAULT_PARAMS["d_e"]
-    r_e: float = DEFAULT_PARAMS["r_e"]
-    k: float = DEFAULT_PARAMS["k"]
-
-    def as_params(self):
-        return {k: getattr(self, k) for k in CONFIG_KEYS}
-
-
 def fmt(x: float) -> str:
     """Fixed 10-significant-digit formatting for deterministic output."""
     return f"{x:.10g}"
+
+
+def _write_output(path, text):
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc}") from exc
+
+
+def _number(text, where):
+    try:
+        return float(text)
+    except ValueError as exc:
+        raise UsageError(f"bad value for {where}: {text!r}") from exc
 
 
 def parse_config_file(path) -> dict:
@@ -73,38 +74,35 @@ def parse_config_file(path) -> dict:
                 key = key.strip()
                 if key not in CONFIG_KEYS:
                     raise UsageError(f"{path}:{lineno}: unknown config key {key!r}")
-                values[key] = float(val.strip())
+                values[key] = _number(val.strip(), f"{path}:{lineno}: {key}")
     except OSError as exc:
         raise UsageError(f"cannot read config file: {exc}") from exc
     return values
 
 
-def resolve_config(args) -> RunConfig:
-    cfg = RunConfig()
+def resolve_config(args) -> dict:
+    """The physical parameters: DEFAULT_PARAMS overridden by file, environment, flags."""
+    cfg = dict(DEFAULT_PARAMS)
     if getattr(args, "config", None):
-        for key, val in parse_config_file(args.config).items():
-            setattr(cfg, key, val)
+        cfg.update(parse_config_file(args.config))
     for key in CONFIG_KEYS:
         env = os.environ.get(ENV_PREFIX + key.upper())
         if env is not None:
-            try:
-                setattr(cfg, key, float(env))
-            except ValueError as exc:
-                raise UsageError(f"bad value for {ENV_PREFIX + key.upper()}: {env!r}") from exc
+            cfg[key] = _number(env, ENV_PREFIX + key.upper())
     for key in CONFIG_KEYS:
         val = getattr(args, key, None)
         if val is not None:
-            setattr(cfg, key, val)
+            cfg[key] = val
     return cfg
 
 
-def build_spec(args, cfg: RunConfig) -> ProblemSpec:
+def build_spec(args, cfg: dict) -> ProblemSpec:
     if args.n < 0 or args.nprime < 0:
         raise UsageError("quantum numbers n and nprime must be nonnegative")
     if args.a < 0 or args.b < 0:
         raise UsageError("ring strengths a and b must be nonnegative")
     table = next(t for t, k in TABLE_KINDS.items() if k == (args.symmetry, args.potential))
-    return table_spec(table, args.n, args.nprime, args.m, args.a, args.b, cfg.as_params())
+    return table_spec(table, args.n, args.nprime, args.m, args.a, args.b, cfg)
 
 
 def _root_row(root):
@@ -140,7 +138,7 @@ def cmd_table(args) -> int:
     sym_kind, pot_kind = TABLE_KINDS[args.table]
     lines = ["n,n_prime,m,a,b,symmetry,potential,energy_re,energy_im,class,residual,branch"]
     for n, n_prime, m, a, b, _values in rows:
-        spec = table_spec(args.table, n, n_prime, m, a, b, cfg.as_params())
+        spec = table_spec(args.table, n, n_prime, m, a, b, cfg)
         for r in find_roots(spec, mode=args.mode):
             row = _root_row(r)
             lines.append(
@@ -148,12 +146,7 @@ def cmd_table(args) -> int:
                 f"{fmt(row['energy_re'])},{fmt(row['energy_im'])},{row['class']},"
                 f"{fmt(row['residual'])},{row['branch']}"
             )
-    text = "\n".join(lines) + "\n"
-    try:
-        with open(args.output, "w") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise UsageError(f"cannot write {args.output}: {exc}") from exc
+    _write_output(args.output, "\n".join(lines) + "\n")
     print(f"wrote {len(lines) - 1} rows to {args.output}")
     return 0
 
@@ -166,19 +159,17 @@ def cmd_audit(args) -> int:
             published = load_table_data(args.table, path=args.data)
         except OSError as exc:
             raise UsageError(f"cannot read data file: {exc}") from exc
+        except ValueError as exc:
+            raise UsageError(f"{args.data}: {exc}") from exc
     try:
         report = audit_table(
-            args.table, published=published, tolerance=args.tolerance, params=cfg.as_params()
+            args.table, published=published, tolerance=args.tolerance, params=cfg
         )
     except FileNotFoundError as exc:
         raise UsageError(f"missing bundled data: {exc}") from exc
     print(report.to_text())
     if args.output:
-        try:
-            with open(args.output, "w") as fh:
-                json.dump(report.to_json(), fh, indent=2)
-        except OSError as exc:
-            raise UsageError(f"cannot write {args.output}: {exc}") from exc
+        _write_output(args.output, json.dumps(report.to_json(), indent=2))
         print(f"wrote JSON report to {args.output}")
     return 0
 
@@ -217,11 +208,7 @@ def cmd_wavefunction(args) -> int:
                 lines.append(
                     f"{fmt(rv)} {fmt(tv)} {fmt(pv)} {fmt(val.real)} {fmt(val.imag)}"
                 )
-    try:
-        with open(args.output, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
-    except OSError as exc:
-        raise UsageError(f"cannot write {args.output}: {exc}") from exc
+    _write_output(args.output, "\n".join(lines) + "\n")
     print(f"wrote {len(lines) - 3} samples to {args.output}")
     return 0
 
@@ -259,13 +246,23 @@ def cmd_potential_grid(args) -> int:
         for tv in theta:
             v = ring.angular(tv) / rv**2 + pot.radial(rv)
             lines.append(f"{fmt(rv)} {fmt(tv)} {fmt(v)}")
-    try:
-        with open(args.output, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
-    except OSError as exc:
-        raise UsageError(f"cannot write {args.output}: {exc}") from exc
+    _write_output(args.output, "\n".join(lines) + "\n")
     print(f"wrote {len(lines) - 2} grid points to {args.output}")
     return 0
+
+
+def _sample_count(text):
+    count = int(text)
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {count}")
+    return count
+
+
+def _positive(text):
+    value = float(text)
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+    return value
 
 
 def _add_param_flags(p):
@@ -321,10 +318,10 @@ def make_parser():
     _add_spec_flags(p)
     _add_param_flags(p)
     p.add_argument("--state", type=int, default=0, help="index into the class-A roots")
-    p.add_argument("--r-max", dest="r_max", type=float, default=6.0)
-    p.add_argument("--r-samples", dest="r_samples", type=int, default=40)
-    p.add_argument("--theta-samples", dest="theta_samples", type=int, default=20)
-    p.add_argument("--phi-samples", dest="phi_samples", type=int, default=8)
+    p.add_argument("--r-max", dest="r_max", type=_positive, default=6.0)
+    p.add_argument("--r-samples", dest="r_samples", type=_sample_count, default=40)
+    p.add_argument("--theta-samples", dest="theta_samples", type=_sample_count, default=20)
+    p.add_argument("--phi-samples", dest="phi_samples", type=_sample_count, default=8)
     p.add_argument("--output", required=True)
     p.set_defaults(func=cmd_wavefunction)
 
@@ -337,10 +334,10 @@ def make_parser():
     p.add_argument("--k", type=float, default=None)
     p.add_argument("--r-min", dest="r_min", type=float, default=0.1)
     p.add_argument("--r-max", dest="r_max", type=float, default=4.0)
-    p.add_argument("--r-samples", dest="r_samples", type=int, default=40)
+    p.add_argument("--r-samples", dest="r_samples", type=_sample_count, default=40)
     p.add_argument("--theta-min", dest="theta_min", type=float, default=None)
     p.add_argument("--theta-max", dest="theta_max", type=float, default=None)
-    p.add_argument("--theta-samples", dest="theta_samples", type=int, default=40)
+    p.add_argument("--theta-samples", dest="theta_samples", type=_sample_count, default=40)
     p.add_argument("--output", required=True)
     p.set_defaults(func=cmd_potential_grid)
 
@@ -355,10 +352,7 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, TypeError) as exc:
+    except (UsageError, SpecError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

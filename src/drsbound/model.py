@@ -226,33 +226,44 @@ def radial_equation_beta_sq(spec: ProblemSpec, energy) -> complex:
     return beta_sq_of(spec, energy)
 
 
+def coefficients_at_gamma(
+    g, beta_sq, decay, potential, ring, qn, sqrt_mode=SQRT_PRINCIPAL
+) -> CoefficientSet:
+    """The coefficient set at gamma g; beta_sq and decay are carried as given.
+
+    omega, ell_eff, eta, p and zeta depend on the energy only through g, so
+    the nonrelativistic limit evaluates them here at g = 2 mu / hbar^2.
+    eta and p reuse omega's two square roots.
+    """
+    sq = lambda z: branch_sqrt(z, sqrt_mode)
+    root_a = sq(ring.a * g + 0.25)
+    root_b = sq(ring.b * g + qn.m * qn.m)
+    omega = root_a + root_b
+    ell_eff = omega + 2 * qn.n_prime + 1
+    zeta = None
+    if isinstance(potential, Kratzer):
+        zeta = 0.5 + sq(ell_eff**2 + g * (potential.d_e * potential.r_e**2))
+    return CoefficientSet(
+        gamma=g,
+        beta_sq=beta_sq,
+        omega=omega,
+        ell_eff=ell_eff,
+        eta=0.25 * (1 + 2 * root_b),
+        p=0.25 * (1 + 2 * root_a),
+        zeta=zeta,
+        decay=decay,
+    )
+
+
 def derive_coefficients(spec: ProblemSpec, energy, sqrt_mode=SQRT_PRINCIPAL) -> CoefficientSet:
     """All derived symbols for a candidate energy; complex arithmetic is total."""
     g = gamma_of(spec, energy)
-    bsq = beta_sq_of(spec, energy)
-    a, b = spec.ring.a, spec.ring.b
-    m = spec.qn.m
-    sq = lambda z: branch_sqrt(z, sqrt_mode)
-    omega = sq(a * g + 0.25) + sq(b * g + m * m)
-    ell_eff = omega + 2 * spec.qn.n_prime + 1
-    eta = 0.25 * (1 + 2 * sq(m * m + g * b))
-    p = 0.25 * (1 + 2 * sq(0.25 + g * a))
     if isinstance(spec.potential, Kratzer):
-        dr2 = spec.potential.d_e * spec.potential.r_e**2
-        zeta = 0.5 + sq(ell_eff**2 + g * dr2)
-        decay = sq(-radial_equation_beta_sq(spec, energy))
+        decay = branch_sqrt(-radial_equation_beta_sq(spec, energy), sqrt_mode)
     else:
-        zeta = None
-        decay = sq(-g * spec.potential.k / 8.0)
-    return CoefficientSet(
-        gamma=g,
-        beta_sq=bsq,
-        omega=omega,
-        ell_eff=ell_eff,
-        eta=eta,
-        p=p,
-        zeta=zeta,
-        decay=decay,
+        decay = branch_sqrt(-g * spec.potential.k / 8.0, sqrt_mode)
+    return coefficients_at_gamma(
+        g, beta_sq_of(spec, energy), decay, spec.potential, spec.ring, spec.qn, sqrt_mode
     )
 
 

@@ -1,13 +1,17 @@
 """Nonrelativistic limits: closed-form spectra and wavefunctions.
 
 Obtained from the spin-limit solutions through E - M -> E, E + M -> 2 mu /
-hbar^2 with C_s = 0.  The Kratzer spectrum is fully closed-form (the square
-root no longer depends on the energy); the oscillator spectrum is a linear
-ladder.  The claimed reduction of the oscillator ladder to the textbook
-centrifugal form is checked and reported, not asserted: direct substitution
-of 2 n' + 1/2 = ell leaves a constant offset of 1/2, so the check returns
-all three numbers (direct substitution, textbook form, finite-difference
-eigenvalue) and their differences.
+hbar^2 with C_s = 0, and evaluated that way: `coefficients_nr` is the
+relativistic coefficient set (model.coefficients_at_gamma) at gamma =
+2 mu / hbar^2, and the wavefunction is the relativistic component formula
+(wavefun.evaluate_component) at that set.  The Kratzer spectrum is fully
+closed-form (the square root no longer depends on the energy); the
+oscillator spectrum is a linear ladder.  The claimed reduction of the
+oscillator ladder to the textbook centrifugal form is checked and
+reported, not asserted: direct substitution of 2 n' + 1/2 = ell leaves a
+constant offset of 1/2, so the check returns all three numbers (direct
+substitution, textbook form, finite-difference eigenvalue) and their
+differences.
 """
 
 from __future__ import annotations
@@ -15,10 +19,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .model import Kratzer, Oscillator, QuantumNumbers, RingParams, SpecError
-from .specfun import gamma_fn, hyp1f1_terminating, hyp2f1_terminating
+from .model import (
+    CoefficientSet,
+    Kratzer,
+    Oscillator,
+    QuantumNumbers,
+    RingParams,
+    SpecError,
+    branch_sqrt,
+    coefficients_at_gamma,
+)
+from .wavefun import evaluate_component
 
 
 @dataclass(frozen=True)
@@ -35,32 +46,37 @@ class NonRelParams:
             raise SpecError("mu and hbar must be positive")
 
 
-def _angular_root_sum(p: NonRelParams, m: int):
+def coefficients_nr(p: NonRelParams, qn: QuantumNumbers, energy=None) -> CoefficientSet:
+    """The relativistic coefficient set in the nonrelativistic limit.
+
+    gamma = E + M - C_s becomes g = 2 mu / hbar^2 and beta^2 = (E - M)(C_s -
+    E - M) becomes -g E.  The envelope rates are the bound-state ones:
+    sqrt(-2 mu E) / hbar for the Kratzer (None without an energy) and the
+    Gaussian width sqrt(mu k / 4 hbar^2) for the oscillator.
+    """
     g = 2.0 * p.mu / p.hbar**2
-    return math.sqrt(g * p.ring.a + 0.25) + math.sqrt(g * p.ring.b + m * m)
+    beta_sq = None if energy is None else -g * energy
+    if isinstance(p.potential, Oscillator):
+        decay = branch_sqrt(p.mu * p.potential.k / (4.0 * p.hbar**2))
+    else:
+        decay = None if energy is None else branch_sqrt(-2.0 * p.mu * energy) / p.hbar
+    return coefficients_at_gamma(g, beta_sq, decay, p.potential, p.ring, qn)
 
 
 def energy_kratzer_nr(p: NonRelParams, qn: QuantumNumbers) -> float:
-    """Rovibrational spectrum of the ring-shaped Kratzer molecule."""
+    """Rovibrational spectrum of the ring-shaped Kratzer molecule: -g (De re)^2 / (n + zeta)^2."""
     if not isinstance(p.potential, Kratzer):
         raise TypeError("params do not carry a Kratzer potential")
-    d_e, r_e = p.potential.d_e, p.potential.r_e
-    g = 2.0 * p.mu / p.hbar**2
-    ell_eff = _angular_root_sum(p, qn.m) + 2 * qn.n_prime + 1
-    bracket = qn.n + 0.5 + math.sqrt(ell_eff**2 + g * d_e * r_e**2)
-    return -g * (d_e * r_e) ** 2 / bracket**2
+    c = coefficients_nr(p, qn)
+    return -c.gamma * (p.potential.d_e * p.potential.r_e) ** 2 / (qn.n + c.zeta.real) ** 2
 
 
 def energy_oscillator_nr(p: NonRelParams, qn: QuantumNumbers) -> float:
     """Equidistant ladder of the ring-shaped oscillator."""
     if not isinstance(p.potential, Oscillator):
         raise TypeError("params do not carry an Oscillator potential")
-    k = p.potential.k
-    return (
-        p.hbar
-        * math.sqrt(k / p.mu)
-        * (_angular_root_sum(p, qn.m) + 2.0 * (qn.n_prime + qn.n + 1.0))
-    )
+    omega = coefficients_nr(p, qn).omega.real
+    return p.hbar * math.sqrt(p.potential.k / p.mu) * (omega + 2.0 * (qn.n_prime + qn.n + 1.0))
 
 
 @dataclass(frozen=True)
@@ -112,50 +128,17 @@ def reduction_check_oscillator(p: NonRelParams, ell: int, n: int) -> ReductionRe
     )
 
 
-def _barred_coefficients(p: NonRelParams, qn: QuantumNumbers, energy):
-    g = 2.0 * p.mu / p.hbar**2
-    eta = 0.25 * (1.0 + 2.0 * math.sqrt(qn.m**2 + g * p.ring.b))
-    pp = 0.25 * (1.0 + 2.0 * math.sqrt(0.25 + g * p.ring.a))
-    ell_eff = _angular_root_sum(p, qn.m) + 2 * qn.n_prime + 1
-    return g, eta, pp, ell_eff
-
-
 def wavefunction_nr(p: NonRelParams, qn: QuantumNumbers, r, theta, phi, energy=None):
     """Nonrelativistic component with the barred parameters; real sector only.
 
-    The radial envelope uses the decaying branch, exp(-beta_bar r) with
-    beta_bar = sqrt(-2 mu E / hbar^2) for the (negative-energy) Kratzer bound
-    states and exp(-sqrt(mu k / 4 hbar^2) r^2) for the oscillator.
+    The relativistic component formula at `coefficients_nr`: the radial
+    envelope decays like exp(-sqrt(-2 mu E / hbar^2) r) for the
+    (negative-energy) Kratzer bound states and like
+    exp(-sqrt(mu k / 4 hbar^2) r^2) for the oscillator.
     """
-    g, eta, pp, ell_eff = _barred_coefficients(p, qn, energy)
-    r = np.asarray(r, dtype=float)
-    theta = np.asarray(theta, dtype=float)
-    s2 = np.sin(theta) ** 2
-    ang = s2**eta * (np.cos(theta) ** 2) ** pp * hyp2f1_terminating(
-        qn.n_prime, qn.n_prime + 2 * (eta + pp), 2 * eta + 0.5, s2
-    ).value
-    azi = np.exp(1j * qn.m * phi) / math.sqrt(2.0 * math.pi)
     if isinstance(p.potential, Kratzer):
         if energy is None:
             energy = energy_kratzer_nr(p, qn)
         if energy >= 0:
             raise SpecError("Kratzer bound state requires E < 0")
-        beta_bar = math.sqrt(-2.0 * p.mu * energy) / p.hbar
-        zeta_bar = 0.5 + math.sqrt(ell_eff**2 + g * p.potential.d_e * p.potential.r_e**2)
-        pref = gamma_fn(2 * beta_bar + qn.n) / gamma_fn(2 * beta_bar)
-        rad = (
-            r**zeta_bar
-            * np.exp(-beta_bar * r)
-            * hyp1f1_terminating(qn.n, 2 * zeta_bar, 2 * beta_bar * r).value
-        )
-    else:
-        k = p.potential.k
-        width = math.sqrt(p.mu * k / (4.0 * p.hbar**2))
-        pref = gamma_fn(ell_eff + 1.0 + qn.n) / gamma_fn(ell_eff + 1.0)
-        rad = (
-            r ** (ell_eff + 0.5)
-            * np.exp(-width * r * r)
-            * hyp1f1_terminating(qn.n, ell_eff + 1.0, 2.0 * width * r * r).value
-        )
-    pref = pref * gamma_fn(2 * eta + 0.5 + qn.n) / gamma_fn(2 * eta + 0.5)
-    return pref * rad * ang * azi / (r * np.sqrt(np.sin(theta)))
+    return evaluate_component(p, coefficients_nr(p, qn, energy), qn, r, theta, phi)

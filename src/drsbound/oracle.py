@@ -280,10 +280,10 @@ def nonrel_energy_fd(params, qn, index=None, nodes=6000, r_max=None):
     with the ring-quantized L = ell_eff; the independent check for the
     closed-form nonrelativistic spectra.
     """
-    from .nonrel import _angular_root_sum
+    from .nonrel import coefficients_nr
 
     mu, hbar = params.mu, params.hbar
-    ell_eff = _angular_root_sum(params, qn.m) + 2 * qn.n_prime + 1
+    ell_eff = coefficients_nr(params, qn).ell_eff.real
     n = qn.n if index is None else index
     if r_max is None:
         if isinstance(params.potential, Kratzer):

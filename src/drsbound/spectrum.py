@@ -51,6 +51,7 @@ from .model import (
     RingParams,
     Spin,
     branch_sqrt,
+    coefficients_at_gamma,
 )
 
 #: Reference parameter set used by all bundled tables (fm^-1 units).
@@ -104,7 +105,7 @@ def all_branches():
 
 
 def principal_branches():
-    """The four principal-sqrt strategies, the default search set.
+    """The four principal-sqrt strategies; `_search_branches` narrows them per spec.
 
     The modulus convention turns out to mirror the partner symmetry's
     spectrum into the search window (it erases exactly the sign information
@@ -112,6 +113,17 @@ def principal_branches():
     is scanned only on explicit request.
     """
     return [b for b in all_branches() if b.sqrt_mode == SQRT_PRINCIPAL]
+
+
+def _search_branches(spec: ProblemSpec):
+    """The principal strategies that differ for this spec, canonical first.
+
+    The oscillator condition never reads sigma_inner, so its inner-flipped
+    copies would only repeat the work of the inner+ ones.
+    """
+    if isinstance(spec.potential, Oscillator):
+        return [b for b in principal_branches() if b.sigma_inner == 1]
+    return principal_branches()
 
 
 class RootClass(enum.Enum):
@@ -136,11 +148,11 @@ class ClassifiedRoot:
 
 
 def angular_quantization(gamma, ring: RingParams, m: int, n_prime: int, sqrt_mode=SQRT_PRINCIPAL):
-    """Quantized ell + 1/2 = sqrt(a g + 1/4) + sqrt(b g + m^2) + 2 n' + 1."""
+    """Quantized ell + 1/2 = sqrt(a g + 1/4) + sqrt(b g + m^2) + 2 n' + 1 (ell_eff)."""
     if n_prime < 0:
         raise ValueError("n_prime must be nonnegative")
-    sq = lambda z: branch_sqrt(z, sqrt_mode)
-    return sq(ring.a * gamma + 0.25) + sq(ring.b * gamma + m * m) + 2 * n_prime + 1
+    qn = QuantumNumbers(n_prime=n_prime, m=m)
+    return coefficients_at_gamma(gamma, None, None, None, ring, qn, sqrt_mode).ell_eff
 
 
 def _radical_term(e, spec: ProblemSpec, sq):
@@ -436,7 +448,7 @@ def _scan_branch(spec, branch, interval, panels_per_unit):
 def _polynomial_roots(spec, paper_compat):
     """Roots of the exact squared-polynomial paths (a = b = 0 only)."""
     out = []
-    principal = principal_branches()
+    search = _search_branches(spec)
     if isinstance(spec.potential, Oscillator):
         polys = [(None, squared_polynomial_drso(spec))]
     else:
@@ -445,12 +457,12 @@ def _polynomial_roots(spec, paper_compat):
         for z in np.roots(poly):
             if abs(z.imag) < 1e-9 * (1.0 + abs(z)):
                 e = z.real
-                for br in principal:
+                for br in search:
                     polished = _polish_branch_root(spec, br, e, span=1e-6)
                     if polished is not None:
                         e = polished
                         break
-                hit = _best_branch(spec, e, principal, tol=1e-6)
+                hit = _best_branch(spec, e, search, tol=1e-6)
                 if hit is None:
                     continue  # squaring artifact of the rationalization
                 br, res = hit
@@ -459,7 +471,7 @@ def _polynomial_roots(spec, paper_compat):
                 f = lambda w: squared_form(w, spec, 1 if srhs is None else srhs)
                 zz = _secant_complex(f, complex(z), complex(z) * (1 + 1e-8) + 1e-8j)
                 zz = complex(z) if zz is None else complex(zz.real, abs(zz.imag))
-                best = _best_branch(spec, zz, principal)
+                best = _best_branch(spec, zz, search)
                 if best is not None:
                     out.append(ClassifiedRoot(zz, best[0], best[1], RootClass.C))
     return out
@@ -509,7 +521,8 @@ def find_roots(
         interval = (-m_ - 20.0, m_ + 20.0)
     paper_compat = mode == "paper-compat"
     explicit = branches is not None
-    branches = list(branches) if explicit else principal_branches()
+    search = _search_branches(spec)
+    branches = list(branches) if explicit else search
 
     found = []
     central = spec.ring.a == 0 and spec.ring.b == 0
@@ -525,7 +538,7 @@ def find_roots(
             found.append(ClassifiedRoot(complex(e), br, hit[1], _class_for_branch(br)))
     if paper_compat and isinstance(spec.potential, Oscillator) and not central:
         for z in complex_zeros_drso(spec, interval):
-            best = _best_branch(spec, z, principal_branches())
+            best = _best_branch(spec, z, search)
             if best is not None:
                 found.append(ClassifiedRoot(z, best[0], best[1], RootClass.C))
 
@@ -773,9 +786,9 @@ def _polish_branch_root(spec, branch, value, span=2e-3, grow=8):
 
 def classify_value(spec: ProblemSpec, value: float, match_tol=1e-4):
     """Audit one published number against every branch and squared form."""
-    principal = principal_branches()
+    search = _search_branches(spec)
     candidates = []
-    for br in principal:
+    for br in search:
         root = _polish_branch_root(spec, br, value)
         if root is None or abs(root - value) > match_tol:
             continue
@@ -802,7 +815,7 @@ def classify_value(spec: ProblemSpec, value: float, match_tol=1e-4):
         pair_zeros = _complex_multistart(spec, value, (0.25, 0.5, 1.0, 2.0, 4.0, 8.0))
     for z in pair_zeros:
         dev = abs(z.real - value)
-        best = _best_branch(spec, z, principal) if dev <= match_tol else None
+        best = _best_branch(spec, z, search) if dev <= match_tol else None
         if best is not None:
             candidates.append((RootClass.C, dev, best[0].label(), best[1]))
     if candidates:
@@ -819,7 +832,7 @@ def classify_value(spec: ProblemSpec, value: float, match_tol=1e-4):
             diag["branch_residuals"][br.label()] = abs(r)
         except SpectralPoleError:
             diag["branch_residuals"][br.label()] = None
-    for br in principal:
+    for br in search:
         root = _polish_branch_root(spec, br, value, span=0.05)
         if root is not None and (nearest is None or abs(root - value) < abs(nearest - value)):
             nearest = root

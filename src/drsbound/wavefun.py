@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import CoefficientSet, Kratzer, Oscillator, ProblemSpec, derive_coefficients
+from .model import CoefficientSet, Kratzer, ProblemSpec, derive_coefficients
 from .specfun import gamma_fn, hyp1f1_terminating, hyp2f1_terminating
 
 
@@ -46,24 +46,27 @@ def _real(z, what):
     return z.real
 
 
-def radial_kratzer(r, coeffs: CoefficientSet, n: int):
-    """Kratzer radial factor r^zeta exp(-w r) 1F1(-n; 2 zeta; 2 w r)."""
+def _decay(coeffs: CoefficientSet):
+    """Kratzer decay rate or oscillator Gaussian width; NonNormalizableError unless real > 0."""
     w = complex(coeffs.decay)
     if abs(w.imag) > REAL_TOL * (1.0 + abs(w)) or w.real <= 0:
-        raise NonNormalizableError(f"radial decay rate {w} is not real positive")
+        what = "Gaussian width" if coeffs.zeta is None else "radial decay rate"
+        raise NonNormalizableError(f"{what} {w} is not real positive")
+    return w.real
+
+
+def radial_kratzer(r, coeffs: CoefficientSet, n: int):
+    """Kratzer radial factor r^zeta exp(-w r) 1F1(-n; 2 zeta; 2 w r)."""
+    w = _decay(coeffs)
     zeta = _real(coeffs.zeta, "zeta")
-    w = w.real
     r = np.asarray(r, dtype=float)
     return r**zeta * np.exp(-w * r) * hyp1f1_terminating(n, 2 * zeta, 2 * w * r).value
 
 
 def radial_oscillator(r, coeffs: CoefficientSet, n: int, ell_eff=None):
     """Oscillator radial factor r^(l+1) exp(-W r^2) 1F1(-n; l+3/2; 2 W r^2)."""
-    w = complex(coeffs.decay)
-    if abs(w.imag) > REAL_TOL * (1.0 + abs(w)) or w.real <= 0:
-        raise NonNormalizableError(f"Gaussian width {w} is not real positive")
+    w = _decay(coeffs)
     leff = _real(coeffs.ell_eff if ell_eff is None else ell_eff, "ell_eff")
-    w = w.real
     r = np.asarray(r, dtype=float)
     series = hyp1f1_terminating(n, leff + 1.0, 2 * w * r * r).value
     return r ** (leff + 0.5) * np.exp(-w * r * r) * series
@@ -91,7 +94,7 @@ def gamma_prefactor(spec: ProblemSpec, coeffs: CoefficientSet, n: int):
     eta = _real(coeffs.eta, "eta")
     ang = gamma_fn(2 * eta + 0.5 + n) / gamma_fn(2 * eta + 0.5)
     if isinstance(spec.potential, Kratzer):
-        w = _real(coeffs.decay, "decay")
+        w = _decay(coeffs)
         rad = gamma_fn(2 * w + n) / gamma_fn(2 * w)
     else:
         leff = _real(coeffs.ell_eff, "ell_eff")
@@ -111,11 +114,8 @@ def component_norm_integral(spec: ProblemSpec, energy) -> float:
     eta = _real(coeffs.eta, "eta")
     p = _real(coeffs.p, "p")
     pref = gamma_prefactor(spec, coeffs, n)
+    w = _decay(coeffs)
     if isinstance(spec.potential, Kratzer):
-        w = complex(coeffs.decay)
-        if abs(w.imag) > REAL_TOL * (1.0 + abs(w)) or w.real <= 0:
-            raise NonNormalizableError(f"radial decay rate {w} is not real positive")
-        w = w.real
         zeta = _real(coeffs.zeta, "zeta")
         i_r = (
             math.factorial(n)
@@ -124,10 +124,6 @@ def component_norm_integral(spec: ProblemSpec, energy) -> float:
             / (gamma_fn(n + 2 * zeta) * (2 * w) ** (2 * zeta + 1))
         )
     else:
-        w = complex(coeffs.decay)
-        if abs(w.imag) > REAL_TOL * (1.0 + abs(w)) or w.real <= 0:
-            raise NonNormalizableError(f"Gaussian width {w} is not real positive")
-        w = w.real
         leff = _real(coeffs.ell_eff, "ell_eff")
         i_r = (
             math.factorial(n)
@@ -163,22 +159,34 @@ def normalization_constant(spec: ProblemSpec, energy, counterpart=None) -> float
     return 1.0 / math.sqrt(total)
 
 
+def _radial(spec, coeffs: CoefficientSet, r, n: int):
+    if isinstance(spec.potential, Kratzer):
+        return radial_kratzer(r, coeffs, n)
+    return radial_oscillator(r, coeffs, n)
+
+
+def evaluate_component(spec, coeffs: CoefficientSet, qn, r, theta, phi, scale=1.0):
+    """scale times the printed component at (r, theta, phi) for a coefficient set.
+
+    Radial, polar and azimuthal factors with the Gamma prefactors, divided
+    by r sin^(1/2)(theta).  spec only supplies `.potential`, so a
+    nonrelativistic parameter record serves as well as a ProblemSpec.
+    """
+    rad = _radial(spec, coeffs, r, qn.n)
+    ang = angular_H(theta, coeffs, qn.n_prime)
+    azi = azimuthal_phi(phi, qn.m)
+    pref = gamma_prefactor(spec, coeffs, qn.n)
+    r = np.asarray(r, dtype=float)
+    theta = np.asarray(theta, dtype=float)
+    return scale * pref * rad * ang * azi / (r * np.sqrt(np.sin(theta)))
+
+
 def assemble_component(spec: ProblemSpec, energy, r, theta, phi, normalization=None):
     """Normalized component at (r, theta, phi); complex-valued through phi."""
     coeffs = derive_coefficients(spec, energy)
-    n, npr, m = spec.qn.n, spec.qn.n_prime, spec.qn.m
-    if isinstance(spec.potential, Kratzer):
-        rad = radial_kratzer(r, coeffs, n)
-    else:
-        rad = radial_oscillator(r, coeffs, n)
-    ang = angular_H(theta, coeffs, npr)
-    azi = azimuthal_phi(phi, m)
     if normalization is None:
         normalization = normalization_constant(spec, energy)
-    pref = gamma_prefactor(spec, coeffs, n)
-    r = np.asarray(r, dtype=float)
-    theta = np.asarray(theta, dtype=float)
-    return normalization * pref * rad * ang * azi / (r * np.sqrt(np.sin(theta)))
+    return evaluate_component(spec, coeffs, spec.qn, r, theta, phi, normalization)
 
 
 @dataclass(frozen=True)
@@ -201,6 +209,12 @@ class SpinorField:
         return assemble_component(self.spec, self.energy, r, theta, phi, self.normalization)
 
 
+def _envelope_radius(spec: ProblemSpec, coeffs: CoefficientSet):
+    """Radius where the radial envelope has decayed to exp(-40), ~1e-17."""
+    w = _decay(coeffs)
+    return 40.0 / w if isinstance(spec.potential, Kratzer) else math.sqrt(40.0 / w)
+
+
 def verify_normalization(spec: ProblemSpec, energy, radial_nodes=200, theta_nodes=200, phi_nodes=64):
     """|quadrature of the squared normalized component - 1|.
 
@@ -208,12 +222,7 @@ def verify_normalization(spec: ProblemSpec, energy, radial_nodes=200, theta_node
     azimuthal plane waves); the radial domain is truncated where the
     envelope has decayed to ~1e-17.
     """
-    coeffs = derive_coefficients(spec, energy)
-    w = _real(coeffs.decay, "decay")
-    if isinstance(spec.potential, Kratzer):
-        r_max = 40.0 / w
-    else:
-        r_max = math.sqrt(40.0 / w)
+    r_max = _envelope_radius(spec, derive_coefficients(spec, energy))
     xr, wr = np.polynomial.legendre.leggauss(radial_nodes)
     r = 0.5 * r_max * (xr + 1.0)
     wr = 0.5 * r_max * wr
@@ -233,13 +242,9 @@ def verify_normalization(spec: ProblemSpec, energy, radial_nodes=200, theta_node
 def radial_node_count(spec: ProblemSpec, energy, r_max=None, samples=4000):
     """Sign changes of the radial factor on (0, r_max)."""
     coeffs = derive_coefficients(spec, energy)
-    w = _real(coeffs.decay, "decay")
     if r_max is None:
-        r_max = 40.0 / w if isinstance(spec.potential, Kratzer) else math.sqrt(40.0 / w)
+        r_max = _envelope_radius(spec, coeffs)
     r = np.linspace(r_max / samples, r_max, samples)
-    if isinstance(spec.potential, Kratzer):
-        vals = radial_kratzer(r, coeffs, spec.qn.n)
-    else:
-        vals = radial_oscillator(r, coeffs, spec.qn.n)
+    vals = _radial(spec, coeffs, r, spec.qn.n)
     signs = np.sign(vals)
     return int(np.sum(signs[:-1] * signs[1:] < 0))

@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from drsbound import cli
 from drsbound.cli import main
 from drsbound.spectrum import load_table_data, audit_table
 
@@ -86,6 +87,26 @@ class TestSolve:
         assert code == 2
         assert "nonnegative" in err
 
+    def test_nonpositive_mass_exits_two(self, capsys):
+        code, _, err = run(
+            capsys,
+            "solve", "--symmetry", "spin", "--potential", "kratzer",
+            "--n", "0", "--nprime", "0", "--m", "0", "--mass", "-1",
+        )
+        assert code == 2
+        assert "mass" in err
+
+    def test_internal_fault_propagates(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise ValueError("internal fault")
+
+        monkeypatch.setattr(cli, "find_roots", broken)
+        with pytest.raises(ValueError, match="internal fault"):
+            main([
+                "solve", "--symmetry", "spin", "--potential", "kratzer",
+                "--n", "0", "--nprime", "0", "--m", "0",
+            ])
+
 
 class TestConfigPrecedence:
     def test_flags_env_config_defaults(self, capsys, tmp_path, monkeypatch):
@@ -149,6 +170,27 @@ class TestConfigPrecedence:
         )
         assert code == 2
         assert "unknown config key" in err
+
+    def test_non_numeric_config_value_exits_two(self, capsys, tmp_path):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("mass = abc\n")
+        code, _, err = run(
+            capsys,
+            "solve", "--symmetry", "spin", "--potential", "kratzer",
+            "--n", "0", "--nprime", "0", "--m", "0", "--config", str(cfg),
+        )
+        assert code == 2
+        assert "'abc'" in err and ":1:" in err
+
+    def test_non_numeric_environment_value_exits_two(self, capsys, monkeypatch):
+        monkeypatch.setenv("DRSBOUND_K", "one")
+        code, _, err = run(
+            capsys,
+            "solve", "--symmetry", "spin", "--potential", "oscillator",
+            "--n", "0", "--nprime", "0", "--m", "0",
+        )
+        assert code == 2
+        assert "DRSBOUND_K" in err
 
 
 class TestTable:
@@ -242,6 +284,14 @@ class TestAudit:
         code, _, err = run(capsys, "audit", "1", "--data", str(tmp_path / "nope.txt"))
         assert code == 2
 
+    @pytest.mark.parametrize("row", ["0 0 0 0 -0.6652434115", "0 0 x 0 0 -0.6652434115"])
+    def test_malformed_data_row_exits_two(self, capsys, tmp_path, row):
+        data = tmp_path / "bad.txt"
+        data.write_text(row + "\n")
+        code, _, err = run(capsys, "audit", "2", "--data", str(data))
+        assert code == 2
+        assert str(data) in err
+
     def test_audit_honors_parameter_overrides(self, capsys, tmp_path):
         # auditing the bundled values against a different mass must fail to
         # match them (classes drift toward D / away from tight deviations)
@@ -294,6 +344,21 @@ class TestWavefunction:
         )
         assert code == 2
         assert "--state" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flag, value", [("--r-samples", "0"), ("--theta-samples", "0"), ("--phi-samples", "-2"),
+                        ("--r-max", "0")]
+    )
+    def test_bad_sampling_is_usage_error(self, capsys, tmp_path, flag, value):
+        out = tmp_path / "wf.txt"
+        code, _, err = run(
+            capsys,
+            "wavefunction", "--symmetry", "spin", "--potential", "kratzer",
+            "--n", "0", "--nprime", "0", "--m", "0", flag, value, "--output", str(out),
+        )
+        assert code == 2
+        assert flag in err
         assert not out.exists()
 
     def test_complex_sector_exits_one(self, capsys, tmp_path):
@@ -364,3 +429,12 @@ class TestPotentialGrid:
         )
         assert code == 2
         assert "singular" in err
+
+    def test_zero_theta_samples_is_usage_error(self, capsys, tmp_path):
+        code, _, err = run(
+            capsys,
+            "potential-grid", "--potential", "oscillator", "--theta-samples", "0",
+            "--output", str(tmp_path / "g.txt"),
+        )
+        assert code == 2
+        assert "--theta-samples" in err

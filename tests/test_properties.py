@@ -1,0 +1,91 @@
+"""Invariants of the spectral residual on drawn real-sector specs.
+
+Derandomized hypothesis draws with small example counts, so the suite stays
+deterministic and fast.
+"""
+
+import cmath
+
+from hypothesis import given, settings, strategies as st
+
+from drsbound.model import (
+    Kratzer,
+    Oscillator,
+    PhysicalParams,
+    ProblemSpec,
+    Pseudospin,
+    QuantumNumbers,
+    RingParams,
+    Spin,
+)
+from drsbound.spectrum import BranchStrategy, SpectralPoleError, _residual_scaled, residual
+
+PROPERTY_SETTINGS = settings(derandomize=True, max_examples=60, deadline=None, database=None)
+
+strength = st.floats(0.0, 4.0)
+quantum = st.integers(0, 5)
+energy = st.floats(-30.0, 30.0)
+branch = st.builds(
+    BranchStrategy,
+    st.sampled_from((1, -1)),
+    st.sampled_from((1, -1)),
+    st.sampled_from(("principal", "modulus")),
+)
+
+
+@st.composite
+def real_specs(draw, potential=None):
+    """A ProblemSpec with real parameters, nonnegative ring strengths and any m."""
+    symmetry = draw(
+        st.one_of(st.builds(Spin, st.floats(-8.0, 8.0)), st.builds(Pseudospin, st.floats(-8.0, 8.0)))
+    )
+    if potential is None:
+        potential = draw(st.sampled_from(("kratzer", "oscillator")))
+    if potential == "kratzer":
+        pot = Kratzer(draw(st.floats(0.5, 30.0)), draw(st.floats(0.1, 2.0)))
+    else:
+        pot = Oscillator(draw(st.floats(0.1, 5.0)))
+    return ProblemSpec(
+        symmetry=symmetry,
+        potential=pot,
+        ring=RingParams(draw(strength), draw(strength)),
+        params=PhysicalParams(draw(st.floats(0.5, 10.0))),
+        qn=QuantumNumbers(n=draw(quantum), n_prime=draw(quantum), m=draw(st.integers(-5, 5))),
+    )
+
+
+def residual_or_pole(e, spec, br):
+    try:
+        return residual(e, spec, br)
+    except SpectralPoleError:
+        return "pole"
+
+
+def same(x, y):
+    if isinstance(x, complex) and isinstance(y, complex) and cmath.isnan(x) and cmath.isnan(y):
+        return True
+    return x == y
+
+
+@PROPERTY_SETTINGS
+@given(real_specs(), energy, branch)
+def test_residual_is_even_in_m(spec, e, br):
+    flipped = spec.with_qn(m=-spec.qn.m)
+    assert same(residual_or_pole(e, spec, br), residual_or_pole(e, flipped, br))
+
+
+@PROPERTY_SETTINGS
+@given(real_specs("oscillator"), energy, branch, quantum, quantum)
+def test_oscillator_residual_depends_on_n_plus_n_prime(spec, e, br, n, n_prime):
+    here = spec.with_qn(n=n, n_prime=n_prime)
+    moved = spec.with_qn(n=n + n_prime, n_prime=0)
+    r1, scale = _residual_scaled(e, here, br)
+    r2, _ = _residual_scaled(e, moved, br)
+    assert abs(r1 - r2) <= 1e-12 * scale
+
+
+@PROPERTY_SETTINGS
+@given(real_specs("oscillator"), energy, branch)
+def test_oscillator_residual_ignores_sigma_inner(spec, e, br):
+    flipped = BranchStrategy(br.sigma_rhs, -br.sigma_inner, br.sqrt_mode)
+    assert same(residual(e, spec, br), residual(e, spec, flipped))
