@@ -201,13 +201,10 @@ def cmd_wavefunction(args) -> int:
         f"# energy={fmt(energy)} normalization={fmt(field.normalization)}",
         "# r theta phi re im",
     ]
-    for rv in r:
-        for tv in theta:
-            vals = field(rv, tv, phi)
-            for pv, val in zip(phi, np.atleast_1d(vals)):
-                lines.append(
-                    f"{fmt(rv)} {fmt(tv)} {fmt(pv)} {fmt(val.real)} {fmt(val.imag)}"
-                )
+    rr, tt, pp = np.meshgrid(r, theta, phi, indexing="ij")
+    vals = field(rr, tt, pp)
+    for rv, tv, pv, val in zip(rr.ravel(), tt.ravel(), pp.ravel(), vals.ravel()):
+        lines.append(f"{fmt(rv)} {fmt(tv)} {fmt(pv)} {fmt(val.real)} {fmt(val.imag)}")
     _write_output(args.output, "\n".join(lines) + "\n")
     print(f"wrote {len(lines) - 3} samples to {args.output}")
     return 0

@@ -15,18 +15,29 @@ convention.  Published tables mix three kinds of entries:
 
 Each condition is defined once (`_condition`) and serves both scalar
 evaluation, where a pole raises SpectralPoleError, and the vectorized
-real-axis scan, where poles are masked; the squared form shares its radical
+real-axis scan, where poles are masked; the squared form (`_squared`) is
+likewise one body for scalar and array evaluation and shares the radical
 term (`_radical_term`).
+
+The real-axis scan (`_scan_branches`) evaluates every requested branch of a
+sqrt mode in one pass: the branch signs are stacked as columns, so the
+radicals are taken once per energy, and the grid is walked in blocks of
+SCAN_BLOCK points so the temporaries are reused rather than allocated per
+grid.  Sign changes are polished by brentq on the scalar residual.
 
 For the pure central cases (a = b = 0) the squared forms are polynomials --
 a cubic for the oscillator, one quartic per sigma_rhs for the Kratzer -- and
 are solved exactly through companion matrices.  Elsewhere the squared form
 stays transcendental and its complex zeros are located by one secant
 multistart (`_complex_multistart`): for the ring-dressed oscillator this is
-part of the search; the Kratzer analogue with a or b nonzero has no
-polynomial form and no agreed generation convention, so those table entries
-are audited to class D, with the multistart's nearest pair as a diagnostic,
-rather than guessed at.
+part of the search, where all starts run as one numpy batch that only
+locates the zeros and the scalar multistart, rerun from one start per zero,
+reports them (`complex_zeros_drso`); the Kratzer analogue with a or b
+nonzero has no polynomial form and no agreed generation convention, so
+those table entries are audited to class D, with the multistart's nearest
+pair as a diagnostic, rather than guessed at.  The audit (`classify_value`)
+stays scalar: it keeps every zero its few starts find, so a batch would
+save nothing.
 """
 
 from __future__ import annotations
@@ -185,9 +196,11 @@ def _condition(e, spec: ProblemSpec, branch: BranchStrategy, sqrt, pole):
     """(lhs, rhs, valid) of the spectral condition lhs = rhs at energy e.
 
     e is a complex or a complex array and sqrt(z, mode) the square root
-    matching it.  pole(at_pole, what) runs before every division that can
-    vanish and decides what a pole does: scalar callers raise, the array
-    scan masks; `valid` combines its results.
+    matching it; branch is a BranchStrategy or, for the scan, a
+    `_BranchStack` whose (B, 1) signs broadcast the result to B rows.
+    pole(at_pole, what) runs before every division that can vanish and
+    decides what a pole does: scalar callers raise, the array scan masks;
+    `valid` combines its results.
     """
     sq = lambda z: sqrt(z, branch.sqrt_mode)
     m_, c = spec.mass, spec.symmetry.constant
@@ -303,17 +316,15 @@ def squared_polynomial_drsk(spec: ProblemSpec, sigma_rhs: int = 1):
     return poly / poly[0]
 
 
-def squared_form(energy, spec: ProblemSpec, sigma_rhs: int = 1):
-    """The squared condition as an analytic function of complex energy.
+def _squared(e, spec: ProblemSpec, sigma_rhs, sqrt):
+    """The squared condition at energy e with square root sqrt(z).
 
-    For the oscillator the sigma_rhs sign cancels on squaring; for the
-    Kratzer it survives through the cross term and selects which branch
-    family the zeros belong to.
+    e is a complex with `cmath.sqrt` (`squared_form`) or a complex array
+    with `np.sqrt` (the batched complex search).
     """
-    e = complex(energy)
     m_, c = spec.mass, spec.symmetry.constant
     pot = spec.potential
-    rad = _radical_term(e, spec, cmath.sqrt)
+    rad = _radical_term(e, spec, sqrt)
     if isinstance(pot, Oscillator):
         if spec.is_spin:
             return (m_ - e) ** 2 * (c - e - m_) - 2.0 * pot.k * rad * rad
@@ -323,6 +334,16 @@ def squared_form(energy, spec: ProblemSpec, sigma_rhs: int = 1):
     if spec.is_spin:
         return (e - m_) * (nu + rad) ** 2 + sigma_rhs * t_sq * (e + m_ - c)
     return (e + m_) * (nu + rad) ** 2 - sigma_rhs * t_sq * (m_ - e + c)
+
+
+def squared_form(energy, spec: ProblemSpec, sigma_rhs: int = 1):
+    """The squared condition as an analytic function of complex energy.
+
+    For the oscillator the sigma_rhs sign cancels on squaring; for the
+    Kratzer it survives through the cross term and selects which branch
+    family the zeros belong to.
+    """
+    return _squared(complex(energy), spec, sigma_rhs, cmath.sqrt)
 
 
 def _secant_complex(f, z0, z1, maxit=100, tol=1e-13):
@@ -339,6 +360,11 @@ def _secant_complex(f, z0, z1, maxit=100, tol=1e-13):
     return None
 
 
+def _degree(spec: ProblemSpec):
+    """Degree of the squared form in E: 3 for the oscillator, 4 for the Kratzer."""
+    return 3 if isinstance(spec.potential, Oscillator) else 4
+
+
 def _complex_multistart(spec: ProblemSpec, x, imag_starts, sigma_rhs=1):
     """Off-axis zeros of the squared form reached by secant from above x.
 
@@ -349,7 +375,7 @@ def _complex_multistart(spec: ProblemSpec, x, imag_starts, sigma_rhs=1):
     oscillator, 4 for the Kratzer); kept zeros are reflected into the upper
     half-plane.
     """
-    degree = 3 if isinstance(spec.potential, Oscillator) else 4
+    degree = _degree(spec)
     f = lambda z: squared_form(z, spec, sigma_rhs)
     out = []
     for im in imag_starts:
@@ -359,15 +385,67 @@ def _complex_multistart(spec: ProblemSpec, x, imag_starts, sigma_rhs=1):
     return out
 
 
+def _multistart_batch(spec: ProblemSpec, xs, imag_starts):
+    """`_complex_multistart` over every (x, im) start at once, as numpy arrays.
+
+    Returns one entry per start in (x, im) order: the accepted zero, reflected
+    into the upper half-plane, or None.  Each lane follows the scalar secant
+    (same starts, stopping rules and acceptance test) and drops out of the
+    live set when it converges or fails.  numpy's complex multiply, divide
+    and abs can differ from CPython's in the last bit, so a lane only locates
+    its zero; the reported value comes from the scalar run.
+    """
+    x = np.repeat(np.asarray(xs, dtype=float), len(imag_starts))
+    im = np.tile(np.asarray(imag_starts, dtype=float), len(xs))
+    z0 = np.empty(x.size, dtype=complex)
+    z0.real, z0.imag = x, im
+    z1 = np.empty(x.size, dtype=complex)
+    z1.real, z1.imag = x * (1 + 1e-4) + 1e-4, im * 1.01
+    f = lambda z: _squared(z, spec, 1, np.sqrt)
+    found = np.full(x.size, np.nan, dtype=complex)
+    live = np.arange(x.size)
+    with np.errstate(all="ignore"):
+        f0, f1 = f(z0), f(z1)
+        for _ in range(100):  # the iteration cap and step tolerance of `_secant_complex`
+            z2 = z1 - f1 * (z1 - z0) / (f1 - f0)
+            keep = (f1 != f0) & np.isfinite(z2.real) & np.isfinite(z2.imag)
+            live, z0, f0, z1 = live[keep], z1[keep], f1[keep], z2[keep]
+            f1 = f(z1)
+            done = np.abs(z1 - z0) < 1e-13 * (1.0 + np.abs(z1))
+            found[live[done]] = z1[done]
+            keep = ~done
+            live, z0, f0, z1, f1 = live[keep], z0[keep], f0[keep], z1[keep], f1[keep]
+            if not live.size:
+                break
+        ok = np.abs(found.imag) > 1e-8
+        ok &= np.abs(f(found)) < 1e-8 * (1 + np.abs(found)) ** _degree(spec)
+    return [complex(z.real, abs(z.imag)) if hit else None for z, hit in zip(found, ok)]
+
+
 def complex_zeros_drso(spec: ProblemSpec, interval, imag_starts=(0.5, 2.0, 6.0), re_step=1.0):
-    """Complex zeros of the squared oscillator form inside the Re-interval."""
+    """Complex zeros of the squared oscillator form inside the Re-interval.
+
+    Starts at every re_step along the interval, each with every imaginary
+    offset.  One numpy batch (`_multistart_batch`) runs all starts; the
+    accepted lanes are walked in (re, im) order and, for each zero not yet
+    reported, the scalar `_complex_multistart` is rerun from that lane and
+    gives the reported value.  A lane whose scalar rerun fails leaves its
+    zero to the next lane that lands on it.  The result equals running the
+    scalar multistart from every start, at a fraction of the evaluations.
+    """
     lo, hi = interval
+    xs = np.arange(lo, hi + re_step / 2, re_step)
+    located = _multistart_batch(spec, xs, imag_starts)
+    starts = [(x, im) for x in xs for im in imag_starts]
     zeros = []
-    for re in np.arange(lo, hi + re_step / 2, re_step):
-        for z in _complex_multistart(spec, re, imag_starts):
-            if lo - 1e-9 <= z.real <= hi + 1e-9 and all(
-                abs(z - w) > 1e-7 * (1 + abs(z)) for w in zeros
-            ):
+    new = lambda z: lo - 1e-9 <= z.real <= hi + 1e-9 and all(
+        abs(z - w) > 1e-7 * (1 + abs(z)) for w in zeros
+    )
+    for (x, im), zb in zip(starts, located):
+        if zb is None or not new(zb):
+            continue
+        for z in _complex_multistart(spec, x, (im,)):
+            if new(z):
                 zeros.append(z)
     return sorted(zeros, key=lambda z: (z.real, z.imag))
 
@@ -417,31 +495,70 @@ def _residual_array(spec, es, branch):
     return vals, ok & np.isfinite(vals.real) & np.isfinite(vals.imag)
 
 
-def _scan_branch(spec, branch, interval, panels_per_unit):
-    """Sign-change scan of the residual where one component carries it.
+#: Grid points per block of the real-axis scan; blocks overlap by one point.
+#: Small enough that the (branches x points) temporaries stay in cache and
+#: are reused instead of freshly allocated.
+SCAN_BLOCK = 8192
 
-    On the real axis the residual of a branch restriction is real wherever
-    all radicals are real, but the oscillator conditions turn purely
-    imaginary below the symmetry threshold; zeros are therefore bracketed
-    on whichever component dominates while the other stays negligible.
+
+@dataclass(frozen=True)
+class _BranchStack:
+    """Strategies of one sqrt mode, stacked for `_condition` to broadcast over.
+
+    The signs are (B, 1) columns, so the radicals and the lhs are evaluated
+    once per energy and every term carrying a sign becomes a (B, N) array.
+    """
+
+    sigma_rhs: np.ndarray
+    sigma_inner: np.ndarray
+    sqrt_mode: str
+
+    @classmethod
+    def of(cls, branches):
+        col = lambda name: np.array([[getattr(b, name)] for b in branches])
+        return cls(col("sigma_rhs"), col("sigma_inner"), branches[0].sqrt_mode)
+
+
+def _scan_branches(spec, branches, interval, panels_per_unit):
+    """Real roots of each branch restriction, one root list per branch, in order.
+
+    One sign-change scan per sqrt mode covers all its branches at once, in
+    blocks of SCAN_BLOCK grid points.  On the real axis the residual of a
+    branch restriction is real wherever all radicals are real, but the
+    oscillator conditions turn purely imaginary below the symmetry
+    threshold; zeros are therefore bracketed on whichever component
+    dominates while the other stays negligible, and polished by brentq on
+    the scalar residual: per branch, the real-component brackets first,
+    then the imaginary ones, each in ascending order.
     """
     lo, hi = interval
     n = max(16, int(round((hi - lo) * panels_per_unit)))
     es = np.linspace(lo, hi, n + 1)
-    vals, ok = _residual_array(spec, es, branch)
-    ok &= np.abs(vals) < 1e8  # never bisect across a pole
+    comps = ("real", "imag")
+    brackets = [{comp: [] for comp in comps} for _ in branches]
+    for mode in dict.fromkeys(b.sqrt_mode for b in branches):
+        rows = [i for i, b in enumerate(branches) if b.sqrt_mode == mode]
+        stack = _BranchStack.of([branches[i] for i in rows])
+        for start in range(0, n, SCAN_BLOCK - 1):
+            vals, ok = _residual_array(spec, es[start : start + SCAN_BLOCK], stack)
+            ok &= np.abs(vals) < 1e8  # never bisect across a pole
+            size = {"real": np.abs(vals.real), "imag": np.abs(vals.imag)}
+            for comp, other in zip(comps, comps[::-1]):
+                good = ok & (size[other] < 1e-9 * (1.0 + size[comp]))
+                sign = np.sign(getattr(vals, comp))
+                change = good[:, :-1] & good[:, 1:] & (sign[:, :-1] != sign[:, 1:])
+                for row, i in zip(*np.nonzero(change)):
+                    brackets[rows[row]][comp].append(start + i)
     roots = []
-    for comp in ("real", "imag"):
-        main = getattr(vals, comp)
-        other = vals.imag if comp == "real" else vals.real
-        good = ok & (np.abs(other) < 1e-9 * (1.0 + np.abs(main)))
-        cand = np.where(good[:-1] & good[1:] & (np.sign(main[:-1]) != np.sign(main[1:])))[0]
-        fn = lambda x: getattr(residual(x, spec, branch), comp)
-        for i in cand:
-            try:
-                roots.append(brentq(fn, es[i], es[i + 1], xtol=1e-14))
-            except (ValueError, SpectralPoleError):
-                continue
+    for br, found in zip(branches, brackets):
+        roots.append([])
+        for comp in comps:
+            fn = lambda x: getattr(residual(x, spec, br), comp)
+            for i in found[comp]:
+                try:
+                    roots[-1].append(brentq(fn, es[i], es[i + 1], xtol=1e-14))
+                except (ValueError, SpectralPoleError):
+                    continue
     return roots
 
 
@@ -511,14 +628,27 @@ def find_roots(
     strict mode keeps only class-A roots (canonical branch, genuine);
     paper-compat additionally reports sigma_rhs = -1 roots and the real
     parts of complex pairs of the squared forms, reproducing the published
-    tables.  Non-convergent starts of the complex search are dropped
-    silently; an empty result is an ordinary outcome.
+    tables.  Real roots come from one blocked sign-change scan over all
+    requested branches of a sqrt mode (`_scan_branches`) at panels_per_unit
+    grid panels per unit energy, plus the exact polynomial paths when
+    a = b = 0; complex pairs of the ring-dressed oscillator come from
+    `complex_zeros_drso`, batch-located and finished by the scalar secant.
+    Non-convergent starts of the complex search are dropped silently; an
+    empty result is an ordinary outcome.
+
+    Raises ValueError for an unknown mode, an interval that is not finite
+    or has lo >= hi, and panels_per_unit <= 0.
     """
     if mode not in ("strict", "paper-compat"):
         raise ValueError("mode must be 'strict' or 'paper-compat'")
     if interval is None:
         m_ = abs(spec.mass)
         interval = (-m_ - 20.0, m_ + 20.0)
+    lo, hi = interval
+    if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
+        raise ValueError(f"interval must be finite with lo < hi, got {interval!r}")
+    if not panels_per_unit > 0:
+        raise ValueError(f"panels_per_unit must be positive, got {panels_per_unit!r}")
     paper_compat = mode == "paper-compat"
     explicit = branches is not None
     search = _search_branches(spec)
@@ -530,8 +660,8 @@ def find_roots(
         found.extend(_polynomial_roots(spec, paper_compat))
     # real-line scan over the requested branches (everything the polynomial
     # path already found will be merged away by deduplication)
-    for br in branches:
-        for e in _scan_branch(spec, br, interval, panels_per_unit):
+    for br, roots in zip(branches, _scan_branches(spec, branches, interval, panels_per_unit)):
+        for e in roots:
             hit = _best_branch(spec, e, [br], tol=1e-6)
             if hit is None:
                 continue
@@ -542,7 +672,6 @@ def find_roots(
             if best is not None:
                 found.append(ClassifiedRoot(z, best[0], best[1], RootClass.C))
 
-    lo, hi = interval
     found = [
         r
         for r in found

@@ -1,5 +1,6 @@
 import json
 import math
+import pathlib
 
 import pytest
 
@@ -191,6 +192,21 @@ class TestConfigPrecedence:
         )
         assert code == 2
         assert "DRSBOUND_K" in err
+
+
+REFERENCE_DIR = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "reference"
+
+
+class TestTableReference:
+    @pytest.mark.parametrize("table", [1, 2, 3, 4])
+    def test_table_csv_byte_identical_to_reference(self, capsys, monkeypatch, tmp_path, table):
+        # the benchmark's reference CSVs were written by `drsbound table N`
+        # at the default parameters; any moved digit shows up here
+        for key in cli.CONFIG_KEYS:
+            monkeypatch.delenv(cli.ENV_PREFIX + key.upper(), raising=False)
+        out = tmp_path / f"table{table}.csv"
+        assert run(capsys, "table", str(table), "--output", str(out))[0] == 0
+        assert out.read_bytes() == (REFERENCE_DIR / f"table{table}.csv").read_bytes()
 
 
 class TestTable:

@@ -222,6 +222,21 @@ class TestFindRoots:
         spec = table_spec(3, 0, 0, 0, 1.0, 1.0)
         assert find_roots(spec, interval=(4.0, 5.0), mode="strict") == []
 
+    @pytest.mark.parametrize(
+        "interval",
+        [(10.0, -10.0), (3.0, 3.0), (float("nan"), 5.0), (-5.0, float("inf"))],
+    )
+    def test_bad_interval_rejected(self, interval):
+        spec = table_spec(3, 0, 0, 0, 1.0, 1.0)
+        with pytest.raises(ValueError, match="interval"):
+            find_roots(spec, interval=interval)
+
+    @pytest.mark.parametrize("panels", [0, -5, float("nan")])
+    def test_nonpositive_panels_rejected(self, panels):
+        spec = table_spec(3, 0, 0, 0, 1.0, 1.0)
+        with pytest.raises(ValueError, match="panels_per_unit"):
+            find_roots(spec, panels_per_unit=panels)
+
     def test_max_roots_caps_output(self):
         spec = table_spec(1, 0, 0, 0, 0.0, 0.0)
         roots = find_roots(spec, mode="paper-compat", max_roots=2)
@@ -266,6 +281,106 @@ class TestVectorizedScanPath:
         spec = table_spec(1, 0, 0, 0, 0.0, 0.0)  # pole at E = M + C_ps = 0
         vals, ok = _residual_array(spec, np.array([0.0, 1.0]), CANONICAL)
         assert not ok[0] and ok[1]
+
+
+def _scan_one_branch(spec, branch, interval, panels_per_unit):
+    """Unblocked single-branch sign-change scan: the oracle for the stacked scan."""
+    from scipy.optimize import brentq
+
+    from drsbound.spectrum import SpectralPoleError, _residual_array
+
+    lo, hi = interval
+    n = max(16, int(round((hi - lo) * panels_per_unit)))
+    es = np.linspace(lo, hi, n + 1)
+    vals, ok = _residual_array(spec, es, branch)
+    ok &= np.abs(vals) < 1e8
+    roots = []
+    for comp in ("real", "imag"):
+        main = getattr(vals, comp)
+        other = vals.imag if comp == "real" else vals.real
+        good = ok & (np.abs(other) < 1e-9 * (1.0 + np.abs(main)))
+        cand = np.where(good[:-1] & good[1:] & (np.sign(main[:-1]) != np.sign(main[1:])))[0]
+        fn = lambda x: getattr(residual(x, spec, branch), comp)
+        for i in cand:
+            try:
+                roots.append(brentq(fn, es[i], es[i + 1], xtol=1e-14))
+            except (ValueError, SpectralPoleError):
+                continue
+    return roots
+
+
+SCAN_SPECS = {
+    "kratzer": table_spec(3, 1, 0, 1, 1.0, 0.5),
+    "oscillator": table_spec(2, 0, 1, 1, 0.5, 1.0),
+    "central": table_spec(1, 0, 0, 0, 0.0, 0.0),
+}
+
+
+class TestBlockedScan:
+    @pytest.mark.parametrize("name", sorted(SCAN_SPECS))
+    def test_stacked_scan_equals_per_branch_scan(self, name):
+        from drsbound.spectrum import _scan_branches
+
+        spec = SCAN_SPECS[name]
+        interval = (-25.0, 25.0)
+        got = _scan_branches(spec, all_branches(), interval, 400)
+        want = [_scan_one_branch(spec, br, interval, 400) for br in all_branches()]
+        assert got == want
+        assert any(got)
+
+    @pytest.mark.parametrize("name", sorted(SCAN_SPECS))
+    @pytest.mark.parametrize("block", [7, 64, 10**7])
+    def test_block_size_does_not_change_roots(self, monkeypatch, name, block):
+        from drsbound import spectrum
+
+        spec = SCAN_SPECS[name]
+        want = find_roots(spec, mode="paper-compat", panels_per_unit=200)
+        explicit = find_roots(spec, mode="paper-compat", panels_per_unit=200, branches=all_branches())
+        monkeypatch.setattr(spectrum, "SCAN_BLOCK", block)
+        assert find_roots(spec, mode="paper-compat", panels_per_unit=200) == want
+        assert (
+            find_roots(spec, mode="paper-compat", panels_per_unit=200, branches=all_branches())
+            == explicit
+        )
+        assert want
+
+
+def _complex_zeros_oracle(spec, interval, imag_starts=(0.5, 2.0, 6.0), re_step=1.0):
+    """One scalar multistart per start, in (re, im) order: the batch's oracle."""
+    from drsbound.spectrum import _complex_multistart
+
+    lo, hi = interval
+    zeros = []
+    for re in np.arange(lo, hi + re_step / 2, re_step):
+        for z in _complex_multistart(spec, re, imag_starts):
+            if lo - 1e-9 <= z.real <= hi + 1e-9 and all(
+                abs(z - w) > 1e-7 * (1 + abs(z)) for w in zeros
+            ):
+                zeros.append(z)
+    return sorted(zeros, key=lambda z: (z.real, z.imag))
+
+
+class TestBatchedComplexSearch:
+    @pytest.mark.parametrize(
+        "table, n, npr, m, a, b, params",
+        [
+            (4, 0, 0, 0, 1.0, 1.0, None),
+            (4, 1, 2, -1, 0.5, 2.0, None),
+            (4, 2, 0, 2, 3.0, 0.25, None),
+            (2, 0, 0, 0, 1.0, 1.0, None),
+            (2, 1, 1, 1, 2.0, 0.5, None),
+            (2, 0, 1, -2, 0.75, 1.5, {"k": 2.5, "mass": 4.0, "c_ps": -3.0}),
+        ],
+    )
+    def test_bit_identical_to_scalar_multistart(self, table, n, npr, m, a, b, params):
+        from drsbound.spectrum import complex_zeros_drso
+
+        spec = table_spec(table, n, npr, m, a, b, params)
+        interval = (-abs(spec.mass) - 20.0, abs(spec.mass) + 20.0)
+        got = complex_zeros_drso(spec, interval)
+        want = _complex_zeros_oracle(spec, interval)
+        assert [(z.real, z.imag) for z in got] == [(z.real, z.imag) for z in want]
+        assert want
 
 
 class TestTableDataFormat:
