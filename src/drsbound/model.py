@@ -13,7 +13,8 @@ Units: hbar = 1, energies and masses in fm^-1, lengths in fm.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass, fields, replace
 
 
 SQRT_PRINCIPAL = "principal"
@@ -22,6 +23,14 @@ SQRT_MODULUS = "modulus"
 
 class SpecError(ValueError):
     """Invalid parameter record."""
+
+
+def _require_finite(record):
+    """Raise SpecError naming the first NaN or infinite field of a parameter record."""
+    for f in fields(record):
+        value = getattr(record, f.name)
+        if not math.isfinite(value):
+            raise SpecError(f"{type(record).__name__}.{f.name} must be finite, got {value!r}")
 
 
 def branch_sqrt(z, mode=SQRT_PRINCIPAL):
@@ -45,12 +54,18 @@ class Spin:
 
     constant: float  # C_s, fm^-1
 
+    def __post_init__(self):
+        _require_finite(self)
+
 
 @dataclass(frozen=True)
 class Pseudospin:
     """Pseudospin symmetry limit: V + S = C_ps. Real negative bound energies."""
 
     constant: float  # C_ps, fm^-1
+
+    def __post_init__(self):
+        _require_finite(self)
 
 
 SymmetryKind = Spin | Pseudospin
@@ -64,6 +79,7 @@ class Kratzer:
     r_e: float  # equilibrium distance, fm
 
     def __post_init__(self):
+        _require_finite(self)
         if self.d_e <= 0 or self.r_e <= 0:
             raise SpecError("Kratzer requires d_e > 0 and r_e > 0")
 
@@ -78,6 +94,7 @@ class Oscillator:
     k: float
 
     def __post_init__(self):
+        _require_finite(self)
         if self.k <= 0:
             raise SpecError("Oscillator requires k > 0")
 
@@ -100,6 +117,7 @@ class RingParams:
     b: float = 0.0
 
     def __post_init__(self):
+        _require_finite(self)
         if self.a < 0 or self.b < 0:
             raise SpecError("ring strengths must be nonnegative")
 
@@ -118,6 +136,7 @@ class PhysicalParams:
     mass: float
 
     def __post_init__(self):
+        _require_finite(self)
         if self.mass <= 0:
             raise SpecError("mass must be positive")
 

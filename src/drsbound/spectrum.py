@@ -35,9 +35,12 @@ locates the zeros and the scalar multistart, rerun from one start per zero,
 reports them (`complex_zeros_drso`); the Kratzer analogue with a or b
 nonzero has no polynomial form and no agreed generation convention, so
 those table entries are audited to class D, with the multistart's nearest
-pair as a diagnostic, rather than guessed at.  The audit (`classify_value`)
-stays scalar: it keeps every zero its few starts find, so a batch would
-save nothing.
+pair as a diagnostic, rather than guessed at.  The audit's complex
+multistart (`classify_value`) stays scalar: it keeps every zero its few
+starts find, so a batch would save nothing.  Its bracket polish
+(`_polish_branch_root`) evaluates the halving ladders of endpoints that need
+them as one array, which only locates: the scalar residual decides every
+endpoint.
 """
 
 from __future__ import annotations
@@ -749,7 +752,8 @@ def load_table_data(table_id: int, path=None):
     """Rows (n, n_prime, m, a, b, [values...]) of a bundled or external table.
 
     The columnar format is `n n_prime m a b value1 [value2 [value3]]` with
-    `#` comments; it is documented in the README.
+    `#` comments; it is documented in the README.  A row with too few
+    columns or a NaN or infinite published value raises ValueError.
     """
     if path is None:
         if table_id not in TABLE_KINDS:
@@ -769,6 +773,8 @@ def load_table_data(table_id: int, path=None):
         n, n_prime, m = (int(x) for x in parts[:3])
         a, b = (float(x) for x in parts[3:5])
         values = [float(x) for x in parts[5:]]
+        if not all(np.isfinite(values)):
+            raise ValueError(f"malformed table row (non-finite value): {line!r}")
         rows.append((n, n_prime, m, a, b, values))
     return rows
 
@@ -848,13 +854,54 @@ def _lhs_pole(spec):
     return spec.mass + spec.symmetry.constant
 
 
+#: Evaluations per endpoint of the polish's halving ladder, its first point included.
+LADDER_POINTS = 60
+
+
+def _ladder_candidates(spec, branch, comp, value, starts):
+    """Points of each start's halving ladder that the scalar test must decide.
+
+    The ladder of a start e0 is e_j = value + 0.5 (e_{j-1} - value) for
+    j = 1 .. LADDER_POINTS - 1, ending before the first point within
+    1e-15 (1 + |value|) of value: the points the scalar ladder tests after
+    e0, built with the same float recurrence.  All ladders are evaluated in
+    one `_residual_array` call.  A point is dropped only where the array
+    clearly rejects it: finite, not a pole, and the component other than
+    `comp` above the usable threshold 1e-9 (1 + |main|) by more than 1e-6 of
+    the threshold.
+    Anything else (array-usable, near the threshold, non-finite or masked
+    as a pole) is kept for the scalar test, because numpy's complex sqrt,
+    multiply and divide can differ from CPython's in the last bit.  Returns
+    one list of floats per start, in ladder order.
+    """
+    stop = 1e-15 * (1.0 + abs(value))
+    e = np.asarray(starts, dtype=float)
+    pts = np.empty((e.size, LADDER_POINTS - 1))
+    for j in range(LADDER_POINTS - 1):
+        e = value + 0.5 * (e - value)
+        pts[:, j] = e
+    live = np.logical_and.accumulate(np.abs(pts - value) >= stop, axis=1)
+    vals, ok = _residual_array(spec, pts[live], branch)
+    main = np.abs(getattr(vals, comp))
+    other = np.abs(vals.imag if comp == "real" else vals.real)
+    keep = np.zeros(pts.shape, dtype=bool)
+    keep[live] = ~ok | (other <= 1e-9 * (1.0 + main) * (1.0 + 1e-6))
+    return [row[k].tolist() for row, k in zip(pts, keep)]
+
+
 def _polish_branch_root(spec, branch, value, span=2e-3, grow=8):
     """Real root of a branch residual near `value`, by bracket expansion.
 
     Bisects whichever residual component (real or imaginary) dominates near
     the value; the bracket is clipped at the condition's first-order pole
     and endpoints landing outside the component's validity region (complex
-    radicals, poles) are shrunk back toward the value.
+    radicals, poles) are shrunk back toward the value along a halving
+    ladder.  Each endpoint's first point is tested by the scalar residual;
+    the first time one fails, the ladders of every remaining endpoint are
+    built and evaluated as one array (`_ladder_candidates`).  The batch only
+    locates: each endpoint is the first of its kept ladder points that the
+    scalar test accepts, with the value and sign that test computed, so the
+    bracket, and brentq's root, are those of the plain scalar ladder.
     """
     pole = _lhs_pole(spec)
     if abs(value - pole) < 1e-12:
@@ -879,16 +926,7 @@ def _polish_branch_root(spec, branch, value, span=2e-3, grow=8):
             return None
         return main
 
-    def shrink_to_usable(e):
-        for _ in range(60):
-            val = usable(e)
-            if val is not None:
-                return e, val
-            e = value + 0.5 * (e - value)
-            if abs(e - value) < 1e-15 * (1.0 + abs(value)):
-                return None, None
-        return None, None
-
+    ends = []  # lo, hi of each grow step
     width = span
     for _ in range(grow):
         lo, hi = value - width, value + width
@@ -897,8 +935,27 @@ def _polish_branch_root(spec, branch, value, span=2e-3, grow=8):
                 lo = pole + 1e-9
             else:
                 hi = pole - 1e-9
-        lo, flo = shrink_to_usable(lo)
-        hi, fhi = shrink_to_usable(hi)
+        ends += [lo, hi]
+        width *= 2.0
+    ladders = {}
+
+    def shrink_to_usable(i):
+        e = ends[i]
+        val = usable(e)
+        if val is not None:
+            return e, val
+        if i not in ladders:
+            found = _ladder_candidates(spec, branch, comp, value, ends[i:])
+            ladders.update(zip(range(i, len(ends)), found))
+        for e in ladders[i]:
+            val = usable(e)
+            if val is not None:
+                return e, val
+        return None, None
+
+    for step in range(grow):
+        lo, flo = shrink_to_usable(2 * step)
+        hi, fhi = shrink_to_usable(2 * step + 1)
         if (
             lo is not None
             and hi is not None
@@ -909,7 +966,6 @@ def _polish_branch_root(spec, branch, value, span=2e-3, grow=8):
                 return brentq(fn, lo, hi, xtol=1e-14)
             except (ValueError, SpectralPoleError):
                 return None
-        width *= 2.0
     return None
 
 

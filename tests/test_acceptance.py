@@ -31,7 +31,6 @@ from drsbound.specfun import (
 from drsbound.spectrum import (
     RootClass,
     angular_quantization,
-    audit_table,
     find_roots,
     load_table_data,
     table_spec,
@@ -85,10 +84,10 @@ class TestCriterion1TableReproduction:
 
 
 class TestCriterion2AuditCompleteness:
-    def test_full_audit(self):
-        start = time.monotonic()
-        reports = {t: audit_table(t) for t in (1, 2, 3, 4)}
-        elapsed = time.monotonic() - start
+    def test_full_audit(self, table_audits):
+        # the session's one audit of each table; elapsed is what those took
+        reports = {t: run.report for t, run in table_audits.items()}
+        elapsed = sum(run.seconds for run in table_audits.values())
         total = 0
         d_entries = []
         for table, report in reports.items():
@@ -252,12 +251,12 @@ class TestCriterion7SpecialFunctionSuite:
 
 
 class TestCriterion8FullReproduction:
-    def test_blind_regeneration_recovers_all_matched_values(self):
+    def test_blind_regeneration_recovers_all_matched_values(self, table_audits):
         # every published value outside the flagged class-D set must come
         # back from an unguided find_roots run at the original table scale
         checked = 0
         for table in (1, 2, 3, 4):
-            report = audit_table(table)
+            report = table_audits[table].report
             classes = {
                 (e.n, e.n_prime, e.m, e.a, e.b, round(e.value, 9)): e.root_class
                 for e in report.entries
@@ -274,9 +273,9 @@ class TestCriterion8FullReproduction:
         assert checked == 298
         print(f"PASS criterion 8: blind regeneration recovered all {checked} matched values")
 
-    def test_every_entry_verified_or_flagged(self):
+    def test_every_entry_verified_or_flagged(self, table_audits):
         for table in (1, 2, 3, 4):
-            report = audit_table(table)
+            report = table_audits[table].report
             for e in report.entries:
                 if e.root_class is RootClass.D:
                     # never a silent unverified match: flagged entries carry

@@ -97,6 +97,16 @@ class TestSolve:
         assert code == 2
         assert "mass" in err
 
+    @pytest.mark.parametrize("flag, value", [("--a", "nan"), ("--mass", "inf"), ("--re", "nan")])
+    def test_non_finite_parameter_exits_two(self, capsys, flag, value):
+        code, out, err = run(
+            capsys,
+            "solve", "--symmetry", "spin", "--potential", "kratzer",
+            "--n", "0", "--nprime", "0", "--m", "0", flag, value,
+        )
+        assert code == 2
+        assert "must be finite" in err and not out
+
     def test_internal_fault_propagates(self, monkeypatch):
         def broken(*args, **kwargs):
             raise ValueError("internal fault")
@@ -209,6 +219,19 @@ class TestTableReference:
         assert out.read_bytes() == (REFERENCE_DIR / f"table{table}.csv").read_bytes()
 
 
+class TestAuditReference:
+    @pytest.mark.parametrize("table", [1, 2, 3, 4])
+    def test_audit_json_byte_identical_to_reference(self, capsys, monkeypatch, tmp_path, table):
+        # the reference JSON was written by `drsbound audit N` at the default
+        # parameters; it pins every deviation, residual and diagnostic digit,
+        # not only the per-class counts
+        for key in cli.CONFIG_KEYS:
+            monkeypatch.delenv(cli.ENV_PREFIX + key.upper(), raising=False)
+        out = tmp_path / f"audit{table}.json"
+        assert run(capsys, "audit", str(table), "--output", str(out))[0] == 0
+        assert out.read_bytes() == (REFERENCE_DIR / f"audit{table}.json").read_bytes()
+
+
 class TestTable:
     def test_table4_rows_and_determinism(self, capsys, tmp_path):
         out1 = tmp_path / "t4a.csv"
@@ -307,6 +330,24 @@ class TestAudit:
         code, _, err = run(capsys, "audit", "2", "--data", str(data))
         assert code == 2
         assert str(data) in err
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("0 0 0 0 0 nan", "malformed table row"),
+            ("0 0 0 0 0 -0.6652434115 inf", "malformed table row"),
+            ("0 0 0 inf 0 1.0", "RingParams.a must be finite"),
+            ("0 0 0 0 nan 1.0", "RingParams.b must be finite"),
+        ],
+    )
+    def test_non_finite_data_exits_two(self, capsys, tmp_path, row, message):
+        data = tmp_path / "bad.txt"
+        data.write_text(row + "\n")
+        report = tmp_path / "report.json"
+        code, _, err = run(capsys, "audit", "2", "--data", str(data), "--output", str(report))
+        assert code == 2
+        assert message in err
+        assert not report.exists()
 
     def test_audit_honors_parameter_overrides(self, capsys, tmp_path):
         # auditing the bundled values against a different mass must fail to

@@ -159,6 +159,25 @@ class TestValidation:
         with pytest.raises(SpecError):
             PhysicalParams(0.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "make, field",
+        [
+            (lambda x: RingParams(x, 1.0), "RingParams.a"),
+            (lambda x: RingParams(1.0, x), "RingParams.b"),
+            (lambda x: PhysicalParams(x), "PhysicalParams.mass"),
+            (lambda x: Kratzer(x, 0.4), "Kratzer.d_e"),
+            (lambda x: Kratzer(15.0, x), "Kratzer.r_e"),
+            (lambda x: Oscillator(x), "Oscillator.k"),
+            (lambda x: Spin(x), "Spin.constant"),
+            (lambda x: Pseudospin(x), "Pseudospin.constant"),
+        ],
+    )
+    def test_non_finite_field_rejected(self, make, field, bad):
+        # NaN passes every ordering check, so each record tests finiteness first
+        with pytest.raises(SpecError, match=f"{field} must be finite"):
+            make(bad)
+
     def test_potential_value_matches_definition(self):
         spec = spin_kratzer(a=1.0, b=1.0)
         r, theta = 1.0, math.pi / 4

@@ -383,6 +383,221 @@ class TestBatchedComplexSearch:
         assert want
 
 
+def _polish_oracle(spec, branch, value, span=2e-3, grow=8):
+    """`_polish_branch_root` with the plain scalar halving ladder per endpoint."""
+    from scipy.optimize import brentq
+
+    from drsbound.spectrum import SpectralPoleError, _lhs_pole
+
+    pole = _lhs_pole(spec)
+    if abs(value - pole) < 1e-12:
+        return None
+    try:
+        r0 = residual(value, spec, branch)
+    except SpectralPoleError:
+        return None
+    comp = "imag" if abs(r0.imag) > abs(r0.real) else "real"
+    fn = lambda e: getattr(residual(e, spec, branch), comp)
+
+    def usable(e):
+        try:
+            r = residual(e, spec, branch)
+        except SpectralPoleError:
+            return None
+        if not (np.isfinite(r.real) and np.isfinite(r.imag)):
+            return None
+        main = getattr(r, comp)
+        other = r.imag if comp == "real" else r.real
+        if abs(other) > 1e-9 * (1.0 + abs(main)):
+            return None
+        return main
+
+    def shrink_to_usable(e):
+        for _ in range(60):
+            val = usable(e)
+            if val is not None:
+                return e, val
+            e = value + 0.5 * (e - value)
+            if abs(e - value) < 1e-15 * (1.0 + abs(value)):
+                return None, None
+        return None, None
+
+    width = span
+    for _ in range(grow):
+        lo, hi = value - width, value + width
+        if lo < pole < hi:
+            if value > pole:
+                lo = pole + 1e-9
+            else:
+                hi = pole - 1e-9
+        lo, flo = shrink_to_usable(lo)
+        hi, fhi = shrink_to_usable(hi)
+        if lo is not None and hi is not None and hi > lo and np.sign(flo) != np.sign(fhi):
+            try:
+                return brentq(fn, lo, hi, xtol=1e-14)
+            except (ValueError, SpectralPoleError):
+                return None
+        width *= 2.0
+    return None
+
+
+def _bits(x):
+    return None if x is None else float(x).hex()
+
+
+def _random_table_specs(seed, per_table=3):
+    """Seeded specs for tables 1-4: one central and per_table - 1 ring-dressed each."""
+    rng = np.random.default_rng(seed)
+    specs = []
+    for table in (1, 2, 3, 4):
+        for i in range(per_table):
+            a, b = (0.0, 0.0) if i == 0 else rng.uniform(0.1, 3.0, size=2)
+            c = rng.uniform(2.0, 6.0)
+            params = {
+                "mass": rng.uniform(3.0, 7.0),
+                "c_s": c,
+                "c_ps": -c,
+                "d_e": rng.uniform(5.0, 20.0),
+                "r_e": rng.uniform(0.2, 0.8),
+                "k": rng.uniform(0.5, 3.0),
+            }
+            n, npr = (int(x) for x in rng.integers(0, 3, size=2))
+            m = int(rng.integers(-2, 3))
+            specs.append(table_spec(table, n, npr, m, float(a), float(b), params))
+    return specs
+
+
+def _special_values(spec):
+    """The lhs pole, the radical branch points and their neighbours at +-1e-9.
+
+    The pole is also the branch point of the oscillator's lhs radical; the
+    others sit where a gamma + 1/4, b gamma + m^2 or, for the central
+    Kratzer, the big radicand vanishes.
+    """
+    from drsbound.model import Kratzer
+    from drsbound.spectrum import _lhs_pole
+
+    m_, c = spec.mass, spec.symmetry.constant
+    to_e = (lambda g: g - m_ + c) if spec.is_spin else (lambda g: g + m_ + c)
+    gs = []
+    if spec.ring.a > 0:
+        gs.append(-0.25 / spec.ring.a)
+    if spec.ring.b > 0:
+        gs.append(-spec.qn.m**2 / spec.ring.b)
+    pot = spec.potential
+    if isinstance(pot, Kratzer) and spec.ring.a == 0 and spec.ring.b == 0:
+        gs.append(-((abs(spec.qn.m) + 2 * spec.qn.n_prime + 1.5) ** 2) / (pot.d_e * pot.r_e**2))
+    centres = [_lhs_pole(spec)] + [to_e(g) for g in gs]
+    return [x + d for x in centres for d in (0.0, -1e-9, 1e-9)]
+
+
+@pytest.fixture
+def ladder_calls(monkeypatch):
+    """Counts the batched ladder evaluations made through `_ladder_candidates`."""
+    from drsbound import spectrum
+
+    calls = []
+    inner = spectrum._ladder_candidates
+
+    def counted(*args):
+        calls.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(spectrum, "_ladder_candidates", counted)
+    return calls
+
+
+class TestBatchedPolishLadder:
+    """`_polish_branch_root` batches its halving ladders; results stay those of the scalar ladder."""
+
+    def test_published_values_bit_identical(self, ladder_calls):
+        # every polish classify_value makes at span 2e-3, on all 342 values
+        from drsbound.spectrum import _polish_branch_root, _search_branches
+
+        got, want = [], []
+        for table in (1, 2, 3, 4):
+            for n, npr, m, a, b, values in load_table_data(table):
+                spec = table_spec(table, n, npr, m, a, b)
+                for v in values:
+                    for br in _search_branches(spec):
+                        got.append(_bits(_polish_branch_root(spec, br, v)))
+                        want.append(_bits(_polish_oracle(spec, br, v)))
+        assert got == want
+        assert ladder_calls and any(w is not None for w in want)
+
+    def test_class_d_diagnostic_bit_identical(self, table_audits, ladder_calls):
+        # the span-0.05 polishes behind each class-D entry's nearest_root
+        from drsbound.spectrum import _polish_branch_root, _search_branches
+
+        got, want = [], []
+        for table, run in table_audits.items():
+            for e in run.report.entries:
+                if e.root_class is not RootClass.D:
+                    continue
+                spec = table_spec(table, e.n, e.n_prime, e.m, e.a, e.b)
+                for br in _search_branches(spec):
+                    got.append(_bits(_polish_branch_root(spec, br, e.value, span=0.05)))
+                    want.append(_bits(_polish_oracle(spec, br, e.value, span=0.05)))
+        assert len(got) >= 44 and got == want
+        assert ladder_calls  # these all end without a bracket: nearest_root is null
+
+    def test_random_specs_bit_identical(self, ladder_calls):
+        from drsbound.spectrum import _polish_branch_root, _search_branches
+
+        rng = np.random.default_rng(103)
+        got, want = [], []
+        for spec in _random_table_specs(3):
+            width = abs(spec.mass) + 12.0
+            for v in rng.uniform(-width, width, size=4):
+                for br in _search_branches(spec):
+                    for span in (2e-3, 0.05):
+                        got.append(_bits(_polish_branch_root(spec, br, float(v), span=span)))
+                        want.append(_bits(_polish_oracle(spec, br, float(v), span=span)))
+        assert got == want
+        assert ladder_calls and any(w is not None for w in want)
+
+    def test_poles_and_branch_points_bit_identical(self, ladder_calls):
+        from drsbound.spectrum import _polish_branch_root
+
+        specs = [table_spec(t, 0, 0, 0, 0.0, 0.0) for t in (1, 2, 3, 4)]
+        specs += [table_spec(t, 1, 0, 1, 1.0, 0.5) for t in (1, 2, 3, 4)]
+        got, want = [], []
+        for spec in specs:
+            for v in _special_values(spec):
+                for br in all_branches():
+                    got.append(_bits(_polish_branch_root(spec, br, v)))
+                    want.append(_bits(_polish_oracle(spec, br, v)))
+        assert got == want
+        assert ladder_calls and any(w is not None for w in want)
+
+    @pytest.mark.parametrize("perturb", ["mask every lane", "accept every lane as zero"])
+    def test_batch_only_locates(self, perturb, monkeypatch, ladder_calls):
+        # the endpoints and their signs come from the scalar test: a batch
+        # that sends every lane to it, or one that accepts every lane with a
+        # wrong value, must not move a single result
+        from drsbound import spectrum
+
+        exact = spectrum._residual_array
+
+        def perturbed(spec, es, branch):
+            vals, ok = exact(spec, es, branch)
+            if perturb == "mask every lane":
+                return vals, np.zeros_like(ok)
+            return np.zeros_like(vals), np.ones_like(ok)
+
+        monkeypatch.setattr(spectrum, "_residual_array", perturbed)
+        got, want = [], []
+        for table in (1, 3):
+            for n, npr, m, a, b, values in load_table_data(table)[:12]:
+                spec = table_spec(table, n, npr, m, a, b)
+                for v in values:
+                    for br in spectrum._search_branches(spec):
+                        got.append(_bits(spectrum._polish_branch_root(spec, br, v)))
+                        want.append(_bits(_polish_oracle(spec, br, v)))
+        assert got == want
+        assert ladder_calls and any(w is not None for w in want)
+
+
 class TestTableDataFormat:
     def test_malformed_row_rejected(self, tmp_path):
         bad = tmp_path / "bad.txt"
@@ -475,8 +690,8 @@ class TestSymmetryMap:
 
 
 class TestAudit:
-    def test_oscillator_pure_central_entries(self):
-        report = audit_table(2)
+    def test_oscillator_pure_central_entries(self, table_audits):
+        report = table_audits[2].report
         entries = {
             (e.n, e.n_prime, e.m): e
             for e in report.entries
@@ -487,8 +702,8 @@ class TestAudit:
         assert entries[(1, 0, 0)].root_class is RootClass.C
         assert entries[(1, 0, 0)].deviation < 1e-6
 
-    def test_ring_dressed_pseudospin_kratzer_is_unexplained(self):
-        report = audit_table(1)
+    def test_ring_dressed_pseudospin_kratzer_is_unexplained(self, table_audits):
+        report = table_audits[1].report
         entry = next(
             e for e in report.entries if (e.n, e.n_prime, e.m, e.a, e.b) == (0, 0, 0, 1.0, 1.0)
         )
@@ -500,22 +715,22 @@ class TestAudit:
         assert all(r is None or r > 0.5 for r in residuals.values())
         assert residuals["rhs+inner+,modulus"] == pytest.approx(1.1, abs=0.2)
 
-    def test_spin_oscillator_central_entries_match_tightly(self):
-        report = audit_table(4)
+    def test_spin_oscillator_central_entries_match_tightly(self, table_audits):
+        report = table_audits[4].report
         for e in report.entries:
             if e.a == 0 and e.b == 0:
                 assert e.root_class in (RootClass.A, RootClass.C)
                 assert e.deviation < 1e-6
 
-    def test_spin_kratzer_ground_entries_classes(self):
-        report = audit_table(3)
+    def test_spin_kratzer_ground_entries_classes(self, table_audits):
+        report = table_audits[3].report
         cell = [
             e for e in report.entries if (e.n, e.n_prime, e.m, e.a, e.b) == (0, 0, 0, 1.0, 1.0)
         ]
         assert {e.root_class for e in cell} == {RootClass.A, RootClass.B}
 
-    def test_spin_oscillator_ring_dressed_classified(self):
-        report = audit_table(4)
+    def test_spin_oscillator_ring_dressed_classified(self, table_audits):
+        report = table_audits[4].report
         entry = next(
             e for e in report.entries if (e.n, e.n_prime, e.m, e.a, e.b) == (0, 0, 0, 1.0, 1.0)
         )
