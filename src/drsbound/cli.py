@@ -257,8 +257,8 @@ def _sample_count(text):
 
 def _positive(text):
     value = float(text)
-    if not value > 0:
-        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be finite and positive, got {text}")
     return value
 
 
@@ -305,7 +305,7 @@ def make_parser():
 
     p = sub.add_parser("audit", help="classify every published value of a table")
     p.add_argument("table", type=int, choices=sorted(TABLE_KINDS))
-    p.add_argument("--tolerance", type=float, default=1e-4)
+    p.add_argument("--tolerance", type=_positive, default=1e-4)
     p.add_argument("--data", help="columnar table file overriding the bundled one")
     p.add_argument("--output", help="write the JSON report here")
     _add_param_flags(p)

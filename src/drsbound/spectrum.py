@@ -19,23 +19,30 @@ real-axis scan, where poles are masked; the squared form (`_squared`) is
 likewise one body for scalar and array evaluation and shares the radical
 term (`_radical_term`).
 
-The real-axis scan (`_scan_branches`) evaluates every requested branch of a
-sqrt mode in one pass: the branch signs are stacked as columns, so the
-radicals are taken once per energy, and the grid is walked in blocks of
-SCAN_BLOCK points so the temporaries are reused rather than allocated per
-grid.  Sign changes are polished by brentq on the scalar residual.
+Each condition is algebraic in E.  Eliminating its square roots from the
+squared form leaves one polynomial per spec and sigma_rhs, the eliminant
+(`_eliminant`), whose real roots include every real root of every branch.
+The real-axis search (`_scan_branches`) tests the sign-change rule of a
+grid scan only on the grid panels next to those roots, each first located
+by a secant on the unexpanded squared form (`_seeds`), because the
+eliminant's coefficients are too ill-conditioned to decide a root.  All
+requested branches of a sqrt mode are evaluated in one call, with the
+branch signs stacked as columns so the radicals are taken once per energy,
+and sign changes are polished by brentq on the scalar residual: each root
+found is the one a scan over the whole grid finds.
 
 For the pure central cases (a = b = 0) the squared forms are polynomials --
 a cubic for the oscillator, one quartic per sigma_rhs for the Kratzer -- and
 are solved exactly through companion matrices.  Elsewhere the squared form
-stays transcendental and its complex zeros are located by one secant
-multistart (`_complex_multistart`): for the ring-dressed oscillator this is
-part of the search, where all starts run as one numpy batch that only
-locates the zeros and the scalar multistart, rerun from one start per zero,
-reports them (`complex_zeros_drso`); the Kratzer analogue with a or b
-nonzero has no polynomial form and no agreed generation convention, so
-those table entries are audited to class D, with the multistart's nearest
-pair as a diagnostic, rather than guessed at.  The audit's complex
+keeps its radicals (only the eliminant is free of them) and its complex
+zeros are located by one secant multistart (`_complex_multistart`): for
+the ring-dressed oscillator this is part of the search, where all starts
+run as one numpy batch that only locates the zeros and the scalar
+multistart, rerun from one start per zero, reports them
+(`complex_zeros_drso`); the Kratzer analogue with a or b nonzero has no
+agreed generation convention, so those table entries are audited to class
+D, with the multistart's nearest pair as a diagnostic, rather than guessed
+at.  The audit's complex
 multistart (`classify_value`) stays scalar: it keeps every zero its few
 starts find, so a batch would save nothing.  Its bracket polish
 (`_polish_branch_root`) evaluates the halving ladders of endpoints that need
@@ -172,17 +179,23 @@ def angular_quantization(gamma, ring: RingParams, m: int, n_prime: int, sqrt_mod
 def _radical_term(e, spec: ProblemSpec, sq):
     """The potential's radical term at energy e, with square root sq.
 
-    With omega = sq(a gamma + 1/4) + sq(b gamma + m^2): d = omega + 2 n' + 2
-    + 2 n for the oscillator, the big radical sq((omega + 2 n' + 1)^2 +
-    gamma De re^2) for the Kratzer.  e is a complex or a complex array.
+    With u = sq(a gamma + 1/4), v = sq(b gamma + m^2) and omega = u + v:
+    d = omega + 2 n' + 2 + 2 n for the oscillator, the big radical
+    w = sq((omega + 2 n' + 1)^2 + gamma De re^2) for the Kratzer.  e is a
+    complex or a complex array.  sq is one square root for every radical,
+    or a tuple of three: the roots taken for u, for v and for w.
     """
+    if isinstance(sq, tuple):
+        sq_u, sq_v, sq_w = sq
+    else:
+        sq_u = sq_v = sq_w = sq
     m_, c = spec.mass, spec.symmetry.constant
     g = e + m_ - c if spec.is_spin else e - m_ - c
-    omega = sq(spec.ring.a * g + 0.25) + sq(spec.ring.b * g + spec.qn.m**2)
+    omega = sq_u(spec.ring.a * g + 0.25) + sq_v(spec.ring.b * g + spec.qn.m**2)
     if isinstance(spec.potential, Oscillator):
         return omega + 2 * spec.qn.n_prime + 2 + 2 * spec.qn.n
     pot = spec.potential
-    return sq((omega + 2 * spec.qn.n_prime + 1) ** 2 + g * pot.d_e * pot.r_e**2)
+    return sq_w((omega + 2 * spec.qn.n_prime + 1) ** 2 + g * pot.d_e * pot.r_e**2)
 
 
 def _raise_at_pole(at_pole, what):
@@ -319,19 +332,23 @@ def squared_polynomial_drsk(spec: ProblemSpec, sigma_rhs: int = 1):
     return poly / poly[0]
 
 
-def _squared(e, spec: ProblemSpec, sigma_rhs, sqrt):
+def _squared(e, spec: ProblemSpec, sigma_rhs, sqrt, rhs_sign=1):
     """The squared condition at energy e with square root sqrt(z).
 
     e is a complex with `cmath.sqrt` (`squared_form`) or a complex array
-    with `np.sqrt` (the batched complex search).
+    with `np.sqrt` (the batched complex search, the eliminant's seeds);
+    sqrt may be a tuple, as for `_radical_term`.  rhs_sign = -1 flips the
+    sign of the oscillator's rhs^2 term against its lhs^2 term: the
+    modulus reading where exactly one of their radicands is negative.
     """
     m_, c = spec.mass, spec.symmetry.constant
     pot = spec.potential
     rad = _radical_term(e, spec, sqrt)
     if isinstance(pot, Oscillator):
+        k2 = rhs_sign * 2.0 * pot.k
         if spec.is_spin:
-            return (m_ - e) ** 2 * (c - e - m_) - 2.0 * pot.k * rad * rad
-        return (m_ + e) ** 2 * (e - m_ - c) + 2.0 * pot.k * rad * rad
+            return (m_ - e) ** 2 * (c - e - m_) - k2 * rad * rad
+        return (m_ + e) ** 2 * (e - m_ - c) + k2 * rad * rad
     t_sq = (pot.d_e * pot.r_e) ** 2
     nu = spec.qn.n + 0.5
     if spec.is_spin:
@@ -405,24 +422,38 @@ def _multistart_batch(spec: ProblemSpec, xs, imag_starts):
     z1 = np.empty(x.size, dtype=complex)
     z1.real, z1.imag = x * (1 + 1e-4) + 1e-4, im * 1.01
     f = lambda z: _squared(z, spec, 1, np.sqrt)
-    found = np.full(x.size, np.nan, dtype=complex)
-    live = np.arange(x.size)
+    found = _secant_batch(lambda z, lanes: f(z), z0, z1)
     with np.errstate(all="ignore"):
-        f0, f1 = f(z0), f(z1)
-        for _ in range(100):  # the iteration cap and step tolerance of `_secant_complex`
+        ok = np.abs(found.imag) > 1e-8
+        ok &= np.abs(f(found)) < 1e-8 * (1 + np.abs(found)) ** _degree(spec)
+    return [complex(z.real, abs(z.imag)) if hit else None for z, hit in zip(found, ok)]
+
+
+def _secant_batch(f, z0, z1, maxit=100):
+    """`_secant_complex` run on every lane of the start arrays z0, z1 at once.
+
+    f(z, lanes) evaluates the lanes `lanes` (an index array) at the complex
+    array z, elementwise.  Each lane keeps the scalar secant's stopping
+    rules, with at most maxit steps, and drops out of the live set when it
+    converges or fails.  Returns the converged zero of each lane, NaN where
+    the lane failed.
+    """
+    found = np.full(z0.size, np.nan, dtype=complex)
+    live = np.arange(z0.size)
+    with np.errstate(all="ignore"):
+        f0, f1 = f(z0, live), f(z1, live)
+        for _ in range(maxit):
+            if not live.size:
+                break
             z2 = z1 - f1 * (z1 - z0) / (f1 - f0)
             keep = (f1 != f0) & np.isfinite(z2.real) & np.isfinite(z2.imag)
             live, z0, f0, z1 = live[keep], z1[keep], f1[keep], z2[keep]
-            f1 = f(z1)
+            f1 = f(z1, live)
             done = np.abs(z1 - z0) < 1e-13 * (1.0 + np.abs(z1))
             found[live[done]] = z1[done]
             keep = ~done
             live, z0, f0, z1, f1 = live[keep], z0[keep], f0[keep], z1[keep], f1[keep]
-            if not live.size:
-                break
-        ok = np.abs(found.imag) > 1e-8
-        ok &= np.abs(f(found)) < 1e-8 * (1 + np.abs(found)) ** _degree(spec)
-    return [complex(z.real, abs(z.imag)) if hit else None for z, hit in zip(found, ok)]
+    return found
 
 
 def complex_zeros_drso(spec: ProblemSpec, interval, imag_starts=(0.5, 2.0, 6.0), re_step=1.0):
@@ -498,12 +529,6 @@ def _residual_array(spec, es, branch):
     return vals, ok & np.isfinite(vals.real) & np.isfinite(vals.imag)
 
 
-#: Grid points per block of the real-axis scan; blocks overlap by one point.
-#: Small enough that the (branches x points) temporaries stay in cache and
-#: are reused instead of freshly allocated.
-SCAN_BLOCK = 8192
-
-
 @dataclass(frozen=True)
 class _BranchStack:
     """Strategies of one sqrt mode, stacked for `_condition` to broadcast over.
@@ -522,36 +547,224 @@ class _BranchStack:
         return cls(col("sigma_rhs"), col("sigma_inner"), branches[0].sqrt_mode)
 
 
+def _eliminant(spec, sigma_rhs, signs):
+    """Coefficients, highest power first, of the squared condition's eliminant.
+
+    The squared condition is taken as a polynomial in E and the radicals
+    u = sqrt(a gamma + 1/4) and v = sqrt(b gamma + m^2), with u^2 and v^2
+    replaced by their radicands; u and v are the constants 1/2 and |m| when
+    a = 0 or b = 0.  For the Kratzer, `_squared` = A + B w with w^2 = R,
+    and A^2 - B^2 R is free of w.  The norm over u -> -u and then v -> -v
+    (the product of the conjugates) is free of every radical: degree <= 12
+    for the oscillator, <= 16 per sigma_rhs for the Kratzer.  Its real
+    roots include every real root of every branch it covers.
+
+    signs = (s_u, s_v, s_x) multiplies the radicands of u and v by s_u and
+    s_v and, for the Kratzer, R by s_x; for the oscillator s_x is
+    `_squared`'s rhs_sign.  All +1 is the principal sqrt; on the real axis
+    the modulus sqrt is the principal root of one such sign pattern.
+    """
+    m_, c = spec.mass, spec.symmetry.constant
+    s_u, s_v, s_x = signs
+    a, b, mq = spec.ring.a, spec.ring.b, spec.qn.m
+    g = np.array([m_ - c if spec.is_spin else -m_ - c, 1.0])  # gamma, lowest power first
+    radicands = (s_u * np.array([a * g[0] + 0.25, a]), s_v * np.array([b * g[0] + mq * mq, b]))
+
+    # an element of Q[E][u, v]: {(i, j): coefficients of u^i v^j, lowest power first}
+    def accumulate(out, key, p):
+        q = out.get(key)
+        if q is None:
+            out[key] = p
+            return
+        if len(q) < len(p):
+            q, p = p, q
+        q = q.copy()
+        q[: len(p)] += p
+        out[key] = q
+
+    def add(x, y):
+        out = dict(x)
+        for key, p in y.items():
+            accumulate(out, key, p)
+        return out
+
+    def mul(x, y):
+        out = {}
+        for (i, j), p in x.items():
+            for (k, l), q in y.items():
+                t = np.convolve(p, q)
+                t = np.convolve(t, radicands[0]) if i & k else t
+                t = np.convolve(t, radicands[1]) if j & l else t
+                accumulate(out, (i ^ k, j ^ l), t)
+        return out
+
+    def norm(x, axis):
+        conj = {key: -p if key[axis] else p for key, p in x.items()}
+        return {key: p for key, p in mul(x, conj).items() if not key[axis]}
+
+    poly = lambda *p: {(0, 0): np.array(p, dtype=float)}
+    scale = lambda k, x: {key: k * p for key, p in x.items()}
+    omega = add(
+        {(1, 0): np.ones(1)} if a else poly(0.5),
+        {(0, 1): np.ones(1)} if b else poly(abs(mq)),
+    )
+    pot = spec.potential
+    if isinstance(pot, Oscillator):
+        rad = add(omega, poly(2 * spec.qn.n_prime + 2 + 2 * spec.qn.n))
+        if spec.is_spin:
+            lhs2, k2 = np.convolve(np.convolve([m_, -1.0], [m_, -1.0]), [c - m_, -1.0]), -2.0
+        else:
+            lhs2, k2 = np.convolve(np.convolve([m_, 1.0], [m_, 1.0]), [-m_ - c, 1.0]), 2.0
+        form = add(poly(*lhs2), scale(k2 * s_x * pot.k, mul(rad, rad)))
+    else:
+        shifted = add(omega, poly(2 * spec.qn.n_prime + 1))
+        big = scale(s_x, add(mul(shifted, shifted), {(0, 0): g * pot.d_e * pot.r_e**2}))
+        nu = spec.qn.n + 0.5
+        lead = poly(-m_, 1.0) if spec.is_spin else poly(m_, 1.0)  # E - M or E + M
+        tail = [m_ - c, 1.0] if spec.is_spin else [-m_ - c, 1.0]
+        t_sq = (pot.d_e * pot.r_e) ** 2
+        a_part = add(mul(lead, add(poly(nu * nu), big)), poly(*(sigma_rhs * t_sq * np.array(tail))))
+        b_part = scale(2.0 * nu, lead)
+        form = add(mul(a_part, a_part), scale(-1.0, mul(mul(b_part, b_part), big)))
+    if a:
+        form = norm(form, 0)
+    if b:
+        form = norm(form, 1)
+    return form[(0, 0)][::-1]
+
+
+def _seed_patterns(spec, sqrt_mode):
+    """(sigma_rhs, signs) of every eliminant that covers the branches of a sqrt mode.
+
+    The principal sqrt needs the all +1 pattern; the modulus sqrt, equal on
+    the real axis to the principal root of |radicand|, needs every sign of
+    each radicand that can change sign, and for the oscillator both signs
+    of its rhs^2 term.  The oscillator's squared form does not depend on
+    sigma_rhs.
+    """
+    sigmas = (1,) if isinstance(spec.potential, Oscillator) else (1, -1)
+    if sqrt_mode == SQRT_PRINCIPAL:
+        patterns = [(1, 1, 1)]
+    else:
+        both = (1, -1)
+        patterns = [
+            (s_u, s_v, s_x)
+            for s_u in (both if spec.ring.a else (1,))
+            for s_v in (both if spec.ring.b else (1,))
+            for s_x in both
+        ]
+    return [(sigma, signs) for sigma in sigmas for signs in patterns]
+
+
+def _seed_factor(spec, sigma_rhs, signs):
+    """The principal factor of each lane's eliminant, as f(z, lanes).
+
+    sigma_rhs and the three arrays of signs give each lane's eliminant;
+    f evaluates the lanes `lanes` at the complex array z.  The factor is the
+    `_squared` whose conjugates the eliminant multiplies, with the same
+    radicand signs: for the Kratzer the product of `_squared` at +w and at
+    -w, which is A^2 - B^2 R.
+    """
+    s_u, s_v, s_x = signs
+
+    def f(z, lanes):
+        root = lambda s, outer=1.0: lambda r: outer * np.sqrt(s[lanes] * r)
+        sq = (root(s_u), root(s_v), root(s_x))
+        if isinstance(spec.potential, Oscillator):
+            return _squared(z, spec, sigma_rhs[lanes], sq, rhs_sign=s_x[lanes])
+        minus = (sq[0], sq[1], root(s_x, -1.0))
+        return _squared(z, spec, sigma_rhs[lanes], sq) * _squared(z, spec, sigma_rhs[lanes], minus)
+
+    return f
+
+
+#: Step cap of the seeds' secant.  Most lanes converge in under 10 steps;
+#: a lane still moving after 30 is cycling near a minimum of the factor
+#: that is not a zero, and is dropped.
+SEED_SECANT_STEPS = 30
+
+
+def _seeds(spec, sqrt_mode, lo, hi):
+    """Real candidates for the roots of every branch of one sqrt mode in [lo, hi].
+
+    The eliminant's float coefficients are ill-conditioned near clusters of
+    roots: their roots can miss by 0.05, a hundred panels of the default
+    grid.  Each root
+    within 1 of the window therefore starts a complex secant (at most
+    SEED_SECANT_STEPS steps) on the eliminant's principal factor
+    (`_seed_factor`), which is evaluated directly and is not subject to that
+    rounding; all starts run as one numpy batch.  Candidates are the
+    polished zeros with |Im| < 1e-6 (1 + |z|) and the raw roots with
+    |Im| < 1e-3 (1 + |z|).  They only say where to look.
+    """
+    zs, lanes = [], []
+    for sigma_rhs, signs in _seed_patterns(spec, sqrt_mode):
+        z = np.roots(_eliminant(spec, sigma_rhs, signs))
+        z = z[(z.real > lo - 1.0) & (z.real < hi + 1.0)]
+        zs.append(z)
+        lanes += [(sigma_rhs, *signs)] * z.size
+    zs = np.concatenate(zs)
+    sigma_rhs, *signs = np.array(lanes, dtype=float).reshape(-1, 4).T
+    polished = _secant_batch(
+        _seed_factor(spec, sigma_rhs, signs), zs, zs * (1 + 1e-8) + 1e-8j, SEED_SECANT_STEPS
+    )
+    polished = polished[np.isfinite(polished)]
+    near_axis = lambda z, tol: z.real[np.abs(z.imag) < tol * (1.0 + np.abs(z))]
+    return np.concatenate([near_axis(zs, 1e-3), near_axis(polished, 1e-6)])
+
+
+#: Grid panels tested on each side of the panel a candidate root falls in,
+#: so each candidate marks a block of 2 SEED_PANELS + 1 panels.  A root on a
+#: grid point is bracketed on both sides of it, and a raw eliminant root may
+#: sit a panel away from the sign change.
+SEED_PANELS = 2
+
+
 def _scan_branches(spec, branches, interval, panels_per_unit):
     """Real roots of each branch restriction, one root list per branch, in order.
 
-    One sign-change scan per sqrt mode covers all its branches at once, in
-    blocks of SCAN_BLOCK grid points.  On the real axis the residual of a
-    branch restriction is real wherever all radicals are real, but the
-    oscillator conditions turn purely imaginary below the symmetry
-    threshold; zeros are therefore bracketed on whichever component
-    dominates while the other stays negligible, and polished by brentq on
-    the scalar residual: per branch, the real-component brackets first,
-    then the imaginary ones, each in ascending order.
+    The grid is np.linspace(lo, hi, n + 1) with n = panels_per_unit panels
+    per unit energy, and a root is bracketed by a sign change between two
+    neighbouring grid points.  Only the panels near a candidate root of the
+    eliminants (`_seeds`) are tested: each candidate in panel i marks panels
+    i - SEED_PANELS .. i + SEED_PANELS, and all marked panels of one sqrt
+    mode are evaluated for all its branches at once, in one
+    `_residual_array` call.  On the real axis the residual of a branch
+    restriction is real wherever all radicals are real, but the oscillator
+    conditions turn purely imaginary below the symmetry threshold; zeros
+    are therefore bracketed on whichever component dominates while the
+    other stays negligible, and polished by brentq on the scalar residual:
+    per branch, the real-component brackets first, then the imaginary
+    ones, each in ascending order.  Each bracket found is one a full
+    sign-change scan of the grid finds, with the same root; that the seeds
+    point at every such bracket is checked against the full scan in the
+    tests, not certified.
     """
     lo, hi = interval
     n = max(16, int(round((hi - lo) * panels_per_unit)))
     es = np.linspace(lo, hi, n + 1)
+    h = (hi - lo) / n
     comps = ("real", "imag")
     brackets = [{comp: [] for comp in comps} for _ in branches]
     for mode in dict.fromkeys(b.sqrt_mode for b in branches):
         rows = [i for i, b in enumerate(branches) if b.sqrt_mode == mode]
         stack = _BranchStack.of([branches[i] for i in rows])
-        for start in range(0, n, SCAN_BLOCK - 1):
-            vals, ok = _residual_array(spec, es[start : start + SCAN_BLOCK], stack)
-            ok &= np.abs(vals) < 1e8  # never bisect across a pole
-            size = {"real": np.abs(vals.real), "imag": np.abs(vals.imag)}
-            for comp, other in zip(comps, comps[::-1]):
-                good = ok & (size[other] < 1e-9 * (1.0 + size[comp]))
-                sign = np.sign(getattr(vals, comp))
-                change = good[:, :-1] & good[:, 1:] & (sign[:, :-1] != sign[:, 1:])
-                for row, i in zip(*np.nonzero(change)):
-                    brackets[rows[row]][comp].append(start + i)
+        at = np.clip((_seeds(spec, mode, lo, hi) - lo) / h, -SEED_PANELS - 1.0, n)
+        marked = np.zeros(n, dtype=bool)
+        for i in np.floor(at).astype(int).tolist():
+            marked[max(0, i - SEED_PANELS) : max(0, i + SEED_PANELS + 1)] = True
+        panels = np.flatnonzero(marked)
+        pts = np.union1d(panels, panels + 1)
+        left = np.searchsorted(pts, panels)  # pts[left + 1] == panels + 1
+        vals, ok = _residual_array(spec, es[pts], stack)
+        ok &= np.abs(vals) < 1e8  # never bisect across a pole
+        size = {"real": np.abs(vals.real), "imag": np.abs(vals.imag)}
+        for comp, other in zip(comps, comps[::-1]):
+            good = ok & (size[other] < 1e-9 * (1.0 + size[comp]))
+            sign = np.sign(getattr(vals, comp))
+            change = good[:, left] & good[:, left + 1] & (sign[:, left] != sign[:, left + 1])
+            for row, j in zip(*np.nonzero(change)):
+                brackets[rows[row]][comp].append(panels[j])
     roots = []
     for br, found in zip(branches, brackets):
         roots.append([])
@@ -631,16 +844,18 @@ def find_roots(
     strict mode keeps only class-A roots (canonical branch, genuine);
     paper-compat additionally reports sigma_rhs = -1 roots and the real
     parts of complex pairs of the squared forms, reproducing the published
-    tables.  Real roots come from one blocked sign-change scan over all
-    requested branches of a sqrt mode (`_scan_branches`) at panels_per_unit
-    grid panels per unit energy, plus the exact polynomial paths when
-    a = b = 0; complex pairs of the ring-dressed oscillator come from
+    tables.  Real roots come from the sign-change rule on a grid of
+    panels_per_unit panels per unit energy, tested for all requested
+    branches of a sqrt mode on the panels the eliminant's roots point at
+    (`_scan_branches`), plus the exact polynomial paths when a = b = 0;
+    complex pairs of the ring-dressed oscillator come from
     `complex_zeros_drso`, batch-located and finished by the scalar secant.
     Non-convergent starts of the complex search are dropped silently; an
     empty result is an ordinary outcome.
 
     Raises ValueError for an unknown mode, an interval that is not finite
-    or has lo >= hi, and panels_per_unit <= 0.
+    or has lo >= hi, panels_per_unit <= 0, a tolerance that is not finite
+    or is negative, and max_roots < 0.
     """
     if mode not in ("strict", "paper-compat"):
         raise ValueError("mode must be 'strict' or 'paper-compat'")
@@ -652,6 +867,10 @@ def find_roots(
         raise ValueError(f"interval must be finite with lo < hi, got {interval!r}")
     if not panels_per_unit > 0:
         raise ValueError(f"panels_per_unit must be positive, got {panels_per_unit!r}")
+    if not (np.isfinite(tolerance) and tolerance >= 0):
+        raise ValueError(f"tolerance must be finite and nonnegative, got {tolerance!r}")
+    if max_roots is not None and max_roots < 0:
+        raise ValueError(f"max_roots must be nonnegative, got {max_roots!r}")
     paper_compat = mode == "paper-compat"
     explicit = branches is not None
     search = _search_branches(spec)
@@ -969,8 +1188,17 @@ def _polish_branch_root(spec, branch, value, span=2e-3, grow=8):
     return None
 
 
+def _check_tolerance(tolerance):
+    if not (np.isfinite(tolerance) and tolerance > 0):
+        raise ValueError(f"tolerance must be finite and positive, got {tolerance!r}")
+
+
 def classify_value(spec: ProblemSpec, value: float, match_tol=1e-4):
-    """Audit one published number against every branch and squared form."""
+    """Audit one published number against every branch and squared form.
+
+    Raises ValueError if the match tolerance is not finite and positive.
+    """
+    _check_tolerance(match_tol)
     search = _search_branches(spec)
     candidates = []
     for br in search:
@@ -1037,9 +1265,14 @@ def classify_value(spec: ProblemSpec, value: float, match_tol=1e-4):
 
 
 def audit_table(table_id: int, published=None, tolerance=1e-4, params=None) -> AuditReport:
-    """Classify every published value of one table; never fails on class D."""
+    """Classify every published value of one table; never fails on class D.
+
+    Raises ValueError for an unknown table and a tolerance that is not
+    finite and positive.
+    """
     if table_id not in TABLE_KINDS:
         raise ValueError(f"unknown table id {table_id}")
+    _check_tolerance(tolerance)
     rows = published if published is not None else load_table_data(table_id)
     report = AuditReport(
         table_id=table_id,

@@ -349,6 +349,15 @@ class TestAudit:
         assert message in err
         assert not report.exists()
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1", "0"])
+    def test_bad_tolerance_exits_two(self, capsys, tmp_path, value):
+        report = tmp_path / "report.json"
+        code, out, err = run(capsys, "audit", "2", "--tolerance", value, "--output", str(report))
+        assert code == 2
+        assert "--tolerance" in err
+        assert out == ""
+        assert not report.exists()
+
     def test_audit_honors_parameter_overrides(self, capsys, tmp_path):
         # auditing the bundled values against a different mass must fail to
         # match them (classes drift toward D / away from tight deviations)
@@ -405,7 +414,7 @@ class TestWavefunction:
 
     @pytest.mark.parametrize(
         "flag, value", [("--r-samples", "0"), ("--theta-samples", "0"), ("--phi-samples", "-2"),
-                        ("--r-max", "0")]
+                        ("--r-max", "0"), ("--r-max", "inf"), ("--r-max", "nan")]
     )
     def test_bad_sampling_is_usage_error(self, capsys, tmp_path, flag, value):
         out = tmp_path / "wf.txt"

@@ -241,6 +241,21 @@ class TestFindRoots:
         spec = table_spec(1, 0, 0, 0, 0.0, 0.0)
         roots = find_roots(spec, mode="paper-compat", max_roots=2)
         assert len(roots) == 2
+        assert find_roots(spec, mode="paper-compat", max_roots=0) == []
+
+    @pytest.mark.parametrize("tolerance", [float("nan"), float("inf"), -1e-10])
+    def test_bad_tolerance_rejected(self, tolerance):
+        # a NaN tolerance used to drop every root silently
+        spec = table_spec(3, 0, 0, 0, 0.0, 0.0)
+        assert len(find_roots(spec, tolerance=0.0)) == 1
+        with pytest.raises(ValueError, match="tolerance"):
+            find_roots(spec, tolerance=tolerance)
+
+    def test_negative_max_roots_rejected(self):
+        # max_roots=-1 used to slice off the last root
+        spec = table_spec(1, 0, 0, 0, 0.0, 0.0)
+        with pytest.raises(ValueError, match="max_roots"):
+            find_roots(spec, mode="paper-compat", max_roots=-1)
 
     def test_explicit_modulus_branch_reports_mirror_roots(self):
         # the modulus reading mirrors the partner symmetry's spectrum into
@@ -331,18 +346,88 @@ class TestBlockedScan:
     @pytest.mark.parametrize("name", sorted(SCAN_SPECS))
     @pytest.mark.parametrize("block", [7, 64, 10**7])
     def test_block_size_does_not_change_roots(self, monkeypatch, name, block):
+        # the block of panels each candidate marks: at 10**7 every panel of
+        # the grid is tested, which is the full sign-change scan
         from drsbound import spectrum
 
         spec = SCAN_SPECS[name]
         want = find_roots(spec, mode="paper-compat", panels_per_unit=200)
         explicit = find_roots(spec, mode="paper-compat", panels_per_unit=200, branches=all_branches())
-        monkeypatch.setattr(spectrum, "SCAN_BLOCK", block)
+        monkeypatch.setattr(spectrum, "SEED_PANELS", block)
         assert find_roots(spec, mode="paper-compat", panels_per_unit=200) == want
         assert (
             find_roots(spec, mode="paper-compat", panels_per_unit=200, branches=all_branches())
             == explicit
         )
         assert want
+
+
+def _random_scan_specs(seed, count):
+    """Seeded specs of tables 1-4, one in five central, the rest a, b in [0, 3]."""
+    rng = np.random.default_rng(seed)
+    specs = []
+    for i in range(count):
+        table = int(rng.integers(1, 5))
+        a, b = (0.0, 0.0) if i % 5 == 0 else (float(x) for x in rng.uniform(0.0, 3.0, size=2))
+        c = rng.uniform(2.0, 6.0)
+        params = {
+            "mass": rng.uniform(3.0, 7.0),
+            "c_s": c,
+            "c_ps": -c,
+            "d_e": rng.uniform(5.0, 20.0),
+            "r_e": rng.uniform(0.2, 0.8),
+            "k": rng.uniform(0.5, 3.0),
+        }
+        n, npr = (int(x) for x in rng.integers(0, 3, size=2))
+        m = int(rng.integers(-2, 3))
+        specs.append(table_spec(table, n, npr, m, a, b, params))
+    return specs
+
+
+#: Table rows with a root on a grid point of the default scan: the full scan
+#: brackets it on both sides, so the panels next to a candidate's must be tested.
+GRID_POINT_ROWS = [(1, 3, 0, 1, 1.0, 0.0), (1, 3, 1, 0, 0.0, 0.0), (3, 2, 0, 1, 0.0, 0.0)]
+
+
+class TestSeededScan:
+    """The eliminant-seeded scan finds exactly the brackets of the full grid scan."""
+
+    @pytest.mark.parametrize(
+        "spec",
+        _random_scan_specs(5, 12) + [table_spec(*row) for row in GRID_POINT_ROWS],
+        ids=[f"random{i}" for i in range(12)] + ["table{}-{}{}{}-a{:g}-b{:g}".format(*r) for r in GRID_POINT_ROWS],
+    )
+    def test_equals_full_scan_on_all_strategies(self, spec):
+        # random3 has a modulus root that only the secant-polished seed reaches
+        from drsbound.spectrum import _scan_branches
+
+        interval = (-spec.mass - 20.0, spec.mass + 20.0)
+        got = _scan_branches(spec, all_branches(), interval, 2000)
+        assert got == [_scan_one_branch(spec, br, interval, 2000) for br in all_branches()]
+
+    @pytest.mark.parametrize("table", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n, npr, m", [(0, 0, 0), (1, 2, -1), (2, 0, 2)])
+    def test_central_eliminant_is_squared_polynomial(self, table, n, npr, m):
+        # at a = b = 0 no radical is left to eliminate but the Kratzer's w
+        from drsbound.spectrum import _eliminant
+
+        spec = table_spec(table, n, npr, m, 0.0, 0.0)
+        if table in (2, 4):
+            pairs = [(_eliminant(spec, 1, (1, 1, 1)), squared_polynomial_drso(spec))]
+        else:
+            pairs = [(_eliminant(spec, s, (1, 1, 1)), squared_polynomial_drsk(spec, s)) for s in (1, -1)]
+        for got, want in pairs:
+            assert got / got[0] == pytest.approx(want, rel=1e-12, abs=1e-12 * np.abs(want).max())
+
+    @pytest.mark.parametrize("table", [1, 2, 3, 4])
+    def test_ring_eliminant_degree(self, table):
+        from drsbound.spectrum import _eliminant
+
+        spec = table_spec(table, 1, 1, 1, 1.0, 0.5)
+        degree = 12 if table in (2, 4) else 16
+        assert len(_eliminant(spec, 1, (1, 1, 1))) == degree + 1
+        ring_a = table_spec(table, 1, 1, 1, 1.0, 0.0)
+        assert len(_eliminant(ring_a, 1, (1, 1, 1))) == degree // 2 + 1
 
 
 def _complex_zeros_oracle(spec, interval, imag_starts=(0.5, 2.0, 6.0), re_step=1.0):
@@ -749,6 +834,16 @@ class TestAudit:
     def test_unknown_table_rejected(self):
         with pytest.raises(ValueError):
             audit_table(5)
+
+    @pytest.mark.parametrize("tolerance", [float("nan"), float("inf"), -1.0, 0.0])
+    def test_bad_tolerance_rejected(self, tolerance):
+        # a NaN tolerance used to turn table 2's class-C entries into class D,
+        # an infinite one to match values 10 units away
+        spec = table_spec(2, 0, 0, 0, 0.0, 0.0)
+        with pytest.raises(ValueError, match="tolerance"):
+            classify_value(spec, -0.6652434115, tolerance)
+        with pytest.raises(ValueError, match="tolerance"):
+            audit_table(2, published=[], tolerance=tolerance)
 
     def test_bundled_data_complete(self):
         counts = {1: 74, 2: 60, 3: 133, 4: 75}
