@@ -10,6 +10,12 @@ pins the eigenvalues.  Jets give the derivatives exactly without a CAS: each
 iteration consumes one Taylor order, so a problem iterated k_max times needs
 order K >= k_max + 1 (the default leaves a margin of one).
 
+The recurrence is written once, in AimSeries.step.  An AimSeries is
+resumable: it keeps the latest (lambda_k, s_k) at one eigenparameter, so
+find_eigenvalue extends one series per sample point by a single step each
+time it raises k instead of rebuilding k steps, and aim_delta and
+aim_series are that same series run to a fixed depth.
+
 The two exactly solvable families used by the spectral conditions (the
 Kratzer-type radial problem and the ring-shaped angular problem), and the
 general polynomial eigenfunction family in hypergeometric normal form, are
@@ -147,6 +153,43 @@ class AimSeriesResult:
     eigenvalues: list = field(default_factory=list)
 
 
+class AimSeries:
+    """The recurrence at one eigenparameter, advanced one depth at a time.
+
+    Holds (lambda0, s0), the current (lambda_k, s_k) and every delta so
+    far; `delta(k)` steps only as far as k asks and keeps what it computed,
+    so raising the depth from k to k + 1 costs one step, not k + 1.  The
+    jet order is fixed by the problem, not by k, so delta(k) is the same
+    float however the series got there.  This step is the only place the
+    recurrence and its rescale are written.
+    """
+
+    __slots__ = ("lam0", "s0", "lam", "s", "rescale", "deltas")
+
+    def __init__(self, problem: AimProblem, eigenparameter, rescale=True):
+        self.lam0, self.s0 = problem.jets(eigenparameter)
+        self.lam, self.s = self.lam0, self.s0
+        self.rescale = rescale
+        self.deltas = []
+
+    def step(self):
+        """Advance to the next depth; returns the new (lambda_k, s_k)."""
+        lam, s = self.lam, self.s
+        lam_next = lam.deriv() + s + self.lam0 * lam
+        s_next = s.deriv() + self.s0 * lam
+        self.deltas.append(lam_next.value * s.value - lam.value * s_next.value)
+        if self.rescale:
+            scale = max(abs(lam_next.value), abs(s_next.value), 1e-300)
+            lam_next, s_next = lam_next * (1.0 / scale), s_next * (1.0 / scale)
+        self.lam, self.s = lam_next, s_next
+        return lam_next, s_next
+
+    def delta(self, k: int):
+        while len(self.deltas) < k:
+            self.step()
+        return self.deltas[k - 1]
+
+
 def aim_delta(problem: AimProblem, eigenparameter, k: int):
     """delta_k(x0) = lambda_k s_{k-1} - lambda_{k-1} s_k, rescaled each step.
 
@@ -157,37 +200,28 @@ def aim_delta(problem: AimProblem, eigenparameter, k: int):
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    return aim_series(problem, eigenparameter, k).deltas[-1]
+    return AimSeries(problem, eigenparameter).delta(k)
 
 
 def aim_series(problem: AimProblem, eigenparameter, k_max=None, rescale=True) -> AimSeriesResult:
     """All (lambda_k, s_k) and delta_k for k = 1..k_max at one eigenparameter.
 
+    Runs k_max steps of an AimSeries and keeps every pair, so deltas[k - 1]
+    is bit-identical to aim_delta(problem, eigenparameter, k).
     rescale=False keeps the raw recurrence (useful for cross-checks against
     symbolic differentiation); the default guards against overflow at large
     k without moving any delta_k zero.
     """
     k_max = k_max if k_max is not None else problem.k_max
-    result = AimSeriesResult()
-    lam0, s0 = problem.jets(eigenparameter)
-    lam, s = lam0, s0
+    series = AimSeries(problem, eigenparameter, rescale)
+    result = AimSeriesResult(deltas=series.deltas)
     for _ in range(k_max):
-        lam_next = lam.deriv() + s + lam0 * lam
-        s_next = s.deriv() + s0 * lam
-        result.deltas.append(lam_next.value * s.value - lam.value * s_next.value)
-        if rescale:
-            scale = max(abs(lam_next.value), abs(s_next.value), 1e-300)
-            lam, s = lam_next * (1.0 / scale), s_next * (1.0 / scale)
-        else:
-            lam, s = lam_next, s_next
-        result.pairs.append((lam, s))
+        result.pairs.append(series.step())
     return result
 
 
-def _delta_roots_on(problem, interval, k, samples=400):
-    lo, hi = interval
-    xs = np.linspace(lo, hi, samples)
-    vals = np.array([aim_delta(problem, float(x), k).real for x in xs])
+def _delta_roots_on(problem, xs, vals, k):
+    """delta_k roots between sign-changing neighbours of the sampled (xs, vals)."""
     roots = []
     for i in range(len(xs) - 1):
         if np.isfinite(vals[i]) and np.isfinite(vals[i + 1]) and np.sign(vals[i]) != np.sign(vals[i + 1]):
@@ -202,12 +236,27 @@ def find_eigenvalue(problem: AimProblem, interval, *, k_start=3, stab_tol=1e-10,
 
     Stabilization follows the usual AIM practice: accept once the tracked
     root moves by less than stab_tol between three consecutive iteration
-    depths.  Exactly solvable problems stabilize immediately.
+    depths.  Exactly solvable problems stabilize immediately.  Each of the
+    `samples` grid points keeps one AimSeries that is extended a step as k
+    grows, so reaching depth k costs k steps per sample in all, not the
+    k(k+1)/2 of a fresh series at every depth; sign changes between samples
+    are polished by brentq on aim_delta at that k.
+
+    Raises ValueError for an interval that is not finite or has lo >= hi,
+    and for samples < 2.
     """
+    lo, hi = interval
+    if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
+        raise ValueError(f"interval must be finite with lo < hi, got {interval!r}")
+    if not samples >= 2:
+        raise ValueError(f"samples must be at least 2, got {samples!r}")
+    xs = np.linspace(lo, hi, samples)
+    series = [AimSeries(problem, float(x)) for x in xs]
     prev = None
     streak = 0
     for k in range(k_start, problem.k_max + 1):
-        roots = _delta_roots_on(problem, interval, k, samples)
+        vals = np.array([s.delta(k).real for s in series])
+        roots = _delta_roots_on(problem, xs, vals, k)
         if not roots:
             prev, streak = None, 0
             continue

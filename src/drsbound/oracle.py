@@ -72,7 +72,7 @@ def _tridiag_eigs(v_values, h, count):
     n = len(v_values)
     diag = 2.0 / h**2 + v_values
     off = np.full(n - 1, -1.0 / h**2)
-    return eigh_tridiagonal(diag, off, select="i", select_range=(0, count - 1))[0]
+    return eigh_tridiagonal(diag, off, eigvals_only=True, select="i", select_range=(0, count - 1))
 
 
 def fd_radial_eigs(v_eff, grid: FdGrid, count: int, mass_factor=1.0, refine=False):
@@ -112,7 +112,7 @@ def _angular_fd_once(gamma, ring: RingParams, m: int, count: int, cells: int):
     off = -sin_f[1:cells] / h**2
     d = diag / sin_c
     e = off / np.sqrt(sin_c[:-1] * sin_c[1:])
-    return eigh_tridiagonal(d, e, select="i", select_range=(0, count - 1))[0]
+    return eigh_tridiagonal(d, e, eigvals_only=True, select="i", select_range=(0, count - 1))
 
 
 def fd_angular_eigs(gamma, ring: RingParams, m: int, count: int, cells=2000):
@@ -204,11 +204,28 @@ def self_consistent_energy(
     gamma(E) for the quantized (ell + 1/2)^2, feeds it into the radial
     solver, and maps the resulting beta^2 eigenvalue back to an energy.  The
     gap changes sign at a genuine bound root (the bare sweep map is locally
-    repelling there, so the gap is bracketed around the initial energy and
-    bisected).  max_iter caps the total number of sweeps; real-sector specs
-    only.  DivergenceError is the documented outcome whenever no bound root
-    exists in reach of the scan.
+    repelling there), so it is bracketed by marching outward from the
+    initial energy in scan_step steps, and the bracket is closed to tol by
+    Illinois false position (Dowell & Jarratt, BIT 11 (1971) 168): the
+    secant through the bracket ends, with the gap of the end that stayed
+    put halved when the other end moves twice running, falling back to the
+    midpoint whenever that step would leave the open bracket.  A failed sweep at the
+    step point is retried at the midpoint, and if that fails too the bracket
+    contracts toward the end with the smaller gap.  max_iter caps the total
+    number of sweeps; real-sector specs only.  DivergenceError is the
+    documented outcome whenever no bound root exists in reach of the scan.
+
+    Raises ValueError for a non-finite initial_energy, a tol, scan_step or
+    scan_span that is not finite and positive, and max_iter < 1.
     """
+    e0 = float(initial_energy)
+    if not math.isfinite(e0):
+        raise ValueError(f"initial_energy must be finite, got {initial_energy!r}")
+    for name, value in (("tol", tol), ("scan_step", scan_step), ("scan_span", scan_span)):
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be finite and positive, got {value!r}")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter!r}")
     budget = [max_iter]
 
     def gap(e):
@@ -220,7 +237,6 @@ def self_consistent_energy(
         except DivergenceError:
             return None
 
-    e0 = float(initial_energy)
     lo_limit, hi_limit = e0 - scan_span, e0 + scan_span
     # march outward from the initial energy looking for a sign change
     known = {}
@@ -250,20 +266,33 @@ def self_consistent_energy(
     if bracket is None:
         raise DivergenceError("no self-consistent bracket near the initial energy")
     lo, hi, glo, ghi = bracket
+    moved = 0  # +1 after lo moved, -1 after hi moved; a repeat halves the other end's gap
     for _ in range(80):
         mid = 0.5 * (lo + hi)
-        gm = gap(mid)
-        if gm is None:
+        x = (lo * ghi - hi * glo) / (ghi - glo)
+        if not lo < x < hi:
+            x = mid
+        gx = gap(x)
+        if gx is None and x != mid:
+            x, gx = mid, gap(mid)
+        if gx is None:
             # contract toward the endpoint with the smaller gap magnitude
             if abs(glo) <= abs(ghi):
                 hi = 0.5 * (mid + hi)
             else:
                 lo = 0.5 * (lo + mid)
+            moved = 0
             continue
-        if np.sign(gm) == np.sign(glo):
-            lo, glo = mid, gm
+        if np.sign(gx) == np.sign(glo):
+            lo, glo = x, gx
+            if moved == 1:
+                ghi *= 0.5
+            moved = 1
         else:
-            hi, ghi = mid, gm
+            hi, ghi = x, gx
+            if moved == -1:
+                glo *= 0.5
+            moved = -1
         if hi - lo < tol:
             break
     e_star = 0.5 * (lo + hi)

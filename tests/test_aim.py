@@ -1,4 +1,6 @@
+import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from scipy.optimize import brentq
 from drsbound.aim import (
     AimError,
     AimProblem,
+    AimSeries,
     Jet,
     aim_delta,
     aim_exact_angular,
@@ -20,6 +23,8 @@ from drsbound.aim import (
     oscillator_radial_problem,
 )
 from drsbound.specfun import PoleError, pochhammer
+
+REFERENCE_DIR = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "reference"
 
 
 def poly_to_jet(coeffs_low, x0, order):
@@ -220,3 +225,128 @@ class TestGeneralEigenfunction:
                 poly = hyp2f1_terminating(n_prime, rho + n_prime, sigma, x_ang).value
                 expected = (-1.0) ** n_prime * 2.0**n_prime * pochhammer(sigma, n_prime) * poly
                 assert mine == pytest.approx(expected, rel=1e-11)
+
+
+def _delta_oracle(problem, eigenparameter, k):
+    """delta_k by a fresh k-step run of the recurrence, as find_eigenvalue once did."""
+    lam0, s0 = problem.jets(eigenparameter)
+    lam, s = lam0, s0
+    for _ in range(k):
+        lam_next = lam.deriv() + s + lam0 * lam
+        s_next = s.deriv() + s0 * lam
+        delta = lam_next.value * s.value - lam.value * s_next.value
+        scale = max(abs(lam_next.value), abs(s_next.value), 1e-300)
+        lam, s = lam_next * (1.0 / scale), s_next * (1.0 / scale)
+    return delta
+
+
+def _find_eigenvalue_oracle(problem, interval, *, k_start=3, stab_tol=1e-10, samples=400):
+    """The per-k find_eigenvalue: every sample rebuilds its k-step series at every k."""
+
+    def roots_on(k):
+        lo, hi = interval
+        xs = np.linspace(lo, hi, samples)
+        vals = np.array([_delta_oracle(problem, float(x), k).real for x in xs])
+        roots = []
+        for i in range(len(xs) - 1):
+            if (
+                np.isfinite(vals[i])
+                and np.isfinite(vals[i + 1])
+                and np.sign(vals[i]) != np.sign(vals[i + 1])
+            ):
+                roots.append(
+                    brentq(
+                        lambda e: _delta_oracle(problem, e, k).real, xs[i], xs[i + 1], xtol=1e-14
+                    )
+                )
+        return roots
+
+    prev = None
+    streak = 0
+    for k in range(k_start, problem.k_max + 1):
+        roots = roots_on(k)
+        if not roots:
+            prev, streak = None, 0
+            continue
+        root = roots[0] if prev is None else min(roots, key=lambda r: abs(r - prev))
+        if prev is not None and abs(root - prev) < stab_tol:
+            streak += 1
+            if streak >= 2:
+                return root
+        else:
+            streak = 0
+        prev = root
+    raise AimError("AIM eigenvalue did not stabilize within k_max iterations")
+
+
+def _validate_aim_cases():
+    """The distinct (ell, level) oscillator problems of the validation pool's 12 draws."""
+    draws = json.loads((REFERENCE_DIR / "validate.json").read_text())["draws"]
+    return sorted({tuple(d["aim"]) for d in draws})
+
+
+def _scaled_oscillator(c):
+    base = oscillator_radial_problem(0, k_max=30)
+    return AimProblem(
+        lambda e, x: base.lambda0(e, x) * c, lambda e, x: base.s0(e, x) * c, base.x0, k_max=30
+    )
+
+
+class TestResumableSeries:
+    """find_eigenvalue extends one series per sample; its floats are the per-k rebuild's."""
+
+    @pytest.mark.parametrize("ell, level", _validate_aim_cases())
+    def test_validate_problems_bit_identical(self, ell, level):
+        target = 2 * level + ell + 1.5
+        window = (target - 0.5, target + 0.5)
+        problem = oscillator_radial_problem(ell, k_max=40)
+        got = find_eigenvalue(problem, window)
+        assert got.hex() == _find_eigenvalue_oracle(problem, window).hex()
+
+    @pytest.mark.parametrize(
+        "problem, window",
+        [
+            (oscillator_radial_problem(0, k_max=40), (1.0, 2.0)),
+            (_scaled_oscillator(2.7), (1.0, 2.0)),
+            (_scaled_oscillator(-0.6), (1.0, 2.0)),
+            (kratzer_radial_problem(1.6755386, -2.1702702), (1.2, 1.4)),
+            (angular_problem(eta=0.25, ell_eff=1.5), (0.6, 0.9)),
+        ],
+        ids=["oscillator", "scaled+2.7", "scaled-0.6", "kratzer", "angular"],
+    )
+    def test_test_problems_bit_identical(self, problem, window):
+        got = find_eigenvalue(problem, window)
+        assert got.hex() == _find_eigenvalue_oracle(problem, window).hex()
+
+    @pytest.mark.parametrize(
+        "problem, x",
+        [
+            (oscillator_radial_problem(1, k_max=40), 8.3),
+            (kratzer_radial_problem(3.0, -6.0), 1.9),
+            (angular_problem(eta=0.25, ell_eff=1.5), 0.71),
+        ],
+        ids=["oscillator", "kratzer", "angular"],
+    )
+    def test_each_depth_equals_aim_delta(self, problem, x):
+        series = AimSeries(problem, x)
+        deltas = [series.delta(k) for k in range(1, problem.k_max + 1)]
+        assert deltas == [aim_delta(problem, x, k) for k in range(1, problem.k_max + 1)]
+        assert deltas == [_delta_oracle(problem, x, k) for k in range(1, problem.k_max + 1)]
+        assert aim_series(problem, x).deltas == deltas
+        # a jump straight to the deepest k and back reads the same stored values
+        again = AimSeries(problem, x)
+        assert again.delta(problem.k_max) == deltas[-1]
+        assert [again.delta(k) for k in range(1, problem.k_max + 1)] == deltas
+
+    @pytest.mark.parametrize(
+        "interval",
+        [(float("nan"), 2.0), (1.0, float("inf")), (-float("inf"), 2.0), (2.0, 1.0), (1.5, 1.5)],
+    )
+    def test_bad_interval_rejected(self, interval):
+        with pytest.raises(ValueError, match="interval"):
+            find_eigenvalue(oscillator_radial_problem(0, k_max=40), interval)
+
+    @pytest.mark.parametrize("samples", [1, 0, -3])
+    def test_too_few_samples_rejected(self, samples):
+        with pytest.raises(ValueError, match="samples"):
+            find_eigenvalue(oscillator_radial_problem(0, k_max=40), (1.0, 2.0), samples=samples)

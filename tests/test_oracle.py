@@ -1,6 +1,10 @@
+import math
+
 import numpy as np
 import pytest
+from scipy.linalg import eigh_tridiagonal
 
+from drsbound import oracle
 from drsbound.model import Kratzer, QuantumNumbers, RingParams, SpecError
 from drsbound.nonrel import NonRelParams, energy_kratzer_nr
 from drsbound.oracle import (
@@ -115,11 +119,124 @@ class TestSelfConsistency:
         with pytest.raises(DivergenceError):
             self_consistent_energy(spec, 2.0, max_iter=40)
 
+    def test_bracket_closes_in_few_sweeps(self, monkeypatch):
+        # the march from E = 1.0 takes 22 sweeps; bisection then took 17
+        # more to a 1e-6 bracket, the Illinois step at most 8, plus the
+        # final consistency check
+        spec = table_spec(3, 0, 0, 0, 1.0, 1.0)
+        calls = []
+        real_map = oracle._consistency_map
+
+        def counting(spec_, e, nodes):
+            calls.append(e)
+            return real_map(spec_, e, nodes)
+
+        monkeypatch.setattr(oracle, "_consistency_map", counting)
+        fixed_point = self_consistent_energy(spec, 1.0)
+        steps = [(e - 1.0) / 0.1 for e in calls]
+        march = [s for s in steps if math.isclose(s, round(s), abs_tol=1e-9)]
+        assert len(march) == 22
+        assert len(calls) - len(march) <= 8 + 1
+        closed = find_roots(spec, mode="strict")[0].energy.real
+        assert abs(fixed_point - closed) < 1e-6
+
+    @pytest.mark.parametrize("zone", [(0.7395, 0.744), (0.7443, 0.7999)], ids=["below", "above"])
+    def test_failed_sweeps_inside_bracket(self, monkeypatch, zone):
+        # the march brackets the central ground root 0.74418 in (0.7, 0.8);
+        # sweeps on one side of it fail, which the first steps hit ("above"
+        # also fails the midpoint retry, so the bracket contracts)
+        spec = table_spec(3, 0, 0, 0, 0.0, 0.0)
+        closed = find_roots(spec, mode="strict")[0].energy.real
+        calls, failed = [], []
+        real_map = oracle._consistency_map
+
+        def failing(spec_, e, nodes):
+            calls.append(e)
+            if zone[0] < e < zone[1]:
+                failed.append(e)
+                raise DivergenceError("sweep failed")
+            return real_map(spec_, e, nodes)
+
+        monkeypatch.setattr(oracle, "_consistency_map", failing)
+        fixed_point = self_consistent_energy(spec, 0.4)
+        assert len(failed) >= 2
+        # the first failed step is retried at the midpoint of its bracket,
+        # whose upper end is still the march point 0.8
+        i = calls.index(failed[0])
+        lo = max(e for e in calls[:i] if e < closed)
+        assert calls[i + 1] == pytest.approx(0.5 * (lo + 0.8), abs=1e-12)
+        gap = real_map(spec, fixed_point, 3000) - fixed_point
+        assert abs(gap) <= 1e-3 * (1.0 + abs(fixed_point))
+        assert abs(fixed_point - closed) < 1e-4
+
+    @pytest.mark.parametrize(
+        "kwargs, name",
+        [
+            ({"initial_energy": float("nan")}, "initial_energy"),
+            ({"initial_energy": float("inf")}, "initial_energy"),
+            ({"scan_step": 0.0}, "scan_step"),
+            ({"scan_step": -0.1}, "scan_step"),
+            ({"scan_step": float("nan")}, "scan_step"),
+            ({"scan_span": 0.0}, "scan_span"),
+            ({"scan_span": float("inf")}, "scan_span"),
+            ({"tol": float("nan")}, "tol"),
+            ({"tol": 0.0}, "tol"),
+            ({"tol": -1e-6}, "tol"),
+            ({"max_iter": 0}, "max_iter"),
+            ({"max_iter": -5}, "max_iter"),
+        ],
+    )
+    def test_bad_arguments_rejected(self, monkeypatch, kwargs, name):
+        def no_sweeps(*args):
+            raise AssertionError("no sweep may run on bad arguments")
+
+        monkeypatch.setattr(oracle, "_consistency_map", no_sweeps)
+        kwargs = {"initial_energy": 1.0, **kwargs}
+        with pytest.raises(ValueError, match=name):
+            self_consistent_energy(table_spec(3, 0, 0, 0, 1.0, 1.0), **kwargs)
+
     def test_nonrel_limit_reproduces_closed_form(self):
         params = NonRelParams(mu=1.0, potential=Kratzer(15.0, 0.4), ring=RingParams())
         closed = energy_kratzer_nr(params, QuantumNumbers())
         fd = nonrel_energy_fd(params, QuantumNumbers())
         assert abs(fd - closed) < 1e-4 * abs(closed)
+
+
+class TestEigenvaluesOnly:
+    """eigvals_only=True returns the eigenvector call's eigenvalues bit for bit."""
+
+    @staticmethod
+    def _capture(monkeypatch):
+        seen = []
+
+        def recording(d, e, **kwargs):
+            out = eigh_tridiagonal(d, e, **kwargs)
+            seen.append((d, e, kwargs, out))
+            return out
+
+        monkeypatch.setattr(oracle, "eigh_tridiagonal", recording)
+        return seen
+
+    @staticmethod
+    def _assert_same_as_eigenvector_call(seen, sizes):
+        assert sorted(len(d) for d, *_ in seen) == sorted(sizes)
+        for d, e, kwargs, out in seen:
+            assert kwargs["eigvals_only"] is True
+            full = eigh_tridiagonal(
+                d, e, select=kwargs["select"], select_range=kwargs["select_range"]
+            )
+            assert out.tobytes() == full[0].tobytes()
+
+    def test_radial_matrices(self, monkeypatch):
+        seen = self._capture(monkeypatch)
+        v_eff = lambda r: (2.3**2 - 0.25) / r**2 - 4.0 / r
+        fd_radial_eigs(v_eff, FdGrid(0.0, 30.0, 3000), 2, refine=True)
+        self._assert_same_as_eigenvector_call(seen, [3000, 6001])
+
+    def test_angular_matrices(self, monkeypatch):
+        seen = self._capture(monkeypatch)
+        fd_angular_eigs(2.072188142, RingParams(1.0, 1.0), 1, 2, cells=1500)
+        self._assert_same_as_eigenvector_call(seen, [1500, 3000, 6000])
 
 
 class TestRefinementMonotonicity:
