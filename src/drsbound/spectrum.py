@@ -22,14 +22,15 @@ term (`_radical_term`).
 Each condition is algebraic in E.  Eliminating its square roots from the
 squared form leaves one polynomial per spec and sigma_rhs, the eliminant
 (`_eliminant`), whose real roots include every real root of every branch.
-The real-axis search (`_scan_branches`) tests the sign-change rule of a
-grid scan only on the grid panels next to those roots, each first located
-by a secant on the unexpanded squared form (`_seeds`), because the
-eliminant's coefficients are too ill-conditioned to decide a root.  All
-requested branches of a sqrt mode are evaluated in one call, with the
-branch signs stacked as columns so the radicals are taken once per energy,
-and sign changes are polished by brentq on the scalar residual: each root
-found is the one a scan over the whole grid finds.
+The real-axis search (`_scan_branches`) covers the principal strategies
+and tests the sign-change rule of a grid scan only on the grid panels next
+to those roots, each first located by a secant on the unexpanded squared
+form (`_seeds`), because the eliminant's coefficients are too
+ill-conditioned to decide a root.  All searched branches are evaluated in
+one call, with the branch signs stacked as columns so the radicals are
+taken once per energy, and sign changes are polished by brentq on the
+scalar residual: each root found is the one a scan over the whole grid
+finds.  `residual` evaluates all eight strategies, modulus included.
 
 For the pure central cases (a = b = 0) the squared forms are polynomials --
 a cubic for the oscillator, one quartic per sigma_rhs for the Kratzer -- and
@@ -128,10 +129,10 @@ def all_branches():
 def principal_branches():
     """The four principal-sqrt strategies; `_search_branches` narrows them per spec.
 
-    The modulus convention turns out to mirror the partner symmetry's
-    spectrum into the search window (it erases exactly the sign information
-    the symmetry limits differ by), which no published table contains, so it
-    is scanned only on explicit request.
+    The search covers these only: the modulus convention mirrors the
+    partner symmetry's spectrum into the search window (it erases exactly
+    the sign information the symmetry limits differ by), which no
+    published table contains; `residual` still evaluates it.
     """
     return [b for b in all_branches() if b.sqrt_mode == SQRT_PRINCIPAL]
 
@@ -332,20 +333,18 @@ def squared_polynomial_drsk(spec: ProblemSpec, sigma_rhs: int = 1):
     return poly / poly[0]
 
 
-def _squared(e, spec: ProblemSpec, sigma_rhs, sqrt, rhs_sign=1):
+def _squared(e, spec: ProblemSpec, sigma_rhs, sqrt):
     """The squared condition at energy e with square root sqrt(z).
 
     e is a complex with `cmath.sqrt` (`squared_form`) or a complex array
     with `np.sqrt` (the batched complex search, the eliminant's seeds);
-    sqrt may be a tuple, as for `_radical_term`.  rhs_sign = -1 flips the
-    sign of the oscillator's rhs^2 term against its lhs^2 term: the
-    modulus reading where exactly one of their radicands is negative.
+    sqrt may be a tuple, as for `_radical_term`.
     """
     m_, c = spec.mass, spec.symmetry.constant
     pot = spec.potential
     rad = _radical_term(e, spec, sqrt)
     if isinstance(pot, Oscillator):
-        k2 = rhs_sign * 2.0 * pot.k
+        k2 = 2.0 * pot.k
         if spec.is_spin:
             return (m_ - e) ** 2 * (c - e - m_) - k2 * rad * rad
         return (m_ + e) ** 2 * (e - m_ - c) + k2 * rad * rad
@@ -505,22 +504,19 @@ def _best_branch(spec, z, branches, tol=None):
 def _class_for_branch(branch: BranchStrategy):
     if branch == CANONICAL:
         return RootClass.A
-    if branch.sigma_rhs == -1 and branch.sqrt_mode == SQRT_PRINCIPAL:
+    if branch.sigma_rhs == -1:
         return RootClass.B
     return RootClass.D
 
 
 def _array_sqrt(z, mode):
-    z = np.asarray(z, dtype=complex)
-    out = np.sqrt(z)
-    if mode == SQRT_MODULUS:
-        on_axis = np.abs(z.imag) == 0.0
-        out = np.where(on_axis, np.sqrt(np.abs(z.real)).astype(complex), out)
-    return out
+    if mode != SQRT_PRINCIPAL:
+        raise ValueError("the array residual takes principal square roots only")
+    return np.sqrt(np.asarray(z, dtype=complex))
 
 
 def _residual_array(spec, es, branch):
-    """Residual over an energy array; (values, valid mask). Poles masked."""
+    """Residual over an energy array, principal sqrt only; (values, valid mask). Poles masked."""
     with np.errstate(divide="ignore", invalid="ignore"):
         lhs, rhs, ok = _condition(
             np.asarray(es, dtype=complex), spec, branch, _array_sqrt, _mask_pole
@@ -531,7 +527,7 @@ def _residual_array(spec, es, branch):
 
 @dataclass(frozen=True)
 class _BranchStack:
-    """Strategies of one sqrt mode, stacked for `_condition` to broadcast over.
+    """Principal strategies, stacked for `_condition` to broadcast over.
 
     The signs are (B, 1) columns, so the radicals and the lhs are evaluated
     once per energy and every term carrying a sign becomes a (B, N) array.
@@ -539,15 +535,15 @@ class _BranchStack:
 
     sigma_rhs: np.ndarray
     sigma_inner: np.ndarray
-    sqrt_mode: str
+    sqrt_mode = SQRT_PRINCIPAL
 
     @classmethod
     def of(cls, branches):
         col = lambda name: np.array([[getattr(b, name)] for b in branches])
-        return cls(col("sigma_rhs"), col("sigma_inner"), branches[0].sqrt_mode)
+        return cls(col("sigma_rhs"), col("sigma_inner"))
 
 
-def _eliminant(spec, sigma_rhs, signs):
+def _eliminant(spec, sigma_rhs):
     """Coefficients, highest power first, of the squared condition's eliminant.
 
     The squared condition is taken as a polynomial in E and the radicals
@@ -557,18 +553,13 @@ def _eliminant(spec, sigma_rhs, signs):
     and A^2 - B^2 R is free of w.  The norm over u -> -u and then v -> -v
     (the product of the conjugates) is free of every radical: degree <= 12
     for the oscillator, <= 16 per sigma_rhs for the Kratzer.  Its real
-    roots include every real root of every branch it covers.
-
-    signs = (s_u, s_v, s_x) multiplies the radicands of u and v by s_u and
-    s_v and, for the Kratzer, R by s_x; for the oscillator s_x is
-    `_squared`'s rhs_sign.  All +1 is the principal sqrt; on the real axis
-    the modulus sqrt is the principal root of one such sign pattern.
+    roots include every real root of every principal branch of that
+    sigma_rhs; the oscillator's squared form does not read sigma_rhs.
     """
     m_, c = spec.mass, spec.symmetry.constant
-    s_u, s_v, s_x = signs
     a, b, mq = spec.ring.a, spec.ring.b, spec.qn.m
     g = np.array([m_ - c if spec.is_spin else -m_ - c, 1.0])  # gamma, lowest power first
-    radicands = (s_u * np.array([a * g[0] + 0.25, a]), s_v * np.array([b * g[0] + mq * mq, b]))
+    radicands = (np.array([a * g[0] + 0.25, a]), np.array([b * g[0] + mq * mq, b]))
 
     # an element of Q[E][u, v]: {(i, j): coefficients of u^i v^j, lowest power first}
     def accumulate(out, key, p):
@@ -615,10 +606,10 @@ def _eliminant(spec, sigma_rhs, signs):
             lhs2, k2 = np.convolve(np.convolve([m_, -1.0], [m_, -1.0]), [c - m_, -1.0]), -2.0
         else:
             lhs2, k2 = np.convolve(np.convolve([m_, 1.0], [m_, 1.0]), [-m_ - c, 1.0]), 2.0
-        form = add(poly(*lhs2), scale(k2 * s_x * pot.k, mul(rad, rad)))
+        form = add(poly(*lhs2), scale(k2 * pot.k, mul(rad, rad)))
     else:
         shifted = add(omega, poly(2 * spec.qn.n_prime + 1))
-        big = scale(s_x, add(mul(shifted, shifted), {(0, 0): g * pot.d_e * pot.r_e**2}))
+        big = add(mul(shifted, shifted), {(0, 0): g * pot.d_e * pot.r_e**2})
         nu = spec.qn.n + 0.5
         lead = poly(-m_, 1.0) if spec.is_spin else poly(m_, 1.0)  # E - M or E + M
         tail = [m_ - c, 1.0] if spec.is_spin else [-m_ - c, 1.0]
@@ -633,47 +624,21 @@ def _eliminant(spec, sigma_rhs, signs):
     return form[(0, 0)][::-1]
 
 
-def _seed_patterns(spec, sqrt_mode):
-    """(sigma_rhs, signs) of every eliminant that covers the branches of a sqrt mode.
-
-    The principal sqrt needs the all +1 pattern; the modulus sqrt, equal on
-    the real axis to the principal root of |radicand|, needs every sign of
-    each radicand that can change sign, and for the oscillator both signs
-    of its rhs^2 term.  The oscillator's squared form does not depend on
-    sigma_rhs.
-    """
-    sigmas = (1,) if isinstance(spec.potential, Oscillator) else (1, -1)
-    if sqrt_mode == SQRT_PRINCIPAL:
-        patterns = [(1, 1, 1)]
-    else:
-        both = (1, -1)
-        patterns = [
-            (s_u, s_v, s_x)
-            for s_u in (both if spec.ring.a else (1,))
-            for s_v in (both if spec.ring.b else (1,))
-            for s_x in both
-        ]
-    return [(sigma, signs) for sigma in sigmas for signs in patterns]
-
-
-def _seed_factor(spec, sigma_rhs, signs):
+def _seed_factor(spec, sigma_rhs):
     """The principal factor of each lane's eliminant, as f(z, lanes).
 
-    sigma_rhs and the three arrays of signs give each lane's eliminant;
-    f evaluates the lanes `lanes` at the complex array z.  The factor is the
-    `_squared` whose conjugates the eliminant multiplies, with the same
-    radicand signs: for the Kratzer the product of `_squared` at +w and at
-    -w, which is A^2 - B^2 R.
+    sigma_rhs is an array giving each lane's eliminant; f evaluates the
+    lanes `lanes` at the complex array z.  The factor is the `_squared`
+    whose conjugates the eliminant multiplies: for the Kratzer the product
+    of `_squared` at +w and at -w, which is A^2 - B^2 R.
     """
-    s_u, s_v, s_x = signs
+    minus = (np.sqrt, np.sqrt, lambda r: -np.sqrt(r))
 
     def f(z, lanes):
-        root = lambda s, outer=1.0: lambda r: outer * np.sqrt(s[lanes] * r)
-        sq = (root(s_u), root(s_v), root(s_x))
+        plus = _squared(z, spec, sigma_rhs[lanes], np.sqrt)
         if isinstance(spec.potential, Oscillator):
-            return _squared(z, spec, sigma_rhs[lanes], sq, rhs_sign=s_x[lanes])
-        minus = (sq[0], sq[1], root(s_x, -1.0))
-        return _squared(z, spec, sigma_rhs[lanes], sq) * _squared(z, spec, sigma_rhs[lanes], minus)
+            return plus
+        return plus * _squared(z, spec, sigma_rhs[lanes], minus)
 
     return f
 
@@ -684,8 +649,8 @@ def _seed_factor(spec, sigma_rhs, signs):
 SEED_SECANT_STEPS = 30
 
 
-def _seeds(spec, sqrt_mode, lo, hi):
-    """Real candidates for the roots of every branch of one sqrt mode in [lo, hi].
+def _seeds(spec, lo, hi):
+    """Real candidates for the roots of every principal branch in [lo, hi].
 
     The eliminant's float coefficients are ill-conditioned near clusters of
     roots: their roots can miss by 0.05, a hundred panels of the default
@@ -698,15 +663,14 @@ def _seeds(spec, sqrt_mode, lo, hi):
     |Im| < 1e-3 (1 + |z|).  They only say where to look.
     """
     zs, lanes = [], []
-    for sigma_rhs, signs in _seed_patterns(spec, sqrt_mode):
-        z = np.roots(_eliminant(spec, sigma_rhs, signs))
+    for sigma_rhs in (1,) if isinstance(spec.potential, Oscillator) else (1, -1):
+        z = np.roots(_eliminant(spec, sigma_rhs))
         z = z[(z.real > lo - 1.0) & (z.real < hi + 1.0)]
         zs.append(z)
-        lanes += [(sigma_rhs, *signs)] * z.size
+        lanes.append(np.full(z.size, float(sigma_rhs)))
     zs = np.concatenate(zs)
-    sigma_rhs, *signs = np.array(lanes, dtype=float).reshape(-1, 4).T
     polished = _secant_batch(
-        _seed_factor(spec, sigma_rhs, signs), zs, zs * (1 + 1e-8) + 1e-8j, SEED_SECANT_STEPS
+        _seed_factor(spec, np.concatenate(lanes)), zs, zs * (1 + 1e-8) + 1e-8j, SEED_SECANT_STEPS
     )
     polished = polished[np.isfinite(polished)]
     near_axis = lambda z, tol: z.real[np.abs(z.imag) < tol * (1.0 + np.abs(z))]
@@ -721,56 +685,50 @@ SEED_PANELS = 2
 
 
 def _scan_branches(spec, branches, interval, panels_per_unit):
-    """Real roots of each branch restriction, one root list per branch, in order.
+    """Real roots of each principal branch restriction, one root list per branch.
 
     The grid is np.linspace(lo, hi, n + 1) with n = panels_per_unit panels
     per unit energy, and a root is bracketed by a sign change between two
     neighbouring grid points.  Only the panels near a candidate root of the
     eliminants (`_seeds`) are tested: each candidate in panel i marks panels
-    i - SEED_PANELS .. i + SEED_PANELS, and all marked panels of one sqrt
-    mode are evaluated for all its branches at once, in one
-    `_residual_array` call.  On the real axis the residual of a branch
-    restriction is real wherever all radicals are real, but the oscillator
-    conditions turn purely imaginary below the symmetry threshold; zeros
-    are therefore bracketed on whichever component dominates while the
-    other stays negligible, and polished by brentq on the scalar residual:
-    per branch, the real-component brackets first, then the imaginary
-    ones, each in ascending order.  Each bracket found is one a full
-    sign-change scan of the grid finds, with the same root; that the seeds
-    point at every such bracket is checked against the full scan in the
-    tests, not certified.
+    i - SEED_PANELS .. i + SEED_PANELS, and all marked panels are evaluated
+    for all branches at once, in one `_residual_array` call.  On the real
+    axis the residual of a branch restriction is real wherever all radicals
+    are real, but the oscillator conditions turn purely imaginary below the
+    symmetry threshold; zeros are therefore bracketed on whichever component
+    dominates while the other stays negligible, and polished by brentq on
+    the scalar residual: per branch, the real-component brackets first, then
+    the imaginary ones, each in ascending order.  Each bracket found is one
+    a full sign-change scan of the grid finds, with the same root; that the
+    seeds point at every such bracket is checked against the full scan in
+    the tests, not certified.
     """
     lo, hi = interval
     n = max(16, int(round((hi - lo) * panels_per_unit)))
     es = np.linspace(lo, hi, n + 1)
     h = (hi - lo) / n
+    at = np.clip((_seeds(spec, lo, hi) - lo) / h, -SEED_PANELS - 1.0, n)
+    marked = np.zeros(n, dtype=bool)
+    for i in np.floor(at).astype(int).tolist():
+        marked[max(0, i - SEED_PANELS) : max(0, i + SEED_PANELS + 1)] = True
+    panels = np.flatnonzero(marked)
+    pts = np.union1d(panels, panels + 1)
+    left = np.searchsorted(pts, panels)  # pts[left + 1] == panels + 1
+    vals, ok = _residual_array(spec, es[pts], _BranchStack.of(branches))
+    ok &= np.abs(vals) < 1e8  # never bisect across a pole
+    size = {"real": np.abs(vals.real), "imag": np.abs(vals.imag)}
     comps = ("real", "imag")
-    brackets = [{comp: [] for comp in comps} for _ in branches]
-    for mode in dict.fromkeys(b.sqrt_mode for b in branches):
-        rows = [i for i, b in enumerate(branches) if b.sqrt_mode == mode]
-        stack = _BranchStack.of([branches[i] for i in rows])
-        at = np.clip((_seeds(spec, mode, lo, hi) - lo) / h, -SEED_PANELS - 1.0, n)
-        marked = np.zeros(n, dtype=bool)
-        for i in np.floor(at).astype(int).tolist():
-            marked[max(0, i - SEED_PANELS) : max(0, i + SEED_PANELS + 1)] = True
-        panels = np.flatnonzero(marked)
-        pts = np.union1d(panels, panels + 1)
-        left = np.searchsorted(pts, panels)  # pts[left + 1] == panels + 1
-        vals, ok = _residual_array(spec, es[pts], stack)
-        ok &= np.abs(vals) < 1e8  # never bisect across a pole
-        size = {"real": np.abs(vals.real), "imag": np.abs(vals.imag)}
-        for comp, other in zip(comps, comps[::-1]):
-            good = ok & (size[other] < 1e-9 * (1.0 + size[comp]))
-            sign = np.sign(getattr(vals, comp))
-            change = good[:, left] & good[:, left + 1] & (sign[:, left] != sign[:, left + 1])
-            for row, j in zip(*np.nonzero(change)):
-                brackets[rows[row]][comp].append(panels[j])
+    change = {}
+    for comp, other in zip(comps, comps[::-1]):
+        good = ok & (size[other] < 1e-9 * (1.0 + size[comp]))
+        sign = np.sign(getattr(vals, comp))
+        change[comp] = good[:, left] & good[:, left + 1] & (sign[:, left] != sign[:, left + 1])
     roots = []
-    for br, found in zip(branches, brackets):
+    for row, br in enumerate(branches):
         roots.append([])
         for comp in comps:
             fn = lambda x: getattr(residual(x, spec, br), comp)
-            for i in found[comp]:
+            for i in panels[change[comp][row]]:
                 try:
                     roots[-1].append(brentq(fn, es[i], es[i + 1], xtol=1e-14))
                 except (ValueError, SpectralPoleError):
@@ -778,15 +736,21 @@ def _scan_branches(spec, branches, interval, panels_per_unit):
     return roots
 
 
+def _central_polynomials(spec):
+    """(sigma_rhs, monic squared polynomial) pairs of a central spec (a = b = 0).
+
+    The oscillator's one cubic does not read sigma_rhs and comes with 1.
+    """
+    if isinstance(spec.potential, Oscillator):
+        return [(1, squared_polynomial_drso(spec))]
+    return [(s, squared_polynomial_drsk(spec, s)) for s in (1, -1)]
+
+
 def _polynomial_roots(spec, paper_compat):
     """Roots of the exact squared-polynomial paths (a = b = 0 only)."""
     out = []
     search = _search_branches(spec)
-    if isinstance(spec.potential, Oscillator):
-        polys = [(None, squared_polynomial_drso(spec))]
-    else:
-        polys = [(s, squared_polynomial_drsk(spec, s)) for s in (1, -1)]
-    for srhs, poly in polys:
+    for srhs, poly in _central_polynomials(spec):
         for z in np.roots(poly):
             if abs(z.imag) < 1e-9 * (1.0 + abs(z)):
                 e = z.real
@@ -801,7 +765,7 @@ def _polynomial_roots(spec, paper_compat):
                 br, res = hit
                 out.append(ClassifiedRoot(complex(e), br, res, _class_for_branch(br)))
             elif paper_compat and z.imag > 0:
-                f = lambda w: squared_form(w, spec, 1 if srhs is None else srhs)
+                f = lambda w: squared_form(w, spec, srhs)
                 zz = _secant_complex(f, complex(z), complex(z) * (1 + 1e-8) + 1e-8j)
                 zz = complex(z) if zz is None else complex(zz.real, abs(zz.imag))
                 best = _best_branch(spec, zz, search)
@@ -834,19 +798,19 @@ def find_roots(
     interval=None,
     *,
     tolerance=1e-10,
-    branches=None,
     mode="strict",
     panels_per_unit=2000,
     max_roots=None,
 ):
     """Classified spectrum points of the spec inside a real search interval.
 
+    The search covers the principal strategies (`_search_branches`).
     strict mode keeps only class-A roots (canonical branch, genuine);
     paper-compat additionally reports sigma_rhs = -1 roots and the real
     parts of complex pairs of the squared forms, reproducing the published
     tables.  Real roots come from the sign-change rule on a grid of
-    panels_per_unit panels per unit energy, tested for all requested
-    branches of a sqrt mode on the panels the eliminant's roots point at
+    panels_per_unit panels per unit energy, tested for all searched
+    branches on the panels the eliminant's roots point at
     (`_scan_branches`), plus the exact polynomial paths when a = b = 0;
     complex pairs of the ring-dressed oscillator come from
     `complex_zeros_drso`, batch-located and finished by the scalar secant.
@@ -854,8 +818,9 @@ def find_roots(
     empty result is an ordinary outcome.
 
     Raises ValueError for an unknown mode, an interval that is not finite
-    or has lo >= hi, panels_per_unit <= 0, a tolerance that is not finite
-    or is negative, and max_roots < 0.
+    or has lo >= hi, a panels_per_unit that is not finite and positive, a
+    tolerance that is not finite or is negative, and a max_roots that is
+    not a nonnegative integer.
     """
     if mode not in ("strict", "paper-compat"):
         raise ValueError("mode must be 'strict' or 'paper-compat'")
@@ -865,24 +830,22 @@ def find_roots(
     lo, hi = interval
     if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
         raise ValueError(f"interval must be finite with lo < hi, got {interval!r}")
-    if not panels_per_unit > 0:
-        raise ValueError(f"panels_per_unit must be positive, got {panels_per_unit!r}")
+    if not (np.isfinite(panels_per_unit) and panels_per_unit > 0):
+        raise ValueError(f"panels_per_unit must be finite and positive, got {panels_per_unit!r}")
     if not (np.isfinite(tolerance) and tolerance >= 0):
         raise ValueError(f"tolerance must be finite and nonnegative, got {tolerance!r}")
-    if max_roots is not None and max_roots < 0:
-        raise ValueError(f"max_roots must be nonnegative, got {max_roots!r}")
+    if max_roots is not None and not (isinstance(max_roots, (int, np.integer)) and max_roots >= 0):
+        raise ValueError(f"max_roots must be a nonnegative integer, got {max_roots!r}")
     paper_compat = mode == "paper-compat"
-    explicit = branches is not None
     search = _search_branches(spec)
-    branches = list(branches) if explicit else search
 
     found = []
     central = spec.ring.a == 0 and spec.ring.b == 0
     if central:
         found.extend(_polynomial_roots(spec, paper_compat))
-    # real-line scan over the requested branches (everything the polynomial
+    # real-line scan over the searched branches (everything the polynomial
     # path already found will be merged away by deduplication)
-    for br, roots in zip(branches, _scan_branches(spec, branches, interval, panels_per_unit)):
+    for br, roots in zip(search, _scan_branches(spec, search, interval, panels_per_unit)):
         for e in roots:
             hit = _best_branch(spec, e, [br], tol=1e-6)
             if hit is None:
@@ -900,13 +863,10 @@ def find_roots(
         if lo - 1e-9 <= r.energy.real <= hi + 1e-9
         and r.residual_norm <= max(tolerance, 100 * np.finfo(float).eps)
     ]
-    found = _dedupe(found)
-    if not paper_compat:
-        found = [r for r in found if r.root_class is RootClass.A]
-    elif not explicit:
-        # roots living only on inner-flipped or modulus branches are outside
-        # the published tables' taxonomy; keep them only on explicit request
-        found = [r for r in found if r.root_class is not RootClass.D]
+    # roots living only on inner-flipped branches (class D) are outside the
+    # published tables' taxonomy
+    kept = (RootClass.A, RootClass.B, RootClass.C) if paper_compat else (RootClass.A,)
+    found = [r for r in _dedupe(found) if r.root_class in kept]
     found.sort(key=lambda r: (r.energy.real, r.energy.imag))
     if max_roots is not None:
         found = found[:max_roots]
@@ -1109,7 +1069,7 @@ def _ladder_candidates(spec, branch, comp, value, starts):
 
 
 def _polish_branch_root(spec, branch, value, span=2e-3, grow=8):
-    """Real root of a branch residual near `value`, by bracket expansion.
+    """Real root of a principal branch's residual near `value`, by bracket expansion.
 
     Bisects whichever residual component (real or imaginary) dominates near
     the value; the bracket is clipped at the condition's first-order pole
@@ -1196,8 +1156,11 @@ def _check_tolerance(tolerance):
 def classify_value(spec: ProblemSpec, value: float, match_tol=1e-4):
     """Audit one published number against every branch and squared form.
 
-    Raises ValueError if the match tolerance is not finite and positive.
+    Raises ValueError if the value is not finite or the match tolerance is
+    not finite and positive.
     """
+    if not np.isfinite(value):
+        raise ValueError(f"value must be finite, got {value!r}")
     _check_tolerance(match_tol)
     search = _search_branches(spec)
     candidates = []
@@ -1218,11 +1181,7 @@ def classify_value(spec: ProblemSpec, value: float, match_tol=1e-4):
                 candidates.append(
                     (r.root_class, abs(r.energy.real - value), r.branch.label(), r.residual_norm)
                 )
-        if isinstance(spec.potential, Oscillator):
-            polys = [squared_polynomial_drso(spec)]
-        else:
-            polys = [squared_polynomial_drsk(spec, s) for s in (1, -1)]
-        for poly in polys:
+        for _, poly in _central_polynomials(spec):
             pair_zeros.extend(z for z in np.roots(poly) if z.imag > 1e-7)
     elif isinstance(spec.potential, Oscillator):
         pair_zeros = _complex_multistart(spec, value, (0.25, 0.5, 1.0, 2.0, 4.0, 8.0))
@@ -1267,8 +1226,8 @@ def classify_value(spec: ProblemSpec, value: float, match_tol=1e-4):
 def audit_table(table_id: int, published=None, tolerance=1e-4, params=None) -> AuditReport:
     """Classify every published value of one table; never fails on class D.
 
-    Raises ValueError for an unknown table and a tolerance that is not
-    finite and positive.
+    Raises ValueError for an unknown table, a tolerance that is not finite
+    and positive, and a published value that is not finite.
     """
     if table_id not in TABLE_KINDS:
         raise ValueError(f"unknown table id {table_id}")

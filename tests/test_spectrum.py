@@ -15,6 +15,7 @@ from drsbound.spectrum import (
     classify_value,
     find_roots,
     load_table_data,
+    principal_branches,
     residual,
     residual_drsk,
     residual_drso,
@@ -257,30 +258,31 @@ class TestFindRoots:
         with pytest.raises(ValueError, match="max_roots"):
             find_roots(spec, mode="paper-compat", max_roots=-1)
 
-    def test_explicit_modulus_branch_reports_mirror_roots(self):
-        # the modulus reading mirrors the partner symmetry's spectrum into
-        # the window; such roots are outside the A/B/C taxonomy and only
-        # appear when the strategy is requested explicitly
-        spec = table_spec(4, 0, 0, 0, 0.0, 0.0)
-        modulus = BranchStrategy(1, 1, "modulus")
-        roots = find_roots(spec, mode="paper-compat", branches=[modulus])
-        mirrored = [r for r in roots if r.root_class is RootClass.D]
-        assert any(abs(r.energy.real - 0.6652434115) < 1e-6 for r in mirrored)
-        default = find_roots(spec, mode="paper-compat")
-        assert not any(abs(r.energy.real - 0.6652434115) < 1e-6 for r in default)
+    def test_infinite_panels_rejected(self):
+        # an infinite panel count used to die in int(round(...)) with OverflowError
+        spec = table_spec(3, 0, 0, 0, 1.0, 1.0)
+        with pytest.raises(ValueError, match="panels_per_unit"):
+            find_roots(spec, panels_per_unit=float("inf"))
+
+    def test_fractional_max_roots_rejected(self):
+        # max_roots=1.5 used to die in the slice with TypeError
+        spec = table_spec(1, 0, 0, 0, 0.0, 0.0)
+        assert len(find_roots(spec, mode="paper-compat", max_roots=np.int64(1))) == 1
+        with pytest.raises(ValueError, match="max_roots"):
+            find_roots(spec, mode="paper-compat", max_roots=1.5)
 
 
 class TestVectorizedScanPath:
     def test_array_residual_matches_scalar(self):
         # the vectorized scan path must agree with the scalar definition on
-        # every branch, potential and symmetry
+        # every principal branch, potential and symmetry
         from drsbound.spectrum import SpectralPoleError, _residual_array
 
         rng = np.random.default_rng(37)
         es = rng.uniform(-12.0, 12.0, size=64)
         for table in (1, 2, 3, 4):
             spec = table_spec(table, 1, 1, 1, 1.0, 0.0)
-            for br in all_branches():
+            for br in principal_branches():
                 vals, ok = _residual_array(spec, es, br)
                 for e, v, good in zip(es, vals, ok):
                     try:
@@ -296,6 +298,15 @@ class TestVectorizedScanPath:
         spec = table_spec(1, 0, 0, 0, 0.0, 0.0)  # pole at E = M + C_ps = 0
         vals, ok = _residual_array(spec, np.array([0.0, 1.0]), CANONICAL)
         assert not ok[0] and ok[1]
+
+    def test_modulus_rejected_in_array_path(self):
+        # the array path has no modulus square root; a modulus strategy must
+        # not be evaluated as a principal one
+        from drsbound.spectrum import _residual_array
+
+        spec = table_spec(4, 0, 0, 0, 0.0, 0.0)
+        with pytest.raises(ValueError, match="principal"):
+            _residual_array(spec, np.array([0.0, 1.0]), BranchStrategy(1, 1, "modulus"))
 
 
 def _scan_one_branch(spec, branch, interval, panels_per_unit):
@@ -326,7 +337,9 @@ def _scan_one_branch(spec, branch, interval, panels_per_unit):
 
 SCAN_SPECS = {
     "kratzer": table_spec(3, 1, 0, 1, 1.0, 0.5),
-    "oscillator": table_spec(2, 0, 1, 1, 0.5, 1.0),
+    # a spin spec: at the bundled parameters the ring-dressed pseudospin
+    # oscillator has no real root on a principal branch
+    "oscillator": table_spec(4, 0, 0, 1, 0.5, 1.0),
     "central": table_spec(1, 0, 0, 0, 0.0, 0.0),
 }
 
@@ -338,8 +351,8 @@ class TestBlockedScan:
 
         spec = SCAN_SPECS[name]
         interval = (-25.0, 25.0)
-        got = _scan_branches(spec, all_branches(), interval, 400)
-        want = [_scan_one_branch(spec, br, interval, 400) for br in all_branches()]
+        got = _scan_branches(spec, principal_branches(), interval, 400)
+        want = [_scan_one_branch(spec, br, interval, 400) for br in principal_branches()]
         assert got == want
         assert any(got)
 
@@ -352,13 +365,8 @@ class TestBlockedScan:
 
         spec = SCAN_SPECS[name]
         want = find_roots(spec, mode="paper-compat", panels_per_unit=200)
-        explicit = find_roots(spec, mode="paper-compat", panels_per_unit=200, branches=all_branches())
         monkeypatch.setattr(spectrum, "SEED_PANELS", block)
         assert find_roots(spec, mode="paper-compat", panels_per_unit=200) == want
-        assert (
-            find_roots(spec, mode="paper-compat", panels_per_unit=200, branches=all_branches())
-            == explicit
-        )
         assert want
 
 
@@ -388,22 +396,27 @@ def _random_scan_specs(seed, count):
 #: brackets it on both sides, so the panels next to a candidate's must be tested.
 GRID_POINT_ROWS = [(1, 3, 0, 1, 1.0, 0.0), (1, 3, 1, 0, 0.0, 0.0), (3, 2, 0, 1, 0.0, 0.0)]
 
+#: A random spec whose canonical root only the secant-polished seed reaches.
+SECANT_SEEDED = _random_scan_specs(14, 12)[8]
+
 
 class TestSeededScan:
     """The eliminant-seeded scan finds exactly the brackets of the full grid scan."""
 
     @pytest.mark.parametrize(
         "spec",
-        _random_scan_specs(5, 12) + [table_spec(*row) for row in GRID_POINT_ROWS],
-        ids=[f"random{i}" for i in range(12)] + ["table{}-{}{}{}-a{:g}-b{:g}".format(*r) for r in GRID_POINT_ROWS],
+        _random_scan_specs(5, 12) + [table_spec(*row) for row in GRID_POINT_ROWS] + [SECANT_SEEDED],
+        ids=[f"random{i}" for i in range(12)]
+        + ["table{}-{}{}{}-a{:g}-b{:g}".format(*r) for r in GRID_POINT_ROWS]
+        + ["secant-seeded"],
     )
     def test_equals_full_scan_on_all_strategies(self, spec):
-        # random3 has a modulus root that only the secant-polished seed reaches
+        # all strategies the search covers: the four principal ones
         from drsbound.spectrum import _scan_branches
 
         interval = (-spec.mass - 20.0, spec.mass + 20.0)
-        got = _scan_branches(spec, all_branches(), interval, 2000)
-        assert got == [_scan_one_branch(spec, br, interval, 2000) for br in all_branches()]
+        got = _scan_branches(spec, principal_branches(), interval, 2000)
+        assert got == [_scan_one_branch(spec, br, interval, 2000) for br in principal_branches()]
 
     @pytest.mark.parametrize("table", [1, 2, 3, 4])
     @pytest.mark.parametrize("n, npr, m", [(0, 0, 0), (1, 2, -1), (2, 0, 2)])
@@ -413,9 +426,9 @@ class TestSeededScan:
 
         spec = table_spec(table, n, npr, m, 0.0, 0.0)
         if table in (2, 4):
-            pairs = [(_eliminant(spec, 1, (1, 1, 1)), squared_polynomial_drso(spec))]
+            pairs = [(_eliminant(spec, 1), squared_polynomial_drso(spec))]
         else:
-            pairs = [(_eliminant(spec, s, (1, 1, 1)), squared_polynomial_drsk(spec, s)) for s in (1, -1)]
+            pairs = [(_eliminant(spec, s), squared_polynomial_drsk(spec, s)) for s in (1, -1)]
         for got, want in pairs:
             assert got / got[0] == pytest.approx(want, rel=1e-12, abs=1e-12 * np.abs(want).max())
 
@@ -425,9 +438,9 @@ class TestSeededScan:
 
         spec = table_spec(table, 1, 1, 1, 1.0, 0.5)
         degree = 12 if table in (2, 4) else 16
-        assert len(_eliminant(spec, 1, (1, 1, 1))) == degree + 1
+        assert len(_eliminant(spec, 1)) == degree + 1
         ring_a = table_spec(table, 1, 1, 1, 1.0, 0.0)
-        assert len(_eliminant(ring_a, 1, (1, 1, 1))) == degree // 2 + 1
+        assert len(_eliminant(ring_a, 1)) == degree // 2 + 1
 
 
 def _complex_zeros_oracle(spec, interval, imag_starts=(0.5, 2.0, 6.0), re_step=1.0):
@@ -844,6 +857,15 @@ class TestAudit:
             classify_value(spec, -0.6652434115, tolerance)
         with pytest.raises(ValueError, match="tolerance"):
             audit_table(2, published=[], tolerance=tolerance)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_value_rejected(self, value):
+        # a NaN value used to come back as class D with NaN diagnostics
+        spec = table_spec(2, 0, 0, 0, 0.0, 0.0)
+        with pytest.raises(ValueError, match="value"):
+            classify_value(spec, value)
+        with pytest.raises(ValueError, match="value"):
+            audit_table(2, published=[(0, 0, 0, 0.0, 0.0, [-0.6652434115, value])])
 
     def test_bundled_data_complete(self):
         counts = {1: 74, 2: 60, 3: 133, 4: 75}
