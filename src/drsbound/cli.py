@@ -228,11 +228,13 @@ def cmd_potential_grid(args) -> int:
     else:
         pot = Oscillator(defaults["k"] if args.k is None else args.k)
     ring = RingParams(a, b)
-    if args.r_min <= 0:
-        raise UsageError("r range must exclude 0")
+    if (args.theta_min is None) != (args.theta_max is None):
+        raise UsageError("--theta-min and --theta-max must be given together")
     r = np.linspace(args.r_min, args.r_max, args.r_samples)
-    if args.theta_min is None or args.theta_max is None:
+    if args.theta_min is None:
         theta = (np.arange(args.theta_samples) + 0.5) * math.pi / args.theta_samples
+    elif not (math.isfinite(args.theta_min) and math.isfinite(args.theta_max)):
+        raise UsageError("--theta-min and --theta-max must be finite")
     else:
         theta = np.linspace(args.theta_min, args.theta_max, args.theta_samples)
     for t in theta:
@@ -329,8 +331,8 @@ def make_parser():
     p.add_argument("--de", dest="d_e", type=float, default=None)
     p.add_argument("--re", dest="r_e", type=float, default=None)
     p.add_argument("--k", type=float, default=None)
-    p.add_argument("--r-min", dest="r_min", type=float, default=0.1)
-    p.add_argument("--r-max", dest="r_max", type=float, default=4.0)
+    p.add_argument("--r-min", dest="r_min", type=_positive, default=0.1)
+    p.add_argument("--r-max", dest="r_max", type=_positive, default=4.0)
     p.add_argument("--r-samples", dest="r_samples", type=_sample_count, default=40)
     p.add_argument("--theta-min", dest="theta_min", type=float, default=None)
     p.add_argument("--theta-max", dest="theta_max", type=float, default=None)

@@ -32,14 +32,16 @@ taken once per energy, and sign changes are polished by brentq on the
 scalar residual: each root found is the one a scan over the whole grid
 finds.  `residual` evaluates all eight strategies, modulus included.
 
-For the pure central cases (a = b = 0) the squared forms are polynomials --
-a cubic for the oscillator, one quartic per sigma_rhs for the Kratzer -- and
-are solved exactly through companion matrices.  Elsewhere the squared form
-keeps its radicals (only the eliminant is free of them) and its complex
-zeros are located by one secant multistart (`_complex_multistart`): for
-the ring-dressed oscillator this is part of the search, where all starts
-run as one numpy batch that only locates the zeros and the scalar
-multistart, rerun from one start per zero, reports them
+For the pure central cases (a = b = 0) only the Kratzer's big radical is
+left to eliminate, and the eliminant is the squared form made polynomial --
+a cubic for the oscillator, one quartic per sigma_rhs for the Kratzer
+(`_eliminants`) -- solved exactly through its companion matrix;
+`squared_polynomial_drso` / `_drsk` return it made monic.  Elsewhere the
+squared form keeps its radicals (only the eliminant is free of them) and
+its complex zeros are located by one secant multistart
+(`_complex_multistart`): for the ring-dressed oscillator this is part of
+the search, where all starts run as one numpy batch that only locates the
+zeros and the scalar multistart, rerun from one start per zero, reports them
 (`complex_zeros_drso`); the Kratzer analogue with a or b nonzero has no
 agreed generation convention, so those table entries are audited to class
 D, with the multistart's nearest pair as a diagnostic, rather than guessed
@@ -272,65 +274,44 @@ def _residual_scaled(energy, spec, branch):
     return lhs - rhs, 1.0 + abs(lhs) + abs(rhs)
 
 
+def _check_sigma_rhs(sigma_rhs):
+    if sigma_rhs not in (1, -1):
+        raise ValueError(f"sigma_rhs must be +1 or -1, got {sigma_rhs!r}")
+
+
+def _monic_central_eliminant(spec: ProblemSpec, sigma_rhs):
+    if spec.ring.a != 0 or spec.ring.b != 0:
+        raise ValueError("squared form is polynomial only for a = b = 0")
+    poly = _eliminant(spec, sigma_rhs)
+    return poly / poly[0]
+
+
 def squared_polynomial_drso(spec: ProblemSpec):
     """Monic cubic from squaring the oscillator condition (a = b = 0 only).
 
     Pseudospin: (M+E)^2 (E-M-C_ps) + 2 k d^2 = 0
     Spin:       (M-E)^2 (C_s-E-M) - 2 k d^2 = 0
-    with d = 1/2 + |m| + 2 n' + 2 + 2 n.  Coefficients are returned highest
-    power first.
+    with d = 1/2 + |m| + 2 n' + 2 + 2 n: the `_eliminant` at a = b = 0, made
+    monic.  Coefficients are returned highest power first.
     """
     if not isinstance(spec.potential, Oscillator):
         raise TypeError("spec does not carry an Oscillator potential")
-    if spec.ring.a != 0 or spec.ring.b != 0:
-        raise ValueError("squared form is polynomial only for a = b = 0")
-    m_, c, k = spec.mass, spec.symmetry.constant, spec.potential.k
-    d = 0.5 + abs(spec.qn.m) + 2 * spec.qn.n_prime + 2 + 2 * spec.qn.n
-    if spec.is_spin:
-        poly = np.polysub(
-            np.polymul(np.polymul([-1.0, m_], [-1.0, m_]), [-1.0, c - m_]),
-            [2.0 * k * d * d],
-        )
-    else:
-        poly = np.polyadd(
-            np.polymul(np.polymul([1.0, m_], [1.0, m_]), [1.0, -m_ - c]),
-            [2.0 * k * d * d],
-        )
-    return poly / poly[0]
+    return _monic_central_eliminant(spec, 1)
 
 
 def squared_polynomial_drsk(spec: ProblemSpec, sigma_rhs: int = 1):
     """Monic quartic from rationalizing the Kratzer condition (a = b = 0).
 
     Isolating the big radical and squaring once turns the condition for one
-    sigma_rhs sign into a quartic; its real roots are the union of the
-    sigma_inner = +1 and -1 branch roots plus squaring artifacts, and its
-    complex pairs generate the tables' class-C companions.
+    sigma_rhs sign into a quartic, the `_eliminant` at a = b = 0 made monic;
+    its real roots are the union of the sigma_inner = +1 and -1 branch roots
+    plus squaring artifacts, and its complex pairs generate the tables'
+    class-C companions.  Raises ValueError unless sigma_rhs is +1 or -1.
     """
     if not isinstance(spec.potential, Kratzer):
         raise TypeError("spec does not carry a Kratzer potential")
-    if spec.ring.a != 0 or spec.ring.b != 0:
-        raise ValueError("squared form is polynomial only for a = b = 0")
-    m_, c0 = spec.mass, spec.symmetry.constant
-    t = spec.potential.d_e * spec.potential.r_e**2
-    t_sq = (spec.potential.d_e * spec.potential.r_e) ** 2
-    nu = spec.qn.n + 0.5
-    cc = 0.5 + abs(spec.qn.m) + 2 * spec.qn.n_prime + 1
-    q = nu * nu + cc * cc
-    if spec.is_spin:
-        bracket = np.polyadd(
-            np.polymul([1.0, -m_], [t, q + t * (m_ - c0)]),
-            sigma_rhs * t_sq * np.array([1.0, m_ - c0]),
-        )
-        rad = np.polymul(np.polymul([1.0, -m_], [1.0, -m_]), [t, cc * cc + t * (m_ - c0)])
-    else:
-        bracket = np.polysub(
-            np.polymul([1.0, m_], [t, q - t * (m_ + c0)]),
-            sigma_rhs * t_sq * np.array([-1.0, m_ + c0]),
-        )
-        rad = np.polymul(np.polymul([1.0, m_], [1.0, m_]), [t, cc * cc - t * (m_ + c0)])
-    poly = np.polysub(np.polymul(bracket, bracket), 4.0 * nu * nu * rad)
-    return poly / poly[0]
+    _check_sigma_rhs(sigma_rhs)
+    return _monic_central_eliminant(spec, sigma_rhs)
 
 
 def _squared(e, spec: ProblemSpec, sigma_rhs, sqrt):
@@ -360,21 +341,22 @@ def squared_form(energy, spec: ProblemSpec, sigma_rhs: int = 1):
 
     For the oscillator the sigma_rhs sign cancels on squaring; for the
     Kratzer it survives through the cross term and selects which branch
-    family the zeros belong to.
+    family the zeros belong to.  sigma_rhs must be +1 or -1 (ValueError).
     """
+    _check_sigma_rhs(sigma_rhs)
     return _squared(complex(energy), spec, sigma_rhs, cmath.sqrt)
 
 
-def _secant_complex(f, z0, z1, maxit=100, tol=1e-13):
+def _secant_complex(f, z0, z1):
     f0, f1 = f(z0), f(z1)
-    for _ in range(maxit):
+    for _ in range(100):
         if f1 == f0:
             return None
         z2 = z1 - f1 * (z1 - z0) / (f1 - f0)
         if not (np.isfinite(z2.real) and np.isfinite(z2.imag)):
             return None
         z0, f0, z1, f1 = z1, f1, z2, f(z2)
-        if abs(z1 - z0) < tol * (1.0 + abs(z1)):
+        if abs(z1 - z0) < 1e-13 * (1.0 + abs(z1)):
             return z1
     return None
 
@@ -455,19 +437,19 @@ def _secant_batch(f, z0, z1, maxit=100):
     return found
 
 
-def complex_zeros_drso(spec: ProblemSpec, interval, imag_starts=(0.5, 2.0, 6.0), re_step=1.0):
+def complex_zeros_drso(spec: ProblemSpec, interval):
     """Complex zeros of the squared oscillator form inside the Re-interval.
 
-    Starts at every re_step along the interval, each with every imaginary
-    offset.  One numpy batch (`_multistart_batch`) runs all starts; the
-    accepted lanes are walked in (re, im) order and, for each zero not yet
-    reported, the scalar `_complex_multistart` is rerun from that lane and
-    gives the reported value.  A lane whose scalar rerun fails leaves its
+    Starts at every unit step along the interval, each with the imaginary
+    offsets 0.5, 2 and 6.  One numpy batch (`_multistart_batch`) runs all
+    starts; the accepted lanes are walked in (re, im) order and, for each
+    zero not yet reported, the scalar `_complex_multistart` is rerun from
+    that lane and gives the reported value.  A lane whose scalar rerun fails leaves its
     zero to the next lane that lands on it.  The result equals running the
     scalar multistart from every start, at a fraction of the evaluations.
     """
     lo, hi = interval
-    xs = np.arange(lo, hi + re_step / 2, re_step)
+    xs, imag_starts = np.arange(lo, hi + 0.5, 1.0), (0.5, 2.0, 6.0)
     located = _multistart_batch(spec, xs, imag_starts)
     starts = [(x, im) for x in xs for im in imag_starts]
     zeros = []
@@ -555,6 +537,9 @@ def _eliminant(spec, sigma_rhs):
     for the oscillator, <= 16 per sigma_rhs for the Kratzer.  Its real
     roots include every real root of every principal branch of that
     sigma_rhs; the oscillator's squared form does not read sigma_rhs.
+    At a = b = 0 it is the squared cubic or quartic, each sum and product
+    associated as in the hand-expanded closed forms, so that made monic it
+    keeps their rounding bit for bit (tested).
     """
     m_, c = spec.mass, spec.symmetry.constant
     a, b, mq = spec.ring.a, spec.ring.b, spec.qn.m
@@ -606,22 +591,33 @@ def _eliminant(spec, sigma_rhs):
             lhs2, k2 = np.convolve(np.convolve([m_, -1.0], [m_, -1.0]), [c - m_, -1.0]), -2.0
         else:
             lhs2, k2 = np.convolve(np.convolve([m_, 1.0], [m_, 1.0]), [-m_ - c, 1.0]), 2.0
-        form = add(poly(*lhs2), scale(k2 * pot.k, mul(rad, rad)))
+        form = add(poly(*lhs2), mul(scale(k2 * pot.k, rad), rad))
     else:
         shifted = add(omega, poly(2 * spec.qn.n_prime + 1))
-        big = add(mul(shifted, shifted), {(0, 0): g * pot.d_e * pot.r_e**2})
+        shifted2, t_gamma = mul(shifted, shifted), {(0, 0): pot.d_e * pot.r_e**2 * g}
+        big = add(shifted2, t_gamma)
         nu = spec.qn.n + 0.5
         lead = poly(-m_, 1.0) if spec.is_spin else poly(m_, 1.0)  # E - M or E + M
         tail = [m_ - c, 1.0] if spec.is_spin else [-m_ - c, 1.0]
         t_sq = (pot.d_e * pot.r_e) ** 2
-        a_part = add(mul(lead, add(poly(nu * nu), big)), poly(*(sigma_rhs * t_sq * np.array(tail))))
-        b_part = scale(2.0 * nu, lead)
-        form = add(mul(a_part, a_part), scale(-1.0, mul(mul(b_part, b_part), big)))
+        inner = add(add(poly(nu * nu), shifted2), t_gamma)  # nu^2 + big
+        a_part = add(mul(lead, inner), poly(*(sigma_rhs * t_sq * np.array(tail))))
+        form = add(mul(a_part, a_part), scale(-4.0 * nu * nu, mul(mul(lead, lead), big)))
     if a:
         form = norm(form, 0)
     if b:
         form = norm(form, 1)
     return form[(0, 0)][::-1]
+
+
+def _eliminants(spec):
+    """(sigma_rhs, `_eliminant`) pairs; the oscillator's one eliminant comes with 1.
+
+    At a = b = 0, np.roots of each is bit for bit that of the monic squared
+    polynomial, because np.roots divides by the leading coefficient itself.
+    """
+    for sigma_rhs in (1,) if isinstance(spec.potential, Oscillator) else (1, -1):
+        yield sigma_rhs, _eliminant(spec, sigma_rhs)
 
 
 def _seed_factor(spec, sigma_rhs):
@@ -663,8 +659,8 @@ def _seeds(spec, lo, hi):
     |Im| < 1e-3 (1 + |z|).  They only say where to look.
     """
     zs, lanes = [], []
-    for sigma_rhs in (1,) if isinstance(spec.potential, Oscillator) else (1, -1):
-        z = np.roots(_eliminant(spec, sigma_rhs))
+    for sigma_rhs, poly in _eliminants(spec):
+        z = np.roots(poly)
         z = z[(z.real > lo - 1.0) & (z.real < hi + 1.0)]
         zs.append(z)
         lanes.append(np.full(z.size, float(sigma_rhs)))
@@ -736,22 +732,15 @@ def _scan_branches(spec, branches, interval, panels_per_unit):
     return roots
 
 
-def _central_polynomials(spec):
-    """(sigma_rhs, monic squared polynomial) pairs of a central spec (a = b = 0).
+def _polynomial_roots(spec, zeros, paper_compat):
+    """Roots of the exact squared-polynomial paths (a = b = 0 only).
 
-    The oscillator's one cubic does not read sigma_rhs and comes with 1.
+    zeros holds (sigma_rhs, np.roots of the eliminant) per `_eliminants` pair.
     """
-    if isinstance(spec.potential, Oscillator):
-        return [(1, squared_polynomial_drso(spec))]
-    return [(s, squared_polynomial_drsk(spec, s)) for s in (1, -1)]
-
-
-def _polynomial_roots(spec, paper_compat):
-    """Roots of the exact squared-polynomial paths (a = b = 0 only)."""
     out = []
     search = _search_branches(spec)
-    for srhs, poly in _central_polynomials(spec):
-        for z in np.roots(poly):
+    for srhs, zs in zeros:
+        for z in zs:
             if abs(z.imag) < 1e-9 * (1.0 + abs(z)):
                 e = z.real
                 for br in search:
@@ -842,7 +831,8 @@ def find_roots(
     found = []
     central = spec.ring.a == 0 and spec.ring.b == 0
     if central:
-        found.extend(_polynomial_roots(spec, paper_compat))
+        zeros = [(s, np.roots(poly)) for s, poly in _eliminants(spec)]
+        found.extend(_polynomial_roots(spec, zeros, paper_compat))
     # real-line scan over the searched branches (everything the polynomial
     # path already found will be merged away by deduplication)
     for br, roots in zip(search, _scan_branches(spec, search, interval, panels_per_unit)):
@@ -1068,7 +1058,11 @@ def _ladder_candidates(spec, branch, comp, value, starts):
     return [row[k].tolist() for row, k in zip(pts, keep)]
 
 
-def _polish_branch_root(spec, branch, value, span=2e-3, grow=8):
+#: Bracket widths `_polish_branch_root` tries: span, 2 span, .. 128 span.
+POLISH_GROW_STEPS = 8
+
+
+def _polish_branch_root(spec, branch, value, span=2e-3):
     """Real root of a principal branch's residual near `value`, by bracket expansion.
 
     Bisects whichever residual component (real or imaginary) dominates near
@@ -1107,7 +1101,7 @@ def _polish_branch_root(spec, branch, value, span=2e-3, grow=8):
 
     ends = []  # lo, hi of each grow step
     width = span
-    for _ in range(grow):
+    for _ in range(POLISH_GROW_STEPS):
         lo, hi = value - width, value + width
         if lo < pole < hi:
             if value > pole:
@@ -1132,7 +1126,7 @@ def _polish_branch_root(spec, branch, value, span=2e-3, grow=8):
                 return e, val
         return None, None
 
-    for step in range(grow):
+    for step in range(POLISH_GROW_STEPS):
         lo, flo = shrink_to_usable(2 * step)
         hi, fhi = shrink_to_usable(2 * step + 1)
         if (
@@ -1176,13 +1170,13 @@ def classify_value(spec: ProblemSpec, value: float, match_tol=1e-4):
     if central:
         # the exact polynomial paths catch real roots the bracketing polish
         # cannot reach (radical branch points, purely imaginary residuals)
-        for r in _polynomial_roots(spec, paper_compat=False):
+        zeros = [(s, np.roots(poly)) for s, poly in _eliminants(spec)]
+        for r in _polynomial_roots(spec, zeros, paper_compat=False):
             if abs(r.energy.real - value) <= match_tol:
                 candidates.append(
                     (r.root_class, abs(r.energy.real - value), r.branch.label(), r.residual_norm)
                 )
-        for _, poly in _central_polynomials(spec):
-            pair_zeros.extend(z for z in np.roots(poly) if z.imag > 1e-7)
+        pair_zeros = [z for _, zs in zeros for z in zs if z.imag > 1e-7]
     elif isinstance(spec.potential, Oscillator):
         pair_zeros = _complex_multistart(spec, value, (0.25, 0.5, 1.0, 2.0, 4.0, 8.0))
     for z in pair_zeros:

@@ -504,3 +504,38 @@ class TestPotentialGrid:
         )
         assert code == 2
         assert "--theta-samples" in err
+
+    @pytest.mark.parametrize("flag", ["--r-min", "--r-max", "--theta-min", "--theta-max"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_range_is_usage_error(self, capsys, tmp_path, flag, value):
+        out = tmp_path / "g.txt"
+        other = {"--theta-min": ["--theta-max", "1.0"], "--theta-max": ["--theta-min", "0.5"]}
+        code, _, err = run(
+            capsys,
+            "potential-grid", "--potential", "oscillator", flag, value,
+            *other.get(flag, []), "--output", str(out),
+        )
+        assert code == 2
+        assert "error:" in err and flag in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--r-min", "--r-max"])
+    def test_nonpositive_radius_is_usage_error(self, capsys, tmp_path, flag):
+        # a grid from r = 0.1 to r = -1 would pass through the singular r = 0
+        out = tmp_path / "g.txt"
+        code, _, err = run(
+            capsys, "potential-grid", "--potential", "oscillator", flag, "-1", "--output", str(out)
+        )
+        assert code == 2
+        assert "error:" in err and flag in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--theta-min", "--theta-max"])
+    def test_lone_theta_bound_is_usage_error(self, capsys, tmp_path, flag):
+        out = tmp_path / "g.txt"
+        code, _, err = run(
+            capsys, "potential-grid", "--potential", "oscillator", flag, "0.5", "--output", str(out)
+        )
+        assert code == 2
+        assert "error:" in err and "--theta-min and --theta-max" in err
+        assert not out.exists()

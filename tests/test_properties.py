@@ -5,6 +5,7 @@ deterministic and fast.
 """
 
 import cmath
+from dataclasses import replace
 
 from hypothesis import example, given, settings, strategies as st
 
@@ -26,7 +27,12 @@ from drsbound.spectrum import (
     principal_branches,
     residual,
 )
-from test_spectrum import _scan_one_branch
+from test_spectrum import (
+    _bits,
+    _public_squared_polynomial,
+    _scan_one_branch,
+    _squared_polynomial_oracle,
+)
 
 PROPERTY_SETTINGS = settings(derandomize=True, max_examples=60, deadline=None, database=None)
 
@@ -120,3 +126,14 @@ def test_seeded_scan_equals_full_scan(spec):
     interval = (-spec.mass - 20.0, spec.mass + 20.0)
     got = _scan_branches(spec, principal_branches(), interval, 200)
     assert got == [_scan_one_branch(spec, br, interval, 200) for br in principal_branches()]
+
+
+central_specs = real_specs().map(lambda spec: replace(spec, ring=RingParams(0.0, 0.0)))
+
+
+@settings(PROPERTY_SETTINGS, max_examples=300)
+@given(central_specs, st.sampled_from((1, -1)))
+def test_central_squared_polynomial_equals_closed_form(spec, sigma_rhs):
+    # the eliminant at a = b = 0 keeps the closed forms' rounding, not only their value
+    got = _public_squared_polynomial(spec, sigma_rhs)
+    assert list(map(_bits, got)) == list(map(_bits, _squared_polynomial_oracle(spec, sigma_rhs)))

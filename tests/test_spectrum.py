@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from drsbound.model import RingParams
+from drsbound.model import Oscillator, RingParams
 from drsbound.spectrum import (
     CANONICAL,
     BranchStrategy,
@@ -20,6 +20,7 @@ from drsbound.spectrum import (
     residual_drsk,
     residual_drso,
     spin_pseudospin_map,
+    squared_form,
     squared_polynomial_drsk,
     squared_polynomial_drso,
     table_spec,
@@ -161,6 +162,88 @@ class TestSquaredPolynomials:
         zs = np.roots(squared_polynomial_drsk(spec, -1))
         pair = zs[zs.imag > 1e-9]
         assert pair[0].real == pytest.approx(0.772422545, abs=1e-6)
+
+
+def _squared_polynomial_oracle(spec, sigma_rhs=1):
+    """The hand-expanded monic cubic (oscillator) or quartic (Kratzer) at a = b = 0.
+
+    The reference for `squared_polynomial_drso` / `_drsk`, which return the
+    eliminant made monic: its sums and products are associated as here, so
+    the two must agree bit for bit.  a = b = 0 is assumed.
+    """
+    if isinstance(spec.potential, Oscillator):
+        m_, c, k = spec.mass, spec.symmetry.constant, spec.potential.k
+        d = 0.5 + abs(spec.qn.m) + 2 * spec.qn.n_prime + 2 + 2 * spec.qn.n
+        if spec.is_spin:
+            poly = np.polysub(
+                np.polymul(np.polymul([-1.0, m_], [-1.0, m_]), [-1.0, c - m_]),
+                [2.0 * k * d * d],
+            )
+        else:
+            poly = np.polyadd(
+                np.polymul(np.polymul([1.0, m_], [1.0, m_]), [1.0, -m_ - c]),
+                [2.0 * k * d * d],
+            )
+        return poly / poly[0]
+    m_, c0 = spec.mass, spec.symmetry.constant
+    t = spec.potential.d_e * spec.potential.r_e**2
+    t_sq = (spec.potential.d_e * spec.potential.r_e) ** 2
+    nu = spec.qn.n + 0.5
+    cc = 0.5 + abs(spec.qn.m) + 2 * spec.qn.n_prime + 1
+    q = nu * nu + cc * cc
+    if spec.is_spin:
+        bracket = np.polyadd(
+            np.polymul([1.0, -m_], [t, q + t * (m_ - c0)]),
+            sigma_rhs * t_sq * np.array([1.0, m_ - c0]),
+        )
+        rad = np.polymul(np.polymul([1.0, -m_], [1.0, -m_]), [t, cc * cc + t * (m_ - c0)])
+    else:
+        bracket = np.polysub(
+            np.polymul([1.0, m_], [t, q - t * (m_ + c0)]),
+            sigma_rhs * t_sq * np.array([-1.0, m_ + c0]),
+        )
+        rad = np.polymul(np.polymul([1.0, m_], [1.0, m_]), [t, cc * cc - t * (m_ + c0)])
+    poly = np.polysub(np.polymul(bracket, bracket), 4.0 * nu * nu * rad)
+    return poly / poly[0]
+
+
+def _public_squared_polynomial(spec, sigma_rhs):
+    """The public squared polynomial of a central spec, for either potential."""
+    if isinstance(spec.potential, Oscillator):
+        return squared_polynomial_drso(spec)
+    return squared_polynomial_drsk(spec, sigma_rhs)
+
+
+def _central_table_polynomials():
+    """(spec, sigma_rhs) of every bundled central squared polynomial."""
+    out = []
+    for table in (1, 2, 3, 4):
+        for n, npr, m, a, b, _ in load_table_data(table):
+            if a == 0 and b == 0:
+                spec = table_spec(table, n, npr, m, a, b)
+                out += [(spec, s) for s in ((1,) if table in (2, 4) else (1, -1))]
+    return out
+
+
+class TestSquaredPolynomialFold:
+    """The public squared polynomials are the eliminant, bit for bit the closed forms."""
+
+    def test_bundled_central_polynomials_equal_closed_forms(self):
+        cases = _central_table_polynomials()
+        assert len(cases) == 90
+        for spec, s in cases:
+            got = _public_squared_polynomial(spec, s)
+            assert list(map(_bits, got)) == list(map(_bits, _squared_polynomial_oracle(spec, s)))
+
+    @pytest.mark.parametrize("sigma_rhs", [0, 2.5, float("nan")])
+    def test_squared_polynomial_drsk_rejects_bad_sigma_rhs(self, sigma_rhs):
+        with pytest.raises(ValueError, match="sigma_rhs"):
+            squared_polynomial_drsk(table_spec(1, 0, 0, 0, 0.0, 0.0), sigma_rhs)
+
+    @pytest.mark.parametrize("sigma_rhs", [0, 2.5, float("nan")])
+    def test_squared_form_rejects_bad_sigma_rhs(self, sigma_rhs):
+        with pytest.raises(ValueError, match="sigma_rhs"):
+            squared_form(1.0, table_spec(1, 0, 0, 0, 0.0, 0.0), sigma_rhs)
 
 
 class TestFindRoots:
