@@ -28,8 +28,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
+from .brent import brentq
 from .specfun import PoleError, hyp2f1_terminating, pochhammer
 
 
@@ -240,7 +240,8 @@ def find_eigenvalue(problem: AimProblem, interval, *, k_start=3, stab_tol=1e-10,
     `samples` grid points keeps one AimSeries that is extended a step as k
     grows, so reaching depth k costs k steps per sample in all, not the
     k(k+1)/2 of a fresh series at every depth; sign changes between samples
-    are polished by brentq on aim_delta at that k.
+    are polished by brentq (`drsbound.brent`, the package's port of
+    scipy's) on aim_delta at that k.
 
     Raises ValueError for an interval that is not finite or has lo >= hi,
     and for samples < 2.

@@ -1,0 +1,121 @@
+"""Brent's bracketed root finder, a statement-for-statement port of scipy's brentq.
+
+Brent, *Algorithms for Minimization Without Derivatives* (1973), ch. 4, as
+coded in scipy's `scipy/optimize/Zeros/brentq.c` and wrapped by
+`scipy.optimize.brentq`: the same iterates, tolerances and errors, so every
+root is bit for bit the one scipy returns.  It keeps the package's runtime
+free of scipy, whose import costs more than the rest of the package.
+
+The C code this follows carries scipy's licence:
+
+    Copyright (c) 2001-2002 Enthought, Inc. 2003, SciPy Developers.
+    All rights reserved.
+
+    Redistribution and use in source and binary forms, with or without
+    modification, are permitted provided that the following conditions
+    are met:
+
+    1. Redistributions of source code must retain the above copyright
+       notice, this list of conditions and the following disclaimer.
+
+    2. Redistributions in binary form must reproduce the above
+       copyright notice, this list of conditions and the following
+       disclaimer in the documentation and/or other materials provided
+       with the distribution.
+
+    3. Neither the name of the copyright holder nor the names of its
+       contributors may be used to endorse or promote products derived
+       from this software without specific prior written permission.
+
+    THIS SOFTWARE IS PROVIDED BY THE COPYRIGHT HOLDERS AND CONTRIBUTORS
+    "AS IS" AND ANY EXPRESS OR IMPLIED WARRANTIES, INCLUDING, BUT NOT
+    LIMITED TO, THE IMPLIED WARRANTIES OF MERCHANTABILITY AND FITNESS FOR
+    A PARTICULAR PURPOSE ARE DISCLAIMED. IN NO EVENT SHALL THE COPYRIGHT
+    OWNER OR CONTRIBUTORS BE LIABLE FOR ANY DIRECT, INDIRECT, INCIDENTAL,
+    SPECIAL, EXEMPLARY, OR CONSEQUENTIAL DAMAGES (INCLUDING, BUT NOT
+    LIMITED TO, PROCUREMENT OF SUBSTITUTE GOODS OR SERVICES; LOSS OF USE,
+    DATA, OR PROFITS; OR BUSINESS INTERRUPTION) HOWEVER CAUSED AND ON ANY
+    THEORY OF LIABILITY, WHETHER IN CONTRACT, STRICT LIABILITY, OR TORT
+    (INCLUDING NEGLIGENCE OR OTHERWISE) ARISING IN ANY WAY OUT OF THE USE
+    OF THIS SOFTWARE, EVEN IF ADVISED OF THE POSSIBILITY OF SUCH DAMAGE.
+"""
+
+from __future__ import annotations
+
+import math
+import sys
+
+#: scipy's defaults: relative tolerance 4 eps and at most 100 iterations.
+RTOL = 4 * sys.float_info.epsilon
+MAXITER = 100
+
+
+def brentq(f, a, b, xtol=2e-12):
+    """A zero of f in [a, b], where f(a) and f(b) differ in sign.
+
+    f is called with Python floats and its value is taken as float.  Raises
+    ValueError for xtol <= 0, for endpoint values of one sign and for a NaN
+    value of f, and RuntimeError after MAXITER iterations without
+    convergence.  An endpoint where f is exactly 0 is returned as is.
+    """
+    if xtol <= 0:
+        raise ValueError(f"xtol too small ({xtol:g} <= 0)")
+
+    def fx(x):
+        y = float(f(x))
+        if y != y:
+            raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
+        return y
+
+    xpre, xcur = float(a), float(b)
+    xblk = fblk = spre = scur = 0.0
+    fpre = fx(xpre)
+    fcur = fx(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(MAXITER):
+        if fpre != 0 and fcur != 0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+
+        delta = (xtol + RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+
+        step_ok = False
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            # for tiny values of f the extrapolation's denominator underflows
+            # to 0: C divides into inf or NaN, which fails the short-step
+            # test, and Python raises instead; both bisect
+            try:
+                if xpre == xblk:  # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:  # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+                bound = 3 * abs(sbis) - delta
+                # C's MIN(abs(spre), bound), which min() is not when one is NaN
+                step_ok = 2 * abs(stry) < (abs(spre) if abs(spre) < bound else bound)
+            except ZeroDivisionError:
+                pass
+        if step_ok:  # good short step
+            spre, scur = scur, stry
+        else:  # bisect
+            spre = scur = sbis
+
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = fx(xcur)
+    raise RuntimeError(f"Failed to converge after {MAXITER} iterations.")

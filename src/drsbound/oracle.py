@@ -25,7 +25,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
+
+try:
+    from scipy.linalg import eigh_tridiagonal
+except ImportError as exc:  # scipy is an optional dependency of the oracle only
+    raise ImportError(
+        "drsbound.oracle needs scipy; install it with: pip install drsbound[validate]"
+    ) from exc
 
 from .model import (
     Kratzer,

@@ -28,14 +28,15 @@ to those roots, each first located by a secant on the unexpanded squared
 form (`_seeds`), because the eliminant's coefficients are too
 ill-conditioned to decide a root.  All searched branches are evaluated in
 one call, with the branch signs stacked as columns so the radicals are
-taken once per energy, and sign changes are polished by brentq on the
-scalar residual: each root found is the one a scan over the whole grid
+taken once per energy, and sign changes are polished by brentq (the
+package's bit-identical port of scipy's, `drsbound.brent`) on the scalar
+residual: each root found is the one a scan over the whole grid
 finds.  `residual` evaluates all eight strategies, modulus included.
 
 For the pure central cases (a = b = 0) only the Kratzer's big radical is
 left to eliminate, and the eliminant is the squared form made polynomial --
 a cubic for the oscillator, one quartic per sigma_rhs for the Kratzer
-(`_eliminants`) -- solved exactly through its companion matrix;
+(`_eliminant_zeros`) -- solved exactly through its companion matrix;
 `squared_polynomial_drso` / `_drsk` return it made monic.  Elsewhere the
 squared form keeps its radicals (only the eliminant is free of them) and
 its complex zeros are located by one secant multistart
@@ -61,8 +62,8 @@ from dataclasses import dataclass, replace, field
 from importlib import resources
 
 import numpy as np
-from scipy.optimize import brentq
 
+from .brent import brentq
 from .model import (
     SQRT_MODULUS,
     SQRT_PRINCIPAL,
@@ -610,14 +611,16 @@ def _eliminant(spec, sigma_rhs):
     return form[(0, 0)][::-1]
 
 
-def _eliminants(spec):
-    """(sigma_rhs, `_eliminant`) pairs; the oscillator's one eliminant comes with 1.
+def _eliminant_zeros(spec):
+    """(sigma_rhs, np.roots of the `_eliminant`) pairs; the oscillator's one comes with 1.
 
     At a = b = 0, np.roots of each is bit for bit that of the monic squared
     polynomial, because np.roots divides by the leading coefficient itself.
     """
-    for sigma_rhs in (1,) if isinstance(spec.potential, Oscillator) else (1, -1):
-        yield sigma_rhs, _eliminant(spec, sigma_rhs)
+    return [
+        (sigma_rhs, np.roots(_eliminant(spec, sigma_rhs)))
+        for sigma_rhs in ((1,) if isinstance(spec.potential, Oscillator) else (1, -1))
+    ]
 
 
 def _seed_factor(spec, sigma_rhs):
@@ -645,13 +648,13 @@ def _seed_factor(spec, sigma_rhs):
 SEED_SECANT_STEPS = 30
 
 
-def _seeds(spec, lo, hi):
+def _seeds(spec, zeros, lo, hi):
     """Real candidates for the roots of every principal branch in [lo, hi].
 
-    The eliminant's float coefficients are ill-conditioned near clusters of
-    roots: their roots can miss by 0.05, a hundred panels of the default
-    grid.  Each root
-    within 1 of the window therefore starts a complex secant (at most
+    zeros is the spec's `_eliminant_zeros`.  The eliminant's float
+    coefficients are ill-conditioned near clusters of roots: their roots can
+    miss by 0.05, a hundred panels of the default grid.  Each root within 1
+    of the window therefore starts a complex secant (at most
     SEED_SECANT_STEPS steps) on the eliminant's principal factor
     (`_seed_factor`), which is evaluated directly and is not subject to that
     rounding; all starts run as one numpy batch.  Candidates are the
@@ -659,8 +662,7 @@ def _seeds(spec, lo, hi):
     |Im| < 1e-3 (1 + |z|).  They only say where to look.
     """
     zs, lanes = [], []
-    for sigma_rhs, poly in _eliminants(spec):
-        z = np.roots(poly)
+    for sigma_rhs, z in zeros:
         z = z[(z.real > lo - 1.0) & (z.real < hi + 1.0)]
         zs.append(z)
         lanes.append(np.full(z.size, float(sigma_rhs)))
@@ -680,30 +682,30 @@ def _seeds(spec, lo, hi):
 SEED_PANELS = 2
 
 
-def _scan_branches(spec, branches, interval, panels_per_unit):
+def _scan_branches(spec, branches, interval, panels_per_unit, zeros):
     """Real roots of each principal branch restriction, one root list per branch.
 
     The grid is np.linspace(lo, hi, n + 1) with n = panels_per_unit panels
     per unit energy, and a root is bracketed by a sign change between two
     neighbouring grid points.  Only the panels near a candidate root of the
-    eliminants (`_seeds`) are tested: each candidate in panel i marks panels
-    i - SEED_PANELS .. i + SEED_PANELS, and all marked panels are evaluated
-    for all branches at once, in one `_residual_array` call.  On the real
-    axis the residual of a branch restriction is real wherever all radicals
-    are real, but the oscillator conditions turn purely imaginary below the
-    symmetry threshold; zeros are therefore bracketed on whichever component
-    dominates while the other stays negligible, and polished by brentq on
-    the scalar residual: per branch, the real-component brackets first, then
-    the imaginary ones, each in ascending order.  Each bracket found is one
-    a full sign-change scan of the grid finds, with the same root; that the
-    seeds point at every such bracket is checked against the full scan in
-    the tests, not certified.
+    eliminants are tested (`_seeds` of zeros, the spec's `_eliminant_zeros`):
+    each candidate in panel i marks panels i - SEED_PANELS .. i + SEED_PANELS,
+    and all marked panels are evaluated for all branches at once, in one
+    `_residual_array` call.  On the real axis the residual of a branch
+    restriction is real wherever all radicals are real, but the oscillator
+    conditions turn purely imaginary below the symmetry threshold; zeros are
+    therefore bracketed on whichever component dominates while the other
+    stays negligible, and polished by brentq on the scalar residual: per
+    branch, the real-component brackets first, then the imaginary ones, each
+    in ascending order.  Each bracket found is one a full sign-change scan of
+    the grid finds, with the same root; that the seeds point at every such
+    bracket is checked against the full scan in the tests, not certified.
     """
     lo, hi = interval
     n = max(16, int(round((hi - lo) * panels_per_unit)))
     es = np.linspace(lo, hi, n + 1)
     h = (hi - lo) / n
-    at = np.clip((_seeds(spec, lo, hi) - lo) / h, -SEED_PANELS - 1.0, n)
+    at = np.clip((_seeds(spec, zeros, lo, hi) - lo) / h, -SEED_PANELS - 1.0, n)
     marked = np.zeros(n, dtype=bool)
     for i in np.floor(at).astype(int).tolist():
         marked[max(0, i - SEED_PANELS) : max(0, i + SEED_PANELS + 1)] = True
@@ -735,7 +737,7 @@ def _scan_branches(spec, branches, interval, panels_per_unit):
 def _polynomial_roots(spec, zeros, paper_compat):
     """Roots of the exact squared-polynomial paths (a = b = 0 only).
 
-    zeros holds (sigma_rhs, np.roots of the eliminant) per `_eliminants` pair.
+    zeros is the spec's `_eliminant_zeros`.
     """
     out = []
     search = _search_branches(spec)
@@ -829,13 +831,13 @@ def find_roots(
     search = _search_branches(spec)
 
     found = []
+    zeros = _eliminant_zeros(spec)
     central = spec.ring.a == 0 and spec.ring.b == 0
     if central:
-        zeros = [(s, np.roots(poly)) for s, poly in _eliminants(spec)]
         found.extend(_polynomial_roots(spec, zeros, paper_compat))
     # real-line scan over the searched branches (everything the polynomial
     # path already found will be merged away by deduplication)
-    for br, roots in zip(search, _scan_branches(spec, search, interval, panels_per_unit)):
+    for br, roots in zip(search, _scan_branches(spec, search, interval, panels_per_unit, zeros)):
         for e in roots:
             hit = _best_branch(spec, e, [br], tol=1e-6)
             if hit is None:
@@ -1170,7 +1172,7 @@ def classify_value(spec: ProblemSpec, value: float, match_tol=1e-4):
     if central:
         # the exact polynomial paths catch real roots the bracketing polish
         # cannot reach (radical branch points, purely imaginary residuals)
-        zeros = [(s, np.roots(poly)) for s, poly in _eliminants(spec)]
+        zeros = _eliminant_zeros(spec)
         for r in _polynomial_roots(spec, zeros, paper_compat=False):
             if abs(r.energy.real - value) <= match_tol:
                 candidates.append(

@@ -22,6 +22,7 @@ from drsbound.model import (
 from drsbound.spectrum import (
     BranchStrategy,
     SpectralPoleError,
+    _eliminant_zeros,
     _residual_scaled,
     _scan_branches,
     principal_branches,
@@ -124,7 +125,7 @@ NEAR_POLE_CLUSTER = ProblemSpec(
 def test_seeded_scan_equals_full_scan(spec):
     # at a coarse grid the full sign-change scan is cheap enough to draw specs for
     interval = (-spec.mass - 20.0, spec.mass + 20.0)
-    got = _scan_branches(spec, principal_branches(), interval, 200)
+    got = _scan_branches(spec, principal_branches(), interval, 200, _eliminant_zeros(spec))
     assert got == [_scan_one_branch(spec, br, interval, 200) for br in principal_branches()]
 
 

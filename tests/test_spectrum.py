@@ -430,11 +430,11 @@ SCAN_SPECS = {
 class TestBlockedScan:
     @pytest.mark.parametrize("name", sorted(SCAN_SPECS))
     def test_stacked_scan_equals_per_branch_scan(self, name):
-        from drsbound.spectrum import _scan_branches
+        from drsbound.spectrum import _eliminant_zeros, _scan_branches
 
         spec = SCAN_SPECS[name]
         interval = (-25.0, 25.0)
-        got = _scan_branches(spec, principal_branches(), interval, 400)
+        got = _scan_branches(spec, principal_branches(), interval, 400, _eliminant_zeros(spec))
         want = [_scan_one_branch(spec, br, interval, 400) for br in principal_branches()]
         assert got == want
         assert any(got)
@@ -495,10 +495,10 @@ class TestSeededScan:
     )
     def test_equals_full_scan_on_all_strategies(self, spec):
         # all strategies the search covers: the four principal ones
-        from drsbound.spectrum import _scan_branches
+        from drsbound.spectrum import _eliminant_zeros, _scan_branches
 
         interval = (-spec.mass - 20.0, spec.mass + 20.0)
-        got = _scan_branches(spec, principal_branches(), interval, 2000)
+        got = _scan_branches(spec, principal_branches(), interval, 2000, _eliminant_zeros(spec))
         assert got == [_scan_one_branch(spec, br, interval, 2000) for br in principal_branches()]
 
     @pytest.mark.parametrize("table", [1, 2, 3, 4])
@@ -524,6 +524,20 @@ class TestSeededScan:
         assert len(_eliminant(spec, 1)) == degree + 1
         ring_a = table_spec(table, 1, 1, 1, 1.0, 0.0)
         assert len(_eliminant(ring_a, 1)) == degree // 2 + 1
+
+    @pytest.mark.parametrize("table", [1, 2, 3, 4])
+    @pytest.mark.parametrize("a, b", [(0.0, 0.0), (1.0, 0.5)])
+    def test_find_roots_builds_each_eliminant_once(self, monkeypatch, table, a, b):
+        # the polynomial paths and the seeds share one np.roots per eliminant
+        from drsbound import spectrum
+
+        built = []
+        eliminant = spectrum._eliminant
+        monkeypatch.setattr(
+            spectrum, "_eliminant", lambda spec, s: built.append(s) or eliminant(spec, s)
+        )
+        find_roots(table_spec(table, 0, 0, 1, a, b), mode="paper-compat")
+        assert built == ([1] if table in (2, 4) else [1, -1])
 
 
 def _complex_zeros_oracle(spec, interval, imag_starts=(0.5, 2.0, 6.0), re_step=1.0):
