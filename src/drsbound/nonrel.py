@@ -118,7 +118,8 @@ def reduction_check_oscillator(p: NonRelParams, ell: int, n: int) -> ReductionRe
     def v_eff(r):
         return hbar**2 * ell * (ell + 1.0) / (2.0 * mu * r**2) + 0.5 * k * r**2
 
-    fd = fd_radial_eigs(v_eff, grid, n + 1, mass_factor=2.0 * mu / hbar**2, refine=True)[n]
+    mass_factor = 2.0 * mu / hbar**2
+    fd = fd_radial_eigs(v_eff, grid, n + 1, mass_factor=mass_factor, refine=True, first=n)[0]
     return ReductionReport(
         substituted=substituted,
         textbook=textbook,

@@ -74,20 +74,36 @@ class FdGrid:
         return self.r_min + h * np.arange(1, self.nodes + 1)
 
 
-def _tridiag_eigs(v_values, h, count):
+def _check_levels(count, first):
+    """ValueError unless count and first are ints with 0 <= first < count."""
+    for name, value in (("count", count), ("first", first)):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{name} must be an int, got {value!r}")
+    if count < 1:
+        raise ValueError(f"count must be at least 1, got {count!r}")
+    if not 0 <= first < count:
+        raise ValueError(f"first must satisfy 0 <= first < count = {count}, got {first!r}")
+
+
+def _tridiag_eigs(v_values, h, first, count):
     n = len(v_values)
     diag = 2.0 / h**2 + v_values
     off = np.full(n - 1, -1.0 / h**2)
-    return eigh_tridiagonal(diag, off, eigvals_only=True, select="i", select_range=(0, count - 1))
+    return eigh_tridiagonal(
+        diag, off, eigvals_only=True, select="i", select_range=(first, count - 1)
+    )
 
 
-def fd_radial_eigs(v_eff, grid: FdGrid, count: int, mass_factor=1.0, refine=False):
-    """Lowest eigenvalues of -(1/mass_factor) d^2/dr^2 + V_eff with Dirichlet walls.
+def fd_radial_eigs(v_eff, grid: FdGrid, count: int, mass_factor=1.0, refine=False, first=0):
+    """Eigenvalues first..count-1 of -(1/mass_factor) d^2/dr^2 + V_eff with Dirichlet walls.
 
     mass_factor rescales the kinetic term so Schroedinger conventions
     (-hbar^2/2mu d^2 + V) fit without rewrapping the potential; second-order
     convergent in the spacing, optionally Richardson-refined on (h, h/2).
+    Levels below `first` are not computed.  Raises ValueError unless count
+    and first are ints with 0 <= first < count.
     """
+    _check_levels(count, first)
     if grid.nodes < 10 * count:
         raise OracleError("grid too coarse for the requested eigenvalue count")
     r = grid.points()
@@ -95,15 +111,16 @@ def fd_radial_eigs(v_eff, grid: FdGrid, count: int, mass_factor=1.0, refine=Fals
         v = np.asarray(v_eff(r), dtype=float)
     if not np.all(np.isfinite(v)):
         raise OracleError("potential not finite on the open grid interior")
-    lam = _tridiag_eigs(mass_factor * v, grid.spacing, count) / mass_factor
+    lam = _tridiag_eigs(mass_factor * v, grid.spacing, first, count) / mass_factor
     if not refine:
         return lam
     fine = FdGrid(grid.r_min, grid.r_max, 2 * grid.nodes + 1)
-    lam2 = _tridiag_eigs(mass_factor * np.asarray(v_eff(fine.points()), float), fine.spacing, count)
+    v2 = mass_factor * np.asarray(v_eff(fine.points()), float)
+    lam2 = _tridiag_eigs(v2, fine.spacing, first, count)
     return (4.0 * lam2 / mass_factor - lam) / 3.0
 
 
-def _angular_fd_once(gamma, ring: RingParams, m: int, count: int, cells: int):
+def _angular_fd_once(gamma, ring: RingParams, m: int, first: int, count: int, cells: int):
     h = (math.pi / 2.0) / cells
     centers = (np.arange(cells) + 0.5) * h
     faces = np.arange(cells + 1) * h
@@ -118,20 +135,23 @@ def _angular_fd_once(gamma, ring: RingParams, m: int, count: int, cells: int):
     off = -sin_f[1:cells] / h**2
     d = diag / sin_c
     e = off / np.sqrt(sin_c[:-1] * sin_c[1:])
-    return eigh_tridiagonal(d, e, eigvals_only=True, select="i", select_range=(0, count - 1))
+    return eigh_tridiagonal(d, e, eigvals_only=True, select="i", select_range=(first, count - 1))
 
 
-def fd_angular_eigs(gamma, ring: RingParams, m: int, count: int, cells=2000):
+def fd_angular_eigs(gamma, ring: RingParams, m: int, count: int, cells=2000, first=0):
     """Eigenvalues (ell + 1/2)^2 of the polar equation, real sector only.
 
-    Returns the levels of the quantization family (bounded at theta = 0,
-    vanishing at pi/2), Aitken-extrapolated over three dyadic grids.
+    Returns the levels first..count-1 of the quantization family (bounded at
+    theta = 0, vanishing at pi/2), Aitken-extrapolated over three dyadic
+    grids.  Raises ValueError unless count and first are ints with
+    0 <= first < count.
     """
+    _check_levels(count, first)
     if gamma * ring.a + 0.25 < 0 or gamma * ring.b + m * m < 0:
         raise OracleError("complex angular sector: radicals not real")
-    l1 = _angular_fd_once(gamma, ring, m, count, cells)
-    l2 = _angular_fd_once(gamma, ring, m, count, 2 * cells)
-    l3 = _angular_fd_once(gamma, ring, m, count, 4 * cells)
+    l1 = _angular_fd_once(gamma, ring, m, first, count, cells)
+    l2 = _angular_fd_once(gamma, ring, m, first, count, 2 * cells)
+    l3 = _angular_fd_once(gamma, ring, m, first, count, 4 * cells)
     d1, d2 = l2 - l1, l3 - l2
     out = l3.copy()
     mask = np.abs(d2 - d1) > 1e-300
@@ -144,7 +164,7 @@ def _radial_beta_sq_fd(spec: ProblemSpec, gamma, ell_eff_sq, index, r_max, nodes
         return (ell_eff_sq - 0.25) / r**2 + gamma * spec.potential.radial(r)
 
     grid = FdGrid(0.0, r_max, nodes)
-    return fd_radial_eigs(v_eff, grid, index + 1, refine=True)[index]
+    return fd_radial_eigs(v_eff, grid, index + 1, refine=True, first=index)[0]
 
 
 def _invert_beta_sq(spec: ProblemSpec, lam, near):
@@ -163,34 +183,58 @@ def _invert_beta_sq(spec: ProblemSpec, lam, near):
     return min(cands, key=lambda e: abs(e - near))
 
 
-def _consistency_map(spec: ProblemSpec, e: float, nodes: int) -> float:
-    """One sweep of E -> invert(beta^2 of the FD radial problem at gamma(E))."""
+@dataclass
+class _RadialDomain:
+    """How many doublings of the radial domain one solve's verified sweep took.
+
+    None until a sweep of the solve has run the full doubling test; every
+    later sweep of that solve then solves once at r0(E) * 2**doublings.
+    """
+
+    doublings: int | None = None
+
+
+def _consistency_map(
+    spec: ProblemSpec, e: float, nodes: int, domain: _RadialDomain | None = None
+) -> float:
+    """One sweep of E -> invert(beta^2 of the FD radial problem at gamma(E)).
+
+    The radial domain starts at r0(E), from this sweep's own decay estimate.
+    Without a `domain`, or with one whose doublings are still None, it is
+    doubled until the eigenvalue settles to 1e-8 (at most 4 times), and the
+    number of doublings is recorded in `domain`.  With recorded doublings the
+    sweep solves once at r0(E) * 2**doublings, unverified.
+    """
     g = gamma_of(spec, e)
     if abs(g.imag) > 1e-12:
         raise DivergenceError("gamma left the real axis")
     g = g.real
+    n, n_prime = spec.qn.n, spec.qn.n_prime
     try:
-        lam_ang = fd_angular_eigs(g, spec.ring, spec.qn.m, spec.qn.n_prime + 1, cells=1500)[
-            spec.qn.n_prime
-        ]
+        lam_ang = fd_angular_eigs(
+            g, spec.ring, spec.qn.m, n_prime + 1, cells=1500, first=n_prime
+        )[0]
     except OracleError as exc:
         raise DivergenceError(str(exc)) from exc
-    # relativistic radial domain from the current decay estimate, doubled
-    # until the eigenvalue stops shifting
     bsq_guess = radial_equation_beta_sq(spec, e).real
     decay = math.sqrt(abs(bsq_guess)) if abs(bsq_guess) > 1e-3 else 1.0
     if isinstance(spec.potential, Kratzer):
         r_max = 25.0 / decay
     else:
         r_max = max(6.0, 3.0 * (abs(g) * spec.potential.k / 8.0) ** -0.25)
-    lam_rad = _radial_beta_sq_fd(spec, g, lam_ang, spec.qn.n, r_max, nodes)
+    if domain is not None and domain.doublings is not None:
+        r_max *= 2.0**domain.doublings
+        return _invert_beta_sq(spec, _radial_beta_sq_fd(spec, g, lam_ang, n, r_max, nodes), e)
+    lam_rad = _radial_beta_sq_fd(spec, g, lam_ang, n, r_max, nodes)
     prev = lam_rad
-    for _ in range(4):
+    for doublings in range(1, 5):
         r_max *= 2.0
-        lam_rad = _radial_beta_sq_fd(spec, g, lam_ang, spec.qn.n, r_max, nodes)
+        lam_rad = _radial_beta_sq_fd(spec, g, lam_ang, n, r_max, nodes)
         if abs(lam_rad - prev) < 1e-8 * (1.0 + abs(lam_rad)):
             break
         prev = lam_rad
+    if domain is not None:
+        domain.doublings = doublings
     return _invert_beta_sq(spec, lam_rad, e)
 
 
@@ -221,6 +265,13 @@ def self_consistent_energy(
     number of sweeps; real-sector specs only.  DivergenceError is the
     documented outcome whenever no bound root exists in reach of the scan.
 
+    The radial domain is verified twice per solve: the first sweep whose
+    radial solve completes doubles it until the eigenvalue settles, and
+    every later sweep of the march and the bracket reuses that number of
+    doublings (see _RadialDomain).  The final check of the gap at the
+    returned energy runs the full doubling test again, so the returned
+    energy always passes on a verified domain.
+
     Raises ValueError for a non-finite initial_energy, a tol, scan_step or
     scan_span that is not finite and positive, and max_iter < 1.
     """
@@ -233,13 +284,14 @@ def self_consistent_energy(
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter!r}")
     budget = [max_iter]
+    carried = _RadialDomain()
 
-    def gap(e):
+    def gap(e, domain=carried):
         if budget[0] <= 0:
             raise DivergenceError("sweep budget exhausted")
         budget[0] -= 1
         try:
-            return _consistency_map(spec, e, nodes) - e
+            return _consistency_map(spec, e, nodes, domain) - e
         except DivergenceError:
             return None
 
@@ -302,7 +354,7 @@ def self_consistent_energy(
         if hi - lo < tol:
             break
     e_star = 0.5 * (lo + hi)
-    g_star = gap(e_star)
+    g_star = gap(e_star, domain=None)
     if g_star is None or abs(g_star) > 1e-3 * (1.0 + abs(e_star)):
         raise DivergenceError("bracketed point is not a consistent energy")
     return e_star
@@ -330,4 +382,5 @@ def nonrel_energy_fd(params, qn, index=None, nodes=6000, r_max=None):
         return params.potential.radial(r) + hbar**2 * (ell_eff**2 - 0.25) / (2.0 * mu * r**2)
 
     grid = FdGrid(0.0, float(r_max), nodes)
-    return fd_radial_eigs(v_eff, grid, n + 1, mass_factor=2.0 * mu / hbar**2, refine=True)[n]
+    mass_factor = 2.0 * mu / hbar**2
+    return fd_radial_eigs(v_eff, grid, n + 1, mass_factor=mass_factor, refine=True, first=n)[0]

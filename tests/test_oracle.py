@@ -127,9 +127,9 @@ class TestSelfConsistency:
         calls = []
         real_map = oracle._consistency_map
 
-        def counting(spec_, e, nodes):
+        def counting(spec_, e, nodes, *domain):
             calls.append(e)
-            return real_map(spec_, e, nodes)
+            return real_map(spec_, e, nodes, *domain)
 
         monkeypatch.setattr(oracle, "_consistency_map", counting)
         fixed_point = self_consistent_energy(spec, 1.0)
@@ -150,12 +150,12 @@ class TestSelfConsistency:
         calls, failed = [], []
         real_map = oracle._consistency_map
 
-        def failing(spec_, e, nodes):
+        def failing(spec_, e, nodes, *domain):
             calls.append(e)
             if zone[0] < e < zone[1]:
                 failed.append(e)
                 raise DivergenceError("sweep failed")
-            return real_map(spec_, e, nodes)
+            return real_map(spec_, e, nodes, *domain)
 
         monkeypatch.setattr(oracle, "_consistency_map", failing)
         fixed_point = self_consistent_energy(spec, 0.4)
@@ -168,6 +168,35 @@ class TestSelfConsistency:
         gap = real_map(spec, fixed_point, 3000) - fixed_point
         assert abs(gap) <= 1e-3 * (1.0 + abs(fixed_point))
         assert abs(fixed_point - closed) < 1e-4
+
+    def test_radial_domain_verified_once_per_solve(self, monkeypatch):
+        # only the first sweep whose radial solve completes and the final
+        # check at e_star double the radial domain; every other sweep of the
+        # march and the bracket makes exactly one radial solve
+        spec = table_spec(3, 0, 0, 0, 1.0, 1.0)
+        solves, per_sweep = [0], []
+        real_radial, real_map = oracle.fd_radial_eigs, oracle._consistency_map
+
+        def counting_radial(*args, **kwargs):
+            solves[0] += 1
+            return real_radial(*args, **kwargs)
+
+        def counting_map(spec_, e, nodes, *domain):
+            before = solves[0]
+            try:
+                return real_map(spec_, e, nodes, *domain)
+            finally:
+                per_sweep.append(solves[0] - before)
+
+        monkeypatch.setattr(oracle, "fd_radial_eigs", counting_radial)
+        monkeypatch.setattr(oracle, "_consistency_map", counting_map)
+        fixed_point = self_consistent_energy(spec, 1.0)
+        first = next(i for i, count in enumerate(per_sweep) if count > 0)
+        assert per_sweep[first] >= 2 and per_sweep[-1] >= 2
+        assert per_sweep[first + 1 : -1] == [1] * (len(per_sweep) - first - 2)
+        assert len(per_sweep) > 20
+        closed = find_roots(spec, mode="strict")[0].energy.real
+        assert abs(fixed_point - closed) < 1e-6
 
     @pytest.mark.parametrize(
         "kwargs, name",
@@ -237,6 +266,67 @@ class TestEigenvaluesOnly:
         seen = self._capture(monkeypatch)
         fd_angular_eigs(2.072188142, RingParams(1.0, 1.0), 1, 2, cells=1500)
         self._assert_same_as_eigenvector_call(seen, [1500, 3000, 6000])
+
+
+def _radial_levels(count, first=0):
+    v_eff = lambda r: (2.3**2 - 0.25) / r**2 - 4.0 / r
+    return fd_radial_eigs(v_eff, FdGrid(0.0, 30.0, 3000), count, refine=True, first=first)
+
+
+def _angular_levels(count, first=0):
+    return fd_angular_eigs(2.072188142, RingParams(1.0, 1.0), 1, count, cells=1500, first=first)
+
+
+class TestLevelArguments:
+    @pytest.mark.parametrize("solver", [_radial_levels, _angular_levels], ids=["radial", "angular"])
+    @pytest.mark.parametrize("count", [0, -1, 1.5])
+    def test_bad_count_rejected(self, solver, count):
+        with pytest.raises(ValueError, match="count"):
+            solver(count)
+
+    @pytest.mark.parametrize("solver", [_radial_levels, _angular_levels], ids=["radial", "angular"])
+    @pytest.mark.parametrize("first", [-1, 2, 3, 0.0, True])
+    def test_bad_first_rejected(self, solver, first):
+        with pytest.raises(ValueError, match="first"):
+            solver(2, first)
+
+
+class TestLevelSelection:
+    """Level i asked for alone is the full-range call's level i.
+
+    LAPACK's bisection (stebz, abstol 0) places each eigenvalue within about
+    eps * ||T||_1 of the exact one, whichever levels share its call, so two
+    calls may differ by twice that; the Richardson and Aitken combinations
+    add at most another factor of 2 here.  The bound is 4 eps ||T||_1 of the
+    largest matrix the solver builds (about 3e-10 on the 6001-node radial
+    matrix).
+    """
+
+    @staticmethod
+    def _norm1(d, e):
+        col = np.abs(d)
+        col[:-1] += np.abs(e)
+        col[1:] += np.abs(e)
+        return col.max()
+
+    @pytest.mark.parametrize("count", [3, 4])
+    @pytest.mark.parametrize("solver", [_radial_levels, _angular_levels], ids=["radial", "angular"])
+    def test_single_level_matches_full_range(self, monkeypatch, solver, count):
+        seen = []
+
+        def recording(d, e, **kwargs):
+            seen.append((d, e, kwargs["select_range"]))
+            return eigh_tridiagonal(d, e, **kwargs)
+
+        monkeypatch.setattr(oracle, "eigh_tridiagonal", recording)
+        full = solver(count)
+        norm = max(self._norm1(d, e) for d, e, _ in seen)
+        for i in range(count):
+            seen.clear()
+            level = solver(i + 1, first=i)
+            assert [r for *_, r in seen] == [(i, i)] * len(seen)
+            assert len(level) == 1
+            assert abs(level[0] - full[i]) <= 4 * np.finfo(float).eps * norm
 
 
 class TestRefinementMonotonicity:
