@@ -231,38 +231,39 @@ def _delta_roots_on(problem, xs, vals, k):
     return roots
 
 
-def find_eigenvalue(problem: AimProblem, interval, *, k_start=3, stab_tol=1e-10, samples=400):
+#: `find_eigenvalue`'s first depth, stabilization tolerance and sample count.
+K_START, STAB_TOL, SAMPLES = 3, 1e-10, 400
+
+
+def find_eigenvalue(problem: AimProblem, interval):
     """Smallest eigenvalue in `interval`: first delta_k root stabilized in k.
 
-    Stabilization follows the usual AIM practice: accept once the tracked
-    root moves by less than stab_tol between three consecutive iteration
-    depths.  Exactly solvable problems stabilize immediately.  Each of the
-    `samples` grid points keeps one AimSeries that is extended a step as k
-    grows, so reaching depth k costs k steps per sample in all, not the
-    k(k+1)/2 of a fresh series at every depth; sign changes between samples
-    are polished by brentq (`drsbound.brent`, the package's port of
-    scipy's) on aim_delta at that k.
+    Stabilization follows the usual AIM practice: from depth K_START on,
+    accept once the tracked root moves by less than STAB_TOL between three
+    consecutive iteration depths.  Exactly solvable problems stabilize
+    immediately.  Each of the SAMPLES grid points keeps one AimSeries that
+    is extended a step as k grows, so reaching depth k costs k steps per
+    sample in all, not the k(k+1)/2 of a fresh series at every depth; sign
+    changes between samples are polished by brentq (`drsbound.brent`, the
+    package's port of scipy's) on aim_delta at that k.
 
-    Raises ValueError for an interval that is not finite or has lo >= hi,
-    and for samples < 2.
+    Raises ValueError for an interval that is not finite or has lo >= hi.
     """
     lo, hi = interval
     if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
         raise ValueError(f"interval must be finite with lo < hi, got {interval!r}")
-    if not samples >= 2:
-        raise ValueError(f"samples must be at least 2, got {samples!r}")
-    xs = np.linspace(lo, hi, samples)
+    xs = np.linspace(lo, hi, SAMPLES)
     series = [AimSeries(problem, float(x)) for x in xs]
     prev = None
     streak = 0
-    for k in range(k_start, problem.k_max + 1):
+    for k in range(K_START, problem.k_max + 1):
         vals = np.array([s.delta(k).real for s in series])
         roots = _delta_roots_on(problem, xs, vals, k)
         if not roots:
             prev, streak = None, 0
             continue
         root = roots[0] if prev is None else min(roots, key=lambda r: abs(r - prev))
-        if prev is not None and abs(root - prev) < stab_tol:
+        if prev is not None and abs(root - prev) < STAB_TOL:
             streak += 1
             if streak >= 2:
                 return root

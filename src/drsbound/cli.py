@@ -21,7 +21,7 @@ import sys
 
 import numpy as np
 
-from .model import Kratzer, Oscillator, ProblemSpec, RingParams, SpecError
+from .model import Kratzer, Oscillator, ProblemSpec, RingParams, SpecError, potential_value
 from .spectrum import (
     DEFAULT_PARAMS,
     TABLE_KINDS,
@@ -243,8 +243,7 @@ def cmd_potential_grid(args) -> int:
     lines = [f"# potential={args.potential} a={fmt(a)} b={fmt(b)}", "# r theta V"]
     for rv in r:
         for tv in theta:
-            v = ring.angular(tv) / rv**2 + pot.radial(rv)
-            lines.append(f"{fmt(rv)} {fmt(tv)} {fmt(v)}")
+            lines.append(f"{fmt(rv)} {fmt(tv)} {fmt(potential_value(pot, ring, rv, tv))}")
     _write_output(args.output, "\n".join(lines) + "\n")
     print(f"wrote {len(lines) - 2} grid points to {args.output}")
     return 0

@@ -129,6 +129,11 @@ class RingParams:
         return self.b / s2 + self.a / c2
 
 
+def potential_value(potential: PotentialKind, ring: RingParams, r, theta):
+    """V(r, theta) = [b/sin^2 + a/cos^2]/r^2 + V_{1,2}(r)."""
+    return ring.angular(theta) / r**2 + potential.radial(r)
+
+
 @dataclass(frozen=True)
 class PhysicalParams:
     """Mass of the Dirac particle (fm^-1); hbar = 1 throughout."""
@@ -181,10 +186,6 @@ class ProblemSpec:
 
     def with_qn(self, **kwargs):
         return replace(self, qn=replace(self.qn, **kwargs))
-
-    def potential_value(self, r, theta):
-        """V(r, theta) = [b/sin^2 + a/cos^2]/r^2 + V_{1,2}(r)."""
-        return self.ring.angular(theta) / r**2 + self.potential.radial(r)
 
 
 @dataclass(frozen=True)

@@ -159,7 +159,7 @@ def fd_angular_eigs(gamma, ring: RingParams, m: int, count: int, cells=2000, fir
     return out
 
 
-def _radial_beta_sq_fd(spec: ProblemSpec, gamma, ell_eff_sq, index, r_max, nodes=4000):
+def _radial_beta_sq_fd(spec: ProblemSpec, gamma, ell_eff_sq, index, r_max, nodes):
     def v_eff(r):
         return (ell_eff_sq - 0.25) / r**2 + gamma * spec.potential.radial(r)
 
@@ -238,16 +238,17 @@ def _consistency_map(
     return _invert_beta_sq(spec, lam_rad, e)
 
 
-def self_consistent_energy(
-    spec: ProblemSpec,
-    initial_energy: float,
-    *,
-    tol=1e-6,
-    max_iter=200,
-    scan_step=0.1,
-    scan_span=4.0,
-    nodes=3000,
-):
+#: Width at which `self_consistent_energy` stops closing its bracket.
+BRACKET_TOL = 1e-6
+#: Cap on the consistency sweeps of one `self_consistent_energy` call.
+MAX_SWEEPS = 200
+#: Step and half-width of the outward march for a bracket.
+SCAN_STEP, SCAN_SPAN = 0.1, 4.0
+#: Nodes of the radial FD grid in each sweep.
+FD_NODES = 3000
+
+
+def self_consistent_energy(spec: ProblemSpec, initial_energy: float):
     """Energy solving E = invert(beta^2 of the FD radial problem at gamma(E)).
 
     Each evaluation of the consistency gap solves the polar equation at
@@ -255,15 +256,17 @@ def self_consistent_energy(
     solver, and maps the resulting beta^2 eigenvalue back to an energy.  The
     gap changes sign at a genuine bound root (the bare sweep map is locally
     repelling there), so it is bracketed by marching outward from the
-    initial energy in scan_step steps, and the bracket is closed to tol by
-    Illinois false position (Dowell & Jarratt, BIT 11 (1971) 168): the
-    secant through the bracket ends, with the gap of the end that stayed
-    put halved when the other end moves twice running, falling back to the
-    midpoint whenever that step would leave the open bracket.  A failed sweep at the
-    step point is retried at the midpoint, and if that fails too the bracket
-    contracts toward the end with the smaller gap.  max_iter caps the total
-    number of sweeps; real-sector specs only.  DivergenceError is the
-    documented outcome whenever no bound root exists in reach of the scan.
+    initial energy in SCAN_STEP steps up to SCAN_SPAN away, and the bracket
+    is closed to BRACKET_TOL by Illinois false position (Dowell & Jarratt,
+    BIT 11 (1971) 168): the secant through the bracket ends, with the gap of
+    the end that stayed put halved when the other end moves twice running,
+    falling back to the midpoint whenever that step would leave the open
+    bracket.  A failed sweep at the step point is retried at the midpoint,
+    and if that fails too the bracket contracts toward the end with the
+    smaller gap.  MAX_SWEEPS caps the total number of sweeps, each solving
+    the radial problem on FD_NODES grid nodes; real-sector specs only.
+    DivergenceError is the documented outcome whenever no bound root exists
+    in reach of the scan.
 
     The radial domain is verified twice per solve: the first sweep whose
     radial solve completes doubles it until the eigenvalue settles, and
@@ -272,18 +275,12 @@ def self_consistent_energy(
     returned energy runs the full doubling test again, so the returned
     energy always passes on a verified domain.
 
-    Raises ValueError for a non-finite initial_energy, a tol, scan_step or
-    scan_span that is not finite and positive, and max_iter < 1.
+    Raises ValueError for a non-finite initial_energy.
     """
     e0 = float(initial_energy)
     if not math.isfinite(e0):
         raise ValueError(f"initial_energy must be finite, got {initial_energy!r}")
-    for name, value in (("tol", tol), ("scan_step", scan_step), ("scan_span", scan_span)):
-        if not (math.isfinite(value) and value > 0):
-            raise ValueError(f"{name} must be finite and positive, got {value!r}")
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be at least 1, got {max_iter!r}")
-    budget = [max_iter]
+    budget = [MAX_SWEEPS]
     carried = _RadialDomain()
 
     def gap(e, domain=carried):
@@ -291,11 +288,11 @@ def self_consistent_energy(
             raise DivergenceError("sweep budget exhausted")
         budget[0] -= 1
         try:
-            return _consistency_map(spec, e, nodes, domain) - e
+            return _consistency_map(spec, e, FD_NODES, domain) - e
         except DivergenceError:
             return None
 
-    lo_limit, hi_limit = e0 - scan_span, e0 + scan_span
+    lo_limit, hi_limit = e0 - SCAN_SPAN, e0 + SCAN_SPAN
     # march outward from the initial energy looking for a sign change
     known = {}
 
@@ -305,11 +302,11 @@ def self_consistent_energy(
         return known[e]
 
     bracket = None
-    steps = int(round(scan_span / scan_step))
+    steps = int(round(SCAN_SPAN / SCAN_STEP))
     for i in range(steps):
         for sign in (1, -1):
-            a = e0 + sign * i * scan_step
-            b = e0 + sign * (i + 1) * scan_step
+            a = e0 + sign * i * SCAN_STEP
+            b = e0 + sign * (i + 1) * SCAN_STEP
             lo, hi = (a, b) if a < b else (b, a)
             if lo < lo_limit or hi > hi_limit:
                 continue
@@ -351,7 +348,7 @@ def self_consistent_energy(
             if moved == -1:
                 glo *= 0.5
             moved = -1
-        if hi - lo < tol:
+        if hi - lo < BRACKET_TOL:
             break
     e_star = 0.5 * (lo + hi)
     g_star = gap(e_star, domain=None)

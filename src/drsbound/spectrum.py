@@ -74,6 +74,7 @@ from .model import (
     Pseudospin,
     QuantumNumbers,
     RingParams,
+    SpecError,
     Spin,
     branch_sqrt,
     coefficients_at_gamma,
@@ -616,11 +617,19 @@ def _eliminant_zeros(spec):
 
     At a = b = 0, np.roots of each is bit for bit that of the monic squared
     polynomial, because np.roots divides by the leading coefficient itself.
+    Raises SpecError when the parameters overflow an eliminant coefficient.
     """
-    return [
-        (sigma_rhs, np.roots(_eliminant(spec, sigma_rhs)))
-        for sigma_rhs in ((1,) if isinstance(spec.potential, Oscillator) else (1, -1))
-    ]
+    out = []
+    for sigma_rhs in (1,) if isinstance(spec.potential, Oscillator) else (1, -1):
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                poly = _eliminant(spec, sigma_rhs)
+        except OverflowError:
+            poly = None
+        if poly is None or not np.isfinite(poly).all():
+            raise SpecError("the parameters overflow the spectral condition's eliminant")
+        out.append((sigma_rhs, np.roots(poly)))
+    return out
 
 
 def _seed_factor(spec, sigma_rhs):
@@ -784,49 +793,34 @@ def _dedupe(roots, tol=1e-8):
     return kept
 
 
-def find_roots(
-    spec: ProblemSpec,
-    interval=None,
-    *,
-    tolerance=1e-10,
-    mode="strict",
-    panels_per_unit=2000,
-    max_roots=None,
-):
-    """Classified spectrum points of the spec inside a real search interval.
+#: Grid panels per unit energy of the real-axis sign-change scan.
+PANELS_PER_UNIT = 2000
+#: Largest residual norm of a reported root.
+ROOT_TOL = 1e-10
+
+
+def find_roots(spec: ProblemSpec, *, mode="strict"):
+    """Classified spectrum points of the spec in the window (-M - 20, M + 20).
 
     The search covers the principal strategies (`_search_branches`).
     strict mode keeps only class-A roots (canonical branch, genuine);
     paper-compat additionally reports sigma_rhs = -1 roots and the real
     parts of complex pairs of the squared forms, reproducing the published
     tables.  Real roots come from the sign-change rule on a grid of
-    panels_per_unit panels per unit energy, tested for all searched
+    PANELS_PER_UNIT panels per unit energy, tested for all searched
     branches on the panels the eliminant's roots point at
     (`_scan_branches`), plus the exact polynomial paths when a = b = 0;
     complex pairs of the ring-dressed oscillator come from
     `complex_zeros_drso`, batch-located and finished by the scalar secant.
+    A root is reported when its residual norm is at most ROOT_TOL.
     Non-convergent starts of the complex search are dropped silently; an
     empty result is an ordinary outcome.
 
-    Raises ValueError for an unknown mode, an interval that is not finite
-    or has lo >= hi, a panels_per_unit that is not finite and positive, a
-    tolerance that is not finite or is negative, and a max_roots that is
-    not a nonnegative integer.
+    Raises ValueError for an unknown mode.
     """
     if mode not in ("strict", "paper-compat"):
         raise ValueError("mode must be 'strict' or 'paper-compat'")
-    if interval is None:
-        m_ = abs(spec.mass)
-        interval = (-m_ - 20.0, m_ + 20.0)
-    lo, hi = interval
-    if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
-        raise ValueError(f"interval must be finite with lo < hi, got {interval!r}")
-    if not (np.isfinite(panels_per_unit) and panels_per_unit > 0):
-        raise ValueError(f"panels_per_unit must be finite and positive, got {panels_per_unit!r}")
-    if not (np.isfinite(tolerance) and tolerance >= 0):
-        raise ValueError(f"tolerance must be finite and nonnegative, got {tolerance!r}")
-    if max_roots is not None and not (isinstance(max_roots, (int, np.integer)) and max_roots >= 0):
-        raise ValueError(f"max_roots must be a nonnegative integer, got {max_roots!r}")
+    interval = lo, hi = (-spec.mass - 20.0, spec.mass + 20.0)
     paper_compat = mode == "paper-compat"
     search = _search_branches(spec)
 
@@ -837,7 +831,7 @@ def find_roots(
         found.extend(_polynomial_roots(spec, zeros, paper_compat))
     # real-line scan over the searched branches (everything the polynomial
     # path already found will be merged away by deduplication)
-    for br, roots in zip(search, _scan_branches(spec, search, interval, panels_per_unit, zeros)):
+    for br, roots in zip(search, _scan_branches(spec, search, interval, PANELS_PER_UNIT, zeros)):
         for e in roots:
             hit = _best_branch(spec, e, [br], tol=1e-6)
             if hit is None:
@@ -850,18 +844,13 @@ def find_roots(
                 found.append(ClassifiedRoot(z, best[0], best[1], RootClass.C))
 
     found = [
-        r
-        for r in found
-        if lo - 1e-9 <= r.energy.real <= hi + 1e-9
-        and r.residual_norm <= max(tolerance, 100 * np.finfo(float).eps)
+        r for r in found if lo - 1e-9 <= r.energy.real <= hi + 1e-9 and r.residual_norm <= ROOT_TOL
     ]
     # roots living only on inner-flipped branches (class D) are outside the
     # published tables' taxonomy
     kept = (RootClass.A, RootClass.B, RootClass.C) if paper_compat else (RootClass.A,)
     found = [r for r in _dedupe(found) if r.root_class in kept]
     found.sort(key=lambda r: (r.energy.real, r.energy.imag))
-    if max_roots is not None:
-        found = found[:max_roots]
     return found
 
 

@@ -215,28 +215,29 @@ def _envelope_radius(spec: ProblemSpec, coeffs: CoefficientSet):
     return 40.0 / w if isinstance(spec.potential, Kratzer) else math.sqrt(40.0 / w)
 
 
-def verify_normalization(spec: ProblemSpec, energy, radial_nodes=200, theta_nodes=200, phi_nodes=64):
+#: Gauss-Legendre nodes of `verify_normalization` in r and in theta.
+RADIAL_NODES, THETA_NODES = 200, 200
+
+
+def verify_normalization(spec: ProblemSpec, energy):
     """|quadrature of the squared normalized component - 1|.
 
-    Gauss-Legendre in r and theta, uniform trapezoid in phi (exact for the
-    azimuthal plane waves); the radial domain is truncated where the
-    envelope has decayed to ~1e-17.
+    Gauss-Legendre on RADIAL_NODES nodes in r and THETA_NODES in theta; the
+    phi integral of |e^{im phi}|^2 = 1 is 2 pi exactly.  The radial domain
+    is truncated where the envelope has decayed to ~1e-17.
     """
     r_max = _envelope_radius(spec, derive_coefficients(spec, energy))
-    xr, wr = np.polynomial.legendre.leggauss(radial_nodes)
+    xr, wr = np.polynomial.legendre.leggauss(RADIAL_NODES)
     r = 0.5 * r_max * (xr + 1.0)
     wr = 0.5 * r_max * wr
-    xt, wt = np.polynomial.legendre.leggauss(theta_nodes)
+    xt, wt = np.polynomial.legendre.leggauss(THETA_NODES)
     th = 0.5 * math.pi * (xt + 1.0)
     wt = 0.5 * math.pi * wt
-    ph = np.linspace(0.0, 2.0 * math.pi, phi_nodes, endpoint=False)
-    wp = 2.0 * math.pi / phi_nodes
     field = SpinorField.build(spec, energy)
     rr, tt = np.meshgrid(r, th, indexing="ij")
     vals = np.abs(field(rr, tt, 0.0)) ** 2 * rr**2 * np.sin(tt)
     radial_theta = np.einsum("i,j,ij->", wr, wt, vals)
-    total = radial_theta * wp * phi_nodes  # |e^{im phi}|^2 = 1
-    return abs(total - 1.0)
+    return abs(2.0 * math.pi * radial_theta - 1.0)
 
 
 def radial_node_count(spec: ProblemSpec, energy, r_max=None, samples=4000):

@@ -346,7 +346,14 @@ class TestResumableSeries:
         with pytest.raises(ValueError, match="interval"):
             find_eigenvalue(oscillator_radial_problem(0, k_max=40), interval)
 
+    # the sample count, first depth and stabilization tolerance are module
+    # constants: find_eigenvalue takes none of them, at any value
     @pytest.mark.parametrize("samples", [1, 0, -3])
     def test_too_few_samples_rejected(self, samples):
-        with pytest.raises(ValueError, match="samples"):
+        with pytest.raises(TypeError, match="samples"):
             find_eigenvalue(oscillator_radial_problem(0, k_max=40), (1.0, 2.0), samples=samples)
+
+    @pytest.mark.parametrize("name, value", [("k_start", 3), ("stab_tol", 1e-10)])
+    def test_iteration_settings_rejected(self, name, value):
+        with pytest.raises(TypeError, match=name):
+            find_eigenvalue(oscillator_radial_problem(0, k_max=40), (1.0, 2.0), **{name: value})

@@ -15,6 +15,11 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+SPIN_KRATZER_GROUND = [
+    "solve", "--symmetry", "spin", "--potential", "kratzer", "--n", "0", "--nprime", "0", "--m", "0",
+]
+
+
 class TestSolve:
     def test_ring_dressed_spin_kratzer_rows(self, capsys):
         code, out, _ = run(
@@ -106,6 +111,29 @@ class TestSolve:
         )
         assert code == 2
         assert "must be finite" in err and not out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [*SPIN_KRATZER_GROUND, "--a", "1e308"],
+            [*SPIN_KRATZER_GROUND, "--mass", "1e300"],
+            [*SPIN_KRATZER_GROUND, "--de", "1e300"],
+            ["table", "3", "--de", "1e300"],
+            ["table", "2", "--k", "1e300"],
+            ["audit", "3", "--mass", "1e300"],
+        ],
+        ids=["solve-a", "solve-mass", "solve-de", "table3-de", "table2-k", "audit3-mass"],
+    )
+    def test_overflowing_parameter_exits_two(self, capsys, tmp_path, argv):
+        # finite parameters whose eliminant overflows used to die with a
+        # LinAlgError or OverflowError traceback
+        out = tmp_path / "out.txt"
+        if argv[0] != "solve":
+            argv = [*argv, "--output", str(out)]
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert err.startswith("error:") and "overflow" in err
+        assert not out.exists()
 
     def test_internal_fault_propagates(self, monkeypatch):
         def broken(*args, **kwargs):
@@ -205,6 +233,7 @@ class TestConfigPrecedence:
 
 
 REFERENCE_DIR = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "reference"
+DATA_DIR = pathlib.Path(__file__).resolve().parent / "data"
 
 
 class TestTableReference:
@@ -439,6 +468,20 @@ class TestWavefunction:
 
 
 class TestPotentialGrid:
+    @pytest.mark.parametrize(
+        "potential, ring", [("kratzer", ("0.5", "2")), ("oscillator", ("3", "0.25"))]
+    )
+    def test_output_bytes_pinned(self, capsys, tmp_path, potential, ring):
+        # golden files written by `drsbound potential-grid` with these flags
+        out = tmp_path / "grid.txt"
+        code, _, _ = run(
+            capsys,
+            "potential-grid", "--potential", potential, "--a", ring[0], "--b", ring[1],
+            "--r-samples", "5", "--theta-samples", "4", "--output", str(out),
+        )
+        assert code == 0
+        assert out.read_bytes() == (DATA_DIR / f"potential_grid_{potential}.txt").read_bytes()
+
     def test_kratzer_point_value(self, capsys, tmp_path):
         out = tmp_path / "grid.txt"
         code, _, _ = run(

@@ -114,10 +114,11 @@ class TestSelfConsistency:
         fixed_point = self_consistent_energy(spec, 0.4)
         assert abs(fixed_point - closed) < 1e-4
 
-    def test_spin_oscillator_reports_divergence(self):
+    def test_spin_oscillator_reports_divergence(self, monkeypatch):
         spec = table_spec(4, 0, 0, 0, 1.0, 1.0)
+        monkeypatch.setattr(oracle, "MAX_SWEEPS", 40)
         with pytest.raises(DivergenceError):
-            self_consistent_energy(spec, 2.0, max_iter=40)
+            self_consistent_energy(spec, 2.0)
 
     def test_bracket_closes_in_few_sweeps(self, monkeypatch):
         # the march from E = 1.0 takes 22 sweeps; bisection then took 17
@@ -213,15 +214,19 @@ class TestSelfConsistency:
             ({"tol": -1e-6}, "tol"),
             ({"max_iter": 0}, "max_iter"),
             ({"max_iter": -5}, "max_iter"),
+            ({"nodes": 3000}, "nodes"),
         ],
     )
     def test_bad_arguments_rejected(self, monkeypatch, kwargs, name):
+        # only initial_energy is an argument; the march, the bracket tolerance,
+        # the sweep cap and the radial grid are module constants
         def no_sweeps(*args):
             raise AssertionError("no sweep may run on bad arguments")
 
         monkeypatch.setattr(oracle, "_consistency_map", no_sweeps)
         kwargs = {"initial_energy": 1.0, **kwargs}
-        with pytest.raises(ValueError, match=name):
+        error = ValueError if name == "initial_energy" else TypeError
+        with pytest.raises(error, match=name):
             self_consistent_energy(table_spec(3, 0, 0, 0, 1.0, 1.0), **kwargs)
 
     def test_nonrel_limit_reproduces_closed_form(self):

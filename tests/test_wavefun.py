@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from drsbound import wavefun
 from drsbound.model import derive_coefficients
 from drsbound.specfun import gamma_fn, jacobi, pochhammer
 from drsbound.spectrum import find_roots, table_spec
@@ -210,11 +211,20 @@ class TestNormalization:
             spec = table_spec(table, n, n_prime, 0, a, b)
             assert verify_normalization(spec, energy) < 1e-6
 
-    def test_deviation_shrinks_with_radial_resolution(self, spin_kratzer_ground):
+    def test_deviation_shrinks_with_radial_resolution(self, monkeypatch, spin_kratzer_ground):
         spec, energy = spin_kratzer_ground
-        coarse = verify_normalization(spec, energy, radial_nodes=12, theta_nodes=200)
-        fine = verify_normalization(spec, energy, radial_nodes=24, theta_nodes=200)
+        monkeypatch.setattr(wavefun, "RADIAL_NODES", 12)
+        coarse = verify_normalization(spec, energy)
+        monkeypatch.setattr(wavefun, "RADIAL_NODES", 24)
+        fine = verify_normalization(spec, energy)
         assert fine < coarse / 4.0
+
+    @pytest.mark.parametrize("name", ["radial_nodes", "theta_nodes", "phi_nodes"])
+    def test_node_counts_rejected(self, spin_kratzer_ground, name):
+        # the quadrature grid is fixed by module constants
+        spec, energy = spin_kratzer_ground
+        with pytest.raises(TypeError, match=name):
+            verify_normalization(spec, energy, **{name: 200})
 
     def test_quadratic_scaling_in_constant(self, spin_kratzer_ground):
         spec, energy = spin_kratzer_ground
