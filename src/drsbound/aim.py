@@ -11,10 +11,11 @@ iteration consumes one Taylor order, so a problem iterated k_max times needs
 order K >= k_max + 1 (the default leaves a margin of one).
 
 The recurrence is written once, in AimSeries.step.  An AimSeries is
-resumable: it keeps the latest (lambda_k, s_k) at one eigenparameter, so
-find_eigenvalue extends one series per sample point by a single step each
-time it raises k instead of rebuilding k steps, and aim_delta and
-aim_series are that same series run to a fixed depth.
+resumable: it keeps the latest (lambda_k, s_k), so raising k costs one
+step, not a rebuild.  Jets carry leading batch axes, so one series can run
+at a whole array of eigenparameters: find_eigenvalue samples its grid with
+one batched series, one array step per depth, and polishes each sign change
+with the scalar series that aim_delta and aim_series run to a fixed depth.
 
 The two exactly solvable families used by the spectral conditions (the
 Kratzer-type radial problem and the ring-shaped angular problem), and the
@@ -37,15 +38,55 @@ class AimError(RuntimeError):
     pass
 
 
+def _truncated_product(a, b):
+    """Coefficients 0..K of the product of two coefficient arrays.
+
+    Two 1-D operands keep np.convolve, so every scalar jet keeps its bits;
+    batched operands broadcast one shifted multiply-add per coefficient.
+    """
+    n = a.shape[-1]
+    if a.ndim == b.ndim == 1:
+        return np.convolve(a, b)[:n]
+    c = np.zeros(np.broadcast_shapes(a.shape, b.shape), dtype=complex)
+    for j in range(n):
+        c[..., j:] += a[..., j : j + 1] * b[..., : n - j]
+    return c
+
+
+def _truncated_quotient(a, b):
+    """Coefficients 0..K of a / b, solved term by term from b's constant term.
+
+    As for the product, two 1-D operands keep the np.dot recurrence.
+    """
+    if np.any(b[..., 0] == 0):
+        raise ZeroDivisionError("jet division by a jet vanishing at x0")
+    n = a.shape[-1]
+    q = np.zeros(np.broadcast_shapes(a.shape, b.shape), dtype=complex)
+    q[..., 0] = a[..., 0] / b[..., 0]
+    if a.ndim == b.ndim == 1:
+        for i in range(1, n):
+            q[i] = (a[i] - np.dot(q[:i], b[i:0:-1])) / b[0]
+    else:
+        for i in range(1, n):
+            q[..., i] = (a[..., i] - (q[..., :i] * b[..., i:0:-1]).sum(axis=-1)) / b[..., 0]
+    return q
+
+
 class Jet:
     """Taylor coefficients of fixed order K around an expansion point x0.
 
     Supports the ring operations, division by units, and the derivative
     shift; truncated multiplication keeps low-order coefficients exact, so
     coefficient 0 (the value at x0) survives k <= K - 1 AIM iterations.
+
+    The coefficients sit on the last axis of `coeffs`; any leading axes are
+    a batch (one jet per eigenparameter sample) and every operation
+    broadcasts over them.  A number or array operand is a constant jet with
+    that batch shape, on either side: numpy defers to Jet's operators.
     """
 
     __slots__ = ("coeffs", "x0")
+    __array_ufunc__ = None
 
     def __init__(self, coeffs, x0):
         self.coeffs = np.asarray(coeffs, dtype=complex)
@@ -61,17 +102,17 @@ class Jet:
 
     @classmethod
     def constant(cls, value, x0, order):
-        c = np.zeros(order + 1, dtype=complex)
-        c[0] = value
+        c = np.zeros(np.shape(value) + (order + 1,), dtype=complex)
+        c[..., 0] = value
         return cls(c, x0)
 
     @property
     def order(self):
-        return len(self.coeffs) - 1
+        return self.coeffs.shape[-1] - 1
 
     @property
     def value(self):
-        return self.coeffs[0]
+        return self.coeffs[..., 0]
 
     def _coerce(self, other):
         if isinstance(other, Jet):
@@ -96,30 +137,23 @@ class Jet:
 
     def __mul__(self, other):
         if not isinstance(other, Jet):
-            return Jet(self.coeffs * other, self.x0)
-        return Jet(np.convolve(self.coeffs, other.coeffs)[: self.order + 1], self.x0)
+            return Jet(self.coeffs * np.asarray(other)[..., None], self.x0)
+        return Jet(_truncated_product(self.coeffs, other.coeffs), self.x0)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if not isinstance(other, Jet):
-            return Jet(self.coeffs / other, self.x0)
-        if other.coeffs[0] == 0:
-            raise ZeroDivisionError("jet division by a jet vanishing at x0")
-        k = self.order
-        q = np.zeros(k + 1, dtype=complex)
-        q[0] = self.coeffs[0] / other.coeffs[0]
-        for i in range(1, k + 1):
-            q[i] = (self.coeffs[i] - np.dot(q[:i], other.coeffs[i:0:-1])) / other.coeffs[0]
-        return Jet(q, self.x0)
+            return Jet(self.coeffs / np.asarray(other)[..., None], self.x0)
+        return Jet(_truncated_quotient(self.coeffs, other.coeffs), self.x0)
 
     def __rtruediv__(self, other):
         return self._coerce(other) / self
 
     def deriv(self):
         k = self.order
-        c = np.zeros(k + 1, dtype=complex)
-        c[:k] = self.coeffs[1:] * np.arange(1, k + 1)
+        c = np.zeros(self.coeffs.shape, dtype=complex)
+        c[..., :k] = self.coeffs[..., 1:] * np.arange(1, k + 1)
         return Jet(c, self.x0)
 
 
@@ -129,7 +163,8 @@ class AimProblem:
 
     lambda0 and s0 map (eigenparameter, variable jet) -> Jet; x0 is the
     evaluation point of the quantization condition and K the truncation
-    order (defaults to k_max + 2).
+    order (defaults to k_max + 2).  The eigenparameter may be an array, in
+    which case the jets carry its shape as batch axes.
     """
 
     lambda0: object
@@ -154,7 +189,8 @@ class AimSeriesResult:
 
 
 class AimSeries:
-    """The recurrence at one eigenparameter, advanced one depth at a time.
+    """The recurrence at one eigenparameter, or an array of them, advanced
+    one depth at a time.
 
     Holds (lambda0, s0), the current (lambda_k, s_k) and every delta so
     far; `delta(k)` steps only as far as k asks and keeps what it computed,
@@ -162,6 +198,12 @@ class AimSeries:
     jet order is fixed by the problem, not by k, so delta(k) is the same
     float however the series got there.  This step is the only place the
     recurrence and its rescale are written.
+
+    An array eigenparameter runs one series per element as one batch: each
+    step is a handful of array operations, the rescale is elementwise, and
+    delta(k) is an array of the eigenparameter's shape.  Batched products
+    may sum in another order than the scalar np.convolve, so a batched delta
+    agrees with the scalar one to rounding, not bit for bit.
     """
 
     __slots__ = ("lam0", "s0", "lam", "s", "rescale", "deltas")
@@ -179,7 +221,7 @@ class AimSeries:
         s_next = s.deriv() + self.s0 * lam
         self.deltas.append(lam_next.value * s.value - lam.value * s_next.value)
         if self.rescale:
-            scale = max(abs(lam_next.value), abs(s_next.value), 1e-300)
+            scale = np.maximum(np.maximum(abs(lam_next.value), abs(s_next.value)), 1e-300)
             lam_next, s_next = lam_next * (1.0 / scale), s_next * (1.0 / scale)
         self.lam, self.s = lam_next, s_next
         return lam_next, s_next
@@ -221,13 +263,30 @@ def aim_series(problem: AimProblem, eigenparameter, k_max=None, rescale=True) ->
 
 
 def _delta_roots_on(problem, xs, vals, k):
-    """delta_k roots between sign-changing neighbours of the sampled (xs, vals)."""
+    """delta_k roots between sign-changing neighbours of the sampled (xs, vals).
+
+    vals come from the batched series, whose sums may round differently
+    from the scalar aim_delta.  Where delta_k is rounding noise (deep k on
+    a window without an eigenvalue), that can flip a sample's sign; brentq
+    then finds the scalar delta_k NaN or of one sign at the panel's ends
+    and raises before its first step, and the panel is passed over, since
+    the scalar delta_k has no bracket there.
+    """
+    finite, sign = np.isfinite(vals), np.sign(vals)
+    changes = np.flatnonzero(finite[:-1] & finite[1:] & (sign[:-1] != sign[1:]))
     roots = []
-    for i in range(len(xs) - 1):
-        if np.isfinite(vals[i]) and np.isfinite(vals[i + 1]) and np.sign(vals[i]) != np.sign(vals[i + 1]):
-            roots.append(
-                brentq(lambda e: aim_delta(problem, e, k).real, xs[i], xs[i + 1], xtol=1e-14)
-            )
+    for i in changes:
+        evaluated = []
+
+        def delta_k(e):
+            evaluated.append(e)
+            return aim_delta(problem, e, k).real
+
+        try:
+            roots.append(brentq(delta_k, xs[i], xs[i + 1], xtol=1e-14))
+        except ValueError:
+            if len(evaluated) > 2:
+                raise
     return roots
 
 
@@ -241,11 +300,13 @@ def find_eigenvalue(problem: AimProblem, interval):
     Stabilization follows the usual AIM practice: from depth K_START on,
     accept once the tracked root moves by less than STAB_TOL between three
     consecutive iteration depths.  Exactly solvable problems stabilize
-    immediately.  Each of the SAMPLES grid points keeps one AimSeries that
-    is extended a step as k grows, so reaching depth k costs k steps per
-    sample in all, not the k(k+1)/2 of a fresh series at every depth; sign
-    changes between samples are polished by brentq (`drsbound.brent`, the
-    package's port of scipy's) on aim_delta at that k.
+    immediately.  The SAMPLES grid points run as one batched AimSeries that
+    is extended a step as k grows, so the problem's jets are built once and
+    reaching depth k costs k array steps in all.  The sampled deltas only
+    choose brackets, by their sign and finiteness; each sign change is
+    polished by brentq (`drsbound.brent`, the package's port of scipy's) on
+    the scalar aim_delta at that k, so a root's bits do not depend on the
+    batch.
 
     Raises ValueError for an interval that is not finite or has lo >= hi.
     """
@@ -253,11 +314,11 @@ def find_eigenvalue(problem: AimProblem, interval):
     if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
         raise ValueError(f"interval must be finite with lo < hi, got {interval!r}")
     xs = np.linspace(lo, hi, SAMPLES)
-    series = [AimSeries(problem, float(x)) for x in xs]
+    series = AimSeries(problem, xs)
     prev = None
     streak = 0
     for k in range(K_START, problem.k_max + 1):
-        vals = np.array([s.delta(k).real for s in series])
+        vals = np.broadcast_to(series.delta(k).real, xs.shape)
         roots = _delta_roots_on(problem, xs, vals, k)
         if not roots:
             prev, streak = None, 0

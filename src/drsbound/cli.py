@@ -243,7 +243,16 @@ def cmd_potential_grid(args) -> int:
     lines = [f"# potential={args.potential} a={fmt(a)} b={fmt(b)}", "# r theta V"]
     for rv in r:
         for tv in theta:
-            lines.append(f"{fmt(rv)} {fmt(tv)} {fmt(potential_value(pot, ring, rv, tv))}")
+            with np.errstate(all="ignore"):
+                try:
+                    v = potential_value(pot, ring, rv, tv)
+                except OverflowError:  # a float power such as r_e**2
+                    v = math.inf
+            if not math.isfinite(v):
+                raise SpecError(
+                    f"V(r, theta) is no finite float at r = {fmt(rv)}, theta = {fmt(tv)}"
+                )
+            lines.append(f"{fmt(rv)} {fmt(tv)} {fmt(v)}")
     _write_output(args.output, "\n".join(lines) + "\n")
     print(f"wrote {len(lines) - 2} grid points to {args.output}")
     return 0

@@ -82,9 +82,24 @@ class Kratzer:
         _require_finite(self)
         if self.d_e <= 0 or self.r_e <= 0:
             raise SpecError("Kratzer requires d_e > 0 and r_e > 0")
+        # the spectral conditions see the Kratzer term only through these two
+        # products; one that underflows to 0 turns the potential off.  Products
+        # too large for a float are left to the eliminant's overflow check.
+        try:
+            products = {
+                "d_e * r_e**2": self.d_e * self.r_e**2,
+                "(d_e * r_e)**2": (self.d_e * self.r_e) ** 2,
+            }
+        except OverflowError:
+            return
+        for name, value in products.items():
+            if value == 0:
+                raise SpecError(
+                    f"Kratzer {name} underflows to 0 (d_e={self.d_e!r}, r_e={self.r_e!r})"
+                )
 
     def radial(self, r):
-        return -2.0 * self.d_e * (self.r_e / r - 0.5 * self.r_e**2 / r**2)
+        return -2.0 * (self.d_e * (self.r_e / r - 0.5 * self.r_e**2 / r**2))
 
 
 @dataclass(frozen=True)

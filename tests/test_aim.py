@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+from drsbound import aim
 from drsbound.aim import (
+    SAMPLES,
     AimError,
     AimProblem,
     AimSeries,
@@ -70,6 +72,54 @@ class TestJetArithmetic:
         x = Jet.variable(0.0, 5)
         with pytest.raises(ZeroDivisionError):
             (1.0 + x) / x
+
+    def test_scalar_product_is_convolve(self):
+        rng = np.random.default_rng(23)
+        order = 12
+        u = Jet(rng.normal(size=order + 1) + 1j * rng.normal(size=order + 1), 0.3)
+        v = Jet(rng.normal(size=order + 1) + 1j * rng.normal(size=order + 1), 0.3)
+        expected = np.convolve(u.coeffs, v.coeffs)[: order + 1]
+        assert np.array_equal((u * v).coeffs, expected)
+
+    @pytest.mark.parametrize(
+        "operand",
+        [np.float64(1.7), np.array(1.7), np.array([1.7, -0.4, 2.5])],
+        ids=["float64", "0-d", "1-d"],
+    )
+    def test_numpy_operands_defer_to_jet(self, operand):
+        x = Jet.variable(0.5, 6)
+        for result in (
+            operand + x, x + operand, operand - x, x - operand,
+            operand * x, x * operand, operand / x, x / operand,
+        ):
+            assert isinstance(result, Jet)
+            assert result.coeffs.shape == np.shape(operand) + (7,)
+        # an array operand is one constant jet per element
+        for i, c in enumerate(np.atleast_1d(operand)):
+            np.testing.assert_array_equal(
+                np.atleast_2d((operand / x).coeffs)[i], (float(c) / x).coeffs
+            )
+
+    def test_batched_ring_operations_match_each_element(self):
+        rng = np.random.default_rng(29)
+        order, batch = 10, 5
+        x = Jet.variable(0.8, order)
+        u = Jet(rng.normal(size=(batch, order + 1)) + 0j, 0.8)
+        v = Jet(rng.normal(size=(batch, order + 1)) + 2.0, 0.8)
+        for got, op in (
+            (u * v, lambda a, b: a * b),
+            (u / v, lambda a, b: a / b),
+            (u * x, lambda a, b: a * x),
+            (x / v, lambda a, b: x / b),
+        ):
+            for i in range(batch):
+                one = op(Jet(u.coeffs[i], 0.8), Jet(v.coeffs[i], 0.8)).coeffs
+                np.testing.assert_allclose(got.coeffs[i], one, rtol=1e-13, atol=1e-13)
+
+    def test_batched_division_by_vanishing_jet_rejected(self):
+        x = Jet.variable(0.0, 5)
+        with pytest.raises(ZeroDivisionError):
+            Jet.constant(np.array([1.0, 2.0]), 0.0, 5) / x
 
 
 class TestRecurrenceIdentity:
@@ -292,8 +342,51 @@ def _scaled_oscillator(c):
     )
 
 
+#: find_eigenvalue's roots as float.hex, recorded before the grid samples were
+#: batched: the validation pool's (ell, level) oscillator problems (window
+#: 2 level + ell + 3/2 +- 0.5) and the Kratzer and angular test problems.
+POOL_PINS = {
+    (0, 0): "0x1.8000000000000p+0",
+    (0, 1): "0x1.c000000000002p+1",
+    (0, 2): "0x1.6000000000001p+2",
+    (0, 3): "0x1.e000000000000p+2",
+    (1, 0): "0x1.4000000000000p+1",
+    (1, 1): "0x1.2000000000002p+2",
+    (1, 2): "0x1.a000000000004p+2",
+    (1, 3): "0x1.1000000000001p+3",
+}
+PINNED_ROOTS = [
+    *(
+        pytest.param(
+            oscillator_radial_problem(ell, k_max=40),
+            (2 * level + ell + 1.0, 2 * level + ell + 2.0),
+            pin,
+            id=f"oscillator-{ell}-{level}",
+        )
+        for (ell, level), pin in POOL_PINS.items()
+    ),
+    pytest.param(
+        kratzer_radial_problem(1.6755386, -2.1702702), (1.2, 1.4), "0x1.4b96a1aedf45fp+0",
+        id="kratzer",
+    ),
+    pytest.param(
+        angular_problem(eta=0.25, ell_eff=1.5), (0.6, 0.9), "0x1.7fffffffffffdp-1", id="angular"
+    ),
+]
+
+
+class TestPinnedRoots:
+    def test_pins_cover_the_validation_pool(self):
+        assert set(_validate_aim_cases()) == set(POOL_PINS)
+
+    @pytest.mark.parametrize("problem, window, pin", PINNED_ROOTS)
+    def test_root_bits_pinned(self, problem, window, pin):
+        assert find_eigenvalue(problem, window).hex() == pin
+
+
 class TestResumableSeries:
-    """find_eigenvalue extends one series per sample; its floats are the per-k rebuild's."""
+    """find_eigenvalue extends one batched series over its samples; its roots are the per-k
+    rebuild's."""
 
     @pytest.mark.parametrize("ell, level", _validate_aim_cases())
     def test_validate_problems_bit_identical(self, ell, level):
@@ -337,6 +430,55 @@ class TestResumableSeries:
         again = AimSeries(problem, x)
         assert again.delta(problem.k_max) == deltas[-1]
         assert [again.delta(k) for k in range(1, problem.k_max + 1)] == deltas
+
+    @pytest.mark.parametrize("problem, window, _", PINNED_ROOTS)
+    def test_batched_samples_choose_the_scalar_brackets(self, monkeypatch, problem, window, _):
+        # find_eigenvalue reads the sampled deltas only through their sign and
+        # finiteness; at every depth it visits, those of the one batched series
+        # equal those of a scalar series per sample, so its brackets are the
+        # per-sample brackets and its polished roots keep their bits
+        depths = []
+        real_roots_on = aim._delta_roots_on
+
+        def recording(problem, xs, vals, k):
+            depths.append(k)
+            return real_roots_on(problem, xs, vals, k)
+
+        monkeypatch.setattr(aim, "_delta_roots_on", recording)
+        find_eigenvalue(problem, window)
+        xs = np.linspace(*window, SAMPLES)
+        batched = AimSeries(problem, xs)
+        scalar = [AimSeries(problem, float(x)) for x in xs]
+        for k in range(1, max(depths) + 1):
+            got = batched.delta(k).real
+            want = np.array([s.delta(k).real for s in scalar])
+            assert got.shape == xs.shape
+            np.testing.assert_array_equal(np.sign(got), np.sign(want))
+            np.testing.assert_array_equal(np.isfinite(got), np.isfinite(want))
+            # summation order is the batch's own, so values agree to rounding;
+            # the Kratzer deltas lose about a digit per depth to cancellation
+            assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+
+    def test_noise_brackets_passed_over(self, monkeypatch):
+        # no eigenvalue in this window: from depth 17 on the Kratzer deltas are
+        # rounding noise and some batched samples differ in sign from the
+        # scalar ones; brentq finds no scalar bracket on such a panel, which
+        # is skipped, so the search ends as the per-sample one did
+        refused = []
+        real_brentq = aim.brentq
+
+        def recording(f, a, b, **kwargs):
+            try:
+                return real_brentq(f, a, b, **kwargs)
+            except ValueError:
+                refused.append((a, b))
+                raise
+
+        monkeypatch.setattr(aim, "brentq", recording)
+        problem = kratzer_radial_problem(1.6755386, -2.1702702, k_max=18)
+        with pytest.raises(AimError, match="did not stabilize"):
+            find_eigenvalue(problem, (1.35, 1.4))
+        assert refused
 
     @pytest.mark.parametrize(
         "interval",

@@ -1,6 +1,7 @@
 import json
 import math
 import pathlib
+import warnings
 
 import pytest
 
@@ -134,6 +135,18 @@ class TestSolve:
         assert code == 2
         assert err.startswith("error:") and "overflow" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flag, value, product",
+        [("--re", "1e-300", "d_e * r_e**2"), ("--de", "1e-300", "(d_e * r_e)**2")],
+    )
+    def test_underflowing_kratzer_term_exits_two(self, capsys, flag, value, product):
+        # the Kratzer term rounded to 0 left the continuum edge E = M,
+        # reported as a class-A root
+        code, out, err = run(capsys, *SPIN_KRATZER_GROUND, flag, value)
+        assert code == 2
+        assert err.startswith("error:") and f"{product} underflows" in err
+        assert not out
 
     def test_internal_fault_propagates(self, monkeypatch):
         def broken(*args, **kwargs):
@@ -481,6 +494,42 @@ class TestPotentialGrid:
         )
         assert code == 0
         assert out.read_bytes() == (DATA_DIR / f"potential_grid_{potential}.txt").read_bytes()
+
+    @pytest.mark.parametrize(
+        "flags, where",
+        [
+            (["--r-min", "1e-300"], "r = 1e-300, theta = 0.7853981634"),
+            (["--r-min", "1e-100", "--re", "1e200"], "r = 1e-100, theta = 0.7853981634"),
+        ],
+        ids=["v-overflows", "float-power-overflows"],
+    )
+    def test_non_finite_potential_exits_two(self, capsys, tmp_path, flags, where):
+        # used to write inf/-inf, exit 0 and leak numpy RuntimeWarnings
+        out = tmp_path / "grid.txt"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _, err = run(
+                capsys,
+                "potential-grid", "--potential", "kratzer", "--de", "1e308", *flags,
+                "--r-samples", "2", "--theta-samples", "2", "--output", str(out),
+            )
+        assert code == 2
+        assert err.startswith("error:") and f"no finite float at {where}" in err
+        assert not out.exists()
+
+    def test_large_finite_kratzer_potential(self, capsys, tmp_path):
+        # -2 * d_e overflowed before the bracket shrank it: V(4) = -1.9e307
+        out = tmp_path / "grid.txt"
+        code, _, _ = run(
+            capsys,
+            "potential-grid", "--potential", "kratzer", "--de", "1e308", "--a", "0", "--b", "0",
+            "--r-min", "4", "--r-max", "4", "--r-samples", "1",
+            "--theta-min", str(math.pi / 4), "--theta-max", str(math.pi / 4),
+            "--theta-samples", "1", "--output", str(out),
+        )
+        assert code == 0
+        line = [l for l in out.read_text().splitlines() if not l.startswith("#")][0]
+        assert float(line.split()[2]) == pytest.approx(-1.9e307, rel=1e-9)
 
     def test_kratzer_point_value(self, capsys, tmp_path):
         out = tmp_path / "grid.txt"
