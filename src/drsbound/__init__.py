@@ -26,7 +26,6 @@ from .spectrum import (
     CANONICAL,
     ClassifiedRoot,
     RootClass,
-    all_branches,
     angular_quantization,
     audit_table,
     classify_value,
@@ -66,7 +65,6 @@ __all__ = [
     "SpecError",
     "Spin",
     "SpinorField",
-    "all_branches",
     "angular_quantization",
     "assemble_component",
     "audit_table",

@@ -17,10 +17,6 @@ import math
 from dataclasses import dataclass, fields, replace
 
 
-SQRT_PRINCIPAL = "principal"
-SQRT_MODULUS = "modulus"
-
-
 class SpecError(ValueError):
     """Invalid parameter record."""
 
@@ -33,19 +29,13 @@ def _require_finite(record):
             raise SpecError(f"{type(record).__name__}.{f.name} must be finite, got {value!r}")
 
 
-def branch_sqrt(z, mode=SQRT_PRINCIPAL):
-    """Complex square root under the configured convention.
+def branch_sqrt(z):
+    """Principal complex square root of z, the one root every condition takes.
 
-    ``principal`` is the standard complex principal branch (cut along the
-    negative real axis, nonnegative imaginary part on the cut).  ``modulus``
-    maps real arguments to sqrt(|x|), a real number; it exists only to probe
-    the tables' possible generation conventions and falls back to the
-    principal branch off the real axis.
+    The cut runs along the negative real axis, with a nonnegative imaginary
+    part on the cut, as the paper's spectral conditions are stated.
     """
-    z = complex(z)
-    if mode == SQRT_MODULUS and z.imag == 0.0:
-        return complex(abs(z.real) ** 0.5)
-    return cmath.sqrt(z)
+    return cmath.sqrt(complex(z))
 
 
 @dataclass(frozen=True)
@@ -261,23 +251,20 @@ def radial_equation_beta_sq(spec: ProblemSpec, energy) -> complex:
     return beta_sq_of(spec, energy)
 
 
-def coefficients_at_gamma(
-    g, beta_sq, decay, potential, ring, qn, sqrt_mode=SQRT_PRINCIPAL
-) -> CoefficientSet:
+def coefficients_at_gamma(g, beta_sq, decay, potential, ring, qn) -> CoefficientSet:
     """The coefficient set at gamma g; beta_sq and decay are carried as given.
 
     omega, ell_eff, eta, p and zeta depend on the energy only through g, so
     the nonrelativistic limit evaluates them here at g = 2 mu / hbar^2.
     eta and p reuse omega's two square roots.
     """
-    sq = lambda z: branch_sqrt(z, sqrt_mode)
-    root_a = sq(ring.a * g + 0.25)
-    root_b = sq(ring.b * g + qn.m * qn.m)
+    root_a = branch_sqrt(ring.a * g + 0.25)
+    root_b = branch_sqrt(ring.b * g + qn.m * qn.m)
     omega = root_a + root_b
     ell_eff = omega + 2 * qn.n_prime + 1
     zeta = None
     if isinstance(potential, Kratzer):
-        zeta = 0.5 + sq(ell_eff**2 + g * (potential.d_e * potential.r_e**2))
+        zeta = 0.5 + branch_sqrt(ell_eff**2 + g * (potential.d_e * potential.r_e**2))
     return CoefficientSet(
         gamma=g,
         beta_sq=beta_sq,
@@ -290,16 +277,15 @@ def coefficients_at_gamma(
     )
 
 
-def derive_coefficients(spec: ProblemSpec, energy, sqrt_mode=SQRT_PRINCIPAL) -> CoefficientSet:
+def derive_coefficients(spec: ProblemSpec, energy) -> CoefficientSet:
     """All derived symbols for a candidate energy; complex arithmetic is total."""
     g = gamma_of(spec, energy)
     if isinstance(spec.potential, Kratzer):
-        decay = branch_sqrt(-radial_equation_beta_sq(spec, energy), sqrt_mode)
+        decay = branch_sqrt(-radial_equation_beta_sq(spec, energy))
     else:
-        decay = branch_sqrt(-g * spec.potential.k / 8.0, sqrt_mode)
-    return coefficients_at_gamma(
-        g, beta_sq_of(spec, energy), decay, spec.potential, spec.ring, spec.qn, sqrt_mode
-    )
+        decay = branch_sqrt(-g * spec.potential.k / 8.0)
+    beta_sq = beta_sq_of(spec, energy)
+    return coefficients_at_gamma(g, beta_sq, decay, spec.potential, spec.ring, spec.qn)
 
 
 def kappa_ell_map(kappa: int):

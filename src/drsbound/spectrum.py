@@ -2,10 +2,11 @@
 
 The four closed-form spectral conditions (Kratzer/oscillator under either
 symmetry limit) are implemented as complex residual functions parameterized
-by a branch strategy: the overall sign of the right-hand side (sigma_rhs,
-equivalently the sign carried by sqrt(-beta^2)), the sign attached to the
-big Kratzer radical in the denominator (sigma_inner), and the square-root
-convention.  Published tables mix three kinds of entries:
+by a branch strategy of two signs: the overall sign of the right-hand side
+(sigma_rhs, equivalently the sign carried by sqrt(-beta^2)) and the sign
+attached to the big Kratzer radical in the denominator (sigma_inner).
+Every square root is the principal one, as the paper states the conditions.
+Published tables mix three kinds of entries:
 
   A  genuine roots of the canonical branch,
   B  roots that appear only after flipping sigma_rhs (squaring artifacts),
@@ -17,7 +18,8 @@ Each condition is defined once (`_condition`) and serves both scalar
 evaluation, where a pole raises SpectralPoleError, and the vectorized
 real-axis scan, where poles are masked; the squared form (`_squared`) is
 likewise one body for scalar and array evaluation and shares the radical
-term (`_radical_term`).
+term (`_radical_term`).  Only the class-D diagnostic of `classify_value`
+also reads them with sqrt(|x|) of a real radicand x.
 
 Each condition is algebraic in E.  Eliminating its square roots from the
 squared form leaves one polynomial per spec and sigma_rhs, the eliminant
@@ -31,7 +33,7 @@ one call, with the branch signs stacked as columns so the radicals are
 taken once per energy, and sign changes are polished by brentq (the
 package's bit-identical port of scipy's, `drsbound.brent`) on the scalar
 residual: each root found is the one a scan over the whole grid
-finds.  `residual` evaluates all eight strategies, modulus included.
+finds.
 
 For the pure central cases (a = b = 0) only the Kratzer's big radical is
 left to eliminate, and the eliminant is the squared form made polynomial --
@@ -65,8 +67,6 @@ import numpy as np
 
 from .brent import brentq
 from .model import (
-    SQRT_MODULUS,
-    SQRT_PRINCIPAL,
     Kratzer,
     Oscillator,
     PhysicalParams,
@@ -101,44 +101,33 @@ class SpectralPoleError(ArithmeticError):
 class BranchStrategy:
     sigma_rhs: int = 1
     sigma_inner: int = 1
-    sqrt_mode: str = SQRT_PRINCIPAL
 
     def __post_init__(self):
         if self.sigma_rhs not in (1, -1) or self.sigma_inner not in (1, -1):
             raise ValueError("sigma_rhs and sigma_inner must be +1 or -1")
-        if self.sqrt_mode not in (SQRT_PRINCIPAL, SQRT_MODULUS):
-            raise ValueError("unknown sqrt mode")
 
     def label(self):
-        return (
-            f"rhs{'+' if self.sigma_rhs > 0 else '-'}"
-            f"inner{'+' if self.sigma_inner > 0 else '-'}"
-            f",{self.sqrt_mode}"
-        )
+        """The signs and the root convention as printed, e.g. 'rhs+inner-,principal'."""
+        return f"{_sign_text(self)},principal"
 
 
-CANONICAL = BranchStrategy(1, 1, SQRT_PRINCIPAL)
+def _sign_text(branch):
+    sign = lambda s: "+" if s > 0 else "-"
+    return f"rhs{sign(branch.sigma_rhs)}inner{sign(branch.sigma_inner)}"
 
 
-def all_branches():
-    """Every enumerable strategy, canonical first."""
-    out = []
-    for mode in (SQRT_PRINCIPAL, SQRT_MODULUS):
-        for srhs in (1, -1):
-            for sinn in (1, -1):
-                out.append(BranchStrategy(srhs, sinn, mode))
-    return out
+CANONICAL = BranchStrategy(1, 1)
 
 
 def principal_branches():
-    """The four principal-sqrt strategies; `_search_branches` narrows them per spec.
+    """The four sign strategies, canonical first; `_search_branches` narrows them per spec.
 
-    The search covers these only: the modulus convention mirrors the
-    partner symmetry's spectrum into the search window (it erases exactly
-    the sign information the symmetry limits differ by), which no
-    published table contains; `residual` still evaluates it.
+    Every strategy takes principal square roots.  Reading a real radicand
+    x as sqrt(|x|) instead mirrors the partner symmetry's spectrum into the
+    window, which no published table contains; only the class-D diagnostic
+    of `classify_value` reads the conditions so.
     """
-    return [b for b in all_branches() if b.sqrt_mode == SQRT_PRINCIPAL]
+    return [BranchStrategy(srhs, sinn) for srhs in (1, -1) for sinn in (1, -1)]
 
 
 def _search_branches(spec: ProblemSpec):
@@ -173,12 +162,12 @@ class ClassifiedRoot:
         )
 
 
-def angular_quantization(gamma, ring: RingParams, m: int, n_prime: int, sqrt_mode=SQRT_PRINCIPAL):
+def angular_quantization(gamma, ring: RingParams, m: int, n_prime: int):
     """Quantized ell + 1/2 = sqrt(a g + 1/4) + sqrt(b g + m^2) + 2 n' + 1 (ell_eff)."""
     if n_prime < 0:
         raise ValueError("n_prime must be nonnegative")
     qn = QuantumNumbers(n_prime=n_prime, m=m)
-    return coefficients_at_gamma(gamma, None, None, None, ring, qn, sqrt_mode).ell_eff
+    return coefficients_at_gamma(gamma, None, None, None, ring, qn).ell_eff
 
 
 def _radical_term(e, spec: ProblemSpec, sq):
@@ -187,20 +176,15 @@ def _radical_term(e, spec: ProblemSpec, sq):
     With u = sq(a gamma + 1/4), v = sq(b gamma + m^2) and omega = u + v:
     d = omega + 2 n' + 2 + 2 n for the oscillator, the big radical
     w = sq((omega + 2 n' + 1)^2 + gamma De re^2) for the Kratzer.  e is a
-    complex or a complex array.  sq is one square root for every radical,
-    or a tuple of three: the roots taken for u, for v and for w.
+    complex or a complex array.
     """
-    if isinstance(sq, tuple):
-        sq_u, sq_v, sq_w = sq
-    else:
-        sq_u = sq_v = sq_w = sq
     m_, c = spec.mass, spec.symmetry.constant
     g = e + m_ - c if spec.is_spin else e - m_ - c
-    omega = sq_u(spec.ring.a * g + 0.25) + sq_v(spec.ring.b * g + spec.qn.m**2)
+    omega = sq(spec.ring.a * g + 0.25) + sq(spec.ring.b * g + spec.qn.m**2)
     if isinstance(spec.potential, Oscillator):
         return omega + 2 * spec.qn.n_prime + 2 + 2 * spec.qn.n
     pot = spec.potential
-    return sq_w((omega + 2 * spec.qn.n_prime + 1) ** 2 + g * pot.d_e * pot.r_e**2)
+    return sq((omega + 2 * spec.qn.n_prime + 1) ** 2 + g * pot.d_e * pot.r_e**2)
 
 
 def _raise_at_pole(at_pole, what):
@@ -213,17 +197,16 @@ def _mask_pole(at_pole, what):
     return ~at_pole
 
 
-def _condition(e, spec: ProblemSpec, branch: BranchStrategy, sqrt, pole):
+def _condition(e, spec: ProblemSpec, branch: BranchStrategy, sq, pole):
     """(lhs, rhs, valid) of the spectral condition lhs = rhs at energy e.
 
-    e is a complex or a complex array and sqrt(z, mode) the square root
-    matching it; branch is a BranchStrategy or, for the scan, a
+    e is a complex or a complex array and sq(z) the square root matching
+    it; branch is a BranchStrategy or, for the scan, a
     `_BranchStack` whose (B, 1) signs broadcast the result to B rows.
     pole(at_pole, what) runs before every division that can vanish and
     decides what a pole does: scalar callers raise, the array scan masks;
     `valid` combines its results.
     """
-    sq = lambda z: sqrt(z, branch.sqrt_mode)
     m_, c = spec.mass, spec.symmetry.constant
     pot = spec.potential
     rad = _radical_term(e, spec, sq)
@@ -320,12 +303,18 @@ def _squared(e, spec: ProblemSpec, sigma_rhs, sqrt):
     """The squared condition at energy e with square root sqrt(z).
 
     e is a complex with `cmath.sqrt` (`squared_form`) or a complex array
-    with `np.sqrt` (the batched complex search, the eliminant's seeds);
-    sqrt may be a tuple, as for `_radical_term`.
+    with `np.sqrt` (the batched complex search).
+    """
+    return _squared_at(e, spec, sigma_rhs, _radical_term(e, spec, sqrt))
+
+
+def _squared_at(e, spec: ProblemSpec, sigma_rhs, rad):
+    """The squared condition at energy e given its `_radical_term` rad.
+
+    `_seed_factor` also passes -rad, the Kratzer radical's other root.
     """
     m_, c = spec.mass, spec.symmetry.constant
     pot = spec.potential
-    rad = _radical_term(e, spec, sqrt)
     if isinstance(pot, Oscillator):
         k2 = 2.0 * pot.k
         if spec.is_spin:
@@ -493,14 +482,12 @@ def _class_for_branch(branch: BranchStrategy):
     return RootClass.D
 
 
-def _array_sqrt(z, mode):
-    if mode != SQRT_PRINCIPAL:
-        raise ValueError("the array residual takes principal square roots only")
+def _array_sqrt(z):
     return np.sqrt(np.asarray(z, dtype=complex))
 
 
 def _residual_array(spec, es, branch):
-    """Residual over an energy array, principal sqrt only; (values, valid mask). Poles masked."""
+    """Residual over an energy array; (values, valid mask). Poles masked."""
     with np.errstate(divide="ignore", invalid="ignore"):
         lhs, rhs, ok = _condition(
             np.asarray(es, dtype=complex), spec, branch, _array_sqrt, _mask_pole
@@ -519,7 +506,6 @@ class _BranchStack:
 
     sigma_rhs: np.ndarray
     sigma_inner: np.ndarray
-    sqrt_mode = SQRT_PRINCIPAL
 
     @classmethod
     def of(cls, branches):
@@ -640,13 +626,13 @@ def _seed_factor(spec, sigma_rhs):
     whose conjugates the eliminant multiplies: for the Kratzer the product
     of `_squared` at +w and at -w, which is A^2 - B^2 R.
     """
-    minus = (np.sqrt, np.sqrt, lambda r: -np.sqrt(r))
 
     def f(z, lanes):
-        plus = _squared(z, spec, sigma_rhs[lanes], np.sqrt)
+        rad = _radical_term(z, spec, np.sqrt)
+        plus = _squared_at(z, spec, sigma_rhs[lanes], rad)
         if isinstance(spec.potential, Oscillator):
             return plus
-        return plus * _squared(z, spec, sigma_rhs[lanes], minus)
+        return plus * _squared_at(z, spec, sigma_rhs[lanes], -rad)
 
     return f
 
@@ -865,6 +851,9 @@ def spin_pseudospin_map(spec: ProblemSpec) -> ProblemSpec:
     keeps the physical (positive) potential parameters, so spectra of a
     spec and its image describe distinct problems that share one formula
     family.  Applying the map twice returns the original spec.
+
+    Raises SpecError for the kappa whose partner would be 0: kappa = -1
+    under spin, kappa = 1 under pseudospin.
     """
     qn = spec.qn
     if isinstance(spec.symmetry, Pseudospin):
@@ -873,7 +862,8 @@ def spin_pseudospin_map(spec: ProblemSpec) -> ProblemSpec:
     else:
         sym = Pseudospin(-spec.symmetry.constant)
         kappa = None if qn.kappa is None else qn.kappa + 1
-    kappa = None if kappa == 0 else kappa
+    if kappa == 0:
+        raise SpecError(f"kappa = {qn.kappa} has no spin-pseudospin partner (it maps to 0)")
     return replace(spec, symmetry=sym, qn=replace(qn, kappa=kappa))
 
 
@@ -1138,6 +1128,14 @@ def _check_tolerance(tolerance):
         raise ValueError(f"tolerance must be finite and positive, got {tolerance!r}")
 
 
+def _modulus_sqrt(z):
+    """The class-D diagnostic's modulus reading: sqrt(|x|) of a real x, else principal."""
+    z = complex(z)
+    if z.imag == 0.0:
+        return complex(abs(z.real) ** 0.5)
+    return cmath.sqrt(z)
+
+
 def classify_value(spec: ProblemSpec, value: float, match_tol=1e-4):
     """Audit one published number against every branch and squared form.
 
@@ -1180,15 +1178,19 @@ def classify_value(spec: ProblemSpec, value: float, match_tol=1e-4):
         candidates.sort(key=lambda c: (order[c[0]], c[1]))
         klass, dev, br, res = candidates[0]
         return klass, dev, br, res, None
-    # class D: report how close the search came, on all eight strategies
+    # class D: report how close the search came.  branch_residuals holds
+    # |lhs - rhs| on the four strategies under principal roots, then under
+    # the modulus reading; None at a pole.
     diag = {"branch_residuals": {}, "nearest_root": None, "nearest_pair_re": None}
+    for reading, sq in (("principal", branch_sqrt), ("modulus", _modulus_sqrt)):
+        for br in principal_branches():
+            try:
+                lhs, rhs, _ = _condition(complex(value), spec, br, sq, _raise_at_pole)
+                res = abs(lhs - rhs)
+            except SpectralPoleError:
+                res = None
+            diag["branch_residuals"][f"{_sign_text(br)},{reading}"] = res
     nearest = None
-    for br in all_branches():
-        try:
-            r, scale = _residual_scaled(value, spec, br)
-            diag["branch_residuals"][br.label()] = abs(r)
-        except SpectralPoleError:
-            diag["branch_residuals"][br.label()] = None
     for br in search:
         root = _polish_branch_root(spec, br, value, span=0.05)
         if root is not None and (nearest is None or abs(root - value) < abs(nearest - value)):

@@ -40,12 +40,7 @@ PROPERTY_SETTINGS = settings(derandomize=True, max_examples=60, deadline=None, d
 strength = st.floats(0.0, 4.0)
 quantum = st.integers(0, 5)
 energy = st.floats(-30.0, 30.0)
-branch = st.builds(
-    BranchStrategy,
-    st.sampled_from((1, -1)),
-    st.sampled_from((1, -1)),
-    st.sampled_from(("principal", "modulus")),
-)
+branch = st.builds(BranchStrategy, st.sampled_from((1, -1)), st.sampled_from((1, -1)))
 
 
 @st.composite
@@ -102,7 +97,7 @@ def test_oscillator_residual_depends_on_n_plus_n_prime(spec, e, br, n, n_prime):
 @PROPERTY_SETTINGS
 @given(real_specs("oscillator"), energy, branch)
 def test_oscillator_residual_ignores_sigma_inner(spec, e, br):
-    flipped = BranchStrategy(br.sigma_rhs, -br.sigma_inner, br.sqrt_mode)
+    flipped = BranchStrategy(br.sigma_rhs, -br.sigma_inner)
     assert same(residual(e, spec, br), residual(e, spec, flipped))
 
 

@@ -4,12 +4,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from drsbound.model import Oscillator, RingParams
+from drsbound.model import Oscillator, RingParams, SpecError
 from drsbound.spectrum import (
     CANONICAL,
     BranchStrategy,
     RootClass,
-    all_branches,
     angular_quantization,
     audit_table,
     classify_value,
@@ -26,7 +25,7 @@ from drsbound.spectrum import (
     table_spec,
 )
 
-SIGMA_MINUS = BranchStrategy(-1, 1, "principal")
+SIGMA_MINUS = BranchStrategy(-1, 1)
 
 
 def classes_of(roots):
@@ -152,7 +151,7 @@ class TestSquaredPolynomials:
                     if abs(z.imag) > 1e-9:
                         continue
                     res = min(
-                        abs(residual_drso(z.real, spec, BranchStrategy(s, 1, "principal")))
+                        abs(residual_drso(z.real, spec, BranchStrategy(s, 1)))
                         for s in (1, -1)
                     )
                     assert res < 1e-6
@@ -369,15 +368,6 @@ class TestVectorizedScanPath:
         spec = table_spec(1, 0, 0, 0, 0.0, 0.0)  # pole at E = M + C_ps = 0
         vals, ok = _residual_array(spec, np.array([0.0, 1.0]), CANONICAL)
         assert not ok[0] and ok[1]
-
-    def test_modulus_rejected_in_array_path(self):
-        # the array path has no modulus square root; a modulus strategy must
-        # not be evaluated as a principal one
-        from drsbound.spectrum import _residual_array
-
-        spec = table_spec(4, 0, 0, 0, 0.0, 0.0)
-        with pytest.raises(ValueError, match="principal"):
-            _residual_array(spec, np.array([0.0, 1.0]), BranchStrategy(1, 1, "modulus"))
 
 
 def _scan_one_branch(spec, branch, interval, panels_per_unit):
@@ -748,7 +738,7 @@ class TestBatchedPolishLadder:
         got, want = [], []
         for spec in specs:
             for v in _special_values(spec):
-                for br in all_branches():
+                for br in principal_branches():
                     got.append(_bits(_polish_branch_root(spec, br, v)))
                     want.append(_bits(_polish_oracle(spec, br, v)))
         assert got == want
@@ -797,9 +787,9 @@ class TestTableDataFormat:
 
 
 class TestBranchStrategies:
-    def test_eight_strategies(self):
-        assert len(all_branches()) == 8
-        assert all_branches()[0] == CANONICAL
+    def test_four_strategies(self):
+        assert len(set(principal_branches())) == 4
+        assert principal_branches()[0] == CANONICAL
 
     def test_flip_involution_pointwise(self):
         spec = table_spec(3, 0, 0, 0, 1.0, 1.0)
@@ -811,9 +801,9 @@ class TestBranchStrategies:
 
     def test_invalid_strategy_rejected(self):
         with pytest.raises(ValueError):
-            BranchStrategy(0, 1, "principal")
+            BranchStrategy(0, 1)
         with pytest.raises(ValueError):
-            BranchStrategy(1, 1, "other")
+            BranchStrategy(1, -2)
 
 
 class TestSymmetryMap:
@@ -835,6 +825,14 @@ class TestSymmetryMap:
         mapped = spin_pseudospin_map(spec)
         assert mapped.qn.kappa == 3
         assert spin_pseudospin_map(mapped).qn.kappa == 2
+
+    @pytest.mark.parametrize("table, kappa", [(3, -1), (1, 1)])
+    def test_kappa_without_partner_rejected(self, table, kappa):
+        # spin kappa = -1 and pseudospin kappa = 1 would map to kappa = 0,
+        # which no spec can carry; no partner means no round trip either
+        spec = table_spec(table, 0, 0, 0, 0.0, 0.0).with_qn(kappa=kappa)
+        with pytest.raises(SpecError, match=f"kappa = {kappa}"):
+            spin_pseudospin_map(spec)
 
     def test_formula_level_identity(self):
         # With the full substitution behind the printed forms (E -> -E,
@@ -861,7 +859,7 @@ class TestSymmetryMap:
 
         for e in np.linspace(0.4, 4.6, 40):
             for sigma in (1, -1):
-                lhs = residual_drsk(e, spec, BranchStrategy(sigma, 1, "principal"))
+                lhs = residual_drsk(e, spec, BranchStrategy(sigma, 1))
                 rhs = -mapped_pseudospin_form(e, sigma)
                 assert lhs == pytest.approx(rhs, rel=1e-12)
 
@@ -958,3 +956,114 @@ class TestAudit:
         for table, expected in counts.items():
             rows = load_table_data(table)
             assert sum(len(vals) for *_ignored, vals in rows) == expected
+
+
+#: The class-D `branch_residuals` of classify_value, as float.hex, for
+#: entries outside table 1's audit reference: (table, n, n', m, a, b), the
+#: value, then the four principal strategies' residual norms followed by the
+#: four on the modulus reading (sqrt(|x|) of a real radicand), each in
+#: rhs+inner+, rhs+inner-, rhs-inner+, rhs-inner- order.  The two central
+#: Kratzer values at E = 0 sit on the lhs pole, where every entry is None.
+CLASS_D_BRANCH_RESIDUALS = [
+    ((2, 0, 0, 1, 1.0, 0.5), -7.3, [
+        "0x1.5c48f9767843bp+3", "0x1.5c48f9767843bp+3",
+        "0x1.bc1ca08072a35p+2", "0x1.bc1ca08072a35p+2",
+        "0x1.e3320206dfbc2p+3", "0x1.e3320206dfbc2p+3",
+        "0x1.55ee6eb943422p+1", "0x1.55ee6eb943422p+1",
+    ]),
+    ((3, 1, 0, 1, 1.0, 1.0), -3.1, [
+        "0x1.1c7d31541c752p+1", "0x1.f82ae45fb4b58p-1",
+        "0x1.e0329d7dfd642p+1", "0x1.26f13839e6112p+2",
+        "0x1.139901f665950p+2", "0x1.07c7ac5f6275cp+4",
+        "0x1.d6d4d786a1cb4p-1", "0x1.68558a4b28044p+3",
+    ]),
+    ((4, 0, 1, 0, 0.5, 2.0), -9.7, [
+        "0x1.4972f47df9a47p+5", "0x1.4972f47df9a47p+5",
+        "0x1.a222b69199cedp+5", "0x1.a222b69199cedp+5",
+        "0x1.edd29e9aefd10p+4", "0x1.edd29e9aefd10p+4",
+        "0x1.e59d682b919aep+5", "0x1.e59d682b919aep+5",
+    ]),
+    ((4, 0, 0, 0, 0.0, 0.0), 3.3, [
+        "0x1.2c705ddcd890fp+2", "0x1.2c705ddcd890fp+2",
+        "0x1.2c705ddcd890fp+2", "0x1.2c705ddcd890fp+2",
+        "0x1.ca1104b0de7c0p-2", "0x1.ca1104b0de7c0p-2",
+        "0x1.a7eb4fb6e2c44p+2", "0x1.a7eb4fb6e2c44p+2",
+    ]),
+    ((1, 1, 0, 1, 1.0, 1.0), -4.2, [
+        "0x1.5e2d33f133fd7p+0", "0x1.a790971795a32p+0",
+        "0x1.1faf741817144p+0", "0x1.4a55bbcfbf841p+0",
+        "0x1.36004c83d0e46p+0", "0x1.072ec098df7dcp+3",
+        "0x1.978664e556fccp+0", "0x1.135f83a51040cp+3",
+    ]),
+    ((1, 0, 0, 0, 0.0, 0.0), 0.0, [None] * 8),
+    ((3, 0, 0, 0, 0.0, 0.0), 0.0, [None] * 8),
+]
+
+#: `_seed_factor` at three complex points, as (re, im) float.hex pairs, on
+#: Kratzer specs (table, n, n', m, a, b) for each sigma_rhs.
+SEED_FACTOR_POINTS = (-3.2 + 0.7j, 1.5 - 0.2j, 4.4 + 2.5j)
+SEED_FACTOR_VALUES = [
+    ((1, 0, 0, 0, 0.0, 0.0), 1, [
+        ("0x1.db74c1871e6cap+13", "-0x1.81edfa43fe5c7p+12"),
+        ("0x1.05abfd933e35dp+13", "-0x1.09782d38476f4p+11"),
+        ("0x1.28fd162ae4b00p+15", "0x1.700a9930be0dfp+16"),
+    ]),
+    ((1, 0, 0, 0, 0.0, 0.0), -1, [
+        ("0x1.425c1a6937d1dp+13", "-0x1.511e00d1b7174p+12"),
+        ("-0x1.6962ae4b01895p+5", "-0x1.794855da2727cp+5"),
+        ("0x1.c0517720c8cdep+10", "-0x1.f342c3c9eecb8p+9"),
+    ]),
+    ((1, 1, 0, 1, 1.0, 1.0), 1, [
+        ("0x1.4ba4e3c985fa1p+14", "-0x1.42971259cf53ap+13"),
+        ("0x1.c2685766ae351p+14", "-0x1.c227087376ae0p+12"),
+        ("0x1.adebc68e23ebbp+16", "0x1.572032f8a673fp+18"),
+    ]),
+    ((1, 1, 0, 1, 1.0, 1.0), -1, [
+        ("0x1.c53f36b894a8ap+12", "-0x1.2d687848873eap+11"),
+        ("-0x1.3ac9707e41084p+8", "-0x1.35dad035e9d0ap+7"),
+        ("-0x1.125a9407ebf89p+14", "0x1.61ab2a3d22d36p+15"),
+    ]),
+    ((3, 0, 1, 1, 0.5, 2.0), 1, [
+        ("-0x1.f79608c33931ep+14", "0x1.811d374433c73p+14"),
+        ("0x1.acacc91270beep+12", "0x1.2ea73f4e67b14p+10"),
+        ("-0x1.d83876033521ap+15", "0x1.ba3741c10e616p+14"),
+    ]),
+    ((3, 0, 1, 1, 0.5, 2.0), -1, [
+        ("-0x1.ffb9a144702cap+14", "-0x1.3a85f4dd7c39dp+16"),
+        ("0x1.21d9840ee64eap+15", "-0x1.60bff1e7fab08p+11"),
+        ("0x1.efa4f2c60620dp+15", "-0x1.262ed7914542fp+15"),
+    ]),
+]
+
+
+class TestBitPins:
+    def test_labels(self):
+        # the table CSV and the audit JSON `branch` field print these
+        assert [br.label() for br in principal_branches()] == [
+            "rhs+inner+,principal",
+            "rhs+inner-,principal",
+            "rhs-inner+,principal",
+            "rhs-inner-,principal",
+        ]
+
+    @pytest.mark.parametrize("cell, value, want", CLASS_D_BRANCH_RESIDUALS)
+    def test_class_d_branch_residuals(self, cell, value, want):
+        klass, _, _, _, diag = classify_value(table_spec(*cell), value)
+        assert klass is RootClass.D
+        residuals = diag["branch_residuals"]
+        assert list(residuals) == [
+            f"rhs{s}inner{t},{reading}"
+            for reading in ("principal", "modulus")
+            for s in "+-"
+            for t in "+-"
+        ]
+        assert [_bits(r) for r in residuals.values()] == want
+
+    @pytest.mark.parametrize("cell, sigma_rhs, want", SEED_FACTOR_VALUES)
+    def test_seed_factor(self, cell, sigma_rhs, want):
+        from drsbound.spectrum import _seed_factor
+
+        z = np.array(SEED_FACTOR_POINTS)
+        f = _seed_factor(table_spec(*cell), np.full(z.size, float(sigma_rhs)))
+        got = [(w.real.hex(), w.imag.hex()) for w in f(z, np.arange(z.size))]
+        assert got == want
