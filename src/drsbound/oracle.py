@@ -3,9 +3,12 @@
 These never touch the closed-form spectra: the radial solver diagonalizes
 the symmetric tridiagonal discretization of -d^2/dr^2 + V_eff(r) with
 Dirichlet walls, and the angular solver diagonalizes the theta equation in
-its Sturm-Liouville form.  A self-consistent loop couples the two through
-the energy dependence of gamma and validates relativistic class-A roots
-without evaluating any spectral condition.
+its Sturm-Liouville form.  A self-consistent solve couples the two through
+the energy dependence of gamma: it brackets a zero of
+F(E) = lambda_n(gamma(E)) - b(E), the FD radial eigenvalue minus the radial
+equation's constant b(E), skipping brackets that hold a zero of b (the
+continuum edge), and closes it with Brent's method.  It validates
+relativistic class-A roots without evaluating any spectral condition.
 
 The angular equation is singular at both ends (limit-circle at theta -> 0
 whenever gamma b + m^2 < 1/4, always at the -1/(4 sin^2) term), where a
@@ -33,6 +36,7 @@ except ImportError as exc:  # scipy is an optional dependency of the oracle only
         "drsbound.oracle needs scipy; install it with: pip install drsbound[validate]"
     ) from exc
 
+from .brent import brentq
 from .model import (
     Kratzer,
     ProblemSpec,
@@ -167,22 +171,6 @@ def _radial_beta_sq_fd(spec: ProblemSpec, gamma, ell_eff_sq, index, r_max, nodes
     return fd_radial_eigs(v_eff, grid, index + 1, refine=True, first=index)[0]
 
 
-def _invert_beta_sq(spec: ProblemSpec, lam, near):
-    """Energies with radial_equation_beta_sq(spec, E) = lam; nearest to `near`."""
-    m_, c = spec.mass, spec.symmetry.constant
-    if spec.is_spin:
-        # (M - E)(C_s - E - M) = lam  =>  E^2 - C_s E + (M C_s - M^2 - lam) = 0
-        disc = c * c - 4.0 * (m_ * c - m_ * m_ - lam)
-    else:
-        # (M + E)(E - M - C_ps) = lam =>  E^2 - C_ps E - (M^2 + M C_ps + lam) = 0
-        disc = c * c + 4.0 * (m_ * m_ + m_ * c + lam)
-    if disc < 0:
-        raise DivergenceError("beta^2 inversion has no real energy")
-    root = math.sqrt(disc)
-    cands = [(c + root) / 2.0, (c - root) / 2.0]
-    return min(cands, key=lambda e: abs(e - near))
-
-
 @dataclass
 class _RadialDomain:
     """How many doublings of the radial domain one solve's verified sweep took.
@@ -197,13 +185,16 @@ class _RadialDomain:
 def _consistency_map(
     spec: ProblemSpec, e: float, nodes: int, domain: _RadialDomain | None = None
 ) -> float:
-    """One sweep of E -> invert(beta^2 of the FD radial problem at gamma(E)).
+    """One sweep: F(E) = lambda_n(gamma(E)) - b(E), zero at a bound root.
 
-    The radial domain starts at r0(E), from this sweep's own decay estimate.
-    Without a `domain`, or with one whose doublings are still None, it is
-    doubled until the eigenvalue settles to 1e-8 (at most 4 times), and the
-    number of doublings is recorded in `domain`.  With recorded doublings the
-    sweep solves once at r0(E) * 2**doublings, unverified.
+    lambda_n is level n of the FD radial problem at gamma(E), whose
+    centrifugal term takes the polar equation's quantized (ell + 1/2)^2, and
+    b(E) = radial_equation_beta_sq(spec, E).  The radial domain starts at
+    r0(E), from the decay estimate sqrt(|b(E)|).  Without a `domain`, or with
+    one whose doublings are still None, it is doubled until the eigenvalue
+    settles to 1e-8; DivergenceError if 4 doublings leave it unsettled, else
+    the number of doublings is recorded in `domain`.  With recorded
+    doublings the sweep solves once at r0(E) * 2**doublings, unverified.
     """
     g = gamma_of(spec, e)
     if abs(g.imag) > 1e-12:
@@ -216,30 +207,31 @@ def _consistency_map(
         )[0]
     except OracleError as exc:
         raise DivergenceError(str(exc)) from exc
-    bsq_guess = radial_equation_beta_sq(spec, e).real
-    decay = math.sqrt(abs(bsq_guess)) if abs(bsq_guess) > 1e-3 else 1.0
+    b = radial_equation_beta_sq(spec, e).real
+    decay = math.sqrt(abs(b)) if abs(b) > 1e-3 else 1.0
     if isinstance(spec.potential, Kratzer):
         r_max = 25.0 / decay
     else:
         r_max = max(6.0, 3.0 * (abs(g) * spec.potential.k / 8.0) ** -0.25)
     if domain is not None and domain.doublings is not None:
         r_max *= 2.0**domain.doublings
-        return _invert_beta_sq(spec, _radial_beta_sq_fd(spec, g, lam_ang, n, r_max, nodes), e)
-    lam_rad = _radial_beta_sq_fd(spec, g, lam_ang, n, r_max, nodes)
-    prev = lam_rad
+        return _radial_beta_sq_fd(spec, g, lam_ang, n, r_max, nodes) - b
+    prev = _radial_beta_sq_fd(spec, g, lam_ang, n, r_max, nodes)
     for doublings in range(1, 5):
         r_max *= 2.0
         lam_rad = _radial_beta_sq_fd(spec, g, lam_ang, n, r_max, nodes)
         if abs(lam_rad - prev) < 1e-8 * (1.0 + abs(lam_rad)):
             break
         prev = lam_rad
+    else:
+        raise DivergenceError("radial eigenvalue unsettled after 4 domain doublings")
     if domain is not None:
         domain.doublings = doublings
-    return _invert_beta_sq(spec, lam_rad, e)
+    return lam_rad - b
 
 
 #: Width at which `self_consistent_energy` stops closing its bracket.
-BRACKET_TOL = 1e-6
+BRACKET_TOL = 1e-9
 #: Cap on the consistency sweeps of one `self_consistent_energy` call.
 MAX_SWEEPS = 200
 #: Step and half-width of the outward march for a bracket.
@@ -249,31 +241,34 @@ FD_NODES = 3000
 
 
 def self_consistent_energy(spec: ProblemSpec, initial_energy: float):
-    """Energy solving E = invert(beta^2 of the FD radial problem at gamma(E)).
+    """Energy E at which the FD radial eigenvalue at gamma(E) equals b(E).
 
-    Each evaluation of the consistency gap solves the polar equation at
-    gamma(E) for the quantized (ell + 1/2)^2, feeds it into the radial
-    solver, and maps the resulting beta^2 eigenvalue back to an energy.  The
-    gap changes sign at a genuine bound root (the bare sweep map is locally
-    repelling there), so it is bracketed by marching outward from the
-    initial energy in SCAN_STEP steps up to SCAN_SPAN away, and the bracket
-    is closed to BRACKET_TOL by Illinois false position (Dowell & Jarratt,
-    BIT 11 (1971) 168): the secant through the bracket ends, with the gap of
-    the end that stayed put halved when the other end moves twice running,
-    falling back to the midpoint whenever that step would leave the open
-    bracket.  A failed sweep at the step point is retried at the midpoint,
-    and if that fails too the bracket contracts toward the end with the
-    smaller gap.  MAX_SWEEPS caps the total number of sweeps, each solving
-    the radial problem on FD_NODES grid nodes; real-sector specs only.
-    DivergenceError is the documented outcome whenever no bound root exists
-    in reach of the scan.
+    Each sweep evaluates F(E) = lambda_n(gamma(E)) - b(E) (see
+    _consistency_map): it solves the polar equation at gamma(E) for the
+    quantized (ell + 1/2)^2, feeds it into the radial solver, and subtracts
+    b(E) = radial_equation_beta_sq(spec, E).  F is continuous and changes
+    sign at a bound root, so it is bracketed by marching outward from the
+    initial energy in SCAN_STEP steps, alternating sides, up to SCAN_SPAN
+    away; a failed sweep leaves its march point out.  A bracket holding a
+    zero of b(E) is skipped: F changes sign there too, at the continuum
+    edge, where no bound state lies.  Brent's method (`brent.brentq`)
+    closes the bracket to BRACKET_TOL, and a sweep that fails inside it
+    raises DivergenceError.  No such sweep fails: gamma is linear in E and
+    the polar equation's real-sector conditions are linear in gamma, so the
+    energies where a sweep completes form an interval, which holds both
+    bracket ends.
+    MAX_SWEEPS caps the total number of sweeps, each solving the radial
+    problem on FD_NODES grid nodes; real-sector specs only.  DivergenceError
+    is the documented outcome whenever no bound root exists in reach of the
+    march.
 
     The radial domain is verified twice per solve: the first sweep whose
     radial solve completes doubles it until the eigenvalue settles, and
     every later sweep of the march and the bracket reuses that number of
-    doublings (see _RadialDomain).  The final check of the gap at the
-    returned energy runs the full doubling test again, so the returned
-    energy always passes on a verified domain.
+    doublings (see _RadialDomain).  The final check at the returned energy
+    runs the full doubling test again and requires
+    |F(E)| <= 1e-6 (1 + |b(E)|), so the returned energy always passes on a
+    verified domain.
 
     Raises ValueError for a non-finite initial_energy.
     """
@@ -283,24 +278,27 @@ def self_consistent_energy(spec: ProblemSpec, initial_energy: float):
     budget = [MAX_SWEEPS]
     carried = _RadialDomain()
 
-    def gap(e, domain=carried):
+    def sweep(e, domain=carried):
+        """F at e, None where the sweep fails."""
         if budget[0] <= 0:
             raise DivergenceError("sweep budget exhausted")
         budget[0] -= 1
         try:
-            return _consistency_map(spec, e, FD_NODES, domain) - e
+            return _consistency_map(spec, e, FD_NODES, domain)
         except DivergenceError:
             return None
 
-    lo_limit, hi_limit = e0 - SCAN_SPAN, e0 + SCAN_SPAN
-    # march outward from the initial energy looking for a sign change
     known = {}
 
-    def gval(e):
+    def fval(e):
         if e not in known:
-            known[e] = gap(e)
+            known[e] = sweep(e)
         return known[e]
 
+    # zeros of b(E): (M - E)(C_s - E - M) for spin, (M + E)(E - M - C_ps) for pseudospin
+    m_, c = spec.mass, spec.symmetry.constant
+    b_zeros = (m_, c - m_) if spec.is_spin else (-m_, m_ + c)
+    lo_limit, hi_limit = e0 - SCAN_SPAN, e0 + SCAN_SPAN
     bracket = None
     steps = int(round(SCAN_SPAN / SCAN_STEP))
     for i in range(steps):
@@ -310,49 +308,27 @@ def self_consistent_energy(spec: ProblemSpec, initial_energy: float):
             lo, hi = (a, b) if a < b else (b, a)
             if lo < lo_limit or hi > hi_limit:
                 continue
-            ga, gb = gval(lo), gval(hi)
-            if ga is None or gb is None:
+            flo, fhi = fval(lo), fval(hi)
+            if flo is None or fhi is None or np.sign(flo) == np.sign(fhi):
                 continue
-            if np.sign(ga) != np.sign(gb):
-                bracket = (lo, hi, ga, gb)
+            if not any(lo <= z <= hi for z in b_zeros):
+                bracket = (lo, hi)
                 break
         if bracket:
             break
     if bracket is None:
         raise DivergenceError("no self-consistent bracket near the initial energy")
-    lo, hi, glo, ghi = bracket
-    moved = 0  # +1 after lo moved, -1 after hi moved; a repeat halves the other end's gap
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        x = (lo * ghi - hi * glo) / (ghi - glo)
-        if not lo < x < hi:
-            x = mid
-        gx = gap(x)
-        if gx is None and x != mid:
-            x, gx = mid, gap(mid)
-        if gx is None:
-            # contract toward the endpoint with the smaller gap magnitude
-            if abs(glo) <= abs(ghi):
-                hi = 0.5 * (mid + hi)
-            else:
-                lo = 0.5 * (lo + mid)
-            moved = 0
-            continue
-        if np.sign(gx) == np.sign(glo):
-            lo, glo = x, gx
-            if moved == 1:
-                ghi *= 0.5
-            moved = 1
-        else:
-            hi, ghi = x, gx
-            if moved == -1:
-                glo *= 0.5
-            moved = -1
-        if hi - lo < BRACKET_TOL:
-            break
-    e_star = 0.5 * (lo + hi)
-    g_star = gap(e_star, domain=None)
-    if g_star is None or abs(g_star) > 1e-3 * (1.0 + abs(e_star)):
+
+    def inside(e):
+        value = fval(e)
+        if value is None:
+            raise DivergenceError("a sweep failed inside the bracket")
+        return value
+
+    e_star = brentq(inside, *bracket, xtol=BRACKET_TOL)
+    f_star = sweep(e_star, domain=None)
+    b_star = radial_equation_beta_sq(spec, e_star).real
+    if f_star is None or abs(f_star) > 1e-6 * (1.0 + abs(b_star)):
         raise DivergenceError("bracketed point is not a consistent energy")
     return e_star
 

@@ -121,9 +121,9 @@ class TestSelfConsistency:
             self_consistent_energy(spec, 2.0)
 
     def test_bracket_closes_in_few_sweeps(self, monkeypatch):
-        # the march from E = 1.0 takes 22 sweeps; bisection then took 17
-        # more to a 1e-6 bracket, the Illinois step at most 8, plus the
-        # final consistency check
+        # the march from E = 1.0 takes 22 sweeps; brentq then closes the
+        # bracket to BRACKET_TOL in a few more, plus the final consistency
+        # check
         spec = table_spec(3, 0, 0, 0, 1.0, 1.0)
         calls = []
         real_map = oracle._consistency_map
@@ -141,11 +141,12 @@ class TestSelfConsistency:
         closed = find_roots(spec, mode="strict")[0].energy.real
         assert abs(fixed_point - closed) < 1e-6
 
-    @pytest.mark.parametrize("zone", [(0.7395, 0.744), (0.7443, 0.7999)], ids=["below", "above"])
-    def test_failed_sweeps_inside_bracket(self, monkeypatch, zone):
-        # the march brackets the central ground root 0.74418 in (0.7, 0.8);
-        # sweeps on one side of it fail, which the first steps hit ("above"
-        # also fails the midpoint retry, so the bracket contracts)
+    @pytest.mark.parametrize("side", [-1, 1], ids=["below", "above"])
+    def test_failed_sweeps_inside_bracket(self, monkeypatch, side):
+        # the march brackets the central ground root 0.74418 in (0.7, 0.8),
+        # and brentq steps to both sides of it; sweeps fail on one side,
+        # the march points themselves excepted.  The first failed sweep ends
+        # the solve with DivergenceError, and no energy is returned
         spec = table_spec(3, 0, 0, 0, 0.0, 0.0)
         closed = find_roots(spec, mode="strict")[0].energy.real
         calls, failed = [], []
@@ -153,22 +154,48 @@ class TestSelfConsistency:
 
         def failing(spec_, e, nodes, *domain):
             calls.append(e)
-            if zone[0] < e < zone[1]:
+            if 0.71 < e < 0.79 and side * (e - closed) > 1e-6:
                 failed.append(e)
                 raise DivergenceError("sweep failed")
             return real_map(spec_, e, nodes, *domain)
 
         monkeypatch.setattr(oracle, "_consistency_map", failing)
-        fixed_point = self_consistent_energy(spec, 0.4)
-        assert len(failed) >= 2
-        # the first failed step is retried at the midpoint of its bracket,
-        # whose upper end is still the march point 0.8
-        i = calls.index(failed[0])
-        lo = max(e for e in calls[:i] if e < closed)
-        assert calls[i + 1] == pytest.approx(0.5 * (lo + 0.8), abs=1e-12)
-        gap = real_map(spec, fixed_point, 3000) - fixed_point
-        assert abs(gap) <= 1e-3 * (1.0 + abs(fixed_point))
-        assert abs(fixed_point - closed) < 1e-4
+        with pytest.raises(DivergenceError, match="inside the bracket"):
+            self_consistent_energy(spec, 0.4)
+        assert failed == calls[-1:]
+
+    def test_unsettled_radial_domain_raises(self):
+        # on draw 3's spec the full doubling test does not settle just below
+        # the continuum edge E = 0
+        spec = table_spec(3, 1, 0, 1, 0.0, 0.5)
+        with pytest.raises(DivergenceError, match="unsettled"):
+            oracle._consistency_map(spec, -1.99e-4, oracle.FD_NODES)
+
+    def test_continuum_edge_bracket_skipped(self):
+        # b(E) = (M - E)(C_s - E - M) vanishes at E = C_s - M = 0 on draw 3's
+        # spec, and F changes sign there too; the march from 0.05 skips that
+        # bracket and goes on to the bound root
+        spec = table_spec(3, 1, 0, 1, 0.0, 0.5)
+        closed = find_roots(spec, mode="strict")[0].energy.real
+        assert closed == pytest.approx(2.152628, abs=1e-6)
+        assert abs(self_consistent_energy(spec, 0.05) - closed) < 1e-6
+
+    @pytest.mark.parametrize(
+        "qn, ring, offset",
+        [
+            ((1, 0, 2), (0.0, 1.0), -0.2816),
+            ((1, 0, 1), (0.0, 0.5), 0.1582),
+            ((2, 0, 0), (1.0, 0.0), -0.0366),
+            ((2, 0, -1), (0.5, 0.0), 0.1623),
+        ],
+        ids=["draw2", "draw3", "draw7", "draw9"],
+    )
+    def test_former_validate_defects_converge(self, qn, ring, offset):
+        # validate's seed-1 draws 2, 3, 7 and 9 (perfbench/reference/validate.json),
+        # which the inverse-map iteration failed or sent to the continuum edge
+        spec = table_spec(3, *qn, *ring)
+        closed = find_roots(spec, mode="strict")[0].energy.real
+        assert abs(self_consistent_energy(spec, closed + offset) - closed) < 1e-8
 
     def test_radial_domain_verified_once_per_solve(self, monkeypatch):
         # only the first sweep whose radial solve completes and the final
