@@ -244,10 +244,7 @@ def cmd_potential_grid(args) -> int:
     for rv in r:
         for tv in theta:
             with np.errstate(all="ignore"):
-                try:
-                    v = potential_value(pot, ring, rv, tv)
-                except OverflowError:  # a float power such as r_e**2
-                    v = math.inf
+                v = potential_value(pot, ring, rv, tv)
             if not math.isfinite(v):
                 raise SpecError(
                     f"V(r, theta) is no finite float at r = {fmt(rv)}, theta = {fmt(tv)}"

@@ -89,7 +89,8 @@ class Kratzer:
                 )
 
     def radial(self, r):
-        return -2.0 * (self.d_e * (self.r_e / r - 0.5 * self.r_e**2 / r**2))
+        q = self.r_e / r
+        return -2.0 * (self.d_e * (q - 0.5 * q * q))
 
 
 @dataclass(frozen=True)

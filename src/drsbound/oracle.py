@@ -20,6 +20,14 @@ natural boundary at 0 and a Dirichlet wall at pi/2; the wall selects exactly
 the solution family of the quantization rule (the printed family always
 vanishes at pi/2).  Three-grid Aitken extrapolation absorbs the remaining
 endpoint-driven convergence order.
+
+Each FD level comes from LAPACK's Sturm-sequence bisection (stebz; Barth,
+Martin & Wilkinson, Numer. Math. 9 (1967) 386).  The coarsest grid of a call
+is an index solve, which bisects the whole Gershgorin interval.  Each finer
+grid solves by value on a window of +-_WINDOW (1 + |lambda|) around the
+coarser grid's level, certified first by one Sturm count: the window is kept
+only when exactly `first` eigenvalues lie at or below its lower end and it
+holds every wanted level; otherwise the index solve runs (see _levels).
 """
 
 from __future__ import annotations
@@ -89,13 +97,52 @@ def _check_levels(count, first):
         raise ValueError(f"first must satisfy 0 <= first < count = {count}, got {first!r}")
 
 
-def _tridiag_eigs(v_values, h, first, count):
+#: Half-width of the value window around a level estimate, relative to 1 + |estimate|.
+_WINDOW = 1e-3
+
+
+def _count_below(d, e, x):
+    """Number of eigenvalues of the tridiagonal (d, e) at or below x (Sturm count).
+
+    stebz on the value range (bottom, x] with an infinite abstol stops at the
+    endpoint counts; bottom lies below the Gershgorin lower bound.
+    """
+    radius = np.zeros(len(d))
+    radius[:-1] += np.abs(e)
+    radius[1:] += np.abs(e)
+    lower = float(np.min(d - radius))
+    bottom = min(lower, x) - (1.0 + abs(lower))
+    return len(
+        eigh_tridiagonal(d, e, eigvals_only=True, select="v", select_range=(bottom, x), tol=np.inf)
+    )
+
+
+def _levels(d, e, first, count, near=None):
+    """Eigenvalues first..count-1 of the symmetric tridiagonal (d, e).
+
+    Without an estimate this is a stebz index solve.  `near` holds estimates
+    of the wanted levels in ascending order; each is widened by
+    _WINDOW (1 + |near|), and the value solve on (lo, hi], from the lowest
+    estimate's lower end to the highest one's upper end, is kept only when
+    the Sturm count at or below lo equals `first` and the window holds at
+    least count - first values.  Any other case falls back to the index
+    solve.
+    """
+    if near is not None:
+        lo = near[0] - _WINDOW * (1.0 + abs(near[0]))
+        hi = near[-1] + _WINDOW * (1.0 + abs(near[-1]))
+        if _count_below(d, e, lo) == first:
+            window = eigh_tridiagonal(d, e, eigvals_only=True, select="v", select_range=(lo, hi))
+            if len(window) >= count - first:
+                return window[: count - first]
+    return eigh_tridiagonal(d, e, eigvals_only=True, select="i", select_range=(first, count - 1))
+
+
+def _tridiag_eigs(v_values, h, first, count, near=None):
     n = len(v_values)
     diag = 2.0 / h**2 + v_values
     off = np.full(n - 1, -1.0 / h**2)
-    return eigh_tridiagonal(
-        diag, off, eigvals_only=True, select="i", select_range=(first, count - 1)
-    )
+    return _levels(diag, off, first, count, near)
 
 
 def fd_radial_eigs(v_eff, grid: FdGrid, count: int, mass_factor=1.0, refine=False, first=0):
@@ -104,8 +151,10 @@ def fd_radial_eigs(v_eff, grid: FdGrid, count: int, mass_factor=1.0, refine=Fals
     mass_factor rescales the kinetic term so Schroedinger conventions
     (-hbar^2/2mu d^2 + V) fit without rewrapping the potential; second-order
     convergent in the spacing, optionally Richardson-refined on (h, h/2).
-    Levels below `first` are not computed.  Raises ValueError unless count
-    and first are ints with 0 <= first < count.
+    Levels below `first` are not computed.  The n-node grid is an index
+    solve; with refine, the (2n+1)-node grid solves in a Sturm-certified
+    value window around the n-node levels (see _levels).  Raises ValueError
+    unless count and first are ints with 0 <= first < count.
     """
     _check_levels(count, first)
     if grid.nodes < 10 * count:
@@ -115,16 +164,19 @@ def fd_radial_eigs(v_eff, grid: FdGrid, count: int, mass_factor=1.0, refine=Fals
         v = np.asarray(v_eff(r), dtype=float)
     if not np.all(np.isfinite(v)):
         raise OracleError("potential not finite on the open grid interior")
-    lam = _tridiag_eigs(mass_factor * v, grid.spacing, first, count) / mass_factor
+    coarse = _tridiag_eigs(mass_factor * v, grid.spacing, first, count)
+    lam = coarse / mass_factor
     if not refine:
         return lam
     fine = FdGrid(grid.r_min, grid.r_max, 2 * grid.nodes + 1)
     v2 = mass_factor * np.asarray(v_eff(fine.points()), float)
-    lam2 = _tridiag_eigs(v2, fine.spacing, first, count)
+    lam2 = _tridiag_eigs(v2, fine.spacing, first, count, near=coarse)
     return (4.0 * lam2 / mass_factor - lam) / 3.0
 
 
-def _angular_fd_once(gamma, ring: RingParams, m: int, first: int, count: int, cells: int):
+def _angular_fd_once(
+    gamma, ring: RingParams, m: int, first: int, count: int, cells: int, near=None
+):
     h = (math.pi / 2.0) / cells
     centers = (np.arange(cells) + 0.5) * h
     faces = np.arange(cells + 1) * h
@@ -139,7 +191,7 @@ def _angular_fd_once(gamma, ring: RingParams, m: int, first: int, count: int, ce
     off = -sin_f[1:cells] / h**2
     d = diag / sin_c
     e = off / np.sqrt(sin_c[:-1] * sin_c[1:])
-    return eigh_tridiagonal(d, e, eigvals_only=True, select="i", select_range=(first, count - 1))
+    return _levels(d, e, first, count, near)
 
 
 def fd_angular_eigs(gamma, ring: RingParams, m: int, count: int, cells=2000, first=0):
@@ -147,15 +199,17 @@ def fd_angular_eigs(gamma, ring: RingParams, m: int, count: int, cells=2000, fir
 
     Returns the levels first..count-1 of the quantization family (bounded at
     theta = 0, vanishing at pi/2), Aitken-extrapolated over three dyadic
-    grids.  Raises ValueError unless count and first are ints with
-    0 <= first < count.
+    grids.  The coarsest grid is an index solve; the 2x and 4x grids each
+    solve in a Sturm-certified value window around the previous grid's
+    levels (see _levels).  Raises ValueError unless count and first are ints
+    with 0 <= first < count.
     """
     _check_levels(count, first)
     if gamma * ring.a + 0.25 < 0 or gamma * ring.b + m * m < 0:
         raise OracleError("complex angular sector: radicals not real")
     l1 = _angular_fd_once(gamma, ring, m, first, count, cells)
-    l2 = _angular_fd_once(gamma, ring, m, first, count, 2 * cells)
-    l3 = _angular_fd_once(gamma, ring, m, first, count, 4 * cells)
+    l2 = _angular_fd_once(gamma, ring, m, first, count, 2 * cells, near=l1)
+    l3 = _angular_fd_once(gamma, ring, m, first, count, 4 * cells, near=l2)
     d1, d2 = l2 - l1, l3 - l2
     out = l3.copy()
     mask = np.abs(d2 - d1) > 1e-300

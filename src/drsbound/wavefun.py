@@ -19,6 +19,7 @@ bundled tables; model.derive_coefficients exposes them as `decay`.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -219,6 +220,15 @@ def _envelope_radius(spec: ProblemSpec, coeffs: CoefficientSet):
 RADIAL_NODES, THETA_NODES = 200, 200
 
 
+@functools.cache
+def _gauss_legendre(nodes):
+    """Gauss-Legendre nodes and weights on [-1, 1], built on first use and read-only."""
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
+
+
 def verify_normalization(spec: ProblemSpec, energy):
     """|quadrature of the squared normalized component - 1|.
 
@@ -227,10 +237,10 @@ def verify_normalization(spec: ProblemSpec, energy):
     is truncated where the envelope has decayed to ~1e-17.
     """
     r_max = _envelope_radius(spec, derive_coefficients(spec, energy))
-    xr, wr = np.polynomial.legendre.leggauss(RADIAL_NODES)
+    xr, wr = _gauss_legendre(RADIAL_NODES)
     r = 0.5 * r_max * (xr + 1.0)
     wr = 0.5 * r_max * wr
-    xt, wt = np.polynomial.legendre.leggauss(THETA_NODES)
+    xt, wt = _gauss_legendre(THETA_NODES)
     th = 0.5 * math.pi * (xt + 1.0)
     wt = 0.5 * math.pi * wt
     field = SpinorField.build(spec, energy)

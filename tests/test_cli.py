@@ -531,6 +531,20 @@ class TestPotentialGrid:
         line = [l for l in out.read_text().splitlines() if not l.startswith("#")][0]
         assert float(line.split()[2]) == pytest.approx(-1.9e307, rel=1e-9)
 
+    def test_large_equilibrium_distance(self, capsys, tmp_path):
+        # r_e**2 raised OverflowError for r_e above ~1.3e154; V(r_e) = -d_e is finite
+        out = tmp_path / "grid.txt"
+        code, _, _ = run(
+            capsys,
+            "potential-grid", "--potential", "kratzer", "--re", "1e200", "--a", "0", "--b", "0",
+            "--r-min", "1e200", "--r-max", "1e200", "--r-samples", "1",
+            "--theta-min", "0.7", "--theta-max", "0.7", "--theta-samples", "1",
+            "--output", str(out),
+        )
+        assert code == 0
+        line = [l for l in out.read_text().splitlines() if not l.startswith("#")][0]
+        assert float(line.split()[2]) == -12.0
+
     def test_kratzer_point_value(self, capsys, tmp_path):
         out = tmp_path / "grid.txt"
         code, _, _ = run(

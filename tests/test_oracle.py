@@ -284,7 +284,11 @@ class TestEigenvaluesOnly:
         for d, e, kwargs, out in seen:
             assert kwargs["eigvals_only"] is True
             full = eigh_tridiagonal(
-                d, e, select=kwargs["select"], select_range=kwargs["select_range"]
+                d,
+                e,
+                select=kwargs["select"],
+                select_range=kwargs["select_range"],
+                tol=kwargs.get("tol", 0.0),
             )
             assert out.tobytes() == full[0].tobytes()
 
@@ -292,12 +296,13 @@ class TestEigenvaluesOnly:
         seen = self._capture(monkeypatch)
         v_eff = lambda r: (2.3**2 - 0.25) / r**2 - 4.0 / r
         fd_radial_eigs(v_eff, FdGrid(0.0, 30.0, 3000), 2, refine=True)
-        self._assert_same_as_eigenvector_call(seen, [3000, 6001])
+        # the fine grid's window solve follows its Sturm count
+        self._assert_same_as_eigenvector_call(seen, [3000, 6001, 6001])
 
     def test_angular_matrices(self, monkeypatch):
         seen = self._capture(monkeypatch)
         fd_angular_eigs(2.072188142, RingParams(1.0, 1.0), 1, 2, cells=1500)
-        self._assert_same_as_eigenvector_call(seen, [1500, 3000, 6000])
+        self._assert_same_as_eigenvector_call(seen, [1500, 3000, 3000, 6000, 6000])
 
 
 def _radial_levels(count, first=0):
@@ -323,23 +328,48 @@ class TestLevelArguments:
             solver(2, first)
 
 
+def _norm1(d, e):
+    """||T||_1 of the symmetric tridiagonal (d, e)."""
+    col = np.abs(d)
+    col[:-1] += np.abs(e)
+    col[1:] += np.abs(e)
+    return col.max()
+
+
+def _call_kind(kwargs):
+    """index, count (Sturm count, infinite abstol) or window (value solve) for one call."""
+    if kwargs["select"] == "i":
+        return "index"
+    return "count" if kwargs.get("tol") == np.inf else "window"
+
+
+def _matrices(solver):
+    """(d, e) of each grid the solver builds for the first two levels, coarsest first."""
+    seen = {}
+
+    def recording(d, e, **kwargs):
+        seen.setdefault(len(d), (d, e))
+        return eigh_tridiagonal(d, e, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle, "eigh_tridiagonal", recording)
+        solver(2)
+    return list(seen.values())
+
+
 class TestLevelSelection:
     """Level i asked for alone is the full-range call's level i.
 
     LAPACK's bisection (stebz, abstol 0) places each eigenvalue within about
-    eps * ||T||_1 of the exact one, whichever levels share its call, so two
-    calls may differ by twice that; the Richardson and Aitken combinations
-    add at most another factor of 2 here.  The bound is 4 eps ||T||_1 of the
-    largest matrix the solver builds (about 3e-10 on the 6001-node radial
-    matrix).
+    eps * ||T||_1 of the exact one, whichever levels share its call and
+    whether it starts from the Gershgorin interval (index solve) or a value
+    window, so two calls may differ by twice that; the Richardson and Aitken
+    combinations add at most another factor of 2 here.  The bound is
+    4 eps ||T||_1 of the largest matrix the solver builds (about 3e-10 on the
+    6001-node radial matrix).  The coarsest grid is an index solve for level
+    i alone; each finer grid is a Sturm count of i levels below its window,
+    then the window solve.
     """
-
-    @staticmethod
-    def _norm1(d, e):
-        col = np.abs(d)
-        col[:-1] += np.abs(e)
-        col[1:] += np.abs(e)
-        return col.max()
 
     @pytest.mark.parametrize("count", [3, 4])
     @pytest.mark.parametrize("solver", [_radial_levels, _angular_levels], ids=["radial", "angular"])
@@ -347,18 +377,88 @@ class TestLevelSelection:
         seen = []
 
         def recording(d, e, **kwargs):
-            seen.append((d, e, kwargs["select_range"]))
-            return eigh_tridiagonal(d, e, **kwargs)
+            out = eigh_tridiagonal(d, e, **kwargs)
+            seen.append((d, e, kwargs, out))
+            return out
 
         monkeypatch.setattr(oracle, "eigh_tridiagonal", recording)
         full = solver(count)
-        norm = max(self._norm1(d, e) for d, e, _ in seen)
+        norm = max(_norm1(d, e) for d, e, *_ in seen)
         for i in range(count):
             seen.clear()
             level = solver(i + 1, first=i)
-            assert [r for *_, r in seen] == [(i, i)] * len(seen)
+            kinds = [_call_kind(kwargs) for _, _, kwargs, _ in seen]
+            assert kinds == ["index"] + ["count", "window"] * ((len(seen) - 1) // 2)
+            assert seen[0][2]["select_range"] == (i, i)
+            for (*_, count_kwargs, below), (*_, window_kwargs, window) in zip(
+                seen[1::2], seen[2::2]
+            ):
+                assert len(below) == i
+                assert count_kwargs["select_range"][1] == window_kwargs["select_range"][0]
+                assert len(window) >= 1
             assert len(level) == 1
             assert abs(level[0] - full[i]) <= 4 * np.finfo(float).eps * norm
+
+
+class TestWindowedLevels:
+    """A finer grid's level solved in a Sturm-certified window around the coarser grid's."""
+
+    @staticmethod
+    def _record(monkeypatch):
+        seen = []
+
+        def recording(d, e, **kwargs):
+            seen.append(_call_kind(kwargs))
+            return eigh_tridiagonal(d, e, **kwargs)
+
+        monkeypatch.setattr(oracle, "eigh_tridiagonal", recording)
+        return seen
+
+    @pytest.mark.parametrize("first", [0, 1, 2, 3])
+    @pytest.mark.parametrize("solver", [_radial_levels, _angular_levels], ids=["radial", "angular"])
+    def test_window_level_matches_index_level(self, monkeypatch, solver, first):
+        (coarse_d, coarse_e), (d, e), *_ = _matrices(solver)
+        near = oracle._levels(coarse_d, coarse_e, first, first + 1)
+        index = oracle._levels(d, e, first, first + 1)
+        seen = self._record(monkeypatch)
+        window = oracle._levels(d, e, first, first + 1, near=near)
+        assert seen == ["count", "window"]
+        assert len(window) == 1
+        assert abs(window[0] - index[0]) <= 2 * np.finfo(float).eps * _norm1(d, e)
+
+    @pytest.mark.parametrize("wrong", ["next-level", "above-spectrum", "below-spectrum"])
+    @pytest.mark.parametrize("first", [0, 1, 2, 3])
+    @pytest.mark.parametrize("solver", [_radial_levels, _angular_levels], ids=["radial", "angular"])
+    def test_wrong_estimate_falls_back_to_index_solve(self, monkeypatch, solver, first, wrong):
+        _, (d, e), *_ = _matrices(solver)
+        index = oracle._levels(d, e, first, first + 1)
+        norm = _norm1(d, e)
+        near = {
+            "next-level": oracle._levels(d, e, first + 1, first + 2),
+            "above-spectrum": np.array([2.0 * norm]),
+            "below-spectrum": np.array([-2.0 * norm]),
+        }[wrong]
+        seen = self._record(monkeypatch)
+        level = oracle._levels(d, e, first, first + 1, near=near)
+        # the count below lo is first + 1 or all levels, or it is 0 with an empty window
+        assert seen[-1] == "index" and seen[0] == "count"
+        assert level.tobytes() == index.tobytes()
+
+    @pytest.mark.parametrize("solver", [_radial_levels, _angular_levels], ids=["radial", "angular"])
+    def test_sturm_count_matches_index_levels(self, solver):
+        _, (d, e), *_ = _matrices(solver)
+        levels = oracle._levels(d, e, 0, 6)
+        gaps = np.diff(levels)
+        points = np.concatenate(
+            [
+                levels[:-1] + 0.5 * gaps,
+                levels[:-1] + 1e-3 * gaps,
+                levels[1:] - 1e-3 * gaps,
+                [levels[0] - 1.0, -2.0 * _norm1(d, e)],
+            ]
+        )
+        for x in points:
+            assert oracle._count_below(d, e, x) == np.count_nonzero(levels <= x)
 
 
 class TestRefinementMonotonicity:

@@ -219,6 +219,17 @@ class TestNormalization:
         fine = verify_normalization(spec, energy)
         assert fine < coarse / 4.0
 
+    def test_rule_built_once_and_read_only(self):
+        # the cached rule is leggauss's, bit for bit, shared by every call
+        x, w = wavefun._gauss_legendre(wavefun.RADIAL_NODES)
+        x_ref, w_ref = np.polynomial.legendre.leggauss(wavefun.RADIAL_NODES)
+        assert x.tobytes() == x_ref.tobytes() and w.tobytes() == w_ref.tobytes()
+        assert wavefun._gauss_legendre(wavefun.RADIAL_NODES)[0] is x
+        with pytest.raises(ValueError, match="read-only"):
+            x[0] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            w[0] = 0.0
+
     @pytest.mark.parametrize("name", ["radial_nodes", "theta_nodes", "phi_nodes"])
     def test_node_counts_rejected(self, spin_kratzer_ground, name):
         # the quadrature grid is fixed by module constants
