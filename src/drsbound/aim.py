@@ -181,11 +181,10 @@ class AimProblem:
 
 @dataclass
 class AimSeriesResult:
-    """Per-iteration (lambda_k, s_k) jets, delta_k values and eigenvalues."""
+    """Per-iteration (lambda_k, s_k) jets and delta_k values."""
 
     deltas: list = field(default_factory=list)
     pairs: list = field(default_factory=list)
-    eigenvalues: list = field(default_factory=list)
 
 
 class AimSeries:

@@ -115,6 +115,12 @@ def _root_row(root):
     }
 
 
+def _root_csv(root):
+    """energy_re,energy_im,class,residual,branch of one root, as one CSV line."""
+    e_re, e_im, klass, res, branch = _root_row(root).values()
+    return f"{fmt(e_re)},{fmt(e_im)},{klass},{fmt(res)},{branch}"
+
+
 def cmd_solve(args) -> int:
     cfg = resolve_config(args)
     spec = build_spec(args, cfg)
@@ -124,11 +130,7 @@ def cmd_solve(args) -> int:
     else:
         print("energy_re,energy_im,class,residual,branch")
         for r in roots:
-            row = _root_row(r)
-            print(
-                f"{fmt(row['energy_re'])},{fmt(row['energy_im'])},{row['class']},"
-                f"{fmt(row['residual'])},{row['branch']}"
-            )
+            print(_root_csv(r))
     return 0 if roots else 1
 
 
@@ -140,11 +142,8 @@ def cmd_table(args) -> int:
     for n, n_prime, m, a, b, _values in rows:
         spec = table_spec(args.table, n, n_prime, m, a, b, cfg)
         for r in find_roots(spec, mode=args.mode):
-            row = _root_row(r)
             lines.append(
-                f"{n},{n_prime},{m},{fmt(a)},{fmt(b)},{sym_kind},{pot_kind},"
-                f"{fmt(row['energy_re'])},{fmt(row['energy_im'])},{row['class']},"
-                f"{fmt(row['residual'])},{row['branch']}"
+                f"{n},{n_prime},{m},{fmt(a)},{fmt(b)},{sym_kind},{pot_kind},{_root_csv(r)}"
             )
     _write_output(args.output, "\n".join(lines) + "\n")
     print(f"wrote {len(lines) - 1} rows to {args.output}")

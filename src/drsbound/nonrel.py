@@ -97,13 +97,14 @@ def reduction_check_oscillator(p: NonRelParams, ell: int, n: int) -> ReductionRe
     ladder gives sqrt(k/mu)(2 n + ell + 2), a constant 1/2 above the textbook
     sqrt(k/mu)(2 n + 3/2 + ell); the report carries both alongside an
     independent finite-difference eigenvalue of the radial oscillator with an
-    explicit centrifugal term.
+    explicit centrifugal term: oracle.radial_level at gamma = 2 mu / hbar^2
+    and ell_eff^2 = (ell + 1/2)^2, divided by gamma.
     """
     if not isinstance(p.potential, Oscillator):
         raise TypeError("params do not carry an Oscillator potential")
     if p.ring.a != 0 or p.ring.b != 0:
         raise SpecError("the reduction claim addresses a = b = 0")
-    from .oracle import FdGrid, fd_radial_eigs
+    from .oracle import NONREL_NODES, radial_level
 
     k, mu, hbar = p.potential.k, p.mu, p.hbar
     omega = math.sqrt(k / mu)
@@ -113,13 +114,9 @@ def reduction_check_oscillator(p: NonRelParams, ell: int, n: int) -> ReductionRe
     textbook = hbar * omega * (2.0 * n + 1.5 + ell)
     scale = math.sqrt(hbar / (mu * omega))
     r_max = scale * math.sqrt(2.0 * (2 * n + ell + 12.0))
-    grid = FdGrid(0.0, float(r_max), 6000)
-
-    def v_eff(r):
-        return hbar**2 * ell * (ell + 1.0) / (2.0 * mu * r**2) + 0.5 * k * r**2
-
-    mass_factor = 2.0 * mu / hbar**2
-    fd = fd_radial_eigs(v_eff, grid, n + 1, mass_factor=mass_factor, refine=True, first=n)[0]
+    # ell (ell + 1) = (ell + 1/2)^2 - 1/4: the centrifugal term of radial_level
+    gamma = 2.0 * mu / hbar**2
+    fd = radial_level(p.potential, gamma, (ell + 0.5) ** 2, n, r_max, NONREL_NODES) / gamma
     return ReductionReport(
         substituted=substituted,
         textbook=textbook,

@@ -145,16 +145,15 @@ def _tridiag_eigs(v_values, h, first, count, near=None):
     return _levels(diag, off, first, count, near)
 
 
-def fd_radial_eigs(v_eff, grid: FdGrid, count: int, mass_factor=1.0, refine=False, first=0):
-    """Eigenvalues first..count-1 of -(1/mass_factor) d^2/dr^2 + V_eff with Dirichlet walls.
+def fd_radial_eigs(v_eff, grid: FdGrid, count: int, refine=False, first=0):
+    """Eigenvalues first..count-1 of -d^2/dr^2 + V_eff with Dirichlet walls.
 
-    mass_factor rescales the kinetic term so Schroedinger conventions
-    (-hbar^2/2mu d^2 + V) fit without rewrapping the potential; second-order
-    convergent in the spacing, optionally Richardson-refined on (h, h/2).
-    Levels below `first` are not computed.  The n-node grid is an index
-    solve; with refine, the (2n+1)-node grid solves in a Sturm-certified
-    value window around the n-node levels (see _levels).  Raises ValueError
-    unless count and first are ints with 0 <= first < count.
+    Second-order convergent in the spacing, optionally Richardson-refined on
+    (h, h/2).  Levels below `first` are not computed.  The n-node grid is an
+    index solve; with refine, the (2n+1)-node grid solves in a
+    Sturm-certified value window around the n-node levels (see _levels).
+    Raises ValueError unless count and first are ints with
+    0 <= first < count.
     """
     _check_levels(count, first)
     if grid.nodes < 10 * count:
@@ -164,14 +163,29 @@ def fd_radial_eigs(v_eff, grid: FdGrid, count: int, mass_factor=1.0, refine=Fals
         v = np.asarray(v_eff(r), dtype=float)
     if not np.all(np.isfinite(v)):
         raise OracleError("potential not finite on the open grid interior")
-    coarse = _tridiag_eigs(mass_factor * v, grid.spacing, first, count)
-    lam = coarse / mass_factor
+    lam = _tridiag_eigs(v, grid.spacing, first, count)
     if not refine:
         return lam
     fine = FdGrid(grid.r_min, grid.r_max, 2 * grid.nodes + 1)
-    v2 = mass_factor * np.asarray(v_eff(fine.points()), float)
-    lam2 = _tridiag_eigs(v2, fine.spacing, first, count, near=coarse)
-    return (4.0 * lam2 / mass_factor - lam) / 3.0
+    v2 = np.asarray(v_eff(fine.points()), float)
+    lam2 = _tridiag_eigs(v2, fine.spacing, first, count, near=lam)
+    return (4.0 * lam2 - lam) / 3.0
+
+
+def radial_level(potential, gamma, ell_eff_sq, index, r_max, nodes):
+    """Level `index` of -u'' + [(ell_eff^2 - 1/4)/r^2 + gamma V(r)] u = lambda u.
+
+    The radial equation in its gamma form, shared by the relativistic sweep
+    (gamma = gamma(E)) and the nonrelativistic checks (gamma = 2 mu / hbar^2,
+    where lambda / gamma is the energy).  Solved on `nodes` interior nodes of
+    (0, r_max) with Dirichlet walls and Richardson-refined (fd_radial_eigs).
+    """
+
+    def v_eff(r):
+        return (ell_eff_sq - 0.25) / r**2 + gamma * potential.radial(r)
+
+    grid = FdGrid(0.0, r_max, nodes)
+    return fd_radial_eigs(v_eff, grid, index + 1, refine=True, first=index)[0]
 
 
 def _angular_fd_once(
@@ -184,7 +198,7 @@ def _angular_fd_once(
     sin_c = np.sin(centers)
     q = (
         0.25
-        + (m * m + gamma * ring.b) / np.sin(centers) ** 2
+        + (m * m + gamma * ring.b) / sin_c**2
         + gamma * ring.a / np.cos(centers) ** 2
     )
     diag = (sin_f[:cells] + sin_f[1:]) / h**2 + q * sin_c
@@ -215,14 +229,6 @@ def fd_angular_eigs(gamma, ring: RingParams, m: int, count: int, cells=2000, fir
     mask = np.abs(d2 - d1) > 1e-300
     out[mask] = l3[mask] - d2[mask] ** 2 / (d2[mask] - d1[mask])
     return out
-
-
-def _radial_beta_sq_fd(spec: ProblemSpec, gamma, ell_eff_sq, index, r_max, nodes):
-    def v_eff(r):
-        return (ell_eff_sq - 0.25) / r**2 + gamma * spec.potential.radial(r)
-
-    grid = FdGrid(0.0, r_max, nodes)
-    return fd_radial_eigs(v_eff, grid, index + 1, refine=True, first=index)[0]
 
 
 @dataclass
@@ -269,11 +275,11 @@ def _consistency_map(
         r_max = max(6.0, 3.0 * (abs(g) * spec.potential.k / 8.0) ** -0.25)
     if domain is not None and domain.doublings is not None:
         r_max *= 2.0**domain.doublings
-        return _radial_beta_sq_fd(spec, g, lam_ang, n, r_max, nodes) - b
-    prev = _radial_beta_sq_fd(spec, g, lam_ang, n, r_max, nodes)
+        return radial_level(spec.potential, g, lam_ang, n, r_max, nodes) - b
+    prev = radial_level(spec.potential, g, lam_ang, n, r_max, nodes)
     for doublings in range(1, 5):
         r_max *= 2.0
-        lam_rad = _radial_beta_sq_fd(spec, g, lam_ang, n, r_max, nodes)
+        lam_rad = radial_level(spec.potential, g, lam_ang, n, r_max, nodes)
         if abs(lam_rad - prev) < 1e-8 * (1.0 + abs(lam_rad)):
             break
         prev = lam_rad
@@ -387,27 +393,24 @@ def self_consistent_energy(spec: ProblemSpec, initial_energy: float):
     return e_star
 
 
-def nonrel_energy_fd(params, qn, index=None, nodes=6000, r_max=None):
-    """FD eigenvalue of the nonrelativistic separated radial problem.
+#: Nodes of the radial FD grid in the nonrelativistic checks.
+NONREL_NODES = 6000
+
+
+def nonrel_energy_fd(params, qn):
+    """FD energy of level n of the nonrelativistic separated radial problem.
 
     Solves -hbar^2/(2 mu) u'' + [V(r) + hbar^2 (L^2 - 1/4)/(2 mu r^2)] u = E u
-    with the ring-quantized L = ell_eff; the independent check for the
-    closed-form nonrelativistic spectra.
+    with the ring-quantized L = ell_eff as radial_level at
+    gamma = 2 mu / hbar^2, whose eigenvalue is gamma E; the independent check
+    for the closed-form nonrelativistic spectra.
     """
     from .nonrel import coefficients_nr
 
-    mu, hbar = params.mu, params.hbar
+    gamma = 2.0 * params.mu / params.hbar**2
     ell_eff = coefficients_nr(params, qn).ell_eff.real
-    n = qn.n if index is None else index
-    if r_max is None:
-        if isinstance(params.potential, Kratzer):
-            r_max = 6.0 * (n + 1)
-        else:
-            r_max = 3.0 * math.sqrt(2.0 * n + ell_eff + 10.0)
-
-    def v_eff(r):
-        return params.potential.radial(r) + hbar**2 * (ell_eff**2 - 0.25) / (2.0 * mu * r**2)
-
-    grid = FdGrid(0.0, float(r_max), nodes)
-    mass_factor = 2.0 * mu / hbar**2
-    return fd_radial_eigs(v_eff, grid, n + 1, mass_factor=mass_factor, refine=True, first=n)[0]
+    if isinstance(params.potential, Kratzer):
+        r_max = 6.0 * (qn.n + 1)
+    else:
+        r_max = 3.0 * math.sqrt(2.0 * qn.n + ell_eff + 10.0)
+    return radial_level(params.potential, gamma, ell_eff**2, qn.n, r_max, NONREL_NODES) / gamma

@@ -1147,8 +1147,11 @@ def classify_value(spec: ProblemSpec, value: float, match_tol=1e-4):
     _check_tolerance(match_tol)
     search = _search_branches(spec)
     candidates = []
+    nearest = None
     for br in search:
         root = _polish_branch_root(spec, br, value)
+        if root is not None and (nearest is None or abs(root - value) < abs(nearest - value)):
+            nearest = root
         if root is None or abs(root - value) > match_tol:
             continue
         hit = _best_branch(spec, root, [br], tol=1e-8)
@@ -1180,8 +1183,9 @@ def classify_value(spec: ProblemSpec, value: float, match_tol=1e-4):
         return klass, dev, br, res, None
     # class D: report how close the search came.  branch_residuals holds
     # |lhs - rhs| on the four strategies under principal roots, then under
-    # the modulus reading; None at a pole.
-    diag = {"branch_residuals": {}, "nearest_root": None, "nearest_pair_re": None}
+    # the modulus reading; None at a pole.  nearest_root is the deciding
+    # polish's root nearest the value (reach 128 x 2e-3), else None.
+    diag = {"branch_residuals": {}, "nearest_root": nearest, "nearest_pair_re": None}
     for reading, sq in (("principal", branch_sqrt), ("modulus", _modulus_sqrt)):
         for br in principal_branches():
             try:
@@ -1190,12 +1194,6 @@ def classify_value(spec: ProblemSpec, value: float, match_tol=1e-4):
             except SpectralPoleError:
                 res = None
             diag["branch_residuals"][f"{_sign_text(br)},{reading}"] = res
-    nearest = None
-    for br in search:
-        root = _polish_branch_root(spec, br, value, span=0.05)
-        if root is not None and (nearest is None or abs(root - value) < abs(nearest - value)):
-            nearest = root
-    diag["nearest_root"] = nearest
     near_pairs = []
     if isinstance(spec.potential, Kratzer) and not central:
         # informational only: the squared Kratzer form has no polynomial

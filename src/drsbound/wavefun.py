@@ -64,10 +64,10 @@ def radial_kratzer(r, coeffs: CoefficientSet, n: int):
     return r**zeta * np.exp(-w * r) * hyp1f1_terminating(n, 2 * zeta, 2 * w * r).value
 
 
-def radial_oscillator(r, coeffs: CoefficientSet, n: int, ell_eff=None):
+def radial_oscillator(r, coeffs: CoefficientSet, n: int):
     """Oscillator radial factor r^(l+1) exp(-W r^2) 1F1(-n; l+3/2; 2 W r^2)."""
     w = _decay(coeffs)
-    leff = _real(coeffs.ell_eff if ell_eff is None else ell_eff, "ell_eff")
+    leff = _real(coeffs.ell_eff, "ell_eff")
     r = np.asarray(r, dtype=float)
     series = hyp1f1_terminating(n, leff + 1.0, 2 * w * r * r).value
     return r ** (leff + 0.5) * np.exp(-w * r * r) * series
@@ -250,12 +250,11 @@ def verify_normalization(spec: ProblemSpec, energy):
     return abs(2.0 * math.pi * radial_theta - 1.0)
 
 
-def radial_node_count(spec: ProblemSpec, energy, r_max=None, samples=4000):
-    """Sign changes of the radial factor on (0, r_max)."""
+def radial_node_count(spec: ProblemSpec, energy):
+    """Sign changes of the radial factor at 4000 points up to the envelope radius."""
     coeffs = derive_coefficients(spec, energy)
-    if r_max is None:
-        r_max = _envelope_radius(spec, coeffs)
-    r = np.linspace(r_max / samples, r_max, samples)
+    r_max = _envelope_radius(spec, coeffs)
+    r = np.linspace(r_max / 4000, r_max, 4000)
     vals = _radial(spec, coeffs, r, spec.qn.n)
     signs = np.sign(vals)
     return int(np.sum(signs[:-1] * signs[1:] < 0))

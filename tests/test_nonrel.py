@@ -111,6 +111,24 @@ class TestReductionCheck:
             reduction_check_oscillator(oscillator_params(a=1.0), ell=0, n=0)
 
 
+class TestFdPins:
+    # literals of the former mass_factor radial solver, kept to rel 1e-12
+    def test_kratzer_level(self):
+        fd = nonrel_energy_fd(kratzer_params(), QuantumNumbers())
+        assert fd == pytest.approx(-7.23241306510691, rel=1e-12)
+
+    def test_oscillator_level(self):
+        fd = nonrel_energy_fd(oscillator_params(), QuantumNumbers())
+        assert fd == pytest.approx(2.500000000111932, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "ell, n, want", [(0, 0, 1.5000000083245049), (2, 1, 5.500000266631468)]
+    )
+    def test_reduction_check_level(self, ell, n, want):
+        report = reduction_check_oscillator(oscillator_params(), ell=ell, n=n)
+        assert report.fd_eigenvalue == pytest.approx(want, rel=1e-12)
+
+
 class TestWavefunction:
     def test_ground_state_nodeless(self):
         p = kratzer_params()

@@ -5,7 +5,7 @@ import pytest
 from scipy.linalg import eigh_tridiagonal
 
 from drsbound import oracle
-from drsbound.model import Kratzer, QuantumNumbers, RingParams, SpecError
+from drsbound.model import Kratzer, Oscillator, QuantumNumbers, RingParams, SpecError
 from drsbound.nonrel import NonRelParams, energy_kratzer_nr
 from drsbound.oracle import (
     DivergenceError,
@@ -14,6 +14,7 @@ from drsbound.oracle import (
     fd_angular_eigs,
     fd_radial_eigs,
     nonrel_energy_fd,
+    radial_level,
     self_consistent_energy,
 )
 from drsbound.spectrum import angular_quantization, find_roots, table_spec
@@ -57,6 +58,17 @@ class TestRadialSolver:
             errs.append(abs(fd_radial_eigs(lambda r: r**2, grid, 1)[0] - exact))
         assert errs[0] / errs[1] > 3.8
 
+    def test_no_mass_factor(self):
+        # one kinetic term, -d^2/dr^2; Schroedinger scalings go through radial_level
+        with pytest.raises(TypeError):
+            fd_radial_eigs(lambda r: r**2, FdGrid(0.0, 12.0, 3000), 1, mass_factor=2.0)
+
+    def test_radial_level_is_the_gamma_form(self):
+        # -u'' + [(l_eff^2 - 1/4)/r^2 + gamma k r^2 / 2] u: l_eff = 3/2 and
+        # gamma k / 2 = 1 give the ell = 1 radial oscillator level 4 j + 5 at j = 1
+        level = radial_level(Oscillator(1.0), 2.0, 2.25, 1, 12.0, 3000)
+        assert level == pytest.approx(9.0, rel=1e-6)
+
     def test_grid_too_coarse_rejected(self):
         grid = FdGrid(0.0, 10.0, 60)
         with pytest.raises(OracleError):
@@ -95,6 +107,10 @@ class TestAngularSolver:
                     for n_prime in range(2):
                         expected = angular_quantization(gamma, ring, m, n_prime).real ** 2
                         assert abs(eigs[n_prime] - expected) / expected < 1e-3
+
+    def test_ring_dressed_levels_pinned(self):
+        eigs = fd_angular_eigs(2.0, RingParams(1.0, 0.5), 1, 2)
+        assert [float(x).hex() for x in eigs] == ["0x1.ea46300ebbe19p+3", "0x1.17d2c8cabbbbfp+5"]
 
     def test_complex_sector_rejected(self):
         with pytest.raises(OracleError):

@@ -700,7 +700,8 @@ class TestBatchedPolishLadder:
         assert ladder_calls and any(w is not None for w in want)
 
     def test_class_d_diagnostic_bit_identical(self, table_audits, ladder_calls):
-        # the span-0.05 polishes behind each class-D entry's nearest_root
+        # a property of the polish at a span wider than classify_value's:
+        # on every class-D entry the batched ladder matches the scalar one
         from drsbound.spectrum import _polish_branch_root, _search_branches
 
         got, want = [], []
@@ -713,7 +714,7 @@ class TestBatchedPolishLadder:
                     got.append(_bits(_polish_branch_root(spec, br, e.value, span=0.05)))
                     want.append(_bits(_polish_oracle(spec, br, e.value, span=0.05)))
         assert len(got) >= 44 and got == want
-        assert ladder_calls  # these all end without a bracket: nearest_root is null
+        assert ladder_calls  # these all end without a bracket
 
     def test_random_specs_bit_identical(self, ladder_calls):
         from drsbound.spectrum import _polish_branch_root, _search_branches
@@ -927,6 +928,53 @@ class TestAudit:
         klass, dev, _, _, _ = classify_value(spec, -2.604114296)
         assert klass is RootClass.B
         assert dev < 1e-4
+
+    @pytest.mark.parametrize(
+        "cell, value",
+        [((1, 0, 0, 0, 1.0, 1.0), -1.470943351), ((2, 0, 0, 0, 0.0, 0.0), 3.3)],
+        ids=["ring-dressed", "central"],
+    )
+    def test_class_d_polishes_once_per_branch(self, monkeypatch, cell, value):
+        # the class-D diagnostic reads the deciding polish: one polish per
+        # search branch, besides those of the central polynomial path
+        from drsbound import spectrum
+
+        spec = table_spec(*cell)
+        calls, inside = [], []
+        polish, polynomial = spectrum._polish_branch_root, spectrum._polynomial_roots
+
+        def counted_polish(*args, **kwargs):
+            if not inside:
+                calls.append(args[1])
+            return polish(*args, **kwargs)
+
+        def marked_polynomial(*args, **kwargs):
+            inside.append(True)
+            try:
+                return polynomial(*args, **kwargs)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(spectrum, "_polish_branch_root", counted_polish)
+        monkeypatch.setattr(spectrum, "_polynomial_roots", marked_polynomial)
+        klass, *_ = classify_value(spec, value)
+        assert klass is RootClass.D
+        assert calls == list(spectrum._search_branches(spec))
+
+    def test_nearest_root_is_the_deciding_polish_root(self):
+        spec = table_spec(3, 1, 0, 1, 1.0, 0.5)
+        (root,) = [r.energy.real for r in find_roots(spec, mode="strict")]
+        assert root == pytest.approx(2.6764728302, abs=1e-10)
+        klass, _, _, _, diag = classify_value(spec, root + 0.1)
+        assert klass is RootClass.D
+        assert abs(diag["nearest_root"] - root) < 1e-12
+
+    def test_nearest_root_null_beyond_polish_reach(self):
+        # 1.0 lies beyond the deciding polish's widest bracket, 128 x 2e-3
+        spec = table_spec(3, 1, 0, 1, 1.0, 0.5)
+        klass, _, _, _, diag = classify_value(spec, 2.6764728302 + 1.0)
+        assert klass is RootClass.D
+        assert diag["nearest_root"] is None
 
     def test_unknown_table_rejected(self):
         with pytest.raises(ValueError):
