@@ -15,6 +15,8 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, fields, replace
+from functools import cached_property
+from typing import NamedTuple
 
 
 class SpecError(ValueError):
@@ -172,6 +174,31 @@ class QuantumNumbers:
             raise SpecError("kappa = 0 is not a valid spin-orbit quantum number")
 
 
+class _ConditionTerms(NamedTuple):
+    """The numbers a spec's spectral conditions read, taken from it once.
+
+    Each entry is a field of the spec or a product the conditions formed
+    from fields on every call, formed here the same way, so every float
+    operation of a condition rounds as before.  The Kratzer entries are None
+    for the oscillator and k2 is None for the Kratzer.
+    """
+
+    is_spin: bool
+    oscillator: bool
+    mass: float
+    c: float  # the symmetry constant C_s or C_ps
+    a: float
+    b: float
+    m_sq: int  # m^2
+    two_n_prime: int  # 2 n'
+    two_n: int  # 2 n
+    nu: float  # n + 1/2
+    k2: float | None  # 2 k
+    d_e: float | None
+    r_e_sq: float | None  # r_e^2
+    t_sq: float | None  # (d_e r_e)^2
+
+
 @dataclass(frozen=True)
 class ProblemSpec:
     """Complete input for any computation in this package."""
@@ -192,6 +219,32 @@ class ProblemSpec:
 
     def with_qn(self, **kwargs):
         return replace(self, qn=replace(self.qn, **kwargs))
+
+    @cached_property
+    def _condition_terms(self):
+        """The spectral conditions' `_ConditionTerms`, built on first use.
+
+        Not a field: equality, hash, repr and `dataclasses.replace` see
+        only the five fields, and a replaced spec builds its own record.
+        """
+        pot, qn = self.potential, self.qn
+        oscillator = isinstance(pot, Oscillator)
+        return _ConditionTerms(
+            is_spin=self.is_spin,
+            oscillator=oscillator,
+            mass=self.mass,
+            c=self.symmetry.constant,
+            a=self.ring.a,
+            b=self.ring.b,
+            m_sq=qn.m**2,
+            two_n_prime=2 * qn.n_prime,
+            two_n=2 * qn.n,
+            nu=qn.n + 0.5,
+            k2=2.0 * pot.k if oscillator else None,
+            d_e=None if oscillator else pot.d_e,
+            r_e_sq=None if oscillator else pot.r_e**2,
+            t_sq=None if oscillator else (pot.d_e * pot.r_e) ** 2,
+        )
 
 
 @dataclass(frozen=True)

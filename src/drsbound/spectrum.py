@@ -176,15 +176,15 @@ def _radical_term(e, spec: ProblemSpec, sq):
     With u = sq(a gamma + 1/4), v = sq(b gamma + m^2) and omega = u + v:
     d = omega + 2 n' + 2 + 2 n for the oscillator, the big radical
     w = sq((omega + 2 n' + 1)^2 + gamma De re^2) for the Kratzer.  e is a
-    complex or a complex array.
+    complex or a complex array.  Like `_condition` and `_squared_at`, it
+    reads the spec's numbers from its cached `_condition_terms` record.
     """
-    m_, c = spec.mass, spec.symmetry.constant
-    g = e + m_ - c if spec.is_spin else e - m_ - c
-    omega = sq(spec.ring.a * g + 0.25) + sq(spec.ring.b * g + spec.qn.m**2)
-    if isinstance(spec.potential, Oscillator):
-        return omega + 2 * spec.qn.n_prime + 2 + 2 * spec.qn.n
-    pot = spec.potential
-    return sq((omega + 2 * spec.qn.n_prime + 1) ** 2 + g * pot.d_e * pot.r_e**2)
+    t = spec._condition_terms
+    g = e + t.mass - t.c if t.is_spin else e - t.mass - t.c
+    omega = sq(t.a * g + 0.25) + sq(t.b * g + t.m_sq)
+    if t.oscillator:
+        return omega + t.two_n_prime + 2 + t.two_n
+    return sq((omega + t.two_n_prime + 1) ** 2 + g * t.d_e * t.r_e_sq)
 
 
 def _raise_at_pole(at_pole, what):
@@ -207,27 +207,26 @@ def _condition(e, spec: ProblemSpec, branch: BranchStrategy, sq, pole):
     decides what a pole does: scalar callers raise, the array scan masks;
     `valid` combines its results.
     """
-    m_, c = spec.mass, spec.symmetry.constant
-    pot = spec.potential
+    t = spec._condition_terms
+    m_, c = t.mass, t.c
     rad = _radical_term(e, spec, sq)
-    if isinstance(pot, Oscillator):
-        if spec.is_spin:
-            return (m_ - e) * sq(c - e - m_), branch.sigma_rhs * sq(2.0 * pot.k) * rad, True
-        return (m_ + e) * sq(e - m_ - c), branch.sigma_rhs * sq(-2.0 * pot.k) * rad, True
-    den = spec.qn.n + 0.5 + branch.sigma_inner * rad
+    if t.oscillator:
+        if t.is_spin:
+            return (m_ - e) * sq(c - e - m_), branch.sigma_rhs * sq(t.k2) * rad, True
+        return (m_ + e) * sq(e - m_ - c), branch.sigma_rhs * sq(-t.k2) * rad, True
+    den = t.nu + branch.sigma_inner * rad
     ok = pole(abs(den) < POLE_TOL * (1.0 + abs(rad)), "vanishing Kratzer denominator")
-    t_sq = (pot.d_e * pot.r_e) ** 2
-    if spec.is_spin:
+    if t.is_spin:
         lhs_den = m_ + e - c
         ok = ok & pole(
             abs(lhs_den) < POLE_TOL * (1.0 + abs(e)), "spin residual pole: M + E - C_s = 0"
         )
-        return (e - m_) / lhs_den, -branch.sigma_rhs * t_sq / den**2, ok
+        return (e - m_) / lhs_den, -branch.sigma_rhs * t.t_sq / den**2, ok
     lhs_den = m_ - e + c
     ok = ok & pole(
         abs(lhs_den) < POLE_TOL * (1.0 + abs(e)), "pseudospin residual pole: M - E + C_ps = 0"
     )
-    return (e + m_) / lhs_den, branch.sigma_rhs * t_sq / den**2, ok
+    return (e + m_) / lhs_den, branch.sigma_rhs * t.t_sq / den**2, ok
 
 
 def residual(energy, spec: ProblemSpec, branch: BranchStrategy = CANONICAL):
@@ -313,18 +312,15 @@ def _squared_at(e, spec: ProblemSpec, sigma_rhs, rad):
 
     `_seed_factor` also passes -rad, the Kratzer radical's other root.
     """
-    m_, c = spec.mass, spec.symmetry.constant
-    pot = spec.potential
-    if isinstance(pot, Oscillator):
-        k2 = 2.0 * pot.k
-        if spec.is_spin:
-            return (m_ - e) ** 2 * (c - e - m_) - k2 * rad * rad
-        return (m_ + e) ** 2 * (e - m_ - c) + k2 * rad * rad
-    t_sq = (pot.d_e * pot.r_e) ** 2
-    nu = spec.qn.n + 0.5
-    if spec.is_spin:
-        return (e - m_) * (nu + rad) ** 2 + sigma_rhs * t_sq * (e + m_ - c)
-    return (e + m_) * (nu + rad) ** 2 - sigma_rhs * t_sq * (m_ - e + c)
+    t = spec._condition_terms
+    m_, c = t.mass, t.c
+    if t.oscillator:
+        if t.is_spin:
+            return (m_ - e) ** 2 * (c - e - m_) - t.k2 * rad * rad
+        return (m_ + e) ** 2 * (e - m_ - c) + t.k2 * rad * rad
+    if t.is_spin:
+        return (e - m_) * (t.nu + rad) ** 2 + sigma_rhs * t.t_sq * (e + m_ - c)
+    return (e + m_) * (t.nu + rad) ** 2 - sigma_rhs * t.t_sq * (m_ - e + c)
 
 
 def squared_form(energy, spec: ProblemSpec, sigma_rhs: int = 1):
@@ -732,7 +728,12 @@ def _scan_branches(spec, branches, interval, panels_per_unit, zeros):
 def _polynomial_roots(spec, zeros, paper_compat):
     """Roots of the exact squared-polynomial paths (a = b = 0 only).
 
-    zeros is the spec's `_eliminant_zeros`.
+    zeros is the spec's `_eliminant_zeros`, or part of each array of them:
+    every zero is handled on its own, so a part gives the roots of its
+    zeros, in the same order.  A real zero x is polished at span 1e-6,
+    which keeps the root within 1e-6 2^(POLISH_GROW_STEPS - 1) of x;
+    `classify_value` passes only the zeros within that reach and its match
+    tolerance of the value, `find_roots` all of them.
     """
     out = []
     search = _search_branches(spec)
@@ -1139,6 +1140,14 @@ def _modulus_sqrt(z):
 def classify_value(spec: ProblemSpec, value: float, match_tol=1e-4):
     """Audit one published number against every branch and squared form.
 
+    Each search branch is polished from the value; for a central spec
+    (a = b = 0) the exact polynomial path adds its real roots, computed
+    only from the eliminant zeros whose real part x lies within match_tol
+    + R of the value, R = 1e-6 2^(POLISH_GROW_STEPS - 1) = 1.28e-4.  The
+    path's span-1e-6 polish cannot carry a root out of its widest bracket
+    [x - R, x + R], so the restriction is exact: it drops only zeros whose
+    root cannot match.  Complex pairs are read from all the zeros.
+
     Raises ValueError if the value is not finite or the match tolerance is
     not finite and positive.
     """
@@ -1161,9 +1170,14 @@ def classify_value(spec: ProblemSpec, value: float, match_tol=1e-4):
     pair_zeros = []
     if central:
         # the exact polynomial paths catch real roots the bracketing polish
-        # cannot reach (radical branch points, purely imaginary residuals)
+        # cannot reach (radical branch points, purely imaginary residuals).
+        # A zero is kept when the float bracket [x - reach, x + reach] its
+        # polish stays in comes within match_tol of the value
         zeros = _eliminant_zeros(spec)
-        for r in _polynomial_roots(spec, zeros, paper_compat=False):
+        reach = 1e-6 * 2.0 ** (POLISH_GROW_STEPS - 1)
+        near = lambda x: np.maximum(x - reach - value, value - (x + reach)) <= match_tol
+        zeros_near = [(srhs, zs[near(zs.real)]) for srhs, zs in zeros]
+        for r in _polynomial_roots(spec, zeros_near, paper_compat=False):
             if abs(r.energy.real - value) <= match_tol:
                 candidates.append(
                     (r.root_class, abs(r.energy.real - value), r.branch.label(), r.residual_norm)

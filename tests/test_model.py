@@ -1,4 +1,6 @@
 import math
+import pickle
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -186,3 +188,38 @@ class TestValidation:
         angular = (1.0 / math.sin(theta) ** 2 + 1.0 / math.cos(theta) ** 2) / r**2
         got = potential_value(spec.potential, spec.ring, r, theta)
         assert got == pytest.approx(v1 + angular, rel=1e-14)
+
+
+class TestConditionTerms:
+    """The cached record of the spectral conditions' numbers is no part of a spec's value."""
+
+    def test_equality_hash_and_repr_unchanged(self):
+        spec, fresh = spin_kratzer(a=1.0, b=0.5, m=1), spin_kratzer(a=1.0, b=0.5, m=1)
+        before = (repr(spec), hash(spec))
+        assert spec._condition_terms.mass == 5.0
+        assert "_condition_terms" in vars(spec) and "_condition_terms" not in vars(fresh)
+        assert (repr(spec), hash(spec)) == before == (repr(fresh), hash(fresh))
+        assert spec == fresh and "_condition_terms" not in repr(spec)
+        assert [f.name for f in fields(ProblemSpec)] == [
+            "symmetry", "potential", "ring", "params", "qn",
+        ]
+
+    def test_follows_replace(self):
+        spec = pseudo_kratzer(a=1.0, b=0.5, n=1, m=2)
+        terms = spec._condition_terms
+        moved = replace(spec, potential=Oscillator(2.5), params=PhysicalParams(3.0))
+        assert moved._condition_terms == terms._replace(
+            oscillator=True, mass=3.0, k2=5.0, d_e=None, r_e_sq=None, t_sq=None
+        )
+        assert spec.with_qn(n=3, n_prime=2)._condition_terms == terms._replace(
+            two_n_prime=4, two_n=6, nu=3.5
+        )
+        assert spec._condition_terms is terms
+
+    def test_pickle_round_trip(self):
+        spec = spin_kratzer(a=1.0, b=0.5, m=1)
+        terms = spec._condition_terms
+        back = pickle.loads(pickle.dumps(spec))
+        assert back == spec and hash(back) == hash(spec) and repr(back) == repr(spec)
+        assert back._condition_terms == terms
+        assert replace(back)._condition_terms == terms

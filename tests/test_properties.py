@@ -20,6 +20,7 @@ from drsbound.model import (
     Spin,
 )
 from drsbound.spectrum import (
+    POLISH_GROW_STEPS,
     BranchStrategy,
     SpectralPoleError,
     _eliminant_zeros,
@@ -29,10 +30,15 @@ from drsbound.spectrum import (
     residual,
 )
 from test_spectrum import (
+    MATCH_TOLS,
     _bits,
+    _full_polynomial_roots,
     _public_squared_polynomial,
+    _root_bits,
     _scan_one_branch,
     _squared_polynomial_oracle,
+    _taken_polynomial_roots,
+    _within,
 )
 
 PROPERTY_SETTINGS = settings(derandomize=True, max_examples=60, deadline=None, database=None)
@@ -133,3 +139,20 @@ def test_central_squared_polynomial_equals_closed_form(spec, sigma_rhs):
     # the eliminant at a = b = 0 keeps the closed forms' rounding, not only their value
     got = _public_squared_polynomial(spec, sigma_rhs)
     assert list(map(_bits, got)) == list(map(_bits, _squared_polynomial_oracle(spec, sigma_rhs)))
+
+
+@settings(PROPERTY_SETTINGS, max_examples=25)
+@given(central_specs, st.floats(-2.0, 2.0))
+def test_near_value_polynomial_path_equals_full_path(spec, offset):
+    # values at each near-real eliminant zero x, at x + offset (match_tol + reach)
+    # with reach the span-1e-6 polish's widest half-bracket, and match_tol
+    # either side of each root of the full path
+    reach = 1e-6 * 2.0 ** (POLISH_GROW_STEPS - 1)
+    full = _full_polynomial_roots(spec)
+    xs = [z.real for _, zs in _eliminant_zeros(spec) for z in zs if abs(z.imag) < 1e-6]
+    for match_tol in MATCH_TOLS:
+        values = [x + d for x in xs for d in (0.0, offset * (match_tol + reach))]
+        values += [r.energy.real + d for r in full for d in (-match_tol, match_tol)]
+        for v in values:
+            taken, _ = _taken_polynomial_roots(spec, v, match_tol)
+            assert _root_bits(taken) == _root_bits(_within(full, v, match_tol))

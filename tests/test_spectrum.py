@@ -1,4 +1,6 @@
+import json
 import math
+import pathlib
 from dataclasses import replace
 
 import numpy as np
@@ -773,6 +775,88 @@ class TestBatchedPolishLadder:
         assert ladder_calls and any(w is not None for w in want)
 
 
+#: match_tol values of the near-value polynomial path tests.
+MATCH_TOLS = (1e-8, 1e-4, 1e-2, 1.0)
+
+
+def _root_bits(roots):
+    return [(_hex_pair(r.energy), r.branch, r.residual_norm.hex(), r.root_class) for r in roots]
+
+
+def _within(roots, value, match_tol):
+    return [r for r in roots if abs(r.energy.real - value) <= match_tol]
+
+
+def _full_polynomial_roots(spec):
+    """The oracle: the polynomial path on every eliminant zero of the spec."""
+    from drsbound.spectrum import _eliminant_zeros, _polynomial_roots
+
+    return _polynomial_roots(spec, _eliminant_zeros(spec), False)
+
+
+def _taken_polynomial_roots(spec, value, match_tol):
+    """(roots, zeros passed) of classify_value's one `_polynomial_roots` call.
+
+    roots are the call's roots within match_tol of the value, the
+    candidates classify_value takes from it.
+    """
+    from drsbound import spectrum
+
+    polynomial_roots, seen = spectrum._polynomial_roots, []
+
+    def recorded(spec_, zeros, paper_compat):
+        seen.append((polynomial_roots(spec_, zeros, paper_compat), zeros))
+        return seen[-1][0]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spectrum, "_polynomial_roots", recorded)
+        classify_value(spec, value, match_tol)
+    ((roots, zeros),) = seen
+    return _within(roots, value, match_tol), zeros
+
+
+class TestNearValuePolynomialPath:
+    """classify_value polishes only the eliminant zeros that can match the value."""
+
+    @pytest.mark.parametrize("match_tol", MATCH_TOLS)
+    def test_central_table_values(self, match_tol):
+        from drsbound.spectrum import _eliminant_zeros
+
+        matched = passed = total = 0
+        for table in (1, 2, 3, 4):
+            for n, npr, m, a, b, values in load_table_data(table):
+                if a or b:
+                    continue
+                spec = table_spec(table, n, npr, m, a, b)
+                full = _full_polynomial_roots(spec)
+                for v in values:
+                    taken, zeros = _taken_polynomial_roots(spec, v, match_tol)
+                    want = _within(full, v, match_tol)
+                    assert _root_bits(taken) == _root_bits(want), (table, n, npr, m, v)
+                    matched += bool(want)
+                    passed += sum(z.size for _, z in zeros)
+                    total += sum(z.size for _, z in _eliminant_zeros(spec))
+        # 117 central values; the filter is not vacuous and leaves zeros out
+        assert matched >= 50 and passed < total
+
+    def test_audit_polish_count(self, monkeypatch):
+        # one audit pass polishes 1,230 times; polishing each central
+        # value's whole real spectrum would make it 2,221
+        from drsbound import spectrum
+
+        calls = []
+        polish = spectrum._polish_branch_root
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return polish(*args, **kwargs)
+
+        monkeypatch.setattr(spectrum, "_polish_branch_root", counted)
+        for table in (1, 2, 3, 4):
+            audit_table(table)
+        assert len(calls) == 1230
+
+
 class TestTableDataFormat:
     def test_malformed_row_rejected(self, tmp_path):
         bad = tmp_path / "bad.txt"
@@ -1115,3 +1199,78 @@ class TestBitPins:
         f = _seed_factor(table_spec(*cell), np.full(z.size, float(sigma_rhs)))
         got = [(w.real.hex(), w.imag.hex()) for w in f(z, np.arange(z.size))]
         assert got == want
+
+
+#: Parameters of the spectral-condition pins.  None is a bundled table's,
+#: so M - C and the Kratzer products are not round numbers.
+PIN_PARAMS = {"mass": 4.3, "c_s": 2.7, "c_ps": -2.7, "d_e": 12.5, "r_e": 0.55, "k": 1.7}
+#: (table, n, n', m, a, b): spin and pseudospin x Kratzer and oscillator x central and ring.
+PIN_CELLS = [(t, 1, 2, -2, a, b) for t in (1, 2, 3, 4) for a, b in ((0.0, 0.0), (0.8, 1.7))]
+PIN_ENERGIES = (-3.7, 2.9, 1.1 + 0.6j, -2.3 - 1.4j)
+
+
+def _pin_key(cell):
+    return " ".join(str(x) for x in cell)
+
+
+def _hex_pair(z):
+    z = complex(z)
+    return f"{z.real.hex()} {z.imag.hex()}"
+
+
+def _condition_pins(spec):
+    """float.hex of the spectral condition at PIN_ENERGIES and the lhs pole.
+
+    Per energy: `residual` on the four principal branches ("pole" where it
+    raises), `squared_form` for sigma_rhs +1 and -1, and `_residual_array`
+    over the stacked principal branches, all energies in one array (None
+    where masked).
+    """
+    from drsbound.spectrum import SpectralPoleError, _BranchStack, _lhs_pole, _residual_array
+
+    energies = [complex(e) for e in PIN_ENERGIES] + [complex(_lhs_pole(spec))]
+    vals, ok = _residual_array(spec, energies, _BranchStack.of(principal_branches()))
+    out = []
+    for j, e in enumerate(energies):
+        res = []
+        for br in principal_branches():
+            try:
+                res.append(_hex_pair(residual(e, spec, br)))
+            except SpectralPoleError:
+                res.append("pole")
+        out.append({
+            "energy": _hex_pair(e),
+            "residual": res,
+            "squared_form": [_hex_pair(squared_form(e, spec, s)) for s in (1, -1)],
+            "residual_array": [_hex_pair(v) if k else None for v, k in zip(vals[:, j], ok[:, j])],
+        })
+    return out
+
+
+def _load_condition_pins():
+    path = pathlib.Path(__file__).resolve().parent / "data" / "condition_pins.json"
+    return json.loads(path.read_text())
+
+
+class TestConditionPins:
+    """The scalar, squared and array conditions keep every bit.
+
+    tests/data/condition_pins.json holds `_condition_pins` of each PIN_CELLS
+    spec; how the conditions read the spec may change, these bits may not.
+    """
+
+    @pytest.mark.parametrize("cell", PIN_CELLS, ids=_pin_key)
+    def test_bits(self, cell):
+        spec = table_spec(*cell, params=PIN_PARAMS)
+        assert _condition_pins(spec) == _load_condition_pins()[_pin_key(cell)]
+
+    @pytest.mark.parametrize("table", [1, 3])
+    def test_kratzer_lhs_pole_raises(self, table):
+        from drsbound.spectrum import SpectralPoleError, _lhs_pole
+
+        spec = table_spec(table, 1, 2, -2, 0.8, 1.7, PIN_PARAMS)
+        with pytest.raises(SpectralPoleError, match="residual pole"):
+            residual(_lhs_pole(spec), spec)
+        pins = _load_condition_pins()[_pin_key((table, 1, 2, -2, 0.8, 1.7))]
+        assert pins[-1]["residual"] == ["pole"] * 4
+        assert pins[-1]["residual_array"] == [None] * 4
