@@ -18,6 +18,8 @@ from dataclasses import dataclass, fields, replace
 from functools import cached_property
 from typing import NamedTuple
 
+import numpy as np
+
 
 class SpecError(ValueError):
     """Invalid parameter record."""
@@ -76,7 +78,8 @@ class Kratzer:
             raise SpecError("Kratzer requires d_e > 0 and r_e > 0")
         # the spectral conditions see the Kratzer term only through these two
         # products; one that underflows to 0 turns the potential off.  Products
-        # too large for a float are left to the eliminant's overflow check.
+        # too large for a float raise SpecError when a spec builds its
+        # `_ConditionTerms`.
         try:
             products = {
                 "d_e * r_e**2": self.d_e * self.r_e**2,
@@ -130,8 +133,6 @@ class RingParams:
             raise SpecError("ring strengths must be nonnegative")
 
     def angular(self, theta):
-        import numpy as np
-
         s2 = np.sin(theta) ** 2
         c2 = np.cos(theta) ** 2
         return self.b / s2 + self.a / c2
@@ -175,21 +176,24 @@ class QuantumNumbers:
 
 
 class _ConditionTerms(NamedTuple):
-    """The numbers a spec's spectral conditions read, taken from it once.
+    """The numbers of a spec's spectral forms, the only place they are formed.
 
-    Each entry is a field of the spec or a product the conditions formed
+    Each entry is a field of the spec or a sum or product the forms formed
     from fields on every call, formed here the same way, so every float
-    operation of a condition rounds as before.  The Kratzer entries are None
-    for the oscillator and k2 is None for the Kratzer.
+    operation rounds as before.  The Kratzer entries are None for the
+    oscillator and k2 is None for the Kratzer.
     """
 
     is_spin: bool
     oscillator: bool
     mass: float
     c: float  # the symmetry constant C_s or C_ps
+    lhs_pole: float  # C_s - M or M + C_ps, the pole of the lhs
+    gamma0: float  # gamma at E = 0: M - C_s or -M - C_ps
     a: float
     b: float
     m_sq: int  # m^2
+    abs_m: int  # |m|
     two_n_prime: int  # 2 n'
     two_n: int  # 2 n
     nu: float  # n + 1/2
@@ -220,31 +224,65 @@ class ProblemSpec:
     def with_qn(self, **kwargs):
         return replace(self, qn=replace(self.qn, **kwargs))
 
+    def __getstate__(self):
+        # a copy or unpickled spec builds its own cached records on first use
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
     @cached_property
     def _condition_terms(self):
-        """The spectral conditions' `_ConditionTerms`, built on first use.
+        """The spectral forms' `_ConditionTerms`, built on first use.
 
         Not a field: equality, hash, repr and `dataclasses.replace` see
         only the five fields, and a replaced spec builds its own record.
+        Raises SpecError when a Kratzer product overflows a float.
         """
-        pot, qn = self.potential, self.qn
-        oscillator = isinstance(pot, Oscillator)
+        pot, qn, m, c = self.potential, self.qn, self.mass, self.symmetry.constant
+        oscillator, spin = isinstance(pot, Oscillator), self.is_spin
+        try:
+            r_e_sq, t_sq = (None, None) if oscillator else (pot.r_e**2, (pot.d_e * pot.r_e) ** 2)
+        except OverflowError:
+            raise SpecError(
+                f"the Kratzer products overflow a float (d_e={pot.d_e!r}, r_e={pot.r_e!r})"
+            ) from None
         return _ConditionTerms(
-            is_spin=self.is_spin,
+            is_spin=spin,
             oscillator=oscillator,
-            mass=self.mass,
-            c=self.symmetry.constant,
+            mass=m,
+            c=c,
+            lhs_pole=c - m if spin else m + c,
+            gamma0=m - c if spin else -m - c,
             a=self.ring.a,
             b=self.ring.b,
             m_sq=qn.m**2,
+            abs_m=abs(qn.m),
             two_n_prime=2 * qn.n_prime,
             two_n=2 * qn.n,
             nu=qn.n + 0.5,
             k2=2.0 * pot.k if oscillator else None,
             d_e=None if oscillator else pot.d_e,
-            r_e_sq=None if oscillator else pot.r_e**2,
-            t_sq=None if oscillator else (pot.d_e * pot.r_e) ** 2,
+            r_e_sq=r_e_sq,
+            t_sq=t_sq,
         )
+
+    @cached_property
+    def _eliminant_zeros(self):
+        """(sigma_rhs, read-only np.roots of `spectrum._eliminant`) pairs, built on first use.
+
+        The oscillator's one eliminant comes with sigma_rhs 1.  Raises
+        SpecError when the parameters overflow an eliminant coefficient.
+        """
+        from .spectrum import _eliminant
+
+        out = []
+        for sigma_rhs in (1,) if self._condition_terms.oscillator else (1, -1):
+            with np.errstate(over="ignore", invalid="ignore"):
+                poly = _eliminant(self, sigma_rhs)
+            if not np.isfinite(poly).all():
+                raise SpecError("the parameters overflow the spectral condition's eliminant")
+            zeros = np.roots(poly)
+            zeros.setflags(write=False)
+            out.append((sigma_rhs, zeros))
+        return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -274,22 +312,18 @@ class CoefficientSet:
 
 
 def gamma_of(spec: ProblemSpec, energy) -> complex:
-    e = complex(energy)
-    m = spec.mass
-    c = spec.symmetry.constant
-    if spec.is_spin:
-        return e + m - c
-    return e - m - c
+    e, t = complex(energy), spec._condition_terms
+    if t.is_spin:
+        return e + t.mass - t.c
+    return e - t.mass - t.c
 
 
 def beta_sq_of(spec: ProblemSpec, energy) -> complex:
     """The beta^2 combination exactly as the separated equations define it."""
-    e = complex(energy)
-    m = spec.mass
-    c = spec.symmetry.constant
-    if spec.is_spin:
-        return (e - m) * (c - e - m)
-    return (e + m) * (e - m - c)
+    e, t = complex(energy), spec._condition_terms
+    if t.is_spin:
+        return (e - t.mass) * (t.c - e - t.mass)
+    return (e + t.mass) * (e - t.mass - t.c)
 
 
 def radial_equation_beta_sq(spec: ProblemSpec, energy) -> complex:

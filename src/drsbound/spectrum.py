@@ -16,10 +16,12 @@ Published tables mix three kinds of entries:
 
 Each condition is defined once (`_condition`) and serves both scalar
 evaluation, where a pole raises SpectralPoleError, and the vectorized
-real-axis scan, where poles are masked; the squared form (`_squared`) is
-likewise one body for scalar and array evaluation and shares the radical
-term (`_radical_term`).  Only the class-D diagnostic of `classify_value`
-also reads them with sqrt(|x|) of a real radicand x.
+real-axis scan, where poles are masked; the squared form (`_squared_at`) is
+likewise one body for scalar and array evaluation, given the radical term
+(`_radical_term`) that the conditions share.  Only the class-D diagnostic
+of `classify_value` also reads them with sqrt(|x|) of a real radicand x.
+They, the eliminant and the audit polish read a spec only through its
+cached `ProblemSpec._condition_terms` record.
 
 Each condition is algebraic in E.  Eliminating its square roots from the
 squared form leaves one polynomial per spec and sigma_rhs, the eliminant
@@ -37,8 +39,9 @@ finds.
 
 For the pure central cases (a = b = 0) only the Kratzer's big radical is
 left to eliminate, and the eliminant is the squared form made polynomial --
-a cubic for the oscillator, one quartic per sigma_rhs for the Kratzer
-(`_eliminant_zeros`) -- solved exactly through its companion matrix;
+a cubic for the oscillator, one quartic per sigma_rhs for the Kratzer --
+solved exactly through its companion matrix, whose roots each spec keeps
+(`ProblemSpec._eliminant_zeros`, read-only, built on first use);
 `squared_polynomial_drso` / `_drsk` return it made monic.  Elsewhere the
 squared form keeps its radicals (only the eliminant is free of them) and
 its complex zeros are located by one secant multistart
@@ -136,7 +139,7 @@ def _search_branches(spec: ProblemSpec):
     The oscillator condition never reads sigma_inner, so its inner-flipped
     copies would only repeat the work of the inner+ ones.
     """
-    if isinstance(spec.potential, Oscillator):
+    if spec._condition_terms.oscillator:
         return [b for b in principal_branches() if b.sigma_inner == 1]
     return principal_branches()
 
@@ -240,14 +243,14 @@ def residual(energy, spec: ProblemSpec, branch: BranchStrategy = CANONICAL):
 
 def residual_drsk(energy, spec: ProblemSpec, branch: BranchStrategy = CANONICAL):
     """Residual of the ring-shaped Kratzer spectral condition; 0 at a root."""
-    if not isinstance(spec.potential, Kratzer):
+    if spec._condition_terms.oscillator:
         raise TypeError("spec does not carry a Kratzer potential")
     return residual(energy, spec, branch)
 
 
 def residual_drso(energy, spec: ProblemSpec, branch: BranchStrategy = CANONICAL):
     """Residual of the ring-shaped oscillator spectral condition."""
-    if not isinstance(spec.potential, Oscillator):
+    if not spec._condition_terms.oscillator:
         raise TypeError("spec does not carry an Oscillator potential")
     return residual(energy, spec, branch)
 
@@ -264,7 +267,8 @@ def _check_sigma_rhs(sigma_rhs):
 
 
 def _monic_central_eliminant(spec: ProblemSpec, sigma_rhs):
-    if spec.ring.a != 0 or spec.ring.b != 0:
+    t = spec._condition_terms
+    if t.a != 0 or t.b != 0:
         raise ValueError("squared form is polynomial only for a = b = 0")
     poly = _eliminant(spec, sigma_rhs)
     return poly / poly[0]
@@ -278,7 +282,7 @@ def squared_polynomial_drso(spec: ProblemSpec):
     with d = 1/2 + |m| + 2 n' + 2 + 2 n: the `_eliminant` at a = b = 0, made
     monic.  Coefficients are returned highest power first.
     """
-    if not isinstance(spec.potential, Oscillator):
+    if not spec._condition_terms.oscillator:
         raise TypeError("spec does not carry an Oscillator potential")
     return _monic_central_eliminant(spec, 1)
 
@@ -292,25 +296,17 @@ def squared_polynomial_drsk(spec: ProblemSpec, sigma_rhs: int = 1):
     plus squaring artifacts, and its complex pairs generate the tables'
     class-C companions.  Raises ValueError unless sigma_rhs is +1 or -1.
     """
-    if not isinstance(spec.potential, Kratzer):
+    if spec._condition_terms.oscillator:
         raise TypeError("spec does not carry a Kratzer potential")
     _check_sigma_rhs(sigma_rhs)
     return _monic_central_eliminant(spec, sigma_rhs)
 
 
-def _squared(e, spec: ProblemSpec, sigma_rhs, sqrt):
-    """The squared condition at energy e with square root sqrt(z).
-
-    e is a complex with `cmath.sqrt` (`squared_form`) or a complex array
-    with `np.sqrt` (the batched complex search).
-    """
-    return _squared_at(e, spec, sigma_rhs, _radical_term(e, spec, sqrt))
-
-
 def _squared_at(e, spec: ProblemSpec, sigma_rhs, rad):
     """The squared condition at energy e given its `_radical_term` rad.
 
-    `_seed_factor` also passes -rad, the Kratzer radical's other root.
+    e is a complex or a complex array, matching rad; `_seed_factor` also
+    passes -rad, the Kratzer radical's other root.
     """
     t = spec._condition_terms
     m_, c = t.mass, t.c
@@ -331,7 +327,8 @@ def squared_form(energy, spec: ProblemSpec, sigma_rhs: int = 1):
     family the zeros belong to.  sigma_rhs must be +1 or -1 (ValueError).
     """
     _check_sigma_rhs(sigma_rhs)
-    return _squared(complex(energy), spec, sigma_rhs, cmath.sqrt)
+    e = complex(energy)
+    return _squared_at(e, spec, sigma_rhs, _radical_term(e, spec, cmath.sqrt))
 
 
 def _secant_complex(f, z0, z1):
@@ -348,11 +345,6 @@ def _secant_complex(f, z0, z1):
     return None
 
 
-def _degree(spec: ProblemSpec):
-    """Degree of the squared form in E: 3 for the oscillator, 4 for the Kratzer."""
-    return 3 if isinstance(spec.potential, Oscillator) else 4
-
-
 def _complex_multistart(spec: ProblemSpec, x, imag_starts, sigma_rhs=1):
     """Off-axis zeros of the squared form reached by secant from above x.
 
@@ -363,7 +355,7 @@ def _complex_multistart(spec: ProblemSpec, x, imag_starts, sigma_rhs=1):
     oscillator, 4 for the Kratzer); kept zeros are reflected into the upper
     half-plane.
     """
-    degree = _degree(spec)
+    degree = 3 if spec._condition_terms.oscillator else 4
     f = lambda z: squared_form(z, spec, sigma_rhs)
     out = []
     for im in imag_starts:
@@ -389,11 +381,12 @@ def _multistart_batch(spec: ProblemSpec, xs, imag_starts):
     z0.real, z0.imag = x, im
     z1 = np.empty(x.size, dtype=complex)
     z1.real, z1.imag = x * (1 + 1e-4) + 1e-4, im * 1.01
-    f = lambda z: _squared(z, spec, 1, np.sqrt)
+    f = lambda z: _squared_at(z, spec, 1, _radical_term(z, spec, np.sqrt))
     found = _secant_batch(lambda z, lanes: f(z), z0, z1)
+    degree = 3 if spec._condition_terms.oscillator else 4
     with np.errstate(all="ignore"):
         ok = np.abs(found.imag) > 1e-8
-        ok &= np.abs(f(found)) < 1e-8 * (1 + np.abs(found)) ** _degree(spec)
+        ok &= np.abs(f(found)) < 1e-8 * (1 + np.abs(found)) ** degree
     return [complex(z.real, abs(z.imag)) if hit else None for z, hit in zip(found, ok)]
 
 
@@ -515,7 +508,7 @@ def _eliminant(spec, sigma_rhs):
     The squared condition is taken as a polynomial in E and the radicals
     u = sqrt(a gamma + 1/4) and v = sqrt(b gamma + m^2), with u^2 and v^2
     replaced by their radicands; u and v are the constants 1/2 and |m| when
-    a = 0 or b = 0.  For the Kratzer, `_squared` = A + B w with w^2 = R,
+    a = 0 or b = 0.  For the Kratzer, `_squared_at` = A + B w with w^2 = R,
     and A^2 - B^2 R is free of w.  The norm over u -> -u and then v -> -v
     (the product of the conjugates) is free of every radical: degree <= 12
     for the oscillator, <= 16 per sigma_rhs for the Kratzer.  Its real
@@ -525,10 +518,10 @@ def _eliminant(spec, sigma_rhs):
     associated as in the hand-expanded closed forms, so that made monic it
     keeps their rounding bit for bit (tested).
     """
-    m_, c = spec.mass, spec.symmetry.constant
-    a, b, mq = spec.ring.a, spec.ring.b, spec.qn.m
-    g = np.array([m_ - c if spec.is_spin else -m_ - c, 1.0])  # gamma, lowest power first
-    radicands = (np.array([a * g[0] + 0.25, a]), np.array([b * g[0] + mq * mq, b]))
+    t = spec._condition_terms
+    m_, a, b = t.mass, t.a, t.b
+    g = np.array([t.gamma0, 1.0])  # gamma, lowest power first
+    radicands = (np.array([a * g[0] + 0.25, a]), np.array([b * g[0] + t.m_sq, b]))
 
     # an element of Q[E][u, v]: {(i, j): coefficients of u^i v^j, lowest power first}
     def accumulate(out, key, p):
@@ -566,27 +559,23 @@ def _eliminant(spec, sigma_rhs):
     scale = lambda k, x: {key: k * p for key, p in x.items()}
     omega = add(
         {(1, 0): np.ones(1)} if a else poly(0.5),
-        {(0, 1): np.ones(1)} if b else poly(abs(mq)),
+        {(0, 1): np.ones(1)} if b else poly(t.abs_m),
     )
-    pot = spec.potential
-    if isinstance(pot, Oscillator):
-        rad = add(omega, poly(2 * spec.qn.n_prime + 2 + 2 * spec.qn.n))
-        if spec.is_spin:
-            lhs2, k2 = np.convolve(np.convolve([m_, -1.0], [m_, -1.0]), [c - m_, -1.0]), -2.0
+    if t.oscillator:
+        rad = add(omega, poly(t.two_n_prime + 2 + t.two_n))
+        if t.is_spin:
+            lhs2 = np.convolve(np.convolve([m_, -1.0], [m_, -1.0]), [t.lhs_pole, -1.0])
         else:
-            lhs2, k2 = np.convolve(np.convolve([m_, 1.0], [m_, 1.0]), [-m_ - c, 1.0]), 2.0
-        form = add(poly(*lhs2), mul(scale(k2 * pot.k, rad), rad))
+            lhs2 = np.convolve(np.convolve([m_, 1.0], [m_, 1.0]), [t.gamma0, 1.0])
+        form = add(poly(*lhs2), mul(scale(-t.k2 if t.is_spin else t.k2, rad), rad))
     else:
-        shifted = add(omega, poly(2 * spec.qn.n_prime + 1))
-        shifted2, t_gamma = mul(shifted, shifted), {(0, 0): pot.d_e * pot.r_e**2 * g}
+        shifted = add(omega, poly(t.two_n_prime + 1))
+        shifted2, t_gamma = mul(shifted, shifted), {(0, 0): t.d_e * t.r_e_sq * g}
         big = add(shifted2, t_gamma)
-        nu = spec.qn.n + 0.5
-        lead = poly(-m_, 1.0) if spec.is_spin else poly(m_, 1.0)  # E - M or E + M
-        tail = [m_ - c, 1.0] if spec.is_spin else [-m_ - c, 1.0]
-        t_sq = (pot.d_e * pot.r_e) ** 2
-        inner = add(add(poly(nu * nu), shifted2), t_gamma)  # nu^2 + big
-        a_part = add(mul(lead, inner), poly(*(sigma_rhs * t_sq * np.array(tail))))
-        form = add(mul(a_part, a_part), scale(-4.0 * nu * nu, mul(mul(lead, lead), big)))
+        lead = poly(-m_, 1.0) if t.is_spin else poly(m_, 1.0)  # E - M or E + M
+        inner = add(add(poly(t.nu * t.nu), shifted2), t_gamma)  # nu^2 + big
+        a_part = add(mul(lead, inner), poly(*(sigma_rhs * t.t_sq * g)))
+        form = add(mul(a_part, a_part), scale(-4.0 * t.nu * t.nu, mul(mul(lead, lead), big)))
     if a:
         form = norm(form, 0)
     if b:
@@ -594,39 +583,19 @@ def _eliminant(spec, sigma_rhs):
     return form[(0, 0)][::-1]
 
 
-def _eliminant_zeros(spec):
-    """(sigma_rhs, np.roots of the `_eliminant`) pairs; the oscillator's one comes with 1.
-
-    At a = b = 0, np.roots of each is bit for bit that of the monic squared
-    polynomial, because np.roots divides by the leading coefficient itself.
-    Raises SpecError when the parameters overflow an eliminant coefficient.
-    """
-    out = []
-    for sigma_rhs in (1,) if isinstance(spec.potential, Oscillator) else (1, -1):
-        try:
-            with np.errstate(over="ignore", invalid="ignore"):
-                poly = _eliminant(spec, sigma_rhs)
-        except OverflowError:
-            poly = None
-        if poly is None or not np.isfinite(poly).all():
-            raise SpecError("the parameters overflow the spectral condition's eliminant")
-        out.append((sigma_rhs, np.roots(poly)))
-    return out
-
-
 def _seed_factor(spec, sigma_rhs):
     """The principal factor of each lane's eliminant, as f(z, lanes).
 
     sigma_rhs is an array giving each lane's eliminant; f evaluates the
-    lanes `lanes` at the complex array z.  The factor is the `_squared`
+    lanes `lanes` at the complex array z.  The factor is the squared form
     whose conjugates the eliminant multiplies: for the Kratzer the product
-    of `_squared` at +w and at -w, which is A^2 - B^2 R.
+    of `_squared_at` at +w and at -w, which is A^2 - B^2 R.
     """
 
     def f(z, lanes):
         rad = _radical_term(z, spec, np.sqrt)
         plus = _squared_at(z, spec, sigma_rhs[lanes], rad)
-        if isinstance(spec.potential, Oscillator):
+        if spec._condition_terms.oscillator:
             return plus
         return plus * _squared_at(z, spec, sigma_rhs[lanes], -rad)
 
@@ -639,10 +608,10 @@ def _seed_factor(spec, sigma_rhs):
 SEED_SECANT_STEPS = 30
 
 
-def _seeds(spec, zeros, lo, hi):
+def _seeds(spec, lo, hi):
     """Real candidates for the roots of every principal branch in [lo, hi].
 
-    zeros is the spec's `_eliminant_zeros`.  The eliminant's float
+    They come from the spec's `_eliminant_zeros`.  The eliminant's float
     coefficients are ill-conditioned near clusters of roots: their roots can
     miss by 0.05, a hundred panels of the default grid.  Each root within 1
     of the window therefore starts a complex secant (at most
@@ -653,7 +622,7 @@ def _seeds(spec, zeros, lo, hi):
     |Im| < 1e-3 (1 + |z|).  They only say where to look.
     """
     zs, lanes = [], []
-    for sigma_rhs, z in zeros:
+    for sigma_rhs, z in spec._eliminant_zeros:
         z = z[(z.real > lo - 1.0) & (z.real < hi + 1.0)]
         zs.append(z)
         lanes.append(np.full(z.size, float(sigma_rhs)))
@@ -673,13 +642,13 @@ def _seeds(spec, zeros, lo, hi):
 SEED_PANELS = 2
 
 
-def _scan_branches(spec, branches, interval, panels_per_unit, zeros):
+def _scan_branches(spec, branches, interval, panels_per_unit):
     """Real roots of each principal branch restriction, one root list per branch.
 
     The grid is np.linspace(lo, hi, n + 1) with n = panels_per_unit panels
     per unit energy, and a root is bracketed by a sign change between two
     neighbouring grid points.  Only the panels near a candidate root of the
-    eliminants are tested (`_seeds` of zeros, the spec's `_eliminant_zeros`):
+    eliminants are tested (`_seeds`, from the spec's `_eliminant_zeros`):
     each candidate in panel i marks panels i - SEED_PANELS .. i + SEED_PANELS,
     and all marked panels are evaluated for all branches at once, in one
     `_residual_array` call.  On the real axis the residual of a branch
@@ -696,7 +665,7 @@ def _scan_branches(spec, branches, interval, panels_per_unit, zeros):
     n = max(16, int(round((hi - lo) * panels_per_unit)))
     es = np.linspace(lo, hi, n + 1)
     h = (hi - lo) / n
-    at = np.clip((_seeds(spec, zeros, lo, hi) - lo) / h, -SEED_PANELS - 1.0, n)
+    at = np.clip((_seeds(spec, lo, hi) - lo) / h, -SEED_PANELS - 1.0, n)
     marked = np.zeros(n, dtype=bool)
     for i in np.floor(at).astype(int).tolist():
         marked[max(0, i - SEED_PANELS) : max(0, i + SEED_PANELS + 1)] = True
@@ -807,24 +776,24 @@ def find_roots(spec: ProblemSpec, *, mode="strict"):
     """
     if mode not in ("strict", "paper-compat"):
         raise ValueError("mode must be 'strict' or 'paper-compat'")
-    interval = lo, hi = (-spec.mass - 20.0, spec.mass + 20.0)
+    t = spec._condition_terms
+    interval = lo, hi = (-t.mass - 20.0, t.mass + 20.0)
     paper_compat = mode == "paper-compat"
     search = _search_branches(spec)
 
     found = []
-    zeros = _eliminant_zeros(spec)
-    central = spec.ring.a == 0 and spec.ring.b == 0
+    central = t.a == 0 and t.b == 0
     if central:
-        found.extend(_polynomial_roots(spec, zeros, paper_compat))
+        found.extend(_polynomial_roots(spec, spec._eliminant_zeros, paper_compat))
     # real-line scan over the searched branches (everything the polynomial
     # path already found will be merged away by deduplication)
-    for br, roots in zip(search, _scan_branches(spec, search, interval, PANELS_PER_UNIT, zeros)):
+    for br, roots in zip(search, _scan_branches(spec, search, interval, PANELS_PER_UNIT)):
         for e in roots:
             hit = _best_branch(spec, e, [br], tol=1e-6)
             if hit is None:
                 continue
             found.append(ClassifiedRoot(complex(e), br, hit[1], _class_for_branch(br)))
-    if paper_compat and isinstance(spec.potential, Oscillator) and not central:
+    if paper_compat and t.oscillator and not central:
         for z in complex_zeros_drso(spec, interval):
             best = _best_branch(spec, z, search)
             if best is not None:
@@ -999,12 +968,6 @@ class AuditReport:
         return "\n".join(lines)
 
 
-def _lhs_pole(spec):
-    if spec.is_spin:
-        return spec.symmetry.constant - spec.mass
-    return spec.mass + spec.symmetry.constant
-
-
 #: Evaluations per endpoint of the polish's halving ladder, its first point included.
 LADDER_POINTS = 60
 
@@ -1058,7 +1021,7 @@ def _polish_branch_root(spec, branch, value, span=2e-3):
     scalar test accepts, with the value and sign that test computed, so the
     bracket, and brentq's root, are those of the plain scalar ladder.
     """
-    pole = _lhs_pole(spec)
+    pole = spec._condition_terms.lhs_pole
     if abs(value - pole) < 1e-12:
         return None
     try:
@@ -1166,14 +1129,15 @@ def classify_value(spec: ProblemSpec, value: float, match_tol=1e-4):
         hit = _best_branch(spec, root, [br], tol=1e-8)
         if hit is not None:
             candidates.append((_class_for_branch(br), abs(root - value), br.label(), hit[1]))
-    central = spec.ring.a == 0 and spec.ring.b == 0
+    t = spec._condition_terms
+    central = t.a == 0 and t.b == 0
     pair_zeros = []
     if central:
         # the exact polynomial paths catch real roots the bracketing polish
         # cannot reach (radical branch points, purely imaginary residuals).
         # A zero is kept when the float bracket [x - reach, x + reach] its
         # polish stays in comes within match_tol of the value
-        zeros = _eliminant_zeros(spec)
+        zeros = spec._eliminant_zeros
         reach = 1e-6 * 2.0 ** (POLISH_GROW_STEPS - 1)
         near = lambda x: np.maximum(x - reach - value, value - (x + reach)) <= match_tol
         zeros_near = [(srhs, zs[near(zs.real)]) for srhs, zs in zeros]
@@ -1183,7 +1147,7 @@ def classify_value(spec: ProblemSpec, value: float, match_tol=1e-4):
                     (r.root_class, abs(r.energy.real - value), r.branch.label(), r.residual_norm)
                 )
         pair_zeros = [z for _, zs in zeros for z in zs if z.imag > 1e-7]
-    elif isinstance(spec.potential, Oscillator):
+    elif t.oscillator:
         pair_zeros = _complex_multistart(spec, value, (0.25, 0.5, 1.0, 2.0, 4.0, 8.0))
     for z in pair_zeros:
         dev = abs(z.real - value)
@@ -1209,7 +1173,7 @@ def classify_value(spec: ProblemSpec, value: float, match_tol=1e-4):
                 res = None
             diag["branch_residuals"][f"{_sign_text(br)},{reading}"] = res
     near_pairs = []
-    if isinstance(spec.potential, Kratzer) and not central:
+    if not t.oscillator and not central:
         # informational only: the squared Kratzer form has no polynomial
         # representation with ring terms and is not part of the search space
         for srhs in (1, -1):

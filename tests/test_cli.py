@@ -122,18 +122,25 @@ class TestSolve:
             ["table", "3", "--de", "1e300"],
             ["table", "2", "--k", "1e300"],
             ["audit", "3", "--mass", "1e300"],
+            ["audit", "3", "--de", "1e300"],
+            ["audit", "1", "--re", "1e200"],
         ],
-        ids=["solve-a", "solve-mass", "solve-de", "table3-de", "table2-k", "audit3-mass"],
+        ids=[
+            "solve-a", "solve-mass", "solve-de", "table3-de", "table2-k", "audit3-mass",
+            "audit3-de", "audit1-re",
+        ],
     )
     def test_overflowing_parameter_exits_two(self, capsys, tmp_path, argv):
         # finite parameters whose eliminant overflows used to die with a
-        # LinAlgError or OverflowError traceback
+        # LinAlgError or OverflowError traceback; the audit polish formed an
+        # overflowing Kratzer product before any eliminant was built
         out = tmp_path / "out.txt"
         if argv[0] != "solve":
             argv = [*argv, "--output", str(out)]
         code, _, err = run(capsys, *argv)
         assert code == 2
         assert err.startswith("error:") and "overflow" in err
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
         assert not out.exists()
 
     @pytest.mark.parametrize(

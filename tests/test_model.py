@@ -209,7 +209,8 @@ class TestConditionTerms:
         terms = spec._condition_terms
         moved = replace(spec, potential=Oscillator(2.5), params=PhysicalParams(3.0))
         assert moved._condition_terms == terms._replace(
-            oscillator=True, mass=3.0, k2=5.0, d_e=None, r_e_sq=None, t_sq=None
+            oscillator=True, mass=3.0, lhs_pole=-2.0, gamma0=2.0, k2=5.0, d_e=None, r_e_sq=None,
+            t_sq=None,
         )
         assert spec.with_qn(n=3, n_prime=2)._condition_terms == terms._replace(
             two_n_prime=4, two_n=6, nu=3.5
@@ -219,7 +220,10 @@ class TestConditionTerms:
     def test_pickle_round_trip(self):
         spec = spin_kratzer(a=1.0, b=0.5, m=1)
         terms = spec._condition_terms
+        spec._eliminant_zeros
         back = pickle.loads(pickle.dumps(spec))
         assert back == spec and hash(back) == hash(spec) and repr(back) == repr(spec)
+        assert set(vars(back)) == {f.name for f in fields(ProblemSpec)}
         assert back._condition_terms == terms
+        assert not any(z.flags.writeable for _, z in back._eliminant_zeros)
         assert replace(back)._condition_terms == terms

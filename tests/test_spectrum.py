@@ -410,11 +410,11 @@ SCAN_SPECS = {
 class TestBlockedScan:
     @pytest.mark.parametrize("name", sorted(SCAN_SPECS))
     def test_stacked_scan_equals_per_branch_scan(self, name):
-        from drsbound.spectrum import _eliminant_zeros, _scan_branches
+        from drsbound.spectrum import _scan_branches
 
         spec = SCAN_SPECS[name]
         interval = (-25.0, 25.0)
-        got = _scan_branches(spec, principal_branches(), interval, 400, _eliminant_zeros(spec))
+        got = _scan_branches(spec, principal_branches(), interval, 400)
         want = [_scan_one_branch(spec, br, interval, 400) for br in principal_branches()]
         assert got == want
         assert any(got)
@@ -476,10 +476,10 @@ class TestSeededScan:
     )
     def test_equals_full_scan_on_all_strategies(self, spec):
         # all strategies the search covers: the four principal ones
-        from drsbound.spectrum import _eliminant_zeros, _scan_branches
+        from drsbound.spectrum import _scan_branches
 
         interval = (-spec.mass - 20.0, spec.mass + 20.0)
-        got = _scan_branches(spec, principal_branches(), interval, 2000, _eliminant_zeros(spec))
+        got = _scan_branches(spec, principal_branches(), interval, 2000)
         assert got == [_scan_one_branch(spec, br, interval, 2000) for br in principal_branches()]
 
     @pytest.mark.parametrize("table", [1, 2, 3, 4])
@@ -563,9 +563,9 @@ def _polish_oracle(spec, branch, value, span=2e-3, grow=8):
     """`_polish_branch_root` with the plain scalar halving ladder per endpoint."""
     from scipy.optimize import brentq
 
-    from drsbound.spectrum import SpectralPoleError, _lhs_pole
+    from drsbound.spectrum import SpectralPoleError
 
-    pole = _lhs_pole(spec)
+    pole = spec._condition_terms.lhs_pole
     if abs(value - pole) < 1e-12:
         return None
     try:
@@ -651,7 +651,6 @@ def _special_values(spec):
     Kratzer, the big radicand vanishes.
     """
     from drsbound.model import Kratzer
-    from drsbound.spectrum import _lhs_pole
 
     m_, c = spec.mass, spec.symmetry.constant
     to_e = (lambda g: g - m_ + c) if spec.is_spin else (lambda g: g + m_ + c)
@@ -663,7 +662,7 @@ def _special_values(spec):
     pot = spec.potential
     if isinstance(pot, Kratzer) and spec.ring.a == 0 and spec.ring.b == 0:
         gs.append(-((abs(spec.qn.m) + 2 * spec.qn.n_prime + 1.5) ** 2) / (pot.d_e * pot.r_e**2))
-    centres = [_lhs_pole(spec)] + [to_e(g) for g in gs]
+    centres = [spec._condition_terms.lhs_pole] + [to_e(g) for g in gs]
     return [x + d for x in centres for d in (0.0, -1e-9, 1e-9)]
 
 
@@ -789,9 +788,9 @@ def _within(roots, value, match_tol):
 
 def _full_polynomial_roots(spec):
     """The oracle: the polynomial path on every eliminant zero of the spec."""
-    from drsbound.spectrum import _eliminant_zeros, _polynomial_roots
+    from drsbound.spectrum import _polynomial_roots
 
-    return _polynomial_roots(spec, _eliminant_zeros(spec), False)
+    return _polynomial_roots(spec, spec._eliminant_zeros, False)
 
 
 def _taken_polynomial_roots(spec, value, match_tol):
@@ -820,8 +819,6 @@ class TestNearValuePolynomialPath:
 
     @pytest.mark.parametrize("match_tol", MATCH_TOLS)
     def test_central_table_values(self, match_tol):
-        from drsbound.spectrum import _eliminant_zeros
-
         matched = passed = total = 0
         for table in (1, 2, 3, 4):
             for n, npr, m, a, b, values in load_table_data(table):
@@ -835,7 +832,7 @@ class TestNearValuePolynomialPath:
                     assert _root_bits(taken) == _root_bits(want), (table, n, npr, m, v)
                     matched += bool(want)
                     passed += sum(z.size for _, z in zeros)
-                    total += sum(z.size for _, z in _eliminant_zeros(spec))
+                    total += sum(z.size for _, z in spec._eliminant_zeros)
         # 117 central values; the filter is not vacuous and leaves zeros out
         assert matched >= 50 and passed < total
 
@@ -891,6 +888,46 @@ class TestBranchStrategies:
             BranchStrategy(1, -2)
 
 
+class TestConditionRecord:
+    """A spec turns into the numbers of its spectral forms once, in its record."""
+
+    @pytest.mark.parametrize(
+        "table, params", [(3, {"d_e": 1e300}), (1, {"r_e": 1e200})], ids=["spin-de", "pseudospin-re"]
+    )
+    def test_overflowing_kratzer_product_raises_spec_error(self, table, params):
+        # (d_e r_e)^2 or r_e^2 overflows a float while the polish forms it
+        spec = table_spec(table, 0, 0, 0, 0.0, 0.0, params)
+        with pytest.raises(SpecError, match="overflow"):
+            residual(1.0, spec)
+
+    def test_eliminant_zeros_are_shared_and_read_only(self):
+        spec = table_spec(3, 0, 0, 1, 0.0, 0.0)
+        zeros = spec._eliminant_zeros
+        assert spec._eliminant_zeros is zeros and [s for s, _ in zeros] == [1, -1]
+        for _, z in zeros:
+            assert not z.flags.writeable
+            with pytest.raises(ValueError):
+                z[0] = 0.0
+        assert replace(spec)._eliminant_zeros is not zeros
+
+    def test_audit_builds_each_central_spec_eliminant_once(self, monkeypatch):
+        # the audit read the eliminant roots of a central spec once per
+        # published value: 117 builds for 60 distinct specs
+        from drsbound import spectrum
+
+        eliminant, built = spectrum._eliminant, []
+
+        def recorded(spec, sigma_rhs):
+            built.append((spec, sigma_rhs))  # keeps each spec alive, so its id stays unique
+            return eliminant(spec, sigma_rhs)
+
+        monkeypatch.setattr(spectrum, "_eliminant", recorded)
+        for table in (1, 2, 3, 4):
+            audit_table(table)
+        assert len({id(spec) for spec, _ in built}) == 60
+        assert len({(id(spec), sigma_rhs) for spec, sigma_rhs in built}) == len(built)
+
+
 class TestSymmetryMap:
     def test_constants_swap(self):
         ps = table_spec(1, 0, 0, 0, 0.0, 0.0)
@@ -918,35 +955,6 @@ class TestSymmetryMap:
         spec = table_spec(table, 0, 0, 0, 0.0, 0.0).with_qn(kappa=kappa)
         with pytest.raises(SpecError, match=f"kappa = {kappa}"):
             spin_pseudospin_map(spec)
-
-    def test_formula_level_identity(self):
-        # With the full substitution behind the printed forms (E -> -E,
-        # C_ps -> -C_s, and V -> -V flipping d_e and ring strengths), the
-        # pseudospin-form residual is exactly minus the spin residual.
-        spec = table_spec(3, 1, 0, 1, 1.0, 1.0)
-        m_, c_s = spec.mass, spec.symmetry.constant
-        d_e, r_e = spec.potential.d_e, spec.potential.r_e
-        a, b, mm = spec.ring.a, spec.ring.b, spec.qn.m
-        nu = spec.qn.n + 0.5
-
-        def mapped_pseudospin_form(e_spin, sigma):
-            e = -complex(e_spin)
-            c_ps, d_flip, a_flip, b_flip = -c_s, -d_e, -a, -b
-            g = e - m_ - c_ps
-            omega = np.sqrt(complex(a_flip * g + 0.25)) + np.sqrt(
-                complex(b_flip * g + mm * mm)
-            )
-            big = np.sqrt(
-                complex((omega + 2 * spec.qn.n_prime + 1) ** 2 + g * d_flip * r_e**2)
-            )
-            t_sq = (d_flip * r_e) ** 2
-            return (e + m_) / (m_ - e + c_ps) - sigma * t_sq / (nu + big) ** 2
-
-        for e in np.linspace(0.4, 4.6, 40):
-            for sigma in (1, -1):
-                lhs = residual_drsk(e, spec, BranchStrategy(sigma, 1))
-                rhs = -mapped_pseudospin_form(e, sigma)
-                assert lhs == pytest.approx(rhs, rel=1e-12)
 
     def test_roots_correspond_under_full_substitution(self):
         # spin roots of the printed condition coincide with the mapped
@@ -1226,9 +1234,9 @@ def _condition_pins(spec):
     over the stacked principal branches, all energies in one array (None
     where masked).
     """
-    from drsbound.spectrum import SpectralPoleError, _BranchStack, _lhs_pole, _residual_array
+    from drsbound.spectrum import SpectralPoleError, _BranchStack, _residual_array
 
-    energies = [complex(e) for e in PIN_ENERGIES] + [complex(_lhs_pole(spec))]
+    energies = [complex(e) for e in PIN_ENERGIES] + [complex(spec._condition_terms.lhs_pole)]
     vals, ok = _residual_array(spec, energies, _BranchStack.of(principal_branches()))
     out = []
     for j, e in enumerate(energies):
@@ -1266,11 +1274,49 @@ class TestConditionPins:
 
     @pytest.mark.parametrize("table", [1, 3])
     def test_kratzer_lhs_pole_raises(self, table):
-        from drsbound.spectrum import SpectralPoleError, _lhs_pole
+        from drsbound.spectrum import SpectralPoleError
 
         spec = table_spec(table, 1, 2, -2, 0.8, 1.7, PIN_PARAMS)
         with pytest.raises(SpectralPoleError, match="residual pole"):
-            residual(_lhs_pole(spec), spec)
+            residual(spec._condition_terms.lhs_pole, spec)
         pins = _load_condition_pins()[_pin_key((table, 1, 2, -2, 0.8, 1.7))]
         assert pins[-1]["residual"] == ["pole"] * 4
         assert pins[-1]["residual_array"] == [None] * 4
+
+
+def _load_eliminant_pins():
+    path = pathlib.Path(__file__).resolve().parent / "data" / "eliminant_pins.json"
+    return json.loads(path.read_text())
+
+
+class TestEliminantPins:
+    """The eliminant keeps every bit, for either sigma_rhs.
+
+    tests/data/eliminant_pins.json holds float.hex of `_eliminant(spec, +-1)`
+    for each PIN_CELLS spec and each bundled table row's spec; an oscillator's
+    is stored under "1" only, because its squared form does not read
+    sigma_rhs.  A ring spec's eliminant only seeds grid panels, so a moved
+    bit there would show in no table.
+    """
+
+    @staticmethod
+    def assert_pinned(spec, want):
+        from drsbound.spectrum import _eliminant
+
+        for sigma_rhs in (1, -1):
+            got = [float(c).hex() for c in _eliminant(spec, sigma_rhs)]
+            assert got == want.get(str(sigma_rhs), want["1"]), sigma_rhs
+
+    @pytest.mark.parametrize("cell", PIN_CELLS, ids=_pin_key)
+    def test_pin_cells(self, cell):
+        want = _load_eliminant_pins()["pin_cells"][_pin_key(cell)]
+        self.assert_pinned(table_spec(*cell, params=PIN_PARAMS), want)
+
+    @pytest.mark.parametrize("table", [1, 2, 3, 4])
+    def test_table_rows(self, table):
+        pins = _load_eliminant_pins()["table_rows"]
+        rows = load_table_data(table)
+        assert len(rows) == sum(key.split()[0] == str(table) for key in pins)
+        for n, n_prime, m, a, b, _ in rows:
+            cell = (table, n, n_prime, m, a, b)
+            self.assert_pinned(table_spec(*cell), pins[_pin_key(cell)])
