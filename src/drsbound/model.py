@@ -265,8 +265,8 @@ class ProblemSpec:
         )
 
     @cached_property
-    def _eliminant_zeros(self):
-        """(sigma_rhs, read-only np.roots of `spectrum._eliminant`) pairs, built on first use.
+    def _eliminant_coefficients(self):
+        """(sigma_rhs, read-only coefficients of `spectrum._eliminant`) pairs, built on first use.
 
         The oscillator's one eliminant comes with sigma_rhs 1.  Raises
         SpecError when the parameters overflow an eliminant coefficient.
@@ -279,10 +279,17 @@ class ProblemSpec:
                 poly = _eliminant(self, sigma_rhs)
             if not np.isfinite(poly).all():
                 raise SpecError("the parameters overflow the spectral condition's eliminant")
-            zeros = np.roots(poly)
-            zeros.setflags(write=False)
-            out.append((sigma_rhs, zeros))
+            poly.setflags(write=False)
+            out.append((sigma_rhs, poly))
         return tuple(out)
+
+    @cached_property
+    def _eliminant_zeros(self):
+        """(sigma_rhs, read-only np.roots of its `_eliminant_coefficients`) pairs."""
+        out = tuple((sigma_rhs, np.roots(poly)) for sigma_rhs, poly in self._eliminant_coefficients)
+        for _, zeros in out:
+            zeros.setflags(write=False)
+        return out
 
 
 @dataclass(frozen=True)

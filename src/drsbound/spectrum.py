@@ -27,15 +27,15 @@ Each condition is algebraic in E.  Eliminating its square roots from the
 squared form leaves one polynomial per spec and sigma_rhs, the eliminant
 (`_eliminant`), whose real roots include every real root of every branch.
 The real-axis search (`_scan_branches`) covers the principal strategies
-and tests the sign-change rule of a grid scan only on the grid panels next
-to those roots, each first located by a secant on the unexpanded squared
-form (`_seeds`), because the eliminant's coefficients are too
-ill-conditioned to decide a root.  All searched branches are evaluated in
+and tests the sign-change rule of a grid scan only on the grid panels under
+inclusion disks about the `np.roots` of the eliminant's float coefficients
+(`_seeds`), which near clusters miss by up to 0.05: the radii come from the
+eliminant itself, not its rounded coefficients, and hold its zeros up to
+rounding, but certify no root.  All searched branches are evaluated in
 one call, with the branch signs stacked as columns so the radicals are
 taken once per energy, and sign changes are polished by brentq (the
 package's bit-identical port of scipy's, `drsbound.brent`) on the scalar
-residual: each root found is the one a scan over the whole grid
-finds.
+residual: each root found is the one a scan over the whole grid finds.
 
 For the pure central cases (a = b = 0) only the Kratzer's big radical is
 left to eliminate, and the eliminant is the squared form made polynomial --
@@ -305,7 +305,7 @@ def squared_polynomial_drsk(spec: ProblemSpec, sigma_rhs: int = 1):
 def _squared_at(e, spec: ProblemSpec, sigma_rhs, rad):
     """The squared condition at energy e given its `_radical_term` rad.
 
-    e is a complex or a complex array, matching rad; `_seed_factor` also
+    e is a complex or a complex array, matching rad; `_eliminant_at` also
     passes -rad, the Kratzer radical's other root.
     """
     t = spec._condition_terms
@@ -382,7 +382,7 @@ def _multistart_batch(spec: ProblemSpec, xs, imag_starts):
     z1 = np.empty(x.size, dtype=complex)
     z1.real, z1.imag = x * (1 + 1e-4) + 1e-4, im * 1.01
     f = lambda z: _squared_at(z, spec, 1, _radical_term(z, spec, np.sqrt))
-    found = _secant_batch(lambda z, lanes: f(z), z0, z1)
+    found = _secant_batch(f, z0, z1)
     degree = 3 if spec._condition_terms.oscillator else 4
     with np.errstate(all="ignore"):
         ok = np.abs(found.imag) > 1e-8
@@ -390,26 +390,25 @@ def _multistart_batch(spec: ProblemSpec, xs, imag_starts):
     return [complex(z.real, abs(z.imag)) if hit else None for z, hit in zip(found, ok)]
 
 
-def _secant_batch(f, z0, z1, maxit=100):
+def _secant_batch(f, z0, z1):
     """`_secant_complex` run on every lane of the start arrays z0, z1 at once.
 
-    f(z, lanes) evaluates the lanes `lanes` (an index array) at the complex
-    array z, elementwise.  Each lane keeps the scalar secant's stopping
-    rules, with at most maxit steps, and drops out of the live set when it
-    converges or fails.  Returns the converged zero of each lane, NaN where
-    the lane failed.
+    f evaluates a complex array elementwise.  Each lane keeps the scalar
+    secant's stopping rules and its 100-step cap, and drops out of the live
+    set when it converges or fails.  Returns the converged zero of each
+    lane, NaN where the lane failed.
     """
     found = np.full(z0.size, np.nan, dtype=complex)
     live = np.arange(z0.size)
     with np.errstate(all="ignore"):
-        f0, f1 = f(z0, live), f(z1, live)
-        for _ in range(maxit):
+        f0, f1 = f(z0), f(z1)
+        for _ in range(100):
             if not live.size:
                 break
             z2 = z1 - f1 * (z1 - z0) / (f1 - f0)
             keep = (f1 != f0) & np.isfinite(z2.real) & np.isfinite(z2.imag)
             live, z0, f0, z1 = live[keep], z1[keep], f1[keep], z2[keep]
-            f1 = f(z1, live)
+            f1 = f(z1)
             done = np.abs(z1 - z0) < 1e-13 * (1.0 + np.abs(z1))
             found[live[done]] = z1[done]
             keep = ~done
@@ -583,62 +582,62 @@ def _eliminant(spec, sigma_rhs):
     return form[(0, 0)][::-1]
 
 
-def _seed_factor(spec, sigma_rhs):
-    """The principal factor of each lane's eliminant, as f(z, lanes).
+def _eliminant_at(e, spec, sigma_rhs):
+    """`_eliminant` at the complex array e, evaluated as the product it expands.
 
-    sigma_rhs is an array giving each lane's eliminant; f evaluates the
-    lanes `lanes` at the complex array z.  The factor is the squared form
-    whose conjugates the eliminant multiplies: for the Kratzer the product
-    of `_squared_at` at +w and at -w, which is A^2 - B^2 R.
+    That is, `_squared_at` over the conjugates u -> -u and v -> -v of the
+    radicals present (a, b nonzero) and, for the Kratzer, w -> -w.
     """
-
-    def f(z, lanes):
-        rad = _radical_term(z, spec, np.sqrt)
-        plus = _squared_at(z, spec, sigma_rhs[lanes], rad)
-        if spec._condition_terms.oscillator:
-            return plus
-        return plus * _squared_at(z, spec, sigma_rhs[lanes], -rad)
-
-    return f
-
-
-#: Step cap of the seeds' secant.  Most lanes converge in under 10 steps;
-#: a lane still moving after 30 is cycling near a minimum of the factor
-#: that is not a zero, and is dropped.
-SEED_SECANT_STEPS = 30
+    t = spec._condition_terms
+    e = np.asarray(e, dtype=complex)
+    g = e + t.mass - t.c if t.is_spin else e - t.mass - t.c
+    u, v = np.sqrt(t.a * g + 0.25), np.sqrt(t.b * g + t.m_sq)
+    out = 1.0
+    for su in (1, -1) if t.a else (1,):
+        for sv in (1, -1) if t.b else (1,):
+            omega = su * u + sv * v
+            if t.oscillator:
+                out = out * _squared_at(e, spec, sigma_rhs, omega + t.two_n_prime + 2 + t.two_n)
+            else:
+                w = np.sqrt((omega + t.two_n_prime + 1) ** 2 + g * t.d_e * t.r_e_sq)
+                out = out * _squared_at(e, spec, sigma_rhs, w) * _squared_at(e, spec, sigma_rhs, -w)
+    return out
 
 
 def _seeds(spec, lo, hi):
-    """Real candidates for the roots of every principal branch in [lo, hi].
+    """Disks about the eliminants' zeros that meet the real axis near [lo, hi].
 
-    They come from the spec's `_eliminant_zeros`.  The eliminant's float
-    coefficients are ill-conditioned near clusters of roots: their roots can
-    miss by 0.05, a hundred panels of the default grid.  Each root within 1
-    of the window therefore starts a complex secant (at most
-    SEED_SECANT_STEPS steps) on the eliminant's principal factor
-    (`_seed_factor`), which is evaluated directly and is not subject to that
-    rounding; all starts run as one numpy batch.  Candidates are the
-    polished zeros with |Im| < 1e-6 (1 + |z|) and the raw roots with
-    |Im| < 1e-3 (1 + |z|).  They only say where to look.
+    np.roots gives an eliminant p one exact 0 per trailing zero coefficient,
+    of radius 0, and d other zeros z_i, each with its Weierstrass correction
+    W_i = q(z_i) / (lc prod_{j != i} (z_i - z_j)): q is p over the exact
+    zeros, evaluated directly (`_eliminant_at`) and not from the rounded
+    coefficients, whose first nonzero one is lc.  The zeros of q are the
+    eigenvalues of diag(z) - W 1^T, so by Gerschgorin each lies in a disk
+    |E - z_i| <= d |W_i| (Smith, JACM 17 (1970) 661; Braess and Hadeler,
+    Numer. Math. 21 (1973) 161), up to the rounding of the W_i: the disks
+    say where to look and certify nothing.  Returns the real parts of the
+    centres and the radii (infinite where not finite) of the disks within 1
+    of the window.
     """
-    zs, lanes = [], []
-    for sigma_rhs, z in spec._eliminant_zeros:
-        z = z[(z.real > lo - 1.0) & (z.real < hi + 1.0)]
-        zs.append(z)
-        lanes.append(np.full(z.size, float(sigma_rhs)))
-    zs = np.concatenate(zs)
-    polished = _secant_batch(
-        _seed_factor(spec, np.concatenate(lanes)), zs, zs * (1 + 1e-8) + 1e-8j, SEED_SECANT_STEPS
-    )
-    polished = polished[np.isfinite(polished)]
-    near_axis = lambda z, tol: z.real[np.abs(z.imag) < tol * (1.0 + np.abs(z))]
-    return np.concatenate([near_axis(zs, 1e-3), near_axis(polished, 1e-6)])
+    centres, radii = [], []
+    for (sigma_rhs, poly), (_, z) in zip(spec._eliminant_coefficients, spec._eliminant_zeros):
+        poly = np.trim_zeros(poly)
+        d = len(poly) - 1
+        gaps = z[:d, None] - z[:d]
+        np.fill_diagonal(gaps, 1.0)
+        with np.errstate(all="ignore"):
+            q = _eliminant_at(z[:d], spec, sigma_rhs) / z[:d] ** (z.size - d)
+            r = d * np.abs(q / (poly[0] * gaps.prod(axis=1)))
+        centres.append(z)
+        radii.append(np.concatenate([np.where(np.isnan(r), np.inf, r), np.zeros(z.size - d)]))
+    z, r = np.concatenate(centres), np.concatenate(radii)
+    near = (np.abs(z.imag) <= r) & (z.real - r < hi + 1.0) & (z.real + r > lo - 1.0)
+    return z.real[near], r[near]
 
 
-#: Grid panels tested on each side of the panel a candidate root falls in,
-#: so each candidate marks a block of 2 SEED_PANELS + 1 panels.  A root on a
-#: grid point is bracketed on both sides of it, and a raw eliminant root may
-#: sit a panel away from the sign change.
+#: Grid panels tested on each side of those a seed disk's real-axis shadow
+#: overlaps, so a disk of radius 0 marks 2 SEED_PANELS + 1 panels.  A root on
+#: a grid point is bracketed on both sides of it, and the disks are floats.
 SEED_PANELS = 2
 
 
@@ -647,9 +646,10 @@ def _scan_branches(spec, branches, interval, panels_per_unit):
 
     The grid is np.linspace(lo, hi, n + 1) with n = panels_per_unit panels
     per unit energy, and a root is bracketed by a sign change between two
-    neighbouring grid points.  Only the panels near a candidate root of the
-    eliminants are tested (`_seeds`, from the spec's `_eliminant_zeros`):
-    each candidate in panel i marks panels i - SEED_PANELS .. i + SEED_PANELS,
+    neighbouring grid points.  Only the panels under a seed disk of the
+    eliminants' zeros are tested (`_seeds`): a disk of centre x + iy and
+    radius r marks panels i - SEED_PANELS .. j + SEED_PANELS, where i .. j
+    are the panels [x - r, x + r] overlaps (the one holding x if r = 0),
     and all marked panels are evaluated for all branches at once, in one
     `_residual_array` call.  On the real axis the residual of a branch
     restriction is real wherever all radicals are real, but the oscillator
@@ -658,17 +658,20 @@ def _scan_branches(spec, branches, interval, panels_per_unit):
     stays negligible, and polished by brentq on the scalar residual: per
     branch, the real-component brackets first, then the imaginary ones, each
     in ascending order.  Each bracket found is one a full sign-change scan of
-    the grid finds, with the same root; that the seeds point at every such
+    the grid finds, with the same root; that the disks mark every such
     bracket is checked against the full scan in the tests, not certified.
     """
     lo, hi = interval
     n = max(16, int(round((hi - lo) * panels_per_unit)))
     es = np.linspace(lo, hi, n + 1)
     h = (hi - lo) / n
-    at = np.clip((_seeds(spec, lo, hi) - lo) / h, -SEED_PANELS - 1.0, n)
+    x, r = _seeds(spec, lo, hi)
+    at = lambda e: np.clip((e - lo) / h, -SEED_PANELS - 1.0, n)
+    first = np.floor(at(x - r))
+    last = np.maximum(first, np.ceil(at(x + r)) - 1)
     marked = np.zeros(n, dtype=bool)
-    for i in np.floor(at).astype(int).tolist():
-        marked[max(0, i - SEED_PANELS) : max(0, i + SEED_PANELS + 1)] = True
+    for i, j in zip(first.astype(int).tolist(), last.astype(int).tolist()):
+        marked[max(0, i - SEED_PANELS) : max(0, j + SEED_PANELS + 1)] = True
     panels = np.flatnonzero(marked)
     pts = np.union1d(panels, panels + 1)
     left = np.searchsorted(pts, panels)  # pts[left + 1] == panels + 1
@@ -764,7 +767,7 @@ def find_roots(spec: ProblemSpec, *, mode="strict"):
     parts of complex pairs of the squared forms, reproducing the published
     tables.  Real roots come from the sign-change rule on a grid of
     PANELS_PER_UNIT panels per unit energy, tested for all searched
-    branches on the panels the eliminant's roots point at
+    branches on the panels under disks about the eliminant's zeros
     (`_scan_branches`), plus the exact polynomial paths when a = b = 0;
     complex pairs of the ring-dressed oscillator come from
     `complex_zeros_drso`, batch-located and finished by the scalar secant.

@@ -226,4 +226,9 @@ class TestConditionTerms:
         assert set(vars(back)) == {f.name for f in fields(ProblemSpec)}
         assert back._condition_terms == terms
         assert not any(z.flags.writeable for _, z in back._eliminant_zeros)
+        coefficients = back._eliminant_coefficients
+        assert [s for s, _ in coefficients] == [s for s, _ in spec._eliminant_coefficients]
+        for (_, got), (_, want) in zip(coefficients, spec._eliminant_coefficients):
+            assert got is not want and np.array_equal(got, want)
+            assert not got.flags.writeable
         assert replace(back)._condition_terms == terms

@@ -144,9 +144,9 @@ def test_spin_pseudospin_map_residual_identity(spec, e, br):
 
 
 #: A spin Kratzer spec whose roots sit 1e-5 from E = M, next to the lhs pole
-#: at E = C_s - M: the eliminant's roots there scatter on a circle of radius
-#: about 0.6 and the seeds' secant needs more than SEED_SECANT_STEPS steps to
-#: reach the real roots, so the seeded scan misses all four.
+#: at E = C_s - M: the eliminant's zeros there scatter on a circle of radius
+#: about 0.6 around the real roots, and only their inclusion disks, of radius
+#: about 1, reach them.
 NEAR_POLE_CLUSTER = ProblemSpec(
     symmetry=Spin(7.984375),
     potential=Kratzer(0.5, 0.125),
@@ -158,7 +158,7 @@ NEAR_POLE_CLUSTER = ProblemSpec(
 
 @PROPERTY_SETTINGS
 @given(real_specs())
-@example(NEAR_POLE_CLUSTER).xfail(raises=AssertionError, reason="seed secant step cap")
+@example(NEAR_POLE_CLUSTER)
 def test_seeded_scan_equals_full_scan(spec):
     # at a coarse grid the full sign-change scan is cheap enough to draw specs for
     interval = (-spec.mass - 20.0, spec.mass + 20.0)

@@ -460,8 +460,17 @@ def _random_scan_specs(seed, count):
 #: brackets it on both sides, so the panels next to a candidate's must be tested.
 GRID_POINT_ROWS = [(1, 3, 0, 1, 1.0, 0.0), (1, 3, 1, 0, 0.0, 0.0), (3, 2, 0, 1, 0.0, 0.0)]
 
-#: A random spec whose canonical root only the secant-polished seed reaches.
-SECANT_SEEDED = _random_scan_specs(14, 12)[8]
+#: A random spec whose canonical root, 2.9186, lies 0.0017 from the nearest
+#: eliminant zero, beyond the SEED_PANELS margin: only that zero's inclusion
+#: disk, of radius 0.016, reaches it.
+OFF_ZERO_ROOT = _random_scan_specs(14, 12)[8]
+
+#: A spin Kratzer spec whose float eliminant coefficients put a complex pair
+#: of zeros at 0.9964 +- 0.0032i where the eliminant has the real root
+#: 0.99582: disks from those coefficients' own values miss the axis there.
+FLOAT_PAIR_OFF_AXIS = table_spec(
+    3, 0, 0, 2, 1.0, 1.0, {"mass": 1.0, "c_s": 0.0, "d_e": 1.0, "r_e": 0.25}
+)
 
 
 class TestSeededScan:
@@ -469,10 +478,10 @@ class TestSeededScan:
 
     @pytest.mark.parametrize(
         "spec",
-        _random_scan_specs(5, 12) + [table_spec(*row) for row in GRID_POINT_ROWS] + [SECANT_SEEDED],
+        _random_scan_specs(5, 12) + [table_spec(*row) for row in GRID_POINT_ROWS] + [OFF_ZERO_ROOT],
         ids=[f"random{i}" for i in range(12)]
         + ["table{}-{}{}{}-a{:g}-b{:g}".format(*r) for r in GRID_POINT_ROWS]
-        + ["secant-seeded"],
+        + ["off-zero-root"],
     )
     def test_equals_full_scan_on_all_strategies(self, spec):
         # all strategies the search covers: the four principal ones
@@ -481,6 +490,79 @@ class TestSeededScan:
         interval = (-spec.mass - 20.0, spec.mass + 20.0)
         got = _scan_branches(spec, principal_branches(), interval, 2000)
         assert got == [_scan_one_branch(spec, br, interval, 2000) for br in principal_branches()]
+
+    @pytest.mark.parametrize("panels_per_unit", [200, 2000])
+    def test_disks_reach_roots_the_float_coefficients_lose(self, panels_per_unit):
+        # the corrections evaluate the eliminant directly (`_eliminant_at`)
+        from drsbound.spectrum import _scan_branches
+
+        spec, interval = FLOAT_PAIR_OFF_AXIS, (-21.0, 21.0)
+        got = _scan_branches(spec, principal_branches(), interval, panels_per_unit)
+        per_unit = panels_per_unit
+        want = [_scan_one_branch(spec, br, interval, per_unit) for br in principal_branches()]
+        assert got == want and want[0]
+
+    def test_disks_hold_clustered_zeros(self, monkeypatch):
+        # np.roots splits the fourfold zero at 1 by about 1e-4; the zero
+        # coefficients at both ends are trimmed, and the trailing ones give
+        # np.roots's exact zeros.  The polynomial is evaluated from its own
+        # coefficients, which are exact here
+        from types import SimpleNamespace
+
+        from drsbound import spectrum
+
+        poly = np.concatenate([[0.0], np.poly([1.0, 1.0, 1.0, 1.0, -2.0]), [0.0, 0.0]])
+        zeros = np.roots(poly)
+        spec = SimpleNamespace(_eliminant_coefficients=((1, poly),), _eliminant_zeros=((1, zeros),))
+        monkeypatch.setattr(spectrum, "_eliminant_at", lambda e, spec, s: np.polyval(poly, e))
+        x, r = spectrum._seeds(spec, -5.0, 5.0)
+        assert np.abs(zeros[:5] - 1.0).min() > 1e-5 and r.max() < 1e-3
+        for root in (1.0, -2.0, 0.0):
+            assert (np.abs(root - x) <= r).any()
+        assert list(x[-2:]) == [0.0, 0.0] and list(r[-2:]) == [0.0, 0.0]
+
+    @pytest.mark.parametrize(
+        "row",
+        [(1, 1, 0, 1, 1.0, 0.5), (2, 1, 1, 1, 1.0, 0.5), (3, 0, 1, 1, 0.0, 2.0), (4, 2, 0, 0, 0, 0)],
+    )
+    def test_eliminant_at_is_the_eliminant(self, row):
+        # the product of the conjugate squared forms is the expanded polynomial
+        from drsbound.spectrum import _eliminant_at
+
+        spec = table_spec(*row)
+        e = np.array([0.3 + 0.2j, -1.7 + 0.5j, 2.2, -30.0 + 4.0j])
+        for sigma_rhs, poly in spec._eliminant_coefficients:
+            want = np.polyval(poly, e)
+            assert _eliminant_at(e, spec, sigma_rhs) == pytest.approx(want, rel=1e-11)
+
+    def test_exact_zeros_get_radius_zero(self):
+        # at m = 0 and b != 0 both eliminants end in two zero coefficients:
+        # E = 0 is a double exact zero of each, where the corrections divide
+        # by zero
+        from drsbound.spectrum import _seeds
+
+        spec = table_spec(1, 0, 0, 0, 1.0, 1.0)
+        assert [list(z[-2:]) for _, z in spec._eliminant_zeros] == [[0.0, 0.0], [0.0, 0.0]]
+        x, r = _seeds(spec, -spec.mass - 20.0, spec.mass + 20.0)
+        assert list(r[x == 0.0]) == [0.0] * 4
+        assert np.isfinite(r).all()
+
+    def test_table_scan_cost(self, monkeypatch):
+        # the disks mark no more panels than the raw eliminant roots did (4992
+        # points over the 240 rows); an infinite radius marks the whole grid
+        from drsbound import spectrum
+
+        counts = []
+        array = spectrum._residual_array
+        counted = lambda spec, es, br: counts.append(len(es)) or array(spec, es, br)
+        monkeypatch.setattr(spectrum, "_residual_array", counted)
+        for table in (1, 2, 3, 4):
+            for row in load_table_data(table):
+                spec = table_spec(table, *row[:5])
+                lo, hi = -spec.mass - 20.0, spec.mass + 20.0
+                spectrum._scan_branches(spec, principal_branches(), (lo, hi), 2000)
+                assert counts[-1] <= 0.01 * (hi - lo) * 2000
+        assert len(counts) == 240 and sum(counts) <= 4992
 
     @pytest.mark.parametrize("table", [1, 2, 3, 4])
     @pytest.mark.parametrize("n, npr, m", [(0, 0, 0), (1, 2, -1), (2, 0, 2)])
@@ -1139,43 +1221,6 @@ CLASS_D_BRANCH_RESIDUALS = [
     ((3, 0, 0, 0, 0.0, 0.0), 0.0, [None] * 8),
 ]
 
-#: `_seed_factor` at three complex points, as (re, im) float.hex pairs, on
-#: Kratzer specs (table, n, n', m, a, b) for each sigma_rhs.
-SEED_FACTOR_POINTS = (-3.2 + 0.7j, 1.5 - 0.2j, 4.4 + 2.5j)
-SEED_FACTOR_VALUES = [
-    ((1, 0, 0, 0, 0.0, 0.0), 1, [
-        ("0x1.db74c1871e6cap+13", "-0x1.81edfa43fe5c7p+12"),
-        ("0x1.05abfd933e35dp+13", "-0x1.09782d38476f4p+11"),
-        ("0x1.28fd162ae4b00p+15", "0x1.700a9930be0dfp+16"),
-    ]),
-    ((1, 0, 0, 0, 0.0, 0.0), -1, [
-        ("0x1.425c1a6937d1dp+13", "-0x1.511e00d1b7174p+12"),
-        ("-0x1.6962ae4b01895p+5", "-0x1.794855da2727cp+5"),
-        ("0x1.c0517720c8cdep+10", "-0x1.f342c3c9eecb8p+9"),
-    ]),
-    ((1, 1, 0, 1, 1.0, 1.0), 1, [
-        ("0x1.4ba4e3c985fa1p+14", "-0x1.42971259cf53ap+13"),
-        ("0x1.c2685766ae351p+14", "-0x1.c227087376ae0p+12"),
-        ("0x1.adebc68e23ebbp+16", "0x1.572032f8a673fp+18"),
-    ]),
-    ((1, 1, 0, 1, 1.0, 1.0), -1, [
-        ("0x1.c53f36b894a8ap+12", "-0x1.2d687848873eap+11"),
-        ("-0x1.3ac9707e41084p+8", "-0x1.35dad035e9d0ap+7"),
-        ("-0x1.125a9407ebf89p+14", "0x1.61ab2a3d22d36p+15"),
-    ]),
-    ((3, 0, 1, 1, 0.5, 2.0), 1, [
-        ("-0x1.f79608c33931ep+14", "0x1.811d374433c73p+14"),
-        ("0x1.acacc91270beep+12", "0x1.2ea73f4e67b14p+10"),
-        ("-0x1.d83876033521ap+15", "0x1.ba3741c10e616p+14"),
-    ]),
-    ((3, 0, 1, 1, 0.5, 2.0), -1, [
-        ("-0x1.ffb9a144702cap+14", "-0x1.3a85f4dd7c39dp+16"),
-        ("0x1.21d9840ee64eap+15", "-0x1.60bff1e7fab08p+11"),
-        ("0x1.efa4f2c60620dp+15", "-0x1.262ed7914542fp+15"),
-    ]),
-]
-
-
 class TestBitPins:
     def test_labels(self):
         # the table CSV and the audit JSON `branch` field print these
@@ -1198,15 +1243,6 @@ class TestBitPins:
             for t in "+-"
         ]
         assert [_bits(r) for r in residuals.values()] == want
-
-    @pytest.mark.parametrize("cell, sigma_rhs, want", SEED_FACTOR_VALUES)
-    def test_seed_factor(self, cell, sigma_rhs, want):
-        from drsbound.spectrum import _seed_factor
-
-        z = np.array(SEED_FACTOR_POINTS)
-        f = _seed_factor(table_spec(*cell), np.full(z.size, float(sigma_rhs)))
-        got = [(w.real.hex(), w.imag.hex()) for w in f(z, np.arange(z.size))]
-        assert got == want
 
 
 #: Parameters of the spectral-condition pins.  None is a bundled table's,
