@@ -15,23 +15,22 @@ resumable: it keeps the latest (lambda_k, s_k), so raising k costs one
 step, not a rebuild.  Jets carry leading batch axes, so one series can run
 at a whole array of eigenparameters: find_eigenvalue samples its grid with
 one batched series, one array step per depth, and polishes each sign change
-with the scalar series that aim_delta and aim_series run to a fixed depth.
+with the scalar series that aim_delta runs to a fixed depth.
 
 The two exactly solvable families used by the spectral conditions (the
-Kratzer-type radial problem and the ring-shaped angular problem), and the
-general polynomial eigenfunction family in hypergeometric normal form, are
-provided alongside the generic engine so the closed forms elsewhere in the
-package can be cross-checked against independent AIM numerics.
+Kratzer-type radial problem and the ring-shaped angular problem) are
+provided alongside the generic engine, with their closed-form termination
+conditions, so the closed forms elsewhere in the package can be
+cross-checked against independent AIM numerics.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .brent import brentq
-from .specfun import PoleError, hyp2f1_terminating, pochhammer
 
 
 class AimError(RuntimeError):
@@ -179,14 +178,6 @@ class AimProblem:
         return self.lambda0(eigenparameter, x), self.s0(eigenparameter, x)
 
 
-@dataclass
-class AimSeriesResult:
-    """Per-iteration (lambda_k, s_k) jets and delta_k values."""
-
-    deltas: list = field(default_factory=list)
-    pairs: list = field(default_factory=list)
-
-
 class AimSeries:
     """The recurrence at one eigenparameter, or an array of them, advanced
     one depth at a time.
@@ -196,7 +187,8 @@ class AimSeries:
     so raising the depth from k to k + 1 costs one step, not k + 1.  The
     jet order is fixed by the problem, not by k, so delta(k) is the same
     float however the series got there.  This step is the only place the
-    recurrence and its rescale are written.
+    recurrence and its rescale are written; rescale=False keeps the raw
+    recurrence, for cross-checks against symbolic differentiation.
 
     An array eigenparameter runs one series per element as one batch: each
     step is a handful of array operations, the rescale is elementwise, and
@@ -234,31 +226,14 @@ class AimSeries:
 def aim_delta(problem: AimProblem, eigenparameter, k: int):
     """delta_k(x0) = lambda_k s_{k-1} - lambda_{k-1} s_k, rescaled each step.
 
-    The last delta of aim_series: the running rescale divides both sequences
-    by a common magnitude, which multiplies delta_k by a positive constant
-    and leaves its zeros (the quantization condition) untouched while
-    preventing overflow.
+    The k-th delta of a fresh AimSeries: its running rescale divides both
+    sequences by a common magnitude, which multiplies delta_k by a positive
+    constant and leaves its zeros (the quantization condition) untouched
+    while preventing overflow.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     return AimSeries(problem, eigenparameter).delta(k)
-
-
-def aim_series(problem: AimProblem, eigenparameter, k_max=None, rescale=True) -> AimSeriesResult:
-    """All (lambda_k, s_k) and delta_k for k = 1..k_max at one eigenparameter.
-
-    Runs k_max steps of an AimSeries and keeps every pair, so deltas[k - 1]
-    is bit-identical to aim_delta(problem, eigenparameter, k).
-    rescale=False keeps the raw recurrence (useful for cross-checks against
-    symbolic differentiation); the default guards against overflow at large
-    k without moving any delta_k zero.
-    """
-    k_max = k_max if k_max is not None else problem.k_max
-    series = AimSeries(problem, eigenparameter, rescale)
-    result = AimSeriesResult(deltas=series.deltas)
-    for _ in range(k_max):
-        result.pairs.append(series.step())
-    return result
 
 
 def _delta_roots_on(problem, xs, vals, k):
@@ -400,28 +375,3 @@ def aim_exact_angular(eta, p, ell_eff, n_prime: int):
     if n_prime < 0:
         raise ValueError("n_prime must be nonnegative")
     return complex(eta) + complex(p) - (-n_prime + 0.5 * complex(ell_eff))
-
-
-def normal_form_sigma_rho(a, b, m, big_n):
-    """sigma and rho of the polynomial eigenfunction family in normal form."""
-    if b == 0:
-        raise ValueError("rho requires b != 0 (use the confluent limit otherwise)")
-    sigma = (2.0 * m + big_n + 3.0) / (big_n + 2.0)
-    rho = ((2.0 * m + 1.0) * b + 2.0 * a) / ((big_n + 2.0) * b)
-    return sigma, rho
-
-
-def general_eigenfunction(n: int, x, *, big_n: int, b, sigma, rho, c2=1.0):
-    """Polynomial eigenfunction y_n(x) of the hypergeometric normal form.
-
-    y_n(x) = (-1)^n c2 (N+2)^n (sigma)_n 2F1(-n, rho + n; sigma; b x^(N+2)).
-    sigma at a nonpositive integer is a Pochhammer pole and is rejected.
-    """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    sig = complex(sigma)
-    if abs(sig.imag) < 1e-12 and sig.real < 0.5 and abs(sig.real - round(sig.real)) < 1e-12:
-        raise PoleError(f"sigma = {sigma} is a Pochhammer pole")
-    arg = b * complex(x) ** (big_n + 2)
-    f = hyp2f1_terminating(n, complex(rho) + n, sig, arg).value
-    return (-1.0) ** n * c2 * (big_n + 2.0) ** n * pochhammer(sig, n) * f

@@ -48,15 +48,15 @@ its complex zeros are located by one secant multistart
 (`_complex_multistart`): for the ring-dressed oscillator this is part of
 the search, where all starts run as one numpy batch that only locates the
 zeros and the scalar multistart, rerun from one start per zero, reports them
-(`complex_zeros_drso`); the Kratzer analogue with a or b nonzero has no
-agreed generation convention, so those table entries are audited to class
-D, with the multistart's nearest pair as a diagnostic, rather than guessed
-at.  The audit's complex
-multistart (`classify_value`) stays scalar: it keeps every zero its few
-starts find, so a batch would save nothing.  Its bracket polish
-(`_polish_branch_root`) evaluates the halving ladders of endpoints that need
-them as one array, which only locates: the scalar residual decides every
-endpoint.
+(`complex_zeros_drso`).  The Kratzer analogue with a or b nonzero is
+polynomial too: the eliminant is its polynomial form and lists those
+zeros.  The search does not take them as roots, so those table entries are
+audited to class D, with the multistart's nearest pair as a diagnostic.
+The audit's complex multistart (`classify_value`) stays scalar: it keeps
+every zero its few starts find, so a batch would save nothing.  Its bracket
+polish (`_polish_branch_root`) evaluates the halving ladders of endpoints
+that need them as one array, which only locates: the scalar residual
+decides every endpoint.
 """
 
 from __future__ import annotations
@@ -1177,8 +1177,9 @@ def classify_value(spec: ProblemSpec, value: float, match_tol=1e-4):
             diag["branch_residuals"][f"{_sign_text(br)},{reading}"] = res
     near_pairs = []
     if not t.oscillator and not central:
-        # informational only: the squared Kratzer form has no polynomial
-        # representation with ring terms and is not part of the search space
+        # informational only: the ring-dressed squared Kratzer form's zeros are
+        # zeros of its polynomial form, the eliminant, but not part of the
+        # search space
         for srhs in (1, -1):
             near_pairs.extend(_complex_multistart(spec, value, (0.5, 1.0, 2.0, 4.0), srhs))
     if pair_zeros:

@@ -160,34 +160,24 @@ def normalization_constant(spec: ProblemSpec, energy, counterpart=None) -> float
     return 1.0 / math.sqrt(total)
 
 
-def _radial(spec, coeffs: CoefficientSet, r, n: int):
-    if isinstance(spec.potential, Kratzer):
-        return radial_kratzer(r, coeffs, n)
-    return radial_oscillator(r, coeffs, n)
-
-
-def evaluate_component(spec, coeffs: CoefficientSet, qn, r, theta, phi, scale=1.0):
-    """scale times the printed component at (r, theta, phi) for a coefficient set.
+def assemble_component(spec: ProblemSpec, energy, r, theta, phi, normalization=None):
+    """Normalized component at (r, theta, phi); complex-valued through phi.
 
     Radial, polar and azimuthal factors with the Gamma prefactors, divided
-    by r sin^(1/2)(theta).  spec only supplies `.potential`, so a
-    nonrelativistic parameter record serves as well as a ProblemSpec.
+    by r sin^(1/2)(theta).
     """
-    rad = _radial(spec, coeffs, r, qn.n)
+    coeffs = derive_coefficients(spec, energy)
+    if normalization is None:
+        normalization = normalization_constant(spec, energy)
+    qn = spec.qn
+    radial = radial_kratzer if isinstance(spec.potential, Kratzer) else radial_oscillator
+    rad = radial(r, coeffs, qn.n)
     ang = angular_H(theta, coeffs, qn.n_prime)
     azi = azimuthal_phi(phi, qn.m)
     pref = gamma_prefactor(spec, coeffs, qn.n)
     r = np.asarray(r, dtype=float)
     theta = np.asarray(theta, dtype=float)
-    return scale * pref * rad * ang * azi / (r * np.sqrt(np.sin(theta)))
-
-
-def assemble_component(spec: ProblemSpec, energy, r, theta, phi, normalization=None):
-    """Normalized component at (r, theta, phi); complex-valued through phi."""
-    coeffs = derive_coefficients(spec, energy)
-    if normalization is None:
-        normalization = normalization_constant(spec, energy)
-    return evaluate_component(spec, coeffs, spec.qn, r, theta, phi, normalization)
+    return normalization * pref * rad * ang * azi / (r * np.sqrt(np.sin(theta)))
 
 
 @dataclass(frozen=True)
@@ -248,13 +238,3 @@ def verify_normalization(spec: ProblemSpec, energy):
     vals = np.abs(field(rr, tt, 0.0)) ** 2 * rr**2 * np.sin(tt)
     radial_theta = np.einsum("i,j,ij->", wr, wt, vals)
     return abs(2.0 * math.pi * radial_theta - 1.0)
-
-
-def radial_node_count(spec: ProblemSpec, energy):
-    """Sign changes of the radial factor at 4000 points up to the envelope radius."""
-    coeffs = derive_coefficients(spec, energy)
-    r_max = _envelope_radius(spec, coeffs)
-    r = np.linspace(r_max / 4000, r_max, 4000)
-    vals = _radial(spec, coeffs, r, spec.qn.n)
-    signs = np.sign(vals)
-    return int(np.sum(signs[:-1] * signs[1:] < 0))

@@ -16,15 +16,11 @@ from drsbound.aim import (
     aim_delta,
     aim_exact_angular,
     aim_exact_kratzer,
-    aim_series,
     angular_problem,
     find_eigenvalue,
-    general_eigenfunction,
     kratzer_radial_problem,
-    normal_form_sigma_rho,
     oscillator_radial_problem,
 )
-from drsbound.specfun import PoleError, pochhammer
 
 REFERENCE_DIR = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "reference"
 
@@ -137,14 +133,14 @@ class TestRecurrenceIdentity:
                 k_max=4,
                 order=order,
             )
-            series = aim_series(problem, 0.0, rescale=False)
+            series = AimSeries(problem, 0.0, rescale=False)
             lam_p = np.polynomial.Polynomial(pl)
             s_p = np.polynomial.Polynomial(ps)
             lam0_p, s0_p = lam_p, s_p
             for k in range(4):
                 lam_next = lam_p.deriv() + s_p + lam0_p * lam_p
                 s_next = s_p.deriv() + s0_p * lam_p
-                jet_lam, jet_s = series.pairs[k]
+                jet_lam, jet_s = series.step()
                 assert abs(jet_lam.value - lam_next(x0)) < 1e-9 * (1 + abs(lam_next(x0)))
                 assert abs(jet_s.value - s_next(x0)) < 1e-9 * (1 + abs(s_next(x0)))
                 lam_p, s_p = lam_next, s_next
@@ -236,45 +232,6 @@ class TestAngularSeries:
         for n_prime in range(4):
             residual = aim_exact_angular(0.25, 0.5, 2 * n_prime + 1.5, n_prime)
             assert abs(residual) < 1e-14
-
-
-class TestGeneralEigenfunction:
-    def test_degree_zero_is_one(self):
-        for sigma, rho, b in ((2.0, 3.0, 1.0), (1.3, 0.4, 0.2)):
-            v = general_eigenfunction(0, 0.5, big_n=0, b=b, sigma=sigma, rho=rho)
-            assert v == pytest.approx(1.0)
-
-    def test_first_degree_value(self):
-        # term-by-term oracle: (-1) * (N+2) * (sigma)_1 * [1 - (rho+1) b x^2 / sigma]
-        sigma, rho, b, x = 2.0, 3.0, 1.0, 0.5
-        oracle = -1.0 * 2.0 * sigma * (1.0 - (rho + 1.0) * b * x**2 / sigma)
-        v = general_eigenfunction(1, x, big_n=0, b=b, sigma=sigma, rho=rho)
-        assert v == pytest.approx(oracle, rel=1e-13)
-        assert v == pytest.approx(-2.0, rel=1e-13)
-
-    def test_sigma_pole_rejected(self):
-        with pytest.raises(PoleError):
-            general_eigenfunction(2, 0.5, big_n=0, b=1.0, sigma=-1.0, rho=3.0)
-
-    def test_normal_form_parameters(self):
-        sigma, rho = normal_form_sigma_rho(a=1.0, b=2.0, m=0.5, big_n=0)
-        assert sigma == pytest.approx((2 * 0.5 + 3) / 2.0)
-        assert rho == pytest.approx(((2 * 0.5 + 1) * 2.0 + 2 * 1.0) / (2 * 2.0))
-
-    def test_matches_angular_polynomial(self):
-        # the angular 2F1 with sigma = 2 eta + 1/2, rho = 2 (eta + p)
-        from drsbound.specfun import hyp2f1_terminating
-
-        eta, p = 0.9697548, 1.0119364
-        sigma, rho = 2 * eta + 0.5, 2 * (eta + p)
-        for n_prime in (0, 1, 2, 3):
-            for x_ang in np.linspace(0.05, 0.95, 20):
-                mine = general_eigenfunction(
-                    n_prime, math.sqrt(x_ang), big_n=0, b=1.0, sigma=sigma, rho=rho
-                )
-                poly = hyp2f1_terminating(n_prime, rho + n_prime, sigma, x_ang).value
-                expected = (-1.0) ** n_prime * 2.0**n_prime * pochhammer(sigma, n_prime) * poly
-                assert mine == pytest.approx(expected, rel=1e-11)
 
 
 def _delta_oracle(problem, eigenparameter, k):
@@ -425,7 +382,6 @@ class TestResumableSeries:
         deltas = [series.delta(k) for k in range(1, problem.k_max + 1)]
         assert deltas == [aim_delta(problem, x, k) for k in range(1, problem.k_max + 1)]
         assert deltas == [_delta_oracle(problem, x, k) for k in range(1, problem.k_max + 1)]
-        assert aim_series(problem, x).deltas == deltas
         # a jump straight to the deepest k and back reads the same stored values
         again = AimSeries(problem, x)
         assert again.delta(problem.k_max) == deltas[-1]

@@ -5,15 +5,8 @@ import pytest
 from scipy.optimize import brentq
 
 from drsbound.model import Kratzer, Oscillator, QuantumNumbers, RingParams, SpecError
-from drsbound.nonrel import (
-    NonRelParams,
-    energy_kratzer_nr,
-    energy_oscillator_nr,
-    reduction_check_oscillator,
-    wavefunction_nr,
-)
+from drsbound.nonrel import NonRelParams, energy_kratzer_nr
 from drsbound.oracle import nonrel_energy_fd
-from drsbound.wavefun import angular_H, radial_kratzer
 
 
 def kratzer_params(a=0.0, b=0.0):
@@ -76,39 +69,19 @@ class TestKratzerSpectrum:
                     assert abs(root - closed) < 1e-8
 
 
-class TestOscillatorSpectrum:
-    def test_ground_values(self):
-        assert energy_oscillator_nr(oscillator_params(), QuantumNumbers()) == pytest.approx(2.5)
-        assert energy_oscillator_nr(
-            oscillator_params(), QuantumNumbers(m=1)
-        ) == pytest.approx(3.5)
+class TestParams:
+    @pytest.mark.parametrize("field", ["mu", "hbar"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, field, value):
+        kwargs = {"mu": 1.0, "potential": Kratzer(15.0, 0.4), field: value}
+        with pytest.raises(SpecError, match=f"NonRelParams.{field} must be finite"):
+            NonRelParams(**kwargs)
 
-    def test_equidistant_ladder(self):
-        p = oscillator_params()
-        for n in range(4):
-            for npr in range(3):
-                step = energy_oscillator_nr(
-                    p, QuantumNumbers(n=n + 1, n_prime=npr)
-                ) - energy_oscillator_nr(p, QuantumNumbers(n=n, n_prime=npr))
-                assert step == pytest.approx(2.0, rel=1e-14)
-
-
-class TestReductionCheck:
-    def test_ground_state_report(self):
-        report = reduction_check_oscillator(oscillator_params(), ell=0, n=0)
-        assert report.textbook == pytest.approx(1.5)
-        assert report.fd_eigenvalue == pytest.approx(1.5, abs=1e-4)
-        # direct substitution overshoots the textbook value by exactly 1/2
-        assert report.substituted_vs_textbook == pytest.approx(0.5, abs=1e-12)
-
-    def test_higher_state(self):
-        report = reduction_check_oscillator(oscillator_params(), ell=2, n=1)
-        assert report.textbook == pytest.approx(5.5)
-        assert report.fd_eigenvalue == pytest.approx(5.5, abs=1e-4)
-
-    def test_ring_terms_rejected(self):
-        with pytest.raises(SpecError):
-            reduction_check_oscillator(oscillator_params(a=1.0), ell=0, n=0)
+    @pytest.mark.parametrize("field", ["mu", "hbar"])
+    def test_nonpositive_rejected(self, field):
+        kwargs = {"mu": 1.0, "potential": Kratzer(15.0, 0.4), field: 0.0}
+        with pytest.raises(SpecError, match="must be positive"):
+            NonRelParams(**kwargs)
 
 
 class TestFdPins:
@@ -120,97 +93,3 @@ class TestFdPins:
     def test_oscillator_level(self):
         fd = nonrel_energy_fd(oscillator_params(), QuantumNumbers())
         assert fd == pytest.approx(2.500000000111932, rel=1e-12)
-
-    @pytest.mark.parametrize(
-        "ell, n, want", [(0, 0, 1.5000000083245049), (2, 1, 5.500000266631468)]
-    )
-    def test_reduction_check_level(self, ell, n, want):
-        report = reduction_check_oscillator(oscillator_params(), ell=ell, n=n)
-        assert report.fd_eigenvalue == pytest.approx(want, rel=1e-12)
-
-
-class TestWavefunction:
-    def test_ground_state_nodeless(self):
-        p = kratzer_params()
-        qn = QuantumNumbers()
-        r = np.linspace(0.05, 8.0, 2000)
-        vals = wavefunction_nr(p, qn, r, 1.0, 0.0).real
-        signs = np.sign(vals)
-        assert np.sum(signs[:-1] * signs[1:] < 0) == 0
-
-    def test_matches_relativistic_assembly_under_mapping(self):
-        # feed the nonrelativistic parameter dictionary through the
-        # relativistic factor evaluators and compare pointwise
-        from drsbound.model import CoefficientSet
-
-        p = kratzer_params(a=0.0, b=0.0)
-        qn = QuantumNumbers(n=1, n_prime=1, m=1)
-        energy = energy_kratzer_nr(p, qn)
-        g = 2.0 * p.mu / p.hbar**2
-        eta = 0.25 * (1 + 2 * math.sqrt(qn.m**2 + g * p.ring.b))
-        pp = 0.25 * (1 + 2 * math.sqrt(0.25 + g * p.ring.a))
-        ell_eff = math.sqrt(g * p.ring.a + 0.25) + math.sqrt(g * p.ring.b + qn.m**2) + 2 * qn.n_prime + 1
-        beta_bar = math.sqrt(-2.0 * p.mu * energy) / p.hbar
-        zeta_bar = 0.5 + math.sqrt(ell_eff**2 + g * 15.0 * 0.16)
-        coeffs = CoefficientSet(
-            gamma=g,
-            beta_sq=-2 * p.mu * energy,
-            omega=ell_eff - 2 * qn.n_prime - 1,
-            ell_eff=ell_eff,
-            eta=eta,
-            p=pp,
-            zeta=zeta_bar,
-            decay=beta_bar,
-        )
-        from drsbound.specfun import gamma_fn
-
-        pref = (
-            gamma_fn(2 * beta_bar + qn.n)
-            / gamma_fn(2 * beta_bar)
-            * gamma_fn(2 * eta + 0.5 + qn.n)
-            / gamma_fn(2 * eta + 0.5)
-        )
-        rng = np.random.default_rng(5)
-        for _ in range(10):
-            r = rng.uniform(0.3, 4.0)
-            theta = rng.uniform(0.3, math.pi - 0.3)
-            phi = rng.uniform(0.0, 2 * math.pi)
-            manual = (
-                pref
-                * radial_kratzer(r, coeffs, qn.n)
-                * angular_H(theta, coeffs, qn.n_prime)
-                * np.exp(1j * qn.m * phi)
-                / math.sqrt(2 * math.pi)
-                / (r * math.sqrt(math.sin(theta)))
-            )
-            val = wavefunction_nr(p, qn, r, theta, phi, energy=energy)
-            assert val == pytest.approx(manual, rel=1e-11)
-
-    def test_quadrature_norm_finite(self):
-        p = kratzer_params()
-        qn = QuantumNumbers()
-        xr, wr = np.polynomial.legendre.leggauss(300)
-        r = 0.5 * 10.0 * (xr + 1)
-        wq = 0.5 * 10.0 * wr
-        xt, wt = np.polynomial.legendre.leggauss(200)
-        th = 0.5 * math.pi * (xt + 1)
-        wt = 0.5 * math.pi * wt
-        rr, tt = np.meshgrid(r, th, indexing="ij")
-        vals = np.abs(wavefunction_nr(p, qn, rr, tt, 0.0)) ** 2 * rr**2 * np.sin(tt)
-        integral = np.einsum("i,j,ij->", wq, wt, vals) * 2 * math.pi
-        assert np.isfinite(integral) and integral > 0
-
-    def test_oscillator_wavefunction_gaussian_envelope(self):
-        p = oscillator_params()
-        qn = QuantumNumbers()
-        width = math.sqrt(p.mu * p.potential.k / 4.0) / p.hbar
-        r1, r2 = 1.0, 2.0
-        v1 = wavefunction_nr(p, qn, r1, 1.0, 0.0).real
-        v2 = wavefunction_nr(p, qn, r2, 1.0, 0.0).real
-        ell_eff = 1.5
-        ratio = (r2 / r1) ** (ell_eff + 0.5 - 1.0) * math.exp(-width * (r2**2 - r1**2))
-        assert v2 / v1 == pytest.approx(ratio, rel=1e-12)
-
-    def test_positive_energy_rejected_for_kratzer(self):
-        with pytest.raises(SpecError):
-            wavefunction_nr(kratzer_params(), QuantumNumbers(), 1.0, 1.0, 0.0, energy=0.5)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from drsbound import wavefun
-from drsbound.model import derive_coefficients
+from drsbound.model import Kratzer, derive_coefficients
 from drsbound.specfun import gamma_fn, jacobi, pochhammer
 from drsbound.spectrum import find_roots, table_spec
 from drsbound.wavefun import (
@@ -18,10 +18,19 @@ from drsbound.wavefun import (
     gamma_prefactor,
     normalization_constant,
     radial_kratzer,
-    radial_node_count,
     radial_oscillator,
     verify_normalization,
 )
+
+
+def radial_node_count(spec, energy):
+    """Sign changes of the radial factor at 4000 points up to the envelope radius."""
+    coeffs = derive_coefficients(spec, energy)
+    r_max = wavefun._envelope_radius(spec, coeffs)
+    r = np.linspace(r_max / 4000, r_max, 4000)
+    radial = radial_kratzer if isinstance(spec.potential, Kratzer) else radial_oscillator
+    signs = np.sign(radial(r, coeffs, spec.qn.n))
+    return int(np.sum(signs[:-1] * signs[1:] < 0))
 
 
 def class_a_energy(table, n, n_prime, m, a, b):
