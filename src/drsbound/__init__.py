@@ -19,20 +19,16 @@ from .model import (
     SpecError,
     Spin,
     derive_coefficients,
-    kappa_ell_map,
 )
 from .spectrum import (
     BranchStrategy,
     CANONICAL,
     ClassifiedRoot,
     RootClass,
-    angular_quantization,
     audit_table,
     classify_value,
     find_roots,
     load_table_data,
-    residual_drsk,
-    residual_drso,
     spin_pseudospin_map,
     squared_polynomial_drsk,
     squared_polynomial_drso,
@@ -65,17 +61,13 @@ __all__ = [
     "SpecError",
     "Spin",
     "SpinorField",
-    "angular_quantization",
     "assemble_component",
     "audit_table",
     "classify_value",
     "derive_coefficients",
     "find_roots",
-    "kappa_ell_map",
     "load_table_data",
     "normalization_constant",
-    "residual_drsk",
-    "residual_drso",
     "spin_pseudospin_map",
     "squared_polynomial_drsk",
     "squared_polynomial_drso",

@@ -8,7 +8,7 @@ The AIM recasts y'' = lambda0(x) y' + s0(x) y into the recurrence
 whose quantization condition delta_k = lambda_k s_{k-1} - lambda_{k-1} s_k = 0
 pins the eigenvalues.  Jets give the derivatives exactly without a CAS: each
 iteration consumes one Taylor order, so a problem iterated k_max times needs
-order K >= k_max + 1 (the default leaves a margin of one).
+order K >= k_max + 1 (AimProblem takes k_max + 2, a margin of one).
 
 The recurrence is written once, in AimSeries.step.  An AimSeries is
 resumable: it keeps the latest (lambda_k, s_k), so raising k costs one
@@ -161,20 +161,19 @@ class AimProblem:
     """y'' = lambda0 y' + s0 y with jet-valued coefficient builders.
 
     lambda0 and s0 map (eigenparameter, variable jet) -> Jet; x0 is the
-    evaluation point of the quantization condition and K the truncation
-    order (defaults to k_max + 2).  The eigenparameter may be an array, in
-    which case the jets carry its shape as batch axes.
+    evaluation point of the quantization condition.  The jets are truncated
+    at order k_max + 2, a margin of one over the k_max + 1 that k_max
+    iterations need.  The eigenparameter may be an array, in which case the
+    jets carry its shape as batch axes.
     """
 
     lambda0: object
     s0: object
     x0: float
     k_max: int = 60
-    order: int | None = None
 
     def jets(self, eigenparameter):
-        order = self.order if self.order is not None else self.k_max + 2
-        x = Jet.variable(self.x0, order)
+        x = Jet.variable(self.x0, self.k_max + 2)
         return self.lambda0(eigenparameter, x), self.s0(eigenparameter, x)
 
 
@@ -342,14 +341,13 @@ def angular_problem(eta, ell_eff, x0=0.4, k_max=24) -> AimProblem:
     return AimProblem(lam0, s0, x0, k_max=k_max)
 
 
-def oscillator_radial_problem(ell, x0=None, k_max=40) -> AimProblem:
+def oscillator_radial_problem(ell, k_max=40) -> AimProblem:
     """Nonrelativistic radial oscillator (hbar = mu = omega = 1), eigenvalue E.
 
-    x0 defaults to the maximum of the asymptotic factor r^(ell+1) e^(-r^2/2),
-    i.e. sqrt(ell + 1); the spectrum is E = 2n + ell + 3/2.
+    x0 is the maximum of the asymptotic factor r^(ell+1) e^(-r^2/2), i.e.
+    sqrt(ell + 1); the spectrum is E = 2n + ell + 3/2.
     """
-    if x0 is None:
-        x0 = float(np.sqrt(ell + 1.0))
+    x0 = float(np.sqrt(ell + 1.0))
 
     def lam0(e, x):
         return 2.0 * x - (2.0 * (ell + 1.0)) / x

@@ -191,6 +191,9 @@ def cmd_wavefunction(args) -> int:
     except (ComplexSectorError, NonNormalizableError) as exc:
         print(str(exc), file=sys.stderr)
         return 1
+    except OverflowError as exc:
+        print(f"the closed-form norm overflows a float: {exc}", file=sys.stderr)
+        return 1
     r = np.linspace(args.r_max / args.r_samples, args.r_max, args.r_samples)
     theta = (np.arange(args.theta_samples) + 0.5) * math.pi / args.theta_samples
     phi = np.linspace(0.0, 2.0 * math.pi, args.phi_samples, endpoint=False)

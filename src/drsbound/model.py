@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import NamedTuple
 
@@ -221,9 +221,6 @@ class ProblemSpec:
     def is_spin(self):
         return isinstance(self.symmetry, Spin)
 
-    def with_qn(self, **kwargs):
-        return replace(self, qn=replace(self.qn, **kwargs))
-
     def __getstate__(self):
         # a copy or unpickled spec builds its own cached records on first use
         return {f.name: getattr(self, f.name) for f in fields(self)}
@@ -297,9 +294,8 @@ class CoefficientSet:
     """Derived symbols of the separated equations at a candidate energy.
 
     gamma    : E - M - C_ps (pseudospin) or E + M - C_s (spin)
-    beta_sq  : (E+M)(E-M-C_ps) resp. (E-M)(C_s-E-M)
-    omega    : sqrt(a*gamma + 1/4) + sqrt(b*gamma + m^2)
-    ell_eff  : omega + 2 n' + 1, the quantized ell + 1/2
+    ell_eff  : sqrt(a*gamma + 1/4) + sqrt(b*gamma + m^2) + 2 n' + 1, the
+               quantized ell + 1/2
     zeta     : 1/2 + sqrt(ell_eff^2 + gamma*De*re^2) (Kratzer; None otherwise)
     eta, p   : angular exponents of sin^2(theta) resp. cos^2(theta)
     decay    : rate of the normalizable radial envelope: exp(-decay*r) for
@@ -309,8 +305,6 @@ class CoefficientSet:
     """
 
     gamma: complex
-    beta_sq: complex
-    omega: complex
     ell_eff: complex
     eta: complex
     p: complex
@@ -346,24 +340,21 @@ def radial_equation_beta_sq(spec: ProblemSpec, energy) -> complex:
     return beta_sq_of(spec, energy)
 
 
-def coefficients_at_gamma(g, beta_sq, decay, potential, ring, qn) -> CoefficientSet:
-    """The coefficient set at gamma g; beta_sq and decay are carried as given.
+def coefficients_at_gamma(g, decay, potential, ring, qn) -> CoefficientSet:
+    """The coefficient set at gamma g; decay is carried as given.
 
-    omega, ell_eff, eta, p and zeta depend on the energy only through g, so
-    the nonrelativistic limit evaluates them here at g = 2 mu / hbar^2.
-    eta and p reuse omega's two square roots.
+    ell_eff, eta, p and zeta depend on the energy only through g, so the
+    nonrelativistic limit evaluates them here at g = 2 mu / hbar^2.  eta and
+    p reuse ell_eff's two square roots.
     """
     root_a = branch_sqrt(ring.a * g + 0.25)
     root_b = branch_sqrt(ring.b * g + qn.m * qn.m)
-    omega = root_a + root_b
-    ell_eff = omega + 2 * qn.n_prime + 1
+    ell_eff = root_a + root_b + 2 * qn.n_prime + 1
     zeta = None
     if isinstance(potential, Kratzer):
         zeta = 0.5 + branch_sqrt(ell_eff**2 + g * (potential.d_e * potential.r_e**2))
     return CoefficientSet(
         gamma=g,
-        beta_sq=beta_sq,
-        omega=omega,
         ell_eff=ell_eff,
         eta=0.25 * (1 + 2 * root_b),
         p=0.25 * (1 + 2 * root_a),
@@ -379,20 +370,5 @@ def derive_coefficients(spec: ProblemSpec, energy) -> CoefficientSet:
         decay = branch_sqrt(-radial_equation_beta_sq(spec, energy))
     else:
         decay = branch_sqrt(-g * spec.potential.k / 8.0)
-    beta_sq = beta_sq_of(spec, energy)
-    return coefficients_at_gamma(g, beta_sq, decay, spec.potential, spec.ring, spec.qn)
+    return coefficients_at_gamma(g, decay, spec.potential, spec.ring, spec.qn)
 
-
-def kappa_ell_map(kappa: int):
-    """Orbital momentum, total momentum and alignment encoded by kappa.
-
-    kappa < 0: ell = -kappa - 1, j = ell + 1/2 (aligned spin, s1/2, p3/2, ...)
-    kappa > 0: ell = kappa,      j = ell - 1/2 (unaligned spin, p1/2, d3/2, ...)
-    """
-    if kappa == 0:
-        raise SpecError("kappa = 0 is not a valid spin-orbit quantum number")
-    if kappa < 0:
-        ell = -kappa - 1
-        return ell, ell + 0.5, "aligned"
-    ell = kappa
-    return ell, ell - 0.5, "unaligned"

@@ -46,9 +46,9 @@ def coefficients_nr(p: NonRelParams, qn: QuantumNumbers) -> CoefficientSet:
     """The relativistic coefficient set in the nonrelativistic limit.
 
     gamma = E + M - C_s becomes g = 2 mu / hbar^2; without an energy,
-    beta_sq and decay are None.
+    decay is None.
     """
-    return coefficients_at_gamma(2.0 * p.mu / p.hbar**2, None, None, p.potential, p.ring, qn)
+    return coefficients_at_gamma(2.0 * p.mu / p.hbar**2, None, p.potential, p.ring, qn)
 
 
 def energy_kratzer_nr(p: NonRelParams, qn: QuantumNumbers) -> float:

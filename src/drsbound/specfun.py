@@ -3,13 +3,14 @@
 Terminating hypergeometric series are summed by forward recurrence on the
 term ratio (never through Gamma quotients), so they stay finite for degrees
 well beyond anything the tables need and accept complex parameters: the
-pseudospin sector routinely makes eta, p and zeta complex.
+pseudospin sector routinely makes eta, p and zeta complex.  They return the
+sum itself: a complex for a Python number x, an array shaped like x
+otherwise.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,17 +19,9 @@ class PoleError(ValueError):
     """Evaluation at a pole of Gamma or a Pochhammer symbol."""
 
 
-@dataclass(frozen=True)
-class PolynomialValue:
-    """Value of a terminating series together with its polynomial degree."""
-
-    value: complex | np.ndarray
-    degree: int
-
-
-def _is_nonpositive_int(z, tol=1e-12):
+def _is_nonpositive_int(z):
     z = complex(z)
-    return abs(z.imag) < tol and z.real < 0.5 and abs(z.real - round(z.real)) < tol
+    return abs(z.imag) < 1e-12 and z.real < 0.5 and abs(z.real - round(z.real)) < 1e-12
 
 
 def gamma_fn(x: float) -> float:
@@ -46,7 +39,7 @@ def pochhammer(z, n: int):
     return out
 
 
-def _terminating_series(n, c, x, b=None) -> PolynomialValue:
+def _terminating_series(n, c, x, b=None):
     """Sum of t_0..t_n with t_0 = 1, t_(j+1) = t_j (-n+j) [(b+j)] x / ((c+j)(j+1)).
 
     A Python number x is summed in complex arithmetic.  Arrays and numpy
@@ -70,15 +63,15 @@ def _terminating_series(n, c, x, b=None) -> PolynomialValue:
         step = -n + j if b is None else (-n + j) * (b + j)
         term = term * (step * x / ((c + j) * (j + 1)))
         total = total + term
-    return PolynomialValue(total, n)
+    return total
 
 
-def hyp1f1_terminating(n: int, c, x) -> PolynomialValue:
+def hyp1f1_terminating(n: int, c, x):
     """1F1(-n; c; x) as a finite sum of n + 1 terms; x may be an array."""
     return _terminating_series(n, c, x)
 
 
-def hyp2f1_terminating(n: int, b, c, x) -> PolynomialValue:
+def hyp2f1_terminating(n: int, b, c, x):
     """2F1(-n, b; c; x) as a finite sum of n + 1 terms; x may be an array."""
     return _terminating_series(n, c, x, b)
 

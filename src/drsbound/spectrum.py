@@ -80,7 +80,6 @@ from .model import (
     SpecError,
     Spin,
     branch_sqrt,
-    coefficients_at_gamma,
 )
 
 #: Reference parameter set used by all bundled tables (fm^-1 units).
@@ -165,14 +164,6 @@ class ClassifiedRoot:
         )
 
 
-def angular_quantization(gamma, ring: RingParams, m: int, n_prime: int):
-    """Quantized ell + 1/2 = sqrt(a g + 1/4) + sqrt(b g + m^2) + 2 n' + 1 (ell_eff)."""
-    if n_prime < 0:
-        raise ValueError("n_prime must be nonnegative")
-    qn = QuantumNumbers(n_prime=n_prime, m=m)
-    return coefficients_at_gamma(gamma, None, None, None, ring, qn).ell_eff
-
-
 def _radical_term(e, spec: ProblemSpec, sq):
     """The potential's radical term at energy e, with square root sq.
 
@@ -239,20 +230,6 @@ def residual(energy, spec: ProblemSpec, branch: BranchStrategy = CANONICAL):
     """
     lhs, rhs, _ = _condition(complex(energy), spec, branch, branch_sqrt, _raise_at_pole)
     return lhs - rhs
-
-
-def residual_drsk(energy, spec: ProblemSpec, branch: BranchStrategy = CANONICAL):
-    """Residual of the ring-shaped Kratzer spectral condition; 0 at a root."""
-    if spec._condition_terms.oscillator:
-        raise TypeError("spec does not carry a Kratzer potential")
-    return residual(energy, spec, branch)
-
-
-def residual_drso(energy, spec: ProblemSpec, branch: BranchStrategy = CANONICAL):
-    """Residual of the ring-shaped oscillator spectral condition."""
-    if not spec._condition_terms.oscillator:
-        raise TypeError("spec does not carry an Oscillator potential")
-    return residual(energy, spec, branch)
 
 
 def _residual_scaled(energy, spec, branch):
@@ -370,10 +347,10 @@ def _multistart_batch(spec: ProblemSpec, xs, imag_starts):
 
     Returns one entry per start in (x, im) order: the accepted zero, reflected
     into the upper half-plane, or None.  Each lane follows the scalar secant
-    (same starts, stopping rules and acceptance test) and drops out of the
-    live set when it converges or fails.  numpy's complex multiply, divide
-    and abs can differ from CPython's in the last bit, so a lane only locates
-    its zero; the reported value comes from the scalar run.
+    (same starts, stopping rules, 100-step cap and acceptance test) and drops
+    out of the live set when it converges or fails.  numpy's complex
+    multiply, divide and abs can differ from CPython's in the last bit, so a
+    lane only locates its zero; the reported value comes from the scalar run.
     """
     x = np.repeat(np.asarray(xs, dtype=float), len(imag_starts))
     im = np.tile(np.asarray(imag_starts, dtype=float), len(xs))
@@ -382,22 +359,7 @@ def _multistart_batch(spec: ProblemSpec, xs, imag_starts):
     z1 = np.empty(x.size, dtype=complex)
     z1.real, z1.imag = x * (1 + 1e-4) + 1e-4, im * 1.01
     f = lambda z: _squared_at(z, spec, 1, _radical_term(z, spec, np.sqrt))
-    found = _secant_batch(f, z0, z1)
     degree = 3 if spec._condition_terms.oscillator else 4
-    with np.errstate(all="ignore"):
-        ok = np.abs(found.imag) > 1e-8
-        ok &= np.abs(f(found)) < 1e-8 * (1 + np.abs(found)) ** degree
-    return [complex(z.real, abs(z.imag)) if hit else None for z, hit in zip(found, ok)]
-
-
-def _secant_batch(f, z0, z1):
-    """`_secant_complex` run on every lane of the start arrays z0, z1 at once.
-
-    f evaluates a complex array elementwise.  Each lane keeps the scalar
-    secant's stopping rules and its 100-step cap, and drops out of the live
-    set when it converges or fails.  Returns the converged zero of each
-    lane, NaN where the lane failed.
-    """
     found = np.full(z0.size, np.nan, dtype=complex)
     live = np.arange(z0.size)
     with np.errstate(all="ignore"):
@@ -413,7 +375,9 @@ def _secant_batch(f, z0, z1):
             found[live[done]] = z1[done]
             keep = ~done
             live, z0, f0, z1, f1 = live[keep], z0[keep], f0[keep], z1[keep], f1[keep]
-    return found
+        ok = np.abs(found.imag) > 1e-8
+        ok &= np.abs(f(found)) < 1e-8 * (1 + np.abs(found)) ** degree
+    return [complex(z.real, abs(z.imag)) if hit else None for z, hit in zip(found, ok)]
 
 
 def complex_zeros_drso(spec: ProblemSpec, interval):
@@ -733,15 +697,15 @@ def _polynomial_roots(spec, zeros, paper_compat):
     return out
 
 
-def _dedupe(roots, tol=1e-8):
+def _dedupe(roots):
     roots = sorted(roots, key=lambda r: (r.energy.real, abs(r.energy.imag), r.residual_norm))
     kept = []
     for r in roots:
         dup = None
         for i, s in enumerate(kept):
             if (
-                abs(r.energy.real - s.energy.real) < tol
-                and abs(abs(r.energy.imag) - abs(s.energy.imag)) < tol
+                abs(r.energy.real - s.energy.real) < 1e-8
+                and abs(abs(r.energy.imag) - abs(s.energy.imag)) < 1e-8
             ):
                 dup = i
                 break

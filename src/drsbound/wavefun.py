@@ -11,7 +11,7 @@ rather than evaluated.
 Sign bookkeeping for the envelopes: the radial equations damp genuine bound
 states like exp(-w r) with w^2 = -(M+E)(E-M-C_ps) in the pseudospin limit
 and w^2 = -(M-E)(C_s-E-M) in the spin limit (the latter is the sign-flipped
-partner of the beta^2 convention carried by CoefficientSet), and like
+partner of the beta^2 convention of model.beta_sq_of), and like
 exp(-W r^2) with W^2 = -gamma k / 8 for the oscillator in both limits.
 These are the unique square-integrable choices at every class-A root of the
 bundled tables; model.derive_coefficients exposes them as `decay`.
@@ -61,7 +61,7 @@ def radial_kratzer(r, coeffs: CoefficientSet, n: int):
     w = _decay(coeffs)
     zeta = _real(coeffs.zeta, "zeta")
     r = np.asarray(r, dtype=float)
-    return r**zeta * np.exp(-w * r) * hyp1f1_terminating(n, 2 * zeta, 2 * w * r).value
+    return r**zeta * np.exp(-w * r) * hyp1f1_terminating(n, 2 * zeta, 2 * w * r)
 
 
 def radial_oscillator(r, coeffs: CoefficientSet, n: int):
@@ -69,7 +69,7 @@ def radial_oscillator(r, coeffs: CoefficientSet, n: int):
     w = _decay(coeffs)
     leff = _real(coeffs.ell_eff, "ell_eff")
     r = np.asarray(r, dtype=float)
-    series = hyp1f1_terminating(n, leff + 1.0, 2 * w * r * r).value
+    series = hyp1f1_terminating(n, leff + 1.0, 2 * w * r * r)
     return r ** (leff + 0.5) * np.exp(-w * r * r) * series
 
 
@@ -80,7 +80,7 @@ def angular_H(theta, coeffs: CoefficientSet, n_prime: int):
     theta = np.asarray(theta, dtype=float)
     s2 = np.sin(theta) ** 2
     c2 = np.cos(theta) ** 2
-    poly = hyp2f1_terminating(n_prime, n_prime + 2 * (eta + p), 2 * eta + 0.5, s2).value
+    poly = hyp2f1_terminating(n_prime, n_prime + 2 * (eta + p), 2 * eta + 0.5, s2)
     return s2**eta * c2**p * poly
 
 
@@ -144,20 +144,14 @@ def component_norm_integral(spec: ProblemSpec, energy) -> float:
     return pref**2 * i_r * i_theta
 
 
-def normalization_constant(spec: ProblemSpec, energy, counterpart=None) -> float:
-    """Closed-form normalization constant.
+def normalization_constant(spec: ProblemSpec, energy) -> float:
+    """Closed-form constant that normalizes the single printed component.
 
-    With a counterpart (spec, energy) pair the constant normalizes the sum
-    of both components' norm integrals, mirroring the combined two-component
-    condition; without one it falls back to normalizing the single printed
-    component, which is the only evaluable choice whenever the other
-    symmetry sector is complex.
+    The other component is left out: it is not evaluable whenever the
+    other symmetry sector is complex.  Raises OverflowError when a Gamma
+    factor of the norm integral leaves the float range (high m or n').
     """
-    total = component_norm_integral(spec, energy)
-    if counterpart is not None:
-        other_spec, other_energy = counterpart
-        total += component_norm_integral(other_spec, other_energy)
-    return 1.0 / math.sqrt(total)
+    return 1.0 / math.sqrt(component_norm_integral(spec, energy))
 
 
 def assemble_component(spec: ProblemSpec, energy, r, theta, phi, normalization=None):
@@ -189,12 +183,8 @@ class SpinorField:
     normalization: float
 
     @classmethod
-    def build(cls, spec: ProblemSpec, energy, counterpart=None):
-        return cls(spec, float(energy), normalization_constant(spec, energy, counterpart))
-
-    @property
-    def component(self):
-        return "upper" if self.spec.is_spin else "lower"
+    def build(cls, spec: ProblemSpec, energy):
+        return cls(spec, float(energy), normalization_constant(spec, energy))
 
     def __call__(self, r, theta, phi):
         return assemble_component(self.spec, self.energy, r, theta, phi, self.normalization)

@@ -122,7 +122,7 @@ class TestRecurrenceIdentity:
     def test_jets_match_symbolic_differentiation(self):
         # oracle: the recurrence carried out in exact polynomial arithmetic
         rng = np.random.default_rng(19)
-        x0, order = 0.9, 12
+        x0 = 0.9
         for _ in range(5):
             pl = rng.uniform(-1, 1, size=4)
             ps = rng.uniform(-1, 1, size=4)
@@ -131,7 +131,6 @@ class TestRecurrenceIdentity:
                 lambda e, x, ps=ps: poly_to_jet(ps, x.x0, x.order),
                 x0,
                 k_max=4,
-                order=order,
             )
             series = AimSeries(problem, 0.0, rescale=False)
             lam_p = np.polynomial.Polynomial(pl)

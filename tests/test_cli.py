@@ -486,6 +486,43 @@ class TestWavefunction:
         assert code == 1
         assert "complex angular sector" in err or "no class-A root" in err
 
+    @pytest.mark.parametrize("m", [48, 90])
+    def test_norm_overflow_exits_one(self, capsys, tmp_path, m):
+        # solve finds a class-A root, but the closed-form norm leaves the
+        # float range: at m = 48 in Gamma(2 zeta)^2, at m = 90 in Gamma itself
+        out = tmp_path / "wf.txt"
+        code, _, err = run(
+            capsys,
+            "wavefunction", "--symmetry", "spin", "--potential", "kratzer",
+            "--n", "0", "--nprime", "0", "--m", str(m), "--output", str(out),
+        )
+        assert code == 1
+        assert len(err.splitlines()) == 1 and "overflows a float" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "name, spec",
+        [
+            ("spin_kratzer", ["spin", "kratzer", "1", "1", "1", "--a", "1", "--b", "1"]),
+            ("spin_oscillator", ["spin", "oscillator", "1", "1", "1"]),
+            ("pseudospin_kratzer", ["pseudospin", "kratzer", "1", "1", "0"]),
+            ("pseudospin_oscillator", ["pseudospin", "oscillator", "0", "0", "0"]),
+        ],
+    )
+    def test_output_bytes_pinned(self, capsys, tmp_path, name, spec):
+        # golden files written by `drsbound wavefunction` with these flags
+        symmetry, potential, n, n_prime, m, *ring = spec
+        out = tmp_path / "wf.txt"
+        code, _, _ = run(
+            capsys,
+            "wavefunction", "--symmetry", symmetry, "--potential", potential,
+            "--n", n, "--nprime", n_prime, "--m", m, *ring,
+            "--r-samples", "5", "--theta-samples", "4", "--phi-samples", "2",
+            "--output", str(out),
+        )
+        assert code == 0
+        assert out.read_bytes() == (DATA_DIR / f"wavefunction_{name}.txt").read_bytes()
+
 
 class TestPotentialGrid:
     @pytest.mark.parametrize(

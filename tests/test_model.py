@@ -17,7 +17,6 @@ from drsbound.model import (
     Spin,
     beta_sq_of,
     derive_coefficients,
-    kappa_ell_map,
     potential_value,
 )
 
@@ -42,31 +41,6 @@ def pseudo_kratzer(a=0.0, b=0.0, n=0, n_prime=0, m=0):
     )
 
 
-class TestKappaEllMap:
-    def test_aligned_s_half(self):
-        ell, j, alignment = kappa_ell_map(-1)
-        assert (ell, j, alignment) == (0, 0.5, "aligned")
-
-    def test_unaligned_p_half(self):
-        ell, j, alignment = kappa_ell_map(1)
-        assert (ell, j, alignment) == (1, 0.5, "unaligned")
-
-    def test_aligned_p_three_half(self):
-        ell, j, alignment = kappa_ell_map(-2)
-        assert (ell, j, alignment) == (1, 1.5, "aligned")
-
-    def test_kappa_zero_rejected(self):
-        with pytest.raises(SpecError):
-            kappa_ell_map(0)
-
-    def test_ell_relation_holds_for_range(self):
-        for kappa in range(-10, 11):
-            if kappa == 0:
-                continue
-            ell, _, _ = kappa_ell_map(kappa)
-            assert ell * (ell + 1) == kappa * (kappa + 1)
-
-
 class TestDeriveCoefficients:
     def test_gamma_cancellation_spin(self):
         c = derive_coefficients(spin_kratzer(), 2.072188142)
@@ -84,11 +58,12 @@ class TestDeriveCoefficients:
         assert c.gamma == pytest.approx(-0.6652434115, abs=1e-14)
 
     def test_omega_direct_evaluation(self):
-        # oracle: direct evaluation of the two radicals at gamma = E
+        # oracle: direct evaluation of the two radicals at gamma = E; their
+        # sum omega is ell_eff - 2 n' - 1
         e = 2.072188142
         expected = math.sqrt(e + 0.25) + math.sqrt(e)
         c = derive_coefficients(spin_kratzer(a=1.0, b=1.0), e)
-        assert c.omega == pytest.approx(expected, abs=1e-12)
+        assert c.ell_eff - 1.0 == pytest.approx(expected, abs=1e-12)
 
     @pytest.mark.parametrize("energy", [-3.7, -0.36, 0.0, 0.74, 2.07, 9.1, 2.0 + 1.3j])
     def test_beta_sq_identity_spin(self, energy):
@@ -114,7 +89,7 @@ class TestDeriveCoefficients:
             a, b = rng.uniform(0, 2), rng.uniform(0, 2)
             m = int(rng.integers(-2, 3))
             c = derive_coefficients(spin_kratzer(a=a, b=b, m=m), e)
-            for field_value in (c.gamma, c.beta_sq, c.omega, c.ell_eff, c.eta, c.p, c.zeta):
+            for field_value in (c.gamma, c.ell_eff, c.eta, c.p, c.zeta):
                 assert abs(complex(field_value).imag) < 1e-14
 
     def test_zeta_matches_definition(self):
@@ -212,7 +187,8 @@ class TestConditionTerms:
             oscillator=True, mass=3.0, lhs_pole=-2.0, gamma0=2.0, k2=5.0, d_e=None, r_e_sq=None,
             t_sq=None,
         )
-        assert spec.with_qn(n=3, n_prime=2)._condition_terms == terms._replace(
+        shifted = replace(spec, qn=replace(spec.qn, n=3, n_prime=2))
+        assert shifted._condition_terms == terms._replace(
             two_n_prime=4, two_n=6, nu=3.5
         )
         assert spec._condition_terms is terms

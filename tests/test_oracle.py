@@ -5,7 +5,14 @@ import pytest
 from scipy.linalg import eigh_tridiagonal
 
 from drsbound import oracle
-from drsbound.model import Kratzer, Oscillator, QuantumNumbers, RingParams, SpecError
+from drsbound.model import (
+    Kratzer,
+    Oscillator,
+    QuantumNumbers,
+    RingParams,
+    SpecError,
+    coefficients_at_gamma,
+)
 from drsbound.nonrel import NonRelParams, energy_kratzer_nr
 from drsbound.oracle import (
     DivergenceError,
@@ -17,7 +24,7 @@ from drsbound.oracle import (
     radial_level,
     self_consistent_energy,
 )
-from drsbound.spectrum import angular_quantization, find_roots, table_spec
+from drsbound.spectrum import find_roots, table_spec
 
 
 class TestFdGrid:
@@ -89,7 +96,8 @@ class TestAngularSolver:
     def test_ring_dressed_value(self):
         g = 2.072188142
         eig = fd_angular_eigs(g, RingParams(1, 1), 0, 1)[0]
-        expected = angular_quantization(g, RingParams(1, 1), 0, 0).real ** 2
+        terms = coefficients_at_gamma(g, None, None, RingParams(1, 1), QuantumNumbers())
+        expected = terms.ell_eff.real ** 2
         assert abs(eig - expected) / expected < 1e-3
 
     def test_azimuthal_shift(self):
@@ -105,7 +113,9 @@ class TestAngularSolver:
                     ring = RingParams(a, b)
                     eigs = fd_angular_eigs(gamma, ring, m, 2)
                     for n_prime in range(2):
-                        expected = angular_quantization(gamma, ring, m, n_prime).real ** 2
+                        qn = QuantumNumbers(n_prime=n_prime, m=m)
+                        terms = coefficients_at_gamma(gamma, None, None, ring, qn)
+                        expected = terms.ell_eff.real ** 2
                         assert abs(eigs[n_prime] - expected) / expected < 1e-3
 
     def test_ring_dressed_levels_pinned(self):

@@ -86,15 +86,15 @@ def same(x, y):
 @PROPERTY_SETTINGS
 @given(real_specs(), energy, branch)
 def test_residual_is_even_in_m(spec, e, br):
-    flipped = spec.with_qn(m=-spec.qn.m)
+    flipped = replace(spec, qn=replace(spec.qn, m=-spec.qn.m))
     assert same(residual_or_pole(e, spec, br), residual_or_pole(e, flipped, br))
 
 
 @PROPERTY_SETTINGS
 @given(real_specs("oscillator"), energy, branch, quantum, quantum)
 def test_oscillator_residual_depends_on_n_plus_n_prime(spec, e, br, n, n_prime):
-    here = spec.with_qn(n=n, n_prime=n_prime)
-    moved = spec.with_qn(n=n + n_prime, n_prime=0)
+    here = replace(spec, qn=replace(spec.qn, n=n, n_prime=n_prime))
+    moved = replace(spec, qn=replace(spec.qn, n=n + n_prime, n_prime=0))
     r1, scale = _residual_scaled(e, here, br)
     r2, _ = _residual_scaled(e, moved, br)
     assert abs(r1 - r2) <= 1e-12 * scale

@@ -14,7 +14,6 @@ from drsbound.wavefun import (
     angular_H,
     assemble_component,
     azimuthal_phi,
-    component_norm_integral,
     gamma_prefactor,
     normalization_constant,
     radial_kratzer,
@@ -280,22 +279,6 @@ class TestNormalization:
         wq = 0.5 * 25.0 * wr
         vals = radial_kratzer(r, coeffs, n) ** 2
         assert np.sum(wq * vals) == pytest.approx(expected, rel=1e-9)
-
-    def test_combined_constant_smaller_than_single(self):
-        # adding the counterpart's positive norm integral shrinks the constant
-        ps_energy = class_a_energy(1, 0, 0, 0, 0.0, 0.0)
-        sp_energy = class_a_energy(3, 0, 0, 0, 0.0, 0.0)
-        ps_spec = table_spec(1, 0, 0, 0, 0.0, 0.0)
-        sp_spec = table_spec(3, 0, 0, 0, 0.0, 0.0)
-        single = normalization_constant(sp_spec, sp_energy)
-        combined = normalization_constant(sp_spec, sp_energy, (ps_spec, ps_energy))
-        assert 0 < combined < single
-        total = 1.0 / combined**2
-        assert total == pytest.approx(
-            component_norm_integral(sp_spec, sp_energy)
-            + component_norm_integral(ps_spec, ps_energy),
-            rel=1e-12,
-        )
 
     def test_complex_sector_rejected(self):
         spec = table_spec(1, 0, 0, 0, 1.0, 1.0)
