@@ -40,16 +40,28 @@ class AimError(RuntimeError):
 def _truncated_product(a, b):
     """Coefficients 0..K of the product of two coefficient arrays.
 
-    Two 1-D operands keep np.convolve, so every scalar jet keeps its bits;
-    batched operands broadcast one shifted multiply-add per coefficient.
+    Two 1-D operands keep np.convolve, so every scalar jet keeps its bits.
+    Batched operands run one shifted multiply-add per coefficient j of a,
+    c[i] += a[j] b[i - j] in order of j, coefficient-major: the coefficient
+    axis goes first, b is copied contiguous so each b[:n - j] is one block,
+    and a is read as a view, one row per multiply.  A row j >= 1 of a that
+    is zero in every batch lane is left out (a constant jet has only row 0):
+    its terms are exact zeros, so each finite nonzero coefficient, and each
+    lane's lowest non-finite index, is what the full loop gives; only the
+    sign of an exact zero may differ.
     """
     n = a.shape[-1]
     if a.ndim == b.ndim == 1:
         return np.convolve(a, b)[:n]
-    c = np.zeros(np.broadcast_shapes(a.shape, b.shape), dtype=complex)
-    for j in range(n):
-        c[..., j:] += a[..., j : j + 1] * b[..., : n - j]
-    return c
+    shape = np.broadcast_shapes(a.shape, b.shape)
+    a = np.moveaxis(np.broadcast_to(a, shape), -1, 0)
+    b = np.ascontiguousarray(np.moveaxis(np.broadcast_to(b, shape), -1, 0))
+    rows = a.any(axis=tuple(range(1, a.ndim)))
+    rows[0] = True
+    c = np.zeros(b.shape, dtype=complex)
+    for j in np.flatnonzero(rows):
+        c[j:] += a[j] * b[: n - j]
+    return np.moveaxis(c, 0, -1)
 
 
 def _truncated_quotient(a, b):
@@ -66,6 +78,8 @@ def _truncated_quotient(a, b):
         for i in range(1, n):
             q[i] = (a[i] - np.dot(q[:i], b[i:0:-1])) / b[0]
     else:
+        # batch-last, unlike the product: .sum(axis=-1) is a pairwise sum whose order a
+        # coefficient-major layout would change
         for i in range(1, n):
             q[..., i] = (a[..., i] - (q[..., :i] * b[..., i:0:-1]).sum(axis=-1)) / b[..., 0]
     return q
@@ -196,10 +210,11 @@ class AimSeries:
     agrees with the scalar one to rounding, not bit for bit.
     """
 
-    __slots__ = ("lam0", "s0", "lam", "s", "rescale", "deltas")
+    __slots__ = ("lam0", "s0", "lam", "s", "rescale", "deltas", "k_max")
 
     def __init__(self, problem: AimProblem, eigenparameter, rescale=True):
         self.lam0, self.s0 = problem.jets(eigenparameter)
+        self.k_max = problem.k_max
         self.lam, self.s = self.lam0, self.s0
         self.rescale = rescale
         self.deltas = []
@@ -217,6 +232,15 @@ class AimSeries:
         return lam_next, s_next
 
     def delta(self, k: int):
+        """delta_k, for an int k with 1 <= k <= the problem's k_max; ValueError otherwise.
+
+        The problem sizes its jets for k_max iterations; a few steps deeper,
+        delta_k is truncation error, so no depth past k_max is served.
+        """
+        if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
+            raise ValueError(f"k must be an int, got {k!r}")
+        if not 1 <= k <= self.k_max:
+            raise ValueError(f"k must satisfy 1 <= k <= k_max = {self.k_max}, got {k!r}")
         while len(self.deltas) < k:
             self.step()
         return self.deltas[k - 1]
@@ -228,10 +252,8 @@ def aim_delta(problem: AimProblem, eigenparameter, k: int):
     The k-th delta of a fresh AimSeries: its running rescale divides both
     sequences by a common magnitude, which multiplies delta_k by a positive
     constant and leaves its zeros (the quantization condition) untouched
-    while preventing overflow.
+    while preventing overflow.  k is checked as by AimSeries.delta.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
     return AimSeries(problem, eigenparameter).delta(k)
 
 

@@ -118,6 +118,100 @@ class TestJetArithmetic:
             Jet.constant(np.array([1.0, 2.0]), 0.0, 5) / x
 
 
+def _batch_last_product(a, b):
+    """The batched truncated product as a loop over the last (coefficient) axis, every row."""
+    n = a.shape[-1]
+    c = np.zeros(np.broadcast_shapes(a.shape, b.shape), dtype=complex)
+    for j in range(n):
+        c[..., j:] += a[..., j : j + 1] * b[..., : n - j]
+    return c
+
+
+def _random_coeffs(rng, shape, constant=False):
+    c = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    if constant:
+        c[..., 1:] = 0.0
+    return c
+
+
+#: (shape of a, shape of b, a constant, b constant) for the batched product's operands.
+PRODUCT_SHAPES = [
+    pytest.param((13,), (7, 13), False, False, id="1d-2d"),
+    pytest.param((7, 13), (13,), False, False, id="2d-1d"),
+    pytest.param((7, 13), (7, 13), False, False, id="2d-2d"),
+    pytest.param((7, 13), (7, 13), True, False, id="constant-2d"),
+    pytest.param((7, 13), (7, 13), False, True, id="2d-constant"),
+    pytest.param((13,), (7, 13), True, False, id="1d-constant-2d"),
+    pytest.param((7, 13), (13,), True, True, id="constant-1d-constant"),
+    pytest.param((3, 1, 13), (4, 13), False, False, id="3d-2d"),
+    pytest.param((1,), (5, 1), False, False, id="order-0"),
+]
+
+
+def _lowest_non_finite(c):
+    """Per lane, the first coefficient index that is not finite (the order + 1 if none)."""
+    bad = ~np.isfinite(c)
+    return np.where(bad.any(axis=-1), bad.argmax(axis=-1), c.shape[-1])
+
+
+class TestBatchedProduct:
+    """The coefficient-major batched product against the batch-last loop it replaced."""
+
+    @pytest.mark.parametrize("a_shape, b_shape, a_const, b_const", PRODUCT_SHAPES)
+    def test_finite_operands_bit_identical(self, a_shape, b_shape, a_const, b_const):
+        rng = np.random.default_rng(31)
+        for _ in range(5):
+            a = _random_coeffs(rng, a_shape, a_const)
+            b = _random_coeffs(rng, b_shape, b_const)
+            got = aim._truncated_product(a, b)
+            assert got.shape == np.broadcast_shapes(a_shape, b_shape)
+            assert np.array_equal(got, _batch_last_product(a, b))
+
+    def test_partly_zero_row_kept(self):
+        # a row that is zero in some lanes but not all is multiplied in full
+        rng = np.random.default_rng(37)
+        a = _random_coeffs(rng, (6, 9), constant=True)
+        a[2, 4] = 0.5 - 2.0j
+        b = _random_coeffs(rng, (6, 9))
+        got = aim._truncated_product(a, b)
+        assert np.array_equal(got, _batch_last_product(a, b))
+        assert not np.array_equal(got[2], a[2, 0] * b[2])
+
+    @pytest.mark.parametrize("a_shape, b_shape, a_const, b_const", PRODUCT_SHAPES)
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, complex(0.0, np.inf)])
+    def test_non_finite_operands_keep_lowest_index(self, a_shape, b_shape, a_const, b_const, bad):
+        # a skipped row's terms are exact zeros, and 0 * inf is NaN where the loop
+        # over every row multiplies it out; each lane's first non-finite
+        # coefficient, and every coefficient below it, still match
+        rng = np.random.default_rng(43)
+        for _ in range(8):
+            a = _random_coeffs(rng, a_shape, a_const)
+            b = _random_coeffs(rng, b_shape, b_const)
+            for x, const in ((a, a_const), (b, b_const)):
+                lanes = x.reshape(-1, x.shape[-1])
+                hit = rng.random(lanes.shape[0]) < 0.5
+                index = rng.integers(0, 1 if const else x.shape[-1], size=lanes.shape[0])
+                lanes[hit, index[hit]] = bad
+            with np.errstate(invalid="ignore", over="ignore"):
+                got = aim._truncated_product(a, b)
+                want = _batch_last_product(a, b)
+            lowest = _lowest_non_finite(want)
+            assert np.array_equal(_lowest_non_finite(got), lowest)
+            below = np.arange(want.shape[-1]) < lowest[..., None]
+            assert np.array_equal(got[below], want[below])
+
+    def test_row_zero_never_skipped(self):
+        # the zero jet times a jet with inf at index 3 of one lane: 0 * inf is NaN
+        # from index 3 on in that lane, so row 0 must be multiplied out
+        a = np.zeros((4, 9), dtype=complex)
+        b = _random_coeffs(np.random.default_rng(53), (4, 9))
+        b[2, 3] = np.inf
+        with np.errstate(invalid="ignore"):
+            got = aim._truncated_product(a, b)
+        assert np.array_equal(_lowest_non_finite(got), [9, 9, 3, 9])
+        assert not np.any(got[np.isfinite(got)])
+
+
 class TestRecurrenceIdentity:
     def test_jets_match_symbolic_differentiation(self):
         # oracle: the recurrence carried out in exact polynomial arithmetic
@@ -454,3 +548,40 @@ class TestResumableSeries:
     def test_iteration_settings_rejected(self, name, value):
         with pytest.raises(TypeError, match=name):
             find_eigenvalue(oscillator_radial_problem(0, k_max=40), (1.0, 2.0), **{name: value})
+
+
+class TestDepthChecked:
+    """delta_k is served for an int k in 1..k_max, the depths the problem sizes its jets for."""
+
+    def test_past_k_max_rejected(self):
+        # at k_max = 6, delta_9 is truncation error: positive at both 1.4 and 1.6,
+        # with the level 1.5 between them
+        problem = oscillator_radial_problem(0, k_max=6)
+        for e in (1.4, 1.6):
+            with pytest.raises(ValueError, match="k_max = 6"):
+                aim_delta(problem, e, 9)
+        with pytest.raises(ValueError, match="k_max = 6"):
+            aim_delta(problem, 1.5, 7)
+        with pytest.raises(ValueError, match="k_max = 6"):
+            AimSeries(problem, np.array([1.4, 1.6])).delta(7)
+        assert np.isfinite(aim_delta(problem, 1.4, 6))
+
+    @pytest.mark.parametrize("k", [0, -2])
+    def test_below_one_rejected(self, k):
+        problem = oscillator_radial_problem(0, k_max=6)
+        with pytest.raises(ValueError, match="1 <= k"):
+            aim_delta(problem, 1.4, k)
+        with pytest.raises(ValueError, match="1 <= k"):
+            AimSeries(problem, 1.4).delta(k)
+
+    @pytest.mark.parametrize("k", [2.0, 2.5, True, "2", None], ids=repr)
+    def test_non_int_rejected(self, k):
+        problem = oscillator_radial_problem(0, k_max=6)
+        with pytest.raises(ValueError, match="must be an int"):
+            aim_delta(problem, 1.4, k)
+        with pytest.raises(ValueError, match="must be an int"):
+            AimSeries(problem, np.array([1.4, 1.6])).delta(k)
+
+    def test_numpy_int_accepted(self):
+        problem = oscillator_radial_problem(0, k_max=6)
+        assert aim_delta(problem, 1.4, np.int64(3)) == aim_delta(problem, 1.4, 3)
