@@ -28,10 +28,17 @@ grid solves by value on a window of +-_WINDOW (1 + |lambda|) around the
 coarser grid's level, certified first by one Sturm count: the window is kept
 only when exactly `first` eigenvalues lie at or below its lower end and it
 holds every wanted level; otherwise the index solve runs (see _levels).
+
+No FD arithmetic is repeated where its inputs repeat.  The angular matrix's
+cell geometry depends only on the cell count and is built once per count
+(_angular_grid).  A self-consistent solve keeps the levels it has solved,
+the angular level by gamma and each radial level by (gamma, r_max), for as
+long as the solve runs (see _consistency_map).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -145,6 +152,15 @@ def _tridiag_eigs(v_values, h, first, count, near=None):
     return _levels(diag, off, first, count, near)
 
 
+def _potential_on(v_eff, grid: FdGrid):
+    """v_eff at the grid's interior nodes; OracleError unless every value is finite."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        v = np.asarray(v_eff(grid.points()), dtype=float)
+    if not np.all(np.isfinite(v)):
+        raise OracleError("potential not finite on the open grid interior")
+    return v
+
+
 def fd_radial_eigs(v_eff, grid: FdGrid, count: int, refine=False, first=0):
     """Eigenvalues first..count-1 of -d^2/dr^2 + V_eff with Dirichlet walls.
 
@@ -153,22 +169,17 @@ def fd_radial_eigs(v_eff, grid: FdGrid, count: int, refine=False, first=0):
     index solve; with refine, the (2n+1)-node grid solves in a
     Sturm-certified value window around the n-node levels (see _levels).
     Raises ValueError unless count and first are ints with
-    0 <= first < count.
+    0 <= first < count, and OracleError where V_eff is not finite at a node
+    of either grid.
     """
     _check_levels(count, first)
     if grid.nodes < 10 * count:
         raise OracleError("grid too coarse for the requested eigenvalue count")
-    r = grid.points()
-    with np.errstate(divide="ignore", invalid="ignore"):
-        v = np.asarray(v_eff(r), dtype=float)
-    if not np.all(np.isfinite(v)):
-        raise OracleError("potential not finite on the open grid interior")
-    lam = _tridiag_eigs(v, grid.spacing, first, count)
+    lam = _tridiag_eigs(_potential_on(v_eff, grid), grid.spacing, first, count)
     if not refine:
         return lam
     fine = FdGrid(grid.r_min, grid.r_max, 2 * grid.nodes + 1)
-    v2 = np.asarray(v_eff(fine.points()), float)
-    lam2 = _tridiag_eigs(v2, fine.spacing, first, count, near=lam)
+    lam2 = _tridiag_eigs(_potential_on(v_eff, fine), fine.spacing, first, count, near=lam)
     return (4.0 * lam2 - lam) / 3.0
 
 
@@ -188,23 +199,45 @@ def radial_level(potential, gamma, ell_eff_sq, index, r_max, nodes):
     return fd_radial_eigs(v_eff, grid, index + 1, refine=True, first=index)[0]
 
 
-def _angular_fd_once(
-    gamma, ring: RingParams, m: int, first: int, count: int, cells: int, near=None
-):
+@functools.lru_cache(maxsize=3)
+def _angular_grid(cells):
+    """The parts of the angular FD matrix that depend only on `cells`, read-only.
+
+    On `cells` midpoint cells of (0, pi/2): sin and sin^2 at the centers,
+    cos^2 at the centers, the kinetic diagonal and the symmetrized
+    off-diagonal.  One fd_angular_eigs call builds three grids, which the
+    cache holds; a caller sweeping `cells` evicts the oldest.
+    """
     h = (math.pi / 2.0) / cells
     centers = (np.arange(cells) + 0.5) * h
     faces = np.arange(cells + 1) * h
     sin_f = np.sin(faces)
     sin_c = np.sin(centers)
-    q = (
-        0.25
-        + (m * m + gamma * ring.b) / sin_c**2
-        + gamma * ring.a / np.cos(centers) ** 2
-    )
-    diag = (sin_f[:cells] + sin_f[1:]) / h**2 + q * sin_c
     off = -sin_f[1:cells] / h**2
+    grid = (
+        sin_c,
+        sin_c**2,
+        np.cos(centers) ** 2,
+        (sin_f[:cells] + sin_f[1:]) / h**2,
+        off / np.sqrt(sin_c[:-1] * sin_c[1:]),
+    )
+    for part in grid:
+        part.flags.writeable = False
+    return grid
+
+
+def _angular_fd_once(
+    gamma, ring: RingParams, m: int, first: int, count: int, cells: int, near=None
+):
+    """Levels first..count-1 of the angular FD matrix on `cells` cells (see _levels).
+
+    Only the potential term q and the diagonal depend on gamma, the ring
+    and m; the rest comes from _angular_grid.
+    """
+    sin_c, sin_c_sq, cos_c_sq, kinetic, e = _angular_grid(cells)
+    q = 0.25 + (m * m + gamma * ring.b) / sin_c_sq + gamma * ring.a / cos_c_sq
+    diag = kinetic + q * sin_c
     d = diag / sin_c
-    e = off / np.sqrt(sin_c[:-1] * sin_c[1:])
     return _levels(d, e, first, count, near)
 
 
@@ -242,8 +275,19 @@ class _RadialDomain:
     doublings: int | None = None
 
 
+def _level(levels: dict, key, solve):
+    """levels[key], from solve() the first time a solve asks for the key."""
+    if key not in levels:
+        levels[key] = solve()
+    return levels[key]
+
+
 def _consistency_map(
-    spec: ProblemSpec, e: float, nodes: int, domain: _RadialDomain | None = None
+    spec: ProblemSpec,
+    e: float,
+    nodes: int,
+    domain: _RadialDomain | None = None,
+    levels: dict | None = None,
 ) -> float:
     """One sweep: F(E) = lambda_n(gamma(E)) - b(E), zero at a bound root.
 
@@ -255,18 +299,34 @@ def _consistency_map(
     settles to 1e-8; DivergenceError if 4 doublings leave it unsettled, else
     the number of doublings is recorded in `domain`.  With recorded
     doublings the sweep solves once at r0(E) * 2**doublings, unverified.
+
+    `levels` holds one solve's FD levels: the angular level keyed by gamma
+    and each radial level by (gamma, r_max).  A level found there is not
+    solved again; every level solved here is added to it.
     """
+    if levels is None:
+        levels = {}
     g = gamma_of(spec, e)
     if abs(g.imag) > 1e-12:
         raise DivergenceError("gamma left the real axis")
     g = g.real
     n, n_prime = spec.qn.n, spec.qn.n_prime
     try:
-        lam_ang = fd_angular_eigs(
-            g, spec.ring, spec.qn.m, n_prime + 1, cells=1500, first=n_prime
-        )[0]
+        lam_ang = _level(
+            levels,
+            g,
+            lambda: fd_angular_eigs(
+                g, spec.ring, spec.qn.m, n_prime + 1, cells=1500, first=n_prime
+            )[0],
+        )
     except OracleError as exc:
         raise DivergenceError(str(exc)) from exc
+
+    def radial(r_max):
+        return _level(
+            levels, (g, r_max), lambda: radial_level(spec.potential, g, lam_ang, n, r_max, nodes)
+        )
+
     b = radial_equation_beta_sq(spec, e).real
     decay = math.sqrt(abs(b)) if abs(b) > 1e-3 else 1.0
     if isinstance(spec.potential, Kratzer):
@@ -275,11 +335,11 @@ def _consistency_map(
         r_max = max(6.0, 3.0 * (abs(g) * spec.potential.k / 8.0) ** -0.25)
     if domain is not None and domain.doublings is not None:
         r_max *= 2.0**domain.doublings
-        return radial_level(spec.potential, g, lam_ang, n, r_max, nodes) - b
-    prev = radial_level(spec.potential, g, lam_ang, n, r_max, nodes)
+        return radial(r_max) - b
+    prev = radial(r_max)
     for doublings in range(1, 5):
         r_max *= 2.0
-        lam_rad = radial_level(spec.potential, g, lam_ang, n, r_max, nodes)
+        lam_rad = radial(r_max)
         if abs(lam_rad - prev) < 1e-8 * (1.0 + abs(lam_rad)):
             break
         prev = lam_rad
@@ -328,7 +388,10 @@ def self_consistent_energy(spec: ProblemSpec, initial_energy: float):
     doublings (see _RadialDomain).  The final check at the returned energy
     runs the full doubling test again and requires
     |F(E)| <= 1e-6 (1 + |b(E)|), so the returned energy always passes on a
-    verified domain.
+    verified domain.  Brent's method returns a point it has swept, so the
+    check reuses that sweep's angular level and its radial level at the
+    recorded domain, and solves only the doubling test's other domains.
+    Levels are kept for one call only; a second call solves them again.
 
     Raises ValueError for a non-finite initial_energy.
     """
@@ -337,6 +400,7 @@ def self_consistent_energy(spec: ProblemSpec, initial_energy: float):
         raise ValueError(f"initial_energy must be finite, got {initial_energy!r}")
     budget = [MAX_SWEEPS]
     carried = _RadialDomain()
+    levels = {}
 
     def sweep(e, domain=carried):
         """F at e, None where the sweep fails."""
@@ -344,7 +408,7 @@ def self_consistent_energy(spec: ProblemSpec, initial_energy: float):
             raise DivergenceError("sweep budget exhausted")
         budget[0] -= 1
         try:
-            return _consistency_map(spec, e, FD_NODES, domain)
+            return _consistency_map(spec, e, FD_NODES, domain, levels)
         except DivergenceError:
             return None
 

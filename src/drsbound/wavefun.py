@@ -214,7 +214,9 @@ def verify_normalization(spec: ProblemSpec, energy):
 
     Gauss-Legendre on RADIAL_NODES nodes in r and THETA_NODES in theta; the
     phi integral of |e^{im phi}|^2 = 1 is 2 pi exactly.  The radial domain
-    is truncated where the envelope has decayed to ~1e-17.
+    is truncated where the envelope has decayed to ~1e-17.  The radial and
+    polar factors are evaluated on the 1-D nodes, as a column and a row;
+    broadcasting forms the product grid.
     """
     r_max = _envelope_radius(spec, derive_coefficients(spec, energy))
     xr, wr = _gauss_legendre(RADIAL_NODES)
@@ -224,7 +226,7 @@ def verify_normalization(spec: ProblemSpec, energy):
     th = 0.5 * math.pi * (xt + 1.0)
     wt = 0.5 * math.pi * wt
     field = SpinorField.build(spec, energy)
-    rr, tt = np.meshgrid(r, th, indexing="ij")
+    rr, tt = r[:, None], th[None, :]
     vals = np.abs(field(rr, tt, 0.0)) ** 2 * rr**2 * np.sin(tt)
     radial_theta = np.einsum("i,j,ij->", wr, wt, vals)
     return abs(2.0 * math.pi * radial_theta - 1.0)

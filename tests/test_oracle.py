@@ -1,4 +1,6 @@
+import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -25,6 +27,9 @@ from drsbound.oracle import (
     self_consistent_energy,
 )
 from drsbound.spectrum import find_roots, table_spec
+
+DATA_DIR = pathlib.Path(__file__).resolve().parent / "data"
+REFERENCE_DIR = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "reference"
 
 
 class TestFdGrid:
@@ -86,6 +91,15 @@ class TestRadialSolver:
         with pytest.raises(OracleError):
             fd_radial_eigs(lambda r: 1.0 / r, grid, 1)
 
+    def test_refined_grid_non_finite_potential_rejected(self):
+        # the pole at 1.5 h falls between two coarse nodes and on a node of
+        # the (2n+1)-node grid, which gets the same finiteness check
+        grid = FdGrid(0.0, 10.0, 100)
+        v_eff = lambda r: 1.0 / (r - 1.5 * grid.spacing) ** 2
+        assert fd_radial_eigs(v_eff, grid, 1)[0] == pytest.approx(0.16401999, rel=1e-7)
+        with pytest.raises(OracleError, match="not finite"):
+            fd_radial_eigs(v_eff, grid, 1, refine=True)
+
 
 class TestAngularSolver:
     def test_pure_central_family(self):
@@ -125,6 +139,60 @@ class TestAngularSolver:
     def test_complex_sector_rejected(self):
         with pytest.raises(OracleError):
             fd_angular_eigs(-2.0, RingParams(1.0, 0.0), 0, 1)
+
+
+def _angular_fd_uncached(gamma, ring, m, first, count, cells, near=None):
+    """The angular FD matrix built whole on every call, as before _angular_grid."""
+    h = (math.pi / 2.0) / cells
+    centers = (np.arange(cells) + 0.5) * h
+    faces = np.arange(cells + 1) * h
+    sin_f = np.sin(faces)
+    sin_c = np.sin(centers)
+    q = (
+        0.25
+        + (m * m + gamma * ring.b) / sin_c**2
+        + gamma * ring.a / np.cos(centers) ** 2
+    )
+    diag = (sin_f[:cells] + sin_f[1:]) / h**2 + q * sin_c
+    off = -sin_f[1:cells] / h**2
+    d = diag / sin_c
+    e = off / np.sqrt(sin_c[:-1] * sin_c[1:])
+    return oracle._levels(d, e, first, count, near)
+
+
+class TestAngularGrid:
+    """The cached cell geometry gives the uncached build's levels bit for bit."""
+
+    @pytest.mark.parametrize("cells", [1500, 2000])
+    def test_levels_match_uncached_build(self, monkeypatch, cells):
+        rng = np.random.default_rng(cells)
+        cases = []
+        for _ in range(6):
+            count = int(rng.integers(1, 4))
+            first = int(rng.integers(0, count))
+            gamma, a, b = (float(x) for x in rng.uniform((0.0, 0.0, 0.0), (3.0, 2.0, 2.0)))
+            cases.append((gamma, RingParams(a, b), int(rng.integers(-2, 3)), count, first))
+
+        def levels():
+            return [
+                [float(x).hex() for x in fd_angular_eigs(g, ring, m, count, cells, first)]
+                for g, ring, m, count, first in cases
+            ]
+
+        cached = levels()
+        monkeypatch.setattr(oracle, "_angular_fd_once", _angular_fd_uncached)
+        assert cached == levels()
+
+    def test_geometry_read_only_and_bounded(self):
+        grid = oracle._angular_grid(1500)
+        assert oracle._angular_grid(1500) is grid
+        for part in grid:
+            with pytest.raises(ValueError, match="read-only"):
+                part[0] = 0.0
+        # a sweep over cell counts keeps only the three latest grids
+        for cells in range(1500, 1510):
+            oracle._angular_grid(cells)
+        assert oracle._angular_grid.cache_info().currsize == 3
 
 
 class TestSelfConsistency:
@@ -223,26 +291,37 @@ class TestSelfConsistency:
         closed = find_roots(spec, mode="strict")[0].energy.real
         assert abs(self_consistent_energy(spec, closed + offset) - closed) < 1e-8
 
+    @pytest.mark.parametrize("draw", ["0", "3", "11"])
+    def test_validate_draws_pinned(self, draw):
+        # tests/data/oracle_pins.json: float.hex of the solve from the strict
+        # ground root plus the draw's offset, for seed-1 validate draws
+        pin = json.loads((DATA_DIR / "oracle_pins.json").read_text())[draw]
+        d = json.loads((REFERENCE_DIR / "validate.json").read_text())["draws"][int(draw)]
+        spec = table_spec(3, *d["qn"], *d["ring"])
+        start = find_roots(spec, mode="strict")[0].energy.real + d["offset"]
+        assert start.hex() == pin["initial_energy"]
+        assert self_consistent_energy(spec, start).hex() == pin["energy"]
+
     def test_radial_domain_verified_once_per_solve(self, monkeypatch):
         # only the first sweep whose radial solve completes and the final
-        # check at e_star double the radial domain; every other sweep of the
-        # march and the bracket makes exactly one radial solve
+        # check at e_star consult more than one radial domain; every other
+        # sweep of the march and the bracket consults exactly one
         spec = table_spec(3, 0, 0, 0, 1.0, 1.0)
-        solves, per_sweep = [0], []
-        real_radial, real_map = oracle.fd_radial_eigs, oracle._consistency_map
+        consulted, per_sweep = [0], []
+        real_level, real_map = oracle._level, oracle._consistency_map
 
-        def counting_radial(*args, **kwargs):
-            solves[0] += 1
-            return real_radial(*args, **kwargs)
+        def counting_level(levels, key, solve):
+            consulted[0] += isinstance(key, tuple)  # radial keys are (gamma, r_max)
+            return real_level(levels, key, solve)
 
-        def counting_map(spec_, e, nodes, *domain):
-            before = solves[0]
+        def counting_map(spec_, e, nodes, *rest):
+            before = consulted[0]
             try:
-                return real_map(spec_, e, nodes, *domain)
+                return real_map(spec_, e, nodes, *rest)
             finally:
-                per_sweep.append(solves[0] - before)
+                per_sweep.append(consulted[0] - before)
 
-        monkeypatch.setattr(oracle, "fd_radial_eigs", counting_radial)
+        monkeypatch.setattr(oracle, "_level", counting_level)
         monkeypatch.setattr(oracle, "_consistency_map", counting_map)
         fixed_point = self_consistent_energy(spec, 1.0)
         first = next(i for i, count in enumerate(per_sweep) if count > 0)
@@ -251,6 +330,46 @@ class TestSelfConsistency:
         assert len(per_sweep) > 20
         closed = find_roots(spec, mode="strict")[0].energy.real
         assert abs(fixed_point - closed) < 1e-6
+
+    def test_no_level_solved_twice_per_solve(self, monkeypatch):
+        # the final check at e_star finds e_star's angular level and its
+        # radial level at the recorded domain among the swept ones
+        spec = table_spec(3, 0, 0, 0, 1.0, 1.0)
+        angular, radial = [], []
+        real_angular, real_radial = oracle.fd_angular_eigs, oracle.radial_level
+
+        def recording_angular(gamma, *args, **kwargs):
+            angular.append(gamma)
+            return real_angular(gamma, *args, **kwargs)
+
+        def recording_radial(potential, gamma, ell_eff_sq, index, r_max, nodes):
+            radial.append((gamma, r_max))
+            return real_radial(potential, gamma, ell_eff_sq, index, r_max, nodes)
+
+        monkeypatch.setattr(oracle, "fd_angular_eigs", recording_angular)
+        monkeypatch.setattr(oracle, "radial_level", recording_radial)
+        e_star = self_consistent_energy(spec, 1.0)
+        assert len(set(angular)) == len(angular) > 20
+        assert len(set(radial)) == len(radial)
+        g_star = oracle.gamma_of(spec, e_star).real
+        assert g_star in angular
+        assert sum(g == g_star for g, _ in radial) >= 2
+
+    def test_levels_do_not_outlive_the_solve(self, monkeypatch):
+        # a second solve of the same spec makes every eigensolve again
+        spec = table_spec(3, 0, 0, 0, 1.0, 1.0)
+        calls = [0]
+
+        def counting(*args, **kwargs):
+            calls[0] += 1
+            return eigh_tridiagonal(*args, **kwargs)
+
+        monkeypatch.setattr(oracle, "eigh_tridiagonal", counting)
+        first = self_consistent_energy(spec, 1.0)
+        per_solve = calls[0]
+        second = self_consistent_energy(spec, 1.0)
+        assert per_solve > 0 and calls[0] == 2 * per_solve
+        assert first.hex() == second.hex()
 
     @pytest.mark.parametrize(
         "kwargs, name",

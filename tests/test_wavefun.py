@@ -1,4 +1,6 @@
+import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -20,6 +22,8 @@ from drsbound.wavefun import (
     radial_oscillator,
     verify_normalization,
 )
+
+REFERENCE_DIR = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "reference"
 
 
 def radial_node_count(spec, energy):
@@ -237,6 +241,45 @@ class TestNormalization:
             x[0] = 0.0
         with pytest.raises(ValueError, match="read-only"):
             w[0] = 0.0
+
+    @staticmethod
+    def _meshgrid_quadrature(spec, energy):
+        """verify_normalization as it was built on the full (r, theta) mesh."""
+        r_max = wavefun._envelope_radius(spec, derive_coefficients(spec, energy))
+        xr, wr = np.polynomial.legendre.leggauss(wavefun.RADIAL_NODES)
+        r = 0.5 * r_max * (xr + 1.0)
+        wr = 0.5 * r_max * wr
+        xt, wt = np.polynomial.legendre.leggauss(wavefun.THETA_NODES)
+        th = 0.5 * math.pi * (xt + 1.0)
+        wt = 0.5 * math.pi * wt
+        field = SpinorField.build(spec, energy)
+        rr, tt = np.meshgrid(r, th, indexing="ij")
+        vals = np.abs(field(rr, tt, 0.0)) ** 2 * rr**2 * np.sin(tt)
+        return abs(2.0 * math.pi * np.einsum("i,j,ij->", wr, wt, vals) - 1.0)
+
+    @pytest.mark.parametrize(
+        "cell",
+        [
+            *(
+                (3, *d["qn"], *d["ring"])
+                for d in json.loads((REFERENCE_DIR / "validate.json").read_text())["draws"]
+            ),
+            # the real-sector specs of tests/data/wavefunction_*.txt
+            (3, 1, 1, 1, 1.0, 1.0),
+            (4, 1, 1, 1, 0.0, 0.0),
+            (1, 1, 1, 0, 0.0, 0.0),
+            (2, 0, 0, 0, 0.0, 0.0),
+        ],
+        ids=[*(f"draw{i}" for i in range(12)), "spin_kratzer", "spin_oscillator",
+             "pseudospin_kratzer", "pseudospin_oscillator"],
+    )
+    def test_factors_match_mesh_bit_for_bit(self, cell):
+        # factors on the 1-D nodes, broadcast to the mesh: every element goes
+        # through the same operations as on the meshgrid
+        spec = table_spec(*cell)
+        energy = class_a_energy(*cell)
+        got = verify_normalization(spec, energy)
+        assert float(got).hex() == float(self._meshgrid_quadrature(spec, energy)).hex()
 
     @pytest.mark.parametrize("name", ["radial_nodes", "theta_nodes", "phi_nodes"])
     def test_node_counts_rejected(self, spin_kratzer_ground, name):
