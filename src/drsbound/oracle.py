@@ -2,9 +2,12 @@
 
 These never touch the closed-form spectra: the radial solver diagonalizes
 the symmetric tridiagonal discretization of -d^2/dr^2 + V_eff(r) with
-Dirichlet walls, and the angular solver diagonalizes the theta equation in
-its Sturm-Liouville form.  A self-consistent solve couples the two through
-the energy dependence of gamma: it brackets a zero of
+Dirichlet walls on three nested grids (spacings h, h/2 and h/4) and cancels
+the h^2 and h^4 error terms by two Richardson steps, and the angular solver
+diagonalizes the theta equation in its Sturm-Liouville form.  Both the
+relativistic sweep and the nonrelativistic check double the radial domain
+until the level settles (_settled_level).  A self-consistent solve couples
+the two through the energy dependence of gamma: it brackets a zero of
 F(E) = lambda_n(gamma(E)) - b(E), the FD radial eigenvalue minus the radial
 equation's constant b(E), skipping brackets that hold a zero of b (the
 continuum edge), and closes it with Brent's method.  It validates
@@ -164,13 +167,15 @@ def _potential_on(v_eff, grid: FdGrid):
 def fd_radial_eigs(v_eff, grid: FdGrid, count: int, refine=False, first=0):
     """Eigenvalues first..count-1 of -d^2/dr^2 + V_eff with Dirichlet walls.
 
-    Second-order convergent in the spacing, optionally Richardson-refined on
-    (h, h/2).  Levels below `first` are not computed.  The n-node grid is an
-    index solve; with refine, the (2n+1)-node grid solves in a
-    Sturm-certified value window around the n-node levels (see _levels).
-    Raises ValueError unless count and first are ints with
-    0 <= first < count, and OracleError where V_eff is not finite at a node
-    of either grid.
+    Second-order convergent in the spacing h.  With refine, the grid's n
+    nodes and 2n + 1 and 4n + 3 nodes on the same interval (spacings h, h/2
+    and h/4) give levels L1, L2 and L3, and two Richardson steps cancel the h^2
+    and h^4 terms: R1 = (4 L2 - L1) / 3, R2 = (4 L3 - L2) / 3, returned
+    (16 R2 - R1) / 15.  Levels below `first` are not computed.  The n-node
+    grid is an index solve; each finer grid solves in a Sturm-certified
+    value window around the coarser grid's levels (see _levels).  Raises
+    ValueError unless count and first are ints with 0 <= first < count, and
+    OracleError where V_eff is not finite at a node of any grid.
     """
     _check_levels(count, first)
     if grid.nodes < 10 * count:
@@ -178,9 +183,15 @@ def fd_radial_eigs(v_eff, grid: FdGrid, count: int, refine=False, first=0):
     lam = _tridiag_eigs(_potential_on(v_eff, grid), grid.spacing, first, count)
     if not refine:
         return lam
-    fine = FdGrid(grid.r_min, grid.r_max, 2 * grid.nodes + 1)
-    lam2 = _tridiag_eigs(_potential_on(v_eff, fine), fine.spacing, first, count, near=lam)
-    return (4.0 * lam2 - lam) / 3.0
+    levels = [lam]
+    for _ in range(2):
+        grid = FdGrid(grid.r_min, grid.r_max, 2 * grid.nodes + 1)
+        v = _potential_on(v_eff, grid)
+        levels.append(_tridiag_eigs(v, grid.spacing, first, count, near=levels[-1]))
+    l1, l2, l3 = levels
+    r1 = (4.0 * l2 - l1) / 3.0
+    r2 = (4.0 * l3 - l2) / 3.0
+    return (16.0 * r2 - r1) / 15.0
 
 
 def radial_level(potential, gamma, ell_eff_sq, index, r_max, nodes):
@@ -189,7 +200,8 @@ def radial_level(potential, gamma, ell_eff_sq, index, r_max, nodes):
     The radial equation in its gamma form, shared by the relativistic sweep
     (gamma = gamma(E)) and the nonrelativistic checks (gamma = 2 mu / hbar^2,
     where lambda / gamma is the energy).  Solved on `nodes` interior nodes of
-    (0, r_max) with Dirichlet walls and Richardson-refined (fd_radial_eigs).
+    (0, r_max) with Dirichlet walls and Richardson-refined over the `nodes`,
+    2 nodes + 1 and 4 nodes + 3 grids (fd_radial_eigs with refine).
     """
 
     def v_eff(r):
@@ -282,6 +294,23 @@ def _level(levels: dict, key, solve):
     return levels[key]
 
 
+def _settled_level(level, r_max):
+    """(level(R), doublings): r_max doubled until the level settles.
+
+    R = r_max * 2**doublings is the first doubling at which level(R) lies
+    within 1e-8 (1 + |level(R)|) of the level on the previous domain;
+    DivergenceError if 4 doublings leave it unsettled.
+    """
+    prev = level(r_max)
+    for doublings in range(1, 5):
+        r_max *= 2.0
+        lam = level(r_max)
+        if abs(lam - prev) < 1e-8 * (1.0 + abs(lam)):
+            return lam, doublings
+        prev = lam
+    raise DivergenceError("radial eigenvalue unsettled after 4 domain doublings")
+
+
 def _consistency_map(
     spec: ProblemSpec,
     e: float,
@@ -296,9 +325,9 @@ def _consistency_map(
     b(E) = radial_equation_beta_sq(spec, E).  The radial domain starts at
     r0(E), from the decay estimate sqrt(|b(E)|).  Without a `domain`, or with
     one whose doublings are still None, it is doubled until the eigenvalue
-    settles to 1e-8; DivergenceError if 4 doublings leave it unsettled, else
-    the number of doublings is recorded in `domain`.  With recorded
-    doublings the sweep solves once at r0(E) * 2**doublings, unverified.
+    settles (_settled_level), and the number of doublings is recorded in
+    `domain`.  With recorded doublings the sweep solves once at
+    r0(E) * 2**doublings, unverified.
 
     `levels` holds one solve's FD levels: the angular level keyed by gamma
     and each radial level by (gamma, r_max).  A level found there is not
@@ -336,15 +365,7 @@ def _consistency_map(
     if domain is not None and domain.doublings is not None:
         r_max *= 2.0**domain.doublings
         return radial(r_max) - b
-    prev = radial(r_max)
-    for doublings in range(1, 5):
-        r_max *= 2.0
-        lam_rad = radial(r_max)
-        if abs(lam_rad - prev) < 1e-8 * (1.0 + abs(lam_rad)):
-            break
-        prev = lam_rad
-    else:
-        raise DivergenceError("radial eigenvalue unsettled after 4 domain doublings")
+    lam_rad, doublings = _settled_level(radial, r_max)
     if domain is not None:
         domain.doublings = doublings
     return lam_rad - b
@@ -356,8 +377,9 @@ BRACKET_TOL = 1e-9
 MAX_SWEEPS = 200
 #: Step and half-width of the outward march for a bracket.
 SCAN_STEP, SCAN_SPAN = 0.1, 4.0
-#: Nodes of the radial FD grid in each sweep.
-FD_NODES = 3000
+#: Nodes of the coarsest radial FD grid in each sweep (the finer two have
+#: 2 FD_NODES + 1 and 4 FD_NODES + 3).
+FD_NODES = 900
 
 
 def self_consistent_energy(spec: ProblemSpec, initial_energy: float):
@@ -378,9 +400,9 @@ def self_consistent_energy(spec: ProblemSpec, initial_energy: float):
     energies where a sweep completes form an interval, which holds both
     bracket ends.
     MAX_SWEEPS caps the total number of sweeps, each solving the radial
-    problem on FD_NODES grid nodes; real-sector specs only.  DivergenceError
-    is the documented outcome whenever no bound root exists in reach of the
-    march.
+    problem from a coarsest grid of FD_NODES nodes; real-sector specs
+    only.  DivergenceError is the documented outcome whenever no bound root
+    exists in reach of the march.
 
     The radial domain is verified twice per solve: the first sweep whose
     radial solve completes doubles it until the eigenvalue settles, and
@@ -457,8 +479,8 @@ def self_consistent_energy(spec: ProblemSpec, initial_energy: float):
     return e_star
 
 
-#: Nodes of the radial FD grid in the nonrelativistic checks.
-NONREL_NODES = 6000
+#: Nodes of the coarsest radial FD grid in the nonrelativistic checks.
+NONREL_NODES = 2 * FD_NODES
 
 
 def nonrel_energy_fd(params, qn):
@@ -467,7 +489,10 @@ def nonrel_energy_fd(params, qn):
     Solves -hbar^2/(2 mu) u'' + [V(r) + hbar^2 (L^2 - 1/4)/(2 mu r^2)] u = E u
     with the ring-quantized L = ell_eff as radial_level at
     gamma = 2 mu / hbar^2, whose eigenvalue is gamma E; the independent check
-    for the closed-form nonrelativistic spectra.
+    for the closed-form nonrelativistic spectra.  The radial domain starts
+    at 6 (n + 1) for Kratzer and 3 sqrt(2 n + ell_eff + 10) for the
+    oscillator and is doubled until the level settles (_settled_level);
+    DivergenceError if 4 doublings leave it unsettled.
     """
     from .nonrel import coefficients_nr
 
@@ -477,4 +502,8 @@ def nonrel_energy_fd(params, qn):
         r_max = 6.0 * (qn.n + 1)
     else:
         r_max = 3.0 * math.sqrt(2.0 * qn.n + ell_eff + 10.0)
-    return radial_level(params.potential, gamma, ell_eff**2, qn.n, r_max, NONREL_NODES) / gamma
+
+    def level(r_max):
+        return radial_level(params.potential, gamma, ell_eff**2, qn.n, r_max, NONREL_NODES)
+
+    return _settled_level(level, r_max)[0] / gamma

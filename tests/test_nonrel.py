@@ -85,11 +85,17 @@ class TestParams:
 
 
 class TestFdPins:
-    # literals of the former mass_factor radial solver, kept to rel 1e-12
+    # literals of the three-grid Richardson rule on NONREL_NODES, kept to
+    # rel 1e-12; each lies at least as close to its closed form as the
+    # two-grid rule's value did (-7.23241306510691 and 2.500000000111932)
     def test_kratzer_level(self):
         fd = nonrel_energy_fd(kratzer_params(), QuantumNumbers())
-        assert fd == pytest.approx(-7.23241306510691, rel=1e-12)
+        assert fd == pytest.approx(-7.232413064700692, rel=1e-12)
+        closed = energy_kratzer_nr(kratzer_params(), QuantumNumbers())
+        assert abs(fd - closed) <= abs(-7.23241306510691 - closed)
 
     def test_oscillator_level(self):
         fd = nonrel_energy_fd(oscillator_params(), QuantumNumbers())
-        assert fd == pytest.approx(2.500000000111932, rel=1e-12)
+        assert fd == pytest.approx(2.499999999975342, rel=1e-12)
+        # closed form hbar omega (2 n + ell_eff + 1) with omega = 1, n = 0, ell_eff = 3/2
+        assert abs(fd - 2.5) <= abs(2.500000000111932 - 2.5)

@@ -14,6 +14,9 @@ from drsbound.model import (
     RingParams,
     SpecError,
     coefficients_at_gamma,
+    derive_coefficients,
+    gamma_of,
+    radial_equation_beta_sq,
 )
 from drsbound.nonrel import NonRelParams, energy_kratzer_nr
 from drsbound.oracle import (
@@ -26,7 +29,7 @@ from drsbound.oracle import (
     radial_level,
     self_consistent_energy,
 )
-from drsbound.spectrum import find_roots, table_spec
+from drsbound.spectrum import RootClass, find_roots, load_table_data, table_spec
 
 DATA_DIR = pathlib.Path(__file__).resolve().parent / "data"
 REFERENCE_DIR = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "reference"
@@ -302,6 +305,31 @@ class TestSelfConsistency:
         assert start.hex() == pin["initial_energy"]
         assert self_consistent_energy(spec, start).hex() == pin["energy"]
 
+    @pytest.mark.parametrize("draw", [str(i) for i in range(12)])
+    def test_validate_march_pinned(self, monkeypatch, draw):
+        # tests/data/oracle_march_pins.json: the sweeps of the solve from the
+        # strict ground root plus the draw's offset (the final check included)
+        # and the doublings its carried radial domain records, for every
+        # seed-1 validate draw
+        pin = json.loads((DATA_DIR / "oracle_march_pins.json").read_text())[draw]
+        d = json.loads((REFERENCE_DIR / "validate.json").read_text())["draws"][int(draw)]
+        spec = table_spec(3, *d["qn"], *d["ring"])
+        start = find_roots(spec, mode="strict")[0].energy.real + d["offset"]
+        sweeps, recorded = [0], set()
+        real_map = oracle._consistency_map
+
+        def counting(spec_, e, nodes, domain=None, levels=None):
+            sweeps[0] += 1
+            try:
+                return real_map(spec_, e, nodes, domain, levels)
+            finally:
+                if domain is not None and domain.doublings is not None:
+                    recorded.add(domain.doublings)
+
+        monkeypatch.setattr(oracle, "_consistency_map", counting)
+        self_consistent_energy(spec, start)
+        assert (sweeps[0], recorded) == (pin["sweeps"], {pin["doublings"]})
+
     def test_radial_domain_verified_once_per_solve(self, monkeypatch):
         # only the first sweep whose radial solve completes and the final
         # check at e_star consult more than one radial domain; every other
@@ -441,8 +469,8 @@ class TestEigenvaluesOnly:
         seen = self._capture(monkeypatch)
         v_eff = lambda r: (2.3**2 - 0.25) / r**2 - 4.0 / r
         fd_radial_eigs(v_eff, FdGrid(0.0, 30.0, 3000), 2, refine=True)
-        # the fine grid's window solve follows its Sturm count
-        self._assert_same_as_eigenvector_call(seen, [3000, 6001, 6001])
+        # each finer grid's window solve follows its Sturm count
+        self._assert_same_as_eigenvector_call(seen, [3000, 6001, 6001, 12003, 12003])
 
     def test_angular_matrices(self, monkeypatch):
         seen = self._capture(monkeypatch)
@@ -509,9 +537,10 @@ class TestLevelSelection:
     eps * ||T||_1 of the exact one, whichever levels share its call and
     whether it starts from the Gershgorin interval (index solve) or a value
     window, so two calls may differ by twice that; the Richardson and Aitken
-    combinations add at most another factor of 2 here.  The bound is
-    4 eps ||T||_1 of the largest matrix the solver builds (about 3e-10 on the
-    6001-node radial matrix).  The coarsest grid is an index solve for level
+    combinations add at most another factor of 2 here (the radial rule's
+    weights 64/45, -20/45 and 1/45 sum to 85/45 in magnitude).  The bound is
+    4 eps ||T||_1 of the largest matrix the solver builds (about 1.1e-9 on the
+    12003-node radial matrix).  The coarsest grid is an index solve for level
     i alone; each finer grid is a Sturm count of i levels below its window,
     then the window solve.
     """
@@ -604,6 +633,81 @@ class TestWindowedLevels:
         )
         for x in points:
             assert oracle._count_below(d, e, x) == np.count_nonzero(levels <= x)
+
+
+def _two_grid_level(v_eff, grid, index):
+    """Level `index` by the former rule: (4 L2 - L1) / 3 over the (h, h/2) grids."""
+    coarse = oracle._tridiag_eigs(
+        oracle._potential_on(v_eff, grid), grid.spacing, index, index + 1
+    )
+    fine = FdGrid(grid.r_min, grid.r_max, 2 * grid.nodes + 1)
+    lam2 = oracle._tridiag_eigs(
+        oracle._potential_on(v_eff, fine), fine.spacing, index, index + 1, near=coarse
+    )
+    return ((4.0 * lam2 - coarse) / 3.0)[0]
+
+
+class TestRadialErrorTable:
+    """The three-grid rule on FD_NODES is no less accurate than the two-grid one on 3000.
+
+    At each of the 60 table-3 class-A roots E* (strict find_roots), the exact
+    radial level n at gamma(E*), with ell_eff from derive_coefficients, is
+    b(E*).  Both rules solve it on (0, 50 / sqrt|b(E*)|); the error is
+    |level - b(E*)| / (1 + |b(E*)|).  The two-grid rule gives max 5.09e-10
+    and median 3.89e-11, the three-grid rule on 900 nodes 3.36e-10 and
+    8.0e-12 (on 800 nodes its max is 5.31e-10).
+    """
+
+    def test_max_and_median_no_worse_than_two_grid_rule(self):
+        three, two = [], []
+        for row in load_table_data(3):
+            spec = table_spec(3, *row[:5])
+            for root in find_roots(spec, mode="strict"):
+                if root.root_class is not RootClass.A:
+                    continue
+                e = root.energy.real
+                g = gamma_of(spec, e).real
+                ell_eff_sq = derive_coefficients(spec, e).ell_eff.real ** 2
+                b = radial_equation_beta_sq(spec, e).real
+                r_max = 50.0 / math.sqrt(abs(b))
+
+                def v_eff(r, g=g, ell_eff_sq=ell_eff_sq, potential=spec.potential):
+                    return (ell_eff_sq - 0.25) / r**2 + g * potential.radial(r)
+
+                n = spec.qn.n
+                level = radial_level(spec.potential, g, ell_eff_sq, n, r_max, oracle.FD_NODES)
+                three.append(abs(level - b) / (1.0 + abs(b)))
+                level = _two_grid_level(v_eff, FdGrid(0.0, r_max, 3000), n)
+                two.append(abs(level - b) / (1.0 + abs(b)))
+        assert len(three) == 60
+        assert max(three) <= max(two)
+        assert np.median(three) <= np.median(two)
+
+
+class TestNonrelDomain:
+    """nonrel_energy_fd doubles its radial domain until the level settles."""
+
+    @pytest.mark.parametrize("draw", range(12))
+    def test_validate_draws_match_closed_form(self, draw):
+        # seed-1 validate draw 5, (n, n', m, a, b) = (0, 1, -2, 1, 2), sat
+        # 2.41e-6 from the closed form on the fixed domain r_max = 6
+        d = json.loads((REFERENCE_DIR / "validate.json").read_text())["draws"][draw]
+        spec = table_spec(3, *d["qn"], *d["ring"])
+        params = NonRelParams(mu=spec.mass, potential=spec.potential, ring=spec.ring)
+        closed = energy_kratzer_nr(params, spec.qn)
+        assert abs(nonrel_energy_fd(params, spec.qn) - closed) <= 1e-9 * abs(closed)
+
+    def test_unsettled_domain_raises(self, monkeypatch):
+        domains = []
+
+        def drifting(potential, gamma, ell_eff_sq, index, r_max, nodes):
+            domains.append(r_max)
+            return r_max
+
+        monkeypatch.setattr(oracle, "radial_level", drifting)
+        with pytest.raises(DivergenceError, match="unsettled"):
+            nonrel_energy_fd(NonRelParams(mu=1.0, potential=Kratzer(15.0, 0.4)), QuantumNumbers())
+        assert domains == [6.0 * 2.0**k for k in range(5)]
 
 
 class TestRefinementMonotonicity:
