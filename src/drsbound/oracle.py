@@ -1,17 +1,25 @@
 """Independent finite-difference oracles for the separated equations.
 
-These never touch the closed-form spectra: the radial solver diagonalizes
-the symmetric tridiagonal discretization of -d^2/dr^2 + V_eff(r) with
-Dirichlet walls on three nested grids (spacings h, h/2 and h/4) and cancels
-the h^2 and h^4 error terms by two Richardson steps, and the angular solver
-diagonalizes the theta equation in its Sturm-Liouville form.  Both the
-relativistic sweep and the nonrelativistic check double the radial domain
-until the level settles (_settled_level).  A self-consistent solve couples
-the two through the energy dependence of gamma: it brackets a zero of
+These never touch the closed-form spectra.  Each solver returns one level.
+The radial solver diagonalizes the symmetric tridiagonal discretization of
+-d^2/dr^2 + V_eff(r) on (0, r_max) with Dirichlet walls on three nested
+grids (spacings h, h/2 and h/4) and cancels the h^2 and h^4 error terms by
+two Richardson steps, and the angular solver diagonalizes the theta
+equation in its Sturm-Liouville form.  Both the relativistic sweep and the
+nonrelativistic check double the radial domain until the level settles
+(_settled_level).  A self-consistent solve couples the two through the
+energy dependence of gamma: it brackets a zero of
 F(E) = lambda_n(gamma(E)) - b(E), the FD radial eigenvalue minus the radial
 equation's constant b(E), skipping brackets that hold a zero of b (the
 continuum edge), and closes it with Brent's method.  It validates
 relativistic class-A roots without evaluating any spectral condition.
+
+Scope: the sweep's radial operator, -u'' + [(ell_eff^2 - 1/4)/r^2
++ gamma V(r)] u = b(E) u, is the equation the closed forms solve in the spin
+Kratzer sector only.  In the other three sectors an energy the sweep returns
+can be a fixed point of a different equation: on
+table_spec(2, 0, 0, 1, 1.0, 0.5) from 1.0 it returns 1.04606, where
+find_roots reports no class-A root in either mode.
 
 The angular equation is singular at both ends (limit-circle at theta -> 0
 whenever gamma b + m^2 < 1/4, always at the -1/(4 sin^2) term), where a
@@ -29,8 +37,8 @@ Martin & Wilkinson, Numer. Math. 9 (1967) 386).  The coarsest grid of a call
 is an index solve, which bisects the whole Gershgorin interval.  Each finer
 grid solves by value on a window of +-_WINDOW (1 + |lambda|) around the
 coarser grid's level, certified first by one Sturm count: the window is kept
-only when exactly `first` eigenvalues lie at or below its lower end and it
-holds every wanted level; otherwise the index solve runs (see _levels).
+only when exactly `index` eigenvalues lie at or below its lower end and it
+holds a level; otherwise the index solve runs (see _eigenvalue).
 
 No FD arithmetic is repeated where its inputs repeat.  The angular matrix's
 cell geometry depends only on the cell count and is built once per count
@@ -43,7 +51,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -59,7 +66,6 @@ from .model import (
     Kratzer,
     ProblemSpec,
     RingParams,
-    SpecError,
     gamma_of,
     radial_equation_beta_sq,
 )
@@ -71,40 +77,6 @@ class OracleError(RuntimeError):
 
 class DivergenceError(OracleError):
     """Self-consistent iteration failed to settle."""
-
-
-@dataclass(frozen=True)
-class FdGrid:
-    """Uniform Dirichlet grid: interior nodes only, walls at both ends."""
-
-    r_min: float
-    r_max: float
-    nodes: int
-
-    def __post_init__(self):
-        if not self.r_max > self.r_min:
-            raise SpecError("grid endpoints must be strictly ordered")
-        if self.nodes < 50:
-            raise SpecError("grid too coarse: need at least 50 nodes")
-
-    @property
-    def spacing(self):
-        return (self.r_max - self.r_min) / (self.nodes + 1)
-
-    def points(self):
-        h = self.spacing
-        return self.r_min + h * np.arange(1, self.nodes + 1)
-
-
-def _check_levels(count, first):
-    """ValueError unless count and first are ints with 0 <= first < count."""
-    for name, value in (("count", count), ("first", first)):
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-            raise ValueError(f"{name} must be an int, got {value!r}")
-    if count < 1:
-        raise ValueError(f"count must be at least 1, got {count!r}")
-    if not 0 <= first < count:
-        raise ValueError(f"first must satisfy 0 <= first < count = {count}, got {first!r}")
 
 
 #: Half-width of the value window around a level estimate, relative to 1 + |estimate|.
@@ -127,68 +99,59 @@ def _count_below(d, e, x):
     )
 
 
-def _levels(d, e, first, count, near=None):
-    """Eigenvalues first..count-1 of the symmetric tridiagonal (d, e).
+def _eigenvalue(d, e, index, near=None):
+    """Eigenvalue `index` (0 the lowest) of the symmetric tridiagonal (d, e).
 
-    Without an estimate this is a stebz index solve.  `near` holds estimates
-    of the wanted levels in ascending order; each is widened by
-    _WINDOW (1 + |near|), and the value solve on (lo, hi], from the lowest
-    estimate's lower end to the highest one's upper end, is kept only when
-    the Sturm count at or below lo equals `first` and the window holds at
-    least count - first values.  Any other case falls back to the index
-    solve.
+    Without an estimate this is a stebz index solve.  The estimate `near` is
+    widened by _WINDOW (1 + |near|) to (lo, hi], and the value solve on it is
+    kept only when the Sturm count at or below lo equals `index` and the
+    window holds a value.  Any other case falls back to the index solve.
+    Raises ValueError unless index is an int >= 0.
     """
+    if isinstance(index, bool) or not isinstance(index, (int, np.integer)) or index < 0:
+        raise ValueError(f"index must be an int >= 0, got {index!r}")
     if near is not None:
-        lo = near[0] - _WINDOW * (1.0 + abs(near[0]))
-        hi = near[-1] + _WINDOW * (1.0 + abs(near[-1]))
-        if _count_below(d, e, lo) == first:
+        lo = near - _WINDOW * (1.0 + abs(near))
+        hi = near + _WINDOW * (1.0 + abs(near))
+        if _count_below(d, e, lo) == index:
             window = eigh_tridiagonal(d, e, eigvals_only=True, select="v", select_range=(lo, hi))
-            if len(window) >= count - first:
-                return window[: count - first]
-    return eigh_tridiagonal(d, e, eigvals_only=True, select="i", select_range=(first, count - 1))
+            if len(window):
+                return window[0]
+    return eigh_tridiagonal(d, e, eigvals_only=True, select="i", select_range=(index, index))[0]
 
 
-def _tridiag_eigs(v_values, h, first, count, near=None):
-    n = len(v_values)
-    diag = 2.0 / h**2 + v_values
-    off = np.full(n - 1, -1.0 / h**2)
-    return _levels(diag, off, first, count, near)
+def _grid_level(v_eff, r_max, nodes, index, near=None):
+    """Level `index` on `nodes` interior nodes of (0, r_max), Dirichlet walls at both ends.
 
-
-def _potential_on(v_eff, grid: FdGrid):
-    """v_eff at the grid's interior nodes; OracleError unless every value is finite."""
+    OracleError unless V_eff is finite at every node.
+    """
+    h = r_max / (nodes + 1)
     with np.errstate(divide="ignore", invalid="ignore"):
-        v = np.asarray(v_eff(grid.points()), dtype=float)
+        v = np.asarray(v_eff(h * np.arange(1, nodes + 1)), dtype=float)
     if not np.all(np.isfinite(v)):
         raise OracleError("potential not finite on the open grid interior")
-    return v
+    diag = 2.0 / h**2 + v
+    off = np.full(nodes - 1, -1.0 / h**2)
+    return _eigenvalue(diag, off, index, near)
 
 
-def fd_radial_eigs(v_eff, grid: FdGrid, count: int, refine=False, first=0):
-    """Eigenvalues first..count-1 of -d^2/dr^2 + V_eff with Dirichlet walls.
+def fd_radial_eigs(v_eff, r_max, nodes, index):
+    """Level `index` of -d^2/dr^2 + V_eff on (0, r_max) with Dirichlet walls.
 
-    Second-order convergent in the spacing h.  With refine, the grid's n
-    nodes and 2n + 1 and 4n + 3 nodes on the same interval (spacings h, h/2
-    and h/4) give levels L1, L2 and L3, and two Richardson steps cancel the h^2
-    and h^4 terms: R1 = (4 L2 - L1) / 3, R2 = (4 L3 - L2) / 3, returned
-    (16 R2 - R1) / 15.  Levels below `first` are not computed.  The n-node
-    grid is an index solve; each finer grid solves in a Sturm-certified
-    value window around the coarser grid's levels (see _levels).  Raises
-    ValueError unless count and first are ints with 0 <= first < count, and
-    OracleError where V_eff is not finite at a node of any grid.
+    The second-order FD level on `nodes`, 2 nodes + 1 and 4 nodes + 3
+    interior nodes (spacings h, h/2 and h/4) gives L1, L2 and L3, and two
+    Richardson steps cancel the h^2 and h^4 terms: R1 = (4 L2 - L1) / 3,
+    R2 = (4 L3 - L2) / 3, returned (16 R2 - R1) / 15.  The `nodes` grid is an
+    index solve; each finer grid solves in a Sturm-certified value window
+    around the coarser grid's level (see _eigenvalue).  Raises ValueError
+    unless index is an int >= 0, and OracleError when nodes < 10 (index + 1)
+    or V_eff is not finite at a node of any grid.
     """
-    _check_levels(count, first)
-    if grid.nodes < 10 * count:
-        raise OracleError("grid too coarse for the requested eigenvalue count")
-    lam = _tridiag_eigs(_potential_on(v_eff, grid), grid.spacing, first, count)
-    if not refine:
-        return lam
-    levels = [lam]
-    for _ in range(2):
-        grid = FdGrid(grid.r_min, grid.r_max, 2 * grid.nodes + 1)
-        v = _potential_on(v_eff, grid)
-        levels.append(_tridiag_eigs(v, grid.spacing, first, count, near=levels[-1]))
-    l1, l2, l3 = levels
+    if nodes < 10 * (index + 1):
+        raise OracleError("grid too coarse for the requested level")
+    l1 = _grid_level(v_eff, r_max, nodes, index)
+    l2 = _grid_level(v_eff, r_max, 2 * nodes + 1, index, near=l1)
+    l3 = _grid_level(v_eff, r_max, 4 * nodes + 3, index, near=l2)
     r1 = (4.0 * l2 - l1) / 3.0
     r2 = (4.0 * l3 - l2) / 3.0
     return (16.0 * r2 - r1) / 15.0
@@ -199,16 +162,14 @@ def radial_level(potential, gamma, ell_eff_sq, index, r_max, nodes):
 
     The radial equation in its gamma form, shared by the relativistic sweep
     (gamma = gamma(E)) and the nonrelativistic checks (gamma = 2 mu / hbar^2,
-    where lambda / gamma is the energy).  Solved on `nodes` interior nodes of
-    (0, r_max) with Dirichlet walls and Richardson-refined over the `nodes`,
-    2 nodes + 1 and 4 nodes + 3 grids (fd_radial_eigs with refine).
+    where lambda / gamma is the energy).  Solved on (0, r_max) by
+    fd_radial_eigs from a coarsest grid of `nodes` interior nodes.
     """
 
     def v_eff(r):
         return (ell_eff_sq - 0.25) / r**2 + gamma * potential.radial(r)
 
-    grid = FdGrid(0.0, r_max, nodes)
-    return fd_radial_eigs(v_eff, grid, index + 1, refine=True, first=index)[0]
+    return fd_radial_eigs(v_eff, r_max, nodes, index)
 
 
 @functools.lru_cache(maxsize=3)
@@ -238,10 +199,8 @@ def _angular_grid(cells):
     return grid
 
 
-def _angular_fd_once(
-    gamma, ring: RingParams, m: int, first: int, count: int, cells: int, near=None
-):
-    """Levels first..count-1 of the angular FD matrix on `cells` cells (see _levels).
+def _angular_fd_once(gamma, ring: RingParams, m: int, index: int, cells: int, near=None):
+    """Level `index` of the angular FD matrix on `cells` cells (see _eigenvalue).
 
     Only the potential term q and the diagonal depend on gamma, the ring
     and m; the rest comes from _angular_grid.
@@ -250,41 +209,28 @@ def _angular_fd_once(
     q = 0.25 + (m * m + gamma * ring.b) / sin_c_sq + gamma * ring.a / cos_c_sq
     diag = kinetic + q * sin_c
     d = diag / sin_c
-    return _levels(d, e, first, count, near)
+    return _eigenvalue(d, e, index, near)
 
 
-def fd_angular_eigs(gamma, ring: RingParams, m: int, count: int, cells=2000, first=0):
-    """Eigenvalues (ell + 1/2)^2 of the polar equation, real sector only.
+def fd_angular_eigs(gamma, ring: RingParams, m: int, index: int):
+    """Eigenvalue (ell + 1/2)^2 of the polar equation's level `index`, real sector only.
 
-    Returns the levels first..count-1 of the quantization family (bounded at
-    theta = 0, vanishing at pi/2), Aitken-extrapolated over three dyadic
-    grids.  The coarsest grid is an index solve; the 2x and 4x grids each
-    solve in a Sturm-certified value window around the previous grid's
-    levels (see _levels).  Raises ValueError unless count and first are ints
-    with 0 <= first < count.
+    The level of the quantization family (bounded at theta = 0, vanishing at
+    pi/2), Aitken-extrapolated over ANGULAR_CELLS, 2 ANGULAR_CELLS and
+    4 ANGULAR_CELLS cells.  The coarsest grid is an index solve; the finer
+    two each solve in a Sturm-certified value window around the previous
+    grid's level (see _eigenvalue).  Raises ValueError unless index is an
+    int >= 0.
     """
-    _check_levels(count, first)
     if gamma * ring.a + 0.25 < 0 or gamma * ring.b + m * m < 0:
         raise OracleError("complex angular sector: radicals not real")
-    l1 = _angular_fd_once(gamma, ring, m, first, count, cells)
-    l2 = _angular_fd_once(gamma, ring, m, first, count, 2 * cells, near=l1)
-    l3 = _angular_fd_once(gamma, ring, m, first, count, 4 * cells, near=l2)
+    l1 = _angular_fd_once(gamma, ring, m, index, ANGULAR_CELLS)
+    l2 = _angular_fd_once(gamma, ring, m, index, 2 * ANGULAR_CELLS, near=l1)
+    l3 = _angular_fd_once(gamma, ring, m, index, 4 * ANGULAR_CELLS, near=l2)
     d1, d2 = l2 - l1, l3 - l2
-    out = l3.copy()
-    mask = np.abs(d2 - d1) > 1e-300
-    out[mask] = l3[mask] - d2[mask] ** 2 / (d2[mask] - d1[mask])
-    return out
-
-
-@dataclass
-class _RadialDomain:
-    """How many doublings of the radial domain one solve's verified sweep took.
-
-    None until a sweep of the solve has run the full doubling test; every
-    later sweep of that solve then solves once at r0(E) * 2**doublings.
-    """
-
-    doublings: int | None = None
+    if abs(d2 - d1) > 1e-300:
+        return l3 - d2 * d2 / (d2 - d1)
+    return l3
 
 
 def _level(levels: dict, key, solve):
@@ -312,42 +258,31 @@ def _settled_level(level, r_max):
 
 
 def _consistency_map(
-    spec: ProblemSpec,
-    e: float,
-    nodes: int,
-    domain: _RadialDomain | None = None,
-    levels: dict | None = None,
-) -> float:
-    """One sweep: F(E) = lambda_n(gamma(E)) - b(E), zero at a bound root.
+    spec: ProblemSpec, e: float, nodes: int, levels: dict, doublings: int | None
+) -> tuple[float, int]:
+    """One sweep: (F(E), doublings), F(E) = lambda_n(gamma(E)) - b(E) zero at a bound root.
 
     lambda_n is level n of the FD radial problem at gamma(E), whose
     centrifugal term takes the polar equation's quantized (ell + 1/2)^2, and
     b(E) = radial_equation_beta_sq(spec, E).  The radial domain starts at
-    r0(E), from the decay estimate sqrt(|b(E)|).  Without a `domain`, or with
-    one whose doublings are still None, it is doubled until the eigenvalue
-    settles (_settled_level), and the number of doublings is recorded in
-    `domain`.  With recorded doublings the sweep solves once at
-    r0(E) * 2**doublings, unverified.
+    r0(E), from the decay estimate sqrt(|b(E)|).  With `doublings` None it is
+    doubled until the eigenvalue settles (_settled_level), and the doublings
+    that took are returned.  Otherwise the sweep solves once at
+    r0(E) * 2**doublings, unverified, and returns `doublings` unchanged.  An
+    oscillator sweep at gamma(E) = 0, where the potential term vanishes and
+    binds no level, raises DivergenceError.
 
     `levels` holds one solve's FD levels: the angular level keyed by gamma
     and each radial level by (gamma, r_max).  A level found there is not
     solved again; every level solved here is added to it.
     """
-    if levels is None:
-        levels = {}
     g = gamma_of(spec, e)
     if abs(g.imag) > 1e-12:
         raise DivergenceError("gamma left the real axis")
     g = g.real
     n, n_prime = spec.qn.n, spec.qn.n_prime
     try:
-        lam_ang = _level(
-            levels,
-            g,
-            lambda: fd_angular_eigs(
-                g, spec.ring, spec.qn.m, n_prime + 1, cells=1500, first=n_prime
-            )[0],
-        )
+        lam_ang = _level(levels, g, lambda: fd_angular_eigs(g, spec.ring, spec.qn.m, n_prime))
     except OracleError as exc:
         raise DivergenceError(str(exc)) from exc
 
@@ -360,15 +295,14 @@ def _consistency_map(
     decay = math.sqrt(abs(b)) if abs(b) > 1e-3 else 1.0
     if isinstance(spec.potential, Kratzer):
         r_max = 25.0 / decay
+    elif g == 0.0:
+        raise DivergenceError("gamma = 0: the oscillator term vanishes and binds no level")
     else:
         r_max = max(6.0, 3.0 * (abs(g) * spec.potential.k / 8.0) ** -0.25)
-    if domain is not None and domain.doublings is not None:
-        r_max *= 2.0**domain.doublings
-        return radial(r_max) - b
+    if doublings is not None:
+        return radial(r_max * 2.0**doublings) - b, doublings
     lam_rad, doublings = _settled_level(radial, r_max)
-    if domain is not None:
-        domain.doublings = doublings
-    return lam_rad - b
+    return lam_rad - b, doublings
 
 
 #: Width at which `self_consistent_energy` stops closing its bracket.
@@ -380,6 +314,8 @@ SCAN_STEP, SCAN_SPAN = 0.1, 4.0
 #: Nodes of the coarsest radial FD grid in each sweep (the finer two have
 #: 2 FD_NODES + 1 and 4 FD_NODES + 3).
 FD_NODES = 900
+#: Cells of the coarsest angular FD grid (the finer two have 2x and 4x as many).
+ANGULAR_CELLS = 1500
 
 
 def self_consistent_energy(spec: ProblemSpec, initial_energy: float):
@@ -406,8 +342,8 @@ def self_consistent_energy(spec: ProblemSpec, initial_energy: float):
 
     The radial domain is verified twice per solve: the first sweep whose
     radial solve completes doubles it until the eigenvalue settles, and
-    every later sweep of the march and the bracket reuses that number of
-    doublings (see _RadialDomain).  The final check at the returned energy
+    every later sweep of the march and the bracket reuses the number of
+    doublings that sweep returned.  The final check at the returned energy
     runs the full doubling test again and requires
     |F(E)| <= 1e-6 (1 + |b(E)|), so the returned energy always passes on a
     verified domain.  Brent's method returns a point it has swept, so the
@@ -420,19 +356,21 @@ def self_consistent_energy(spec: ProblemSpec, initial_energy: float):
     e0 = float(initial_energy)
     if not math.isfinite(e0):
         raise ValueError(f"initial_energy must be finite, got {initial_energy!r}")
-    budget = [MAX_SWEEPS]
-    carried = _RadialDomain()
+    budget = MAX_SWEEPS
+    doublings = None
     levels = {}
 
-    def sweep(e, domain=carried):
+    def sweep(e):
         """F at e, None where the sweep fails."""
-        if budget[0] <= 0:
+        nonlocal budget, doublings
+        if budget <= 0:
             raise DivergenceError("sweep budget exhausted")
-        budget[0] -= 1
+        budget -= 1
         try:
-            return _consistency_map(spec, e, FD_NODES, domain, levels)
+            f, doublings = _consistency_map(spec, e, FD_NODES, levels, doublings)
         except DivergenceError:
             return None
+        return f
 
     known = {}
 
@@ -472,7 +410,8 @@ def self_consistent_energy(spec: ProblemSpec, initial_energy: float):
         return value
 
     e_star = brentq(inside, *bracket, xtol=BRACKET_TOL)
-    f_star = sweep(e_star, domain=None)
+    doublings = None  # the final check runs the full doubling test
+    f_star = sweep(e_star)
     b_star = radial_equation_beta_sq(spec, e_star).real
     if f_star is None or abs(f_star) > 1e-6 * (1.0 + abs(b_star)):
         raise DivergenceError("bracketed point is not a consistent energy")

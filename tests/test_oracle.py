@@ -1,3 +1,5 @@
+import importlib
+import importlib.util
 import json
 import math
 import pathlib
@@ -12,7 +14,6 @@ from drsbound.model import (
     Oscillator,
     QuantumNumbers,
     RingParams,
-    SpecError,
     coefficients_at_gamma,
     derive_coefficients,
     gamma_of,
@@ -21,7 +22,6 @@ from drsbound.model import (
 from drsbound.nonrel import NonRelParams, energy_kratzer_nr
 from drsbound.oracle import (
     DivergenceError,
-    FdGrid,
     OracleError,
     fd_angular_eigs,
     fd_radial_eigs,
@@ -35,28 +35,12 @@ DATA_DIR = pathlib.Path(__file__).resolve().parent / "data"
 REFERENCE_DIR = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "reference"
 
 
-class TestFdGrid:
-    def test_validation(self):
-        with pytest.raises(SpecError):
-            FdGrid(1.0, 1.0, 100)
-        with pytest.raises(SpecError):
-            FdGrid(0.0, 5.0, 10)
-
-    def test_points_interior(self):
-        g = FdGrid(0.0, 1.0, 99)
-        pts = g.points()
-        assert len(pts) == 99
-        assert pts[0] == pytest.approx(g.spacing)
-        assert pts[-1] == pytest.approx(1.0 - g.spacing)
-
-
 class TestRadialSolver:
     def test_half_line_oscillator(self):
         # Dirichlet at the origin selects the odd states: 4j + 3
-        grid = FdGrid(0.0, 12.0, 3000)
-        eigs = fd_radial_eigs(lambda r: r**2, grid, 3, refine=True)
-        for j, val in enumerate(eigs):
-            assert val == pytest.approx(4 * j + 3, rel=1e-4)
+        for j in range(3):
+            level = fd_radial_eigs(lambda r: r**2, 12.0, 3000, j)
+            assert level == pytest.approx(4 * j + 3, rel=1e-4)
 
     def test_kratzer_ground_state(self):
         params = NonRelParams(mu=1.0, potential=Kratzer(15.0, 0.4), ring=RingParams())
@@ -67,16 +51,13 @@ class TestRadialSolver:
     def test_second_order_convergence(self):
         # halving the spacing cuts the eigenvalue error by at least 3.8x
         exact = 3.0
-        errs = []
-        for nodes in (500, 1001):
-            grid = FdGrid(0.0, 12.0, nodes)
-            errs.append(abs(fd_radial_eigs(lambda r: r**2, grid, 1)[0] - exact))
+        errs = [abs(oracle._grid_level(lambda r: r**2, 12.0, n, 0) - exact) for n in (500, 1001)]
         assert errs[0] / errs[1] > 3.8
 
     def test_no_mass_factor(self):
         # one kinetic term, -d^2/dr^2; Schroedinger scalings go through radial_level
         with pytest.raises(TypeError):
-            fd_radial_eigs(lambda r: r**2, FdGrid(0.0, 12.0, 3000), 1, mass_factor=2.0)
+            fd_radial_eigs(lambda r: r**2, 12.0, 3000, 0, mass_factor=2.0)
 
     def test_radial_level_is_the_gamma_form(self):
         # -u'' + [(l_eff^2 - 1/4)/r^2 + gamma k r^2 / 2] u: l_eff = 3/2 and
@@ -85,40 +66,39 @@ class TestRadialSolver:
         assert level == pytest.approx(9.0, rel=1e-6)
 
     def test_grid_too_coarse_rejected(self):
-        grid = FdGrid(0.0, 10.0, 60)
         with pytest.raises(OracleError):
-            fd_radial_eigs(lambda r: r**2, grid, 10)
+            fd_radial_eigs(lambda r: r**2, 10.0, 60, 9)
 
     def test_non_finite_potential_rejected(self):
-        grid = FdGrid(-1.0, 1.0, 199)  # places a node exactly at r = 0
+        # 199 nodes on (0, 2) place one exactly at r = 1
         with pytest.raises(OracleError):
-            fd_radial_eigs(lambda r: 1.0 / r, grid, 1)
+            fd_radial_eigs(lambda r: 1.0 / (r - 1.0), 2.0, 199, 0)
 
     def test_refined_grid_non_finite_potential_rejected(self):
         # the pole at 1.5 h falls between two coarse nodes and on a node of
         # the (2n+1)-node grid, which gets the same finiteness check
-        grid = FdGrid(0.0, 10.0, 100)
-        v_eff = lambda r: 1.0 / (r - 1.5 * grid.spacing) ** 2
-        assert fd_radial_eigs(v_eff, grid, 1)[0] == pytest.approx(0.16401999, rel=1e-7)
+        h = 10.0 / 101
+        v_eff = lambda r: 1.0 / (r - 1.5 * h) ** 2
+        assert oracle._grid_level(v_eff, 10.0, 100, 0) == pytest.approx(0.16401999, rel=1e-7)
         with pytest.raises(OracleError, match="not finite"):
-            fd_radial_eigs(v_eff, grid, 1, refine=True)
+            fd_radial_eigs(v_eff, 10.0, 100, 0)
 
 
 class TestAngularSolver:
     def test_pure_central_family(self):
-        eigs = fd_angular_eigs(0.0, RingParams(0, 0), 0, 3)
+        eigs = [fd_angular_eigs(0.0, RingParams(0, 0), 0, k) for k in range(3)]
         expected = [(2 * k + 1.5) ** 2 for k in range(3)]
         np.testing.assert_allclose(eigs, expected, rtol=1e-5)
 
     def test_ring_dressed_value(self):
         g = 2.072188142
-        eig = fd_angular_eigs(g, RingParams(1, 1), 0, 1)[0]
+        eig = fd_angular_eigs(g, RingParams(1, 1), 0, 0)
         terms = coefficients_at_gamma(g, None, None, RingParams(1, 1), QuantumNumbers())
         expected = terms.ell_eff.real ** 2
         assert abs(eig - expected) / expected < 1e-3
 
     def test_azimuthal_shift(self):
-        eigs = fd_angular_eigs(0.0, RingParams(0, 0), 2, 3)
+        eigs = [fd_angular_eigs(0.0, RingParams(0, 0), 2, k) for k in range(3)]
         expected = [(abs(2) + 1.5 + 2 * k) ** 2 for k in range(3)]
         np.testing.assert_allclose(eigs, expected, rtol=1e-5)
 
@@ -128,23 +108,23 @@ class TestAngularSolver:
             for a, b in ((0.0, 0.0), (1.0, 0.0), (1.0, 1.0)):
                 for m in (0, 2):
                     ring = RingParams(a, b)
-                    eigs = fd_angular_eigs(gamma, ring, m, 2)
                     for n_prime in range(2):
                         qn = QuantumNumbers(n_prime=n_prime, m=m)
                         terms = coefficients_at_gamma(gamma, None, None, ring, qn)
                         expected = terms.ell_eff.real ** 2
-                        assert abs(eigs[n_prime] - expected) / expected < 1e-3
+                        eig = fd_angular_eigs(gamma, ring, m, n_prime)
+                        assert abs(eig - expected) / expected < 1e-3
 
     def test_ring_dressed_levels_pinned(self):
-        eigs = fd_angular_eigs(2.0, RingParams(1.0, 0.5), 1, 2)
-        assert [float(x).hex() for x in eigs] == ["0x1.ea46300ebbe19p+3", "0x1.17d2c8cabbbbfp+5"]
+        eigs = [fd_angular_eigs(2.0, RingParams(1.0, 0.5), 1, k) for k in range(2)]
+        assert [float(x).hex() for x in eigs] == ["0x1.ea4630077fb5ap+3", "0x1.17d2c8d0a59f9p+5"]
 
     def test_complex_sector_rejected(self):
         with pytest.raises(OracleError):
-            fd_angular_eigs(-2.0, RingParams(1.0, 0.0), 0, 1)
+            fd_angular_eigs(-2.0, RingParams(1.0, 0.0), 0, 0)
 
 
-def _angular_fd_uncached(gamma, ring, m, first, count, cells, near=None):
+def _angular_fd_uncached(gamma, ring, m, index, cells, near=None):
     """The angular FD matrix built whole on every call, as before _angular_grid."""
     h = (math.pi / 2.0) / cells
     centers = (np.arange(cells) + 0.5) * h
@@ -160,31 +140,32 @@ def _angular_fd_uncached(gamma, ring, m, first, count, cells, near=None):
     off = -sin_f[1:cells] / h**2
     d = diag / sin_c
     e = off / np.sqrt(sin_c[:-1] * sin_c[1:])
-    return oracle._levels(d, e, first, count, near)
+    return oracle._eigenvalue(d, e, index, near)
 
 
 class TestAngularGrid:
     """The cached cell geometry gives the uncached build's levels bit for bit."""
 
     @pytest.mark.parametrize("cells", [1500, 2000])
-    def test_levels_match_uncached_build(self, monkeypatch, cells):
+    def test_levels_match_uncached_build(self, cells):
+        # each case solves its level on `cells` cells and then, in the window
+        # around that, on 2 * cells cells, as fd_angular_eigs chains its grids
         rng = np.random.default_rng(cells)
         cases = []
         for _ in range(6):
-            count = int(rng.integers(1, 4))
-            first = int(rng.integers(0, count))
             gamma, a, b = (float(x) for x in rng.uniform((0.0, 0.0, 0.0), (3.0, 2.0, 2.0)))
-            cases.append((gamma, RingParams(a, b), int(rng.integers(-2, 3)), count, first))
+            m, index = (int(x) for x in rng.integers((-2, 0), (3, 3)))
+            cases.append((gamma, RingParams(a, b), m, index))
 
-        def levels():
-            return [
-                [float(x).hex() for x in fd_angular_eigs(g, ring, m, count, cells, first)]
-                for g, ring, m, count, first in cases
-            ]
+        def levels(once):
+            out = []
+            for g, ring, m, index in cases:
+                coarse = once(g, ring, m, index, cells)
+                fine = once(g, ring, m, index, 2 * cells, coarse)
+                out += [float(coarse).hex(), float(fine).hex()]
+            return out
 
-        cached = levels()
-        monkeypatch.setattr(oracle, "_angular_fd_once", _angular_fd_uncached)
-        assert cached == levels()
+        assert levels(oracle._angular_fd_once) == levels(_angular_fd_uncached)
 
     def test_geometry_read_only_and_bounded(self):
         grid = oracle._angular_grid(1500)
@@ -196,6 +177,57 @@ class TestAngularGrid:
         for cells in range(1500, 1510):
             oracle._angular_grid(cells)
         assert oracle._angular_grid.cache_info().currsize == 3
+
+
+def _load_tracer():
+    """perfbench/tracer.py, loaded by path as tests/test_api_surface.py loads it,
+    with every module it patches imported."""
+    path = REFERENCE_DIR.parent / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    for name, *_ in module.SPANS.values():
+        importlib.import_module(name)
+    return module
+
+
+@pytest.fixture(scope="module")
+def validate_solves():
+    """The oracle calls of the 12 seed-1 validate draws, made once under perfbench's Tracer.
+
+    Per draw: float.hex of the start (the strict ground root plus the draw's
+    offset), of self_consistent_energy from it and of nonrel_energy_fd; the
+    solve's sweeps and the set of doublings passed to them.  `counts` holds
+    the tracer's oracle call counts over all 12 draws.
+    """
+    tracer = _load_tracer().Tracer()
+    cases, draws = [], []
+    real_map = oracle._consistency_map
+
+    def counting(spec_, e, nodes, levels, doublings):
+        draws[-1]["sweeps"] += 1
+        if doublings is not None:
+            draws[-1]["doublings"].add(doublings)
+        return real_map(spec_, e, nodes, levels, doublings)
+
+    for d in json.loads((REFERENCE_DIR / "validate.json").read_text())["draws"]:
+        spec = table_spec(3, *d["qn"], *d["ring"])
+        start = find_roots(spec, mode="strict")[0].energy.real + d["offset"]
+        params = NonRelParams(mu=spec.mass, potential=spec.potential, ring=spec.ring)
+        cases.append((spec, start, params))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle, "_consistency_map", counting)
+        tracer.install()
+        try:
+            for spec, start, params in cases:
+                draws.append({"initial_energy": start.hex(), "sweeps": 0, "doublings": set()})
+                draws[-1]["energy"] = float(oracle.self_consistent_energy(spec, start)).hex()
+                fd = oracle.nonrel_energy_fd(params, spec.qn)
+                draws[-1]["nonrel_energy_fd"] = float(fd).hex()
+        finally:
+            tracer.uninstall()
+    counts = {name: n for name, n in tracer.counts.items() if name.startswith("oracle.")}
+    return {"draws": draws, "counts": counts}
 
 
 class TestSelfConsistency:
@@ -266,7 +298,36 @@ class TestSelfConsistency:
         # the continuum edge E = 0
         spec = table_spec(3, 1, 0, 1, 0.0, 0.5)
         with pytest.raises(DivergenceError, match="unsettled"):
-            oracle._consistency_map(spec, -1.99e-4, oracle.FD_NODES)
+            oracle._consistency_map(spec, -1.99e-4, oracle.FD_NODES, {}, None)
+
+    @pytest.mark.parametrize(
+        "table, initial_energy",
+        [(4, -1.0), (4, 0.0), (4, 0.3), (4, 1.0), (2, -1.0), (2, 0.0), (2, 0.3)],
+    )
+    def test_oscillator_sweep_at_zero_gamma_fails(self, monkeypatch, table, initial_energy):
+        # each march meets a point within rounding of E = C_s - M (spin) or
+        # E = M + C_ps (pseudospin), where gamma is exactly 0 and the
+        # oscillator binds no level.  That sweep fails with DivergenceError
+        # and the march passes over it, so the solve ends in DivergenceError
+        # or an energy: from 0.0 and 0.3 the pseudospin march goes on to
+        # 1.04606, a fixed point outside the oracle's sector scope
+        failures = []
+        real_map = oracle._consistency_map
+
+        def recording(*args):
+            try:
+                return real_map(*args)
+            except DivergenceError as exc:
+                failures.append(str(exc))
+                raise
+
+        monkeypatch.setattr(oracle, "_consistency_map", recording)
+        monkeypatch.setattr(oracle, "MAX_SWEEPS", 40)
+        try:
+            self_consistent_energy(table_spec(table, 0, 0, 1, 1.0, 0.5), initial_energy)
+        except DivergenceError:
+            pass
+        assert any(message.startswith("gamma = 0") for message in failures)
 
     def test_continuum_edge_bracket_skipped(self):
         # b(E) = (M - E)(C_s - E - M) vanishes at E = C_s - M = 0 on draw 3's
@@ -294,41 +355,33 @@ class TestSelfConsistency:
         closed = find_roots(spec, mode="strict")[0].energy.real
         assert abs(self_consistent_energy(spec, closed + offset) - closed) < 1e-8
 
-    @pytest.mark.parametrize("draw", ["0", "3", "11"])
-    def test_validate_draws_pinned(self, draw):
-        # tests/data/oracle_pins.json: float.hex of the solve from the strict
-        # ground root plus the draw's offset, for seed-1 validate draws
+    @pytest.mark.parametrize("draw", [str(i) for i in range(12)])
+    def test_validate_draws_pinned(self, validate_solves, draw):
+        # tests/data/oracle_pins.json: float.hex of the start (the strict
+        # ground root plus the draw's offset), of the solve from it and of
+        # nonrel_energy_fd, for every seed-1 validate draw
         pin = json.loads((DATA_DIR / "oracle_pins.json").read_text())[draw]
-        d = json.loads((REFERENCE_DIR / "validate.json").read_text())["draws"][int(draw)]
-        spec = table_spec(3, *d["qn"], *d["ring"])
-        start = find_roots(spec, mode="strict")[0].energy.real + d["offset"]
-        assert start.hex() == pin["initial_energy"]
-        assert self_consistent_energy(spec, start).hex() == pin["energy"]
+        solved = validate_solves["draws"][int(draw)]
+        assert {key: solved[key] for key in pin} == pin
 
     @pytest.mark.parametrize("draw", [str(i) for i in range(12)])
-    def test_validate_march_pinned(self, monkeypatch, draw):
-        # tests/data/oracle_march_pins.json: the sweeps of the solve from the
-        # strict ground root plus the draw's offset (the final check included)
-        # and the doublings its carried radial domain records, for every
-        # seed-1 validate draw
+    def test_validate_march_pinned(self, validate_solves, draw):
+        # tests/data/oracle_march_pins.json: the sweeps of the solve (the
+        # final check included) and the doublings its radial domain carries
         pin = json.loads((DATA_DIR / "oracle_march_pins.json").read_text())[draw]
-        d = json.loads((REFERENCE_DIR / "validate.json").read_text())["draws"][int(draw)]
-        spec = table_spec(3, *d["qn"], *d["ring"])
-        start = find_roots(spec, mode="strict")[0].energy.real + d["offset"]
-        sweeps, recorded = [0], set()
-        real_map = oracle._consistency_map
+        solved = validate_solves["draws"][int(draw)]
+        assert (solved["sweeps"], solved["doublings"]) == (pin["sweeps"], {pin["doublings"]})
 
-        def counting(spec_, e, nodes, domain=None, levels=None):
-            sweeps[0] += 1
-            try:
-                return real_map(spec_, e, nodes, domain, levels)
-            finally:
-                if domain is not None and domain.doublings is not None:
-                    recorded.add(domain.doublings)
-
-        monkeypatch.setattr(oracle, "_consistency_map", counting)
-        self_consistent_energy(spec, start)
-        assert (sweeps[0], recorded) == (pin["sweeps"], {pin["doublings"]})
+    def test_validate_work_pinned(self, validate_solves):
+        # the traced calls of the 12 solves and nonrel_energy_fd checks; a
+        # span that stops firing reads 0 here
+        assert validate_solves["counts"] == {
+            "oracle.self_consistent_energy": 12,
+            "oracle.fd_angular_eigs": 104,
+            "oracle.fd_radial_eigs": 169,
+            "oracle.eigh_tridiagonal": 1365,
+            "oracle.nonrel_energy_fd": 12,
+        }
 
     def test_radial_domain_verified_once_per_solve(self, monkeypatch):
         # only the first sweep whose radial solve completes and the final
@@ -467,38 +520,31 @@ class TestEigenvaluesOnly:
 
     def test_radial_matrices(self, monkeypatch):
         seen = self._capture(monkeypatch)
-        v_eff = lambda r: (2.3**2 - 0.25) / r**2 - 4.0 / r
-        fd_radial_eigs(v_eff, FdGrid(0.0, 30.0, 3000), 2, refine=True)
+        _radial_level(1)
         # each finer grid's window solve follows its Sturm count
         self._assert_same_as_eigenvector_call(seen, [3000, 6001, 6001, 12003, 12003])
 
     def test_angular_matrices(self, monkeypatch):
         seen = self._capture(monkeypatch)
-        fd_angular_eigs(2.072188142, RingParams(1.0, 1.0), 1, 2, cells=1500)
+        _angular_level(1)
         self._assert_same_as_eigenvector_call(seen, [1500, 3000, 3000, 6000, 6000])
 
 
-def _radial_levels(count, first=0):
+def _radial_level(index):
     v_eff = lambda r: (2.3**2 - 0.25) / r**2 - 4.0 / r
-    return fd_radial_eigs(v_eff, FdGrid(0.0, 30.0, 3000), count, refine=True, first=first)
+    return fd_radial_eigs(v_eff, 30.0, 3000, index)
 
 
-def _angular_levels(count, first=0):
-    return fd_angular_eigs(2.072188142, RingParams(1.0, 1.0), 1, count, cells=1500, first=first)
+def _angular_level(index):
+    return fd_angular_eigs(2.072188142, RingParams(1.0, 1.0), 1, index)
 
 
 class TestLevelArguments:
-    @pytest.mark.parametrize("solver", [_radial_levels, _angular_levels], ids=["radial", "angular"])
-    @pytest.mark.parametrize("count", [0, -1, 1.5])
-    def test_bad_count_rejected(self, solver, count):
-        with pytest.raises(ValueError, match="count"):
-            solver(count)
-
-    @pytest.mark.parametrize("solver", [_radial_levels, _angular_levels], ids=["radial", "angular"])
-    @pytest.mark.parametrize("first", [-1, 2, 3, 0.0, True])
-    def test_bad_first_rejected(self, solver, first):
-        with pytest.raises(ValueError, match="first"):
-            solver(2, first)
+    @pytest.mark.parametrize("solver", [_radial_level, _angular_level], ids=["radial", "angular"])
+    @pytest.mark.parametrize("index", [-1, 1.5, 0.0, True])
+    def test_bad_index_rejected(self, solver, index):
+        with pytest.raises(ValueError, match="index"):
+            solver(index)
 
 
 def _norm1(d, e):
@@ -517,7 +563,7 @@ def _call_kind(kwargs):
 
 
 def _matrices(solver):
-    """(d, e) of each grid the solver builds for the first two levels, coarsest first."""
+    """(d, e) of each grid the solver builds, coarsest first."""
     seen = {}
 
     def recording(d, e, **kwargs):
@@ -526,52 +572,8 @@ def _matrices(solver):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(oracle, "eigh_tridiagonal", recording)
-        solver(2)
+        solver(0)
     return list(seen.values())
-
-
-class TestLevelSelection:
-    """Level i asked for alone is the full-range call's level i.
-
-    LAPACK's bisection (stebz, abstol 0) places each eigenvalue within about
-    eps * ||T||_1 of the exact one, whichever levels share its call and
-    whether it starts from the Gershgorin interval (index solve) or a value
-    window, so two calls may differ by twice that; the Richardson and Aitken
-    combinations add at most another factor of 2 here (the radial rule's
-    weights 64/45, -20/45 and 1/45 sum to 85/45 in magnitude).  The bound is
-    4 eps ||T||_1 of the largest matrix the solver builds (about 1.1e-9 on the
-    12003-node radial matrix).  The coarsest grid is an index solve for level
-    i alone; each finer grid is a Sturm count of i levels below its window,
-    then the window solve.
-    """
-
-    @pytest.mark.parametrize("count", [3, 4])
-    @pytest.mark.parametrize("solver", [_radial_levels, _angular_levels], ids=["radial", "angular"])
-    def test_single_level_matches_full_range(self, monkeypatch, solver, count):
-        seen = []
-
-        def recording(d, e, **kwargs):
-            out = eigh_tridiagonal(d, e, **kwargs)
-            seen.append((d, e, kwargs, out))
-            return out
-
-        monkeypatch.setattr(oracle, "eigh_tridiagonal", recording)
-        full = solver(count)
-        norm = max(_norm1(d, e) for d, e, *_ in seen)
-        for i in range(count):
-            seen.clear()
-            level = solver(i + 1, first=i)
-            kinds = [_call_kind(kwargs) for _, _, kwargs, _ in seen]
-            assert kinds == ["index"] + ["count", "window"] * ((len(seen) - 1) // 2)
-            assert seen[0][2]["select_range"] == (i, i)
-            for (*_, count_kwargs, below), (*_, window_kwargs, window) in zip(
-                seen[1::2], seen[2::2]
-            ):
-                assert len(below) == i
-                assert count_kwargs["select_range"][1] == window_kwargs["select_range"][0]
-                assert len(window) >= 1
-            assert len(level) == 1
-            assert abs(level[0] - full[i]) <= 4 * np.finfo(float).eps * norm
 
 
 class TestWindowedLevels:
@@ -589,39 +591,38 @@ class TestWindowedLevels:
         return seen
 
     @pytest.mark.parametrize("first", [0, 1, 2, 3])
-    @pytest.mark.parametrize("solver", [_radial_levels, _angular_levels], ids=["radial", "angular"])
+    @pytest.mark.parametrize("solver", [_radial_level, _angular_level], ids=["radial", "angular"])
     def test_window_level_matches_index_level(self, monkeypatch, solver, first):
         (coarse_d, coarse_e), (d, e), *_ = _matrices(solver)
-        near = oracle._levels(coarse_d, coarse_e, first, first + 1)
-        index = oracle._levels(d, e, first, first + 1)
+        near = oracle._eigenvalue(coarse_d, coarse_e, first)
+        index = oracle._eigenvalue(d, e, first)
         seen = self._record(monkeypatch)
-        window = oracle._levels(d, e, first, first + 1, near=near)
+        window = oracle._eigenvalue(d, e, first, near=near)
         assert seen == ["count", "window"]
-        assert len(window) == 1
-        assert abs(window[0] - index[0]) <= 2 * np.finfo(float).eps * _norm1(d, e)
+        assert abs(window - index) <= 2 * np.finfo(float).eps * _norm1(d, e)
 
     @pytest.mark.parametrize("wrong", ["next-level", "above-spectrum", "below-spectrum"])
     @pytest.mark.parametrize("first", [0, 1, 2, 3])
-    @pytest.mark.parametrize("solver", [_radial_levels, _angular_levels], ids=["radial", "angular"])
+    @pytest.mark.parametrize("solver", [_radial_level, _angular_level], ids=["radial", "angular"])
     def test_wrong_estimate_falls_back_to_index_solve(self, monkeypatch, solver, first, wrong):
         _, (d, e), *_ = _matrices(solver)
-        index = oracle._levels(d, e, first, first + 1)
+        index = oracle._eigenvalue(d, e, first)
         norm = _norm1(d, e)
         near = {
-            "next-level": oracle._levels(d, e, first + 1, first + 2),
-            "above-spectrum": np.array([2.0 * norm]),
-            "below-spectrum": np.array([-2.0 * norm]),
+            "next-level": oracle._eigenvalue(d, e, first + 1),
+            "above-spectrum": 2.0 * norm,
+            "below-spectrum": -2.0 * norm,
         }[wrong]
         seen = self._record(monkeypatch)
-        level = oracle._levels(d, e, first, first + 1, near=near)
+        level = oracle._eigenvalue(d, e, first, near=near)
         # the count below lo is first + 1 or all levels, or it is 0 with an empty window
         assert seen[-1] == "index" and seen[0] == "count"
         assert level.tobytes() == index.tobytes()
 
-    @pytest.mark.parametrize("solver", [_radial_levels, _angular_levels], ids=["radial", "angular"])
+    @pytest.mark.parametrize("solver", [_radial_level, _angular_level], ids=["radial", "angular"])
     def test_sturm_count_matches_index_levels(self, solver):
         _, (d, e), *_ = _matrices(solver)
-        levels = oracle._levels(d, e, 0, 6)
+        levels = np.array([oracle._eigenvalue(d, e, i) for i in range(6)])
         gaps = np.diff(levels)
         points = np.concatenate(
             [
@@ -635,16 +636,11 @@ class TestWindowedLevels:
             assert oracle._count_below(d, e, x) == np.count_nonzero(levels <= x)
 
 
-def _two_grid_level(v_eff, grid, index):
+def _two_grid_level(v_eff, r_max, nodes, index):
     """Level `index` by the former rule: (4 L2 - L1) / 3 over the (h, h/2) grids."""
-    coarse = oracle._tridiag_eigs(
-        oracle._potential_on(v_eff, grid), grid.spacing, index, index + 1
-    )
-    fine = FdGrid(grid.r_min, grid.r_max, 2 * grid.nodes + 1)
-    lam2 = oracle._tridiag_eigs(
-        oracle._potential_on(v_eff, fine), fine.spacing, index, index + 1, near=coarse
-    )
-    return ((4.0 * lam2 - coarse) / 3.0)[0]
+    coarse = oracle._grid_level(v_eff, r_max, nodes, index)
+    lam2 = oracle._grid_level(v_eff, r_max, 2 * nodes + 1, index, near=coarse)
+    return (4.0 * lam2 - coarse) / 3.0
 
 
 class TestRadialErrorTable:
@@ -677,7 +673,7 @@ class TestRadialErrorTable:
                 n = spec.qn.n
                 level = radial_level(spec.potential, g, ell_eff_sq, n, r_max, oracle.FD_NODES)
                 three.append(abs(level - b) / (1.0 + abs(b)))
-                level = _two_grid_level(v_eff, FdGrid(0.0, r_max, 3000), n)
+                level = _two_grid_level(v_eff, r_max, 3000, n)
                 two.append(abs(level - b) / (1.0 + abs(b)))
         assert len(three) == 60
         assert max(three) <= max(two)
@@ -712,11 +708,7 @@ class TestNonrelDomain:
 
 class TestRefinementMonotonicity:
     def test_eigenvalues_approach_refined_limit(self):
-        grid_sizes = (400, 800, 1600)
-        vals = []
-        for nodes in grid_sizes:
-            grid = FdGrid(0.0, 12.0, nodes)
-            vals.append(fd_radial_eigs(lambda r: r**2, grid, 1)[0])
-        limit = fd_radial_eigs(lambda r: r**2, FdGrid(0.0, 12.0, 1600), 1, refine=True)[0]
+        vals = [oracle._grid_level(lambda r: r**2, 12.0, n, 0) for n in (400, 800, 1600)]
+        limit = fd_radial_eigs(lambda r: r**2, 12.0, 1600, 0)
         errs = [abs(v - limit) for v in vals]
         assert errs[0] > errs[1] > errs[2]
