@@ -37,7 +37,6 @@ from .spectrum import (
 from .wavefun import (
     ComplexSectorError,
     NonNormalizableError,
-    SpinorField,
     assemble_component,
     normalization_constant,
     verify_normalization,
@@ -60,7 +59,6 @@ __all__ = [
     "RootClass",
     "SpecError",
     "Spin",
-    "SpinorField",
     "assemble_component",
     "audit_table",
     "classify_value",

@@ -88,6 +88,7 @@ def _truncated_quotient(a, b):
 class Jet:
     """Taylor coefficients of fixed order K around an expansion point x0.
 
+    Only the coefficients are kept; x0 enters through Jet.variable.
     Supports the ring operations, division by units, and the derivative
     shift; truncated multiplication keeps low-order coefficients exact, so
     coefficient 0 (the value at x0) survives k <= K - 1 AIM iterations.
@@ -98,12 +99,11 @@ class Jet:
     that batch shape, on either side: numpy defers to Jet's operators.
     """
 
-    __slots__ = ("coeffs", "x0")
+    __slots__ = ("coeffs",)
     __array_ufunc__ = None
 
-    def __init__(self, coeffs, x0):
+    def __init__(self, coeffs):
         self.coeffs = np.asarray(coeffs, dtype=complex)
-        self.x0 = x0
 
     @classmethod
     def variable(cls, x0, order):
@@ -111,13 +111,13 @@ class Jet:
         c[0] = x0
         if order >= 1:
             c[1] = 1.0
-        return cls(c, x0)
+        return cls(c)
 
     @classmethod
-    def constant(cls, value, x0, order):
+    def constant(cls, value, order):
         c = np.zeros(np.shape(value) + (order + 1,), dtype=complex)
         c[..., 0] = value
-        return cls(c, x0)
+        return cls(c)
 
     @property
     def order(self):
@@ -130,35 +130,35 @@ class Jet:
     def _coerce(self, other):
         if isinstance(other, Jet):
             return other
-        return Jet.constant(other, self.x0, self.order)
+        return Jet.constant(other, self.order)
 
     def __add__(self, other):
         other = self._coerce(other)
-        return Jet(self.coeffs + other.coeffs, self.x0)
+        return Jet(self.coeffs + other.coeffs)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Jet(-self.coeffs, self.x0)
+        return Jet(-self.coeffs)
 
     def __sub__(self, other):
         other = self._coerce(other)
-        return Jet(self.coeffs - other.coeffs, self.x0)
+        return Jet(self.coeffs - other.coeffs)
 
     def __rsub__(self, other):
         return self._coerce(other) - self
 
     def __mul__(self, other):
         if not isinstance(other, Jet):
-            return Jet(self.coeffs * np.asarray(other)[..., None], self.x0)
-        return Jet(_truncated_product(self.coeffs, other.coeffs), self.x0)
+            return Jet(self.coeffs * np.asarray(other)[..., None])
+        return Jet(_truncated_product(self.coeffs, other.coeffs))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if not isinstance(other, Jet):
-            return Jet(self.coeffs / np.asarray(other)[..., None], self.x0)
-        return Jet(_truncated_quotient(self.coeffs, other.coeffs), self.x0)
+            return Jet(self.coeffs / np.asarray(other)[..., None])
+        return Jet(_truncated_quotient(self.coeffs, other.coeffs))
 
     def __rtruediv__(self, other):
         return self._coerce(other) / self
@@ -167,18 +167,19 @@ class Jet:
         k = self.order
         c = np.zeros(self.coeffs.shape, dtype=complex)
         c[..., :k] = self.coeffs[..., 1:] * np.arange(1, k + 1)
-        return Jet(c, self.x0)
+        return Jet(c)
 
 
 @dataclass
 class AimProblem:
     """y'' = lambda0 y' + s0 y with jet-valued coefficient builders.
 
-    lambda0 and s0 map (eigenparameter, variable jet) -> Jet; x0 is the
-    evaluation point of the quantization condition.  The jets are truncated
-    at order k_max + 2, a margin of one over the k_max + 1 that k_max
-    iterations need.  The eigenparameter may be an array, in which case the
-    jets carry its shape as batch axes.
+    lambda0 and s0 map (eigenparameter, variable jet) to a Jet, or to a
+    number or array, which is a constant jet; x0 is the evaluation point of
+    the quantization condition and of the variable jet.  The jets are
+    truncated at order k_max + 2, a margin of one over the k_max + 1 that
+    k_max iterations need.  The eigenparameter may be an array, in which
+    case the jets carry its shape as batch axes.
     """
 
     lambda0: object
@@ -188,7 +189,7 @@ class AimProblem:
 
     def jets(self, eigenparameter):
         x = Jet.variable(self.x0, self.k_max + 2)
-        return self.lambda0(eigenparameter, x), self.s0(eigenparameter, x)
+        return x._coerce(self.lambda0(eigenparameter, x)), x._coerce(self.s0(eigenparameter, x))
 
 
 class AimSeries:
@@ -200,8 +201,8 @@ class AimSeries:
     so raising the depth from k to k + 1 costs one step, not k + 1.  The
     jet order is fixed by the problem, not by k, so delta(k) is the same
     float however the series got there.  This step is the only place the
-    recurrence and its rescale are written; rescale=False keeps the raw
-    recurrence, for cross-checks against symbolic differentiation.
+    recurrence and its rescale are written: after step k the series holds
+    (lambda_k, s_k) / max(|lambda_k(x0)|, |s_k(x0)|).
 
     An array eigenparameter runs one series per element as one batch: each
     step is a handful of array operations, the rescale is elementwise, and
@@ -210,24 +211,22 @@ class AimSeries:
     agrees with the scalar one to rounding, not bit for bit.
     """
 
-    __slots__ = ("lam0", "s0", "lam", "s", "rescale", "deltas", "k_max")
+    __slots__ = ("lam0", "s0", "lam", "s", "deltas", "k_max")
 
-    def __init__(self, problem: AimProblem, eigenparameter, rescale=True):
+    def __init__(self, problem: AimProblem, eigenparameter):
         self.lam0, self.s0 = problem.jets(eigenparameter)
         self.k_max = problem.k_max
         self.lam, self.s = self.lam0, self.s0
-        self.rescale = rescale
         self.deltas = []
 
     def step(self):
-        """Advance to the next depth; returns the new (lambda_k, s_k)."""
+        """Advance to the next depth; returns the new, rescaled (lambda_k, s_k)."""
         lam, s = self.lam, self.s
         lam_next = lam.deriv() + s + self.lam0 * lam
         s_next = s.deriv() + self.s0 * lam
         self.deltas.append(lam_next.value * s.value - lam.value * s_next.value)
-        if self.rescale:
-            scale = np.maximum(np.maximum(abs(lam_next.value), abs(s_next.value)), 1e-300)
-            lam_next, s_next = lam_next * (1.0 / scale), s_next * (1.0 / scale)
+        scale = np.maximum(np.maximum(abs(lam_next.value), abs(s_next.value)), 1e-300)
+        lam_next, s_next = lam_next * (1.0 / scale), s_next * (1.0 / scale)
         self.lam, self.s = lam_next, s_next
         return lam_next, s_next
 
@@ -339,7 +338,7 @@ def kratzer_radial_problem(zeta, g_d_r, x0=1.0, k_max=24) -> AimProblem:
     """
 
     def lam0(u, x):
-        return Jet.constant(-2.0 * u, x.x0, x.order) - (2.0 * zeta) / x
+        return -2.0 * u - (2.0 * zeta) / x
 
     def s0(u, x):
         return (-2.0 * (g_d_r + zeta * u)) / x
@@ -358,7 +357,7 @@ def angular_problem(eta, ell_eff, x0=0.4, k_max=24) -> AimProblem:
         return (x * (2.0 * q + 1.0) - (2.0 * eta + 0.5)) / (x * (1.0 - x))
 
     def s0(q, x):
-        return Jet.constant(q * q - 0.25 * ell_eff**2, x.x0, x.order) / (x * (1.0 - x))
+        return (q * q - 0.25 * ell_eff**2) / (x * (1.0 - x))
 
     return AimProblem(lam0, s0, x0, k_max=k_max)
 
@@ -375,7 +374,7 @@ def oscillator_radial_problem(ell, k_max=40) -> AimProblem:
         return 2.0 * x - (2.0 * (ell + 1.0)) / x
 
     def s0(e, x):
-        return Jet.constant(2.0 * ell + 3.0 - 2.0 * e, x.x0, x.order)
+        return 2.0 * ell + 3.0 - 2.0 * e
 
     return AimProblem(lam0, s0, x0, k_max=k_max)
 

@@ -30,7 +30,12 @@ from .spectrum import (
     load_table_data,
     table_spec,
 )
-from .wavefun import ComplexSectorError, NonNormalizableError, SpinorField
+from .wavefun import (
+    ComplexSectorError,
+    NonNormalizableError,
+    assemble_component,
+    normalization_constant,
+)
 
 ENV_PREFIX = "DRSBOUND_"
 CONFIG_KEYS = ("mass", "c_s", "c_ps", "d_e", "r_e", "k")
@@ -187,7 +192,7 @@ def cmd_wavefunction(args) -> int:
         return 1
     energy = roots[args.state].energy.real
     try:
-        field = SpinorField.build(spec, energy)
+        normalization = normalization_constant(spec, energy)
     except (ComplexSectorError, NonNormalizableError) as exc:
         print(str(exc), file=sys.stderr)
         return 1
@@ -200,11 +205,11 @@ def cmd_wavefunction(args) -> int:
     lines = [
         f"# symmetry={args.symmetry} potential={args.potential} "
         f"n={args.n} nprime={args.nprime} m={args.m} a={fmt(args.a)} b={fmt(args.b)}",
-        f"# energy={fmt(energy)} normalization={fmt(field.normalization)}",
+        f"# energy={fmt(energy)} normalization={fmt(normalization)}",
         "# r theta phi re im",
     ]
     rr, tt, pp = np.meshgrid(r, theta, phi, indexing="ij")
-    vals = field(rr, tt, pp)
+    vals = assemble_component(spec, energy, rr, tt, pp, normalization)
     for rv, tv, pv, val in zip(rr.ravel(), tt.ravel(), pp.ravel(), vals.ravel()):
         lines.append(f"{fmt(rv)} {fmt(tv)} {fmt(pv)} {fmt(val.real)} {fmt(val.imag)}")
     _write_output(args.output, "\n".join(lines) + "\n")
@@ -212,24 +217,12 @@ def cmd_wavefunction(args) -> int:
     return 0
 
 
-GRID_DEFAULTS = {
-    "kratzer": {"a": 1.0, "b": 1.0, "d_e": 12.0, "r_e": 0.4},
-    "oscillator": {"a": 1.0, "b": 1.0, "k": 1.0},
-}
-
-
 def cmd_potential_grid(args) -> int:
-    defaults = GRID_DEFAULTS[args.potential]
-    a = defaults["a"] if args.a is None else args.a
-    b = defaults["b"] if args.b is None else args.b
     if args.potential == "kratzer":
-        pot = Kratzer(
-            defaults["d_e"] if args.d_e is None else args.d_e,
-            defaults["r_e"] if args.r_e is None else args.r_e,
-        )
+        pot = Kratzer(args.d_e, args.r_e)
     else:
-        pot = Oscillator(defaults["k"] if args.k is None else args.k)
-    ring = RingParams(a, b)
+        pot = Oscillator(args.k)
+    ring = RingParams(args.a, args.b)
     if (args.theta_min is None) != (args.theta_max is None):
         raise UsageError("--theta-min and --theta-max must be given together")
     r = np.linspace(args.r_min, args.r_max, args.r_samples)
@@ -242,7 +235,7 @@ def cmd_potential_grid(args) -> int:
     for t in theta:
         if min(abs(math.sin(t)), abs(math.cos(t))) < 1e-12:
             raise UsageError(f"theta = {t} hits a singular ray of the angular term")
-    lines = [f"# potential={args.potential} a={fmt(a)} b={fmt(b)}", "# r theta V"]
+    lines = [f"# potential={args.potential} a={fmt(args.a)} b={fmt(args.b)}", "# r theta V"]
     for rv in r:
         for tv in theta:
             with np.errstate(all="ignore"):
@@ -333,11 +326,11 @@ def make_parser():
 
     p = sub.add_parser("potential-grid", help="export V(r, theta) on a tensor grid")
     p.add_argument("--potential", required=True, choices=("kratzer", "oscillator"))
-    p.add_argument("--a", type=float, default=None)
-    p.add_argument("--b", type=float, default=None)
-    p.add_argument("--de", dest="d_e", type=float, default=None)
-    p.add_argument("--re", dest="r_e", type=float, default=None)
-    p.add_argument("--k", type=float, default=None)
+    p.add_argument("--a", type=float, default=1.0)
+    p.add_argument("--b", type=float, default=1.0)
+    p.add_argument("--de", dest="d_e", type=float, default=12.0)
+    p.add_argument("--re", dest="r_e", type=float, default=0.4)
+    p.add_argument("--k", type=float, default=1.0)
     p.add_argument("--r-min", dest="r_min", type=_positive, default=0.1)
     p.add_argument("--r-max", dest="r_max", type=_positive, default=4.0)
     p.add_argument("--r-samples", dest="r_samples", type=_sample_count, default=40)

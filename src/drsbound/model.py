@@ -319,25 +319,18 @@ def gamma_of(spec: ProblemSpec, energy) -> complex:
     return e - t.mass - t.c
 
 
-def beta_sq_of(spec: ProblemSpec, energy) -> complex:
-    """The beta^2 combination exactly as the separated equations define it."""
+def radial_equation_beta_sq(spec: ProblemSpec, energy) -> complex:
+    """Coefficient b(E) of the constant term in the second-order radial equation.
+
+    (E + M)(E - M - C_ps) for pseudospin.  For spin the squared Dirac
+    reduction carries (M - E)(C_s - E - M), the sign-flipped partner of the
+    separated equations' beta^2 = (E - M)(C_s - E - M).  The
+    finite-difference oracle and the wavefunction decay rates use it.
+    """
     e, t = complex(energy), spec._condition_terms
     if t.is_spin:
-        return (e - t.mass) * (t.c - e - t.mass)
+        return -((e - t.mass) * (t.c - e - t.mass))
     return (e + t.mass) * (e - t.mass - t.c)
-
-
-def radial_equation_beta_sq(spec: ProblemSpec, energy) -> complex:
-    """Coefficient of the constant term in the second-order radial equation.
-
-    For pseudospin this coincides with beta_sq_of; for spin the squared
-    Dirac reduction carries (M-E)(C_s-E-M), the sign-flipped partner of the
-    beta_sq convention above.  The finite-difference oracle and the
-    wavefunction decay rates must use this one.
-    """
-    if spec.is_spin:
-        return -beta_sq_of(spec, energy)
-    return beta_sq_of(spec, energy)
 
 
 def coefficients_at_gamma(g, decay, potential, ring, qn) -> CoefficientSet:

@@ -16,10 +16,8 @@ relativistic class-A roots without evaluating any spectral condition.
 
 Scope: the sweep's radial operator, -u'' + [(ell_eff^2 - 1/4)/r^2
 + gamma V(r)] u = b(E) u, is the equation the closed forms solve in the spin
-Kratzer sector only.  In the other three sectors an energy the sweep returns
-can be a fixed point of a different equation: on
-table_spec(2, 0, 0, 1, 1.0, 0.5) from 1.0 it returns 1.04606, where
-find_roots reports no class-A root in either mode.
+Kratzer sector only, so self_consistent_energy refuses any other spec with
+OracleError before it sweeps.
 
 The angular equation is singular at both ends (limit-circle at theta -> 0
 whenever gamma b + m^2 < 1/4, always at the -1/(4 sin^2) term), where a
@@ -264,13 +262,12 @@ def _consistency_map(
 
     lambda_n is level n of the FD radial problem at gamma(E), whose
     centrifugal term takes the polar equation's quantized (ell + 1/2)^2, and
-    b(E) = radial_equation_beta_sq(spec, E).  The radial domain starts at
-    r0(E), from the decay estimate sqrt(|b(E)|).  With `doublings` None it is
-    doubled until the eigenvalue settles (_settled_level), and the doublings
-    that took are returned.  Otherwise the sweep solves once at
-    r0(E) * 2**doublings, unverified, and returns `doublings` unchanged.  An
-    oscillator sweep at gamma(E) = 0, where the potential term vanishes and
-    binds no level, raises DivergenceError.
+    b(E) = radial_equation_beta_sq(spec, E); spin Kratzer specs only.  The
+    radial domain starts at r0(E) = 25 / sqrt(|b(E)|) (25 where |b(E)| is
+    below 1e-3).  With `doublings` None it is doubled until the eigenvalue
+    settles (_settled_level), and the doublings that took are returned.
+    Otherwise the sweep solves once at r0(E) * 2**doublings, unverified, and
+    returns `doublings` unchanged.
 
     `levels` holds one solve's FD levels: the angular level keyed by gamma
     and each radial level by (gamma, r_max).  A level found there is not
@@ -292,13 +289,7 @@ def _consistency_map(
         )
 
     b = radial_equation_beta_sq(spec, e).real
-    decay = math.sqrt(abs(b)) if abs(b) > 1e-3 else 1.0
-    if isinstance(spec.potential, Kratzer):
-        r_max = 25.0 / decay
-    elif g == 0.0:
-        raise DivergenceError("gamma = 0: the oscillator term vanishes and binds no level")
-    else:
-        r_max = max(6.0, 3.0 * (abs(g) * spec.potential.k / 8.0) ** -0.25)
+    r_max = 25.0 / math.sqrt(abs(b)) if abs(b) > 1e-3 else 25.0
     if doublings is not None:
         return radial(r_max * 2.0**doublings) - b, doublings
     lam_rad, doublings = _settled_level(radial, r_max)
@@ -351,11 +342,15 @@ def self_consistent_energy(spec: ProblemSpec, initial_energy: float):
     recorded domain, and solves only the doubling test's other domains.
     Levels are kept for one call only; a second call solves them again.
 
-    Raises ValueError for a non-finite initial_energy.
+    Raises ValueError for a non-finite initial_energy, and OracleError,
+    before any sweep, for a spec outside the spin Kratzer sector (see the
+    module's scope paragraph).
     """
     e0 = float(initial_energy)
     if not math.isfinite(e0):
         raise ValueError(f"initial_energy must be finite, got {initial_energy!r}")
+    if not (spec.is_spin and isinstance(spec.potential, Kratzer)):
+        raise OracleError("the self-consistent sweep solves the spin Kratzer sector only")
     budget = MAX_SWEEPS
     doublings = None
     levels = {}
@@ -379,9 +374,8 @@ def self_consistent_energy(spec: ProblemSpec, initial_energy: float):
             known[e] = sweep(e)
         return known[e]
 
-    # zeros of b(E): (M - E)(C_s - E - M) for spin, (M + E)(E - M - C_ps) for pseudospin
-    m_, c = spec.mass, spec.symmetry.constant
-    b_zeros = (m_, c - m_) if spec.is_spin else (-m_, m_ + c)
+    # zeros of b(E) = (M - E)(C_s - E - M)
+    b_zeros = (spec.mass, spec.symmetry.constant - spec.mass)
     lo_limit, hi_limit = e0 - SCAN_SPAN, e0 + SCAN_SPAN
     bracket = None
     steps = int(round(SCAN_SPAN / SCAN_STEP))

@@ -10,9 +10,9 @@ rather than evaluated.
 
 Sign bookkeeping for the envelopes: the radial equations damp genuine bound
 states like exp(-w r) with w^2 = -(M+E)(E-M-C_ps) in the pseudospin limit
-and w^2 = -(M-E)(C_s-E-M) in the spin limit (the latter is the sign-flipped
-partner of the beta^2 convention of model.beta_sq_of), and like
-exp(-W r^2) with W^2 = -gamma k / 8 for the oscillator in both limits.
+and w^2 = -(M-E)(C_s-E-M) in the spin limit (w^2 = -b(E) in both, b the
+constant of model.radial_equation_beta_sq), and like exp(-W r^2) with
+W^2 = -gamma k / 8 for the oscillator in both limits.
 These are the unique square-integrable choices at every class-A root of the
 bundled tables; model.derive_coefficients exposes them as `decay`.
 """
@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -174,22 +173,6 @@ def assemble_component(spec: ProblemSpec, energy, r, theta, phi, normalization=N
     return normalization * pref * rad * ang * azi / (r * np.sqrt(np.sin(theta)))
 
 
-@dataclass(frozen=True)
-class SpinorField:
-    """Evaluable normalized component tied to one spec and class-A energy."""
-
-    spec: ProblemSpec
-    energy: float
-    normalization: float
-
-    @classmethod
-    def build(cls, spec: ProblemSpec, energy):
-        return cls(spec, float(energy), normalization_constant(spec, energy))
-
-    def __call__(self, r, theta, phi):
-        return assemble_component(self.spec, self.energy, r, theta, phi, self.normalization)
-
-
 def _envelope_radius(spec: ProblemSpec, coeffs: CoefficientSet):
     """Radius where the radial envelope has decayed to exp(-40), ~1e-17."""
     w = _decay(coeffs)
@@ -225,8 +208,7 @@ def verify_normalization(spec: ProblemSpec, energy):
     xt, wt = _gauss_legendre(THETA_NODES)
     th = 0.5 * math.pi * (xt + 1.0)
     wt = 0.5 * math.pi * wt
-    field = SpinorField.build(spec, energy)
     rr, tt = r[:, None], th[None, :]
-    vals = np.abs(field(rr, tt, 0.0)) ** 2 * rr**2 * np.sin(tt)
+    vals = np.abs(assemble_component(spec, energy, rr, tt, 0.0)) ** 2 * rr**2 * np.sin(tt)
     radial_theta = np.einsum("i,j,ij->", wr, wt, vals)
     return abs(2.0 * math.pi * radial_theta - 1.0)

@@ -1,5 +1,6 @@
-"""Guards on the package's surface: what the benchmark tracer patches, and
-that every definition has a caller outside the tests."""
+"""Guards on the package's surface: what the benchmark tracer patches, that
+every definition has a caller outside the tests, and how many values a
+caller can set."""
 
 import ast
 import importlib
@@ -109,3 +110,30 @@ def test_every_definition_has_a_caller():
         if name.rsplit(".", 1)[-1] not in used and (module, name) not in traced
     }
     assert uncalled == set(ALLOWED_UNCALLED)
+
+
+#: Settable values of `src/drsbound`, counted by `_settable_values`.  A new
+#: option is declared here, as an uncalled definition is in ALLOWED_UNCALLED.
+SETTABLE_VALUES = 78
+
+
+def _settable_values(tree):
+    """Parameters with a default, positional or keyword-only, in every def and
+    lambda, plus the annotated fields of every dataclass."""
+    count = 0
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            count += len(node.args.defaults)
+            count += sum(default is not None for default in node.args.kw_defaults)
+        elif isinstance(node, ast.ClassDef):
+            if "dataclass" in set().union(*map(_names_used, node.decorator_list)):
+                count += sum(isinstance(stmt, ast.AnnAssign) for stmt in node.body)
+    return count
+
+
+def test_settable_values_pinned():
+    # every default and dataclass field is a value a caller can set; a new
+    # one, or one that goes, changes SETTABLE_VALUES with the change that
+    # adds or removes it
+    paths = sorted(PACKAGE.glob("*.py"))
+    assert sum(_settable_values(ast.parse(path.read_text())) for path in paths) == SETTABLE_VALUES

@@ -15,9 +15,9 @@ from drsbound.model import (
     RingParams,
     SpecError,
     Spin,
-    beta_sq_of,
     derive_coefficients,
     potential_value,
+    radial_equation_beta_sq,
 )
 
 
@@ -67,15 +67,16 @@ class TestDeriveCoefficients:
 
     @pytest.mark.parametrize("energy", [-3.7, -0.36, 0.0, 0.74, 2.07, 9.1, 2.0 + 1.3j])
     def test_beta_sq_identity_spin(self, energy):
+        # b(E) = (M - E)(C_s - E - M) = (E - M)(E + M - C_s)
         spec = spin_kratzer()
-        bsq = beta_sq_of(spec, energy)
+        bsq = radial_equation_beta_sq(spec, energy)
         e, m_, c = complex(energy), 5.0, 5.0
-        assert abs(bsq + (e - m_) * (e + m_ - c)) < 1e-12 * (1 + abs(bsq))
+        assert abs(bsq - (e - m_) * (e + m_ - c)) < 1e-12 * (1 + abs(bsq))
 
     @pytest.mark.parametrize("energy", [-3.7, -0.36, 0.74, 2.07, -1.0 - 0.5j])
     def test_beta_sq_identity_pseudospin(self, energy):
         spec = pseudo_kratzer()
-        bsq = beta_sq_of(spec, energy)
+        bsq = radial_equation_beta_sq(spec, energy)
         e, m_, c = complex(energy), 5.0, -5.0
         assert abs(bsq - (e + m_) * (e - m_ - c)) < 1e-12 * (1 + abs(bsq))
 

@@ -12,7 +12,6 @@ from drsbound.spectrum import find_roots, table_spec
 from drsbound.wavefun import (
     ComplexSectorError,
     NonNormalizableError,
-    SpinorField,
     angular_H,
     assemble_component,
     azimuthal_phi,
@@ -252,9 +251,8 @@ class TestNormalization:
         xt, wt = np.polynomial.legendre.leggauss(wavefun.THETA_NODES)
         th = 0.5 * math.pi * (xt + 1.0)
         wt = 0.5 * math.pi * wt
-        field = SpinorField.build(spec, energy)
         rr, tt = np.meshgrid(r, th, indexing="ij")
-        vals = np.abs(field(rr, tt, 0.0)) ** 2 * rr**2 * np.sin(tt)
+        vals = np.abs(assemble_component(spec, energy, rr, tt, 0.0)) ** 2 * rr**2 * np.sin(tt)
         return abs(2.0 * math.pi * np.einsum("i,j,ij->", wr, wt, vals) - 1.0)
 
     @pytest.mark.parametrize(
@@ -291,7 +289,6 @@ class TestNormalization:
     def test_quadratic_scaling_in_constant(self, spin_kratzer_ground):
         spec, energy = spin_kratzer_ground
         norm = normalization_constant(spec, energy)
-        field = SpinorField(spec, energy, 2.0 * norm)
         xr, wr = np.polynomial.legendre.leggauss(200)
         r = 0.5 * 16.0 * (xr + 1)
         wr = 0.5 * 16.0 * wr
@@ -299,7 +296,8 @@ class TestNormalization:
         th = 0.5 * math.pi * (xt + 1)
         wt = 0.5 * math.pi * wt
         rr, tt = np.meshgrid(r, th, indexing="ij")
-        vals = np.abs(field(rr, tt, 0.0)) ** 2 * rr**2 * np.sin(tt)
+        field = assemble_component(spec, energy, rr, tt, 0.0, 2.0 * norm)
+        vals = np.abs(field) ** 2 * rr**2 * np.sin(tt)
         integral = np.einsum("i,j,ij->", wr, wt, vals) * 2 * math.pi
         assert integral == pytest.approx(4.0, rel=1e-6)
 
