@@ -38,7 +38,7 @@ from .wavefun import (
 )
 
 ENV_PREFIX = "DRSBOUND_"
-CONFIG_KEYS = ("mass", "c_s", "c_ps", "d_e", "r_e", "k")
+CONFIG_KEYS = tuple(DEFAULT_PARAMS)
 
 
 class UsageError(Exception):
@@ -94,7 +94,6 @@ def resolve_config(args) -> dict:
         env = os.environ.get(ENV_PREFIX + key.upper())
         if env is not None:
             cfg[key] = _number(env, ENV_PREFIX + key.upper())
-    for key in CONFIG_KEYS:
         val = getattr(args, key, None)
         if val is not None:
             cfg[key] = val
@@ -102,10 +101,7 @@ def resolve_config(args) -> dict:
 
 
 def build_spec(args, cfg: dict) -> ProblemSpec:
-    if args.n < 0 or args.nprime < 0:
-        raise UsageError("quantum numbers n and nprime must be nonnegative")
-    if args.a < 0 or args.b < 0:
-        raise UsageError("ring strengths a and b must be nonnegative")
+    # QuantumNumbers and RingParams reject negative n, n', a and b (SpecError)
     table = next(t for t, k in TABLE_KINDS.items() if k == (args.symmetry, args.potential))
     return table_spec(table, args.n, args.nprime, args.m, args.a, args.b, cfg)
 

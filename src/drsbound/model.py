@@ -169,6 +169,11 @@ class QuantumNumbers:
     kappa: int | None = None
 
     def __post_init__(self):
+        for name in ("n", "n_prime", "m", "kappa"):
+            value = getattr(self, name)
+            integer = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+            if not (integer or (name == "kappa" and value is None)):
+                raise SpecError(f"QuantumNumbers.{name} must be an integer, got {value!r}")
         if self.n < 0 or self.n_prime < 0:
             raise SpecError("n and n_prime must be nonnegative")
         if self.kappa == 0:
@@ -337,7 +342,7 @@ def coefficients_at_gamma(g, decay, potential, ring, qn) -> CoefficientSet:
     """The coefficient set at gamma g; decay is carried as given.
 
     ell_eff, eta, p and zeta depend on the energy only through g, so the
-    nonrelativistic limit evaluates them here at g = 2 mu / hbar^2.  eta and
+    nonrelativistic limit evaluates them here at g = 2 mu.  eta and
     p reuse ell_eff's two square roots.
     """
     root_a = branch_sqrt(ring.a * g + 0.25)

@@ -1,10 +1,10 @@
 """Nonrelativistic limit: the closed-form ring-shaped Kratzer spectrum.
 
-Obtained from the spin-limit solutions through E - M -> E, E + M -> 2 mu /
-hbar^2 with C_s = 0, and evaluated that way: `coefficients_nr` is the
-relativistic coefficient set (model.coefficients_at_gamma) at gamma =
-2 mu / hbar^2.  The Kratzer spectrum is fully closed-form (the square root
-no longer depends on the energy); oracle.nonrel_energy_fd is its independent
+Obtained from the spin-limit solutions through E - M -> E, E + M -> 2 mu
+(hbar = 1) with C_s = 0, and evaluated that way: `coefficients_nr` is the
+relativistic coefficient set (model.coefficients_at_gamma) at gamma = 2 mu.
+The Kratzer spectrum is fully closed-form (the square root no longer
+depends on the energy); oracle.nonrel_energy_fd is its independent
 finite-difference check.
 """
 
@@ -25,30 +25,26 @@ from .model import (
 
 @dataclass(frozen=True)
 class NonRelParams:
-    """Reduced mass, action unit and the potential/ring parameters."""
+    """Reduced mass (hbar = 1) and the potential/ring parameters."""
 
     mu: float
     potential: object
     ring: RingParams = RingParams(0.0, 0.0)
-    hbar: float = 1.0
 
     def __post_init__(self):
         # potential and ring are records that check themselves
-        for name in ("mu", "hbar"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise SpecError(f"NonRelParams.{name} must be finite, got {value!r}")
-        if self.mu <= 0 or self.hbar <= 0:
-            raise SpecError("mu and hbar must be positive")
+        if not math.isfinite(self.mu):
+            raise SpecError(f"NonRelParams.mu must be finite, got {self.mu!r}")
+        if self.mu <= 0:
+            raise SpecError("mu must be positive")
 
 
 def coefficients_nr(p: NonRelParams, qn: QuantumNumbers) -> CoefficientSet:
     """The relativistic coefficient set in the nonrelativistic limit.
 
-    gamma = E + M - C_s becomes g = 2 mu / hbar^2; without an energy,
-    decay is None.
+    gamma = E + M - C_s becomes g = 2 mu; without an energy, decay is None.
     """
-    return coefficients_at_gamma(2.0 * p.mu / p.hbar**2, None, p.potential, p.ring, qn)
+    return coefficients_at_gamma(2.0 * p.mu, None, p.potential, p.ring, qn)
 
 
 def energy_kratzer_nr(p: NonRelParams, qn: QuantumNumbers) -> float:

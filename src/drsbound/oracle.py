@@ -159,7 +159,7 @@ def radial_level(potential, gamma, ell_eff_sq, index, r_max, nodes):
     """Level `index` of -u'' + [(ell_eff^2 - 1/4)/r^2 + gamma V(r)] u = lambda u.
 
     The radial equation in its gamma form, shared by the relativistic sweep
-    (gamma = gamma(E)) and the nonrelativistic checks (gamma = 2 mu / hbar^2,
+    (gamma = gamma(E)) and the nonrelativistic checks (gamma = 2 mu,
     where lambda / gamma is the energy).  Solved on (0, r_max) by
     fd_radial_eigs from a coarsest grid of `nodes` interior nodes.
     """
@@ -412,16 +412,12 @@ def self_consistent_energy(spec: ProblemSpec, initial_energy: float):
     return e_star
 
 
-#: Nodes of the coarsest radial FD grid in the nonrelativistic checks.
-NONREL_NODES = 2 * FD_NODES
-
-
 def nonrel_energy_fd(params, qn):
     """FD energy of level n of the nonrelativistic separated radial problem.
 
-    Solves -hbar^2/(2 mu) u'' + [V(r) + hbar^2 (L^2 - 1/4)/(2 mu r^2)] u = E u
-    with the ring-quantized L = ell_eff as radial_level at
-    gamma = 2 mu / hbar^2, whose eigenvalue is gamma E; the independent check
+    Solves -u''/(2 mu) + [V(r) + (L^2 - 1/4)/(2 mu r^2)] u = E u (hbar = 1)
+    with the ring-quantized L = ell_eff as radial_level at gamma = 2 mu on
+    FD_NODES base nodes, whose eigenvalue is gamma E; the independent check
     for the closed-form nonrelativistic spectra.  The radial domain starts
     at 6 (n + 1) for Kratzer and 3 sqrt(2 n + ell_eff + 10) for the
     oscillator and is doubled until the level settles (_settled_level);
@@ -429,7 +425,7 @@ def nonrel_energy_fd(params, qn):
     """
     from .nonrel import coefficients_nr
 
-    gamma = 2.0 * params.mu / params.hbar**2
+    gamma = 2.0 * params.mu
     ell_eff = coefficients_nr(params, qn).ell_eff.real
     if isinstance(params.potential, Kratzer):
         r_max = 6.0 * (qn.n + 1)
@@ -437,6 +433,6 @@ def nonrel_energy_fd(params, qn):
         r_max = 3.0 * math.sqrt(2.0 * qn.n + ell_eff + 10.0)
 
     def level(r_max):
-        return radial_level(params.potential, gamma, ell_eff**2, qn.n, r_max, NONREL_NODES)
+        return radial_level(params.potential, gamma, ell_eff**2, qn.n, r_max, FD_NODES)
 
     return _settled_level(level, r_max)[0] / gamma

@@ -14,28 +14,28 @@ Published tables mix three kinds of entries:
      form of the condition,
   D  entries matched by none of the above within tolerance.
 
-Each condition is defined once (`_condition`) and serves both scalar
-evaluation, where a pole raises SpectralPoleError, and the vectorized
-real-axis scan, where poles are masked; the squared form (`_squared_at`) is
-likewise one body for scalar and array evaluation, given the radical term
-(`_radical_term`) that the conditions share.  Only the class-D diagnostic
-of `classify_value` also reads them with sqrt(|x|) of a real radicand x.
+Each condition is defined once (`_condition`, on the two signs) and serves
+both scalar evaluation, where a pole raises SpectralPoleError, and the
+vectorized real-axis scan, where poles are masked; the squared form
+(`_squared_at`) is likewise one body for scalar and array evaluation, given
+the radical term (`_radical_term`) the conditions share.  Only the class-D
+diagnostic of `classify_value` also reads them with sqrt(|x|) of a real x.
 They, the eliminant and the audit polish read a spec only through its
 cached `ProblemSpec._condition_terms` record.
 
 Each condition is algebraic in E.  Eliminating its square roots from the
 squared form leaves one polynomial per spec and sigma_rhs, the eliminant
 (`_eliminant`), whose real roots include every real root of every branch.
-The real-axis search (`_scan_branches`) covers the principal strategies
-and tests the sign-change rule of a grid scan only on the grid panels under
+The real-axis search (`_scan_branches`) covers the `_search_branches` and
+tests the sign-change rule of a grid scan only on the grid panels under
 inclusion disks about the `np.roots` of the eliminant's float coefficients
 (`_seeds`), which near clusters miss by up to 0.05: the radii come from the
 eliminant itself, not its rounded coefficients, and hold its zeros up to
 rounding, but certify no root.  All searched branches are evaluated in
-one call, with the branch signs stacked as columns so the radicals are
-taken once per energy, and sign changes are polished by brentq (the
-package's bit-identical port of scipy's, `drsbound.brent`) on the scalar
-residual: each root found is the one a scan over the whole grid finds.
+one call, their signs stacked as (B, 1) columns so the radicals are taken
+once per energy, and sign changes are polished by brentq (the package's
+bit-identical port of scipy's, `drsbound.brent`) on the scalar residual:
+each root found is the one a scan over the whole grid finds.
 
 For the pure central cases (a = b = 0) only the Kratzer's big radical is
 left to eliminate, and the eliminant is the squared form made polynomial --
@@ -191,12 +191,13 @@ def _mask_pole(at_pole, what):
     return ~at_pole
 
 
-def _condition(e, spec: ProblemSpec, branch: BranchStrategy, sq, pole):
+def _condition(e, spec: ProblemSpec, sigma_rhs, sigma_inner, sq, pole):
     """(lhs, rhs, valid) of the spectral condition lhs = rhs at energy e.
 
     e is a complex or a complex array and sq(z) the square root matching
-    it; branch is a BranchStrategy or, for the scan, a
-    `_BranchStack` whose (B, 1) signs broadcast the result to B rows.
+    it; the signs are a BranchStrategy's or, for the scan, (B, 1) columns
+    of them, which broadcast every term carrying a sign to B rows while
+    the radicals and the lhs are evaluated once per energy.
     pole(at_pole, what) runs before every division that can vanish and
     decides what a pole does: scalar callers raise, the array scan masks;
     `valid` combines its results.
@@ -206,36 +207,31 @@ def _condition(e, spec: ProblemSpec, branch: BranchStrategy, sq, pole):
     rad = _radical_term(e, spec, sq)
     if t.oscillator:
         if t.is_spin:
-            return (m_ - e) * sq(c - e - m_), branch.sigma_rhs * sq(t.k2) * rad, True
-        return (m_ + e) * sq(e - m_ - c), branch.sigma_rhs * sq(-t.k2) * rad, True
-    den = t.nu + branch.sigma_inner * rad
+            return (m_ - e) * sq(c - e - m_), sigma_rhs * sq(t.k2) * rad, True
+        return (m_ + e) * sq(e - m_ - c), sigma_rhs * sq(-t.k2) * rad, True
+    den = t.nu + sigma_inner * rad
     ok = pole(abs(den) < POLE_TOL * (1.0 + abs(rad)), "vanishing Kratzer denominator")
     if t.is_spin:
         lhs_den = m_ + e - c
         ok = ok & pole(
             abs(lhs_den) < POLE_TOL * (1.0 + abs(e)), "spin residual pole: M + E - C_s = 0"
         )
-        return (e - m_) / lhs_den, -branch.sigma_rhs * t.t_sq / den**2, ok
+        return (e - m_) / lhs_den, -sigma_rhs * t.t_sq / den**2, ok
     lhs_den = m_ - e + c
     ok = ok & pole(
         abs(lhs_den) < POLE_TOL * (1.0 + abs(e)), "pseudospin residual pole: M - E + C_ps = 0"
     )
-    return (e + m_) / lhs_den, branch.sigma_rhs * t.t_sq / den**2, ok
+    return (e + m_) / lhs_den, sigma_rhs * t.t_sq / den**2, ok
 
 
-def residual(energy, spec: ProblemSpec, branch: BranchStrategy = CANONICAL):
+def residual(energy, spec: ProblemSpec, branch: BranchStrategy):
     """Residual lhs - rhs of the spec's spectral condition; 0 at a root.
 
     Raises SpectralPoleError at a pole of the condition.
     """
-    lhs, rhs, _ = _condition(complex(energy), spec, branch, branch_sqrt, _raise_at_pole)
+    signs = branch.sigma_rhs, branch.sigma_inner
+    lhs, rhs, _ = _condition(complex(energy), spec, *signs, branch_sqrt, _raise_at_pole)
     return lhs - rhs
-
-
-def _residual_scaled(energy, spec, branch):
-    """(residual, scale) with scale = 1 + |lhs| + |rhs| for tolerance tests."""
-    lhs, rhs, _ = _condition(complex(energy), spec, branch, branch_sqrt, _raise_at_pole)
-    return lhs - rhs, 1.0 + abs(lhs) + abs(rhs)
 
 
 def _check_sigma_rhs(sigma_rhs):
@@ -296,7 +292,7 @@ def _squared_at(e, spec: ProblemSpec, sigma_rhs, rad):
     return (e + m_) * (t.nu + rad) ** 2 - sigma_rhs * t.t_sq * (m_ - e + c)
 
 
-def squared_form(energy, spec: ProblemSpec, sigma_rhs: int = 1):
+def squared_form(energy, spec: ProblemSpec, sigma_rhs: int):
     """The squared condition as an analytic function of complex energy.
 
     For the oscillator the sigma_rhs sign cancels on squaring; for the
@@ -417,12 +413,15 @@ def _best_branch(spec, z, branches, tol=None):
     """
     best = None
     for br in branches:
+        signs = br.sigma_rhs, br.sigma_inner
         try:
-            res, scale = _residual_scaled(z, spec, br)
+            lhs, rhs, _ = _condition(complex(z), spec, *signs, branch_sqrt, _raise_at_pole)
         except SpectralPoleError:
             continue
-        if (tol is None or abs(res) < tol * scale) and (best is None or abs(res) < best[1]):
-            best = (br, abs(res))
+        res = abs(lhs - rhs)
+        qualifies = tol is None or res < tol * (1.0 + abs(lhs) + abs(rhs))
+        if qualifies and (best is None or res < best[1]):
+            best = (br, res)
     return best
 
 
@@ -438,31 +437,14 @@ def _array_sqrt(z):
     return np.sqrt(np.asarray(z, dtype=complex))
 
 
-def _residual_array(spec, es, branch):
-    """Residual over an energy array; (values, valid mask). Poles masked."""
+def _residual_array(spec, es, sigma_rhs, sigma_inner):
+    """Residual over an energy array; (values, valid mask), poles masked; (B, 1) signs: B rows."""
     with np.errstate(divide="ignore", invalid="ignore"):
         lhs, rhs, ok = _condition(
-            np.asarray(es, dtype=complex), spec, branch, _array_sqrt, _mask_pole
+            np.asarray(es, dtype=complex), spec, sigma_rhs, sigma_inner, _array_sqrt, _mask_pole
         )
         vals = lhs - rhs
     return vals, ok & np.isfinite(vals.real) & np.isfinite(vals.imag)
-
-
-@dataclass(frozen=True)
-class _BranchStack:
-    """Principal strategies, stacked for `_condition` to broadcast over.
-
-    The signs are (B, 1) columns, so the radicals and the lhs are evaluated
-    once per energy and every term carrying a sign becomes a (B, N) array.
-    """
-
-    sigma_rhs: np.ndarray
-    sigma_inner: np.ndarray
-
-    @classmethod
-    def of(cls, branches):
-        col = lambda name: np.array([[getattr(b, name)] for b in branches])
-        return cls(col("sigma_rhs"), col("sigma_inner"))
 
 
 def _eliminant(spec, sigma_rhs):
@@ -605,28 +587,31 @@ def _seeds(spec, lo, hi):
 SEED_PANELS = 2
 
 
-def _scan_branches(spec, branches, interval, panels_per_unit):
-    """Real roots of each principal branch restriction, one root list per branch.
+def _scan_branches(spec, interval):
+    """Real roots of each search branch's restriction, one root list per branch.
 
-    The grid is np.linspace(lo, hi, n + 1) with n = panels_per_unit panels
-    per unit energy, and a root is bracketed by a sign change between two
+    The branches are `_search_branches(spec)`, in that order.  The grid is
+    np.linspace(lo, hi, n + 1) with n = PANELS_PER_UNIT panels per unit
+    energy, and a root is bracketed by a sign change between two
     neighbouring grid points.  Only the panels under a seed disk of the
     eliminants' zeros are tested (`_seeds`): a disk of centre x + iy and
     radius r marks panels i - SEED_PANELS .. j + SEED_PANELS, where i .. j
     are the panels [x - r, x + r] overlaps (the one holding x if r = 0),
     and all marked panels are evaluated for all branches at once, in one
-    `_residual_array` call.  On the real axis the residual of a branch
-    restriction is real wherever all radicals are real, but the oscillator
-    conditions turn purely imaginary below the symmetry threshold; zeros are
-    therefore bracketed on whichever component dominates while the other
-    stays negligible, and polished by brentq on the scalar residual: per
-    branch, the real-component brackets first, then the imaginary ones, each
-    in ascending order.  Each bracket found is one a full sign-change scan of
-    the grid finds, with the same root; that the disks mark every such
-    bracket is checked against the full scan in the tests, not certified.
+    `_residual_array` call on (B, 1) columns of the branch signs.  On the
+    real axis the residual of a branch restriction is real wherever all
+    radicals are real, but the oscillator conditions turn purely imaginary
+    below the symmetry threshold; zeros are therefore bracketed on whichever
+    component dominates while the other stays negligible, and polished by
+    brentq on the scalar residual: per branch, the real-component brackets
+    first, then the imaginary ones, each in ascending order.  Each bracket
+    found is one a full sign-change scan of the grid finds, with the same
+    root; that the disks mark every such bracket is checked against the
+    full scan in the tests, not certified.
     """
+    branches = _search_branches(spec)
     lo, hi = interval
-    n = max(16, int(round((hi - lo) * panels_per_unit)))
+    n = max(16, int(round((hi - lo) * PANELS_PER_UNIT)))
     es = np.linspace(lo, hi, n + 1)
     h = (hi - lo) / n
     x, r = _seeds(spec, lo, hi)
@@ -639,7 +624,8 @@ def _scan_branches(spec, branches, interval, panels_per_unit):
     panels = np.flatnonzero(marked)
     pts = np.union1d(panels, panels + 1)
     left = np.searchsorted(pts, panels)  # pts[left + 1] == panels + 1
-    vals, ok = _residual_array(spec, es[pts], _BranchStack.of(branches))
+    signs = [np.array([[getattr(b, s)] for b in branches]) for s in ("sigma_rhs", "sigma_inner")]
+    vals, ok = _residual_array(spec, es[pts], *signs)
     ok &= np.abs(vals) < 1e8  # never bisect across a pole
     size = {"real": np.abs(vals.real), "imag": np.abs(vals.imag)}
     comps = ("real", "imag")
@@ -754,7 +740,7 @@ def find_roots(spec: ProblemSpec, *, mode="strict"):
         found.extend(_polynomial_roots(spec, spec._eliminant_zeros, paper_compat))
     # real-line scan over the searched branches (everything the polynomial
     # path already found will be merged away by deduplication)
-    for br, roots in zip(search, _scan_branches(spec, search, interval, PANELS_PER_UNIT)):
+    for br, roots in zip(search, _scan_branches(spec, interval)):
         for e in roots:
             hit = _best_branch(spec, e, [br], tol=1e-6)
             if hit is None:
@@ -878,7 +864,7 @@ class AuditEntry:
     deviation: float | None
     branch: str | None
     residual: float | None
-    diagnostics: dict | None = None
+    diagnostics: dict | None
 
     def to_json(self):
         out = {
@@ -901,8 +887,10 @@ class AuditEntry:
 @dataclass
 class AuditReport:
     table_id: int
-    note: str
     entries: list = field(default_factory=list)
+
+    #: How every bundled table is read; `to_json` and `to_text` print it.
+    NOTE = "second table column (printed n-tilde) interpreted as the polar quantum number n_prime"
 
     @property
     def summary(self):
@@ -914,24 +902,20 @@ class AuditReport:
     def to_json(self):
         return {
             "table": self.table_id,
-            "note": self.note,
+            "note": self.NOTE,
             "summary": self.summary,
             "entries": [e.to_json() for e in self.entries],
         }
 
     def to_text(self):
-        lines = [f"table {self.table_id} audit: {self.note}"]
+        lines = [f"table {self.table_id} audit: {self.NOTE}"]
         for e in self.entries:
             dev = "-" if e.deviation is None else f"{e.deviation:.3e}"
             lines.append(
                 f"  ({e.n},{e.n_prime},{e.m}) a={e.a:g} b={e.b:g} "
                 f"value={e.value:.10g} class={e.root_class.value} dev={dev}"
             )
-        s = self.summary
-        lines.append(
-            "  summary: "
-            + " ".join(f"{c}={s[c]}" for c in ("A", "B", "C", "D"))
-        )
+        lines.append("  summary: " + " ".join(f"{c}={k}" for c, k in self.summary.items()))
         return "\n".join(lines)
 
 
@@ -962,7 +946,7 @@ def _ladder_candidates(spec, branch, comp, value, starts):
         e = value + 0.5 * (e - value)
         pts[:, j] = e
     live = np.logical_and.accumulate(np.abs(pts - value) >= stop, axis=1)
-    vals, ok = _residual_array(spec, pts[live], branch)
+    vals, ok = _residual_array(spec, pts[live], branch.sigma_rhs, branch.sigma_inner)
     main = np.abs(getattr(vals, comp))
     other = np.abs(vals.imag if comp == "real" else vals.real)
     keep = np.zeros(pts.shape, dtype=bool)
@@ -1133,8 +1117,9 @@ def classify_value(spec: ProblemSpec, value: float, match_tol=1e-4):
     diag = {"branch_residuals": {}, "nearest_root": nearest, "nearest_pair_re": None}
     for reading, sq in (("principal", branch_sqrt), ("modulus", _modulus_sqrt)):
         for br in principal_branches():
+            signs = br.sigma_rhs, br.sigma_inner
             try:
-                lhs, rhs, _ = _condition(complex(value), spec, br, sq, _raise_at_pole)
+                lhs, rhs, _ = _condition(complex(value), spec, *signs, sq, _raise_at_pole)
                 res = abs(lhs - rhs)
             except SpectralPoleError:
                 res = None
@@ -1164,13 +1149,7 @@ def audit_table(table_id: int, published=None, tolerance=1e-4, params=None) -> A
         raise ValueError(f"unknown table id {table_id}")
     _check_tolerance(tolerance)
     rows = published if published is not None else load_table_data(table_id)
-    report = AuditReport(
-        table_id=table_id,
-        note=(
-            "second table column (printed n-tilde) interpreted as the polar "
-            "quantum number n_prime"
-        ),
-    )
+    report = AuditReport(table_id)
     for n, n_prime, m, a, b, values in rows:
         spec = table_spec(table_id, n, n_prime, m, a, b, params)
         for v in values:

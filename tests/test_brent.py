@@ -62,18 +62,16 @@ def _tables():
                 spectrum.find_roots(spec, mode=mode)
 
 
-def _audits():
-    for table in (1, 2, 3, 4):
-        spectrum.audit_table(table)
-
-
-WORKLOADS = {"tables": _tables, "audits": _audits, "validate": _validate_pool}
+WORKLOADS = {"tables": _tables, "validate": _validate_pool}
 
 
 @pytest.fixture(scope="module")
-def recorded():
-    """Workload name -> (a, b, port outcome, scipy outcome) of each brentq call it makes."""
-    out = {}
+def recorded(instrumented_audit):
+    """Workload name -> (a, b, port outcome, scipy outcome) of each brentq call it makes.
+
+    The "audits" workload, `audit_table(1..4)`, is the shared instrumented pass.
+    """
+    out = {"audits": instrumented_audit.brackets}
     with pytest.MonkeyPatch.context() as mp:
         for name, run in WORKLOADS.items():
             out[name] = []
@@ -84,7 +82,7 @@ def recorded():
 
 
 class TestWorkloadBrackets:
-    @pytest.mark.parametrize("workload", sorted(WORKLOADS))
+    @pytest.mark.parametrize("workload", sorted([*WORKLOADS, "audits"]))
     def test_port_equals_scipy_on_every_bracket(self, recorded, workload):
         calls = recorded[workload]
         assert len(calls) > 50

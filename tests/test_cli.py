@@ -94,6 +94,14 @@ class TestSolve:
         assert code == 2
         assert "nonnegative" in err
 
+    @pytest.mark.parametrize("flag", ["--nprime", "--a", "--b"])
+    def test_negative_nprime_or_ring_strength_exits_two(self, capsys, flag):
+        # QuantumNumbers and RingParams reject these; main maps the SpecError to 2
+        argv = [*SPIN_KRATZER_GROUND, flag, "-1"]
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert "nonnegative" in err and "Traceback" not in err
+
     def test_nonpositive_mass_exits_two(self, capsys):
         code, _, err = run(
             capsys,

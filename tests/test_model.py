@@ -124,6 +124,28 @@ class TestValidation:
         with pytest.raises(SpecError):
             QuantumNumbers(n_prime=-2)
 
+    @pytest.mark.parametrize("bad", [0.5, 2.0, True, np.float64(1.0), "1"], ids=repr)
+    @pytest.mark.parametrize("field", ["n", "n_prime", "m", "kappa"])
+    def test_non_integer_quantum_number_rejected(self, field, bad):
+        # a fractional n or m used to give table_spec(3, 0.5, 0, 0, 0.0, 0.0)
+        # a "class A" root at 1.118887015; a whole float or a bool is no
+        # integer either
+        with pytest.raises(SpecError, match=f"QuantumNumbers.{field} must be an integer"):
+            QuantumNumbers(**{field: bad})
+
+    @pytest.mark.parametrize("value", [2, np.int64(2)], ids=["int", "int64"])
+    def test_integer_quantum_numbers_accepted(self, value):
+        qn = QuantumNumbers(n=value, n_prime=value, m=-value, kappa=value)
+        assert (qn.n, qn.n_prime, qn.m, qn.kappa) == (2, 2, -2, 2)
+        assert QuantumNumbers(kappa=None).kappa is None
+
+    @pytest.mark.parametrize("cell", [(3, 0.5, 0, 0, 0.0, 0.0), (3, 0, 0, 1.5, 0.0, 0.0)])
+    def test_fractional_table_cell_rejected(self, cell):
+        from drsbound.spectrum import table_spec
+
+        with pytest.raises(SpecError, match="must be an integer"):
+            table_spec(*cell)
+
     def test_ring_strengths_nonnegative(self):
         with pytest.raises(SpecError):
             RingParams(-0.5, 0.0)

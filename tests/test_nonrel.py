@@ -51,7 +51,7 @@ class TestKratzerSpectrum:
         assert energy_kratzer_nr(kratzer_params(), QuantumNumbers(n=4000)) > -1e-4
 
     def test_relativistic_limit_consistency(self):
-        # mapping E - M -> E, E + M -> 2 mu / hbar^2, C_s = 0 turns the spin
+        # mapping E - M -> E, E + M -> 2 mu, C_s = 0 turns the spin
         # condition into the closed form; root-finding the mapped residual
         # must land on the closed form to 1e-8
         for n in range(3):
@@ -70,14 +70,14 @@ class TestKratzerSpectrum:
 
 
 class TestParams:
-    @pytest.mark.parametrize("field", ["mu", "hbar"])
+    @pytest.mark.parametrize("field", ["mu"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_rejected(self, field, value):
         kwargs = {"mu": 1.0, "potential": Kratzer(15.0, 0.4), field: value}
         with pytest.raises(SpecError, match=f"NonRelParams.{field} must be finite"):
             NonRelParams(**kwargs)
 
-    @pytest.mark.parametrize("field", ["mu", "hbar"])
+    @pytest.mark.parametrize("field", ["mu"])
     def test_nonpositive_rejected(self, field):
         kwargs = {"mu": 1.0, "potential": Kratzer(15.0, 0.4), field: 0.0}
         with pytest.raises(SpecError, match="must be positive"):
@@ -85,17 +85,17 @@ class TestParams:
 
 
 class TestFdPins:
-    # literals of the three-grid Richardson rule on NONREL_NODES, kept to
+    # literals of the three-grid Richardson rule on FD_NODES, kept to
     # rel 1e-12; each lies at least as close to its closed form as the
     # two-grid rule's value did (-7.23241306510691 and 2.500000000111932)
     def test_kratzer_level(self):
         fd = nonrel_energy_fd(kratzer_params(), QuantumNumbers())
-        assert fd == pytest.approx(-7.232413064700692, rel=1e-12)
+        assert fd == pytest.approx(-7.232413064875806, rel=1e-12)
         closed = energy_kratzer_nr(kratzer_params(), QuantumNumbers())
         assert abs(fd - closed) <= abs(-7.23241306510691 - closed)
 
     def test_oscillator_level(self):
         fd = nonrel_energy_fd(oscillator_params(), QuantumNumbers())
-        assert fd == pytest.approx(2.499999999975342, rel=1e-12)
+        assert fd == pytest.approx(2.499999999992421, rel=1e-12)
         # closed form hbar omega (2 n + ell_eff + 1) with omega = 1, n = 0, ell_eff = 3/2
         assert abs(fd - 2.5) <= abs(2.500000000111932 - 2.5)

@@ -10,6 +10,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from drsbound import spectrum
 from drsbound.model import (
     Kratzer,
     Oscillator,
@@ -19,14 +20,14 @@ from drsbound.model import (
     QuantumNumbers,
     RingParams,
     Spin,
+    branch_sqrt,
 )
 from drsbound.spectrum import (
     POLISH_GROW_STEPS,
     BranchStrategy,
     SpectralPoleError,
-    _residual_scaled,
-    _scan_branches,
-    principal_branches,
+    _condition,
+    _raise_at_pole,
     residual,
 )
 from test_spectrum import (
@@ -95,9 +96,9 @@ def test_residual_is_even_in_m(spec, e, br):
 def test_oscillator_residual_depends_on_n_plus_n_prime(spec, e, br, n, n_prime):
     here = replace(spec, qn=replace(spec.qn, n=n, n_prime=n_prime))
     moved = replace(spec, qn=replace(spec.qn, n=n + n_prime, n_prime=0))
-    r1, scale = _residual_scaled(e, here, br)
-    r2, _ = _residual_scaled(e, moved, br)
-    assert abs(r1 - r2) <= 1e-12 * scale
+    signs = br.sigma_rhs, br.sigma_inner
+    lhs, rhs, _ = _condition(complex(e), here, *signs, branch_sqrt, _raise_at_pole)
+    assert abs(lhs - rhs - residual(e, moved, br)) <= 1e-12 * (1.0 + abs(lhs) + abs(rhs))
 
 
 @PROPERTY_SETTINGS
@@ -162,8 +163,11 @@ NEAR_POLE_CLUSTER = ProblemSpec(
 def test_seeded_scan_equals_full_scan(spec):
     # at a coarse grid the full sign-change scan is cheap enough to draw specs for
     interval = (-spec.mass - 20.0, spec.mass + 20.0)
-    got = _scan_branches(spec, principal_branches(), interval, 200)
-    assert got == [_scan_one_branch(spec, br, interval, 200) for br in principal_branches()]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spectrum, "PANELS_PER_UNIT", 200)
+        got = spectrum._scan_branches(spec, interval)
+    search = spectrum._search_branches(spec)
+    assert got == [_scan_one_branch(spec, br, interval, 200) for br in search]
 
 
 central_specs = real_specs().map(lambda spec: replace(spec, ring=RingParams(0.0, 0.0)))

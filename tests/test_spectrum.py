@@ -71,9 +71,9 @@ class TestKratzerResidual:
         spec = table_spec(1, 0, 0, 0, 0.0, 0.0)
         # the printed table value carries ~1e-9 rounding which the steep
         # residual amplifies to ~5e-5; the polished root is 9.6e-7 away
-        assert abs(residual(-0.361711704, spec)) < 1e-4
+        assert abs(residual(-0.361711704, spec, CANONICAL)) < 1e-4
         roots = find_roots(spec, mode="strict")
-        assert abs(residual(roots[0].energy.real, spec)) < 1e-10
+        assert abs(residual(roots[0].energy.real, spec, CANONICAL)) < 1e-10
 
     def test_pseudospin_flip_root(self):
         spec = table_spec(1, 0, 0, 0, 0.0, 0.0)
@@ -81,31 +81,31 @@ class TestKratzerResidual:
 
     def test_spin_ring_dressed_canonical(self):
         spec = table_spec(3, 0, 0, 0, 1.0, 1.0)
-        assert abs(residual(2.072188142, spec)) < 1e-6
+        assert abs(residual(2.072188142, spec, CANONICAL)) < 1e-6
 
     def test_pole_reported(self):
         from drsbound.spectrum import SpectralPoleError
 
         spec = table_spec(1, 0, 0, 0, 0.0, 0.0)
         with pytest.raises(SpectralPoleError):
-            residual(0.0, spec)  # M - E + C_ps = 0 at E = 0 here
+            residual(0.0, spec, CANONICAL)  # M - E + C_ps = 0 at E = 0 here
 
 
 class TestOscillatorResidual:
     def test_pseudospin_ground(self):
         spec = table_spec(2, 0, 0, 0, 0.0, 0.0)
-        assert abs(residual(-0.6652434115, spec)) < 1e-6
+        assert abs(residual(-0.6652434115, spec, CANONICAL)) < 1e-6
 
     def test_spin_ground(self):
         spec = table_spec(4, 0, 0, 0, 0.0, 0.0)
-        assert abs(residual(-0.424764518, spec)) < 1e-6
+        assert abs(residual(-0.424764518, spec, CANONICAL)) < 1e-6
 
     def test_second_real_root_of_cubic(self):
         # oracle: the squared cubic (M+E)^2 E + 12.5 built by hand
         spec = table_spec(2, 0, 0, 0, 0.0, 0.0)
         roots = sorted(np.roots([1.0, 10.0, 25.0, 12.5]).real)
         middle = roots[1]
-        assert abs(residual(middle, spec)) < 1e-5
+        assert abs(residual(middle, spec, CANONICAL)) < 1e-5
 
 
 class TestSquaredPolynomials:
@@ -358,7 +358,7 @@ class TestVectorizedScanPath:
         for table in (1, 2, 3, 4):
             spec = table_spec(table, 1, 1, 1, 1.0, 0.0)
             for br in principal_branches():
-                vals, ok = _residual_array(spec, es, br)
+                vals, ok = _residual_array(spec, es, br.sigma_rhs, br.sigma_inner)
                 for e, v, good in zip(es, vals, ok):
                     try:
                         ref = residual(e, spec, br)
@@ -371,7 +371,7 @@ class TestVectorizedScanPath:
         from drsbound.spectrum import _residual_array
 
         spec = table_spec(1, 0, 0, 0, 0.0, 0.0)  # pole at E = M + C_ps = 0
-        vals, ok = _residual_array(spec, np.array([0.0, 1.0]), CANONICAL)
+        vals, ok = _residual_array(spec, np.array([0.0, 1.0]), 1, 1)
         assert not ok[0] and ok[1]
 
 
@@ -384,7 +384,7 @@ def _scan_one_branch(spec, branch, interval, panels_per_unit):
     lo, hi = interval
     n = max(16, int(round((hi - lo) * panels_per_unit)))
     es = np.linspace(lo, hi, n + 1)
-    vals, ok = _residual_array(spec, es, branch)
+    vals, ok = _residual_array(spec, es, branch.sigma_rhs, branch.sigma_inner)
     ok &= np.abs(vals) < 1e8
     roots = []
     for comp in ("real", "imag"):
@@ -412,13 +412,15 @@ SCAN_SPECS = {
 
 class TestBlockedScan:
     @pytest.mark.parametrize("name", sorted(SCAN_SPECS))
-    def test_stacked_scan_equals_per_branch_scan(self, name):
-        from drsbound.spectrum import _scan_branches
+    def test_stacked_scan_equals_per_branch_scan(self, monkeypatch, name):
+        from drsbound import spectrum
 
         spec = SCAN_SPECS[name]
         interval = (-25.0, 25.0)
-        got = _scan_branches(spec, principal_branches(), interval, 400)
-        want = [_scan_one_branch(spec, br, interval, 400) for br in principal_branches()]
+        monkeypatch.setattr(spectrum, "PANELS_PER_UNIT", 400)
+        got = spectrum._scan_branches(spec, interval)
+        search = spectrum._search_branches(spec)
+        want = [_scan_one_branch(spec, br, interval, 400) for br in search]
         assert got == want
         assert any(got)
 
@@ -487,22 +489,25 @@ class TestSeededScan:
         + ["off-zero-root"],
     )
     def test_equals_full_scan_on_all_strategies(self, spec):
-        # all strategies the search covers: the four principal ones
-        from drsbound.spectrum import _scan_branches
+        # all strategies the search covers: the four principal ones, or the
+        # oscillator's two inner+ ones (its inner- ones repeat them)
+        from drsbound.spectrum import PANELS_PER_UNIT, _scan_branches, _search_branches
 
         interval = (-spec.mass - 20.0, spec.mass + 20.0)
-        got = _scan_branches(spec, principal_branches(), interval, 2000)
-        assert got == [_scan_one_branch(spec, br, interval, 2000) for br in principal_branches()]
+        got = _scan_branches(spec, interval)
+        search = _search_branches(spec)
+        assert got == [_scan_one_branch(spec, br, interval, PANELS_PER_UNIT) for br in search]
 
     @pytest.mark.parametrize("panels_per_unit", [200, 2000])
-    def test_disks_reach_roots_the_float_coefficients_lose(self, panels_per_unit):
+    def test_disks_reach_roots_the_float_coefficients_lose(self, monkeypatch, panels_per_unit):
         # the corrections evaluate the eliminant directly (`_eliminant_at`)
-        from drsbound.spectrum import _scan_branches
+        from drsbound import spectrum
 
         spec, interval = FLOAT_PAIR_OFF_AXIS, (-21.0, 21.0)
-        got = _scan_branches(spec, principal_branches(), interval, panels_per_unit)
-        per_unit = panels_per_unit
-        want = [_scan_one_branch(spec, br, interval, per_unit) for br in principal_branches()]
+        monkeypatch.setattr(spectrum, "PANELS_PER_UNIT", panels_per_unit)
+        got = spectrum._scan_branches(spec, interval)
+        search = spectrum._search_branches(spec)
+        want = [_scan_one_branch(spec, br, interval, panels_per_unit) for br in search]
         assert got == want and want[0]
 
     def test_disks_hold_clustered_zeros(self, monkeypatch):
@@ -557,13 +562,13 @@ class TestSeededScan:
 
         counts = []
         array = spectrum._residual_array
-        counted = lambda spec, es, br: counts.append(len(es)) or array(spec, es, br)
+        counted = lambda spec, es, *signs: counts.append(len(es)) or array(spec, es, *signs)
         monkeypatch.setattr(spectrum, "_residual_array", counted)
         for table in (1, 2, 3, 4):
             for row in load_table_data(table):
                 spec = table_spec(table, *row[:5])
                 lo, hi = -spec.mass - 20.0, spec.mass + 20.0
-                spectrum._scan_branches(spec, principal_branches(), (lo, hi), 2000)
+                spectrum._scan_branches(spec, (lo, hi))
                 assert counts[-1] <= 0.01 * (hi - lo) * 2000
         assert len(counts) == 240 and sum(counts) <= 4992
 
@@ -840,8 +845,8 @@ class TestBatchedPolishLadder:
 
         exact = spectrum._residual_array
 
-        def perturbed(spec, es, branch):
-            vals, ok = exact(spec, es, branch)
+        def perturbed(spec, es, *signs):
+            vals, ok = exact(spec, es, *signs)
             if perturb == "mask every lane":
                 return vals, np.zeros_like(ok)
             return np.zeros_like(vals), np.ones_like(ok)
@@ -921,22 +926,10 @@ class TestNearValuePolynomialPath:
         # 117 central values; the filter is not vacuous and leaves zeros out
         assert matched >= 50 and passed < total
 
-    def test_audit_polish_count(self, monkeypatch):
+    def test_audit_polish_count(self, instrumented_audit):
         # one audit pass polishes 1,230 times; polishing each central
         # value's whole real spectrum would make it 2,221
-        from drsbound import spectrum
-
-        calls = []
-        polish = spectrum._polish_branch_root
-
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return polish(*args, **kwargs)
-
-        monkeypatch.setattr(spectrum, "_polish_branch_root", counted)
-        for table in (1, 2, 3, 4):
-            audit_table(table)
-        assert len(calls) == 1230
+        assert instrumented_audit.polishes == 1230
 
 
 class TestTableDataFormat:
@@ -983,7 +976,7 @@ class TestConditionRecord:
         # (d_e r_e)^2 or r_e^2 overflows a float while the polish forms it
         spec = table_spec(table, 0, 0, 0, 0.0, 0.0, params)
         with pytest.raises(SpecError, match="overflow"):
-            residual(1.0, spec)
+            residual(1.0, spec, CANONICAL)
 
     def test_eliminant_zeros_are_shared_and_read_only(self):
         spec = table_spec(3, 0, 0, 1, 0.0, 0.0)
@@ -995,20 +988,10 @@ class TestConditionRecord:
                 z[0] = 0.0
         assert replace(spec)._eliminant_zeros is not zeros
 
-    def test_audit_builds_each_central_spec_eliminant_once(self, monkeypatch):
+    def test_audit_builds_each_central_spec_eliminant_once(self, instrumented_audit):
         # the audit read the eliminant roots of a central spec once per
         # published value: 117 builds for 60 distinct specs
-        from drsbound import spectrum
-
-        eliminant, built = spectrum._eliminant, []
-
-        def recorded(spec, sigma_rhs):
-            built.append((spec, sigma_rhs))  # keeps each spec alive, so its id stays unique
-            return eliminant(spec, sigma_rhs)
-
-        monkeypatch.setattr(spectrum, "_eliminant", recorded)
-        for table in (1, 2, 3, 4):
-            audit_table(table)
+        built = instrumented_audit.eliminants
         assert len({id(spec) for spec, _ in built}) == 60
         assert len({(id(spec), sigma_rhs) for spec, sigma_rhs in built}) == len(built)
 
@@ -1271,13 +1254,14 @@ def _condition_pins(spec):
 
     Per energy: `residual` on the four principal branches ("pole" where it
     raises), `squared_form` for sigma_rhs +1 and -1, and `_residual_array`
-    over the stacked principal branches, all energies in one array (None
-    where masked).
+    over the principal branches' signs stacked as (4, 1) columns, all
+    energies in one array (None where masked).
     """
-    from drsbound.spectrum import SpectralPoleError, _BranchStack, _residual_array
+    from drsbound.spectrum import SpectralPoleError, _residual_array
 
     energies = [complex(e) for e in PIN_ENERGIES] + [complex(spec._condition_terms.lhs_pole)]
-    vals, ok = _residual_array(spec, energies, _BranchStack.of(principal_branches()))
+    signs = [[[getattr(br, s)] for br in principal_branches()] for s in ("sigma_rhs", "sigma_inner")]
+    vals, ok = _residual_array(spec, energies, *map(np.array, signs))
     out = []
     for j, e in enumerate(energies):
         res = []
@@ -1318,7 +1302,7 @@ class TestConditionPins:
 
         spec = table_spec(table, 1, 2, -2, 0.8, 1.7, PIN_PARAMS)
         with pytest.raises(SpectralPoleError, match="residual pole"):
-            residual(spec._condition_terms.lhs_pole, spec)
+            residual(spec._condition_terms.lhs_pole, spec, CANONICAL)
         pins = _load_condition_pins()[_pin_key((table, 1, 2, -2, 0.8, 1.7))]
         assert pins[-1]["residual"] == ["pole"] * 4
         assert pins[-1]["residual_array"] == [None] * 4
