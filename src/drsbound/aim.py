@@ -185,7 +185,7 @@ class AimProblem:
     lambda0: object
     s0: object
     x0: float
-    k_max: int = 60
+    k_max: int
 
     def jets(self, eigenparameter):
         x = Jet.variable(self.x0, self.k_max + 2)
@@ -362,7 +362,7 @@ def angular_problem(eta, ell_eff, x0=0.4, k_max=24) -> AimProblem:
     return AimProblem(lam0, s0, x0, k_max=k_max)
 
 
-def oscillator_radial_problem(ell, k_max=40) -> AimProblem:
+def oscillator_radial_problem(ell, k_max) -> AimProblem:
     """Nonrelativistic radial oscillator (hbar = mu = omega = 1), eigenvalue E.
 
     x0 is the maximum of the asymptotic factor r^(ell+1) e^(-r^2/2), i.e.

@@ -50,10 +50,12 @@ RTOL = 4 * sys.float_info.epsilon
 MAXITER = 100
 
 
-def brentq(f, a, b, xtol=2e-12):
+def brentq(f, a, b, xtol):
     """A zero of f in [a, b], where f(a) and f(b) differ in sign.
 
-    f is called with Python floats and its value is taken as float.  Raises
+    f is called with Python floats and its value is taken as float.  xtol,
+    the absolute part of the stopping tolerance, has no default: each
+    caller passes its own, and none uses scipy's 2e-12.  Raises
     ValueError for xtol <= 0, for endpoint values of one sign and for a NaN
     value of f, and RuntimeError after MAXITER iterations without
     convergence.  An endpoint where f is exactly 0 is returned as is.

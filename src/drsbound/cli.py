@@ -82,6 +82,8 @@ def parse_config_file(path) -> dict:
                 values[key] = _number(val.strip(), f"{path}:{lineno}: {key}")
     except OSError as exc:
         raise UsageError(f"cannot read config file: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"{path}: cannot decode config file: {exc}") from exc
     return values
 
 
@@ -153,20 +155,13 @@ def cmd_table(args) -> int:
 
 def cmd_audit(args) -> int:
     cfg = resolve_config(args)
-    published = None
-    if args.data:
-        try:
-            published = load_table_data(args.table, path=args.data)
-        except OSError as exc:
-            raise UsageError(f"cannot read data file: {exc}") from exc
-        except ValueError as exc:
-            raise UsageError(f"{args.data}: {exc}") from exc
     try:
-        report = audit_table(
-            args.table, published=published, tolerance=args.tolerance, params=cfg
-        )
-    except FileNotFoundError as exc:
-        raise UsageError(f"missing bundled data: {exc}") from exc
+        rows = load_table_data(args.table, path=args.data)
+    except OSError as exc:
+        raise UsageError(f"cannot read data file: {exc}") from exc
+    except ValueError as exc:
+        raise UsageError(f"{args.data}: {exc}") from exc
+    report = audit_table(args.table, rows, args.tolerance, cfg)
     print(report.to_text())
     if args.output:
         _write_output(args.output, json.dumps(report.to_json(), indent=2))

@@ -236,7 +236,9 @@ class ProblemSpec:
 
         Not a field: equality, hash, repr and `dataclasses.replace` see
         only the five fields, and a replaced spec builds its own record.
-        Raises SpecError when a Kratzer product overflows a float.
+        Raises SpecError when a Kratzer product, or a quantum-number term
+        (m^2, 2 n', 2 n), overflows a float.  The terms stay ints: each is
+        rounded to a float only where a form adds it.
         """
         pot, qn, m, c = self.potential, self.qn, self.mass, self.symmetry.constant
         oscillator, spin = isinstance(pot, Oscillator), self.is_spin
@@ -246,6 +248,15 @@ class ProblemSpec:
             raise SpecError(
                 f"the Kratzer products overflow a float (d_e={pot.d_e!r}, r_e={pot.r_e!r})"
             ) from None
+        m_sq, two_n_prime, two_n = qn.m**2, 2 * qn.n_prime, 2 * qn.n
+        terms = (("m", "m^2", m_sq), ("n_prime", "2 n'", two_n_prime), ("n", "2 n", two_n))
+        for name, text, term in terms:
+            try:
+                float(term)
+            except OverflowError:
+                raise SpecError(
+                    f"QuantumNumbers.{name} is too large: {text} overflows a float"
+                ) from None
         return _ConditionTerms(
             is_spin=spin,
             oscillator=oscillator,
@@ -255,10 +266,10 @@ class ProblemSpec:
             gamma0=m - c if spin else -m - c,
             a=self.ring.a,
             b=self.ring.b,
-            m_sq=qn.m**2,
+            m_sq=m_sq,
             abs_m=abs(qn.m),
-            two_n_prime=2 * qn.n_prime,
-            two_n=2 * qn.n,
+            two_n_prime=two_n_prime,
+            two_n=two_n,
             nu=qn.n + 0.5,
             k2=2.0 * pot.k if oscillator else None,
             d_e=None if oscillator else pot.d_e,

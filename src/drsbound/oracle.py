@@ -97,10 +97,10 @@ def _count_below(d, e, x):
     )
 
 
-def _eigenvalue(d, e, index, near=None):
+def _eigenvalue(d, e, index, near):
     """Eigenvalue `index` (0 the lowest) of the symmetric tridiagonal (d, e).
 
-    Without an estimate this is a stebz index solve.  The estimate `near` is
+    With `near` None this is a stebz index solve.  An estimate `near` is
     widened by _WINDOW (1 + |near|) to (lo, hi], and the value solve on it is
     kept only when the Sturm count at or below lo equals `index` and the
     window holds a value.  Any other case falls back to the index solve.
@@ -155,19 +155,19 @@ def fd_radial_eigs(v_eff, r_max, nodes, index):
     return (16.0 * r2 - r1) / 15.0
 
 
-def radial_level(potential, gamma, ell_eff_sq, index, r_max, nodes):
+def radial_level(potential, gamma, ell_eff_sq, index, r_max):
     """Level `index` of -u'' + [(ell_eff^2 - 1/4)/r^2 + gamma V(r)] u = lambda u.
 
     The radial equation in its gamma form, shared by the relativistic sweep
     (gamma = gamma(E)) and the nonrelativistic checks (gamma = 2 mu,
     where lambda / gamma is the energy).  Solved on (0, r_max) by
-    fd_radial_eigs from a coarsest grid of `nodes` interior nodes.
+    fd_radial_eigs from a coarsest grid of FD_NODES interior nodes.
     """
 
     def v_eff(r):
         return (ell_eff_sq - 0.25) / r**2 + gamma * potential.radial(r)
 
-    return fd_radial_eigs(v_eff, r_max, nodes, index)
+    return fd_radial_eigs(v_eff, r_max, FD_NODES, index)
 
 
 @functools.lru_cache(maxsize=3)
@@ -256,7 +256,7 @@ def _settled_level(level, r_max):
 
 
 def _consistency_map(
-    spec: ProblemSpec, e: float, nodes: int, levels: dict, doublings: int | None
+    spec: ProblemSpec, e: float, levels: dict, doublings: int | None
 ) -> tuple[float, int]:
     """One sweep: (F(E), doublings), F(E) = lambda_n(gamma(E)) - b(E) zero at a bound root.
 
@@ -285,7 +285,7 @@ def _consistency_map(
 
     def radial(r_max):
         return _level(
-            levels, (g, r_max), lambda: radial_level(spec.potential, g, lam_ang, n, r_max, nodes)
+            levels, (g, r_max), lambda: radial_level(spec.potential, g, lam_ang, n, r_max)
         )
 
     b = radial_equation_beta_sq(spec, e).real
@@ -362,7 +362,7 @@ def self_consistent_energy(spec: ProblemSpec, initial_energy: float):
             raise DivergenceError("sweep budget exhausted")
         budget -= 1
         try:
-            f, doublings = _consistency_map(spec, e, FD_NODES, levels, doublings)
+            f, doublings = _consistency_map(spec, e, levels, doublings)
         except DivergenceError:
             return None
         return f
@@ -433,6 +433,6 @@ def nonrel_energy_fd(params, qn):
         r_max = 3.0 * math.sqrt(2.0 * qn.n + ell_eff + 10.0)
 
     def level(r_max):
-        return radial_level(params.potential, gamma, ell_eff**2, qn.n, r_max, FD_NODES)
+        return radial_level(params.potential, gamma, ell_eff**2, qn.n, r_max)
 
     return _settled_level(level, r_max)[0] / gamma

@@ -260,7 +260,7 @@ def squared_polynomial_drso(spec: ProblemSpec):
     return _monic_central_eliminant(spec, 1)
 
 
-def squared_polynomial_drsk(spec: ProblemSpec, sigma_rhs: int = 1):
+def squared_polynomial_drsk(spec: ProblemSpec, sigma_rhs: int):
     """Monic quartic from rationalizing the Kratzer condition (a = b = 0).
 
     Isolating the big radical and squaring once turns the condition for one
@@ -708,7 +708,7 @@ PANELS_PER_UNIT = 2000
 ROOT_TOL = 1e-10
 
 
-def find_roots(spec: ProblemSpec, *, mode="strict"):
+def find_roots(spec: ProblemSpec, *, mode):
     """Classified spectrum points of the spec in the window (-M - 20, M + 20).
 
     The search covers the principal strategies (`_search_branches`).
@@ -1051,7 +1051,7 @@ def _modulus_sqrt(z):
     return cmath.sqrt(z)
 
 
-def classify_value(spec: ProblemSpec, value: float, match_tol=1e-4):
+def classify_value(spec: ProblemSpec, value: float, match_tol):
     """Audit one published number against every branch and squared form.
 
     Each search branch is polished from the value; for a central spec
@@ -1139,16 +1139,18 @@ def classify_value(spec: ProblemSpec, value: float, match_tol=1e-4):
     return RootClass.D, None, None, None, diag
 
 
-def audit_table(table_id: int, published=None, tolerance=1e-4, params=None) -> AuditReport:
-    """Classify every published value of one table; never fails on class D.
+def audit_table(table_id: int, rows, tolerance, params) -> AuditReport:
+    """Classify every published value of the given rows of one table; never fails on class D.
 
-    Raises ValueError for an unknown table, a tolerance that is not finite
-    and positive, and a published value that is not finite.
+    rows are (n, n_prime, m, a, b, [values...]) as `load_table_data` returns
+    them, and params the physical parameters `table_spec` takes (None for
+    DEFAULT_PARAMS).  Raises ValueError for an unknown table, a tolerance
+    that is not finite and positive, and a published value that is not
+    finite.
     """
     if table_id not in TABLE_KINDS:
         raise ValueError(f"unknown table id {table_id}")
     _check_tolerance(tolerance)
-    rows = published if published is not None else load_table_data(table_id)
     report = AuditReport(table_id)
     for n, n_prime, m, a, b, values in rows:
         spec = table_spec(table_id, n, n_prime, m, a, b, params)

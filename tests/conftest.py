@@ -24,17 +24,17 @@ class InstrumentedAudit(NamedTuple):
 
 @pytest.fixture(scope="session")
 def table_audits():
-    """`audit_table(t)` of each bundled table, run once per test session.
+    """`audit_table` of each bundled table's rows, run once per test session.
 
     Maps the table id to an AuditRun.  Tests that read the bundled audits
     share these reports instead of recomputing them; none may modify them.
     """
-    from drsbound.spectrum import audit_table
+    from drsbound.spectrum import audit_table, load_table_data
 
     runs = {}
     for table in (1, 2, 3, 4):
         start = time.monotonic()
-        report = audit_table(table)
+        report = audit_table(table, load_table_data(table), 1e-4, None)
         runs[table] = AuditRun(report, time.monotonic() - start)
     return runs
 
@@ -68,5 +68,5 @@ def instrumented_audit():
         mp.setattr(spectrum, "_polish_branch_root", counted_polish)
         mp.setattr(spectrum, "_eliminant", recorded_eliminant)
         for table in (1, 2, 3, 4):
-            spectrum.audit_table(table)
+            spectrum.audit_table(table, spectrum.load_table_data(table), 1e-4, None)
     return InstrumentedAudit(brackets, len(polishes), eliminants)

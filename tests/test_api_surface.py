@@ -1,6 +1,6 @@
 """Guards on the package's surface: what the benchmark tracer patches, that
-every definition has a caller outside the tests, and how many values a
-caller can set."""
+every definition has a caller outside the tests, that every default is one a
+caller omits, and how many values a caller can set."""
 
 import ast
 import importlib
@@ -88,17 +88,22 @@ def _definitions(stmt):
     ]
 
 
+def _scanned():
+    """(path, AST) of the package's modules but `__init__.py`, then the benchmark's."""
+    modules = [path for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"]
+    for path in modules + sorted((ROOT / "perfbench").glob("*.py")):
+        yield path, ast.parse(path.read_text(), filename=str(path))
+
+
 def test_every_definition_has_a_caller():
     # a definition counts as called when a statement other than its own
     # definition names it, in the package's modules or in the benchmark's, or
     # when the tracer patches it.  The package's re-exports and `__all__` do
     # not count: a name only tests reach is no surface.  The uncalled rest
     # must be exactly the allowlist, so an entry that gains a caller leaves it
-    modules = [path for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"]
     used = set()
     definitions = []
-    for path in modules + sorted((ROOT / "perfbench").glob("*.py")):
-        tree = ast.parse(path.read_text(), filename=str(path))
+    for path, tree in _scanned():
         for stmt in tree.body:
             if path.parent == PACKAGE:
                 definitions.extend((path.stem, name) for name in _definitions(stmt))
@@ -112,9 +117,68 @@ def test_every_definition_has_a_caller():
     assert uncalled == set(ALLOWED_UNCALLED)
 
 
+def _functions(stmt):
+    """(name, def, name a call of it uses, parameters bound before the call's
+    own) of a top-level function or of each method of a class: a method's
+    first parameter is bound, and a call of the class calls its `__init__`."""
+    if isinstance(stmt, ast.FunctionDef):
+        return [(stmt.name, stmt, stmt.name, 0)]
+    if not isinstance(stmt, ast.ClassDef):
+        return []
+    return [
+        (f"{stmt.name}.{sub.name}", sub, stmt.name if sub.name == "__init__" else sub.name, 1)
+        for sub in stmt.body
+        if isinstance(sub, ast.FunctionDef)
+    ]
+
+
+def _defaulted(fn):
+    """The parameters of a def that have a default."""
+    args = fn.args
+    positional = args.posonlyargs + args.args
+    named = positional[len(positional) - len(args.defaults) :]
+    named += [arg for arg, default in zip(args.kwonlyargs, args.kw_defaults) if default]
+    return [arg.arg for arg in named]
+
+
+def _omits(call, fn, bound, parameter):
+    """Whether a call of fn leaves the parameter to its default; a starred call omits nothing."""
+    keywords = [keyword.arg for keyword in call.keywords]
+    if None in keywords or any(isinstance(arg, ast.Starred) for arg in call.args):
+        return False
+    positional = [arg.arg for arg in fn.args.posonlyargs + fn.args.args][bound:]
+    return parameter not in positional[: len(call.args)] + keywords
+
+
+def test_every_default_is_relied_on():
+    # a default stays only where a call omits it.  Calls are those of the
+    # files test_every_definition_has_a_caller reads, matched to a definition
+    # by the name they call, function or attribute; a value every caller
+    # passes is the callers' to state.  The allowlisted uncalled definitions
+    # have no call to omit anything
+    calls, functions = {}, []
+    for path, tree in _scanned():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                calls.setdefault(name, []).append(node)
+        if path.parent == PACKAGE:
+            for stmt in tree.body:
+                functions.extend((path.stem, *entry) for entry in _functions(stmt))
+    unomitted = [
+        f"{module}.{name}({parameter})"
+        for module, name, fn, called_as, bound in functions
+        if f"{module}.{name}" not in ALLOWED_UNCALLED
+        for parameter in _defaulted(fn)
+        if not any(_omits(call, fn, bound, parameter) for call in calls.get(called_as, []))
+    ]
+    assert unomitted == []
+
+
 #: Settable values of `src/drsbound`, counted by `_settable_values`.  A new
 #: option is declared here, as an uncalled definition is in ALLOWED_UNCALLED.
-SETTABLE_VALUES = 72
+SETTABLE_VALUES = 63
 
 
 def _settable_values(tree):

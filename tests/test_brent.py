@@ -102,7 +102,7 @@ def _both(f, a, b, **kwargs):
 
 class TestErrorParity:
     def test_same_sign_endpoints(self):
-        assert _both(lambda x: x * x + 1.0, -1.0, 1.0)[0] is ValueError
+        assert _both(lambda x: x * x + 1.0, -1.0, 1.0, xtol=2e-12)[0] is ValueError
 
     @pytest.mark.parametrize("where", ["a", "b", "inside"])
     def test_nan_value(self, where):
@@ -110,7 +110,7 @@ class TestErrorParity:
             bad = {"a": x == -1.0, "b": x == 1.0, "inside": 0.2 < x < 0.3}[where]
             return math.nan if bad else x - 0.25
 
-        assert _both(f, -1.0, 1.0)[0] is ValueError
+        assert _both(f, -1.0, 1.0, xtol=2e-12)[0] is ValueError
 
     @pytest.mark.parametrize("xtol", [0.0, -1e-3])
     def test_nonpositive_xtol(self, xtol):
@@ -132,12 +132,12 @@ class TestErrorParity:
 
     @pytest.mark.parametrize("a, b", [(0.0, 1.0), (-1.0, 0.0), (-0.0, 1.0)])
     def test_exact_zero_at_an_endpoint_is_returned(self, a, b):
-        assert _both(lambda x: 3.0 * x, a, b) == (a if a == 0 else b).hex()
+        assert _both(lambda x: 3.0 * x, a, b, xtol=2e-12) == (a if a == 0 else b).hex()
 
     def test_zero_valued_endpoint_away_from_origin(self):
         f = lambda x: (x - 2.0) * (x + 5.0)  # noqa: E731
-        assert _both(f, 2.0, 9.0) == (2.0).hex()
-        assert _both(f, -9.0, -5.0) == (-5.0).hex()
+        assert _both(f, 2.0, 9.0, xtol=2e-12) == (2.0).hex()
+        assert _both(f, -9.0, -5.0, xtol=2e-12) == (-5.0).hex()
 
 
 class TestFloatTypes:

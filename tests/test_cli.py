@@ -163,6 +163,24 @@ class TestSolve:
         assert err.startswith("error:") and f"{product} underflows" in err
         assert not out
 
+    @pytest.mark.parametrize(
+        "flag, value, field",
+        [
+            ("--m", 10**200, "QuantumNumbers.m is"),
+            ("--n", 10**400, "QuantumNumbers.n is"),
+            ("--nprime", 10**400, "QuantumNumbers.n_prime is"),
+        ],
+        ids=["m", "n", "nprime"],
+    )
+    def test_quantum_number_beyond_float_range_exits_two(self, capsys, flag, value, field):
+        # m^2, 2 n and 2 n' beyond the float range used to end in an
+        # OverflowError traceback wherever a spectral form first added them
+        code, out, err = run(capsys, *SPIN_KRATZER_GROUND, flag, str(value))
+        assert code == 2
+        assert err.startswith("error:") and field in err and "overflows a float" in err
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+        assert not out
+
     def test_internal_fault_propagates(self, monkeypatch):
         def broken(*args, **kwargs):
             raise ValueError("internal fault")
@@ -249,6 +267,16 @@ class TestConfigPrecedence:
         assert code == 2
         assert "'abc'" in err and ":1:" in err
 
+    def test_undecodable_config_exits_two(self, capsys, tmp_path):
+        # bytes that decode to no text used to end in a UnicodeDecodeError
+        # traceback; the same bytes given to `audit --data` exit 2
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(b"mass = 5\n\xff\xfe\n")
+        code, out, err = run(capsys, *SPIN_KRATZER_GROUND, "--config", str(cfg))
+        assert code == 2
+        assert err.startswith("error:") and str(cfg) in err
+        assert len(err.splitlines()) == 1 and not out
+
     def test_non_numeric_environment_value_exits_two(self, capsys, monkeypatch):
         monkeypatch.setenv("DRSBOUND_K", "one")
         code, _, err = run(
@@ -287,6 +315,17 @@ class TestAuditReference:
         out = tmp_path / f"audit{table}.json"
         assert run(capsys, "audit", str(table), "--output", str(out))[0] == 0
         assert out.read_bytes() == (REFERENCE_DIR / f"audit{table}.json").read_bytes()
+
+
+    def test_bundled_rows_through_data_flag(self, capsys, monkeypatch, tmp_path):
+        # the bundled rows and `--data` rows take one load path, so table 2's
+        # own file given as --data reproduces the reference audit
+        for key in cli.CONFIG_KEYS:
+            monkeypatch.delenv(cli.ENV_PREFIX + key.upper(), raising=False)
+        data = pathlib.Path(cli.__file__).parent / "data" / "table2.txt"
+        out = tmp_path / "audit2.json"
+        assert run(capsys, "audit", "2", "--data", str(data), "--output", str(out))[0] == 0
+        assert out.read_bytes() == (REFERENCE_DIR / "audit2.json").read_bytes()
 
 
 class TestTable:
@@ -351,7 +390,7 @@ class TestTable:
             by_cell.setdefault(key, []).append(float(r[7]))
             expected[(key, round(float(r[7]), 9))] = r[9]
         published = [(*key, vals) for key, vals in by_cell.items()]
-        report = audit_table(4, published=published)
+        report = audit_table(4, published, 1e-4, None)
         for entry in report.entries:
             key = (entry.n, entry.n_prime, entry.m, entry.a, entry.b)
             assert entry.root_class.value == expected[(key, round(entry.value, 9))]
@@ -404,6 +443,17 @@ class TestAudit:
         code, _, err = run(capsys, "audit", "2", "--data", str(data), "--output", str(report))
         assert code == 2
         assert message in err
+        assert not report.exists()
+
+    def test_quantum_number_beyond_float_range_exits_two(self, capsys, tmp_path):
+        # the row's m^2 used to overflow in `_radical_term` with a traceback
+        data = tmp_path / "big.txt"
+        data.write_text(f"0 0 {10**200} 0 0 1.0\n")
+        report = tmp_path / "report.json"
+        code, out, err = run(capsys, "audit", "3", "--data", str(data), "--output", str(report))
+        assert code == 2
+        assert err.startswith("error:") and "QuantumNumbers.m is too large" in err
+        assert len(err.splitlines()) == 1 and not out
         assert not report.exists()
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1", "0"])

@@ -62,7 +62,7 @@ class TestRadialSolver:
     def test_radial_level_is_the_gamma_form(self):
         # -u'' + [(l_eff^2 - 1/4)/r^2 + gamma k r^2 / 2] u: l_eff = 3/2 and
         # gamma k / 2 = 1 give the ell = 1 radial oscillator level 4 j + 5 at j = 1
-        level = radial_level(Oscillator(1.0), 2.0, 2.25, 1, 12.0, 3000)
+        level = radial_level(Oscillator(1.0), 2.0, 2.25, 1, 12.0)
         assert level == pytest.approx(9.0, rel=1e-6)
 
     def test_grid_too_coarse_rejected(self):
@@ -204,11 +204,11 @@ def validate_solves():
     cases, draws = [], []
     real_map = oracle._consistency_map
 
-    def counting(spec_, e, nodes, levels, doublings):
+    def counting(spec_, e, levels, doublings):
         draws[-1]["sweeps"] += 1
         if doublings is not None:
             draws[-1]["doublings"].add(doublings)
-        return real_map(spec_, e, nodes, levels, doublings)
+        return real_map(spec_, e, levels, doublings)
 
     for d in json.loads((REFERENCE_DIR / "validate.json").read_text())["draws"]:
         spec = table_spec(3, *d["qn"], *d["ring"])
@@ -262,9 +262,9 @@ class TestSelfConsistency:
         calls = []
         real_map = oracle._consistency_map
 
-        def counting(spec_, e, nodes, *domain):
+        def counting(spec_, e, *domain):
             calls.append(e)
-            return real_map(spec_, e, nodes, *domain)
+            return real_map(spec_, e, *domain)
 
         monkeypatch.setattr(oracle, "_consistency_map", counting)
         fixed_point = self_consistent_energy(spec, 1.0)
@@ -286,12 +286,12 @@ class TestSelfConsistency:
         calls, failed = [], []
         real_map = oracle._consistency_map
 
-        def failing(spec_, e, nodes, *domain):
+        def failing(spec_, e, *domain):
             calls.append(e)
             if 0.71 < e < 0.79 and side * (e - closed) > 1e-6:
                 failed.append(e)
                 raise DivergenceError("sweep failed")
-            return real_map(spec_, e, nodes, *domain)
+            return real_map(spec_, e, *domain)
 
         monkeypatch.setattr(oracle, "_consistency_map", failing)
         with pytest.raises(DivergenceError, match="inside the bracket"):
@@ -303,7 +303,7 @@ class TestSelfConsistency:
         # the continuum edge E = 0
         spec = table_spec(3, 1, 0, 1, 0.0, 0.5)
         with pytest.raises(DivergenceError, match="unsettled"):
-            oracle._consistency_map(spec, -1.99e-4, oracle.FD_NODES, {}, None)
+            oracle._consistency_map(spec, -1.99e-4, {}, None)
 
     def test_continuum_edge_bracket_skipped(self):
         # b(E) = (M - E)(C_s - E - M) vanishes at E = C_s - M = 0 on draw 3's
@@ -371,10 +371,10 @@ class TestSelfConsistency:
             consulted[0] += isinstance(key, tuple)  # radial keys are (gamma, r_max)
             return real_level(levels, key, solve)
 
-        def counting_map(spec_, e, nodes, *rest):
+        def counting_map(spec_, e, *rest):
             before = consulted[0]
             try:
-                return real_map(spec_, e, nodes, *rest)
+                return real_map(spec_, e, *rest)
             finally:
                 per_sweep.append(consulted[0] - before)
 
@@ -399,9 +399,9 @@ class TestSelfConsistency:
             angular.append(gamma)
             return real_angular(gamma, *args, **kwargs)
 
-        def recording_radial(potential, gamma, ell_eff_sq, index, r_max, nodes):
+        def recording_radial(potential, gamma, ell_eff_sq, index, r_max):
             radial.append((gamma, r_max))
-            return real_radial(potential, gamma, ell_eff_sq, index, r_max, nodes)
+            return real_radial(potential, gamma, ell_eff_sq, index, r_max)
 
         monkeypatch.setattr(oracle, "fd_angular_eigs", recording_angular)
         monkeypatch.setattr(oracle, "radial_level", recording_radial)
@@ -570,8 +570,8 @@ class TestWindowedLevels:
     @pytest.mark.parametrize("solver", [_radial_level, _angular_level], ids=["radial", "angular"])
     def test_window_level_matches_index_level(self, monkeypatch, solver, first):
         (coarse_d, coarse_e), (d, e), *_ = _matrices(solver)
-        near = oracle._eigenvalue(coarse_d, coarse_e, first)
-        index = oracle._eigenvalue(d, e, first)
+        near = oracle._eigenvalue(coarse_d, coarse_e, first, None)
+        index = oracle._eigenvalue(d, e, first, None)
         seen = self._record(monkeypatch)
         window = oracle._eigenvalue(d, e, first, near=near)
         assert seen == ["count", "window"]
@@ -582,10 +582,10 @@ class TestWindowedLevels:
     @pytest.mark.parametrize("solver", [_radial_level, _angular_level], ids=["radial", "angular"])
     def test_wrong_estimate_falls_back_to_index_solve(self, monkeypatch, solver, first, wrong):
         _, (d, e), *_ = _matrices(solver)
-        index = oracle._eigenvalue(d, e, first)
+        index = oracle._eigenvalue(d, e, first, None)
         norm = _norm1(d, e)
         near = {
-            "next-level": oracle._eigenvalue(d, e, first + 1),
+            "next-level": oracle._eigenvalue(d, e, first + 1, None),
             "above-spectrum": 2.0 * norm,
             "below-spectrum": -2.0 * norm,
         }[wrong]
@@ -598,7 +598,7 @@ class TestWindowedLevels:
     @pytest.mark.parametrize("solver", [_radial_level, _angular_level], ids=["radial", "angular"])
     def test_sturm_count_matches_index_levels(self, solver):
         _, (d, e), *_ = _matrices(solver)
-        levels = np.array([oracle._eigenvalue(d, e, i) for i in range(6)])
+        levels = np.array([oracle._eigenvalue(d, e, i, None) for i in range(6)])
         gaps = np.diff(levels)
         points = np.concatenate(
             [
@@ -647,7 +647,7 @@ class TestRadialErrorTable:
                     return (ell_eff_sq - 0.25) / r**2 + g * potential.radial(r)
 
                 n = spec.qn.n
-                level = radial_level(spec.potential, g, ell_eff_sq, n, r_max, oracle.FD_NODES)
+                level = radial_level(spec.potential, g, ell_eff_sq, n, r_max)
                 three.append(abs(level - b) / (1.0 + abs(b)))
                 level = _two_grid_level(v_eff, r_max, 3000, n)
                 two.append(abs(level - b) / (1.0 + abs(b)))
@@ -672,7 +672,7 @@ class TestNonrelDomain:
     def test_unsettled_domain_raises(self, monkeypatch):
         domains = []
 
-        def drifting(potential, gamma, ell_eff_sq, index, r_max, nodes):
+        def drifting(potential, gamma, ell_eff_sq, index, r_max):
             domains.append(r_max)
             return r_max
 

@@ -146,7 +146,7 @@ class TestSquaredPolynomials:
         with pytest.raises(ValueError):
             squared_polynomial_drso(table_spec(2, 0, 0, 0, 1.0, 0.0))
         with pytest.raises(ValueError):
-            squared_polynomial_drsk(table_spec(1, 0, 0, 0, 0.0, 1.0))
+            squared_polynomial_drsk(table_spec(1, 0, 0, 0, 0.0, 1.0), 1)
 
     def test_real_cubic_roots_satisfy_some_branch(self):
         for table in (2, 4):
@@ -1086,7 +1086,7 @@ class TestAudit:
 
     def test_branch_point_hugging_value_matches(self):
         spec = table_spec(3, 3, 0, 1, 0.0, 0.0)
-        klass, dev, _, _, _ = classify_value(spec, -2.604114296)
+        klass, dev, _, _, _ = classify_value(spec, -2.604114296, 1e-4)
         assert klass is RootClass.B
         assert dev < 1e-4
 
@@ -1118,7 +1118,7 @@ class TestAudit:
 
         monkeypatch.setattr(spectrum, "_polish_branch_root", counted_polish)
         monkeypatch.setattr(spectrum, "_polynomial_roots", marked_polynomial)
-        klass, *_ = classify_value(spec, value)
+        klass, *_ = classify_value(spec, value, 1e-4)
         assert klass is RootClass.D
         assert calls == list(spectrum._search_branches(spec))
 
@@ -1126,20 +1126,20 @@ class TestAudit:
         spec = table_spec(3, 1, 0, 1, 1.0, 0.5)
         (root,) = [r.energy.real for r in find_roots(spec, mode="strict")]
         assert root == pytest.approx(2.6764728302, abs=1e-10)
-        klass, _, _, _, diag = classify_value(spec, root + 0.1)
+        klass, _, _, _, diag = classify_value(spec, root + 0.1, 1e-4)
         assert klass is RootClass.D
         assert abs(diag["nearest_root"] - root) < 1e-12
 
     def test_nearest_root_null_beyond_polish_reach(self):
         # 1.0 lies beyond the deciding polish's widest bracket, 128 x 2e-3
         spec = table_spec(3, 1, 0, 1, 1.0, 0.5)
-        klass, _, _, _, diag = classify_value(spec, 2.6764728302 + 1.0)
+        klass, _, _, _, diag = classify_value(spec, 2.6764728302 + 1.0, 1e-4)
         assert klass is RootClass.D
         assert diag["nearest_root"] is None
 
     def test_unknown_table_rejected(self):
         with pytest.raises(ValueError):
-            audit_table(5)
+            audit_table(5, [], 1e-4, None)
 
     @pytest.mark.parametrize("tolerance", [float("nan"), float("inf"), -1.0, 0.0])
     def test_bad_tolerance_rejected(self, tolerance):
@@ -1149,16 +1149,16 @@ class TestAudit:
         with pytest.raises(ValueError, match="tolerance"):
             classify_value(spec, -0.6652434115, tolerance)
         with pytest.raises(ValueError, match="tolerance"):
-            audit_table(2, published=[], tolerance=tolerance)
+            audit_table(2, [], tolerance, None)
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_value_rejected(self, value):
         # a NaN value used to come back as class D with NaN diagnostics
         spec = table_spec(2, 0, 0, 0, 0.0, 0.0)
         with pytest.raises(ValueError, match="value"):
-            classify_value(spec, value)
+            classify_value(spec, value, 1e-4)
         with pytest.raises(ValueError, match="value"):
-            audit_table(2, published=[(0, 0, 0, 0.0, 0.0, [-0.6652434115, value])])
+            audit_table(2, [(0, 0, 0, 0.0, 0.0, [-0.6652434115, value])], 1e-4, None)
 
     def test_bundled_data_complete(self):
         counts = {1: 74, 2: 60, 3: 133, 4: 75}
@@ -1220,7 +1220,7 @@ class TestBitPins:
 
     @pytest.mark.parametrize("cell, value, want", CLASS_D_BRANCH_RESIDUALS)
     def test_class_d_branch_residuals(self, cell, value, want):
-        klass, _, _, _, diag = classify_value(table_spec(*cell), value)
+        klass, _, _, _, diag = classify_value(table_spec(*cell), value, 1e-4)
         assert klass is RootClass.D
         residuals = diag["branch_residuals"]
         assert list(residuals) == [
