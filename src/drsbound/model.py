@@ -124,8 +124,8 @@ class RingParams:
     potential.
     """
 
-    a: float = 0.0
-    b: float = 0.0
+    a: float
+    b: float
 
     def __post_init__(self):
         _require_finite(self)
@@ -163,9 +163,9 @@ class QuantumNumbers:
     enters every formula through m^2 or |m|.
     """
 
-    n: int = 0
-    n_prime: int = 0
-    m: int = 0
+    n: int
+    n_prime: int
+    m: int
     kappa: int | None = None
 
     def __post_init__(self):

@@ -29,7 +29,7 @@ class NonRelParams:
 
     mu: float
     potential: object
-    ring: RingParams = RingParams(0.0, 0.0)
+    ring: RingParams
 
     def __post_init__(self):
         # potential and ring are records that check themselves

@@ -27,8 +27,12 @@ transformation that leaves every eigenvalue unchanged -- and discretize the
 resulting flux form (sin(theta) P')' on midpoint cells of (0, pi/2) with a
 natural boundary at 0 and a Dirichlet wall at pi/2; the wall selects exactly
 the solution family of the quantization rule (the printed family always
-vanishes at pi/2).  Three-grid Aitken extrapolation absorbs the remaining
-endpoint-driven convergence order.
+vanishes at pi/2).  The wall sits on the last cell's outer face: the ghost
+value -P_last mirrors the last centre through it, so the level converges at
+second order even where P has a nonzero slope at pi/2 (a = 0).  The angular
+level then takes the radial rule's two Richardson steps, over ANGULAR_CELLS,
+2 ANGULAR_CELLS and 4 ANGULAR_CELLS cells (spacings h, h/2 and h/4), in the
+one routine both solvers share (_richardson).
 
 Each FD level comes from LAPACK's Sturm-sequence bisection (stebz; Barth,
 Martin & Wilkinson, Numer. Math. 9 (1967) 386).  The coarsest grid of a call
@@ -133,26 +137,35 @@ def _grid_level(v_eff, r_max, nodes, index, near=None):
     return _eigenvalue(diag, off, index, near)
 
 
+def _richardson(l1, l2, l3):
+    """Two Richardson steps over second-order levels on spacings h, h/2 and h/4.
+
+    R1 = (4 L2 - L1) / 3 and R2 = (4 L3 - L2) / 3 cancel the h^2 term, and
+    (16 R2 - R1) / 15, returned, the h^4 term.
+    """
+    r1 = (4.0 * l2 - l1) / 3.0
+    r2 = (4.0 * l3 - l2) / 3.0
+    return (16.0 * r2 - r1) / 15.0
+
+
 def fd_radial_eigs(v_eff, r_max, nodes, index):
     """Level `index` of -d^2/dr^2 + V_eff on (0, r_max) with Dirichlet walls.
 
     The second-order FD level on `nodes`, 2 nodes + 1 and 4 nodes + 3
     interior nodes (spacings h, h/2 and h/4) gives L1, L2 and L3, and two
-    Richardson steps cancel the h^2 and h^4 terms: R1 = (4 L2 - L1) / 3,
-    R2 = (4 L3 - L2) / 3, returned (16 R2 - R1) / 15.  The `nodes` grid is an
-    index solve; each finer grid solves in a Sturm-certified value window
-    around the coarser grid's level (see _eigenvalue).  Raises ValueError
-    unless index is an int >= 0, and OracleError when nodes < 10 (index + 1)
-    or V_eff is not finite at a node of any grid.
+    Richardson steps cancel the h^2 and h^4 terms (_richardson).  The
+    `nodes` grid is an index solve; each finer grid solves in a
+    Sturm-certified value window around the coarser grid's level (see
+    _eigenvalue).  Raises ValueError unless index is an int >= 0, and
+    OracleError when nodes < 10 (index + 1) or V_eff is not finite at a node
+    of any grid.
     """
     if nodes < 10 * (index + 1):
         raise OracleError("grid too coarse for the requested level")
     l1 = _grid_level(v_eff, r_max, nodes, index)
     l2 = _grid_level(v_eff, r_max, 2 * nodes + 1, index, near=l1)
     l3 = _grid_level(v_eff, r_max, 4 * nodes + 3, index, near=l2)
-    r1 = (4.0 * l2 - l1) / 3.0
-    r2 = (4.0 * l3 - l2) / 3.0
-    return (16.0 * r2 - r1) / 15.0
+    return _richardson(l1, l2, l3)
 
 
 def radial_level(potential, gamma, ell_eff_sq, index, r_max):
@@ -176,20 +189,25 @@ def _angular_grid(cells):
 
     On `cells` midpoint cells of (0, pi/2): sin and sin^2 at the centers,
     cos^2 at the centers, the kinetic diagonal and the symmetrized
-    off-diagonal.  One fd_angular_eigs call builds three grids, which the
-    cache holds; a caller sweeping `cells` evicts the oldest.
+    off-diagonal.  The last cell's outer flux sees the ghost value -P_last,
+    which puts the Dirichlet wall on the face at pi/2, so its kinetic entry
+    carries 2 sin at that face.  One fd_angular_eigs call builds three
+    grids, which the cache holds; a caller sweeping `cells` evicts the
+    oldest.
     """
     h = (math.pi / 2.0) / cells
     centers = (np.arange(cells) + 0.5) * h
     faces = np.arange(cells + 1) * h
     sin_f = np.sin(faces)
     sin_c = np.sin(centers)
+    kinetic = (sin_f[:cells] + sin_f[1:]) / h**2
+    kinetic[-1] = (sin_f[-2] + 2.0 * sin_f[-1]) / h**2
     off = -sin_f[1:cells] / h**2
     grid = (
         sin_c,
         sin_c**2,
         np.cos(centers) ** 2,
-        (sin_f[:cells] + sin_f[1:]) / h**2,
+        kinetic,
         off / np.sqrt(sin_c[:-1] * sin_c[1:]),
     )
     for part in grid:
@@ -214,21 +232,20 @@ def fd_angular_eigs(gamma, ring: RingParams, m: int, index: int):
     """Eigenvalue (ell + 1/2)^2 of the polar equation's level `index`, real sector only.
 
     The level of the quantization family (bounded at theta = 0, vanishing at
-    pi/2), Aitken-extrapolated over ANGULAR_CELLS, 2 ANGULAR_CELLS and
-    4 ANGULAR_CELLS cells.  The coarsest grid is an index solve; the finer
-    two each solve in a Sturm-certified value window around the previous
-    grid's level (see _eigenvalue).  Raises ValueError unless index is an
-    int >= 0.
+    pi/2) on ANGULAR_CELLS, 2 ANGULAR_CELLS and 4 ANGULAR_CELLS cells
+    (spacings h, h/2 and h/4), each second order with the wall on the last
+    face, and two Richardson steps cancel the h^2 and h^4 terms
+    (_richardson), as in fd_radial_eigs.  The coarsest grid is an index
+    solve; the finer two each solve in a Sturm-certified value window
+    around the previous grid's level (see _eigenvalue).  Raises ValueError
+    unless index is an int >= 0.
     """
     if gamma * ring.a + 0.25 < 0 or gamma * ring.b + m * m < 0:
         raise OracleError("complex angular sector: radicals not real")
     l1 = _angular_fd_once(gamma, ring, m, index, ANGULAR_CELLS)
     l2 = _angular_fd_once(gamma, ring, m, index, 2 * ANGULAR_CELLS, near=l1)
     l3 = _angular_fd_once(gamma, ring, m, index, 4 * ANGULAR_CELLS, near=l2)
-    d1, d2 = l2 - l1, l3 - l2
-    if abs(d2 - d1) > 1e-300:
-        return l3 - d2 * d2 / (d2 - d1)
-    return l3
+    return _richardson(l1, l2, l3)
 
 
 def _level(levels: dict, key, solve):
@@ -305,8 +322,9 @@ SCAN_STEP, SCAN_SPAN = 0.1, 4.0
 #: Nodes of the coarsest radial FD grid in each sweep (the finer two have
 #: 2 FD_NODES + 1 and 4 FD_NODES + 3).
 FD_NODES = 900
-#: Cells of the coarsest angular FD grid (the finer two have 2x and 4x as many).
-ANGULAR_CELLS = 1500
+#: Cells of the coarsest angular FD grid (the finer two have 2x and 4x as
+#: many, so the three spacings halve as the radial grids' do).
+ANGULAR_CELLS = 500
 
 
 def self_consistent_energy(spec: ProblemSpec, initial_energy: float):

@@ -101,8 +101,8 @@ class SpectralPoleError(ArithmeticError):
 
 @dataclass(frozen=True)
 class BranchStrategy:
-    sigma_rhs: int = 1
-    sigma_inner: int = 1
+    sigma_rhs: int
+    sigma_inner: int
 
     def __post_init__(self):
         if self.sigma_rhs not in (1, -1) or self.sigma_inner not in (1, -1):

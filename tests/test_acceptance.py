@@ -166,9 +166,9 @@ class TestCriterion4AimOracle:
 
 class TestCriterion5FdOracle:
     def test_kratzer_ground_state(self):
-        params = NonRelParams(mu=1.0, potential=Kratzer(15.0, 0.4), ring=RingParams())
-        closed = energy_kratzer_nr(params, QuantumNumbers())
-        fd = nonrel_energy_fd(params, QuantumNumbers())
+        params = NonRelParams(mu=1.0, potential=Kratzer(15.0, 0.4), ring=RingParams(0.0, 0.0))
+        closed = energy_kratzer_nr(params, QuantumNumbers(0, 0, 0))
+        fd = nonrel_energy_fd(params, QuantumNumbers(0, 0, 0))
         rel = abs(fd - closed) / abs(closed)
         assert rel < 1e-4
         assert closed == pytest.approx(-7.2324, abs=1e-3)
@@ -181,7 +181,7 @@ class TestCriterion5FdOracle:
                 for m in (0, 2):
                     ring = RingParams(a, b)
                     for npr in range(2):
-                        qn = QuantumNumbers(n_prime=npr, m=m)
+                        qn = QuantumNumbers(n=0, n_prime=npr, m=m)
                         terms = coefficients_at_gamma(gamma, None, None, ring, qn)
                         expected = terms.ell_eff.real ** 2
                         eig = fd_angular_eigs(gamma, ring, m, npr)

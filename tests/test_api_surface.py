@@ -117,43 +117,66 @@ def test_every_definition_has_a_caller():
     assert uncalled == set(ALLOWED_UNCALLED)
 
 
-def _functions(stmt):
-    """(name, def, name a call of it uses, parameters bound before the call's
-    own) of a top-level function or of each method of a class: a method's
-    first parameter is bound, and a call of the class calls its `__init__`."""
-    if isinstance(stmt, ast.FunctionDef):
-        return [(stmt.name, stmt, stmt.name, 0)]
-    if not isinstance(stmt, ast.ClassDef):
-        return []
-    return [
-        (f"{stmt.name}.{sub.name}", sub, stmt.name if sub.name == "__init__" else sub.name, 1)
-        for sub in stmt.body
-        if isinstance(sub, ast.FunctionDef)
-    ]
+def _is_dataclass(stmt):
+    return isinstance(stmt, ast.ClassDef) and "dataclass" in set().union(
+        *map(_names_used, stmt.decorator_list)
+    )
 
 
-def _defaulted(fn):
-    """The parameters of a def that have a default."""
+def _signature(fn, bound):
+    """(parameters a call fills by position, parameters with a default) of a
+    def whose first `bound` parameters are bound before the call's own."""
     args = fn.args
     positional = args.posonlyargs + args.args
     named = positional[len(positional) - len(args.defaults) :]
     named += [arg for arg, default in zip(args.kwonlyargs, args.kw_defaults) if default]
-    return [arg.arg for arg in named]
+    return [arg.arg for arg in positional[bound:]], [arg.arg for arg in named]
 
 
-def _omits(call, fn, bound, parameter):
-    """Whether a call of fn leaves the parameter to its default; a starred call omits nothing."""
+def _dataclass_signature(cls):
+    """The same of a dataclass's generated `__init__`: its annotated fields,
+    in order, and those with a default."""
+    fields = [stmt for stmt in cls.body if isinstance(stmt, ast.AnnAssign)]
+    return [f.target.id for f in fields], [f.target.id for f in fields if f.value is not None]
+
+
+def _functions(stmt):
+    """(name, name a call of it uses, signature) of a top-level function, of
+    each method of a class and of a dataclass's generated `__init__`: a
+    method's first parameter is bound, and a call of the class calls its
+    `__init__`."""
+    if isinstance(stmt, ast.FunctionDef):
+        return [(stmt.name, stmt.name, _signature(stmt, 0))]
+    if not isinstance(stmt, ast.ClassDef):
+        return []
+    methods = [
+        (
+            f"{stmt.name}.{sub.name}",
+            stmt.name if sub.name == "__init__" else sub.name,
+            _signature(sub, 1),
+        )
+        for sub in stmt.body
+        if isinstance(sub, ast.FunctionDef)
+    ]
+    if _is_dataclass(stmt):
+        methods.append((f"{stmt.name}.__init__", stmt.name, _dataclass_signature(stmt)))
+    return methods
+
+
+def _omits(call, positional, parameter):
+    """Whether a call leaves the parameter to its default, given the
+    parameters it fills by position; a starred call omits nothing."""
     keywords = [keyword.arg for keyword in call.keywords]
     if None in keywords or any(isinstance(arg, ast.Starred) for arg in call.args):
         return False
-    positional = [arg.arg for arg in fn.args.posonlyargs + fn.args.args][bound:]
     return parameter not in positional[: len(call.args)] + keywords
 
 
 def test_every_default_is_relied_on():
-    # a default stays only where a call omits it.  Calls are those of the
-    # files test_every_definition_has_a_caller reads, matched to a definition
-    # by the name they call, function or attribute; a value every caller
+    # a default stays only where a call omits it, a dataclass field's as a
+    # parameter's.  Calls are those of the files
+    # test_every_definition_has_a_caller reads, matched to a definition by
+    # the name they call, function or attribute; a value every caller
     # passes is the callers' to state.  The allowlisted uncalled definitions
     # have no call to omit anything
     calls, functions = {}, []
@@ -168,10 +191,10 @@ def test_every_default_is_relied_on():
                 functions.extend((path.stem, *entry) for entry in _functions(stmt))
     unomitted = [
         f"{module}.{name}({parameter})"
-        for module, name, fn, called_as, bound in functions
+        for module, name, called_as, (positional, defaulted) in functions
         if f"{module}.{name}" not in ALLOWED_UNCALLED
-        for parameter in _defaulted(fn)
-        if not any(_omits(call, fn, bound, parameter) for call in calls.get(called_as, []))
+        for parameter in defaulted
+        if not any(_omits(call, positional, parameter) for call in calls.get(called_as, []))
     ]
     assert unomitted == []
 
@@ -189,9 +212,8 @@ def _settable_values(tree):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
             count += len(node.args.defaults)
             count += sum(default is not None for default in node.args.kw_defaults)
-        elif isinstance(node, ast.ClassDef):
-            if "dataclass" in set().union(*map(_names_used, node.decorator_list)):
-                count += sum(isinstance(stmt, ast.AnnAssign) for stmt in node.body)
+        elif _is_dataclass(node):
+            count += sum(isinstance(stmt, ast.AnnAssign) for stmt in node.body)
     return count
 
 

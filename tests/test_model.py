@@ -50,9 +50,9 @@ class TestDeriveCoefficients:
         osc = ProblemSpec(
             symmetry=Pseudospin(-5.0),
             potential=Oscillator(1.0),
-            ring=RingParams(),
+            ring=RingParams(0.0, 0.0),
             params=PhysicalParams(5.0),
-            qn=QuantumNumbers(),
+            qn=QuantumNumbers(0, 0, 0),
         )
         c = derive_coefficients(osc, -0.6652434115)
         assert c.gamma == pytest.approx(-0.6652434115, abs=1e-14)
@@ -104,9 +104,9 @@ class TestDeriveCoefficients:
         osc = ProblemSpec(
             symmetry=Spin(5.0),
             potential=Oscillator(1.0),
-            ring=RingParams(),
+            ring=RingParams(0.0, 0.0),
             params=PhysicalParams(5.0),
-            qn=QuantumNumbers(),
+            qn=QuantumNumbers(0, 0, 0),
         )
         assert derive_coefficients(osc, 1.0).zeta is None
 
@@ -120,9 +120,9 @@ class TestDeriveCoefficients:
 class TestValidation:
     def test_negative_quantum_numbers_rejected(self):
         with pytest.raises(SpecError):
-            QuantumNumbers(n=-1)
+            QuantumNumbers(n=-1, n_prime=0, m=0)
         with pytest.raises(SpecError):
-            QuantumNumbers(n_prime=-2)
+            QuantumNumbers(n=0, n_prime=-2, m=0)
 
     @pytest.mark.parametrize("bad", [0.5, 2.0, True, np.float64(1.0), "1"], ids=repr)
     @pytest.mark.parametrize("field", ["n", "n_prime", "m", "kappa"])
@@ -131,13 +131,13 @@ class TestValidation:
         # a "class A" root at 1.118887015; a whole float or a bool is no
         # integer either
         with pytest.raises(SpecError, match=f"QuantumNumbers.{field} must be an integer"):
-            QuantumNumbers(**{field: bad})
+            QuantumNumbers(**{"n": 0, "n_prime": 0, "m": 0, field: bad})
 
     @pytest.mark.parametrize("value", [2, np.int64(2)], ids=["int", "int64"])
     def test_integer_quantum_numbers_accepted(self, value):
         qn = QuantumNumbers(n=value, n_prime=value, m=-value, kappa=value)
         assert (qn.n, qn.n_prime, qn.m, qn.kappa) == (2, 2, -2, 2)
-        assert QuantumNumbers(kappa=None).kappa is None
+        assert QuantumNumbers(0, 0, 0, kappa=None).kappa is None
 
     @pytest.mark.parametrize("cell", [(3, 0.5, 0, 0, 0.0, 0.0), (3, 0, 0, 1.5, 0.0, 0.0)])
     def test_fractional_table_cell_rejected(self, cell):

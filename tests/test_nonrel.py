@@ -21,13 +21,13 @@ class TestKratzerSpectrum:
     def test_ground_state_value(self):
         # oracle: direct evaluation -72 / (1/2 + sqrt(2.25 + 4.8))^2
         expected = -72.0 / (0.5 + math.sqrt(2.25 + 4.8)) ** 2
-        val = energy_kratzer_nr(kratzer_params(), QuantumNumbers())
+        val = energy_kratzer_nr(kratzer_params(), QuantumNumbers(0, 0, 0))
         assert val == pytest.approx(expected, rel=1e-14)
         assert val == pytest.approx(-7.23241, abs=1e-4)
 
     def test_matches_fd_oracle(self):
-        val = energy_kratzer_nr(kratzer_params(), QuantumNumbers())
-        fd = nonrel_energy_fd(kratzer_params(), QuantumNumbers())
+        val = energy_kratzer_nr(kratzer_params(), QuantumNumbers(0, 0, 0))
+        fd = nonrel_energy_fd(kratzer_params(), QuantumNumbers(0, 0, 0))
         assert abs(fd - val) / abs(val) < 1e-4
 
     def test_radical_collapse_at_zero_ring(self):
@@ -43,12 +43,12 @@ class TestKratzerSpectrum:
             assert val == pytest.approx(manual, rel=1e-14)
 
     def test_monotone_approach_to_zero(self):
-        prev = energy_kratzer_nr(kratzer_params(), QuantumNumbers(n=0))
+        prev = energy_kratzer_nr(kratzer_params(), QuantumNumbers(n=0, n_prime=0, m=0))
         for n in range(1, 40):
-            cur = energy_kratzer_nr(kratzer_params(), QuantumNumbers(n=n))
+            cur = energy_kratzer_nr(kratzer_params(), QuantumNumbers(n=n, n_prime=0, m=0))
             assert prev < cur < 0
             prev = cur
-        assert energy_kratzer_nr(kratzer_params(), QuantumNumbers(n=4000)) > -1e-4
+        assert energy_kratzer_nr(kratzer_params(), QuantumNumbers(n=4000, n_prime=0, m=0)) > -1e-4
 
     def test_relativistic_limit_consistency(self):
         # mapping E - M -> E, E + M -> 2 mu, C_s = 0 turns the spin
@@ -73,13 +73,15 @@ class TestParams:
     @pytest.mark.parametrize("field", ["mu"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_rejected(self, field, value):
-        kwargs = {"mu": 1.0, "potential": Kratzer(15.0, 0.4), field: value}
+        kwargs = {"mu": 1.0, "potential": Kratzer(15.0, 0.4), "ring": RingParams(0.0, 0.0)}
+        kwargs[field] = value
         with pytest.raises(SpecError, match=f"NonRelParams.{field} must be finite"):
             NonRelParams(**kwargs)
 
     @pytest.mark.parametrize("field", ["mu"])
     def test_nonpositive_rejected(self, field):
-        kwargs = {"mu": 1.0, "potential": Kratzer(15.0, 0.4), field: 0.0}
+        kwargs = {"mu": 1.0, "potential": Kratzer(15.0, 0.4), "ring": RingParams(0.0, 0.0)}
+        kwargs[field] = 0.0
         with pytest.raises(SpecError, match="must be positive"):
             NonRelParams(**kwargs)
 
@@ -89,13 +91,13 @@ class TestFdPins:
     # rel 1e-12; each lies at least as close to its closed form as the
     # two-grid rule's value did (-7.23241306510691 and 2.500000000111932)
     def test_kratzer_level(self):
-        fd = nonrel_energy_fd(kratzer_params(), QuantumNumbers())
+        fd = nonrel_energy_fd(kratzer_params(), QuantumNumbers(0, 0, 0))
         assert fd == pytest.approx(-7.232413064875806, rel=1e-12)
-        closed = energy_kratzer_nr(kratzer_params(), QuantumNumbers())
+        closed = energy_kratzer_nr(kratzer_params(), QuantumNumbers(0, 0, 0))
         assert abs(fd - closed) <= abs(-7.23241306510691 - closed)
 
     def test_oscillator_level(self):
-        fd = nonrel_energy_fd(oscillator_params(), QuantumNumbers())
+        fd = nonrel_energy_fd(oscillator_params(), QuantumNumbers(0, 0, 0))
         assert fd == pytest.approx(2.499999999992421, rel=1e-12)
         # closed form hbar omega (2 n + ell_eff + 1) with omega = 1, n = 0, ell_eff = 3/2
         assert abs(fd - 2.5) <= abs(2.500000000111932 - 2.5)

@@ -43,9 +43,9 @@ class TestRadialSolver:
             assert level == pytest.approx(4 * j + 3, rel=1e-4)
 
     def test_kratzer_ground_state(self):
-        params = NonRelParams(mu=1.0, potential=Kratzer(15.0, 0.4), ring=RingParams())
-        closed = energy_kratzer_nr(params, QuantumNumbers())
-        fd = nonrel_energy_fd(params, QuantumNumbers())
+        params = NonRelParams(mu=1.0, potential=Kratzer(15.0, 0.4), ring=RingParams(0.0, 0.0))
+        closed = energy_kratzer_nr(params, QuantumNumbers(0, 0, 0))
+        fd = nonrel_energy_fd(params, QuantumNumbers(0, 0, 0))
         assert abs(fd - closed) / abs(closed) < 1e-4
 
     def test_second_order_convergence(self):
@@ -88,19 +88,19 @@ class TestAngularSolver:
     def test_pure_central_family(self):
         eigs = [fd_angular_eigs(0.0, RingParams(0, 0), 0, k) for k in range(3)]
         expected = [(2 * k + 1.5) ** 2 for k in range(3)]
-        np.testing.assert_allclose(eigs, expected, rtol=1e-5)
+        np.testing.assert_allclose(eigs, expected, rtol=1e-8)
 
     def test_ring_dressed_value(self):
         g = 2.072188142
         eig = fd_angular_eigs(g, RingParams(1, 1), 0, 0)
-        terms = coefficients_at_gamma(g, None, None, RingParams(1, 1), QuantumNumbers())
+        terms = coefficients_at_gamma(g, None, None, RingParams(1, 1), QuantumNumbers(0, 0, 0))
         expected = terms.ell_eff.real ** 2
         assert abs(eig - expected) / expected < 1e-3
 
     def test_azimuthal_shift(self):
         eigs = [fd_angular_eigs(0.0, RingParams(0, 0), 2, k) for k in range(3)]
         expected = [(abs(2) + 1.5 + 2 * k) ** 2 for k in range(3)]
-        np.testing.assert_allclose(eigs, expected, rtol=1e-5)
+        np.testing.assert_allclose(eigs, expected, rtol=1e-8)
 
     def test_matches_quantization_on_grid(self):
         # 3 gammas x 3 ring configurations x 2 azimuthal numbers
@@ -109,23 +109,28 @@ class TestAngularSolver:
                 for m in (0, 2):
                     ring = RingParams(a, b)
                     for n_prime in range(2):
-                        qn = QuantumNumbers(n_prime=n_prime, m=m)
+                        qn = QuantumNumbers(n=0, n_prime=n_prime, m=m)
                         terms = coefficients_at_gamma(gamma, None, None, ring, qn)
                         expected = terms.ell_eff.real ** 2
                         eig = fd_angular_eigs(gamma, ring, m, n_prime)
-                        assert abs(eig - expected) / expected < 1e-3
+                        assert abs(eig - expected) / expected < 1e-7
 
     def test_ring_dressed_levels_pinned(self):
         eigs = [fd_angular_eigs(2.0, RingParams(1.0, 0.5), 1, k) for k in range(2)]
-        assert [float(x).hex() for x in eigs] == ["0x1.ea4630077fb5ap+3", "0x1.17d2c8d0a59f9p+5"]
+        assert [float(x).hex() for x in eigs] == ["0x1.ea463000c5980p+3", "0x1.17d2c8cc5b1cbp+5"]
 
     def test_complex_sector_rejected(self):
         with pytest.raises(OracleError):
             fd_angular_eigs(-2.0, RingParams(1.0, 0.0), 0, 0)
 
 
-def _angular_fd_uncached(gamma, ring, m, index, cells, near=None):
-    """The angular FD matrix built whole on every call, as before _angular_grid."""
+def _angular_matrix(gamma, ring, m, cells, wall):
+    """(d, e) of the angular FD matrix built whole, as before _angular_grid.
+
+    The last cell's outer face enters its kinetic entry `wall` times: 2 is
+    the ghost value -P_last, the wall on that face; 1 is the former closure,
+    the wall half a cell beyond pi/2.
+    """
     h = (math.pi / 2.0) / cells
     centers = (np.arange(cells) + 0.5) * h
     faces = np.arange(cells + 1) * h
@@ -136,11 +141,18 @@ def _angular_fd_uncached(gamma, ring, m, index, cells, near=None):
         + (m * m + gamma * ring.b) / sin_c**2
         + gamma * ring.a / np.cos(centers) ** 2
     )
-    diag = (sin_f[:cells] + sin_f[1:]) / h**2 + q * sin_c
+    kinetic = (sin_f[:cells] + sin_f[1:]) / h**2
+    kinetic[-1] = (sin_f[-2] + wall * sin_f[-1]) / h**2
+    diag = kinetic + q * sin_c
     off = -sin_f[1:cells] / h**2
     d = diag / sin_c
     e = off / np.sqrt(sin_c[:-1] * sin_c[1:])
-    return oracle._eigenvalue(d, e, index, near)
+    return d, e
+
+
+def _angular_fd_uncached(gamma, ring, m, index, cells, near=None):
+    """The level of the angular FD matrix built whole on every call."""
+    return oracle._eigenvalue(*_angular_matrix(gamma, ring, m, cells, 2.0), index, near)
 
 
 class TestAngularGrid:
@@ -353,9 +365,9 @@ class TestSelfConsistency:
         # span that stops firing reads 0 here
         assert validate_solves["counts"] == {
             "oracle.self_consistent_energy": 12,
-            "oracle.fd_angular_eigs": 104,
-            "oracle.fd_radial_eigs": 169,
-            "oracle.eigh_tridiagonal": 1365,
+            "oracle.fd_angular_eigs": 102,
+            "oracle.fd_radial_eigs": 167,
+            "oracle.eigh_tridiagonal": 1345,
             "oracle.nonrel_energy_fd": 12,
         }
 
@@ -459,9 +471,9 @@ class TestSelfConsistency:
             self_consistent_energy(table_spec(3, 0, 0, 0, 1.0, 1.0), **kwargs)
 
     def test_nonrel_limit_reproduces_closed_form(self):
-        params = NonRelParams(mu=1.0, potential=Kratzer(15.0, 0.4), ring=RingParams())
-        closed = energy_kratzer_nr(params, QuantumNumbers())
-        fd = nonrel_energy_fd(params, QuantumNumbers())
+        params = NonRelParams(mu=1.0, potential=Kratzer(15.0, 0.4), ring=RingParams(0.0, 0.0))
+        closed = energy_kratzer_nr(params, QuantumNumbers(0, 0, 0))
+        fd = nonrel_energy_fd(params, QuantumNumbers(0, 0, 0))
         assert abs(fd - closed) < 1e-4 * abs(closed)
 
 
@@ -503,7 +515,7 @@ class TestEigenvaluesOnly:
     def test_angular_matrices(self, monkeypatch):
         seen = self._capture(monkeypatch)
         _angular_level(1)
-        self._assert_same_as_eigenvector_call(seen, [1500, 3000, 3000, 6000, 6000])
+        self._assert_same_as_eigenvector_call(seen, [500, 1000, 1000, 2000, 2000])
 
 
 def _radial_level(index):
@@ -656,6 +668,66 @@ class TestRadialErrorTable:
         assert np.median(three) <= np.median(two)
 
 
+def _aitken_level(gamma, ring, m, index):
+    """Level `index` by the former rule: the wall half a cell beyond pi/2 and
+    Aitken's step over 1500, 3000 and 6000 cells, each finer grid windowed
+    around the coarser grid's level."""
+    levels = [None]
+    for cells in (1500, 3000, 6000):
+        d, e = _angular_matrix(gamma, ring, m, cells, 1.0)
+        levels.append(oracle._eigenvalue(d, e, index, levels[-1]))
+    l1, l2, l3 = levels[1:]
+    d1, d2 = l2 - l1, l3 - l2
+    return l3 - d2 * d2 / (d2 - d1)
+
+
+class TestAngularErrorTable:
+    """The wall on the last face and two Richardson steps beat the former angular rule.
+
+    At each of the 60 table-3 class-A roots E* (strict find_roots), the
+    exact polar level at gamma(E*) is ell_eff^2 from derive_coefficients,
+    and the error is |level - ell_eff^2| / (1 + ell_eff^2):
+
+    | rule                                   | cells            | max      | median   |
+    |----------------------------------------|------------------|----------|----------|
+    | former: wall h/2 beyond pi/2, Aitken   | 1500, 3000, 6000 | 6.92e-7  | 2.32e-9  |
+    | wall on the face, two Richardson steps | 250, 500, 1000   | 1.16e-8  | 1.58e-11 |
+    | wall on the face, two Richardson steps | 500, 1000, 2000  | 2.52e-9  | 5.09e-11 |
+    | wall on the face, two Richardson steps | 1000, 2000, 4000 | 1.09e-9  | 2.62e-10 |
+
+    fd_angular_eigs solves the 500-cell row.  Its worst row is (n, n', m) =
+    (0, 0, 0) with a = 1, b = 0.  The median grows with the cell count: the
+    b / sin^2 and 1 / (4 sin^2) terms put entries of order 1/h^2 on the first
+    cells, and stebz's accuracy is absolute.
+    """
+
+    def test_max_and_median_no_worse_than_former_rule(self):
+        new, former = [], []
+        for row in load_table_data(3):
+            spec = table_spec(3, *row[:5])
+            for root in find_roots(spec, mode="strict"):
+                if root.root_class is not RootClass.A:
+                    continue
+                e = root.energy.real
+                g = gamma_of(spec, e).real
+                exact = derive_coefficients(spec, e).ell_eff.real ** 2
+                args = (g, spec.ring, spec.qn.m, spec.qn.n_prime)
+                new.append(abs(fd_angular_eigs(*args) - exact) / (1.0 + exact))
+                former.append(abs(_aitken_level(*args) - exact) / (1.0 + exact))
+        assert len(new) == 60
+        assert max(new) <= max(former) and np.median(new) <= np.median(former)
+        assert max(new) <= 3e-9 and np.median(new) <= 1e-10
+
+    def test_second_order_convergence(self):
+        # (n, n', m) = (1, 0, 0), a = b = 0: the exact level is (1/2 + 1)^2,
+        # and P has a nonzero slope at the wall; each doubling of the cells
+        # quarters the raw level's error (the former closure only halved it)
+        ring = RingParams(0.0, 0.0)
+        levels = [oracle._angular_fd_once(0.0, ring, 0, 0, cells) for cells in (500, 1000, 2000)]
+        errs = [abs(level - 2.25) for level in levels]
+        assert errs[0] / errs[1] > 3.8 and errs[1] / errs[2] > 3.8
+
+
 class TestNonrelDomain:
     """nonrel_energy_fd doubles its radial domain until the level settles."""
 
@@ -677,8 +749,9 @@ class TestNonrelDomain:
             return r_max
 
         monkeypatch.setattr(oracle, "radial_level", drifting)
+        params = NonRelParams(mu=1.0, potential=Kratzer(15.0, 0.4), ring=RingParams(0.0, 0.0))
         with pytest.raises(DivergenceError, match="unsettled"):
-            nonrel_energy_fd(NonRelParams(mu=1.0, potential=Kratzer(15.0, 0.4)), QuantumNumbers())
+            nonrel_energy_fd(params, QuantumNumbers(0, 0, 0))
         assert domains == [6.0 * 2.0**k for k in range(5)]
 
 

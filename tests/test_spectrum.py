@@ -45,7 +45,7 @@ def has_root(roots, value, klass, tol=1e-6):
 
 def ell_eff(gamma, ring, m, n_prime):
     """The quantized ell + 1/2 at gamma, read off the coefficient set."""
-    qn = QuantumNumbers(n_prime=n_prime, m=m)
+    qn = QuantumNumbers(n=0, n_prime=n_prime, m=m)
     return coefficients_at_gamma(gamma, None, None, ring, qn).ell_eff
 
 
