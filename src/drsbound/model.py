@@ -341,7 +341,7 @@ def radial_equation_beta_sq(spec: ProblemSpec, energy) -> complex:
     (E + M)(E - M - C_ps) for pseudospin.  For spin the squared Dirac
     reduction carries (M - E)(C_s - E - M), the sign-flipped partner of the
     separated equations' beta^2 = (E - M)(C_s - E - M).  The
-    finite-difference oracle and the wavefunction decay rates use it.
+    oracle and the wavefunction decay rates use it.
     """
     e, t = complex(energy), spec._condition_terms
     if t.is_spin:

@@ -5,7 +5,7 @@ Obtained from the spin-limit solutions through E - M -> E, E + M -> 2 mu
 relativistic coefficient set (model.coefficients_at_gamma) at gamma = 2 mu.
 The Kratzer spectrum is fully closed-form (the square root no longer
 depends on the energy); oracle.nonrel_energy_fd is its independent
-finite-difference check.
+Galerkin check.
 """
 
 from __future__ import annotations

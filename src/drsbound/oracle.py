@@ -1,15 +1,15 @@
-"""Independent finite-difference oracles for the separated equations.
+"""Independent oracles for the separated equations.
 
 These never touch the closed-form spectra.  Each solver returns one level.
-The radial solver diagonalizes the symmetric tridiagonal discretization of
--d^2/dr^2 + V_eff(r) on (0, r_max) with Dirichlet walls on three nested
-grids (spacings h, h/2 and h/4) and cancels the h^2 and h^4 error terms by
-two Richardson steps, and the angular solver diagonalizes the theta
-equation in its Sturm-Liouville form.  Both the relativistic sweep and the
-nonrelativistic check double the radial domain until the level settles
-(_settled_level).  A self-consistent solve couples the two through the
-energy dependence of gamma: it brackets a zero of
-F(E) = lambda_n(gamma(E)) - b(E), the FD radial eigenvalue minus the radial
+The radial solver is a Laguerre Galerkin method on the half-line, with no
+radial domain (fd_radial_eigs; the Laguerre-mesh family of Baye, "The
+Lagrange-mesh method", Phys. Rep. 565 (2015) 1): its basis starts with the
+operator's own Frobenius exponent at r = 0, every matrix element is exact
+Gauss-Laguerre quadrature, and the level is checked against the one from
+half as many functions.  The angular solver diagonalizes the theta
+equation's finite-difference (FD) form.  A self-consistent solve couples
+the two through the energy dependence of gamma: it brackets a zero of
+F(E) = lambda_n(gamma(E)) - b(E), the radial level minus the radial
 equation's constant b(E), skipping brackets that hold a zero of b (the
 continuum edge), and closes it with Brent's method.  It validates
 relativistic class-A roots without evaluating any spectral condition.
@@ -30,23 +30,18 @@ the solution family of the quantization rule (the printed family always
 vanishes at pi/2).  The wall sits on the last cell's outer face: the ghost
 value -P_last mirrors the last centre through it, so the level converges at
 second order even where P has a nonzero slope at pi/2 (a = 0).  The angular
-level then takes the radial rule's two Richardson steps, over ANGULAR_CELLS,
-2 ANGULAR_CELLS and 4 ANGULAR_CELLS cells (spacings h, h/2 and h/4), in the
-one routine both solvers share (_richardson).
+level then takes two Richardson steps over ANGULAR_CELLS, 2 ANGULAR_CELLS
+and 4 ANGULAR_CELLS cells (spacings h, h/2 and h/4; _richardson).
 
-Each FD level comes from LAPACK's Sturm-sequence bisection (stebz; Barth,
-Martin & Wilkinson, Numer. Math. 9 (1967) 386).  The coarsest grid of a call
-is an index solve, which bisects the whole Gershgorin interval.  Each finer
-grid solves by value on a window of +-_WINDOW (1 + |lambda|) around the
-coarser grid's level, certified first by one Sturm count: the window is kept
-only when exactly `index` eigenvalues lie at or below its lower end and it
-holds a level; otherwise the index solve runs (see _eigenvalue).
-
-No FD arithmetic is repeated where its inputs repeat.  The angular matrix's
-cell geometry depends only on the cell count and is built once per count
-(_angular_grid).  A self-consistent solve keeps the levels it has solved,
-the angular level by gamma and each radial level by (gamma, r_max), for as
-long as the solve runs (see _consistency_map).
+Each angular FD level comes from LAPACK's Sturm-sequence bisection (stebz;
+Barth, Martin & Wilkinson, Numer. Math. 9 (1967) 386).  The coarsest grid
+of a call is an index solve, which bisects the whole Gershgorin interval.
+Each finer grid solves by value on a window of +-_WINDOW (1 + |lambda|)
+around the coarser grid's level, certified first by one Sturm count: the
+window is kept only when exactly `index` eigenvalues lie at or below its
+lower end and it holds a level; otherwise the index solve runs (see
+_eigenvalue).  The angular matrix's cell geometry depends only on the cell
+count and is built once per count (_angular_grid).
 """
 
 from __future__ import annotations
@@ -58,6 +53,7 @@ import numpy as np
 
 try:
     from scipy.linalg import eigh_tridiagonal
+    from scipy.special import roots_genlaguerre
 except ImportError as exc:  # scipy is an optional dependency of the oracle only
     raise ImportError(
         "drsbound.oracle needs scipy; install it with: pip install drsbound[validate]"
@@ -78,7 +74,7 @@ class OracleError(RuntimeError):
 
 
 class DivergenceError(OracleError):
-    """Self-consistent iteration failed to settle."""
+    """A radial level or a self-consistent solve failed to settle."""
 
 
 #: Half-width of the value window around a level estimate, relative to 1 + |estimate|.
@@ -101,6 +97,12 @@ def _count_below(d, e, x):
     )
 
 
+def _check_index(index):
+    """ValueError unless index is an int >= 0."""
+    if isinstance(index, bool) or not isinstance(index, (int, np.integer)) or index < 0:
+        raise ValueError(f"index must be an int >= 0, got {index!r}")
+
+
 def _eigenvalue(d, e, index, near):
     """Eigenvalue `index` (0 the lowest) of the symmetric tridiagonal (d, e).
 
@@ -110,8 +112,7 @@ def _eigenvalue(d, e, index, near):
     window holds a value.  Any other case falls back to the index solve.
     Raises ValueError unless index is an int >= 0.
     """
-    if isinstance(index, bool) or not isinstance(index, (int, np.integer)) or index < 0:
-        raise ValueError(f"index must be an int >= 0, got {index!r}")
+    _check_index(index)
     if near is not None:
         lo = near - _WINDOW * (1.0 + abs(near))
         hi = near + _WINDOW * (1.0 + abs(near))
@@ -120,21 +121,6 @@ def _eigenvalue(d, e, index, near):
             if len(window):
                 return window[0]
     return eigh_tridiagonal(d, e, eigvals_only=True, select="i", select_range=(index, index))[0]
-
-
-def _grid_level(v_eff, r_max, nodes, index, near=None):
-    """Level `index` on `nodes` interior nodes of (0, r_max), Dirichlet walls at both ends.
-
-    OracleError unless V_eff is finite at every node.
-    """
-    h = r_max / (nodes + 1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        v = np.asarray(v_eff(h * np.arange(1, nodes + 1)), dtype=float)
-    if not np.all(np.isfinite(v)):
-        raise OracleError("potential not finite on the open grid interior")
-    diag = 2.0 / h**2 + v
-    off = np.full(nodes - 1, -1.0 / h**2)
-    return _eigenvalue(diag, off, index, near)
 
 
 def _richardson(l1, l2, l3):
@@ -148,39 +134,94 @@ def _richardson(l1, l2, l3):
     return (16.0 * r2 - r1) / 15.0
 
 
-def fd_radial_eigs(v_eff, r_max, nodes, index):
-    """Level `index` of -d^2/dr^2 + V_eff on (0, r_max) with Dirichlet walls.
+def _galerkin_matrix(v_eff, s, power, h, size):
+    """Matrix of -d^2/dr^2 + v_eff(r) on `size` Laguerre functions at scale h.
 
-    The second-order FD level on `nodes`, 2 nodes + 1 and 4 nodes + 3
-    interior nodes (spacings h, h/2 and h/4) gives L1, L2 and L3, and two
-    Richardson steps cancel the h^2 and h^4 terms (_richardson).  The
-    `nodes` grid is an index solve; each finer grid solves in a
-    Sturm-certified value window around the coarser grid's level (see
-    _eigenvalue).  Raises ValueError unless index is an int >= 0, and
-    OracleError when nodes < 10 (index + 1) or V_eff is not finite at a node
-    of any grid.
+    With r = h x^(1/power) the basis is x^(s/power) e^(-x/2) L_k^(alpha)(x),
+    k < size, alpha = (2 s + 1) / power - 1, orthonormal in r up to the factor
+    h / power, so the mass matrix is the identity.  In weak form the kinetic
+    term is (power / h)^2 P_j P_k and the potential term x^(2/power) v_eff
+    L_j L_k, each against the weight x^beta e^(-x), beta = alpha - 2/power,
+    where P_k = (s/power - x/2) L_k + x L_k'.  Where x^(2/power) v_eff is a
+    polynomial of degree at most 2, both are polynomials of degree at most
+    2 size, so size + 2 Gauss-Laguerre nodes of that weight integrate them
+    exactly.  The nodes and weights come from scipy (roots_genlaguerre),
+    whose weights are relatively accurate where they are tiny; each
+    orthonormal L_k is carried times sqrt(weight) by its three-term
+    recurrence, so no factor overflows.
     """
-    if nodes < 10 * (index + 1):
-        raise OracleError("grid too coarse for the requested level")
-    l1 = _grid_level(v_eff, r_max, nodes, index)
-    l2 = _grid_level(v_eff, r_max, 2 * nodes + 1, index, near=l1)
-    l3 = _grid_level(v_eff, r_max, 4 * nodes + 3, index, near=l2)
-    return _richardson(l1, l2, l3)
+    alpha = (2.0 * s + 1.0) / power - 1.0
+    x, w = roots_genlaguerre(size + 2, alpha - 2.0 / power)
+    k = np.arange(size)
+    root = np.sqrt(k * (k + alpha))
+    f = np.empty((size, x.size))
+    f[0] = np.sqrt(w) * math.exp(-0.5 * math.lgamma(alpha + 1.0))
+    f[1] = (alpha + 1.0 - x) * f[0] / root[1]
+    for j in range(1, size - 1):
+        f[j + 1] = ((2 * j + 1 + alpha - x) * f[j] - root[j] * f[j - 1]) / root[j + 1]
+    p = (s / power - 0.5 * x + k[:, None]) * f
+    p[1:] -= root[1:, None] * f[:-1]
+    g = x ** (1.0 / power) * f
+    return (power / h) ** 2 * (p @ p.T) + (g * v_eff(h * x ** (1.0 / power))) @ g.T
 
 
-def radial_level(potential, gamma, ell_eff_sq, index, r_max):
-    """Level `index` of -u'' + [(ell_eff^2 - 1/4)/r^2 + gamma V(r)] u = lambda u.
+def fd_radial_eigs(potential, gamma, ell_eff_sq, index, b):
+    """Level `index` of -u'' + [(ell_eff^2 - 1/4)/r^2 + gamma V(r)] u = lambda u on r > 0.
 
     The radial equation in its gamma form, shared by the relativistic sweep
-    (gamma = gamma(E)) and the nonrelativistic checks (gamma = 2 mu,
-    where lambda / gamma is the energy).  Solved on (0, r_max) by
-    fd_radial_eigs from a coarsest grid of FD_NODES interior nodes.
+    (gamma = gamma(E), b = b(E)) and the nonrelativistic checks (gamma =
+    2 mu, b None; lambda / gamma is the energy).  The name is the one
+    perfbench's tracer spans; the solve is Galerkin, not FD, and has no
+    radial domain.  The Frobenius exponent s = 1/2 + sqrt(1/4 + c2) comes
+    from the operator's own 1/r^2 coefficient c2 (ell_eff^2 - 1/4, plus
+    gamma D_e r_e^2 for Kratzer).  Kratzer maps r = h x; its solutions decay
+    as e^(-sqrt|lambda| r), so h = 1.3 / (2 sqrt|b|), 1.3 times the scale at
+    which the basis decays as the level does.  Where b is None or
+    |b| < 1e-3, b is first taken as level `index` of RADIAL_FUNCTIONS
+    functions at h = 1.  The oscillator maps r = h x^(1/2); its solutions
+    decay as e^(-sqrt(c4) r^2 / 2), c4 = gamma k / 2 its r^2 coefficient,
+    so h = 1.3 c4^(-1/4).  The 1.3 keeps the basis off the level's own
+    eigenfunction.
+
+    One matrix of 2N functions (_galerkin_matrix) gives the level on N
+    functions as its leading block; the 2N-function level is returned once
+    the two agree to 1e-10 (1 + |level|).  N starts at RADIAL_FUNCTIONS and
+    doubles up to MAX_RADIAL_FUNCTIONS, beyond which DivergenceError is
+    raised, as it is for gamma <= 0, where gamma V holds no bound level.
+    Raises ValueError unless index is an int >= 0, and OracleError unless
+    index < RADIAL_FUNCTIONS.
     """
+    _check_index(index)
+    if index >= RADIAL_FUNCTIONS:
+        raise OracleError(f"level {index} lies beyond the {RADIAL_FUNCTIONS}-function basis")
+    if gamma <= 0:
+        raise DivergenceError("gamma V holds no bound level at gamma <= 0")
+    c2 = ell_eff_sq - 0.25
+    if isinstance(potential, Kratzer):
+        power = 1
+        c2 += gamma * potential.d_e * potential.r_e**2
+    else:
+        power = 2
+    s = 0.5 + math.sqrt(0.25 + c2)
 
     def v_eff(r):
         return (ell_eff_sq - 0.25) / r**2 + gamma * potential.radial(r)
 
-    return fd_radial_eigs(v_eff, r_max, FD_NODES, index)
+    if power == 2:
+        h = 1.3 * (0.5 * gamma * potential.k) ** -0.25
+    else:
+        if b is None or abs(b) < 1e-3:
+            b = np.linalg.eigvalsh(_galerkin_matrix(v_eff, s, power, 1.0, RADIAL_FUNCTIONS))[index]
+        h = 1.3 / (2.0 * math.sqrt(abs(b)))
+    size = RADIAL_FUNCTIONS
+    while size <= MAX_RADIAL_FUNCTIONS:
+        matrix = _galerkin_matrix(v_eff, s, power, h, 2 * size)
+        coarse = np.linalg.eigvalsh(matrix[:size, :size])[index]
+        level = np.linalg.eigvalsh(matrix)[index]
+        if abs(level - coarse) <= 1e-10 * (1.0 + abs(level)):
+            return float(level)
+        size *= 2
+    raise DivergenceError(f"radial level unsettled at {MAX_RADIAL_FUNCTIONS} functions")
 
 
 @functools.lru_cache(maxsize=3)
@@ -235,7 +276,7 @@ def fd_angular_eigs(gamma, ring: RingParams, m: int, index: int):
     pi/2) on ANGULAR_CELLS, 2 ANGULAR_CELLS and 4 ANGULAR_CELLS cells
     (spacings h, h/2 and h/4), each second order with the wall on the last
     face, and two Richardson steps cancel the h^2 and h^4 terms
-    (_richardson), as in fd_radial_eigs.  The coarsest grid is an index
+    (_richardson).  The coarsest grid is an index
     solve; the finer two each solve in a Sturm-certified value window
     around the previous grid's level (see _eigenvalue).  Raises ValueError
     unless index is an int >= 0.
@@ -248,47 +289,13 @@ def fd_angular_eigs(gamma, ring: RingParams, m: int, index: int):
     return _richardson(l1, l2, l3)
 
 
-def _level(levels: dict, key, solve):
-    """levels[key], from solve() the first time a solve asks for the key."""
-    if key not in levels:
-        levels[key] = solve()
-    return levels[key]
+def _consistency_map(spec: ProblemSpec, e: float) -> float:
+    """One sweep: F(E) = lambda_n(gamma(E)) - b(E), zero at a bound root.
 
-
-def _settled_level(level, r_max):
-    """(level(R), doublings): r_max doubled until the level settles.
-
-    R = r_max * 2**doublings is the first doubling at which level(R) lies
-    within 1e-8 (1 + |level(R)|) of the level on the previous domain;
-    DivergenceError if 4 doublings leave it unsettled.
-    """
-    prev = level(r_max)
-    for doublings in range(1, 5):
-        r_max *= 2.0
-        lam = level(r_max)
-        if abs(lam - prev) < 1e-8 * (1.0 + abs(lam)):
-            return lam, doublings
-        prev = lam
-    raise DivergenceError("radial eigenvalue unsettled after 4 domain doublings")
-
-
-def _consistency_map(
-    spec: ProblemSpec, e: float, levels: dict, doublings: int | None
-) -> tuple[float, int]:
-    """One sweep: (F(E), doublings), F(E) = lambda_n(gamma(E)) - b(E) zero at a bound root.
-
-    lambda_n is level n of the FD radial problem at gamma(E), whose
-    centrifugal term takes the polar equation's quantized (ell + 1/2)^2, and
-    b(E) = radial_equation_beta_sq(spec, E); spin Kratzer specs only.  The
-    radial domain starts at r0(E) = 25 / sqrt(|b(E)|) (25 where |b(E)| is
-    below 1e-3).  With `doublings` None it is doubled until the eigenvalue
-    settles (_settled_level), and the doublings that took are returned.
-    Otherwise the sweep solves once at r0(E) * 2**doublings, unverified, and
-    returns `doublings` unchanged.
-
-    `levels` holds one solve's FD levels: the angular level keyed by gamma
-    and each radial level by (gamma, r_max).  A level found there is not
-    solved again; every level solved here is added to it.
+    lambda_n is level n of the radial problem at gamma(E) (fd_radial_eigs,
+    scaled by b(E)), whose centrifugal term takes the polar equation's
+    quantized (ell + 1/2)^2, and b(E) = radial_equation_beta_sq(spec, E);
+    spin Kratzer specs only.
     """
     g = gamma_of(spec, e)
     if abs(g.imag) > 1e-12:
@@ -296,21 +303,11 @@ def _consistency_map(
     g = g.real
     n, n_prime = spec.qn.n, spec.qn.n_prime
     try:
-        lam_ang = _level(levels, g, lambda: fd_angular_eigs(g, spec.ring, spec.qn.m, n_prime))
+        lam_ang = fd_angular_eigs(g, spec.ring, spec.qn.m, n_prime)
     except OracleError as exc:
         raise DivergenceError(str(exc)) from exc
-
-    def radial(r_max):
-        return _level(
-            levels, (g, r_max), lambda: radial_level(spec.potential, g, lam_ang, n, r_max)
-        )
-
     b = radial_equation_beta_sq(spec, e).real
-    r_max = 25.0 / math.sqrt(abs(b)) if abs(b) > 1e-3 else 25.0
-    if doublings is not None:
-        return radial(r_max * 2.0**doublings) - b, doublings
-    lam_rad, doublings = _settled_level(radial, r_max)
-    return lam_rad - b, doublings
+    return fd_radial_eigs(spec.potential, g, lam_ang, n, b) - b
 
 
 #: Width at which `self_consistent_energy` stops closing its bracket.
@@ -319,16 +316,16 @@ BRACKET_TOL = 1e-9
 MAX_SWEEPS = 200
 #: Step and half-width of the outward march for a bracket.
 SCAN_STEP, SCAN_SPAN = 0.1, 4.0
-#: Nodes of the coarsest radial FD grid in each sweep (the finer two have
-#: 2 FD_NODES + 1 and 4 FD_NODES + 3).
-FD_NODES = 900
+#: Laguerre functions of the coarser radial Galerkin level, and its cap
+#: (the finer level has twice as many; see fd_radial_eigs).
+RADIAL_FUNCTIONS, MAX_RADIAL_FUNCTIONS = 16, 128
 #: Cells of the coarsest angular FD grid (the finer two have 2x and 4x as
-#: many, so the three spacings halve as the radial grids' do).
+#: many cells, at spacings h, h/2 and h/4).
 ANGULAR_CELLS = 500
 
 
 def self_consistent_energy(spec: ProblemSpec, initial_energy: float):
-    """Energy E at which the FD radial eigenvalue at gamma(E) equals b(E).
+    """Energy E at which the radial level at gamma(E) equals b(E).
 
     Each sweep evaluates F(E) = lambda_n(gamma(E)) - b(E) (see
     _consistency_map): it solves the polar equation at gamma(E) for the
@@ -344,21 +341,12 @@ def self_consistent_energy(spec: ProblemSpec, initial_energy: float):
     the polar equation's real-sector conditions are linear in gamma, so the
     energies where a sweep completes form an interval, which holds both
     bracket ends.
-    MAX_SWEEPS caps the total number of sweeps, each solving the radial
-    problem from a coarsest grid of FD_NODES nodes; real-sector specs
-    only.  DivergenceError is the documented outcome whenever no bound root
-    exists in reach of the march.
-
-    The radial domain is verified twice per solve: the first sweep whose
-    radial solve completes doubles it until the eigenvalue settles, and
-    every later sweep of the march and the bracket reuses the number of
-    doublings that sweep returned.  The final check at the returned energy
-    runs the full doubling test again and requires
-    |F(E)| <= 1e-6 (1 + |b(E)|), so the returned energy always passes on a
-    verified domain.  Brent's method returns a point it has swept, so the
-    check reuses that sweep's angular level and its radial level at the
-    recorded domain, and solves only the doubling test's other domains.
-    Levels are kept for one call only; a second call solves them again.
+    MAX_SWEEPS caps the total number of sweeps; real-sector specs only.
+    DivergenceError is the documented outcome whenever no bound root exists
+    in reach of the march.  The returned energy must satisfy
+    |F(E)| <= 1e-6 (1 + |b(E)|); Brent's method returns a point it has
+    swept, so that check solves nothing again.  Sweeps are kept for one
+    call only; a second call solves them again.
 
     Raises ValueError for a non-finite initial_energy, and OracleError,
     before any sweep, for a spec outside the spin Kratzer sector (see the
@@ -370,20 +358,17 @@ def self_consistent_energy(spec: ProblemSpec, initial_energy: float):
     if not (spec.is_spin and isinstance(spec.potential, Kratzer)):
         raise OracleError("the self-consistent sweep solves the spin Kratzer sector only")
     budget = MAX_SWEEPS
-    doublings = None
-    levels = {}
 
     def sweep(e):
         """F at e, None where the sweep fails."""
-        nonlocal budget, doublings
+        nonlocal budget
         if budget <= 0:
             raise DivergenceError("sweep budget exhausted")
         budget -= 1
         try:
-            f, doublings = _consistency_map(spec, e, levels, doublings)
+            return _consistency_map(spec, e)
         except DivergenceError:
             return None
-        return f
 
     known = {}
 
@@ -422,8 +407,7 @@ def self_consistent_energy(spec: ProblemSpec, initial_energy: float):
         return value
 
     e_star = brentq(inside, *bracket, xtol=BRACKET_TOL)
-    doublings = None  # the final check runs the full doubling test
-    f_star = sweep(e_star)
+    f_star = fval(e_star)
     b_star = radial_equation_beta_sq(spec, e_star).real
     if f_star is None or abs(f_star) > 1e-6 * (1.0 + abs(b_star)):
         raise DivergenceError("bracketed point is not a consistent energy")
@@ -431,26 +415,15 @@ def self_consistent_energy(spec: ProblemSpec, initial_energy: float):
 
 
 def nonrel_energy_fd(params, qn):
-    """FD energy of level n of the nonrelativistic separated radial problem.
+    """Energy of level n of the nonrelativistic separated radial problem.
 
     Solves -u''/(2 mu) + [V(r) + (L^2 - 1/4)/(2 mu r^2)] u = E u (hbar = 1)
-    with the ring-quantized L = ell_eff as radial_level at gamma = 2 mu on
-    FD_NODES base nodes, whose eigenvalue is gamma E; the independent check
-    for the closed-form nonrelativistic spectra.  The radial domain starts
-    at 6 (n + 1) for Kratzer and 3 sqrt(2 n + ell_eff + 10) for the
-    oscillator and is doubled until the level settles (_settled_level);
-    DivergenceError if 4 doublings leave it unsettled.
+    with the ring-quantized L = ell_eff as fd_radial_eigs at gamma = 2 mu,
+    whose eigenvalue is gamma E; the independent check for the closed-form
+    nonrelativistic spectra.  DivergenceError if the level does not settle.
     """
     from .nonrel import coefficients_nr
 
     gamma = 2.0 * params.mu
     ell_eff = coefficients_nr(params, qn).ell_eff.real
-    if isinstance(params.potential, Kratzer):
-        r_max = 6.0 * (qn.n + 1)
-    else:
-        r_max = 3.0 * math.sqrt(2.0 * qn.n + ell_eff + 10.0)
-
-    def level(r_max):
-        return radial_level(params.potential, gamma, ell_eff**2, qn.n, r_max)
-
-    return _settled_level(level, r_max)[0] / gamma
+    return fd_radial_eigs(params.potential, gamma, ell_eff**2, qn.n, None) / gamma

@@ -583,7 +583,7 @@ def _seeds(spec, lo, hi):
 
 #: Grid panels tested on each side of those a seed disk's real-axis shadow
 #: overlaps, so a disk of radius 0 marks 2 SEED_PANELS + 1 panels.  A root on
-#: a grid point is bracketed on both sides of it, and the disks are floats.
+#: a grid point is bracketed by the panel it ends, and the disks are floats.
 SEED_PANELS = 2
 
 
@@ -607,7 +607,8 @@ def _scan_branches(spec, interval):
     first, then the imaginary ones, each in ascending order.  Each bracket
     found is one a full sign-change scan of the grid finds, with the same
     root; that the disks mark every such bracket is checked against the
-    full scan in the tests, not certified.
+    full scan in the tests, not certified.  A zero on a grid point is
+    bracketed once, by the panel it ends.
     """
     branches = _search_branches(spec)
     lo, hi = interval
@@ -634,6 +635,7 @@ def _scan_branches(spec, interval):
         good = ok & (size[other] < 1e-9 * (1.0 + size[comp]))
         sign = np.sign(getattr(vals, comp))
         change[comp] = good[:, left] & good[:, left + 1] & (sign[:, left] != sign[:, left + 1])
+        change[comp] &= sign[:, left] != 0  # a zero on a grid point ends its panel
     roots = []
     for row, br in enumerate(branches):
         roots.append([])

@@ -201,7 +201,7 @@ def test_every_default_is_relied_on():
 
 #: Settable values of `src/drsbound`, counted by `_settable_values`.  A new
 #: option is declared here, as an uncalled definition is in ALLOWED_UNCALLED.
-SETTABLE_VALUES = 63
+SETTABLE_VALUES = 62
 
 
 def _settable_values(tree):

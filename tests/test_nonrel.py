@@ -87,17 +87,17 @@ class TestParams:
 
 
 class TestFdPins:
-    # literals of the three-grid Richardson rule on FD_NODES, kept to
-    # rel 1e-12; each lies at least as close to its closed form as the
-    # two-grid rule's value did (-7.23241306510691 and 2.500000000111932)
+    # literals of the Galerkin level, kept to rel 1e-12; each lies within
+    # 1e-13 (relative) of its closed form, where the former FD rule's values
+    # (-7.232413064875806 and 2.499999999992421) lay 5.2e-12 and 3.0e-12 off
     def test_kratzer_level(self):
         fd = nonrel_energy_fd(kratzer_params(), QuantumNumbers(0, 0, 0))
-        assert fd == pytest.approx(-7.232413064875806, rel=1e-12)
+        assert fd == pytest.approx(-7.232413064838543, rel=1e-12)
         closed = energy_kratzer_nr(kratzer_params(), QuantumNumbers(0, 0, 0))
-        assert abs(fd - closed) <= abs(-7.23241306510691 - closed)
+        assert abs(fd - closed) <= 1e-13 * abs(closed)
 
     def test_oscillator_level(self):
         fd = nonrel_energy_fd(oscillator_params(), QuantumNumbers(0, 0, 0))
-        assert fd == pytest.approx(2.499999999992421, rel=1e-12)
+        assert fd == pytest.approx(2.4999999999999982, rel=1e-12)
         # closed form hbar omega (2 n + ell_eff + 1) with omega = 1, n = 0, ell_eff = 3/2
-        assert abs(fd - 2.5) <= abs(2.500000000111932 - 2.5)
+        assert abs(fd - 2.5) <= 1e-13 * 2.5

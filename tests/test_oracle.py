@@ -26,7 +26,6 @@ from drsbound.oracle import (
     fd_angular_eigs,
     fd_radial_eigs,
     nonrel_energy_fd,
-    radial_level,
     self_consistent_energy,
 )
 from drsbound.spectrum import RootClass, find_roots, load_table_data, table_spec
@@ -35,12 +34,18 @@ DATA_DIR = pathlib.Path(__file__).resolve().parent / "data"
 REFERENCE_DIR = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "reference"
 
 
+def _kratzer_level(index, b):
+    """Level `index` of -u'' + [(2.3^2 - 1/4)/r^2 + 2 V(r)] u, V Kratzer(15, 0.4), scaled by b."""
+    return fd_radial_eigs(Kratzer(15.0, 0.4), 2.0, 2.3**2, index, b)
+
+
 class TestRadialSolver:
     def test_half_line_oscillator(self):
-        # Dirichlet at the origin selects the odd states: 4j + 3
+        # -u'' + r^2 u (ell_eff^2 = 1/4, gamma k / 2 = 1): u ~ r at the origin
+        # selects the odd states 4j + 3
         for j in range(3):
-            level = fd_radial_eigs(lambda r: r**2, 12.0, 3000, j)
-            assert level == pytest.approx(4 * j + 3, rel=1e-4)
+            level = fd_radial_eigs(Oscillator(1.0), 2.0, 0.25, j, None)
+            assert level == pytest.approx(4 * j + 3, rel=1e-13)
 
     def test_kratzer_ground_state(self):
         params = NonRelParams(mu=1.0, potential=Kratzer(15.0, 0.4), ring=RingParams(0.0, 0.0))
@@ -48,40 +53,39 @@ class TestRadialSolver:
         fd = nonrel_energy_fd(params, QuantumNumbers(0, 0, 0))
         assert abs(fd - closed) / abs(closed) < 1e-4
 
-    def test_second_order_convergence(self):
-        # halving the spacing cuts the eigenvalue error by at least 3.8x
-        exact = 3.0
-        errs = [abs(oracle._grid_level(lambda r: r**2, 12.0, n, 0) - exact) for n in (500, 1001)]
-        assert errs[0] / errs[1] > 3.8
-
     def test_no_mass_factor(self):
-        # one kinetic term, -d^2/dr^2; Schroedinger scalings go through radial_level
+        # one kinetic term, -d^2/dr^2; Schroedinger scalings go through gamma
         with pytest.raises(TypeError):
-            fd_radial_eigs(lambda r: r**2, 12.0, 3000, 0, mass_factor=2.0)
+            fd_radial_eigs(Oscillator(1.0), 2.0, 0.25, 0, None, mass_factor=2.0)
 
     def test_radial_level_is_the_gamma_form(self):
         # -u'' + [(l_eff^2 - 1/4)/r^2 + gamma k r^2 / 2] u: l_eff = 3/2 and
         # gamma k / 2 = 1 give the ell = 1 radial oscillator level 4 j + 5 at j = 1
-        level = radial_level(Oscillator(1.0), 2.0, 2.25, 1, 12.0)
-        assert level == pytest.approx(9.0, rel=1e-6)
+        level = fd_radial_eigs(Oscillator(1.0), 2.0, 2.25, 1, None)
+        assert level == pytest.approx(9.0, rel=1e-13)
+
+    def test_leading_block_is_the_smaller_basis(self):
+        # the quadrature is exact, so the N-function matrix is the leading
+        # block of the 2N-function one, on both maps
+        cases = [
+            (lambda r: 4.0 / r**2 - 3.0 / r, 2.5, 1, 0.3),
+            (lambda r: 2.0 / r**2 + r**2, 2.0, 2, 1.3),
+        ]
+        for v_eff, s, power, h in cases:
+            small = oracle._galerkin_matrix(v_eff, s, power, h, 16)
+            large = oracle._galerkin_matrix(v_eff, s, power, h, 32)
+            np.testing.assert_allclose(large[:16, :16], small, rtol=0, atol=1e-12 * np.abs(small).max())
 
     def test_grid_too_coarse_rejected(self):
-        with pytest.raises(OracleError):
-            fd_radial_eigs(lambda r: r**2, 10.0, 60, 9)
+        # the coarser basis holds RADIAL_FUNCTIONS levels
+        with pytest.raises(OracleError, match="beyond"):
+            _kratzer_level(oracle.RADIAL_FUNCTIONS, None)
 
-    def test_non_finite_potential_rejected(self):
-        # 199 nodes on (0, 2) place one exactly at r = 1
-        with pytest.raises(OracleError):
-            fd_radial_eigs(lambda r: 1.0 / (r - 1.0), 2.0, 199, 0)
-
-    def test_refined_grid_non_finite_potential_rejected(self):
-        # the pole at 1.5 h falls between two coarse nodes and on a node of
-        # the (2n+1)-node grid, which gets the same finiteness check
-        h = 10.0 / 101
-        v_eff = lambda r: 1.0 / (r - 1.5 * h) ** 2
-        assert oracle._grid_level(v_eff, 10.0, 100, 0) == pytest.approx(0.16401999, rel=1e-7)
-        with pytest.raises(OracleError, match="not finite"):
-            fd_radial_eigs(v_eff, 10.0, 100, 0)
+    @pytest.mark.parametrize("gamma", [0.0, -1.0])
+    def test_no_bound_level_raises(self, gamma):
+        # gamma D_e r_e <= 0: the 1/r term does not attract
+        with pytest.raises(DivergenceError, match="no bound level"):
+            fd_radial_eigs(Kratzer(15.0, 0.4), gamma, 2.3**2, 0, -1.0)
 
 
 class TestAngularSolver:
@@ -208,19 +212,17 @@ def validate_solves():
     """The oracle calls of the 12 seed-1 validate draws, made once under perfbench's Tracer.
 
     Per draw: float.hex of the start (the strict ground root plus the draw's
-    offset), of self_consistent_energy from it and of nonrel_energy_fd; the
-    solve's sweeps and the set of doublings passed to them.  `counts` holds
-    the tracer's oracle call counts over all 12 draws.
+    offset), of self_consistent_energy from it and of nonrel_energy_fd, and
+    the solve's sweeps.  `counts` holds the tracer's oracle call counts over
+    all 12 draws.
     """
     tracer = _load_tracer().Tracer()
     cases, draws = [], []
     real_map = oracle._consistency_map
 
-    def counting(spec_, e, levels, doublings):
+    def counting(spec_, e):
         draws[-1]["sweeps"] += 1
-        if doublings is not None:
-            draws[-1]["doublings"].add(doublings)
-        return real_map(spec_, e, levels, doublings)
+        return real_map(spec_, e)
 
     for d in json.loads((REFERENCE_DIR / "validate.json").read_text())["draws"]:
         spec = table_spec(3, *d["qn"], *d["ring"])
@@ -232,7 +234,7 @@ def validate_solves():
         tracer.install()
         try:
             for spec, start, params in cases:
-                draws.append({"initial_energy": start.hex(), "sweeps": 0, "doublings": set()})
+                draws.append({"initial_energy": start.hex(), "sweeps": 0})
                 draws[-1]["energy"] = float(oracle.self_consistent_energy(spec, start)).hex()
                 fd = oracle.nonrel_energy_fd(params, spec.qn)
                 draws[-1]["nonrel_energy_fd"] = float(fd).hex()
@@ -268,22 +270,22 @@ class TestSelfConsistency:
 
     def test_bracket_closes_in_few_sweeps(self, monkeypatch):
         # the march from E = 1.0 takes 22 sweeps; brentq then closes the
-        # bracket to BRACKET_TOL in a few more, plus the final consistency
-        # check
+        # bracket to BRACKET_TOL in a few more, and the final consistency
+        # check reads the sweep at the point brentq returns
         spec = table_spec(3, 0, 0, 0, 1.0, 1.0)
         calls = []
         real_map = oracle._consistency_map
 
-        def counting(spec_, e, *domain):
+        def counting(spec_, e):
             calls.append(e)
-            return real_map(spec_, e, *domain)
+            return real_map(spec_, e)
 
         monkeypatch.setattr(oracle, "_consistency_map", counting)
         fixed_point = self_consistent_energy(spec, 1.0)
         steps = [(e - 1.0) / 0.1 for e in calls]
         march = [s for s in steps if math.isclose(s, round(s), abs_tol=1e-9)]
         assert len(march) == 22
-        assert len(calls) - len(march) <= 8 + 1
+        assert len(calls) - len(march) <= 8
         closed = find_roots(spec, mode="strict")[0].energy.real
         assert abs(fixed_point - closed) < 1e-6
 
@@ -298,12 +300,12 @@ class TestSelfConsistency:
         calls, failed = [], []
         real_map = oracle._consistency_map
 
-        def failing(spec_, e, *domain):
+        def failing(spec_, e):
             calls.append(e)
             if 0.71 < e < 0.79 and side * (e - closed) > 1e-6:
                 failed.append(e)
                 raise DivergenceError("sweep failed")
-            return real_map(spec_, e, *domain)
+            return real_map(spec_, e)
 
         monkeypatch.setattr(oracle, "_consistency_map", failing)
         with pytest.raises(DivergenceError, match="inside the bracket"):
@@ -311,11 +313,14 @@ class TestSelfConsistency:
         assert failed == calls[-1:]
 
     def test_unsettled_radial_domain_raises(self):
-        # on draw 3's spec the full doubling test does not settle just below
-        # the continuum edge E = 0
+        # on draw 3's spec the radial level does not settle just above the
+        # continuum edge E = 0, where |b(E)| < 1e-3 and the scale comes from
+        # a first solve; below it gamma <= 0 holds no bound level
         spec = table_spec(3, 1, 0, 1, 0.0, 0.5)
         with pytest.raises(DivergenceError, match="unsettled"):
-            oracle._consistency_map(spec, -1.99e-4, {}, None)
+            oracle._consistency_map(spec, 1e-5)
+        with pytest.raises(DivergenceError, match="no bound level"):
+            oracle._consistency_map(spec, -1.99e-4)
 
     def test_continuum_edge_bracket_skipped(self):
         # b(E) = (M - E)(C_s - E - M) vanishes at E = C_s - M = 0 on draw 3's
@@ -354,75 +359,44 @@ class TestSelfConsistency:
 
     @pytest.mark.parametrize("draw", [str(i) for i in range(12)])
     def test_validate_march_pinned(self, validate_solves, draw):
-        # tests/data/oracle_march_pins.json: the sweeps of the solve (the
-        # final check included) and the doublings its radial domain carries
+        # tests/data/oracle_march_pins.json: the sweeps of the solve
         pin = json.loads((DATA_DIR / "oracle_march_pins.json").read_text())[draw]
-        solved = validate_solves["draws"][int(draw)]
-        assert (solved["sweeps"], solved["doublings"]) == (pin["sweeps"], {pin["doublings"]})
+        assert validate_solves["draws"][int(draw)]["sweeps"] == pin["sweeps"]
 
     def test_validate_work_pinned(self, validate_solves):
-        # the traced calls of the 12 solves and nonrel_energy_fd checks; a
-        # span that stops firing reads 0 here
+        # the traced calls of the 12 solves and nonrel_energy_fd checks: one
+        # radial level per sweep and per check, and eigh_tridiagonal only in
+        # the angular solves (five per level); a span that stops firing
+        # reads 0 here
         assert validate_solves["counts"] == {
             "oracle.self_consistent_energy": 12,
             "oracle.fd_angular_eigs": 102,
-            "oracle.fd_radial_eigs": 167,
-            "oracle.eigh_tridiagonal": 1345,
+            "oracle.fd_radial_eigs": 114,
+            "oracle.eigh_tridiagonal": 510,
             "oracle.nonrel_energy_fd": 12,
         }
 
-    def test_radial_domain_verified_once_per_solve(self, monkeypatch):
-        # only the first sweep whose radial solve completes and the final
-        # check at e_star consult more than one radial domain; every other
-        # sweep of the march and the bracket consults exactly one
-        spec = table_spec(3, 0, 0, 0, 1.0, 1.0)
-        consulted, per_sweep = [0], []
-        real_level, real_map = oracle._level, oracle._consistency_map
-
-        def counting_level(levels, key, solve):
-            consulted[0] += isinstance(key, tuple)  # radial keys are (gamma, r_max)
-            return real_level(levels, key, solve)
-
-        def counting_map(spec_, e, *rest):
-            before = consulted[0]
-            try:
-                return real_map(spec_, e, *rest)
-            finally:
-                per_sweep.append(consulted[0] - before)
-
-        monkeypatch.setattr(oracle, "_level", counting_level)
-        monkeypatch.setattr(oracle, "_consistency_map", counting_map)
-        fixed_point = self_consistent_energy(spec, 1.0)
-        first = next(i for i, count in enumerate(per_sweep) if count > 0)
-        assert per_sweep[first] >= 2 and per_sweep[-1] >= 2
-        assert per_sweep[first + 1 : -1] == [1] * (len(per_sweep) - first - 2)
-        assert len(per_sweep) > 20
-        closed = find_roots(spec, mode="strict")[0].energy.real
-        assert abs(fixed_point - closed) < 1e-6
-
     def test_no_level_solved_twice_per_solve(self, monkeypatch):
-        # the final check at e_star finds e_star's angular level and its
-        # radial level at the recorded domain among the swept ones
+        # each sweep solves one angular and one radial level at its gamma,
+        # and the final check at e_star finds e_star's sweep among the swept ones
         spec = table_spec(3, 0, 0, 0, 1.0, 1.0)
         angular, radial = [], []
-        real_angular, real_radial = oracle.fd_angular_eigs, oracle.radial_level
+        real_angular, real_radial = oracle.fd_angular_eigs, oracle.fd_radial_eigs
 
-        def recording_angular(gamma, *args, **kwargs):
+        def recording_angular(gamma, *args):
             angular.append(gamma)
-            return real_angular(gamma, *args, **kwargs)
+            return real_angular(gamma, *args)
 
-        def recording_radial(potential, gamma, ell_eff_sq, index, r_max):
-            radial.append((gamma, r_max))
-            return real_radial(potential, gamma, ell_eff_sq, index, r_max)
+        def recording_radial(potential, gamma, *args):
+            radial.append(gamma)
+            return real_radial(potential, gamma, *args)
 
         monkeypatch.setattr(oracle, "fd_angular_eigs", recording_angular)
-        monkeypatch.setattr(oracle, "radial_level", recording_radial)
+        monkeypatch.setattr(oracle, "fd_radial_eigs", recording_radial)
         e_star = self_consistent_energy(spec, 1.0)
         assert len(set(angular)) == len(angular) > 20
-        assert len(set(radial)) == len(radial)
-        g_star = oracle.gamma_of(spec, e_star).real
-        assert g_star in angular
-        assert sum(g == g_star for g, _ in radial) >= 2
+        assert radial == angular
+        assert oracle.gamma_of(spec, e_star).real in radial
 
     def test_levels_do_not_outlive_the_solve(self, monkeypatch):
         # a second solve of the same spec makes every eigensolve again
@@ -508,7 +482,7 @@ class TestEigenvaluesOnly:
 
     def test_radial_matrices(self, monkeypatch):
         seen = self._capture(monkeypatch)
-        _radial_level(1)
+        _radial_fd_level(1)
         # each finer grid's window solve follows its Sturm count
         self._assert_same_as_eigenvector_call(seen, [3000, 6001, 6001, 12003, 12003])
 
@@ -519,8 +493,28 @@ class TestEigenvaluesOnly:
 
 
 def _radial_level(index):
-    v_eff = lambda r: (2.3**2 - 0.25) / r**2 - 4.0 / r
-    return fd_radial_eigs(v_eff, 30.0, 3000, index)
+    return _kratzer_level(index, -1.0)
+
+
+def _radial_fd_matrix(nodes):
+    """(d, e) of the second-order FD matrix of -u'' + [(2.3^2 - 1/4)/r^2 - 4/r] u
+    on `nodes` interior nodes of (0, 30), with Dirichlet walls at both ends.
+
+    The oracle's radial solve is Galerkin; this matrix family, whose entries
+    grow like 1/r^2 towards the first node, exercises the shared windowed
+    solve (_eigenvalue) beside the angular one.
+    """
+    h = 30.0 / (nodes + 1)
+    r = h * np.arange(1, nodes + 1)
+    return 2.0 / h**2 + (2.3**2 - 0.25) / r**2 - 4.0 / r, np.full(nodes - 1, -1.0 / h**2)
+
+
+def _radial_fd_level(index):
+    """Level `index` on 3000 nodes, then in a window on 6001 and on 12003 nodes."""
+    level = None
+    for nodes in (3000, 6001, 12003):
+        level = oracle._eigenvalue(*_radial_fd_matrix(nodes), index, level)
+    return level
 
 
 def _angular_level(index):
@@ -579,7 +573,7 @@ class TestWindowedLevels:
         return seen
 
     @pytest.mark.parametrize("first", [0, 1, 2, 3])
-    @pytest.mark.parametrize("solver", [_radial_level, _angular_level], ids=["radial", "angular"])
+    @pytest.mark.parametrize("solver", [_radial_fd_level, _angular_level], ids=["radial", "angular"])
     def test_window_level_matches_index_level(self, monkeypatch, solver, first):
         (coarse_d, coarse_e), (d, e), *_ = _matrices(solver)
         near = oracle._eigenvalue(coarse_d, coarse_e, first, None)
@@ -591,7 +585,7 @@ class TestWindowedLevels:
 
     @pytest.mark.parametrize("wrong", ["next-level", "above-spectrum", "below-spectrum"])
     @pytest.mark.parametrize("first", [0, 1, 2, 3])
-    @pytest.mark.parametrize("solver", [_radial_level, _angular_level], ids=["radial", "angular"])
+    @pytest.mark.parametrize("solver", [_radial_fd_level, _angular_level], ids=["radial", "angular"])
     def test_wrong_estimate_falls_back_to_index_solve(self, monkeypatch, solver, first, wrong):
         _, (d, e), *_ = _matrices(solver)
         index = oracle._eigenvalue(d, e, first, None)
@@ -607,7 +601,7 @@ class TestWindowedLevels:
         assert seen[-1] == "index" and seen[0] == "count"
         assert level.tobytes() == index.tobytes()
 
-    @pytest.mark.parametrize("solver", [_radial_level, _angular_level], ids=["radial", "angular"])
+    @pytest.mark.parametrize("solver", [_radial_fd_level, _angular_level], ids=["radial", "angular"])
     def test_sturm_count_matches_index_levels(self, solver):
         _, (d, e), *_ = _matrices(solver)
         levels = np.array([oracle._eigenvalue(d, e, i, None) for i in range(6)])
@@ -624,48 +618,51 @@ class TestWindowedLevels:
             assert oracle._count_below(d, e, x) == np.count_nonzero(levels <= x)
 
 
-def _two_grid_level(v_eff, r_max, nodes, index):
-    """Level `index` by the former rule: (4 L2 - L1) / 3 over the (h, h/2) grids."""
-    coarse = oracle._grid_level(v_eff, r_max, nodes, index)
-    lam2 = oracle._grid_level(v_eff, r_max, 2 * nodes + 1, index, near=coarse)
-    return (4.0 * lam2 - coarse) / 3.0
+@pytest.fixture(scope="module")
+def table3_radial():
+    """(spec, gamma, ell_eff^2, b) at each of the 60 table-3 class-A roots E* (strict find_roots).
 
-
-class TestRadialErrorTable:
-    """The three-grid rule on FD_NODES is no less accurate than the two-grid one on 3000.
-
-    At each of the 60 table-3 class-A roots E* (strict find_roots), the exact
-    radial level n at gamma(E*), with ell_eff from derive_coefficients, is
-    b(E*).  Both rules solve it on (0, 50 / sqrt|b(E*)|); the error is
-    |level - b(E*)| / (1 + |b(E*)|).  The two-grid rule gives max 5.09e-10
-    and median 3.89e-11, the three-grid rule on 900 nodes 3.36e-10 and
-    8.0e-12 (on 800 nodes its max is 5.31e-10).
+    gamma = gamma(E*), ell_eff from derive_coefficients and b = b(E*), which is
+    the exact radial level n there.
     """
-
-    def test_max_and_median_no_worse_than_two_grid_rule(self):
-        three, two = [], []
-        for row in load_table_data(3):
-            spec = table_spec(3, *row[:5])
-            for root in find_roots(spec, mode="strict"):
-                if root.root_class is not RootClass.A:
-                    continue
+    cases = []
+    for row in load_table_data(3):
+        spec = table_spec(3, *row[:5])
+        for root in find_roots(spec, mode="strict"):
+            if root.root_class is RootClass.A:
                 e = root.energy.real
                 g = gamma_of(spec, e).real
                 ell_eff_sq = derive_coefficients(spec, e).ell_eff.real ** 2
-                b = radial_equation_beta_sq(spec, e).real
-                r_max = 50.0 / math.sqrt(abs(b))
+                cases.append((spec, g, ell_eff_sq, radial_equation_beta_sq(spec, e).real))
+    assert len(cases) == 60
+    return cases
 
-                def v_eff(r, g=g, ell_eff_sq=ell_eff_sq, potential=spec.potential):
-                    return (ell_eff_sq - 0.25) / r**2 + g * potential.radial(r)
 
-                n = spec.qn.n
-                level = radial_level(spec.potential, g, ell_eff_sq, n, r_max)
-                three.append(abs(level - b) / (1.0 + abs(b)))
-                level = _two_grid_level(v_eff, r_max, 3000, n)
-                two.append(abs(level - b) / (1.0 + abs(b)))
-        assert len(three) == 60
-        assert max(three) <= max(two)
-        assert np.median(three) <= np.median(two)
+class TestRadialErrorTable:
+    """The Galerkin radial level at the 60 table-3 class-A roots.
+
+    Each level is solved as the sweep at E* solves it, scaled by b(E*), and
+    its error is |level - b(E*)| / (1 + |b(E*)|): max 6.2e-15, median
+    2.2e-15.  The former FD rule (three grids of 900, 1801 and 3603 nodes on
+    a domain doubled until the level settled) gave max 3.36e-10 and median
+    8.0e-12.
+    """
+
+    def test_max_and_median_within_bounds(self, table3_radial):
+        errors = [
+            abs(fd_radial_eigs(spec.potential, g, ell_eff_sq, spec.qn.n, b) - b) / (1.0 + abs(b))
+            for spec, g, ell_eff_sq, b in table3_radial
+        ]
+        assert max(errors) <= 1e-12 and np.median(errors) <= 1e-13
+
+    def test_level_does_not_rest_on_the_scale(self, table3_radial):
+        # a scale from 0.5, 2 or 4 times b(E*), or from a first solve (no
+        # b), gives the same level to 1e-12 (worst 2.2e-13)
+        for spec, g, ell_eff_sq, b in table3_radial:
+            args = (spec.potential, g, ell_eff_sq, spec.qn.n)
+            level = fd_radial_eigs(*args, b)
+            for hint in (0.5 * b, 2.0 * b, 4.0 * b, None):
+                assert abs(fd_radial_eigs(*args, hint) - level) <= 1e-12
 
 
 def _aitken_level(gamma, ring, m, index):
@@ -729,35 +726,44 @@ class TestAngularErrorTable:
 
 
 class TestNonrelDomain:
-    """nonrel_energy_fd doubles its radial domain until the level settles."""
+    """nonrel_energy_fd, with no radial domain, meets the closed form."""
 
     @pytest.mark.parametrize("draw", range(12))
     def test_validate_draws_match_closed_form(self, draw):
-        # seed-1 validate draw 5, (n, n', m, a, b) = (0, 1, -2, 1, 2), sat
-        # 2.41e-6 from the closed form on the fixed domain r_max = 6
+        # the seed-1 validate draws; the worst relative gap is 1.3e-14 (the
+        # former FD rule's, on a domain doubled until the level settled,
+        # was 5.8e-10)
         d = json.loads((REFERENCE_DIR / "validate.json").read_text())["draws"][draw]
         spec = table_spec(3, *d["qn"], *d["ring"])
         params = NonRelParams(mu=spec.mass, potential=spec.potential, ring=spec.ring)
         closed = energy_kratzer_nr(params, spec.qn)
-        assert abs(nonrel_energy_fd(params, spec.qn) - closed) <= 1e-9 * abs(closed)
+        assert abs(nonrel_energy_fd(params, spec.qn) - closed) <= 1e-12 * abs(closed)
 
     def test_unsettled_domain_raises(self, monkeypatch):
-        domains = []
+        # a lowest level that falls with every function added never settles:
+        # the first solve, then N = 16 doubling to MAX_RADIAL_FUNCTIONS,
+        # then DivergenceError
+        sizes = []
 
-        def drifting(potential, gamma, ell_eff_sq, index, r_max):
-            domains.append(r_max)
-            return r_max
+        def drifting(v_eff, s, power, h, size):
+            sizes.append(size)
+            return np.diag(-np.arange(1.0, size + 1.0))
 
-        monkeypatch.setattr(oracle, "radial_level", drifting)
+        monkeypatch.setattr(oracle, "_galerkin_matrix", drifting)
         params = NonRelParams(mu=1.0, potential=Kratzer(15.0, 0.4), ring=RingParams(0.0, 0.0))
         with pytest.raises(DivergenceError, match="unsettled"):
             nonrel_energy_fd(params, QuantumNumbers(0, 0, 0))
-        assert domains == [6.0 * 2.0**k for k in range(5)]
+        assert sizes == [16, 32, 64, 128, 256]
 
 
 class TestRefinementMonotonicity:
     def test_eigenvalues_approach_refined_limit(self):
-        vals = [oracle._grid_level(lambda r: r**2, 12.0, n, 0) for n in (400, 800, 1600)]
-        limit = fd_radial_eigs(lambda r: r**2, 12.0, 1600, 0)
-        errs = [abs(v - limit) for v in vals]
-        assert errs[0] > errs[1] > errs[2]
+        # the bases are nested, so the level on N functions bounds the one on
+        # 2N from above (Cauchy interlacing); the half-line oscillator at a
+        # detuned scale
+        matrix = oracle._galerkin_matrix(lambda r: r**2, 1.0, 2, 1.3, 16)
+        vals = [np.linalg.eigvalsh(matrix[:n, :n])[0] for n in (2, 4, 8)]
+        limit = fd_radial_eigs(Oscillator(1.0), 2.0, 0.25, 0, None)
+        assert limit == pytest.approx(3.0, rel=1e-13)
+        errs = [v - limit for v in vals]
+        assert errs[0] > errs[1] > errs[2] > 0

@@ -391,7 +391,9 @@ def _scan_one_branch(spec, branch, interval, panels_per_unit):
         main = getattr(vals, comp)
         other = vals.imag if comp == "real" else vals.real
         good = ok & (np.abs(other) < 1e-9 * (1.0 + np.abs(main)))
-        cand = np.where(good[:-1] & good[1:] & (np.sign(main[:-1]) != np.sign(main[1:])))[0]
+        sign = np.sign(main)
+        # a zero on a grid point is bracketed by the panel it ends, as in the scan
+        cand = np.where(good[:-1] & good[1:] & (sign[:-1] != sign[1:]) & (sign[:-1] != 0))[0]
         fn = lambda x: getattr(residual(x, spec, branch), comp)
         for i in cand:
             try:
@@ -497,6 +499,20 @@ class TestSeededScan:
         got = _scan_branches(spec, interval)
         search = _search_branches(spec)
         assert got == [_scan_one_branch(spec, br, interval, PANELS_PER_UNIT) for br in search]
+
+    @pytest.mark.parametrize(
+        "row", GRID_POINT_ROWS, ids=["table{}-{}{}{}-a{:g}-b{:g}".format(*r) for r in GRID_POINT_ROWS]
+    )
+    def test_grid_point_root_bracketed_once(self, row):
+        # a root exactly on a grid point (-2.5 on table 1's central (3, 1, 0),
+        # 2.5 on table 3's central (2, 0, 1)) is bracketed by the panel it
+        # ends only, so brentq polishes it once and no branch lists it twice
+        from drsbound.spectrum import _scan_branches
+
+        spec = table_spec(*row)
+        roots = _scan_branches(spec, (-spec.mass - 20.0, spec.mass + 20.0))
+        assert any(roots)
+        assert all(len(set(branch)) == len(branch) for branch in roots)
 
     @pytest.mark.parametrize("panels_per_unit", [200, 2000])
     def test_disks_reach_roots_the_float_coefficients_lose(self, monkeypatch, panels_per_unit):
