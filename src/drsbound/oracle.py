@@ -1,6 +1,8 @@
 """Independent oracles for the separated equations.
 
-These never touch the closed-form spectra.  Each solver returns one level.
+These never touch the closed-form spectra, except that nonrel_energy_fd
+takes the closed-form ell_eff (nonrel.coefficients_nr), so it checks the
+radial half only.  Each solver returns one level.
 The radial solver is a Laguerre Galerkin method on the half-line, with no
 radial domain (fd_radial_eigs; the Laguerre-mesh family of Baye, "The
 Lagrange-mesh method", Phys. Rep. 565 (2015) 1): its basis starts with the
@@ -47,6 +49,7 @@ count and is built once per count (_angular_grid).
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 
 import numpy as np
@@ -67,6 +70,7 @@ from .model import (
     gamma_of,
     radial_equation_beta_sq,
 )
+from .nonrel import coefficients_nr
 
 
 class OracleError(RuntimeError):
@@ -295,12 +299,10 @@ def _consistency_map(spec: ProblemSpec, e: float) -> float:
     lambda_n is level n of the radial problem at gamma(E) (fd_radial_eigs,
     scaled by b(E)), whose centrifugal term takes the polar equation's
     quantized (ell + 1/2)^2, and b(E) = radial_equation_beta_sq(spec, E);
-    spin Kratzer specs only.
+    spin Kratzer specs only.  gamma(E) of a float E is real: its imaginary
+    part is exactly 0.0.
     """
-    g = gamma_of(spec, e)
-    if abs(g.imag) > 1e-12:
-        raise DivergenceError("gamma left the real axis")
-    g = g.real
+    g = gamma_of(spec, e).real
     n, n_prime = spec.qn.n, spec.qn.n_prime
     try:
         lam_ang = fd_angular_eigs(g, spec.ring, spec.qn.m, n_prime)
@@ -312,8 +314,6 @@ def _consistency_map(spec: ProblemSpec, e: float) -> float:
 
 #: Width at which `self_consistent_energy` stops closing its bracket.
 BRACKET_TOL = 1e-9
-#: Cap on the consistency sweeps of one `self_consistent_energy` call.
-MAX_SWEEPS = 200
 #: Step and half-width of the outward march for a bracket.
 SCAN_STEP, SCAN_SPAN = 0.1, 4.0
 #: Laguerre functions of the coarser radial Galerkin level, and its cap
@@ -340,64 +340,54 @@ def self_consistent_energy(spec: ProblemSpec, initial_energy: float):
     raises DivergenceError.  No such sweep fails: gamma is linear in E and
     the polar equation's real-sector conditions are linear in gamma, so the
     energies where a sweep completes form an interval, which holds both
-    bracket ends.
-    MAX_SWEEPS caps the total number of sweeps; real-sector specs only.
-    DivergenceError is the documented outcome whenever no bound root exists
-    in reach of the march.  The returned energy must satisfy
-    |F(E)| <= 1e-6 (1 + |b(E)|); Brent's method returns a point it has
-    swept, so that check solves nothing again.  Sweeps are kept for one
-    call only; a second call solves them again.
+    bracket ends.  DivergenceError is the documented outcome whenever no
+    bound root exists in reach of the march.  The returned energy must
+    satisfy |F(E)| <= 1e-6 (1 + |b(E)|); Brent's method returns a point it
+    has swept, so that check solves nothing again.
+
+    Every energy is swept at most once per call, and a call sweeps at most
+    2 round(SCAN_SPAN / SCAN_STEP) + 1 + brent.MAXITER = 181 energies: the
+    march's ends are the initial energy and the 80 points k SCAN_STEP from
+    it, k = 1 .. 40, and brentq raises RuntimeError after MAXITER
+    iterations of one sweep each.  Sweeps are kept for one call only; a
+    second call solves them again.
 
     Raises ValueError for a non-finite initial_energy, and OracleError,
     before any sweep, for a spec outside the spin Kratzer sector (see the
-    module's scope paragraph).
+    module's scope paragraph) or a level n beyond the radial basis
+    (n >= RADIAL_FUNCTIONS).
     """
     e0 = float(initial_energy)
     if not math.isfinite(e0):
         raise ValueError(f"initial_energy must be finite, got {initial_energy!r}")
     if not (spec.is_spin and isinstance(spec.potential, Kratzer)):
         raise OracleError("the self-consistent sweep solves the spin Kratzer sector only")
-    budget = MAX_SWEEPS
-
-    def sweep(e):
-        """F at e, None where the sweep fails."""
-        nonlocal budget
-        if budget <= 0:
-            raise DivergenceError("sweep budget exhausted")
-        budget -= 1
-        try:
-            return _consistency_map(spec, e)
-        except DivergenceError:
-            return None
-
-    known = {}
+    if spec.qn.n >= RADIAL_FUNCTIONS:
+        raise OracleError(f"level {spec.qn.n} lies beyond the {RADIAL_FUNCTIONS}-function basis")
+    swept = {}
 
     def fval(e):
-        if e not in known:
-            known[e] = sweep(e)
-        return known[e]
+        """F at e, None where the sweep fails; each energy is swept once."""
+        if e not in swept:
+            try:
+                swept[e] = _consistency_map(spec, e)
+            except DivergenceError:
+                swept[e] = None
+        return swept[e]
 
     # zeros of b(E) = (M - E)(C_s - E - M)
     b_zeros = (spec.mass, spec.symmetry.constant - spec.mass)
-    lo_limit, hi_limit = e0 - SCAN_SPAN, e0 + SCAN_SPAN
-    bracket = None
     steps = int(round(SCAN_SPAN / SCAN_STEP))
-    for i in range(steps):
-        for sign in (1, -1):
-            a = e0 + sign * i * SCAN_STEP
-            b = e0 + sign * (i + 1) * SCAN_STEP
-            lo, hi = (a, b) if a < b else (b, a)
-            if lo < lo_limit or hi > hi_limit:
-                continue
-            flo, fhi = fval(lo), fval(hi)
-            if flo is None or fhi is None or np.sign(flo) == np.sign(fhi):
-                continue
-            if not any(lo <= z <= hi for z in b_zeros):
-                bracket = (lo, hi)
-                break
-        if bracket:
+    for i, sign in itertools.product(range(steps), (1, -1)):
+        a = e0 + sign * i * SCAN_STEP
+        b = e0 + sign * (i + 1) * SCAN_STEP
+        lo, hi = (a, b) if a < b else (b, a)
+        flo, fhi = fval(lo), fval(hi)
+        if flo is None or fhi is None or np.sign(flo) == np.sign(fhi):
+            continue
+        if not any(lo <= z <= hi for z in b_zeros):
             break
-    if bracket is None:
+    else:
         raise DivergenceError("no self-consistent bracket near the initial energy")
 
     def inside(e):
@@ -406,10 +396,9 @@ def self_consistent_energy(spec: ProblemSpec, initial_energy: float):
             raise DivergenceError("a sweep failed inside the bracket")
         return value
 
-    e_star = brentq(inside, *bracket, xtol=BRACKET_TOL)
-    f_star = fval(e_star)
+    e_star = brentq(inside, lo, hi, xtol=BRACKET_TOL)
     b_star = radial_equation_beta_sq(spec, e_star).real
-    if f_star is None or abs(f_star) > 1e-6 * (1.0 + abs(b_star)):
+    if abs(swept[e_star]) > 1e-6 * (1.0 + abs(b_star)):
         raise DivergenceError("bracketed point is not a consistent energy")
     return e_star
 
@@ -422,8 +411,6 @@ def nonrel_energy_fd(params, qn):
     whose eigenvalue is gamma E; the independent check for the closed-form
     nonrelativistic spectra.  DivergenceError if the level does not settle.
     """
-    from .nonrel import coefficients_nr
-
     gamma = 2.0 * params.mu
     ell_eff = coefficients_nr(params, qn).ell_eff.real
     return fd_radial_eigs(params.potential, gamma, ell_eff**2, qn.n, None) / gamma

@@ -29,6 +29,7 @@ from drsbound.oracle import (
     self_consistent_energy,
 )
 from drsbound.spectrum import RootClass, find_roots, load_table_data, table_spec
+from drsbound.wavefun import radial_kratzer
 
 DATA_DIR = pathlib.Path(__file__).resolve().parent / "data"
 REFERENCE_DIR = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "reference"
@@ -268,6 +269,52 @@ class TestSelfConsistency:
             self_consistent_energy(table_spec(table, 0, 0, 1, 1.0, 0.5), 1.0)
         assert calls == []
 
+    def test_level_beyond_the_basis_rejected_before_any_sweep(self, monkeypatch):
+        # level n = RADIAL_FUNCTIONS has no place in the radial basis, so the
+        # solve refuses it with the sector check, before any angular solve
+        calls = []
+        real_map = oracle._consistency_map
+
+        def counting(spec_, e):
+            calls.append(e)
+            return real_map(spec_, e)
+
+        monkeypatch.setattr(oracle, "_consistency_map", counting)
+        spec = table_spec(3, oracle.RADIAL_FUNCTIONS, 0, 0, 0.0, 0.0)
+        with pytest.raises(OracleError, match="beyond the 16-function basis"):
+            self_consistent_energy(spec, 1.0)
+        assert calls == []
+
+    @pytest.mark.parametrize("start", [-10.0, 15.0], ids=["every_sweep_fails", "one_sign"])
+    def test_march_sweeps_its_bound_then_raises(self, monkeypatch, start):
+        # a march that brackets nothing sweeps the start and the points
+        # k SCAN_STEP to either side of it, k = 1 .. round(SCAN_SPAN /
+        # SCAN_STEP), each once and none beyond SCAN_SPAN, and raises.  From
+        # -10.0 gamma <= 0 fails every sweep; from 15.0 F keeps one sign
+        spec = table_spec(3, 0, 0, 0, 0.0, 0.0)
+        calls, values = [], []
+        real_map = oracle._consistency_map
+
+        def recording(spec_, e):
+            calls.append(e)
+            try:
+                values.append(real_map(spec_, e))
+            except DivergenceError:
+                values.append(None)
+                raise
+            return values[-1]
+
+        monkeypatch.setattr(oracle, "_consistency_map", recording)
+        with pytest.raises(DivergenceError, match="no self-consistent bracket"):
+            self_consistent_energy(spec, start)
+        steps = round(oracle.SCAN_SPAN / oracle.SCAN_STEP)
+        assert len(calls) == len(set(calls)) == 2 * steps + 1 == 81
+        assert max(abs(e - start) for e in calls) <= oracle.SCAN_SPAN
+        if start < 0:
+            assert values == [None] * len(calls)
+        else:
+            assert None not in values and len({np.sign(value) for value in values}) == 1
+
     def test_bracket_closes_in_few_sweeps(self, monkeypatch):
         # the march from E = 1.0 takes 22 sweeps; brentq then closes the
         # bracket to BRACKET_TOL in a few more, and the final consistency
@@ -433,8 +480,8 @@ class TestSelfConsistency:
         ],
     )
     def test_bad_arguments_rejected(self, monkeypatch, kwargs, name):
-        # only initial_energy is an argument; the march, the bracket tolerance,
-        # the sweep cap and the radial grid are module constants
+        # only initial_energy is an argument; the march, the bracket tolerance
+        # and the radial basis are module constants
         def no_sweeps(*args):
             raise AssertionError("no sweep may run on bad arguments")
 
@@ -663,6 +710,46 @@ class TestRadialErrorTable:
             level = fd_radial_eigs(*args, b)
             for hint in (0.5 * b, 2.0 * b, 4.0 * b, None):
                 assert abs(fd_radial_eigs(*args, hint) - level) <= 1e-12
+
+
+class TestClosedFormSolvesTheSweepOperator:
+    """wavefun.radial_kratzer solves the sweep's radial equation at the 60
+    table-3 class-A roots: -u'' + [(ell_eff^2 - 1/4)/r^2 + gamma V] u = b(E*) u.
+
+    Spin Kratzer only, the sector whose operator the oracle sweeps; the
+    other sectors' signs are ROADMAP item 12's to decide.
+    """
+
+    @staticmethod
+    def _residuals(table3_radial, v_sign, b_sign):
+        """Per root, max |residual| / max |b u| over r in [0.2, 8] / w,
+        w = sqrt(-b), with u'' from a five-point stencil of step 1e-3 r."""
+        residuals = []
+        for spec, g, ell_eff_sq, b in table3_radial:
+            w = math.sqrt(-b)
+            coeffs = coefficients_at_gamma(g, w, spec.potential, spec.ring, spec.qn)
+            r = np.linspace(0.2, 8.0, 400) / w
+            h = 1e-3 * r
+
+            def u(x):
+                return radial_kratzer(x, coeffs, spec.qn.n)
+
+            stencil = -u(r + 2 * h) + 16 * u(r + h) - 30 * u(r) + 16 * u(r - h) - u(r - 2 * h)
+            u_pp = stencil / (12 * h * h)
+            potential = (ell_eff_sq - 0.25) / r**2 + v_sign * g * spec.potential.radial(r)
+            residual = -u_pp + potential * u(r) - b_sign * b * u(r)
+            residuals.append(np.max(np.abs(residual)) / np.max(np.abs(b * u(r))))
+        return residuals
+
+    def test_radial_factor_solves_the_operator(self, table3_radial):
+        # worst 1.4e-9, the stencil's own error
+        assert max(self._residuals(table3_radial, 1, 1)) <= 1e-7
+
+    @pytest.mark.parametrize("v_sign, b_sign", [(-1, 1), (1, -1)], ids=["minus_gamma_v", "minus_b"])
+    def test_flipped_sign_does_not_solve(self, table3_radial, v_sign, b_sign):
+        # flipping gamma V or b leaves an O(1) residual at every root (at
+        # least 3.9 and 2.0)
+        assert min(self._residuals(table3_radial, v_sign, b_sign)) >= 1.0
 
 
 def _aitken_level(gamma, ring, m, index):
