@@ -15,7 +15,10 @@ resumable: it keeps the latest (lambda_k, s_k), so raising k costs one
 step, not a rebuild.  Jets carry leading batch axes, so one series can run
 at a whole array of eigenparameters: find_eigenvalue samples its grid with
 one batched series, one array step per depth, and polishes each sign change
-with the scalar series that aim_delta runs to a fixed depth.
+with the scalar series that aim_delta runs to a fixed depth.  The batch only
+chooses brackets by sign, so it runs in float64 where the problem is real,
+with one matmul per product by an unbatched jet; the scalar series keeps
+complex jets and np.convolve, so every root keeps its bits.
 
 The two exactly solvable families used by the spectral conditions (the
 Kratzer-type radial problem and the ring-shaped angular problem) are
@@ -41,27 +44,54 @@ def _truncated_product(a, b):
     """Coefficients 0..K of the product of two coefficient arrays.
 
     Two 1-D operands keep np.convolve, so every scalar jet keeps its bits.
-    Batched operands run one shifted multiply-add per coefficient j of a,
-    c[i] += a[j] b[i - j] in order of j, coefficient-major: the coefficient
-    axis goes first, b is copied contiguous so each b[:n - j] is one block,
-    and a is read as a view, one row per multiply.  A row j >= 1 of a that
-    is zero in every batch lane is left out (a constant jet has only row 0):
-    its terms are exact zeros, so each finite nonzero coefficient, and each
-    lane's lowest non-finite index, is what the full loop gives; only the
-    sign of an exact zero may differ.
+    Batched operands take the first path that applies, and the result has
+    their common dtype:
+
+    - A constant a (every row j >= 1 zero, checked first) is one
+      elementwise multiply a[..., :1] * b: every other term of the loop is
+      a product with an exact zero.
+    - An unbatched (1-D) a is one matmul b @ T(a).T, T(a) being a's
+      lower-triangular Toeplitz matrix.  BLAS sums in its own order, so
+      this agrees with the loop to rounding.  Where an operand has a
+      non-finite coefficient, those coefficients are zeroed before the
+      matmul and each lane is NaN from the loop's lowest non-finite index,
+      the smaller of a's first and that lane of b's first, on.
+    - Otherwise the loop: one shifted multiply-add per coefficient j of a,
+      c[i] += a[j] b[i - j] in order of j, coefficient-major: the
+      coefficient axis goes first, b is copied contiguous so each
+      b[:n - j] is one block, and a is read as a view, one row per
+      multiply.
+
+    Leaving out the products with exact zeros keeps each finite nonzero
+    coefficient of the loop, and each lane's lowest non-finite index; only
+    the sign of an exact zero may differ.
     """
     n = a.shape[-1]
     if a.ndim == b.ndim == 1:
         return np.convolve(a, b)[:n]
+    if not a[..., 1:].any():
+        return a[..., :1] * b
+    if a.ndim == 1:
+        finite_a, finite_b = np.isfinite(a), np.isfinite(b)
+        if finite_a.all() and finite_b.all():
+            # row q of the reversed window view is a shifted right by q: T(a).T
+            padded = np.concatenate((np.zeros(n - 1, a.dtype), a))
+            return b @ np.lib.stride_tricks.sliding_window_view(padded, n)[::-1]
+        c = _truncated_product(np.where(finite_a, a, 0), np.where(finite_b, b, 0))
+        c[np.arange(n) >= np.minimum(_first(~finite_a), _first(~finite_b))[..., None]] = np.nan
+        return c
     shape = np.broadcast_shapes(a.shape, b.shape)
     a = np.moveaxis(np.broadcast_to(a, shape), -1, 0)
     b = np.ascontiguousarray(np.moveaxis(np.broadcast_to(b, shape), -1, 0))
-    rows = a.any(axis=tuple(range(1, a.ndim)))
-    rows[0] = True
-    c = np.zeros(b.shape, dtype=complex)
-    for j in np.flatnonzero(rows):
+    c = np.zeros(b.shape, dtype=np.result_type(a, b))
+    for j in range(n):
         c[j:] += a[j] * b[: n - j]
     return np.moveaxis(c, 0, -1)
+
+
+def _first(mask):
+    """Per lane, the first index where mask holds (the coefficient count if none)."""
+    return np.where(mask.any(axis=-1), mask.argmax(axis=-1), mask.shape[-1])
 
 
 def _truncated_quotient(a, b):
@@ -72,7 +102,7 @@ def _truncated_quotient(a, b):
     if np.any(b[..., 0] == 0):
         raise ZeroDivisionError("jet division by a jet vanishing at x0")
     n = a.shape[-1]
-    q = np.zeros(np.broadcast_shapes(a.shape, b.shape), dtype=complex)
+    q = np.zeros(np.broadcast_shapes(a.shape, b.shape), dtype=np.result_type(a, b))
     q[..., 0] = a[..., 0] / b[..., 0]
     if a.ndim == b.ndim == 1:
         for i in range(1, n):
@@ -97,13 +127,19 @@ class Jet:
     a batch (one jet per eigenparameter sample) and every operation
     broadcasts over them.  A number or array operand is a constant jet with
     that batch shape, on either side: numpy defers to Jet's operators.
+
+    Coefficients are float64 or complex128, as given (other dtypes are
+    promoted), and an operation on two jets keeps their common dtype.
+    Jet.variable and Jet.constant, which also make a number operand a jet,
+    build complex jets.
     """
 
     __slots__ = ("coeffs",)
     __array_ufunc__ = None
 
     def __init__(self, coeffs):
-        self.coeffs = np.asarray(coeffs, dtype=complex)
+        coeffs = np.asarray(coeffs)
+        self.coeffs = coeffs.astype(np.promote_types(coeffs.dtype, float), copy=False)
 
     @classmethod
     def variable(cls, x0, order):
@@ -165,7 +201,7 @@ class Jet:
 
     def deriv(self):
         k = self.order
-        c = np.zeros(self.coeffs.shape, dtype=complex)
+        c = np.zeros_like(self.coeffs)
         c[..., :k] = self.coeffs[..., 1:] * np.arange(1, k + 1)
         return Jet(c)
 
@@ -206,17 +242,22 @@ class AimSeries:
 
     An array eigenparameter runs one series per element as one batch: each
     step is a handful of array operations, the rescale is elementwise, and
-    delta(k) is an array of the eigenparameter's shape.  Batched products
-    may sum in another order than the scalar np.convolve, so a batched delta
-    agrees with the scalar one to rounding, not bit for bit.
+    delta(k) is an array of the eigenparameter's shape.  A batch whose jets
+    have every imaginary part exactly 0 runs on their real parts in float64,
+    where complex arithmetic would give the same finite real parts at
+    several times the cost; a scalar series keeps complex jets.  Batched products may sum in
+    another order than the scalar np.convolve, so a batched delta agrees
+    with the scalar one to rounding, not bit for bit.
     """
 
     __slots__ = ("lam0", "s0", "lam", "s", "deltas", "k_max")
 
     def __init__(self, problem: AimProblem, eigenparameter):
-        self.lam0, self.s0 = problem.jets(eigenparameter)
+        lam0, s0 = problem.jets(eigenparameter)
+        if np.ndim(eigenparameter) and not (lam0.coeffs.imag.any() or s0.coeffs.imag.any()):
+            lam0, s0 = Jet(lam0.coeffs.real), Jet(s0.coeffs.real)
+        self.lam0, self.s0 = self.lam, self.s = lam0, s0
         self.k_max = problem.k_max
-        self.lam, self.s = self.lam0, self.s0
         self.deltas = []
 
     def step(self):
@@ -296,10 +337,11 @@ def find_eigenvalue(problem: AimProblem, interval):
     consecutive iteration depths.  Exactly solvable problems stabilize
     immediately.  The SAMPLES grid points run as one batched AimSeries that
     is extended a step as k grows, so the problem's jets are built once and
-    reaching depth k costs k array steps in all.  The sampled deltas only
-    choose brackets, by their sign and finiteness; each sign change is
-    polished by brentq (`drsbound.brent`, the package's port of scipy's) on
-    the scalar aim_delta at that k, so a root's bits do not depend on the
+    reaching depth k costs k array steps in all; for a real problem the
+    batch is float64 (see AimSeries).  The sampled deltas only choose
+    brackets, by their sign and finiteness; each sign change is polished by
+    brentq (`drsbound.brent`, the package's port of scipy's) on the scalar,
+    complex aim_delta at that k, so a root's bits do not depend on the
     batch.
 
     Raises ValueError for an interval that is not finite or has lo >= hi.
