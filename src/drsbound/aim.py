@@ -14,11 +14,12 @@ The recurrence is written once, in AimSeries.step.  An AimSeries is
 resumable: it keeps the latest (lambda_k, s_k), so raising k costs one
 step, not a rebuild.  Jets carry leading batch axes, so one series can run
 at a whole array of eigenparameters: find_eigenvalue samples its grid with
-one batched series, one array step per depth, and polishes each sign change
-with the scalar series that aim_delta runs to a fixed depth.  The batch only
-chooses brackets by sign, so it runs in float64 where the problem is real,
-with one matmul per product by an unbatched jet; the scalar series keeps
-complex jets and np.convolve, so every root keeps its bits.
+one batched series, one array step per depth, and at each depth polishes
+one sign change, the one by the root it tracks, with the scalar series that
+aim_delta runs to a fixed depth.  The batch only chooses brackets by sign,
+so it runs in float64 where the problem is real, with one matmul per
+product by an unbatched jet; the scalar series keeps complex jets and
+np.convolve, so every root keeps its bits.
 
 The two exactly solvable families used by the spectral conditions (the
 Kratzer-type radial problem and the ring-shaped angular problem) are
@@ -297,32 +298,28 @@ def aim_delta(problem: AimProblem, eigenparameter, k: int):
     return AimSeries(problem, eigenparameter).delta(k)
 
 
-def _delta_roots_on(problem, xs, vals, k):
-    """delta_k roots between sign-changing neighbours of the sampled (xs, vals).
+def _polish(problem, a, b, k):
+    """The scalar delta_k root brentq finds on [a, b], or None if it refuses the ends.
 
-    vals come from the batched series, whose sums may round differently
-    from the scalar aim_delta.  Where delta_k is rounding noise (deep k on
-    a window without an eigenvalue), that can flip a sample's sign; brentq
-    then finds the scalar delta_k NaN or of one sign at the panel's ends
-    and raises before its first step, and the panel is passed over, since
-    the scalar delta_k has no bracket there.
+    The bracket comes from the batched samples, whose sums may round
+    differently from the scalar aim_delta.  Where delta_k is rounding noise
+    (deep k on a window without an eigenvalue), that can flip a sample's
+    sign; brentq then finds the scalar delta_k NaN or of one sign at the
+    ends and raises before its first step, and the bracket gives no root,
+    since the scalar delta_k has none there.
     """
-    finite, sign = np.isfinite(vals), np.sign(vals)
-    changes = np.flatnonzero(finite[:-1] & finite[1:] & (sign[:-1] != sign[1:]))
-    roots = []
-    for i in changes:
-        evaluated = []
+    evaluated = []
 
-        def delta_k(e):
-            evaluated.append(e)
-            return aim_delta(problem, e, k).real
+    def delta_k(e):
+        evaluated.append(e)
+        return aim_delta(problem, e, k).real
 
-        try:
-            roots.append(brentq(delta_k, xs[i], xs[i + 1], xtol=1e-14))
-        except ValueError:
-            if len(evaluated) > 2:
-                raise
-    return roots
+    try:
+        return brentq(delta_k, a, b, xtol=1e-14)
+    except ValueError:
+        if len(evaluated) > 2:
+            raise
+        return None
 
 
 #: `find_eigenvalue`'s first depth, stabilization tolerance and sample count.
@@ -339,10 +336,13 @@ def find_eigenvalue(problem: AimProblem, interval):
     is extended a step as k grows, so the problem's jets are built once and
     reaching depth k costs k array steps in all; for a real problem the
     batch is float64 (see AimSeries).  The sampled deltas only choose
-    brackets, by their sign and finiteness; each sign change is polished by
-    brentq (`drsbound.brent`, the package's port of scipy's) on the scalar,
-    complex aim_delta at that k, so a root's bits do not depend on the
-    batch.
+    brackets, by their sign and finiteness, and each depth polishes one:
+    the sign change that holds the tracked root, else the one nearest it by
+    the distance to its ends (the lower on a tie), or the lowest when none
+    is tracked.  brentq (`drsbound.brent`, the package's port of scipy's)
+    polishes it on the scalar, complex aim_delta at that k, so a root's bits
+    do not depend on the batch.  A bracket brentq refuses (see _polish)
+    leaves the depth without a root, which resets the track.
 
     Raises ValueError for an interval that is not finite or has lo >= hi.
     """
@@ -355,11 +355,16 @@ def find_eigenvalue(problem: AimProblem, interval):
     streak = 0
     for k in range(K_START, problem.k_max + 1):
         vals = np.broadcast_to(series.delta(k).real, xs.shape)
-        roots = _delta_roots_on(problem, xs, vals, k)
-        if not roots:
+        finite, sign = np.isfinite(vals), np.sign(vals)
+        changes = np.flatnonzero(finite[:-1] & finite[1:] & (sign[:-1] != sign[1:]))
+        if changes.size:
+            # prev's own bracket has a negative gap; argmin takes the lower on a tie
+            gap = 0.0 if prev is None else np.maximum(xs[changes] - prev, prev - xs[changes + 1])
+            i = changes[np.argmin(gap)]
+        root = _polish(problem, xs[i], xs[i + 1], k) if changes.size else None
+        if root is None:
             prev, streak = None, 0
             continue
-        root = roots[0] if prev is None else min(roots, key=lambda r: abs(r - prev))
         if prev is not None and abs(root - prev) < STAB_TOL:
             streak += 1
             if streak >= 2:

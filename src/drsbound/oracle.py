@@ -114,9 +114,7 @@ def _eigenvalue(d, e, index, near):
     widened by _WINDOW (1 + |near|) to (lo, hi], and the value solve on it is
     kept only when the Sturm count at or below lo equals `index` and the
     window holds a value.  Any other case falls back to the index solve.
-    Raises ValueError unless index is an int >= 0.
     """
-    _check_index(index)
     if near is not None:
         lo = near - _WINDOW * (1.0 + abs(near))
         hi = near + _WINDOW * (1.0 + abs(near))
@@ -283,8 +281,11 @@ def fd_angular_eigs(gamma, ring: RingParams, m: int, index: int):
     (_richardson).  The coarsest grid is an index
     solve; the finer two each solve in a Sturm-certified value window
     around the previous grid's level (see _eigenvalue).  Raises ValueError
-    unless index is an int >= 0.
+    unless index is an int >= 0, and OracleError unless index < ANGULAR_CELLS.
     """
+    _check_index(index)
+    if index >= ANGULAR_CELLS:
+        raise OracleError(f"level {index} lies beyond the {ANGULAR_CELLS}-cell angular grid")
     if gamma * ring.a + 0.25 < 0 or gamma * ring.b + m * m < 0:
         raise OracleError("complex angular sector: radicals not real")
     l1 = _angular_fd_once(gamma, ring, m, index, ANGULAR_CELLS)
@@ -354,8 +355,9 @@ def self_consistent_energy(spec: ProblemSpec, initial_energy: float):
 
     Raises ValueError for a non-finite initial_energy, and OracleError,
     before any sweep, for a spec outside the spin Kratzer sector (see the
-    module's scope paragraph) or a level n beyond the radial basis
-    (n >= RADIAL_FUNCTIONS).
+    module's scope paragraph), a level n beyond the radial basis
+    (n >= RADIAL_FUNCTIONS) or a polar level n' beyond the angular grid
+    (n' >= ANGULAR_CELLS).
     """
     e0 = float(initial_energy)
     if not math.isfinite(e0):
@@ -364,6 +366,10 @@ def self_consistent_energy(spec: ProblemSpec, initial_energy: float):
         raise OracleError("the self-consistent sweep solves the spin Kratzer sector only")
     if spec.qn.n >= RADIAL_FUNCTIONS:
         raise OracleError(f"level {spec.qn.n} lies beyond the {RADIAL_FUNCTIONS}-function basis")
+    if spec.qn.n_prime >= ANGULAR_CELLS:
+        raise OracleError(
+            f"level {spec.qn.n_prime} lies beyond the {ANGULAR_CELLS}-cell angular grid"
+        )
     swept = {}
 
     def fval(e):

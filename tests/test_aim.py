@@ -8,6 +8,7 @@ from scipy.optimize import brentq
 
 from drsbound import aim
 from drsbound.aim import (
+    K_START,
     SAMPLES,
     AimError,
     AimProblem,
@@ -408,6 +409,19 @@ def _find_eigenvalue_oracle(problem, interval, *, k_start=3, stab_tol=1e-10, sam
     raise AimError("AIM eigenvalue did not stabilize within k_max iterations")
 
 
+def _counting(monkeypatch):
+    """Counts of the aim_delta and brentq calls made through aim from here on."""
+    calls = {"aim_delta": 0, "brentq": 0}
+    for name in calls:
+
+        def counting(*args, real=getattr(aim, name), name=name, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(aim, name, counting)
+    return calls
+
+
 def _validate_aim_cases():
     """The distinct (ell, level) oscillator problems of the validation pool's 12 draws."""
     draws = json.loads((REFERENCE_DIR / "validate.json").read_text())["draws"]
@@ -548,13 +562,13 @@ class TestResumableSeries:
         # equal those of a scalar series per sample, so its brackets are the
         # per-sample brackets and its polished roots keep their bits
         depths = []
-        real_roots_on = aim._delta_roots_on
+        real_polish = aim._polish
 
-        def recording(problem, xs, vals, k):
+        def recording(problem, a, b, k):
             depths.append(k)
-            return real_roots_on(problem, xs, vals, k)
+            return real_polish(problem, a, b, k)
 
-        monkeypatch.setattr(aim, "_delta_roots_on", recording)
+        monkeypatch.setattr(aim, "_polish", recording)
         find_eigenvalue(problem, window)
         xs = np.linspace(*window, SAMPLES)
         batched = AimSeries(problem, xs)
@@ -573,20 +587,34 @@ class TestResumableSeries:
         # the 12 validate draws' AIM legs polish 39 brackets with 235 scalar
         # deltas (the traced seed-1 counts); the batch only chooses brackets,
         # so a batch that chose any other bracket would move these counts
-        calls = {"aim_delta": 0, "brentq": 0}
-        for name in calls:
-
-            def counting(*args, real=getattr(aim, name), name=name, **kwargs):
-                calls[name] += 1
-                return real(*args, **kwargs)
-
-            monkeypatch.setattr(aim, name, counting)
+        calls = _counting(monkeypatch)
         draws = json.loads((REFERENCE_DIR / "validate.json").read_text())["draws"]
         assert len(draws) == 12
         for ell, level in (d["aim"] for d in draws):
             target = 2 * level + ell + 1.5
             find_eigenvalue(oscillator_radial_problem(ell, k_max=40), (target - 0.5, target + 0.5))
         assert calls == {"aim_delta": 235, "brentq": 39}
+
+    def test_empty_window_polishes_once_per_depth(self, monkeypatch):
+        # no eigenvalue in this window: the deltas of the last five depths are
+        # rounding noise with 77 to 228 sign changes each (943 brentq calls
+        # when each was polished), and only one per depth is polished
+        calls = _counting(monkeypatch)
+        problem = oscillator_radial_problem(0, k_max=40)
+        with pytest.raises(AimError, match="did not stabilize"):
+            find_eigenvalue(problem, (1.6, 2.4))
+        assert calls["brentq"] <= problem.k_max - K_START + 1
+
+    def test_window_with_several_eigenvalues(self, monkeypatch):
+        # E = 1.5, 3.5 and 5.5 lie in the window: the lowest sign change is
+        # polished first, then tracked, one brentq per depth (8 when every
+        # sign change was polished), and the root is the polish-all one
+        calls = _counting(monkeypatch)
+        problem = oscillator_radial_problem(0, k_max=40)
+        got = find_eigenvalue(problem, (1.0, 6.0))
+        assert calls["brentq"] == 3
+        assert got.hex() == "0x1.8000000000001p+0"
+        assert got.hex() == _find_eigenvalue_oracle(problem, (1.0, 6.0)).hex()
 
     def test_noise_brackets_passed_over(self, monkeypatch):
         # no eigenvalue in this window: from depth 17 on the Kratzer deltas are

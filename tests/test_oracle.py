@@ -128,6 +128,13 @@ class TestAngularSolver:
         with pytest.raises(OracleError):
             fd_angular_eigs(-2.0, RingParams(1.0, 0.0), 0, 0)
 
+    def test_grid_too_coarse_rejected(self):
+        # the coarsest grid holds ANGULAR_CELLS levels; the last one is served
+        with pytest.raises(OracleError, match="beyond the 500-cell angular grid"):
+            fd_angular_eigs(2.0, RingParams(0.0, 0.0), 0, oracle.ANGULAR_CELLS)
+        last = fd_angular_eigs(2.0, RingParams(0.0, 0.0), 0, oracle.ANGULAR_CELLS - 1)
+        assert math.isfinite(last)
+
 
 def _angular_matrix(gamma, ring, m, cells, wall):
     """(d, e) of the angular FD matrix built whole, as before _angular_grid.
@@ -283,6 +290,16 @@ class TestSelfConsistency:
         spec = table_spec(3, oracle.RADIAL_FUNCTIONS, 0, 0, 0.0, 0.0)
         with pytest.raises(OracleError, match="beyond the 16-function basis"):
             self_consistent_energy(spec, 1.0)
+        assert calls == []
+
+    def test_polar_level_beyond_the_grid_rejected_before_any_sweep(self, monkeypatch):
+        # inside a sweep the angular refusal would read as a failed sweep, and
+        # the march would sweep its whole bound before raising
+        calls = []
+        monkeypatch.setattr(oracle, "_consistency_map", lambda *args: calls.append(args))
+        spec = table_spec(3, 0, oracle.ANGULAR_CELLS, 0, 0.0, 0.0)
+        with pytest.raises(OracleError, match="beyond the 500-cell angular grid"):
+            self_consistent_energy(spec, 3.0)
         assert calls == []
 
     @pytest.mark.parametrize("start", [-10.0, 15.0], ids=["every_sweep_fails", "one_sign"])
