@@ -3,7 +3,7 @@
 Solver and verification toolkit: closed-form relativistic spectra under the
 spin and pseudospin symmetry limits for Kratzer and oscillator cores dressed
 with a double ring-shaped angular term, normalized spinor components,
-independent AIM, Galerkin and finite-difference oracles, and a classifying
+independent AIM and Galerkin oracles, and a classifying
 audit of the published numeric tables bundled with the package.
 """
 

@@ -209,10 +209,11 @@ def cmd_wavefunction(args) -> int:
 
 
 def cmd_potential_grid(args) -> int:
+    cfg = resolve_config(args)
     if args.potential == "kratzer":
-        pot = Kratzer(args.d_e, args.r_e)
+        pot = Kratzer(cfg["d_e"], cfg["r_e"])
     else:
-        pot = Oscillator(args.k)
+        pot = Oscillator(cfg["k"])
     ring = RingParams(args.a, args.b)
     if (args.theta_min is None) != (args.theta_max is None):
         raise UsageError("--theta-min and --theta-max must be given together")
@@ -319,9 +320,7 @@ def make_parser():
     p.add_argument("--potential", required=True, choices=("kratzer", "oscillator"))
     p.add_argument("--a", type=float, default=1.0)
     p.add_argument("--b", type=float, default=1.0)
-    p.add_argument("--de", dest="d_e", type=float, default=12.0)
-    p.add_argument("--re", dest="r_e", type=float, default=0.4)
-    p.add_argument("--k", type=float, default=1.0)
+    _add_param_flags(p)
     p.add_argument("--r-min", dest="r_min", type=_positive, default=0.1)
     p.add_argument("--r-max", dest="r_max", type=_positive, default=4.0)
     p.add_argument("--r-samples", dest="r_samples", type=_sample_count, default=40)

@@ -1,62 +1,53 @@
 """Independent oracles for the separated equations.
 
-These never touch the closed-form spectra, except that nonrel_energy_fd
-takes the closed-form ell_eff (nonrel.coefficients_nr), so it checks the
-radial half only.  Each solver returns one level.
-The radial solver is a Laguerre Galerkin method on the half-line, with no
-radial domain (fd_radial_eigs; the Laguerre-mesh family of Baye, "The
-Lagrange-mesh method", Phys. Rep. 565 (2015) 1): its basis starts with the
-operator's own Frobenius exponent at r = 0, every matrix element is exact
-Gauss-Laguerre quadrature, and the level is checked against the one from
-half as many functions.  The angular solver diagonalizes the theta
-equation's finite-difference (FD) form.  A self-consistent solve couples
-the two through the energy dependence of gamma: it brackets a zero of
-F(E) = lambda_n(gamma(E)) - b(E), the radial level minus the radial
-equation's constant b(E), skipping brackets that hold a zero of b (the
-continuum edge), and closes it with Brent's method.  It validates
-relativistic class-A roots without evaluating any spectral condition.
+These never touch the closed-form spectra.  Each solver returns one level,
+and both are Rayleigh-Ritz (Galerkin) solves in the Lagrange-mesh family of
+Baye ("The Lagrange-mesh method", Phys. Rep. 565 (2015) 1): the basis starts
+with the operator's own indicial exponents at its singular points, each
+function is an orthonormal polynomial carried times sqrt(weight) by its
+three-term recurrence (_orthonormal_rows), and every matrix element is exact
+Gauss quadrature, so the mass matrix is the identity.  The radial solver is
+a Laguerre basis on the half-line, with no radial domain (fd_radial_eigs;
+Gauss-Laguerre nodes): it takes the Frobenius exponent at r = 0 from the
+1/r^2 coefficient, and its level is checked against the one from half as
+many functions.  The angular solver is a Jacobi basis in x = cos(theta)
+(fd_angular_eigs; Gauss-Jacobi nodes): it takes the exponent at theta = 0
+from the 1/sin^2 coefficient and the one at theta = pi/2 from the 1/cos^2
+coefficient, and its level is checked against the one from ANGULAR_MARGIN
+fewer functions.  Both node sets come from scipy.special.  A
+self-consistent solve couples the two through the energy dependence of
+gamma: it brackets a zero of F(E) = lambda_n(gamma(E)) - b(E), the radial
+level minus the radial equation's constant b(E), skipping brackets that
+hold a zero of b (the continuum edge), and closes it with Brent's method.
+It validates relativistic class-A roots without evaluating any spectral
+condition.
+
+Independence: the exponents are the indicial roots of the coefficients of
+the operator's singular terms, and each matrix is formed from the printed
+operator by quadrature; no closed-form spectrum or eigenvalue enters.  Where
+the basis holds the eigenfunction, the Ritz level is exact up to rounding,
+which is the Rayleigh-Ritz property of a subspace, not a property of the
+closed form: with a term of the operator mis-signed the level moves at
+O(1), and with an exponent off the level still converges to the same value,
+only slowly (tests/test_oracle.py).
 
 Scope: the sweep's radial operator, -u'' + [(ell_eff^2 - 1/4)/r^2
 + gamma V(r)] u = b(E) u, is the equation the closed forms solve in the spin
 Kratzer sector only, so self_consistent_energy refuses any other spec with
 OracleError before it sweeps.
-
-The angular equation is singular at both ends (limit-circle at theta -> 0
-whenever gamma b + m^2 < 1/4, always at the -1/(4 sin^2) term), where a
-naive second-order scheme for the printed H(theta) operator stalls at
-percent-level errors.  We therefore remove the sin^(1/2) factor -- an exact
-transformation that leaves every eigenvalue unchanged -- and discretize the
-resulting flux form (sin(theta) P')' on midpoint cells of (0, pi/2) with a
-natural boundary at 0 and a Dirichlet wall at pi/2; the wall selects exactly
-the solution family of the quantization rule (the printed family always
-vanishes at pi/2).  The wall sits on the last cell's outer face: the ghost
-value -P_last mirrors the last centre through it, so the level converges at
-second order even where P has a nonzero slope at pi/2 (a = 0).  The angular
-level then takes two Richardson steps over ANGULAR_CELLS, 2 ANGULAR_CELLS
-and 4 ANGULAR_CELLS cells (spacings h, h/2 and h/4; _richardson).
-
-Each angular FD level comes from LAPACK's Sturm-sequence bisection (stebz;
-Barth, Martin & Wilkinson, Numer. Math. 9 (1967) 386).  The coarsest grid
-of a call is an index solve, which bisects the whole Gershgorin interval.
-Each finer grid solves by value on a window of +-_WINDOW (1 + |lambda|)
-around the coarser grid's level, certified first by one Sturm count: the
-window is kept only when exactly `index` eigenvalues lie at or below its
-lower end and it holds a level; otherwise the index solve runs (see
-_eigenvalue).  The angular matrix's cell geometry depends only on the cell
-count and is built once per count (_angular_grid).
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 
 import numpy as np
 
 try:
-    from scipy.linalg import eigh_tridiagonal
-    from scipy.special import roots_genlaguerre
+    # no caller: perfbench's tracer binds oracle.eigh_tridiagonal by name (ROADMAP item 19)
+    from scipy.linalg import eigh_tridiagonal  # noqa: F401
+    from scipy.special import roots_genlaguerre, roots_jacobi
 except ImportError as exc:  # scipy is an optional dependency of the oracle only
     raise ImportError(
         "drsbound.oracle needs scipy; install it with: pip install drsbound[validate]"
@@ -70,7 +61,6 @@ from .model import (
     gamma_of,
     radial_equation_beta_sq,
 )
-from .nonrel import coefficients_nr
 
 
 class OracleError(RuntimeError):
@@ -78,27 +68,7 @@ class OracleError(RuntimeError):
 
 
 class DivergenceError(OracleError):
-    """A radial level or a self-consistent solve failed to settle."""
-
-
-#: Half-width of the value window around a level estimate, relative to 1 + |estimate|.
-_WINDOW = 1e-3
-
-
-def _count_below(d, e, x):
-    """Number of eigenvalues of the tridiagonal (d, e) at or below x (Sturm count).
-
-    stebz on the value range (bottom, x] with an infinite abstol stops at the
-    endpoint counts; bottom lies below the Gershgorin lower bound.
-    """
-    radius = np.zeros(len(d))
-    radius[:-1] += np.abs(e)
-    radius[1:] += np.abs(e)
-    lower = float(np.min(d - radius))
-    bottom = min(lower, x) - (1.0 + abs(lower))
-    return len(
-        eigh_tridiagonal(d, e, eigvals_only=True, select="v", select_range=(bottom, x), tol=np.inf)
-    )
+    """A level or a self-consistent solve failed to settle."""
 
 
 def _check_index(index):
@@ -107,33 +77,19 @@ def _check_index(index):
         raise ValueError(f"index must be an int >= 0, got {index!r}")
 
 
-def _eigenvalue(d, e, index, near):
-    """Eigenvalue `index` (0 the lowest) of the symmetric tridiagonal (d, e).
+def _orthonormal_rows(f0, t, diag, off):
+    """Rows f0 q_k(t), k < len(diag), of the orthonormal polynomials q_k of
+    t q_k = off[k + 1] q_{k+1} + diag[k] q_k + off[k] q_{k-1}, q_0 = 1.
 
-    With `near` None this is a stebz index solve.  An estimate `near` is
-    widened by _WINDOW (1 + |near|) to (lo, hi], and the value solve on it is
-    kept only when the Sturm count at or below lo equals `index` and the
-    window holds a value.  Any other case falls back to the index solve.
+    Each Galerkin solve starts from f0 = sqrt(weight) q_0 at its quadrature
+    nodes, so no factor of a row overflows where the weight is tiny.
     """
-    if near is not None:
-        lo = near - _WINDOW * (1.0 + abs(near))
-        hi = near + _WINDOW * (1.0 + abs(near))
-        if _count_below(d, e, lo) == index:
-            window = eigh_tridiagonal(d, e, eigvals_only=True, select="v", select_range=(lo, hi))
-            if len(window):
-                return window[0]
-    return eigh_tridiagonal(d, e, eigvals_only=True, select="i", select_range=(index, index))[0]
-
-
-def _richardson(l1, l2, l3):
-    """Two Richardson steps over second-order levels on spacings h, h/2 and h/4.
-
-    R1 = (4 L2 - L1) / 3 and R2 = (4 L3 - L2) / 3 cancel the h^2 term, and
-    (16 R2 - R1) / 15, returned, the h^4 term.
-    """
-    r1 = (4.0 * l2 - l1) / 3.0
-    r2 = (4.0 * l3 - l2) / 3.0
-    return (16.0 * r2 - r1) / 15.0
+    f = np.empty((len(diag), t.size))
+    f[0] = f0
+    f[1] = (t - diag[0]) * f[0] / off[1]
+    for j in range(1, len(diag) - 1):
+        f[j + 1] = ((t - diag[j]) * f[j] - off[j] * f[j - 1]) / off[j + 1]
+    return f
 
 
 def _galerkin_matrix(v_eff, s, power, h, size):
@@ -148,23 +104,41 @@ def _galerkin_matrix(v_eff, s, power, h, size):
     polynomial of degree at most 2, both are polynomials of degree at most
     2 size, so size + 2 Gauss-Laguerre nodes of that weight integrate them
     exactly.  The nodes and weights come from scipy (roots_genlaguerre),
-    whose weights are relatively accurate where they are tiny; each
-    orthonormal L_k is carried times sqrt(weight) by its three-term
-    recurrence, so no factor overflows.
+    whose weights are relatively accurate where they are tiny; the
+    orthonormal L_k satisfy the three-term recurrence in t = -x.
     """
     alpha = (2.0 * s + 1.0) / power - 1.0
     x, w = roots_genlaguerre(size + 2, alpha - 2.0 / power)
     k = np.arange(size)
     root = np.sqrt(k * (k + alpha))
-    f = np.empty((size, x.size))
-    f[0] = np.sqrt(w) * math.exp(-0.5 * math.lgamma(alpha + 1.0))
-    f[1] = (alpha + 1.0 - x) * f[0] / root[1]
-    for j in range(1, size - 1):
-        f[j + 1] = ((2 * j + 1 + alpha - x) * f[j] - root[j] * f[j - 1]) / root[j + 1]
+    f0 = np.sqrt(w) * math.exp(-0.5 * math.lgamma(alpha + 1.0))
+    f = _orthonormal_rows(f0, -x, -(2 * k + 1 + alpha), root)
     p = (s / power - 0.5 * x + k[:, None]) * f
     p[1:] -= root[1:, None] * f[:-1]
     g = x ** (1.0 / power) * f
     return (power / h) ** 2 * (p @ p.T) + (g * v_eff(h * x ** (1.0 / power))) @ g.T
+
+
+def _scale_level(v_eff, s, index):
+    """An estimate of Kratzer level `index` that sets the radial scale.
+
+    Level `index` of RADIAL_FUNCTIONS functions lies above the level at any
+    scale h (Rayleigh-Ritz), and the lower it lies the better h = 1.3 /
+    (2 sqrt|estimate|) fits it.  From h = 1, each estimate sets the next
+    scale while the estimate falls by more than 10%, at most SCALE_PASSES
+    times; the lowest estimate is returned.  A deep well takes several
+    passes: with gamma D_e r_e = 838 the estimate at h = 1 is -34.8 against a
+    level of -487.9, and the third pass lies 1.1e-5 above it.
+    """
+    estimate = np.linalg.eigvalsh(_galerkin_matrix(v_eff, s, 1, 1.0, RADIAL_FUNCTIONS))[index]
+    for _ in range(SCALE_PASSES):
+        h = 1.3 / (2.0 * math.sqrt(abs(estimate)))
+        trial = np.linalg.eigvalsh(_galerkin_matrix(v_eff, s, 1, h, RADIAL_FUNCTIONS))[index]
+        falls = trial < estimate - 0.1 * abs(estimate)
+        estimate = min(estimate, trial)
+        if not falls:
+            break
+    return estimate
 
 
 def fd_radial_eigs(potential, gamma, ell_eff_sq, index, b):
@@ -179,8 +153,8 @@ def fd_radial_eigs(potential, gamma, ell_eff_sq, index, b):
     gamma D_e r_e^2 for Kratzer).  Kratzer maps r = h x; its solutions decay
     as e^(-sqrt|lambda| r), so h = 1.3 / (2 sqrt|b|), 1.3 times the scale at
     which the basis decays as the level does.  Where b is None or
-    |b| < 1e-3, b is first taken as level `index` of RADIAL_FUNCTIONS
-    functions at h = 1.  The oscillator maps r = h x^(1/2); its solutions
+    |b| < 1e-3, b is first estimated by the solver itself (_scale_level).
+    The oscillator maps r = h x^(1/2); its solutions
     decay as e^(-sqrt(c4) r^2 / 2), c4 = gamma k / 2 its r^2 coefficient,
     so h = 1.3 c4^(-1/4).  The 1.3 keeps the basis off the level's own
     eigenfunction.
@@ -190,8 +164,17 @@ def fd_radial_eigs(potential, gamma, ell_eff_sq, index, b):
     the two agree to 1e-10 (1 + |level|).  N starts at RADIAL_FUNCTIONS and
     doubles up to MAX_RADIAL_FUNCTIONS, beyond which DivergenceError is
     raised, as it is for gamma <= 0, where gamma V holds no bound level.
-    Raises ValueError unless index is an int >= 0, and OracleError unless
-    index < RADIAL_FUNCTIONS.
+
+    Domain: ell_eff^2 >= 1/4 (every polar level is at least 9/4), so s is
+    at least 1.  There every drawn Kratzer level with |lambda| >= 1e-3
+    settles and meets the hydrogenic closed form to 1e-12 relative, and
+    every oscillator level meets sqrt(2 gamma k) (2 n + 1 + ell_eff)
+    (tests/test_properties.py).  A Kratzer level with |lambda| < 1e-3 lies
+    so close to the continuum that its eigenfunction can spread beyond
+    what 2 MAX_RADIAL_FUNCTIONS functions at the scale resolve: it raises
+    DivergenceError ("unsettled"), or it settles within the 1e-10 above
+    in absolute terms.  Raises ValueError unless index is an int >= 0, and
+    OracleError unless index < RADIAL_FUNCTIONS.
     """
     _check_index(index)
     if index >= RADIAL_FUNCTIONS:
@@ -213,7 +196,7 @@ def fd_radial_eigs(potential, gamma, ell_eff_sq, index, b):
         h = 1.3 * (0.5 * gamma * potential.k) ** -0.25
     else:
         if b is None or abs(b) < 1e-3:
-            b = np.linalg.eigvalsh(_galerkin_matrix(v_eff, s, power, 1.0, RADIAL_FUNCTIONS))[index]
+            b = _scale_level(v_eff, s, index)
         h = 1.3 / (2.0 * math.sqrt(abs(b)))
     size = RADIAL_FUNCTIONS
     while size <= MAX_RADIAL_FUNCTIONS:
@@ -226,72 +209,97 @@ def fd_radial_eigs(potential, gamma, ell_eff_sq, index, b):
     raise DivergenceError(f"radial level unsettled at {MAX_RADIAL_FUNCTIONS} functions")
 
 
-@functools.lru_cache(maxsize=3)
-def _angular_grid(cells):
-    """The parts of the angular FD matrix that depend only on `cells`, read-only.
+def _jacobi_matrix(c_b, c_a, mu, s, size):
+    """Matrix of the polar operator on `size` Jacobi functions in x = cos(theta).
 
-    On `cells` midpoint cells of (0, pi/2): sin and sin^2 at the centers,
-    cos^2 at the centers, the kinetic diagonal and the symmetrized
-    off-diagonal.  The last cell's outer flux sees the ghost value -P_last,
-    which puts the Dirichlet wall on the face at pi/2, so its kinetic entry
-    carries 2 sin at that face.  One fd_angular_eigs call builds three
-    grids, which the cache holds; a caller sweeping `cells` evicts the
-    oldest.
+    The operator is -((1 - x^2) P')' + [1/4 + c_b/(1 - x^2) + c_a/x^2] P on
+    (0, 1), and the basis is x^s (1 - x^2)^(mu/2) p_k(y), y = 2 x^2 - 1,
+    k < size, where p_k are the Jacobi polynomials orthonormal for
+    (1 - y)^mu (1 + y)^(s - 1/2); up to one constant factor the mass matrix
+    is the identity.  In weak form the kinetic term is Q_j Q_k and the
+    potential term [(1 - y^2)/4 + 2 c_b (1 + y) + 2 c_a (1 - y)] p_j p_k,
+    each against (1 - y)^(mu - 1) (1 + y)^(s - 3/2), where
+    Q_k = (s (1 - y) - mu (1 + y)) p_k + 2 (1 - y^2) p_k' has degree k + 1
+    ((1 - y^2) p_k' is a combination of p_k and p_{k-1}).  Each entry h(y)
+    is thus a polynomial of degree at most 2 size, and size + 1 Gauss-Jacobi
+    nodes (roots_jacobi) integrate it exactly.  Where mu >= 1 the nodes are
+    those of the entries' own weight.  Where mu < 1 that weight puts a node
+    within about mu/20 of y = 1, where 1 - y keeps few digits (the level
+    would lose about 2e-15 / mu), so each entry is split as
+    h = h(1) + (1 - y) g: g, of degree below 2 size, takes the nodes of
+    (1 - y)^mu (1 + y)^(s - 3/2), and h(1) = 4 (mu^2 + c_b) p_j(1) p_k(1)
+    the weight's exact integral, 2^(mu + s - 3/2) B(mu, s - 1/2); h(1)
+    vanishes at mu = c_b = 0.  Both rules are exact for any c_b and c_a
+    (and mu > 0 where c_b != 0); mu and s are the basis's exponents, which
+    fd_angular_eigs takes from c_b and c_a.
     """
-    h = (math.pi / 2.0) / cells
-    centers = (np.arange(cells) + 0.5) * h
-    faces = np.arange(cells + 1) * h
-    sin_f = np.sin(faces)
-    sin_c = np.sin(centers)
-    kinetic = (sin_f[:cells] + sin_f[1:]) / h**2
-    kinetic[-1] = (sin_f[-2] + 2.0 * sin_f[-1]) / h**2
-    off = -sin_f[1:cells] / h**2
-    grid = (
-        sin_c,
-        sin_c**2,
-        np.cos(centers) ** 2,
-        kinetic,
-        off / np.sqrt(sin_c[:-1] * sin_c[1:]),
+    alpha, beta = mu, s - 0.5
+    split = mu < 1.0
+    y, w = roots_jacobi(size + 1, mu if split else mu - 1.0, beta - 1.0)
+    k = np.arange(size)
+    ab = 2 * k + alpha + beta
+    diag = (beta * beta - alpha * alpha) / (ab * (ab + 2.0))
+    off = np.zeros(size)
+    off[1:] = (2.0 / ab[1:]) * np.sqrt(
+        k[1:] * (k[1:] + alpha) * (k[1:] + beta) * (k[1:] + alpha + beta)
+        / ((ab[1:] - 1.0) * (ab[1:] + 1.0))
     )
-    for part in grid:
-        part.flags.writeable = False
-    return grid
-
-
-def _angular_fd_once(gamma, ring: RingParams, m: int, index: int, cells: int, near=None):
-    """Level `index` of the angular FD matrix on `cells` cells (see _eigenvalue).
-
-    Only the potential term q and the diagonal depend on gamma, the ring
-    and m; the rest comes from _angular_grid.
-    """
-    sin_c, sin_c_sq, cos_c_sq, kinetic, e = _angular_grid(cells)
-    q = 0.25 + (m * m + gamma * ring.b) / sin_c_sq + gamma * ring.a / cos_c_sq
-    diag = kinetic + q * sin_c
-    d = diag / sin_c
-    return _eigenvalue(d, e, index, near)
+    # p_0 = h0^(-1/2), h0 the integral of (1 - y)^alpha (1 + y)^beta
+    log_h0 = (
+        (alpha + beta + 1.0) * math.log(2.0)
+        + math.lgamma(alpha + 1.0) + math.lgamma(beta + 1.0) - math.lgamma(alpha + beta + 2.0)
+    )
+    p0 = math.exp(-0.5 * log_h0)
+    f = _orthonormal_rows(np.sqrt(w) * p0, y, diag, off)
+    q = (s * (1.0 - y) - mu * (1.0 + y) + 2.0 * k[:, None] * ((alpha - beta) / ab[:, None] - y)) * f
+    q[1:] += (2.0 * (ab[1:] + 1.0) * off[1:])[:, None] * f[:-1]
+    v = (1.0 - y * y) / 4.0 + 2.0 * c_b * (1.0 + y) + 2.0 * c_a * (1.0 - y)
+    u = 1.0 / (1.0 - y) if split else 1.0
+    matrix = (q * u) @ q.T + (f * (v * u)) @ f.T
+    if split and mu > 0:
+        at_one = _orthonormal_rows(np.full(1, p0), np.ones(1), diag, off)[:, 0]
+        log_i0 = (
+            (mu + beta - 1.0) * math.log(2.0)
+            + math.lgamma(mu) + math.lgamma(beta) - math.lgamma(mu + beta)
+        )
+        singular = math.exp(log_i0) - np.sum(w * u)
+        matrix += 4.0 * (mu * mu + c_b) * singular * np.outer(at_one, at_one)
+    return matrix
 
 
 def fd_angular_eigs(gamma, ring: RingParams, m: int, index: int):
     """Eigenvalue (ell + 1/2)^2 of the polar equation's level `index`, real sector only.
 
-    The level of the quantization family (bounded at theta = 0, vanishing at
-    pi/2) on ANGULAR_CELLS, 2 ANGULAR_CELLS and 4 ANGULAR_CELLS cells
-    (spacings h, h/2 and h/4), each second order with the wall on the last
-    face, and two Richardson steps cancel the h^2 and h^4 terms
-    (_richardson).  The coarsest grid is an index
-    solve; the finer two each solve in a Sturm-certified value window
-    around the previous grid's level (see _eigenvalue).  Raises ValueError
-    unless index is an int >= 0, and OracleError unless index < ANGULAR_CELLS.
+    In x = cos(theta) the polar equation reads -((1 - x^2) P')'
+    + [1/4 + c_b/(1 - x^2) + c_a/x^2] P = lambda P on (0, 1), with
+    c_b = m^2 + gamma b and c_a = gamma a, and the level belongs to the
+    quantization family (bounded at theta = 0, vanishing at pi/2).  The
+    name is the one perfbench's tracer spans; the solve is Galerkin, not
+    FD.  Its basis (_jacobi_matrix) starts with the operator's indicial
+    exponents: (1 - x^2)^(mu/2), mu = sqrt(c_b), at theta = 0, and x^s,
+    s = 1/2 + sqrt(1/4 + c_a) the larger root, at theta = pi/2.
+
+    One matrix of index + 2 ANGULAR_MARGIN functions gives the level on
+    index + ANGULAR_MARGIN functions as its leading block; the larger
+    basis's level is returned once the two agree to 1e-10 (1 + |level|),
+    and DivergenceError is raised otherwise.  Raises ValueError unless
+    index is an int >= 0, OracleError unless index < ANGULAR_LEVELS, and
+    OracleError in the complex sector, where c_a + 1/4 < 0 or c_b < 0.
     """
     _check_index(index)
-    if index >= ANGULAR_CELLS:
-        raise OracleError(f"level {index} lies beyond the {ANGULAR_CELLS}-cell angular grid")
-    if gamma * ring.a + 0.25 < 0 or gamma * ring.b + m * m < 0:
+    if index >= ANGULAR_LEVELS:
+        raise OracleError(f"level {index} lies beyond the {ANGULAR_LEVELS}-level angular basis")
+    c_b, c_a = m * m + gamma * ring.b, gamma * ring.a
+    if c_a + 0.25 < 0 or c_b < 0:
         raise OracleError("complex angular sector: radicals not real")
-    l1 = _angular_fd_once(gamma, ring, m, index, ANGULAR_CELLS)
-    l2 = _angular_fd_once(gamma, ring, m, index, 2 * ANGULAR_CELLS, near=l1)
-    l3 = _angular_fd_once(gamma, ring, m, index, 4 * ANGULAR_CELLS, near=l2)
-    return _richardson(l1, l2, l3)
+    size = index + ANGULAR_MARGIN
+    mu, s = math.sqrt(c_b), 0.5 + math.sqrt(0.25 + c_a)
+    matrix = _jacobi_matrix(c_b, c_a, mu, s, size + ANGULAR_MARGIN)
+    coarse = np.linalg.eigvalsh(matrix[:size, :size])[index]
+    level = np.linalg.eigvalsh(matrix)[index]
+    if abs(level - coarse) > 1e-10 * (1.0 + abs(level)):
+        raise DivergenceError(f"angular level unsettled at {size + ANGULAR_MARGIN} functions")
+    return float(level)
 
 
 def _consistency_map(spec: ProblemSpec, e: float) -> float:
@@ -320,9 +328,15 @@ SCAN_STEP, SCAN_SPAN = 0.1, 4.0
 #: Laguerre functions of the coarser radial Galerkin level, and its cap
 #: (the finer level has twice as many; see fd_radial_eigs).
 RADIAL_FUNCTIONS, MAX_RADIAL_FUNCTIONS = 16, 128
-#: Cells of the coarsest angular FD grid (the finer two have 2x and 4x as
-#: many cells, at spacings h, h/2 and h/4).
-ANGULAR_CELLS = 500
+#: Rescaled estimates after the first in `_scale_level`.
+SCALE_PASSES = 8
+#: Jacobi functions beyond the polar level's index in the smaller angular
+#: basis; the larger one has twice as many (see fd_angular_eigs).
+ANGULAR_MARGIN = 2
+#: Polar levels the angular basis serves, n' < ANGULAR_LEVELS.  Its largest
+#: matrix, of ANGULAR_LEVELS + 3 functions, takes tens of milliseconds, and
+#: its level at n' = ANGULAR_LEVELS - 1 keeps 11 digits.
+ANGULAR_LEVELS = 500
 
 
 def self_consistent_energy(spec: ProblemSpec, initial_energy: float):
@@ -356,8 +370,8 @@ def self_consistent_energy(spec: ProblemSpec, initial_energy: float):
     Raises ValueError for a non-finite initial_energy, and OracleError,
     before any sweep, for a spec outside the spin Kratzer sector (see the
     module's scope paragraph), a level n beyond the radial basis
-    (n >= RADIAL_FUNCTIONS) or a polar level n' beyond the angular grid
-    (n' >= ANGULAR_CELLS).
+    (n >= RADIAL_FUNCTIONS) or a polar level n' beyond the angular basis
+    (n' >= ANGULAR_LEVELS).
     """
     e0 = float(initial_energy)
     if not math.isfinite(e0):
@@ -366,9 +380,9 @@ def self_consistent_energy(spec: ProblemSpec, initial_energy: float):
         raise OracleError("the self-consistent sweep solves the spin Kratzer sector only")
     if spec.qn.n >= RADIAL_FUNCTIONS:
         raise OracleError(f"level {spec.qn.n} lies beyond the {RADIAL_FUNCTIONS}-function basis")
-    if spec.qn.n_prime >= ANGULAR_CELLS:
+    if spec.qn.n_prime >= ANGULAR_LEVELS:
         raise OracleError(
-            f"level {spec.qn.n_prime} lies beyond the {ANGULAR_CELLS}-cell angular grid"
+            f"level {spec.qn.n_prime} lies beyond the {ANGULAR_LEVELS}-level angular basis"
         )
     swept = {}
 
@@ -413,10 +427,12 @@ def nonrel_energy_fd(params, qn):
     """Energy of level n of the nonrelativistic separated radial problem.
 
     Solves -u''/(2 mu) + [V(r) + (L^2 - 1/4)/(2 mu r^2)] u = E u (hbar = 1)
-    with the ring-quantized L = ell_eff as fd_radial_eigs at gamma = 2 mu,
-    whose eigenvalue is gamma E; the independent check for the closed-form
-    nonrelativistic spectra.  DivergenceError if the level does not settle.
+    as fd_radial_eigs at gamma = 2 mu, whose eigenvalue is gamma E, with
+    L^2 the polar level n' of fd_angular_eigs at the same gamma; the
+    independent check for the closed-form nonrelativistic spectra, both
+    halves.  DivergenceError if a level does not settle, and OracleError
+    for n >= RADIAL_FUNCTIONS or n' >= ANGULAR_LEVELS.
     """
     gamma = 2.0 * params.mu
-    ell_eff = coefficients_nr(params, qn).ell_eff.real
-    return fd_radial_eigs(params.potential, gamma, ell_eff**2, qn.n, None) / gamma
+    ell_eff_sq = fd_angular_eigs(gamma, params.ring, qn.m, qn.n_prime)
+    return fd_radial_eigs(params.potential, gamma, ell_eff_sq, qn.n, None) / gamma

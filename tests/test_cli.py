@@ -634,7 +634,8 @@ class TestPotentialGrid:
         assert float(line.split()[2]) == pytest.approx(-1.9e307, rel=1e-9)
 
     def test_large_equilibrium_distance(self, capsys, tmp_path):
-        # r_e**2 raised OverflowError for r_e above ~1.3e154; V(r_e) = -d_e is finite
+        # r_e**2 raised OverflowError for r_e above ~1.3e154; V(r_e) = -d_e is
+        # finite, -15 at the default d_e
         out = tmp_path / "grid.txt"
         code, _, _ = run(
             capsys,
@@ -645,9 +646,11 @@ class TestPotentialGrid:
         )
         assert code == 0
         line = [l for l in out.read_text().splitlines() if not l.startswith("#")][0]
-        assert float(line.split()[2]) == -12.0
+        assert float(line.split()[2]) == -15.0
 
     def test_kratzer_point_value(self, capsys, tmp_path):
+        # V(1, pi/4) = -15 (2 q - q^2) + 1/sin^2 + 1/cos^2 with q = r_e / r = 0.4
+        # at the default d_e = 15 and a = b = 1
         out = tmp_path / "grid.txt"
         code, _, _ = run(
             capsys,
@@ -658,7 +661,39 @@ class TestPotentialGrid:
         )
         assert code == 0
         line = [l for l in out.read_text().splitlines() if not l.startswith("#")][0]
-        assert float(line.split()[2]) == pytest.approx(-3.68, abs=1e-9)
+        assert float(line.split()[2]) == pytest.approx(-5.6, abs=1e-9)
+
+    @pytest.mark.parametrize("source", ["flag", "environment", "config"])
+    def test_parameter_precedence(self, capsys, tmp_path, monkeypatch, source):
+        # potential-grid resolves d_e as every subcommand does: the flag over
+        # DRSBOUND_D_E over the --config file over the default 15.  d_e = 20
+        # gives V(r_e, 0.7) = -20 + (1/sin^2 + 1/cos^2) / r_e^2 = 5.743705524
+        cfg = tmp_path / "params.cfg"
+        cfg.write_text("d_e = 20\n" if source == "config" else "d_e = 30\n")
+        if source != "config":
+            monkeypatch.setenv("DRSBOUND_D_E", "20" if source == "environment" else "25")
+        flags = ["--de", "20"] if source == "flag" else []
+        out = tmp_path / "grid.txt"
+        code, _, _ = run(
+            capsys,
+            "potential-grid", "--potential", "kratzer", *flags, "--config", str(cfg),
+            "--r-min", "0.4", "--r-max", "0.4", "--r-samples", "1",
+            "--theta-min", "0.7", "--theta-max", "0.7", "--theta-samples", "1",
+            "--output", str(out),
+        )
+        assert code == 0
+        line = [l for l in out.read_text().splitlines() if not l.startswith("#")][0]
+        assert line.split()[2] == "5.743705524"
+
+    def test_bad_config_exits_two(self, capsys, tmp_path):
+        cfg = tmp_path / "params.cfg"
+        cfg.write_text("depth = 20\n")
+        code, _, err = run(
+            capsys,
+            "potential-grid", "--potential", "kratzer", "--config", str(cfg),
+            "--output", str(tmp_path / "grid.txt"),
+        )
+        assert code == 2 and "unknown config key 'depth'" in err
 
     def test_oscillator_point_value(self, capsys, tmp_path):
         out = tmp_path / "grid.txt"

@@ -31,7 +31,11 @@ from drsbound.oracle import (
 from drsbound.spectrum import RootClass, find_roots, load_table_data, table_spec
 from drsbound.wavefun import radial_kratzer
 
+import angular_fd
+
 DATA_DIR = pathlib.Path(__file__).resolve().parent / "data"
+#: perfbench/items.py's acceptance tolerance for the oracle's energy
+ORACLE_TOL = 1e-4
 REFERENCE_DIR = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "reference"
 
 
@@ -76,6 +80,17 @@ class TestRadialSolver:
             small = oracle._galerkin_matrix(v_eff, s, power, h, 16)
             large = oracle._galerkin_matrix(v_eff, s, power, h, 32)
             np.testing.assert_allclose(large[:16, :16], small, rtol=0, atol=1e-12 * np.abs(small).max())
+
+    def test_deep_well_scale_from_estimate(self):
+        # gamma D_e r_e = 838 with no scale hint: the estimate at h = 1 (-34.8)
+        # put the basis 3.7 times too wide, and no basis up to
+        # MAX_RADIAL_FUNCTIONS settled; the rescaled estimates close on the
+        # level, which then meets the hydrogenic closed form
+        gamma, d_e, r_e, ell_eff_sq, n = 19.6, 28.9, 1.48, 16.2, 2
+        c = gamma * d_e * r_e
+        exact = -(c * c) / (n + 0.5 + math.sqrt(ell_eff_sq + c * r_e)) ** 2
+        level = fd_radial_eigs(Kratzer(d_e, r_e), gamma, ell_eff_sq, n, None)
+        assert abs(level - exact) <= 1e-12 * abs(exact)
 
     def test_grid_too_coarse_rejected(self):
         # the coarser basis holds RADIAL_FUNCTIONS levels
@@ -122,85 +137,111 @@ class TestAngularSolver:
 
     def test_ring_dressed_levels_pinned(self):
         eigs = [fd_angular_eigs(2.0, RingParams(1.0, 0.5), 1, k) for k in range(2)]
-        assert [float(x).hex() for x in eigs] == ["0x1.ea463000c5980p+3", "0x1.17d2c8cc5b1cbp+5"]
+        assert [float(x).hex() for x in eigs] == ["0x1.ea463000f8565p+3", "0x1.17d2c8cd3c8d7p+5"]
 
     def test_complex_sector_rejected(self):
         with pytest.raises(OracleError):
             fd_angular_eigs(-2.0, RingParams(1.0, 0.0), 0, 0)
 
     def test_grid_too_coarse_rejected(self):
-        # the coarsest grid holds ANGULAR_CELLS levels; the last one is served
-        with pytest.raises(OracleError, match="beyond the 500-cell angular grid"):
-            fd_angular_eigs(2.0, RingParams(0.0, 0.0), 0, oracle.ANGULAR_CELLS)
-        last = fd_angular_eigs(2.0, RingParams(0.0, 0.0), 0, oracle.ANGULAR_CELLS - 1)
-        assert math.isfinite(last)
+        # the basis serves ANGULAR_LEVELS polar levels; the last one is solved
+        # on ANGULAR_LEVELS + 3 functions
+        with pytest.raises(OracleError, match="beyond the 500-level angular basis"):
+            fd_angular_eigs(2.0, RingParams(0.0, 0.0), 0, oracle.ANGULAR_LEVELS)
+        last = fd_angular_eigs(2.0, RingParams(0.0, 0.0), 0, oracle.ANGULAR_LEVELS - 1)
+        exact = (math.sqrt(0.25) + 0.0 + 2 * (oracle.ANGULAR_LEVELS - 1) + 1) ** 2
+        assert abs(last - exact) <= 1e-11 * exact
 
 
-def _angular_matrix(gamma, ring, m, cells, wall):
-    """(d, e) of the angular FD matrix built whole, as before _angular_grid.
-
-    The last cell's outer face enters its kinetic entry `wall` times: 2 is
-    the ghost value -P_last, the wall on that face; 1 is the former closure,
-    the wall half a cell beyond pi/2.
-    """
-    h = (math.pi / 2.0) / cells
-    centers = (np.arange(cells) + 0.5) * h
-    faces = np.arange(cells + 1) * h
-    sin_f = np.sin(faces)
-    sin_c = np.sin(centers)
-    q = (
-        0.25
-        + (m * m + gamma * ring.b) / sin_c**2
-        + gamma * ring.a / np.cos(centers) ** 2
-    )
-    kinetic = (sin_f[:cells] + sin_f[1:]) / h**2
-    kinetic[-1] = (sin_f[-2] + wall * sin_f[-1]) / h**2
-    diag = kinetic + q * sin_c
-    off = -sin_f[1:cells] / h**2
-    d = diag / sin_c
-    e = off / np.sqrt(sin_c[:-1] * sin_c[1:])
-    return d, e
+def _closed_polar(gamma, ring, m, n_prime):
+    """(sqrt(gamma a + 1/4) + sqrt(gamma b + m^2) + 2 n' + 1)^2, the quantization rule."""
+    return (math.sqrt(gamma * ring.a + 0.25) + math.sqrt(gamma * ring.b + m * m) + 2 * n_prime + 1) ** 2
 
 
-def _angular_fd_uncached(gamma, ring, m, index, cells, near=None):
-    """The level of the angular FD matrix built whole on every call."""
-    return oracle._eigenvalue(*_angular_matrix(gamma, ring, m, cells, 2.0), index, near)
+def _ritz_level(c_b, c_a, mu, s, size, index):
+    """Level `index` of the polar operator with coefficients c_b, c_a on `size`
+    Jacobi functions whose exponents are mu at theta = 0 and s at pi/2."""
+    return np.linalg.eigvalsh(oracle._jacobi_matrix(c_b, c_a, mu, s, size))[index]
 
 
-class TestAngularGrid:
-    """The cached cell geometry gives the uncached build's levels bit for bit."""
+#: (gamma, a, b, m, n') of the Ritz checks below, both ring terms present;
+#: mu = sqrt(m^2 + gamma b) is 1.41, 2.57, 1.41 and 0.5
+RITZ_CASES = [
+    (2.0, 1.0, 0.5, 1, 1),
+    (1.3, 2.0, 2.0, 2, 3),
+    (2.0, 1.0, 1.0, 0, 0),
+    (0.5, 0.5, 0.5, 0, 2),
+]
 
-    @pytest.mark.parametrize("cells", [1500, 2000])
-    def test_levels_match_uncached_build(self, cells):
-        # each case solves its level on `cells` cells and then, in the window
-        # around that, on 2 * cells cells, as fd_angular_eigs chains its grids
-        rng = np.random.default_rng(cells)
-        cases = []
-        for _ in range(6):
-            gamma, a, b = (float(x) for x in rng.uniform((0.0, 0.0, 0.0), (3.0, 2.0, 2.0)))
-            m, index = (int(x) for x in rng.integers((-2, 0), (3, 3)))
-            cases.append((gamma, RingParams(a, b), m, index))
 
-        def levels(once):
-            out = []
-            for g, ring, m, index in cases:
-                coarse = once(g, ring, m, index, cells)
-                fine = once(g, ring, m, index, 2 * cells, coarse)
-                out += [float(coarse).hex(), float(fine).hex()]
-            return out
+class TestAngularRitz:
+    """The Jacobi Ritz level: exact quadrature, and a level that rests on the
+    printed operator, not on the exponents its basis starts with."""
 
-        assert levels(oracle._angular_fd_once) == levels(_angular_fd_uncached)
+    @pytest.mark.parametrize("mu, s", [(0.0, 1.0), (0.164, 1.0), (1.2, 2.3)])
+    def test_leading_block_is_the_smaller_basis(self, mu, s):
+        # the quadrature is exact, so the N-function matrix is the leading
+        # block of the 2N-function one, on both rules (mu < 1 and mu >= 1)
+        small = oracle._jacobi_matrix(mu * mu, s * (s - 1.0), mu, s, 6)
+        large = oracle._jacobi_matrix(mu * mu, s * (s - 1.0), mu, s, 12)
+        np.testing.assert_allclose(large[:6, :6], small, rtol=0, atol=1e-12 * np.abs(small).max())
 
-    def test_geometry_read_only_and_bounded(self):
-        grid = oracle._angular_grid(1500)
-        assert oracle._angular_grid(1500) is grid
-        for part in grid:
-            with pytest.raises(ValueError, match="read-only"):
-                part[0] = 0.0
-        # a sweep over cell counts keeps only the three latest grids
-        for cells in range(1500, 1510):
-            oracle._angular_grid(cells)
-        assert oracle._angular_grid.cache_info().currsize == 3
+    @pytest.mark.parametrize("b", [1e-10, 1e-40, 5e-324])
+    def test_small_mu_accuracy(self, b):
+        # m = 0 and gamma b near 0 put mu = sqrt(gamma b) near 0 (1e-5 down to
+        # 0 once squared); the split rule keeps the level within 1e-13 of the
+        # quantization rule (worst 4e-15), where one rule on the entries'
+        # weight lost digits like 2e-15 / mu (2.2e-10 at mu = 1e-5) and
+        # failed below mu = 1e-16
+        ring = RingParams(1.0, b)
+        for n_prime in (0, 3):
+            exact = _closed_polar(1.0, ring, 0, n_prime)
+            assert abs(fd_angular_eigs(1.0, ring, 0, n_prime) - exact) <= 1e-13 * exact
+
+    @pytest.mark.parametrize("term", ["a", "b"])
+    @pytest.mark.parametrize("case", RITZ_CASES, ids=str)
+    def test_mis_signed_term_moves_the_level(self, term, case):
+        # the same basis on the operator with its 1/cos^2 (a) or 1/sin^2 (b)
+        # ring term mis-signed: the level leaves the quantization rule by
+        # O(1) (at least 4.9 here), so it follows the printed operator
+        gamma, a, b, m, n_prime = case
+        c_b, c_a = m * m + gamma * b, gamma * a
+        mu, s = math.sqrt(c_b), 0.5 + math.sqrt(0.25 + c_a)
+        size = n_prime + 2 * oracle.ANGULAR_MARGIN
+        exact = _closed_polar(gamma, RingParams(a, b), m, n_prime)
+        assert abs(_ritz_level(c_b, c_a, mu, s, size, n_prime) - exact) <= 1e-13 * exact
+        if term == "a":
+            c_a = -c_a
+        else:
+            c_b = m * m - gamma * b
+        assert abs(_ritz_level(c_b, c_a, mu, s, size, n_prime) - exact) >= 1.0
+
+    @pytest.mark.parametrize("case", RITZ_CASES, ids=str)
+    def test_offset_exponent_converges_to_the_same_level(self, case):
+        # a basis whose theta = 0 exponent is off by 0.25 holds no
+        # eigenfunction: its levels bound the level from above and close on
+        # it only slowly as functions are added (at mu = 0.5 the error at 64
+        # functions is still 0.13 of that at 8; a smaller mu closes slower)
+        gamma, a, b, m, n_prime = case
+        c_b, c_a = m * m + gamma * b, gamma * a
+        mu, s = math.sqrt(c_b), 0.5 + math.sqrt(0.25 + c_a)
+        exact = _closed_polar(gamma, RingParams(a, b), m, n_prime)
+        errors = [
+            _ritz_level(c_b, c_a, mu + 0.25, s, size, n_prime) - exact for size in (8, 16, 32, 64)
+        ]
+        assert 0 < errors[3] < errors[2] < errors[1] < errors[0]
+        assert errors[3] <= 0.2 * errors[0]
+
+    def test_offset_exponent_is_refused(self, monkeypatch):
+        # fd_angular_eigs checks its level against the smaller basis; with
+        # the theta = 0 exponent off by 0.25 the two disagree, and the level
+        # is refused instead of returned
+        real = oracle._jacobi_matrix
+        monkeypatch.setattr(
+            oracle, "_jacobi_matrix", lambda c_b, c_a, mu, s, size: real(c_b, c_a, mu + 0.25, s, size)
+        )
+        with pytest.raises(DivergenceError, match="angular level unsettled"):
+            fd_angular_eigs(2.0, RingParams(1.0, 0.5), 1, 1)
 
 
 def _load_tracer():
@@ -297,8 +338,8 @@ class TestSelfConsistency:
         # the march would sweep its whole bound before raising
         calls = []
         monkeypatch.setattr(oracle, "_consistency_map", lambda *args: calls.append(args))
-        spec = table_spec(3, 0, oracle.ANGULAR_CELLS, 0, 0.0, 0.0)
-        with pytest.raises(OracleError, match="beyond the 500-cell angular grid"):
+        spec = table_spec(3, 0, oracle.ANGULAR_LEVELS, 0, 0.0, 0.0)
+        with pytest.raises(OracleError, match="beyond the 500-level angular basis"):
             self_consistent_energy(spec, 3.0)
         assert calls == []
 
@@ -378,11 +419,13 @@ class TestSelfConsistency:
 
     def test_unsettled_radial_domain_raises(self):
         # on draw 3's spec the radial level does not settle just above the
-        # continuum edge E = 0, where |b(E)| < 1e-3 and the scale comes from
-        # a first solve; below it gamma <= 0 holds no bound level
+        # continuum edge E = 0: at E = 1e-3 the scale comes from b(E) =
+        # -5.0e-3, while the level at gamma(E) = 1e-3 lies at -2.2e-6, so the
+        # basis is about 50 times too compressed.  Below the edge gamma <= 0
+        # holds no bound level
         spec = table_spec(3, 1, 0, 1, 0.0, 0.5)
         with pytest.raises(DivergenceError, match="unsettled"):
-            oracle._consistency_map(spec, 1e-5)
+            oracle._consistency_map(spec, 1e-3)
         with pytest.raises(DivergenceError, match="no bound level"):
             oracle._consistency_map(spec, -1.99e-4)
 
@@ -412,6 +455,30 @@ class TestSelfConsistency:
         closed = find_roots(spec, mode="strict")[0].energy.real
         assert abs(self_consistent_energy(spec, closed + offset) - closed) < 1e-8
 
+    @pytest.mark.parametrize(
+        "qn, ring",
+        [
+            ((0, 1, 0), (0.0, 0.01)),
+            ((0, 1, 0), (0.0, 0.02)),
+            ((1, 1, 0), (0.0, 0.01)),
+            ((0, 0, 0), (0.0, 0.05)),
+            ((0, 2, 0), (1.0, 0.01)),
+            ((0, 1, 0), (0.0, 0.5)),
+        ],
+        ids=str,
+    )
+    def test_weak_ring_specs_within_oracle_tol(self, qn, ring):
+        # m = 0 with a weak b ring puts mu = sqrt(gamma b) at 0.1 to 0.35,
+        # where the former FD level converged like h^(2 mu): these solves
+        # missed ORACLE_TOL by 5.4e-3 to 1.29e-2 (the first one 1.29e-2, its
+        # root 1.9124878158), and the b = 0.5 one met it at 6.4e-10.  From
+        # the root + 0.1 and + 0.137 each solve now closes within 3e-10
+        spec = table_spec(3, *qn, *ring)
+        closed = find_roots(spec, mode="strict")[0].energy.real
+        for offset in (0.1, 0.137):
+            gap = abs(self_consistent_energy(spec, closed + offset) - closed)
+            assert gap < ORACLE_TOL and gap <= 1e-9
+
     @pytest.mark.parametrize("draw", [str(i) for i in range(12)])
     def test_validate_draws_pinned(self, validate_solves, draw):
         # tests/data/oracle_pins.json: float.hex of the start (the strict
@@ -429,14 +496,13 @@ class TestSelfConsistency:
 
     def test_validate_work_pinned(self, validate_solves):
         # the traced calls of the 12 solves and nonrel_energy_fd checks: one
-        # radial level per sweep and per check, and eigh_tridiagonal only in
-        # the angular solves (five per level); a span that stops firing
-        # reads 0 here
+        # angular and one radial level per sweep (101) and per check (12),
+        # and no tridiagonal eigensolve (the tracer keeps no entry for a
+        # count of 0); a span that stops firing reads 0 here
         assert validate_solves["counts"] == {
             "oracle.self_consistent_energy": 12,
-            "oracle.fd_angular_eigs": 102,
-            "oracle.fd_radial_eigs": 114,
-            "oracle.eigh_tridiagonal": 510,
+            "oracle.fd_angular_eigs": 113,
+            "oracle.fd_radial_eigs": 113,
             "oracle.nonrel_energy_fd": 12,
         }
 
@@ -463,15 +529,20 @@ class TestSelfConsistency:
         assert oracle.gamma_of(spec, e_star).real in radial
 
     def test_levels_do_not_outlive_the_solve(self, monkeypatch):
-        # a second solve of the same spec makes every eigensolve again
+        # a second solve of the same spec builds every matrix again
         spec = table_spec(3, 0, 0, 0, 1.0, 1.0)
         calls = [0]
+        real = {name: getattr(oracle, name) for name in ("_jacobi_matrix", "_galerkin_matrix")}
 
-        def counting(*args, **kwargs):
-            calls[0] += 1
-            return eigh_tridiagonal(*args, **kwargs)
+        def counting(name):
+            def wrapper(*args):
+                calls[0] += 1
+                return real[name](*args)
 
-        monkeypatch.setattr(oracle, "eigh_tridiagonal", counting)
+            return wrapper
+
+        for name in real:
+            monkeypatch.setattr(oracle, name, counting(name))
         first = self_consistent_energy(spec, 1.0)
         per_solve = calls[0]
         second = self_consistent_energy(spec, 1.0)
@@ -516,7 +587,8 @@ class TestSelfConsistency:
 
 
 class TestEigenvaluesOnly:
-    """eigvals_only=True returns the eigenvector call's eigenvalues bit for bit."""
+    """The reference's eigvals_only=True calls return the eigenvector call's
+    eigenvalues bit for bit."""
 
     @staticmethod
     def _capture(monkeypatch):
@@ -527,7 +599,7 @@ class TestEigenvaluesOnly:
             seen.append((d, e, kwargs, out))
             return out
 
-        monkeypatch.setattr(oracle, "eigh_tridiagonal", recording)
+        monkeypatch.setattr(angular_fd, "eigh_tridiagonal", recording)
         return seen
 
     @staticmethod
@@ -552,7 +624,7 @@ class TestEigenvaluesOnly:
 
     def test_angular_matrices(self, monkeypatch):
         seen = self._capture(monkeypatch)
-        _angular_level(1)
+        _angular_fd_level(1)
         self._assert_same_as_eigenvector_call(seen, [500, 1000, 1000, 2000, 2000])
 
 
@@ -565,8 +637,8 @@ def _radial_fd_matrix(nodes):
     on `nodes` interior nodes of (0, 30), with Dirichlet walls at both ends.
 
     The oracle's radial solve is Galerkin; this matrix family, whose entries
-    grow like 1/r^2 towards the first node, exercises the shared windowed
-    solve (_eigenvalue) beside the angular one.
+    grow like 1/r^2 towards the first node, exercises the reference's
+    windowed solve (angular_fd.eigenvalue) beside the angular one.
     """
     h = 30.0 / (nodes + 1)
     r = h * np.arange(1, nodes + 1)
@@ -577,12 +649,16 @@ def _radial_fd_level(index):
     """Level `index` on 3000 nodes, then in a window on 6001 and on 12003 nodes."""
     level = None
     for nodes in (3000, 6001, 12003):
-        level = oracle._eigenvalue(*_radial_fd_matrix(nodes), index, level)
+        level = angular_fd.eigenvalue(*_radial_fd_matrix(nodes), index, level)
     return level
 
 
 def _angular_level(index):
     return fd_angular_eigs(2.072188142, RingParams(1.0, 1.0), 1, index)
+
+
+def _angular_fd_level(index):
+    return angular_fd.angular_level(2.072188142, RingParams(1.0, 1.0), 1, index)
 
 
 class TestLevelArguments:
@@ -617,13 +693,14 @@ def _matrices(solver):
         return eigh_tridiagonal(d, e, **kwargs)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(oracle, "eigh_tridiagonal", recording)
+        mp.setattr(angular_fd, "eigh_tridiagonal", recording)
         solver(0)
     return list(seen.values())
 
 
 class TestWindowedLevels:
-    """A finer grid's level solved in a Sturm-certified window around the coarser grid's."""
+    """The reference's finer-grid level, solved in a Sturm-certified window
+    around the coarser grid's."""
 
     @staticmethod
     def _record(monkeypatch):
@@ -633,42 +710,42 @@ class TestWindowedLevels:
             seen.append(_call_kind(kwargs))
             return eigh_tridiagonal(d, e, **kwargs)
 
-        monkeypatch.setattr(oracle, "eigh_tridiagonal", recording)
+        monkeypatch.setattr(angular_fd, "eigh_tridiagonal", recording)
         return seen
 
     @pytest.mark.parametrize("first", [0, 1, 2, 3])
-    @pytest.mark.parametrize("solver", [_radial_fd_level, _angular_level], ids=["radial", "angular"])
+    @pytest.mark.parametrize("solver", [_radial_fd_level, _angular_fd_level], ids=["radial", "angular"])
     def test_window_level_matches_index_level(self, monkeypatch, solver, first):
         (coarse_d, coarse_e), (d, e), *_ = _matrices(solver)
-        near = oracle._eigenvalue(coarse_d, coarse_e, first, None)
-        index = oracle._eigenvalue(d, e, first, None)
+        near = angular_fd.eigenvalue(coarse_d, coarse_e, first, None)
+        index = angular_fd.eigenvalue(d, e, first, None)
         seen = self._record(monkeypatch)
-        window = oracle._eigenvalue(d, e, first, near=near)
+        window = angular_fd.eigenvalue(d, e, first, near=near)
         assert seen == ["count", "window"]
         assert abs(window - index) <= 2 * np.finfo(float).eps * _norm1(d, e)
 
     @pytest.mark.parametrize("wrong", ["next-level", "above-spectrum", "below-spectrum"])
     @pytest.mark.parametrize("first", [0, 1, 2, 3])
-    @pytest.mark.parametrize("solver", [_radial_fd_level, _angular_level], ids=["radial", "angular"])
+    @pytest.mark.parametrize("solver", [_radial_fd_level, _angular_fd_level], ids=["radial", "angular"])
     def test_wrong_estimate_falls_back_to_index_solve(self, monkeypatch, solver, first, wrong):
         _, (d, e), *_ = _matrices(solver)
-        index = oracle._eigenvalue(d, e, first, None)
+        index = angular_fd.eigenvalue(d, e, first, None)
         norm = _norm1(d, e)
         near = {
-            "next-level": oracle._eigenvalue(d, e, first + 1, None),
+            "next-level": angular_fd.eigenvalue(d, e, first + 1, None),
             "above-spectrum": 2.0 * norm,
             "below-spectrum": -2.0 * norm,
         }[wrong]
         seen = self._record(monkeypatch)
-        level = oracle._eigenvalue(d, e, first, near=near)
+        level = angular_fd.eigenvalue(d, e, first, near=near)
         # the count below lo is first + 1 or all levels, or it is 0 with an empty window
         assert seen[-1] == "index" and seen[0] == "count"
         assert level.tobytes() == index.tobytes()
 
-    @pytest.mark.parametrize("solver", [_radial_fd_level, _angular_level], ids=["radial", "angular"])
+    @pytest.mark.parametrize("solver", [_radial_fd_level, _angular_fd_level], ids=["radial", "angular"])
     def test_sturm_count_matches_index_levels(self, solver):
         _, (d, e), *_ = _matrices(solver)
-        levels = np.array([oracle._eigenvalue(d, e, i, None) for i in range(6)])
+        levels = np.array([angular_fd.eigenvalue(d, e, i, None) for i in range(6)])
         gaps = np.diff(levels)
         points = np.concatenate(
             [
@@ -679,7 +756,7 @@ class TestWindowedLevels:
             ]
         )
         for x in points:
-            assert oracle._count_below(d, e, x) == np.count_nonzero(levels <= x)
+            assert angular_fd.count_below(d, e, x) == np.count_nonzero(levels <= x)
 
 
 @pytest.fixture(scope="module")
@@ -770,61 +847,80 @@ class TestClosedFormSolvesTheSweepOperator:
 
 
 def _aitken_level(gamma, ring, m, index):
-    """Level `index` by the former rule: the wall half a cell beyond pi/2 and
-    Aitken's step over 1500, 3000 and 6000 cells, each finer grid windowed
-    around the coarser grid's level."""
+    """Level `index` by the oldest FD rule: the wall half a cell beyond pi/2
+    and Aitken's step over 1500, 3000 and 6000 cells, each finer grid
+    windowed around the coarser grid's level."""
     levels = [None]
     for cells in (1500, 3000, 6000):
-        d, e = _angular_matrix(gamma, ring, m, cells, 1.0)
-        levels.append(oracle._eigenvalue(d, e, index, levels[-1]))
+        d, e = angular_fd.angular_matrix(gamma, ring, m, cells, 1.0)
+        levels.append(angular_fd.eigenvalue(d, e, index, levels[-1]))
     l1, l2, l3 = levels[1:]
     d1, d2 = l2 - l1, l3 - l2
     return l3 - d2 * d2 / (d2 - d1)
 
 
+@pytest.fixture(scope="module")
+def table3_polar():
+    """(gamma, ring, m, n', ell_eff^2) at each of the 60 table-3 class-A roots E*."""
+    cases = []
+    for row in load_table_data(3):
+        spec = table_spec(3, *row[:5])
+        for root in find_roots(spec, mode="strict"):
+            if root.root_class is RootClass.A:
+                e = root.energy.real
+                exact = derive_coefficients(spec, e).ell_eff.real ** 2
+                cases.append((gamma_of(spec, e).real, spec.ring, spec.qn.m, spec.qn.n_prime, exact))
+    assert len(cases) == 60
+    return cases
+
+
 class TestAngularErrorTable:
-    """The wall on the last face and two Richardson steps beat the former angular rule.
+    """The Jacobi Ritz level against the FD rules it replaced.
 
     At each of the 60 table-3 class-A roots E* (strict find_roots), the
     exact polar level at gamma(E*) is ell_eff^2 from derive_coefficients,
     and the error is |level - ell_eff^2| / (1 + ell_eff^2):
 
-    | rule                                   | cells            | max      | median   |
+    | rule                                   | size             | max      | median   |
     |----------------------------------------|------------------|----------|----------|
-    | former: wall h/2 beyond pi/2, Aitken   | 1500, 3000, 6000 | 6.92e-7  | 2.32e-9  |
-    | wall on the face, two Richardson steps | 250, 500, 1000   | 1.16e-8  | 1.58e-11 |
-    | wall on the face, two Richardson steps | 500, 1000, 2000  | 2.52e-9  | 5.09e-11 |
-    | wall on the face, two Richardson steps | 1000, 2000, 4000 | 1.09e-9  | 2.62e-10 |
+    | FD: wall h/2 beyond pi/2, Aitken       | 1500, 3000, 6000 | 6.92e-7  | 2.32e-9  |
+    | FD: wall on the face, two Richardson   | 250, 500, 1000   | 1.16e-8  | 1.58e-11 |
+    | FD: wall on the face, two Richardson   | 500, 1000, 2000  | 2.52e-9  | 5.09e-11 |
+    | FD: wall on the face, two Richardson   | 1000, 2000, 4000 | 1.09e-9  | 2.62e-10 |
+    | Jacobi Ritz (fd_angular_eigs)          | n' + 4 functions | 5.7e-15  | 5.6e-16  |
 
-    fd_angular_eigs solves the 500-cell row.  Its worst row is (n, n', m) =
-    (0, 0, 0) with a = 1, b = 0.  The median grows with the cell count: the
-    b / sin^2 and 1 / (4 sin^2) terms put entries of order 1/h^2 on the first
-    cells, and stebz's accuracy is absolute.
+    The 500-cell FD row is the former fd_angular_eigs, kept in
+    tests/angular_fd.py as a basis-free reference; its worst row is
+    (n, n', m) = (0, 0, 0) with a = 1, b = 0.  Its median grows with the
+    cell count: the b / sin^2 and 1 / (4 sin^2) terms put entries of order
+    1/h^2 on the first cells, and stebz's accuracy is absolute.
     """
 
-    def test_max_and_median_no_worse_than_former_rule(self):
+    def test_max_and_median_no_worse_than_former_rule(self, table3_polar):
         new, former = [], []
-        for row in load_table_data(3):
-            spec = table_spec(3, *row[:5])
-            for root in find_roots(spec, mode="strict"):
-                if root.root_class is not RootClass.A:
-                    continue
-                e = root.energy.real
-                g = gamma_of(spec, e).real
-                exact = derive_coefficients(spec, e).ell_eff.real ** 2
-                args = (g, spec.ring, spec.qn.m, spec.qn.n_prime)
-                new.append(abs(fd_angular_eigs(*args) - exact) / (1.0 + exact))
-                former.append(abs(_aitken_level(*args) - exact) / (1.0 + exact))
-        assert len(new) == 60
-        assert max(new) <= max(former) and np.median(new) <= np.median(former)
-        assert max(new) <= 3e-9 and np.median(new) <= 1e-10
+        for *args, exact in table3_polar:
+            new.append(abs(fd_angular_eigs(*args) - exact) / (1.0 + exact))
+            former.append(abs(_aitken_level(*args) - exact) / (1.0 + exact))
+        assert max(new) <= 1e-13 and np.median(new) <= 1e-14
+        assert max(former) >= 1e-7
+
+    def test_basis_free_reference_agrees(self, table3_polar):
+        # the FD reference, which has no basis and no exponent, meets the
+        # Ritz level within its own error, 2.52e-9 (2.524e-9, at the
+        # a = 1, b = 0 ground row; median 5.1e-11)
+        gaps = []
+        for *args, _ in table3_polar:
+            level = fd_angular_eigs(*args)
+            gaps.append(abs(angular_fd.angular_level(*args) - level) / (1.0 + level))
+        assert max(gaps) <= 2.53e-9 and np.median(gaps) <= 1e-10
 
     def test_second_order_convergence(self):
-        # (n, n', m) = (1, 0, 0), a = b = 0: the exact level is (1/2 + 1)^2,
-        # and P has a nonzero slope at the wall; each doubling of the cells
-        # quarters the raw level's error (the former closure only halved it)
+        # the FD reference at (n, n', m) = (1, 0, 0), a = b = 0: the exact
+        # level is (1/2 + 1)^2, and P has a nonzero slope at the wall; each
+        # doubling of the cells quarters the raw level's error (the older
+        # closure only halved it)
         ring = RingParams(0.0, 0.0)
-        levels = [oracle._angular_fd_once(0.0, ring, 0, 0, cells) for cells in (500, 1000, 2000)]
+        levels = [angular_fd.level_on(0.0, ring, 0, 0, cells, None) for cells in (500, 1000, 2000)]
         errs = [abs(level - 2.25) for level in levels]
         assert errs[0] / errs[1] > 3.8 and errs[1] / errs[2] > 3.8
 
@@ -845,8 +941,9 @@ class TestNonrelDomain:
 
     def test_unsettled_domain_raises(self, monkeypatch):
         # a lowest level that falls with every function added never settles:
-        # the first solve, then N = 16 doubling to MAX_RADIAL_FUNCTIONS,
-        # then DivergenceError
+        # the scale's first solve and its one rescaled solve (which does not
+        # fall), then N = 16 doubling to MAX_RADIAL_FUNCTIONS, then
+        # DivergenceError
         sizes = []
 
         def drifting(v_eff, s, power, h, size):
@@ -857,7 +954,7 @@ class TestNonrelDomain:
         params = NonRelParams(mu=1.0, potential=Kratzer(15.0, 0.4), ring=RingParams(0.0, 0.0))
         with pytest.raises(DivergenceError, match="unsettled"):
             nonrel_energy_fd(params, QuantumNumbers(0, 0, 0))
-        assert sizes == [16, 32, 64, 128, 256]
+        assert sizes == [16, 16, 32, 64, 128, 256]
 
 
 class TestRefinementMonotonicity:

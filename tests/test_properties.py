@@ -1,16 +1,19 @@
-"""Invariants of the spectral residual on drawn real-sector specs.
+"""Invariants of the spectral residual on drawn real-sector specs, and the
+oracle's levels against their closed forms over each solver's domain.
 
 Derandomized hypothesis draws with small example counts, so the suite stays
 deterministic and fast.
 """
 
 import cmath
+import math
 from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from drsbound import spectrum
+from drsbound.oracle import DivergenceError, fd_angular_eigs, fd_radial_eigs
 from drsbound.model import (
     Kratzer,
     Oscillator,
@@ -196,3 +199,50 @@ def test_near_value_polynomial_path_equals_full_path(spec, offset):
         for v in values:
             taken, _ = _taken_polynomial_roots(spec, v, match_tol)
             assert _root_bits(taken) == _root_bits(_within(full, v, match_tol))
+
+
+# The oracle's levels on each solver's domain, not only where the tables and
+# validate's draws reach; the angular draws take gamma > 0 down to the
+# smallest float, and ring strengths with 0 and values near it drawn often.
+gamma_pos = st.floats(0.0, 20.0, exclude_min=True)
+weak_strength = st.one_of(st.just(0.0), st.floats(0.0, 1e-6), strength)
+
+
+@settings(PROPERTY_SETTINGS, max_examples=200)
+@given(gamma_pos, weak_strength, weak_strength, st.integers(-4, 4), st.integers(0, 5))
+def test_angular_level_is_the_quantization_rule(gamma, a, b, m, n_prime):
+    # (sqrt(gamma a + 1/4) + sqrt(gamma b + m^2) + 2 n' + 1)^2; the former FD
+    # level missed it by up to 1e-2 where m = 0 and gamma b is small
+    exact = (math.sqrt(gamma * a + 0.25) + math.sqrt(gamma * b + m * m) + 2 * n_prime + 1) ** 2
+    assert abs(fd_angular_eigs(gamma, RingParams(a, b), m, n_prime) - exact) <= 1e-12 * exact
+
+
+#: gamma of the radial properties, and L^2 = ell_eff^2: at L^2 >= 1/4 the
+#: Frobenius exponent s is at least 1 (every polar level is at least 9/4)
+radial_gamma = st.floats(1e-6, 20.0)
+ell_eff_sq = st.floats(0.25, 30.0)
+
+
+@PROPERTY_SETTINGS
+@given(radial_gamma, st.floats(0.5, 30.0), st.floats(0.1, 2.0), ell_eff_sq, st.integers(0, 5), st.booleans())
+def test_kratzer_radial_level_is_hydrogenic(gamma, d_e, r_e, ell_eff_sq, n, with_b):
+    # -(gamma D_e r_e)^2 / (n + 1/2 + sqrt(L^2 + gamma D_e r_e^2))^2, with the
+    # scale from the level itself or from the solver's own estimate.  Only a
+    # level within 1e-3 of the continuum may fail to settle, and one that
+    # settles there meets the settling tolerance, 1e-10 absolute
+    c = gamma * d_e * r_e
+    exact = -(c * c) / (n + 0.5 + math.sqrt(ell_eff_sq + c * r_e)) ** 2
+    try:
+        level = fd_radial_eigs(Kratzer(d_e, r_e), gamma, ell_eff_sq, n, exact if with_b else None)
+    except DivergenceError:
+        assert abs(exact) < 1e-3
+        return
+    assert abs(level - exact) <= 1e-12 * abs(exact) + 1e-10
+
+
+@PROPERTY_SETTINGS
+@given(radial_gamma, st.floats(0.05, 10.0), ell_eff_sq, st.integers(0, 5))
+def test_oscillator_radial_level(gamma, k, ell_eff_sq, n):
+    # sqrt(2 gamma k) (2 n + 1 + L)
+    exact = math.sqrt(2.0 * gamma * k) * (2 * n + 1 + math.sqrt(ell_eff_sq))
+    assert abs(fd_radial_eigs(Oscillator(k), gamma, ell_eff_sq, n, None) - exact) <= 1e-12 * (1.0 + exact)
