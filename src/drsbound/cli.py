@@ -90,13 +90,13 @@ def parse_config_file(path) -> dict:
 def resolve_config(args) -> dict:
     """The physical parameters: DEFAULT_PARAMS overridden by file, environment, flags."""
     cfg = dict(DEFAULT_PARAMS)
-    if getattr(args, "config", None):
+    if args.config:
         cfg.update(parse_config_file(args.config))
     for key in CONFIG_KEYS:
         env = os.environ.get(ENV_PREFIX + key.upper())
         if env is not None:
             cfg[key] = _number(env, ENV_PREFIX + key.upper())
-        val = getattr(args, key, None)
+        val = getattr(args, key)
         if val is not None:
             cfg[key] = val
     return cfg

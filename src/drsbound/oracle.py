@@ -39,6 +39,7 @@ OracleError before it sweeps.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 
@@ -92,6 +93,34 @@ def _orthonormal_rows(f0, t, diag, off):
     return f
 
 
+def _finite(build):
+    """The matrix builder `build`, raising DivergenceError where its exponents,
+    its scale or its matrix leave the float range.
+
+    Far from any level (gamma D_e r_e^2 above about 1e4 on the radial
+    basis, gamma of 1e250 on the polar one) an exponent or a scale can
+    overflow, and a builder's arithmetic overflows, divides by zero or makes
+    a NaN, on which eigvalsh would raise LinAlgError; each of these, and any
+    entry that is not finite, is refused as a level that does not settle.
+    """
+
+    @functools.wraps(build)
+    def guarded(*args):
+        if not all(math.isfinite(a) for a in args if isinstance(a, float)):
+            raise DivergenceError(f"{build.__name__} got an argument that is not finite")
+        try:
+            with np.errstate(over="raise", divide="raise", invalid="raise"):
+                matrix = build(*args)
+        except ArithmeticError as exc:
+            raise DivergenceError(f"{build.__name__} left the float range: {exc}") from exc
+        if not np.isfinite(matrix).all():
+            raise DivergenceError(f"{build.__name__} left the float range")
+        return matrix
+
+    return guarded
+
+
+@_finite
 def _galerkin_matrix(v_eff, s, power, h, size):
     """Matrix of -d^2/dr^2 + v_eff(r) on `size` Laguerre functions at scale h.
 
@@ -173,8 +202,13 @@ def fd_radial_eigs(potential, gamma, ell_eff_sq, index, b):
     so close to the continuum that its eigenfunction can spread beyond
     what 2 MAX_RADIAL_FUNCTIONS functions at the scale resolve: it raises
     DivergenceError ("unsettled"), or it settles within the 1e-10 above
-    in absolute terms.  Raises ValueError unless index is an int >= 0, and
-    OracleError unless index < RADIAL_FUNCTIONS.
+    in absolute terms.  A Kratzer bound level lies below 0, so one that
+    settles at or above 0 raises DivergenceError ("at or above the
+    continuum").  So does a basis whose exponent, scale or matrix leaves the
+    float range (gamma not finite, or gamma D_e r_e^2 above about 1e4;
+    see _finite), where eigvalsh would raise LinAlgError.  Raises
+    ValueError unless index is an int >= 0, and OracleError unless
+    index < RADIAL_FUNCTIONS.
     """
     _check_index(index)
     if index >= RADIAL_FUNCTIONS:
@@ -204,11 +238,14 @@ def fd_radial_eigs(potential, gamma, ell_eff_sq, index, b):
         coarse = np.linalg.eigvalsh(matrix[:size, :size])[index]
         level = np.linalg.eigvalsh(matrix)[index]
         if abs(level - coarse) <= 1e-10 * (1.0 + abs(level)):
+            if power == 1 and level >= 0:
+                raise DivergenceError("Kratzer level settled at or above the continuum")
             return float(level)
         size *= 2
     raise DivergenceError(f"radial level unsettled at {MAX_RADIAL_FUNCTIONS} functions")
 
 
+@_finite
 def _jacobi_matrix(c_b, c_a, mu, s, size):
     """Matrix of the polar operator on `size` Jacobi functions in x = cos(theta).
 
@@ -282,8 +319,10 @@ def fd_angular_eigs(gamma, ring: RingParams, m: int, index: int):
     One matrix of index + 2 ANGULAR_MARGIN functions gives the level on
     index + ANGULAR_MARGIN functions as its leading block; the larger
     basis's level is returned once the two agree to 1e-10 (1 + |level|),
-    and DivergenceError is raised otherwise.  Raises ValueError unless
-    index is an int >= 0, OracleError unless index < ANGULAR_LEVELS, and
+    and DivergenceError is raised otherwise, as it is where the basis's
+    exponents or matrix leave the float range (gamma not finite, or 1e250
+    on a ring of order 1; see _finite).  Raises ValueError unless index is
+    an int >= 0, OracleError unless index < ANGULAR_LEVELS, and
     OracleError in the complex sector, where c_a + 1/4 < 0 or c_b < 0.
     """
     _check_index(index)
@@ -356,7 +395,9 @@ def self_consistent_energy(spec: ProblemSpec, initial_energy: float):
     the polar equation's real-sector conditions are linear in gamma, so the
     energies where a sweep completes form an interval, which holds both
     bracket ends.  DivergenceError is the documented outcome whenever no
-    bound root exists in reach of the march.  The returned energy must
+    bound root exists in reach of the march, as it is from a start so far
+    from any root (E = 1e6 on table 3's ring spec) that every sweep's
+    matrix leaves the float range (see _finite).  The returned energy must
     satisfy |F(E)| <= 1e-6 (1 + |b(E)|); Brent's method returns a point it
     has swept, so that check solves nothing again.
 
@@ -430,8 +471,11 @@ def nonrel_energy_fd(params, qn):
     as fd_radial_eigs at gamma = 2 mu, whose eigenvalue is gamma E, with
     L^2 the polar level n' of fd_angular_eigs at the same gamma; the
     independent check for the closed-form nonrelativistic spectra, both
-    halves.  DivergenceError if a level does not settle, and OracleError
-    for n >= RADIAL_FUNCTIONS or n' >= ANGULAR_LEVELS.
+    halves.  DivergenceError if a level does not settle, settles at or
+    above the continuum (a Kratzer level >= 0, as at mu = 1e-8 and
+    below), or leaves the float range (2 mu D_e r_e^2 above about 1e4,
+    see fd_radial_eigs); OracleError for n >= RADIAL_FUNCTIONS or
+    n' >= ANGULAR_LEVELS.
     """
     gamma = 2.0 * params.mu
     ell_eff_sq = fd_angular_eigs(gamma, params.ring, qn.m, qn.n_prime)

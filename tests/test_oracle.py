@@ -3,10 +3,10 @@ import importlib.util
 import json
 import math
 import pathlib
+import re
 
 import numpy as np
 import pytest
-from scipy.linalg import eigh_tridiagonal
 
 from drsbound import oracle
 from drsbound.model import (
@@ -102,6 +102,19 @@ class TestRadialSolver:
         # gamma D_e r_e <= 0: the 1/r term does not attract
         with pytest.raises(DivergenceError, match="no bound level"):
             fd_radial_eigs(Kratzer(15.0, 0.4), gamma, 2.3**2, 0, -1.0)
+
+    @pytest.mark.parametrize(
+        "mu, ring, qn", [(1e-8, 0.0, (2, 0, 1)), (1e-20, 0.0, (0, 0, 1)), (1e10, 0.5, (0, 0, 0))],
+        ids=["mu1e-8", "mu1e-20", "mu1e10"],
+    )
+    def test_nonrel_level_refused(self, mu, ring, qn):
+        # the closed form gives -2.88e-8, -8e-20 and -8.18.  The first two levels
+        # settled at or above 0, where no Kratzer level lies (energies +9.90e-6
+        # and +1.65); at mu = 1e10 eigvalsh raised LinAlgError on a NaN matrix
+        params = NonRelParams(mu=mu, potential=Kratzer(15.0, 0.4), ring=RingParams(ring, ring))
+        assert energy_kratzer_nr(params, QuantumNumbers(*qn)) < 0
+        with pytest.raises(DivergenceError, match="continuum" if mu < 1 else "float range"):
+            nonrel_energy_fd(params, QuantumNumbers(*qn))
 
 
 class TestAngularSolver:
@@ -373,6 +386,15 @@ class TestSelfConsistency:
         else:
             assert None not in values and len({np.sign(value) for value in values}) == 1
 
+    @pytest.mark.parametrize("ring, start", [(1.0, 1e6), (1.0, 1e160), (1.0, 1e300), (0.0, 1.7e308)])
+    def test_far_start_finds_no_bracket(self, ring, start):
+        # sweeps raised LinAlgError (a NaN radial matrix), ZeroDivisionError (a radial
+        # scale of 0), OverflowError (the Jacobi norm) and ValueError (an infinite
+        # radial exponent); each now fails the sweep
+        spec = table_spec(3, 0, 0, 0, ring, ring)
+        with pytest.raises(DivergenceError, match="no self-consistent bracket"):
+            self_consistent_energy(spec, start)
+
     def test_bracket_closes_in_few_sweeps(self, monkeypatch):
         # the march from E = 1.0 takes 22 sweeps; brentq then closes the
         # bracket to BRACKET_TOL in a few more, and the final consistency
@@ -586,79 +608,12 @@ class TestSelfConsistency:
         assert abs(fd - closed) < 1e-4 * abs(closed)
 
 
-class TestEigenvaluesOnly:
-    """The reference's eigvals_only=True calls return the eigenvector call's
-    eigenvalues bit for bit."""
-
-    @staticmethod
-    def _capture(monkeypatch):
-        seen = []
-
-        def recording(d, e, **kwargs):
-            out = eigh_tridiagonal(d, e, **kwargs)
-            seen.append((d, e, kwargs, out))
-            return out
-
-        monkeypatch.setattr(angular_fd, "eigh_tridiagonal", recording)
-        return seen
-
-    @staticmethod
-    def _assert_same_as_eigenvector_call(seen, sizes):
-        assert sorted(len(d) for d, *_ in seen) == sorted(sizes)
-        for d, e, kwargs, out in seen:
-            assert kwargs["eigvals_only"] is True
-            full = eigh_tridiagonal(
-                d,
-                e,
-                select=kwargs["select"],
-                select_range=kwargs["select_range"],
-                tol=kwargs.get("tol", 0.0),
-            )
-            assert out.tobytes() == full[0].tobytes()
-
-    def test_radial_matrices(self, monkeypatch):
-        seen = self._capture(monkeypatch)
-        _radial_fd_level(1)
-        # each finer grid's window solve follows its Sturm count
-        self._assert_same_as_eigenvector_call(seen, [3000, 6001, 6001, 12003, 12003])
-
-    def test_angular_matrices(self, monkeypatch):
-        seen = self._capture(monkeypatch)
-        _angular_fd_level(1)
-        self._assert_same_as_eigenvector_call(seen, [500, 1000, 1000, 2000, 2000])
-
-
 def _radial_level(index):
     return _kratzer_level(index, -1.0)
 
 
-def _radial_fd_matrix(nodes):
-    """(d, e) of the second-order FD matrix of -u'' + [(2.3^2 - 1/4)/r^2 - 4/r] u
-    on `nodes` interior nodes of (0, 30), with Dirichlet walls at both ends.
-
-    The oracle's radial solve is Galerkin; this matrix family, whose entries
-    grow like 1/r^2 towards the first node, exercises the reference's
-    windowed solve (angular_fd.eigenvalue) beside the angular one.
-    """
-    h = 30.0 / (nodes + 1)
-    r = h * np.arange(1, nodes + 1)
-    return 2.0 / h**2 + (2.3**2 - 0.25) / r**2 - 4.0 / r, np.full(nodes - 1, -1.0 / h**2)
-
-
-def _radial_fd_level(index):
-    """Level `index` on 3000 nodes, then in a window on 6001 and on 12003 nodes."""
-    level = None
-    for nodes in (3000, 6001, 12003):
-        level = angular_fd.eigenvalue(*_radial_fd_matrix(nodes), index, level)
-    return level
-
-
 def _angular_level(index):
     return fd_angular_eigs(2.072188142, RingParams(1.0, 1.0), 1, index)
-
-
-def _angular_fd_level(index):
-    return angular_fd.angular_level(2.072188142, RingParams(1.0, 1.0), 1, index)
 
 
 class TestLevelArguments:
@@ -669,102 +624,12 @@ class TestLevelArguments:
             solver(index)
 
 
-def _norm1(d, e):
-    """||T||_1 of the symmetric tridiagonal (d, e)."""
-    col = np.abs(d)
-    col[:-1] += np.abs(e)
-    col[1:] += np.abs(e)
-    return col.max()
-
-
-def _call_kind(kwargs):
-    """index, count (Sturm count, infinite abstol) or window (value solve) for one call."""
-    if kwargs["select"] == "i":
-        return "index"
-    return "count" if kwargs.get("tol") == np.inf else "window"
-
-
-def _matrices(solver):
-    """(d, e) of each grid the solver builds, coarsest first."""
-    seen = {}
-
-    def recording(d, e, **kwargs):
-        seen.setdefault(len(d), (d, e))
-        return eigh_tridiagonal(d, e, **kwargs)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(angular_fd, "eigh_tridiagonal", recording)
-        solver(0)
-    return list(seen.values())
-
-
-class TestWindowedLevels:
-    """The reference's finer-grid level, solved in a Sturm-certified window
-    around the coarser grid's."""
-
-    @staticmethod
-    def _record(monkeypatch):
-        seen = []
-
-        def recording(d, e, **kwargs):
-            seen.append(_call_kind(kwargs))
-            return eigh_tridiagonal(d, e, **kwargs)
-
-        monkeypatch.setattr(angular_fd, "eigh_tridiagonal", recording)
-        return seen
-
-    @pytest.mark.parametrize("first", [0, 1, 2, 3])
-    @pytest.mark.parametrize("solver", [_radial_fd_level, _angular_fd_level], ids=["radial", "angular"])
-    def test_window_level_matches_index_level(self, monkeypatch, solver, first):
-        (coarse_d, coarse_e), (d, e), *_ = _matrices(solver)
-        near = angular_fd.eigenvalue(coarse_d, coarse_e, first, None)
-        index = angular_fd.eigenvalue(d, e, first, None)
-        seen = self._record(monkeypatch)
-        window = angular_fd.eigenvalue(d, e, first, near=near)
-        assert seen == ["count", "window"]
-        assert abs(window - index) <= 2 * np.finfo(float).eps * _norm1(d, e)
-
-    @pytest.mark.parametrize("wrong", ["next-level", "above-spectrum", "below-spectrum"])
-    @pytest.mark.parametrize("first", [0, 1, 2, 3])
-    @pytest.mark.parametrize("solver", [_radial_fd_level, _angular_fd_level], ids=["radial", "angular"])
-    def test_wrong_estimate_falls_back_to_index_solve(self, monkeypatch, solver, first, wrong):
-        _, (d, e), *_ = _matrices(solver)
-        index = angular_fd.eigenvalue(d, e, first, None)
-        norm = _norm1(d, e)
-        near = {
-            "next-level": angular_fd.eigenvalue(d, e, first + 1, None),
-            "above-spectrum": 2.0 * norm,
-            "below-spectrum": -2.0 * norm,
-        }[wrong]
-        seen = self._record(monkeypatch)
-        level = angular_fd.eigenvalue(d, e, first, near=near)
-        # the count below lo is first + 1 or all levels, or it is 0 with an empty window
-        assert seen[-1] == "index" and seen[0] == "count"
-        assert level.tobytes() == index.tobytes()
-
-    @pytest.mark.parametrize("solver", [_radial_fd_level, _angular_fd_level], ids=["radial", "angular"])
-    def test_sturm_count_matches_index_levels(self, solver):
-        _, (d, e), *_ = _matrices(solver)
-        levels = np.array([angular_fd.eigenvalue(d, e, i, None) for i in range(6)])
-        gaps = np.diff(levels)
-        points = np.concatenate(
-            [
-                levels[:-1] + 0.5 * gaps,
-                levels[:-1] + 1e-3 * gaps,
-                levels[1:] - 1e-3 * gaps,
-                [levels[0] - 1.0, -2.0 * _norm1(d, e)],
-            ]
-        )
-        for x in points:
-            assert angular_fd.count_below(d, e, x) == np.count_nonzero(levels <= x)
-
-
 @pytest.fixture(scope="module")
-def table3_radial():
+def table3_roots():
     """(spec, gamma, ell_eff^2, b) at each of the 60 table-3 class-A roots E* (strict find_roots).
 
     gamma = gamma(E*), ell_eff from derive_coefficients and b = b(E*), which is
-    the exact radial level n there.
+    the exact radial level n there; ell_eff^2 is the exact polar level n'.
     """
     cases = []
     for row in load_table_data(3):
@@ -789,17 +654,17 @@ class TestRadialErrorTable:
     8.0e-12.
     """
 
-    def test_max_and_median_within_bounds(self, table3_radial):
+    def test_max_and_median_within_bounds(self, table3_roots):
         errors = [
             abs(fd_radial_eigs(spec.potential, g, ell_eff_sq, spec.qn.n, b) - b) / (1.0 + abs(b))
-            for spec, g, ell_eff_sq, b in table3_radial
+            for spec, g, ell_eff_sq, b in table3_roots
         ]
         assert max(errors) <= 1e-12 and np.median(errors) <= 1e-13
 
-    def test_level_does_not_rest_on_the_scale(self, table3_radial):
+    def test_level_does_not_rest_on_the_scale(self, table3_roots):
         # a scale from 0.5, 2 or 4 times b(E*), or from a first solve (no
         # b), gives the same level to 1e-12 (worst 2.2e-13)
-        for spec, g, ell_eff_sq, b in table3_radial:
+        for spec, g, ell_eff_sq, b in table3_roots:
             args = (spec.potential, g, ell_eff_sq, spec.qn.n)
             level = fd_radial_eigs(*args, b)
             for hint in (0.5 * b, 2.0 * b, 4.0 * b, None):
@@ -815,11 +680,11 @@ class TestClosedFormSolvesTheSweepOperator:
     """
 
     @staticmethod
-    def _residuals(table3_radial, v_sign, b_sign):
+    def _residuals(table3_roots, v_sign, b_sign):
         """Per root, max |residual| / max |b u| over r in [0.2, 8] / w,
         w = sqrt(-b), with u'' from a five-point stencil of step 1e-3 r."""
         residuals = []
-        for spec, g, ell_eff_sq, b in table3_radial:
+        for spec, g, ell_eff_sq, b in table3_roots:
             w = math.sqrt(-b)
             coeffs = coefficients_at_gamma(g, w, spec.potential, spec.ring, spec.qn)
             r = np.linspace(0.2, 8.0, 400) / w
@@ -835,43 +700,21 @@ class TestClosedFormSolvesTheSweepOperator:
             residuals.append(np.max(np.abs(residual)) / np.max(np.abs(b * u(r))))
         return residuals
 
-    def test_radial_factor_solves_the_operator(self, table3_radial):
+    def test_radial_factor_solves_the_operator(self, table3_roots):
         # worst 1.4e-9, the stencil's own error
-        assert max(self._residuals(table3_radial, 1, 1)) <= 1e-7
+        assert max(self._residuals(table3_roots, 1, 1)) <= 1e-7
 
     @pytest.mark.parametrize("v_sign, b_sign", [(-1, 1), (1, -1)], ids=["minus_gamma_v", "minus_b"])
-    def test_flipped_sign_does_not_solve(self, table3_radial, v_sign, b_sign):
+    def test_flipped_sign_does_not_solve(self, table3_roots, v_sign, b_sign):
         # flipping gamma V or b leaves an O(1) residual at every root (at
         # least 3.9 and 2.0)
-        assert min(self._residuals(table3_radial, v_sign, b_sign)) >= 1.0
-
-
-def _aitken_level(gamma, ring, m, index):
-    """Level `index` by the oldest FD rule: the wall half a cell beyond pi/2
-    and Aitken's step over 1500, 3000 and 6000 cells, each finer grid
-    windowed around the coarser grid's level."""
-    levels = [None]
-    for cells in (1500, 3000, 6000):
-        d, e = angular_fd.angular_matrix(gamma, ring, m, cells, 1.0)
-        levels.append(angular_fd.eigenvalue(d, e, index, levels[-1]))
-    l1, l2, l3 = levels[1:]
-    d1, d2 = l2 - l1, l3 - l2
-    return l3 - d2 * d2 / (d2 - d1)
+        assert min(self._residuals(table3_roots, v_sign, b_sign)) >= 1.0
 
 
 @pytest.fixture(scope="module")
-def table3_polar():
+def table3_polar(table3_roots):
     """(gamma, ring, m, n', ell_eff^2) at each of the 60 table-3 class-A roots E*."""
-    cases = []
-    for row in load_table_data(3):
-        spec = table_spec(3, *row[:5])
-        for root in find_roots(spec, mode="strict"):
-            if root.root_class is RootClass.A:
-                e = root.energy.real
-                exact = derive_coefficients(spec, e).ell_eff.real ** 2
-                cases.append((gamma_of(spec, e).real, spec.ring, spec.qn.m, spec.qn.n_prime, exact))
-    assert len(cases) == 60
-    return cases
+    return [(g, spec.ring, spec.qn.m, spec.qn.n_prime, lsq) for spec, g, lsq, _ in table3_roots]
 
 
 class TestAngularErrorTable:
@@ -879,40 +722,45 @@ class TestAngularErrorTable:
 
     At each of the 60 table-3 class-A roots E* (strict find_roots), the
     exact polar level at gamma(E*) is ell_eff^2 from derive_coefficients,
-    and the error is |level - ell_eff^2| / (1 + ell_eff^2):
+    and the error is |level - ell_eff^2| / (1 + ell_eff^2).  In the retired
+    rules each finer grid was solved in a value window:
 
-    | rule                                   | size             | max      | median   |
-    |----------------------------------------|------------------|----------|----------|
-    | FD: wall h/2 beyond pi/2, Aitken       | 1500, 3000, 6000 | 6.92e-7  | 2.32e-9  |
-    | FD: wall on the face, two Richardson   | 250, 500, 1000   | 1.16e-8  | 1.58e-11 |
-    | FD: wall on the face, two Richardson   | 500, 1000, 2000  | 2.52e-9  | 5.09e-11 |
-    | FD: wall on the face, two Richardson   | 1000, 2000, 4000 | 1.09e-9  | 2.62e-10 |
-    | Jacobi Ritz (fd_angular_eigs)          | n' + 4 functions | 5.7e-15  | 5.6e-16  |
+    | rule                                       | size             | max     | median   |
+    |--------------------------------------------|------------------|---------|----------|
+    | retired FD: wall h/2 beyond pi/2, Aitken   | 1500, 3000, 6000 | 6.92e-7 | 2.32e-9  |
+    | retired FD: wall on the face, Richardson   | 250, 500, 1000   | 1.16e-8 | 1.58e-11 |
+    | retired FD: wall on the face, Richardson   | 500, 1000, 2000  | 2.52e-9 | 5.09e-11 |
+    | retired FD: wall on the face, Richardson   | 1000, 2000, 4000 | 1.09e-9 | 2.62e-10 |
+    | FD reference (tests/angular_fd.py)         | 500, 1000, 2000  | 2.24e-9 | 5.48e-11 |
+    | Jacobi Ritz (fd_angular_eigs)              | n' + 4 functions | 5.7e-15 | 5.6e-16  |
 
-    The 500-cell FD row is the former fd_angular_eigs, kept in
-    tests/angular_fd.py as a basis-free reference; its worst row is
-    (n, n', m) = (0, 0, 0) with a = 1, b = 0.  Its median grows with the
-    cell count: the b / sin^2 and 1 / (4 sin^2) terms put entries of order
-    1/h^2 on the first cells, and stebz's accuracy is absolute.
+    The reference is the 500-cell rule, the former fd_angular_eigs, with
+    every level an index solve.  Its worst row is (n, n', m) = (0, 0, 0)
+    with a = 1, b = 0.  The FD median grows with the cell count: the
+    b / sin^2 and 1 / (4 sin^2) terms put entries of order 1/h^2 on the
+    first cells, and stebz's accuracy is absolute.
     """
 
     def test_max_and_median_no_worse_than_former_rule(self, table3_polar):
-        new, former = [], []
-        for *args, exact in table3_polar:
-            new.append(abs(fd_angular_eigs(*args) - exact) / (1.0 + exact))
-            former.append(abs(_aitken_level(*args) - exact) / (1.0 + exact))
+        new = [abs(fd_angular_eigs(*args) - exact) / (1.0 + exact) for *args, exact in table3_polar]
         assert max(new) <= 1e-13 and np.median(new) <= 1e-14
-        assert max(former) >= 1e-7
 
     def test_basis_free_reference_agrees(self, table3_polar):
         # the FD reference, which has no basis and no exponent, meets the
-        # Ritz level within its own error, 2.52e-9 (2.524e-9, at the
-        # a = 1, b = 0 ground row; median 5.1e-11)
+        # Ritz level within its own error: 2.243e-9 at the a = 1, b = 0
+        # ground row, median 5.48e-11 (the windowed solve's were 2.524e-9
+        # and 5.09e-11)
         gaps = []
         for *args, _ in table3_polar:
             level = fd_angular_eigs(*args)
             gaps.append(abs(angular_fd.angular_level(*args) - level) / (1.0 + level))
         assert max(gaps) <= 2.53e-9 and np.median(gaps) <= 1e-10
+
+    def test_reference_shares_no_code_with_the_package(self):
+        # a reference only while it imports nothing from drsbound, even through tests/
+        path = pathlib.Path(angular_fd.__file__)
+        shared = "|".join(["drsbound"] + [module.stem for module in path.parent.glob("*.py")])
+        assert not re.search(rf"^\s*(from|import)\s+({shared})\b", path.read_text(), re.M)
 
     def test_second_order_convergence(self):
         # the FD reference at (n, n', m) = (1, 0, 0), a = b = 0: the exact
@@ -920,7 +768,7 @@ class TestAngularErrorTable:
         # doubling of the cells quarters the raw level's error (the older
         # closure only halved it)
         ring = RingParams(0.0, 0.0)
-        levels = [angular_fd.level_on(0.0, ring, 0, 0, cells, None) for cells in (500, 1000, 2000)]
+        levels = [angular_fd.level_on(0.0, ring, 0, 0, cells) for cells in (500, 1000, 2000)]
         errs = [abs(level - 2.25) for level in levels]
         assert errs[0] / errs[1] > 3.8 and errs[1] / errs[2] > 3.8
 
