@@ -7,19 +7,24 @@ The AIM recasts y'' = lambda0(x) y' + s0(x) y into the recurrence
 
 whose quantization condition delta_k = lambda_k s_{k-1} - lambda_{k-1} s_k = 0
 pins the eigenvalues.  Jets give the derivatives exactly without a CAS: each
-iteration consumes one Taylor order, so a problem iterated k_max times needs
-order K >= k_max + 1 (AimProblem takes k_max + 2, a margin of one).
+iteration consumes one Taylor order and delta_k reads coefficient 0 after k
+of them, so k iterations need order k, coefficients 0..k of lambda0 and s0.
+Coefficient i of every scalar jet operation (np.convolve's per-output dot,
+the quotient recurrence, the derivative shift) is computed from
+coefficients <= i alone, in the same order at any length, so a scalar
+delta_k is the same float at any order >= k.
 
-The recurrence is written once, in AimSeries.step.  An AimSeries is
-resumable: it keeps the latest (lambda_k, s_k), so raising k costs one
-step, not a rebuild.  Jets carry leading batch axes, so one series can run
-at a whole array of eigenparameters: find_eigenvalue samples its grid with
-one batched series, one array step per depth, and at each depth polishes
-one sign change, the one by the root it tracks, with the scalar series that
-aim_delta runs to a fixed depth.  The batch only chooses brackets by sign,
-so it runs in float64 where the problem is real, with one matmul per
-product by an unbatched jet; the scalar series keeps complex jets and
-np.convolve, so every root keeps its bits.
+The recurrence is written once, in AimSeries.step, on the jets' coefficient
+arrays.  An AimSeries is resumable: it keeps the latest (lambda_k, s_k), so
+raising k costs one step, not a rebuild.  Jets carry leading batch axes, so
+one series can run at a whole array of eigenparameters: find_eigenvalue
+samples its grid with one batched series at the problem's order, one array
+step per depth, and at each depth polishes one sign change, the one by the
+root it tracks, with the scalar series that aim_delta runs to a fixed depth
+k at order k.  The batch only chooses brackets by sign, so it runs in
+float64 where the problem is real, with one matmul per product by an
+unbatched jet; the scalar series keeps complex jets and np.convolve, so
+every root keeps its bits.
 
 The two exactly solvable families used by the spectral conditions (the
 Kratzer-type radial problem and the ring-shaped angular problem) are
@@ -116,13 +121,21 @@ def _truncated_quotient(a, b):
     return q
 
 
+def _deriv(c):
+    """Coefficients 0..K of the derivative: (i + 1) c[i + 1], and 0 at K."""
+    d = np.empty_like(c)
+    np.multiply(c[..., 1:], np.arange(1, c.shape[-1]), out=d[..., :-1])
+    d[..., -1] = 0
+    return d
+
+
 class Jet:
     """Taylor coefficients of fixed order K around an expansion point x0.
 
     Only the coefficients are kept; x0 enters through Jet.variable.
-    Supports the ring operations, division by units, and the derivative
-    shift; truncated multiplication keeps low-order coefficients exact, so
-    coefficient 0 (the value at x0) survives k <= K - 1 AIM iterations.
+    Supports the ring operations and division by units; truncated
+    multiplication keeps low-order coefficients exact, so coefficient 0
+    (the value at x0) survives k <= K AIM iterations.
 
     The coefficients sit on the last axis of `coeffs`; any leading axes are
     a batch (one jet per eigenparameter sample) and every operation
@@ -160,10 +173,6 @@ class Jet:
     def order(self):
         return self.coeffs.shape[-1] - 1
 
-    @property
-    def value(self):
-        return self.coeffs[..., 0]
-
     def _coerce(self, other):
         if isinstance(other, Jet):
             return other
@@ -200,12 +209,6 @@ class Jet:
     def __rtruediv__(self, other):
         return self._coerce(other) / self
 
-    def deriv(self):
-        k = self.order
-        c = np.zeros_like(self.coeffs)
-        c[..., :k] = self.coeffs[..., 1:] * np.arange(1, k + 1)
-        return Jet(c)
-
 
 @dataclass
 class AimProblem:
@@ -213,10 +216,11 @@ class AimProblem:
 
     lambda0 and s0 map (eigenparameter, variable jet) to a Jet, or to a
     number or array, which is a constant jet; x0 is the evaluation point of
-    the quantization condition and of the variable jet.  The jets are
-    truncated at order k_max + 2, a margin of one over the k_max + 1 that
-    k_max iterations need.  The eigenparameter may be an array, in which
-    case the jets carry its shape as batch axes.
+    the quantization condition and of the variable jet.  `jets` truncates
+    them at order k_max + 2, which serves every depth up to k_max (k
+    iterations need order k); aim_delta builds its series at order k.  The
+    eigenparameter may be an array, in which case the jets carry its shape
+    as batch axes.
     """
 
     lambda0: object
@@ -225,7 +229,10 @@ class AimProblem:
     k_max: int
 
     def jets(self, eigenparameter):
-        x = Jet.variable(self.x0, self.k_max + 2)
+        return self._jets(eigenparameter, self.k_max + 2)
+
+    def _jets(self, eigenparameter, order):
+        x = Jet.variable(self.x0, order)
         return x._coerce(self.lambda0(eigenparameter, x)), x._coerce(self.s0(eigenparameter, x))
 
 
@@ -235,11 +242,12 @@ class AimSeries:
 
     Holds (lambda0, s0), the current (lambda_k, s_k) and every delta so
     far; `delta(k)` steps only as far as k asks and keeps what it computed,
-    so raising the depth from k to k + 1 costs one step, not k + 1.  The
-    jet order is fixed by the problem, not by k, so delta(k) is the same
-    float however the series got there.  This step is the only place the
-    recurrence and its rescale are written: after step k the series holds
-    (lambda_k, s_k) / max(|lambda_k(x0)|, |s_k(x0)|).
+    so raising the depth from k to k + 1 costs one step, not k + 1.  delta(k)
+    is the same float at any jet order >= k, so it does not depend on how
+    the series got there, nor on whether it runs at the problem's order
+    k_max + 2 or, as in aim_delta, at order k.  This step is the only place
+    the recurrence and its rescale are written: after step k the series
+    holds (lambda_k, s_k) / max(|lambda_k(x0)|, |s_k(x0)|).
 
     An array eigenparameter runs one series per element as one batch: each
     step is a handful of array operations, the rescale is elementwise, and
@@ -254,7 +262,10 @@ class AimSeries:
     __slots__ = ("lam0", "s0", "lam", "s", "deltas", "k_max")
 
     def __init__(self, problem: AimProblem, eigenparameter):
-        lam0, s0 = problem.jets(eigenparameter)
+        self._start(problem, eigenparameter, problem.jets(eigenparameter))
+
+    def _start(self, problem, eigenparameter, jets):
+        lam0, s0 = jets
         if np.ndim(eigenparameter) and not (lam0.coeffs.imag.any() or s0.coeffs.imag.any()):
             lam0, s0 = Jet(lam0.coeffs.real), Jet(s0.coeffs.real)
         self.lam0, self.s0 = self.lam, self.s = lam0, s0
@@ -262,15 +273,19 @@ class AimSeries:
         self.deltas = []
 
     def step(self):
-        """Advance to the next depth; returns the new, rescaled (lambda_k, s_k)."""
-        lam, s = self.lam, self.s
-        lam_next = lam.deriv() + s + self.lam0 * lam
-        s_next = s.deriv() + self.s0 * lam
-        self.deltas.append(lam_next.value * s.value - lam.value * s_next.value)
-        scale = np.maximum(np.maximum(abs(lam_next.value), abs(s_next.value)), 1e-300)
-        lam_next, s_next = lam_next * (1.0 / scale), s_next * (1.0 / scale)
-        self.lam, self.s = lam_next, s_next
-        return lam_next, s_next
+        """Advance to the next depth; returns the new, rescaled (lambda_k, s_k).
+
+        The step runs on the jets' coefficient arrays and wraps only its
+        result in jets.
+        """
+        lam0, s0, lam, s = self.lam0.coeffs, self.s0.coeffs, self.lam.coeffs, self.s.coeffs
+        lam_next = _deriv(lam) + s + _truncated_product(lam0, lam)
+        s_next = _deriv(s) + _truncated_product(s0, lam)
+        self.deltas.append(lam_next[..., 0] * s[..., 0] - lam[..., 0] * s_next[..., 0])
+        scale = np.maximum(np.maximum(abs(lam_next[..., 0]), abs(s_next[..., 0])), 1e-300)
+        inverse = np.asarray(1.0 / scale)[..., None]
+        self.lam, self.s = Jet(lam_next * inverse), Jet(s_next * inverse)
+        return self.lam, self.s
 
     def delta(self, k: int):
         """delta_k, for an int k with 1 <= k <= the problem's k_max; ValueError otherwise.
@@ -278,24 +293,33 @@ class AimSeries:
         The problem sizes its jets for k_max iterations; a few steps deeper,
         delta_k is truncation error, so no depth past k_max is served.
         """
-        if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
-            raise ValueError(f"k must be an int, got {k!r}")
-        if not 1 <= k <= self.k_max:
-            raise ValueError(f"k must satisfy 1 <= k <= k_max = {self.k_max}, got {k!r}")
+        _check_depth(k, self.k_max)
         while len(self.deltas) < k:
             self.step()
         return self.deltas[k - 1]
 
 
+def _check_depth(k, k_max):
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
+        raise ValueError(f"k must be an int, got {k!r}")
+    if not 1 <= k <= k_max:
+        raise ValueError(f"k must satisfy 1 <= k <= k_max = {k_max}, got {k!r}")
+
+
 def aim_delta(problem: AimProblem, eigenparameter, k: int):
     """delta_k(x0) = lambda_k s_{k-1} - lambda_{k-1} s_k, rescaled each step.
 
-    The k-th delta of a fresh AimSeries: its running rescale divides both
-    sequences by a common magnitude, which multiplies delta_k by a positive
-    constant and leaves its zeros (the quantization condition) untouched
-    while preventing overflow.  k is checked as by AimSeries.delta.
+    The k-th delta of a fresh AimSeries, run on jets of order k, the fewest
+    that delta_k reads: it is the float the problem's order gives.  The
+    running rescale divides both sequences by a common magnitude, which
+    multiplies delta_k by a positive constant and leaves its zeros (the
+    quantization condition) untouched while preventing overflow.  k is
+    checked as by AimSeries.delta, before any jet is built.
     """
-    return AimSeries(problem, eigenparameter).delta(k)
+    _check_depth(k, problem.k_max)
+    series = AimSeries.__new__(AimSeries)
+    series._start(problem, eigenparameter, problem._jets(eigenparameter, k))
+    return series.delta(k)
 
 
 def _polish(problem, a, b, k):

@@ -54,7 +54,7 @@ class TestJetArithmetic:
                 (u * v).coeffs, poly_to_jet(p_prod.coef, x0, order).coeffs, atol=1e-12
             )
             np.testing.assert_allclose(
-                u.deriv().coeffs[:-1],
+                aim._deriv(u.coeffs)[:-1],
                 poly_to_jet(np.polynomial.Polynomial(pu).deriv().coef, x0, order).coeffs[:-1],
                 atol=1e-12,
             )
@@ -264,8 +264,8 @@ class TestRecurrenceIdentity:
                 scale = max(abs(lam_next(x0)), abs(s_next(x0)))
                 lam_want, s_want = lam_next(x0) / scale, s_next(x0) / scale
                 jet_lam, jet_s = series.step()
-                assert abs(jet_lam.value - lam_want) < 1e-9 * (1 + abs(lam_want))
-                assert abs(jet_s.value - s_want) < 1e-9 * (1 + abs(s_want))
+                assert abs(jet_lam.coeffs[0] - lam_want) < 1e-9 * (1 + abs(lam_want))
+                assert abs(jet_s.coeffs[0] - s_want) < 1e-9 * (1 + abs(s_want))
                 lam_p, s_p = lam_next, s_next
 
 
@@ -362,10 +362,10 @@ def _delta_oracle(problem, eigenparameter, k):
     lam0, s0 = problem.jets(eigenparameter)
     lam, s = lam0, s0
     for _ in range(k):
-        lam_next = lam.deriv() + s + lam0 * lam
-        s_next = s.deriv() + s0 * lam
-        delta = lam_next.value * s.value - lam.value * s_next.value
-        scale = max(abs(lam_next.value), abs(s_next.value), 1e-300)
+        lam_next = Jet(aim._deriv(lam.coeffs)) + s + lam0 * lam
+        s_next = Jet(aim._deriv(s.coeffs)) + s0 * lam
+        delta = lam_next.coeffs[0] * s.coeffs[0] - lam.coeffs[0] * s_next.coeffs[0]
+        scale = max(abs(lam_next.coeffs[0]), abs(s_next.coeffs[0]), 1e-300)
         lam, s = lam_next * (1.0 / scale), s_next * (1.0 / scale)
     return delta
 

@@ -156,6 +156,14 @@ class TestAngularSolver:
         with pytest.raises(OracleError):
             fd_angular_eigs(-2.0, RingParams(1.0, 0.0), 0, 0)
 
+    @pytest.mark.parametrize("gamma", [1e30, 1e50, 1e100, 1e200])
+    def test_level_below_the_operator_bound_refused(self, gamma):
+        # the basis's normalization underflows, and the level read 6.68e26 at
+        # gamma 1e30 and 0.0 from 1e50 on, against (2 sqrt(gamma) + 1)^2; no
+        # level of the operator lies below 1/4 + c_b + c_a = 2 gamma + 1/4
+        with pytest.raises(DivergenceError, match="below the operator's bound"):
+            fd_angular_eigs(gamma, RingParams(1.0, 1.0), 0, 0)
+
     def test_grid_too_coarse_rejected(self):
         # the basis serves ANGULAR_LEVELS polar levels; the last one is solved
         # on ANGULAR_LEVELS + 3 functions

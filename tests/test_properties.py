@@ -1,6 +1,9 @@
 """Invariants of the spectral residual on drawn real-sector specs, and the
 oracle's levels against their closed forms over each solver's domain.
 
+Also AIM's scalar delta_k at its own jet order against the full-order
+series.
+
 Derandomized hypothesis draws with small example counts, so the suite stays
 deterministic and fast.
 """
@@ -9,10 +12,18 @@ import cmath
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from drsbound import spectrum
+from drsbound.aim import (
+    AimSeries,
+    aim_delta,
+    angular_problem,
+    kratzer_radial_problem,
+    oscillator_radial_problem,
+)
 from drsbound.oracle import DivergenceError, fd_angular_eigs, fd_radial_eigs
 from drsbound.model import (
     Kratzer,
@@ -246,3 +257,47 @@ def test_oscillator_radial_level(gamma, k, ell_eff_sq, n):
     # sqrt(2 gamma k) (2 n + 1 + L)
     exact = math.sqrt(2.0 * gamma * k) * (2 * n + 1 + math.sqrt(ell_eff_sq))
     assert abs(fd_radial_eigs(Oscillator(k), gamma, ell_eff_sq, n, None) - exact) <= 1e-12 * (1.0 + exact)
+
+
+# AIM: the scalar series aim_delta runs at jet order k gives delta_k bit for
+# bit as the series at the problem's order k_max + 2, on the three problem
+# families, real and complex Kratzer zeta included
+kratzer_zeta = st.one_of(
+    st.floats(0.5, 5.0), st.builds(complex, st.floats(0.5, 5.0), st.floats(-1.0, 1.0))
+)
+
+
+@st.composite
+def aim_problems(draw):
+    """(problem, eigenparameter, k) with 1 <= k <= the problem's k_max <= 24."""
+    k_max = draw(st.integers(1, 24))
+    family = draw(st.sampled_from(("kratzer", "angular", "oscillator")))
+    if family == "kratzer":
+        problem = kratzer_radial_problem(
+            draw(kratzer_zeta), draw(st.floats(-8.0, -0.5)), draw(st.floats(0.2, 3.0)), k_max
+        )
+        x = draw(st.floats(-5.0, 5.0))
+    elif family == "angular":
+        problem = angular_problem(
+            draw(st.floats(0.0, 2.0)), draw(st.floats(0.5, 6.0)), draw(st.floats(0.1, 0.9)), k_max
+        )
+        x = draw(st.floats(-3.0, 3.0))
+    else:
+        problem = oscillator_radial_problem(draw(st.integers(0, 3)), k_max)
+        x = draw(st.floats(0.0, 12.0))
+    return problem, x, draw(st.integers(1, k_max))
+
+
+def _delta_bits(d):
+    """A delta's bits as float.hex pairs; every NaN alike."""
+    d = complex(d)
+    return "nan" if cmath.isnan(d) else (d.real.hex(), d.imag.hex())
+
+
+@settings(PROPERTY_SETTINGS, max_examples=200)
+@given(aim_problems())
+def test_aim_delta_equals_full_order_series(drawn):
+    problem, x, k = drawn
+    with np.errstate(all="ignore"):
+        got, want = aim_delta(problem, x, k), AimSeries(problem, x).delta(k)
+    assert _delta_bits(got) == _delta_bits(want)
