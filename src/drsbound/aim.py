@@ -7,24 +7,24 @@ The AIM recasts y'' = lambda0(x) y' + s0(x) y into the recurrence
 
 whose quantization condition delta_k = lambda_k s_{k-1} - lambda_{k-1} s_k = 0
 pins the eigenvalues.  Jets give the derivatives exactly without a CAS: each
-iteration consumes one Taylor order and delta_k reads coefficient 0 after k
-of them, so k iterations need order k, coefficients 0..k of lambda0 and s0.
-Coefficient i of every scalar jet operation (np.convolve's per-output dot,
-the quotient recurrence, the derivative shift) is computed from
-coefficients <= i alone, in the same order at any length, so a scalar
+iteration drops one Taylor order and delta_k reads coefficient 0 after k of
+them, so a series of order K, coefficients 0..K of lambda0 and s0, yields
+delta_1..delta_K.  Coefficient i of every scalar jet operation (np.convolve's
+per-output dot, the quotient recurrence, the derivative shift) is computed
+from coefficients <= i alone, in the same order at any length, so a scalar
 delta_k is the same float at any order >= k.
 
-The recurrence is written once, in AimSeries.step, on the jets' coefficient
-arrays.  An AimSeries is resumable: it keeps the latest (lambda_k, s_k), so
-raising k costs one step, not a rebuild.  Jets carry leading batch axes, so
-one series can run at a whole array of eigenparameters: find_eigenvalue
-samples its grid with one batched series at the problem's order, one array
-step per depth, and at each depth polishes one sign change, the one by the
-root it tracks, with the scalar series that aim_delta runs to a fixed depth
-k at order k.  The batch only chooses brackets by sign, so it runs in
-float64 where the problem is real, with one matmul per product by an
-unbatched jet; the scalar series keeps complex jets and np.convolve, so
-every root keeps its bits.
+The recurrence is written once, in the generator _deltas, on the jets'
+coefficient arrays.  Jets carry leading batch axes, so one series can run at
+a whole array of eigenparameters: find_eigenvalue samples its grid with one
+batched series of order k_max, one array step per depth, and at each depth
+polishes one sign change, the one by the root it tracks, with the scalar
+series of order k that aim_delta runs.  The batch only chooses brackets by
+sign, so it runs in float64 where the problem is real, with one matmul per
+product by an unbatched jet; the scalar series keeps complex jets and
+np.convolve, so every root keeps its bits.  Where every sampled delta_k is
+rounding noise, the search stops with AimError rather than polish a noise
+sign change.
 
 The two exactly solvable families used by the spectral conditions (the
 Kratzer-type radial problem and the ring-shaped angular problem) are
@@ -122,11 +122,8 @@ def _truncated_quotient(a, b):
 
 
 def _deriv(c):
-    """Coefficients 0..K of the derivative: (i + 1) c[i + 1], and 0 at K."""
-    d = np.empty_like(c)
-    np.multiply(c[..., 1:], np.arange(1, c.shape[-1]), out=d[..., :-1])
-    d[..., -1] = 0
-    return d
+    """Coefficients 0..K - 1 of the derivative of coefficients 0..K: (i + 1) c[i + 1]."""
+    return c[..., 1:] * np.arange(1, c.shape[-1])
 
 
 class Jet:
@@ -217,10 +214,9 @@ class AimProblem:
     lambda0 and s0 map (eigenparameter, variable jet) to a Jet, or to a
     number or array, which is a constant jet; x0 is the evaluation point of
     the quantization condition and of the variable jet.  `jets` truncates
-    them at order k_max + 2, which serves every depth up to k_max (k
-    iterations need order k); aim_delta builds its series at order k.  The
-    eigenparameter may be an array, in which case the jets carry its shape
-    as batch axes.
+    them at a given order; k iterations need order k, and no depth past
+    k_max is served.  The eigenparameter may be an array, in which case the
+    jets carry its shape as batch axes.
     """
 
     lambda0: object
@@ -228,98 +224,60 @@ class AimProblem:
     x0: float
     k_max: int
 
-    def jets(self, eigenparameter):
-        return self._jets(eigenparameter, self.k_max + 2)
-
-    def _jets(self, eigenparameter, order):
+    def jets(self, eigenparameter, order):
         x = Jet.variable(self.x0, order)
         return x._coerce(self.lambda0(eigenparameter, x)), x._coerce(self.s0(eigenparameter, x))
 
 
-class AimSeries:
-    """The recurrence at one eigenparameter, or an array of them, advanced
-    one depth at a time.
+def _deltas(problem, eigenparameter, order):
+    """(delta_k, |lambda_k s_{k-1}| + |lambda_{k-1} s_k|) for k = 1..order.
 
-    Holds (lambda0, s0), the current (lambda_k, s_k) and every delta so
-    far; `delta(k)` steps only as far as k asks and keeps what it computed,
-    so raising the depth from k to k + 1 costs one step, not k + 1.  delta(k)
-    is the same float at any jet order >= k, so it does not depend on how
-    the series got there, nor on whether it runs at the problem's order
-    k_max + 2 or, as in aim_delta, at order k.  This step is the only place
-    the recurrence and its rescale are written: after step k the series
-    holds (lambda_k, s_k) / max(|lambda_k(x0)|, |s_k(x0)|).
+    The recurrence on the coefficient arrays of the problem's jets of that
+    order: step k keeps coefficients 0..order - k of (lambda_k, s_k), since
+    the derivative drops one and delta_k reads only coefficient 0, so a
+    series of order K serves exactly depths 1..K.  After each step both
+    sequences are divided by max(|lambda_k(x0)|, |s_k(x0)|), which
+    multiplies every later delta by a positive constant and prevents
+    overflow.  The second value bounds the rounding of delta_k's
+    cancellation: where delta_k is a few ulps of it, its sign is noise.
 
-    An array eigenparameter runs one series per element as one batch: each
-    step is a handful of array operations, the rescale is elementwise, and
-    delta(k) is an array of the eigenparameter's shape.  A batch whose jets
-    have every imaginary part exactly 0 runs on their real parts in float64,
-    where complex arithmetic would give the same finite real parts at
-    several times the cost; a scalar series keeps complex jets.  Batched products may sum in
-    another order than the scalar np.convolve, so a batched delta agrees
-    with the scalar one to rounding, not bit for bit.
+    An array eigenparameter runs one series per element as one batch, and
+    each delta is an array of its shape.  A batch whose jets have every
+    imaginary part exactly 0 runs on their real parts in float64, where
+    complex arithmetic would give the same finite real parts at several
+    times the cost; a scalar series keeps complex jets.  Batched products
+    may sum in another order than the scalar np.convolve, so a batched
+    delta agrees with the scalar one to rounding, not bit for bit.
     """
-
-    __slots__ = ("lam0", "s0", "lam", "s", "deltas", "k_max")
-
-    def __init__(self, problem: AimProblem, eigenparameter):
-        self._start(problem, eigenparameter, problem.jets(eigenparameter))
-
-    def _start(self, problem, eigenparameter, jets):
-        lam0, s0 = jets
-        if np.ndim(eigenparameter) and not (lam0.coeffs.imag.any() or s0.coeffs.imag.any()):
-            lam0, s0 = Jet(lam0.coeffs.real), Jet(s0.coeffs.real)
-        self.lam0, self.s0 = self.lam, self.s = lam0, s0
-        self.k_max = problem.k_max
-        self.deltas = []
-
-    def step(self):
-        """Advance to the next depth; returns the new, rescaled (lambda_k, s_k).
-
-        The step runs on the jets' coefficient arrays and wraps only its
-        result in jets.
-        """
-        lam0, s0, lam, s = self.lam0.coeffs, self.s0.coeffs, self.lam.coeffs, self.s.coeffs
-        lam_next = _deriv(lam) + s + _truncated_product(lam0, lam)
-        s_next = _deriv(s) + _truncated_product(s0, lam)
-        self.deltas.append(lam_next[..., 0] * s[..., 0] - lam[..., 0] * s_next[..., 0])
+    lam0, s0 = (jet.coeffs for jet in problem.jets(eigenparameter, order))
+    if np.ndim(eigenparameter) and not (lam0.imag.any() or s0.imag.any()):
+        lam0, s0 = lam0.real, s0.real
+    lam, s = lam0, s0
+    for n in range(order, 0, -1):
+        lam_next = _deriv(lam) + s[..., :n] + _truncated_product(lam0[..., :n], lam[..., :n])
+        s_next = _deriv(s) + _truncated_product(s0[..., :n], lam[..., :n])
+        plus, minus = lam_next[..., 0] * s[..., 0], lam[..., 0] * s_next[..., 0]
+        yield plus - minus, abs(plus) + abs(minus)
         scale = np.maximum(np.maximum(abs(lam_next[..., 0]), abs(s_next[..., 0])), 1e-300)
         inverse = np.asarray(1.0 / scale)[..., None]
-        self.lam, self.s = Jet(lam_next * inverse), Jet(s_next * inverse)
-        return self.lam, self.s
-
-    def delta(self, k: int):
-        """delta_k, for an int k with 1 <= k <= the problem's k_max; ValueError otherwise.
-
-        The problem sizes its jets for k_max iterations; a few steps deeper,
-        delta_k is truncation error, so no depth past k_max is served.
-        """
-        _check_depth(k, self.k_max)
-        while len(self.deltas) < k:
-            self.step()
-        return self.deltas[k - 1]
-
-
-def _check_depth(k, k_max):
-    if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
-        raise ValueError(f"k must be an int, got {k!r}")
-    if not 1 <= k <= k_max:
-        raise ValueError(f"k must satisfy 1 <= k <= k_max = {k_max}, got {k!r}")
+        lam, s = lam_next * inverse, s_next * inverse
 
 
 def aim_delta(problem: AimProblem, eigenparameter, k: int):
     """delta_k(x0) = lambda_k s_{k-1} - lambda_{k-1} s_k, rescaled each step.
 
-    The k-th delta of a fresh AimSeries, run on jets of order k, the fewest
-    that delta_k reads: it is the float the problem's order gives.  The
-    running rescale divides both sequences by a common magnitude, which
-    multiplies delta_k by a positive constant and leaves its zeros (the
-    quantization condition) untouched while preventing overflow.  k is
-    checked as by AimSeries.delta, before any jet is built.
+    The last delta of the series of order k (see _deltas), for an int k with
+    1 <= k <= the problem's k_max; ValueError otherwise, before any jet is
+    built.  The rescale leaves delta_k's zeros (the quantization condition)
+    untouched.
     """
-    _check_depth(k, problem.k_max)
-    series = AimSeries.__new__(AimSeries)
-    series._start(problem, eigenparameter, problem._jets(eigenparameter, k))
-    return series.delta(k)
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
+        raise ValueError(f"k must be an int, got {k!r}")
+    if not 1 <= k <= problem.k_max:
+        raise ValueError(f"k must satisfy 1 <= k <= k_max = {problem.k_max}, got {k!r}")
+    for delta, _ in _deltas(problem, eigenparameter, k):
+        pass
+    return delta
 
 
 def _polish(problem, a, b, k):
@@ -349,6 +307,16 @@ def _polish(problem, a, b, k):
 #: `find_eigenvalue`'s first depth, stabilization tolerance and sample count.
 K_START, STAB_TOL, SAMPLES = 3, 1e-10, 400
 
+#: |delta_k| at or below this multiple of its cancellation bound, at every
+#: sample, is rounding noise.  On the validate draws' Kratzer windows the
+#: largest ratio falls about tenfold per depth to a floor near 3e-16, and at
+#: the first depth where it is below 5e-15 a window holds 18 to 177 sign
+#: changes.  Any value from 1e-15 to 1e-12 keeps every root the tests pin
+#: and validate's polish work (235 aim_delta and 39 brentq calls); above
+#: 1e-14 the empty oscillator window (4.6, 5.0) stops before its first
+#: refused bracket.
+_NOISE = 1e-14
+
 
 def find_eigenvalue(problem: AimProblem, interval):
     """Smallest eigenvalue in `interval`: first delta_k root stabilized in k.
@@ -356,29 +324,35 @@ def find_eigenvalue(problem: AimProblem, interval):
     Stabilization follows the usual AIM practice: from depth K_START on,
     accept once the tracked root moves by less than STAB_TOL between three
     consecutive iteration depths.  Exactly solvable problems stabilize
-    immediately.  The SAMPLES grid points run as one batched AimSeries that
-    is extended a step as k grows, so the problem's jets are built once and
+    immediately.  The SAMPLES grid points run as one batched series of
+    order k_max (see _deltas), so the problem's jets are built once and
     reaching depth k costs k array steps in all; for a real problem the
-    batch is float64 (see AimSeries).  The sampled deltas only choose
-    brackets, by their sign and finiteness, and each depth polishes one:
-    the sign change that holds the tracked root, else the one nearest it by
-    the distance to its ends (the lower on a tie), or the lowest when none
-    is tracked.  brentq (`drsbound.brent`, the package's port of scipy's)
-    polishes it on the scalar, complex aim_delta at that k, so a root's bits
-    do not depend on the batch.  A bracket brentq refuses (see _polish)
-    leaves the depth without a root, which resets the track.
+    batch is float64.  The sampled deltas only choose brackets, by their
+    sign and finiteness, and each depth polishes one: the sign change that
+    holds the tracked root, else the one nearest it by the distance to its
+    ends (the lower on a tie), or the lowest when none is tracked.  brentq
+    (`drsbound.brent`, the package's port of scipy's) polishes it on the
+    scalar, complex aim_delta at that k, so a root's bits do not depend on
+    the batch.  A bracket brentq refuses (see _polish) leaves the depth
+    without a root, which resets the track.
 
-    Raises ValueError for an interval that is not finite or has lo >= hi.
+    Raises AimError at the first depth whose delta is rounding noise at
+    every sample (within _NOISE of its cancellation bound), where a sign
+    change marks no eigenvalue, or when no root stabilizes by k_max; raises
+    ValueError for an interval that is not finite or has lo >= hi.
     """
     lo, hi = interval
     if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
         raise ValueError(f"interval must be finite with lo < hi, got {interval!r}")
     xs = np.linspace(lo, hi, SAMPLES)
-    series = AimSeries(problem, xs)
     prev = None
     streak = 0
-    for k in range(K_START, problem.k_max + 1):
-        vals = np.broadcast_to(series.delta(k).real, xs.shape)
+    for k, (delta, bound) in enumerate(_deltas(problem, xs, problem.k_max), 1):
+        if k < K_START:
+            continue
+        if np.all(abs(delta) <= _NOISE * bound):
+            raise AimError(f"AIM eigenvalue did not stabilize: delta_{k} is rounding noise")
+        vals = np.broadcast_to(delta.real, xs.shape)
         finite, sign = np.isfinite(vals), np.sign(vals)
         changes = np.flatnonzero(finite[:-1] & finite[1:] & (sign[:-1] != sign[1:]))
         if changes.size:

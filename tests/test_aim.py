@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import pathlib
@@ -6,13 +7,12 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from drsbound import aim
+from drsbound import aim, spectrum
 from drsbound.aim import (
     K_START,
     SAMPLES,
     AimError,
     AimProblem,
-    AimSeries,
     Jet,
     aim_delta,
     aim_exact_angular,
@@ -22,6 +22,7 @@ from drsbound.aim import (
     kratzer_radial_problem,
     oscillator_radial_problem,
 )
+from drsbound.model import derive_coefficients
 
 REFERENCE_DIR = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "reference"
 
@@ -54,7 +55,7 @@ class TestJetArithmetic:
                 (u * v).coeffs, poly_to_jet(p_prod.coef, x0, order).coeffs, atol=1e-12
             )
             np.testing.assert_allclose(
-                aim._deriv(u.coeffs)[:-1],
+                aim._deriv(u.coeffs),
                 poly_to_jet(np.polynomial.Polynomial(pu).deriv().coef, x0, order).coeffs[:-1],
                 atol=1e-12,
             )
@@ -241,8 +242,9 @@ class TestRecurrenceIdentity:
     def test_jets_match_symbolic_differentiation(self):
         # oracle: the recurrence carried out in exact polynomial arithmetic.
         # The series rescales each step, and the recurrence is linear in
-        # (lambda_k, s_k), so step k holds (lambda_k, s_k) / S with
-        # S = max(|lambda_k(x0)|, |s_k(x0)|) of the exact values
+        # (lambda_k, s_k), so after step k it holds (lambda_k, s_k) / S_k with
+        # S_k = max(|lambda_k(x0)|, |s_k(x0)|) of the exact values (S_0 = 1),
+        # and delta_k, formed from steps k - 1 and k, is the exact one / S_{k-1}^2
         rng = np.random.default_rng(19)
         x0 = 0.9
         for _ in range(5):
@@ -254,18 +256,16 @@ class TestRecurrenceIdentity:
                 x0,
                 k_max=4,
             )
-            series = AimSeries(problem, 0.0)
             lam_p = np.polynomial.Polynomial(pl)
             s_p = np.polynomial.Polynomial(ps)
             lam0_p, s0_p = lam_p, s_p
-            for k in range(4):
+            scale = 1.0
+            for delta, _ in aim._deltas(problem, 0.0, 4):
                 lam_next = lam_p.deriv() + s_p + lam0_p * lam_p
                 s_next = s_p.deriv() + s0_p * lam_p
+                want = (lam_next(x0) * s_p(x0) - lam_p(x0) * s_next(x0)) / scale**2
+                assert abs(delta - want) < 1e-9 * (1 + abs(want))
                 scale = max(abs(lam_next(x0)), abs(s_next(x0)))
-                lam_want, s_want = lam_next(x0) / scale, s_next(x0) / scale
-                jet_lam, jet_s = series.step()
-                assert abs(jet_lam.coeffs[0] - lam_want) < 1e-9 * (1 + abs(lam_want))
-                assert abs(jet_s.coeffs[0] - s_want) < 1e-9 * (1 + abs(s_want))
                 lam_p, s_p = lam_next, s_next
 
 
@@ -357,13 +357,21 @@ class TestAngularSeries:
             assert abs(residual) < 1e-14
 
 
+def _padded_deriv(c):
+    """The derivative at the jet's own order: (i + 1) c[i + 1], and 0 at the top."""
+    d = np.zeros_like(c)
+    d[..., :-1] = c[..., 1:] * np.arange(1, c.shape[-1])
+    return d
+
+
 def _delta_oracle(problem, eigenparameter, k):
-    """delta_k by a fresh k-step run of the recurrence, as find_eigenvalue once did."""
-    lam0, s0 = problem.jets(eigenparameter)
+    """delta_k by a fresh k-step run of the recurrence on jets of order k_max + 2, as
+    find_eigenvalue once did."""
+    lam0, s0 = problem.jets(eigenparameter, problem.k_max + 2)
     lam, s = lam0, s0
     for _ in range(k):
-        lam_next = Jet(aim._deriv(lam.coeffs)) + s + lam0 * lam
-        s_next = Jet(aim._deriv(s.coeffs)) + s0 * lam
+        lam_next = Jet(_padded_deriv(lam.coeffs)) + s + lam0 * lam
+        s_next = Jet(_padded_deriv(s.coeffs)) + s0 * lam
         delta = lam_next.coeffs[0] * s.coeffs[0] - lam.coeffs[0] * s_next.coeffs[0]
         scale = max(abs(lam_next.coeffs[0]), abs(s_next.coeffs[0]), 1e-300)
         lam, s = lam_next * (1.0 / scale), s_next * (1.0 / scale)
@@ -483,14 +491,12 @@ class TestSampleDtype:
 
     @pytest.mark.parametrize("problem, window, _", PINNED_ROOTS)
     def test_real_problem_samples_in_float64(self, problem, window, _):
-        batched = AimSeries(problem, np.linspace(*window, SAMPLES))
-        assert batched.delta(3).dtype == np.float64
-        for jet in (batched.lam0, batched.s0, batched.lam, batched.s):
-            assert jet.coeffs.dtype == np.float64
-        scalar = AimSeries(problem, 1.5)
-        assert scalar.delta(3).dtype == complex
-        for jet in (scalar.lam0, scalar.s0, scalar.lam, scalar.s):
-            assert jet.coeffs.dtype == complex
+        batched = aim._deltas(problem, np.linspace(*window, SAMPLES), problem.k_max)
+        for delta, bound in batched:
+            assert delta.dtype == bound.dtype == np.float64
+        for delta, bound in aim._deltas(problem, 1.5, problem.k_max):
+            assert delta.dtype == complex
+            assert bound.dtype == np.float64
 
     def test_complex_problem_keeps_a_complex_batch(self):
         # a complex zeta gives the jets nonzero imaginary parts; the batch's
@@ -499,11 +505,10 @@ class TestSampleDtype:
         # are rounding noise)
         problem = kratzer_radial_problem(1.6755386 + 0.2j, -2.1702702)
         xs = np.linspace(1.2, 1.4, SAMPLES)
-        batched = AimSeries(problem, xs)
-        scalar = [AimSeries(problem, float(x)) for x in xs]
-        for k in range(1, 13):
-            got = batched.delta(k)
-            want = np.array([s.delta(k) for s in scalar])
+        batched = itertools.islice(aim._deltas(problem, xs, problem.k_max), 12)
+        scalar = [[delta for delta, _ in aim._deltas(problem, float(x), 12)] for x in xs]
+        for k, (got, _) in enumerate(batched, 1):
+            want = np.array([deltas[k - 1] for deltas in scalar])
             assert got.dtype == complex
             np.testing.assert_array_equal(np.sign(got.real), np.sign(want.real))
             np.testing.assert_array_equal(np.isfinite(got), np.isfinite(want))
@@ -546,14 +551,9 @@ class TestResumableSeries:
         ids=["oscillator", "kratzer", "angular"],
     )
     def test_each_depth_equals_aim_delta(self, problem, x):
-        series = AimSeries(problem, x)
-        deltas = [series.delta(k) for k in range(1, problem.k_max + 1)]
+        deltas = [delta for delta, _ in aim._deltas(problem, x, problem.k_max)]
         assert deltas == [aim_delta(problem, x, k) for k in range(1, problem.k_max + 1)]
         assert deltas == [_delta_oracle(problem, x, k) for k in range(1, problem.k_max + 1)]
-        # a jump straight to the deepest k and back reads the same stored values
-        again = AimSeries(problem, x)
-        assert again.delta(problem.k_max) == deltas[-1]
-        assert [again.delta(k) for k in range(1, problem.k_max + 1)] == deltas
 
     @pytest.mark.parametrize("problem, window, _", PINNED_ROOTS)
     def test_batched_samples_choose_the_scalar_brackets(self, monkeypatch, problem, window, _):
@@ -571,11 +571,12 @@ class TestResumableSeries:
         monkeypatch.setattr(aim, "_polish", recording)
         find_eigenvalue(problem, window)
         xs = np.linspace(*window, SAMPLES)
-        batched = AimSeries(problem, xs)
-        scalar = [AimSeries(problem, float(x)) for x in xs]
-        for k in range(1, max(depths) + 1):
-            got = batched.delta(k).real
-            want = np.array([s.delta(k).real for s in scalar])
+        depth = max(depths)
+        batched = itertools.islice(aim._deltas(problem, xs, problem.k_max), depth)
+        scalar = [[delta.real for delta, _ in aim._deltas(problem, float(x), depth)] for x in xs]
+        for k, (delta, _) in enumerate(batched, 1):
+            got = delta.real
+            want = np.array([deltas[k - 1] for deltas in scalar])
             assert got.shape == xs.shape
             np.testing.assert_array_equal(np.sign(got), np.sign(want))
             np.testing.assert_array_equal(np.isfinite(got), np.isfinite(want))
@@ -617,10 +618,11 @@ class TestResumableSeries:
         assert got.hex() == _find_eigenvalue_oracle(problem, (1.0, 6.0)).hex()
 
     def test_noise_brackets_passed_over(self, monkeypatch):
-        # no eigenvalue in this window: from depth 17 on the Kratzer deltas are
-        # rounding noise and some batched samples differ in sign from the
-        # scalar ones; brentq finds no scalar bracket on such a panel, which
-        # is skipped, so the search ends as the per-sample one did
+        # no eigenvalue in this window: at deep k the oscillator deltas lose
+        # most of their digits and some batched samples differ in sign from
+        # the scalar ones; brentq finds no scalar bracket on such a panel,
+        # which is skipped (six of them here), so the search ends as the
+        # per-sample one did
         refused = []
         real_brentq = aim.brentq
 
@@ -632,9 +634,9 @@ class TestResumableSeries:
                 raise
 
         monkeypatch.setattr(aim, "brentq", recording)
-        problem = kratzer_radial_problem(1.6755386, -2.1702702, k_max=18)
+        problem = oscillator_radial_problem(0, k_max=40)
         with pytest.raises(AimError, match="did not stabilize"):
-            find_eigenvalue(problem, (1.35, 1.4))
+            find_eigenvalue(problem, (4.6, 5.0))
         assert refused
 
     @pytest.mark.parametrize(
@@ -658,12 +660,44 @@ class TestResumableSeries:
             find_eigenvalue(oscillator_radial_problem(0, k_max=40), (1.0, 2.0), **{name: value})
 
 
+def _validate_kratzer_window(draw):
+    """(problem, window, u*) of a validate draw's radial Kratzer series at its strict root:
+    u* = -gamma De re / (zeta + n), the window u* +- 0.35 of the gap to line n + 1."""
+    n, n_prime, m = draw["qn"]
+    spec = spectrum.table_spec(3, n, n_prime, m, *draw["ring"])
+    coeffs = derive_coefficients(spec, draw["reference"]["root"])
+    zeta = coeffs.zeta.real
+    g_d_r = (coeffs.gamma * spec.potential.d_e * spec.potential.r_e).real
+    u_star = -g_d_r / (zeta + n)
+    half = 0.35 * abs(u_star + g_d_r / (zeta + n + 1))
+    return kratzer_radial_problem(zeta, g_d_r), (u_star - half, u_star + half), u_star
+
+
+class TestExcitedKratzerWindows:
+    """find_eigenvalue on the validate draws' own radial series, excited lines included:
+    right, or AimError, never a wrong value."""
+
+    @pytest.mark.parametrize("index", range(12))
+    def test_right_or_refused(self, index):
+        # on the excited lines deep delta_k is rounding noise on the whole
+        # window, and a sign change of noise is no eigenvalue: draws 6, 10 and
+        # 11 stop there with AimError (draw 11 once returned a value 8.2e-2 off)
+        draw = json.loads((REFERENCE_DIR / "validate.json").read_text())["draws"][index]
+        problem, window, u_star = _validate_kratzer_window(draw)
+        try:
+            root = find_eigenvalue(problem, window)
+        except AimError as exc:
+            assert "did not stabilize" in str(exc)
+        else:
+            assert abs(root - u_star) <= 1e-8
+
+
 class TestDepthChecked:
-    """delta_k is served for an int k in 1..k_max, the depths the problem sizes its jets for."""
+    """delta_k is served for an int k in 1..k_max, the depths the problem declares."""
 
     def test_past_k_max_rejected(self):
-        # at k_max = 6, delta_9 is truncation error: positive at both 1.4 and 1.6,
-        # with the level 1.5 between them
+        # k_max bounds every depth a problem serves, find_eigenvalue's search
+        # included, for a scalar or an array eigenparameter alike
         problem = oscillator_radial_problem(0, k_max=6)
         for e in (1.4, 1.6):
             with pytest.raises(ValueError, match="k_max = 6"):
@@ -671,7 +705,7 @@ class TestDepthChecked:
         with pytest.raises(ValueError, match="k_max = 6"):
             aim_delta(problem, 1.5, 7)
         with pytest.raises(ValueError, match="k_max = 6"):
-            AimSeries(problem, np.array([1.4, 1.6])).delta(7)
+            aim_delta(problem, np.array([1.4, 1.6]), 7)
         assert np.isfinite(aim_delta(problem, 1.4, 6))
 
     @pytest.mark.parametrize("k", [0, -2])
@@ -680,7 +714,7 @@ class TestDepthChecked:
         with pytest.raises(ValueError, match="1 <= k"):
             aim_delta(problem, 1.4, k)
         with pytest.raises(ValueError, match="1 <= k"):
-            AimSeries(problem, 1.4).delta(k)
+            aim_delta(problem, np.array([1.4, 1.6]), k)
 
     @pytest.mark.parametrize("k", [2.0, 2.5, True, "2", None], ids=repr)
     def test_non_int_rejected(self, k):
@@ -688,7 +722,7 @@ class TestDepthChecked:
         with pytest.raises(ValueError, match="must be an int"):
             aim_delta(problem, 1.4, k)
         with pytest.raises(ValueError, match="must be an int"):
-            AimSeries(problem, np.array([1.4, 1.6])).delta(k)
+            aim_delta(problem, np.array([1.4, 1.6]), k)
 
     def test_numpy_int_accepted(self):
         problem = oscillator_radial_problem(0, k_max=6)

@@ -42,13 +42,14 @@ def _traced_pairs():
 
 
 def _names_used(node):
-    """Names, attributes and imported names that appear in an AST node."""
+    """Names and imported names that appear in an AST node, and the attributes
+    it reads, each as "." + its name."""
     used = set()
     for sub in ast.walk(node):
         if isinstance(sub, ast.Name):
             used.add(sub.id)
-        elif isinstance(sub, ast.Attribute):
-            used.add(sub.attr)
+        elif isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
+            used.add("." + sub.attr)
         elif isinstance(sub, ast.ImportFrom):
             used.update(alias.name for alias in sub.names)
     return used
@@ -64,14 +65,16 @@ def test_tracer_names_resolve():
 
 
 def _uses(stmt):
-    """Names a statement uses, except a definition's own name inside it: a
-    recursive call is no caller, nor is a method naming itself."""
+    """Names a statement uses, except a definition's own name inside it, bare
+    or read as an attribute: a recursive call is no caller, nor is a method
+    naming itself."""
     if isinstance(stmt, ast.ClassDef):
         parts = [*stmt.decorator_list, *stmt.bases, *stmt.keywords]
         used = set().union(*map(_names_used, parts), *map(_uses, stmt.body))
     else:
         used = _names_used(stmt)
-    return used - {getattr(stmt, "name", None)}
+    name = getattr(stmt, "name", None)
+    return used - {name, f".{name}"}
 
 
 def _definitions(stmt):
@@ -98,9 +101,11 @@ def _scanned():
 def test_every_definition_has_a_caller():
     # a definition counts as called when a statement other than its own
     # definition names it, in the package's modules or in the benchmark's, or
-    # when the tracer patches it.  The package's re-exports and `__all__` do
-    # not count: a name only tests reach is no surface.  The uncalled rest
-    # must be exactly the allowlist, so an entry that gains a caller leaves it
+    # when the tracer patches it; a method or property only where an
+    # attribute of its name is read, since a bare name is a local variable.
+    # The package's re-exports and `__all__` do not count: a name only tests
+    # reach is no surface.  The uncalled rest must be exactly the allowlist,
+    # so an entry that gains a caller leaves it
     used = set()
     definitions = []
     for path, tree in _scanned():
@@ -109,17 +114,21 @@ def test_every_definition_has_a_caller():
                 definitions.extend((path.stem, name) for name in _definitions(stmt))
             used |= _uses(stmt)
     traced = {(module.rsplit(".", 1)[-1], attr) for module, attr in _traced_pairs()}
+    def called(name):
+        owner, _, attr = name.rpartition(".")
+        return f".{attr}" in used or (not owner and attr in used)
+
     uncalled = {
         f"{module}.{name}"
         for module, name in definitions
-        if name.rsplit(".", 1)[-1] not in used and (module, name) not in traced
+        if not called(name) and (module, name) not in traced
     }
     assert uncalled == set(ALLOWED_UNCALLED)
 
 
 def _is_dataclass(stmt):
-    return isinstance(stmt, ast.ClassDef) and "dataclass" in set().union(
-        *map(_names_used, stmt.decorator_list)
+    return isinstance(stmt, ast.ClassDef) and bool(
+        {"dataclass", ".dataclass"} & set().union(*map(_names_used, stmt.decorator_list))
     )
 
 
