@@ -52,6 +52,12 @@ class TestRadialSolver:
             level = fd_radial_eigs(Oscillator(1.0), 2.0, 0.25, j, None)
             assert level == pytest.approx(4 * j + 3, rel=1e-13)
 
+    def test_kratzer_ground_state(self):
+        params = NonRelParams(mu=1.0, potential=Kratzer(15.0, 0.4), ring=RingParams(0.0, 0.0))
+        closed = energy_kratzer_nr(params, QuantumNumbers(0, 0, 0))
+        fd = nonrel_energy_fd(params, QuantumNumbers(0, 0, 0))
+        assert abs(fd - closed) / abs(closed) < 1e-4
+
     def test_no_mass_factor(self):
         # one kinetic term, -d^2/dr^2; Schroedinger scalings go through gamma
         with pytest.raises(TypeError):
@@ -128,6 +134,19 @@ class TestAngularSolver:
         eigs = [fd_angular_eigs(0.0, RingParams(0, 0), 2, k) for k in range(3)]
         expected = [(abs(2) + 1.5 + 2 * k) ** 2 for k in range(3)]
         np.testing.assert_allclose(eigs, expected, rtol=1e-8)
+
+    def test_matches_quantization_on_grid(self):
+        # 3 gammas x 3 ring configurations x 2 azimuthal numbers
+        for gamma in (0.0, 0.9, 2.072188142):
+            for a, b in ((0.0, 0.0), (1.0, 0.0), (1.0, 1.0)):
+                for m in (0, 2):
+                    ring = RingParams(a, b)
+                    for n_prime in range(2):
+                        qn = QuantumNumbers(n=0, n_prime=n_prime, m=m)
+                        terms = coefficients_at_gamma(gamma, None, None, ring, qn)
+                        expected = terms.ell_eff.real ** 2
+                        eig = fd_angular_eigs(gamma, ring, m, n_prime)
+                        assert abs(eig - expected) / expected < 1e-7
 
     def test_ring_dressed_levels_pinned(self):
         eigs = [fd_angular_eigs(2.0, RingParams(1.0, 0.5), 1, k) for k in range(2)]
@@ -589,6 +608,12 @@ class TestSelfConsistency:
         error = ValueError if name == "initial_energy" else TypeError
         with pytest.raises(error, match=name):
             self_consistent_energy(table_spec(3, 0, 0, 0, 1.0, 1.0), **kwargs)
+
+    def test_nonrel_limit_reproduces_closed_form(self):
+        params = NonRelParams(mu=1.0, potential=Kratzer(15.0, 0.4), ring=RingParams(0.0, 0.0))
+        closed = energy_kratzer_nr(params, QuantumNumbers(0, 0, 0))
+        fd = nonrel_energy_fd(params, QuantumNumbers(0, 0, 0))
+        assert abs(fd - closed) < 1e-4 * abs(closed)
 
 
 def _radial_level(index):
