@@ -340,6 +340,13 @@ def find_eigenvalue(problem: AimProblem, interval):
     every sample (within _NOISE of its cancellation bound), where a sign
     change marks no eigenvalue, or when no root stabilizes by k_max; raises
     ValueError for an interval that is not finite or has lo >= hi.
+
+    Two limits.  It finds only real eigenvalues: the search reads sign
+    changes of Re(delta_k) on the real interval, also for a problem with
+    complex coefficients, whose eigenvalue may not be real.  And at
+    `kratzer_radial_problem`'s default k_max = 24 it raises AimError on most
+    excited Kratzer windows (on 15 of 24 drawn n = 1 windows and 11 of 14
+    at n = 2), where delta_k has not stabilized by then.
     """
     lo, hi = interval
     if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):

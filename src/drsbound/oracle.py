@@ -17,8 +17,8 @@ coefficient, and its level is checked against the one from ANGULAR_MARGIN
 fewer functions.  Both node sets come from scipy.special.  A
 self-consistent solve couples the two through the energy dependence of
 gamma: it brackets a zero of F(E) = lambda_n(gamma(E)) - b(E), the radial
-level minus the radial equation's constant b(E), skipping brackets that
-hold a zero of b (the continuum edge), and closes it with Brent's method.
+level minus the radial equation's constant b(E), splitting a bracket at
+a zero of b (the continuum edge), and closes it with Brent's method.
 It validates relativistic class-A roots without evaluating any spectral
 condition.
 
@@ -388,6 +388,11 @@ ANGULAR_MARGIN = 2
 ANGULAR_LEVELS = 500
 
 
+def _sign_change(f_lo, f_hi):
+    """Whether two sweeps, neither failed, have F of opposite signs."""
+    return f_lo is not None and f_hi is not None and np.sign(f_lo) != np.sign(f_hi)
+
+
 def self_consistent_energy(spec: ProblemSpec, initial_energy: float):
     """Energy E at which the radial level at gamma(E) equals b(E).
 
@@ -398,8 +403,11 @@ def self_consistent_energy(spec: ProblemSpec, initial_energy: float):
     sign at a bound root, so it is bracketed by marching outward from the
     initial energy in SCAN_STEP steps, alternating sides, up to SCAN_SPAN
     away; a failed sweep leaves its march point out.  A bracket holding a
-    zero of b(E) is skipped: F changes sign there too, at the continuum
-    edge, where no bound state lies.  Brent's method (`brent.brentq`)
+    zero of b(E) is split there and each part tested: a bound root can
+    share a bracket with the continuum edge E = M.  At E = C_s - M gamma
+    is 0 and the sweep fails, so the parts beside it are passed over; at
+    E = M, F is the radial level, which settles below 0 or fails, so a
+    sign change beside it is a bound root's.  Brent's method (`brent.brentq`)
     closes the bracket to BRACKET_TOL, and a sweep that fails inside it
     raises DivergenceError.  No such sweep fails: gamma is linear in E and
     the polar equation's real-sector conditions are linear in gamma, so the
@@ -412,11 +420,11 @@ def self_consistent_energy(spec: ProblemSpec, initial_energy: float):
     has swept, so that check solves nothing again.
 
     Every energy is swept at most once per call, and a call sweeps at most
-    2 round(SCAN_SPAN / SCAN_STEP) + 1 + brent.MAXITER = 181 energies: the
-    march's ends are the initial energy and the 80 points k SCAN_STEP from
-    it, k = 1 .. 40, and brentq raises RuntimeError after MAXITER
-    iterations of one sweep each.  Sweeps are kept for one call only; a
-    second call solves them again.
+    2 round(SCAN_SPAN / SCAN_STEP) + 1 + 2 + brent.MAXITER = 183 energies:
+    the march's ends are the initial energy and the 80 points k SCAN_STEP
+    from it, k = 1 .. 40, its splits the two zeros of b(E), and brentq
+    raises RuntimeError after MAXITER iterations of one sweep each.  Sweeps
+    are kept for one call only; a second call solves them again.
 
     Raises ValueError for a non-finite initial_energy, and OracleError,
     before any sweep, for a spec outside the spin Kratzer sector (see the
@@ -453,10 +461,10 @@ def self_consistent_energy(spec: ProblemSpec, initial_energy: float):
         a = e0 + sign * i * SCAN_STEP
         b = e0 + sign * (i + 1) * SCAN_STEP
         lo, hi = (a, b) if a < b else (b, a)
-        flo, fhi = fval(lo), fval(hi)
-        if flo is None or fhi is None or np.sign(flo) == np.sign(fhi):
-            continue
-        if not any(lo <= z <= hi for z in b_zeros):
+        cuts = [lo, *sorted(z for z in b_zeros if lo < z < hi), hi]
+        parts = [(p, q) for p, q in zip(cuts, cuts[1:]) if _sign_change(fval(p), fval(q))]
+        if parts:
+            lo, hi = parts[0]
             break
     else:
         raise DivergenceError("no self-consistent bracket near the initial energy")

@@ -144,7 +144,9 @@ def _search_branches(spec: ProblemSpec):
 
 
 class RootClass(enum.Enum):
-    A = "A"  # genuine bound root of the canonical branch
+    # a root of the canonical condition; where gamma(E) < 0 it is not a
+    # certified level of the sector's reduction
+    A = "A"
     B = "B"  # spurious squaring root: vanishes only with sigma_rhs = -1
     C = "C"  # real part of a complex pair of the squared spectral form
     D = "D"  # unexplained
@@ -439,7 +441,7 @@ def _array_sqrt(z):
 
 def _residual_array(spec, es, sigma_rhs, sigma_inner):
     """Residual over an energy array; (values, valid mask), poles masked; (B, 1) signs: B rows."""
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         lhs, rhs, ok = _condition(
             np.asarray(es, dtype=complex), spec, sigma_rhs, sigma_inner, _array_sqrt, _mask_pole
         )
@@ -714,10 +716,11 @@ def find_roots(spec: ProblemSpec, *, mode):
     """Classified spectrum points of the spec in the window (-M - 20, M + 20).
 
     The search covers the principal strategies (`_search_branches`).
-    strict mode keeps only class-A roots (canonical branch, genuine);
-    paper-compat additionally reports sigma_rhs = -1 roots and the real
-    parts of complex pairs of the squared forms, reproducing the published
-    tables.  Real roots come from the sign-change rule on a grid of
+    strict mode keeps only class-A roots: roots of the canonical condition,
+    which where gamma(E) < 0 are not certified levels of the sector's
+    reduction.  paper-compat additionally reports sigma_rhs = -1 roots and
+    the real parts of complex pairs of the squared forms, reproducing the
+    published tables.  Real roots come from the sign-change rule on a grid of
     PANELS_PER_UNIT panels per unit energy, tested for all searched
     branches on the panels under disks about the eliminant's zeros
     (`_scan_branches`), plus the exact polynomial paths when a = b = 0;

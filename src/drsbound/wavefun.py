@@ -173,42 +173,57 @@ def assemble_component(spec: ProblemSpec, energy, r, theta, phi, normalization=N
     return normalization * pref * rad * ang * azi / (r * np.sqrt(np.sin(theta)))
 
 
-def _envelope_radius(spec: ProblemSpec, coeffs: CoefficientSet):
-    """Radius where the radial envelope has decayed to exp(-40), ~1e-17."""
-    w = _decay(coeffs)
-    return 40.0 / w if isinstance(spec.potential, Kratzer) else math.sqrt(40.0 / w)
-
-
-#: Gauss-Legendre nodes of `verify_normalization` in r and in theta.
-RADIAL_NODES, THETA_NODES = 200, 200
+#: Step in t of both double-exponential rules of `verify_normalization`.
+DE_STEP = 0.025
 
 
 @functools.cache
-def _gauss_legendre(nodes):
-    """Gauss-Legendre nodes and weights on [-1, 1], built on first use and read-only."""
-    x, w = np.polynomial.legendre.leggauss(nodes)
-    x.flags.writeable = False
-    w.flags.writeable = False
-    return x, w
+def _double_exponential(step):
+    """(x, wx, theta, wtheta) of two rules, built on first use and read-only.
+
+    exp-sinh on (0, inf): x = exp(pi/2 sinh t), kept where 1e-8 < x < 64 so
+    that r**zeta cannot overflow; tanh-sinh on (0, pi/2):
+    theta = (pi/2) / (1 + exp(-pi sinh t)) for |t| <= 2.75, with no
+    cancellation as theta -> 0.  Both converge exponentially despite
+    end-point power singularities (Takahasi & Mori, Publ. RIMS 9 (1974) 721;
+    Mori & Sugihara, J. Comput. Appl. Math. 127 (2001) 287).
+    """
+    # |t| <= 3.2 holds both: x > 1e-8 needs t > -3.16
+    t = step * np.arange(-math.ceil(3.2 / step), math.ceil(3.2 / step) + 1)
+    u = 0.5 * math.pi * np.sinh(t)
+    du = step * 0.5 * math.pi * np.cosh(t)
+    x = np.exp(u)
+    radial = (x > 1e-8) & (x < 64.0)
+    polar = np.abs(t) <= 2.75
+    rule = (
+        x[radial],
+        x[radial] * du[radial],
+        0.5 * math.pi / (1.0 + np.exp(-2.0 * u[polar])),
+        0.25 * math.pi * du[polar] / np.cosh(u[polar]) ** 2,
+    )
+    for a in rule:
+        a.flags.writeable = False
+    return rule
 
 
 def verify_normalization(spec: ProblemSpec, energy):
     """|quadrature of the squared normalized component - 1|.
 
-    Gauss-Legendre on RADIAL_NODES nodes in r and THETA_NODES in theta; the
-    phi integral of |e^{im phi}|^2 = 1 is 2 pi exactly.  The radial domain
-    is truncated where the envelope has decayed to ~1e-17.  The radial and
-    polar factors are evaluated on the 1-D nodes, as a column and a row;
-    broadcasting forms the product grid.
+    The rules of `_double_exponential` at step DE_STEP: r = s x at the
+    envelope scale s = (zeta + n + 1)/w (Kratzer) or
+    sqrt((ell_eff + n + 1)/w) (oscillator), and theta over (0, pi/2),
+    doubled by theta -> pi - theta so that the kink of cos^(4p) theta at
+    pi/2 is an end point; the phi integral of |e^{im phi}|^2 = 1 is 2 pi
+    exactly.  The radial and polar factors are evaluated on the 1-D nodes,
+    as a column and a row; broadcasting forms the product grid.
     """
-    r_max = _envelope_radius(spec, derive_coefficients(spec, energy))
-    xr, wr = _gauss_legendre(RADIAL_NODES)
-    r = 0.5 * r_max * (xr + 1.0)
-    wr = 0.5 * r_max * wr
-    xt, wt = _gauss_legendre(THETA_NODES)
-    th = 0.5 * math.pi * (xt + 1.0)
-    wt = 0.5 * math.pi * wt
-    rr, tt = r[:, None], th[None, :]
+    coeffs = derive_coefficients(spec, energy)
+    w, n = _decay(coeffs), spec.qn.n
+    if isinstance(spec.potential, Kratzer):
+        scale = (_real(coeffs.zeta, "zeta") + n + 1.0) / w
+    else:
+        scale = math.sqrt((_real(coeffs.ell_eff, "ell_eff") + n + 1.0) / w)
+    x, wx, th, wt = _double_exponential(DE_STEP)
+    rr, tt = scale * x[:, None], th[None, :]
     vals = np.abs(assemble_component(spec, energy, rr, tt, 0.0)) ** 2 * rr**2 * np.sin(tt)
-    radial_theta = np.einsum("i,j,ij->", wr, wt, vals)
-    return abs(2.0 * math.pi * radial_theta - 1.0)
+    return abs(4.0 * math.pi * np.einsum("i,j,ij->", scale * wx, wt, vals) - 1.0)

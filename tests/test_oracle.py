@@ -461,12 +461,43 @@ class TestSelfConsistency:
 
     def test_continuum_edge_bracket_skipped(self):
         # b(E) = (M - E)(C_s - E - M) vanishes at E = C_s - M = 0 on draw 3's
-        # spec, and F changes sign there too; the march from 0.05 skips that
-        # bracket and goes on to the bound root
+        # spec, where gamma is 0 and the sweep fails; the march from 0.05
+        # passes over both parts of that bracket and goes on to the bound root
         spec = table_spec(3, 1, 0, 1, 0.0, 0.5)
         closed = find_roots(spec, mode="strict")[0].energy.real
         assert closed == pytest.approx(2.152628, abs=1e-6)
         assert abs(self_consistent_energy(spec, 0.05) - closed) < 1e-6
+
+    @pytest.mark.parametrize(
+        "params, cell, root",
+        [
+            (
+                dict(mass=7.851747265152744, c_s=2.9601917230601167,
+                     d_e=1.3126266960428905, r_e=0.5361248957079179),
+                (2, 2, 4, 5.0, 5.0),
+                7.841267179318837,
+            ),
+            (
+                dict(mass=2.613963235258446, c_s=4.683745883122789,
+                     d_e=1.8360041186544076, r_e=1.2274752197127108),
+                (1, 0, 3, 5.0, 1.0),
+                2.567256926304004,
+            ),
+            (
+                dict(mass=5.695173537019419, c_s=9.712803965691162,
+                     d_e=1.0970134137419203, r_e=0.7328131367051018),
+                (4, 1, -3, 1.0, 5.0),
+                5.688888928079415,
+            ),
+        ],
+        ids=["n2", "n1", "n4"],
+    )
+    def test_root_beside_the_continuum_edge(self, params, cell, root):
+        # the root lies 0.005 to 0.05 below E = M, inside the march's bracket
+        # that holds E = M; a march that skipped that bracket found none
+        spec = table_spec(3, *cell, params)
+        assert [r.energy.real for r in find_roots(spec, mode="strict")] == [root]
+        assert abs(self_consistent_energy(spec, root - 0.15) - root) < 1e-9
 
     @pytest.mark.parametrize(
         "qn, ring, offset",

@@ -41,7 +41,14 @@ from drsbound.spectrum import (
     SpectralPoleError,
     _condition,
     _raise_at_pole,
+    find_roots,
     residual,
+)
+from drsbound.wavefun import (
+    ComplexSectorError,
+    NonNormalizableError,
+    normalization_constant,
+    verify_normalization,
 )
 from test_spectrum import (
     MATCH_TOLS,
@@ -209,6 +216,25 @@ def test_near_value_polynomial_path_equals_full_path(spec, offset):
         for v in values:
             taken, _ = _taken_polynomial_roots(spec, v, match_tol)
             assert _root_bits(taken) == _root_bits(_within(full, v, match_tol))
+
+
+#: validate's bound on the deviation of the quadrature norm from 1
+NORM_TOL = 1e-6
+
+
+@PROPERTY_SETTINGS
+@given(real_specs())
+def test_normalization_check_integrates_to_one(spec):
+    # every strict root of all four sectors whose closed-form constant is
+    # finite; the truncated Gauss-Legendre grid missed about a quarter
+    for root in find_roots(spec, mode="strict"):
+        e = root.energy.real
+        try:
+            constant = normalization_constant(spec, e)
+        except (ComplexSectorError, NonNormalizableError, OverflowError):
+            continue
+        if math.isfinite(constant):
+            assert verify_normalization(spec, e) < NORM_TOL
 
 
 # The oracle's levels on each solver's domain, not only where the tables and

@@ -374,6 +374,22 @@ class TestVectorizedScanPath:
         vals, ok = _residual_array(spec, np.array([0.0, 1.0]), 1, 1)
         assert not ok[0] and ok[1]
 
+    def test_masked_pole_overflow_is_silent(self):
+        # at the subnormal C_s the spin lhs denominator M + E - C_s is
+        # -C_s on the scan's grid point E = -1, and (E - M) / it overflows;
+        # the pole mask drops that point, and no warning leaks
+        from drsbound.model import Kratzer, PhysicalParams, ProblemSpec, Spin
+        from drsbound.spectrum import _residual_array
+
+        spec = ProblemSpec(
+            Spin(2.225073858507203e-309), Kratzer(1.0, 1.0), RingParams(0.0, 1.0),
+            PhysicalParams(1.0), QuantumNumbers(0, 0, 1),
+        )
+        vals, ok = _residual_array(spec, np.array([-1.0, 0.5]), 1, 1)
+        assert not ok[0] and ok[1]
+        roots = find_roots(spec, mode="strict")
+        assert [round(r.energy.real, 9) for r in roots] == [0.881191209]
+
 
 def _scan_one_branch(spec, branch, interval, panels_per_unit):
     """Unblocked single-branch sign-change scan: the oracle for the stacked scan."""

@@ -26,9 +26,11 @@ REFERENCE_DIR = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "ref
 
 
 def radial_node_count(spec, energy):
-    """Sign changes of the radial factor at 4000 points up to the envelope radius."""
+    """Sign changes of the radial factor at 4000 points out to where its
+    exponential, exp(-w r) or exp(-w r^2), has decayed to exp(-40)."""
     coeffs = derive_coefficients(spec, energy)
-    r_max = wavefun._envelope_radius(spec, coeffs)
+    w = coeffs.decay.real
+    r_max = 40.0 / w if isinstance(spec.potential, Kratzer) else math.sqrt(40.0 / w)
     r = np.linspace(r_max / 4000, r_max, 4000)
     radial = radial_kratzer if isinstance(spec.potential, Kratzer) else radial_oscillator
     signs = np.sign(radial(r, coeffs, spec.qn.n))
@@ -222,38 +224,52 @@ class TestNormalization:
             spec = table_spec(table, n, n_prime, 0, a, b)
             assert verify_normalization(spec, energy) < 1e-6
 
-    def test_deviation_shrinks_with_radial_resolution(self, monkeypatch, spin_kratzer_ground):
-        spec, energy = spin_kratzer_ground
-        monkeypatch.setattr(wavefun, "RADIAL_NODES", 12)
-        coarse = verify_normalization(spec, energy)
-        monkeypatch.setattr(wavefun, "RADIAL_NODES", 24)
+    def test_table1_row_with_a_ring_term_norm(self):
+        # (n, n', m, a, b) = (0, 0, 0, 1, 0): cos^(4p) theta is not smooth at
+        # pi/2, and the Gauss-Legendre grid across it missed by 1.58e-5
+        energy = class_a_energy(1, 0, 0, 0, 1.0, 0.0)
+        assert energy == pytest.approx(-0.2351790249204593, abs=1e-12)
+        assert verify_normalization(table_spec(1, 0, 0, 0, 1.0, 0.0), energy) < 1e-12
+
+    def test_deviation_shrinks_with_radial_resolution(self, monkeypatch):
+        # a spin oscillator whose radial peak the step 0.05 under-resolves;
+        # the shipped step closes it
+        params = {"mass": 1.5, "c_s": 5.108639641844249, "k": 1.5}
+        spec = table_spec(4, 5, 5, 5, 0.0, 1e-5, params)
+        energy = -10.973381975167994
+        assert [r.energy.real for r in find_roots(spec, mode="strict")] == [energy]
         fine = verify_normalization(spec, energy)
-        assert fine < coarse / 4.0
+        monkeypatch.setattr(wavefun, "DE_STEP", 0.05)
+        coarse = verify_normalization(spec, energy)
+        assert coarse > 1e-6 and fine < 1e-11
 
     def test_rule_built_once_and_read_only(self):
-        # the cached rule is leggauss's, bit for bit, shared by every call
-        x, w = wavefun._gauss_legendre(wavefun.RADIAL_NODES)
-        x_ref, w_ref = np.polynomial.legendre.leggauss(wavefun.RADIAL_NODES)
-        assert x.tobytes() == x_ref.tobytes() and w.tobytes() == w_ref.tobytes()
-        assert wavefun._gauss_legendre(wavefun.RADIAL_NODES)[0] is x
-        with pytest.raises(ValueError, match="read-only"):
-            x[0] = 0.0
-        with pytest.raises(ValueError, match="read-only"):
-            w[0] = 0.0
+        # one cached rule per step, shared by every call; it integrates
+        # x exp(-x) over (0, inf) and sin cos over (0, pi/2), which vanish
+        # at the end points as the norm integrands do
+        rule = wavefun._double_exponential(wavefun.DE_STEP)
+        assert wavefun._double_exponential(wavefun.DE_STEP) is rule
+        x, wx, theta, wtheta = rule
+        assert np.sum(wx * x * np.exp(-x)) == pytest.approx(1.0, abs=1e-14)
+        assert np.sum(wtheta * np.sin(theta) * np.cos(theta)) == pytest.approx(0.5, abs=1e-14)
+        assert 0.0 < theta.min() and theta.max() < 0.5 * math.pi
+        for a in rule:
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0.0
 
     @staticmethod
     def _meshgrid_quadrature(spec, energy):
-        """verify_normalization as it was built on the full (r, theta) mesh."""
-        r_max = wavefun._envelope_radius(spec, derive_coefficients(spec, energy))
-        xr, wr = np.polynomial.legendre.leggauss(wavefun.RADIAL_NODES)
-        r = 0.5 * r_max * (xr + 1.0)
-        wr = 0.5 * r_max * wr
-        xt, wt = np.polynomial.legendre.leggauss(wavefun.THETA_NODES)
-        th = 0.5 * math.pi * (xt + 1.0)
-        wt = 0.5 * math.pi * wt
-        rr, tt = np.meshgrid(r, th, indexing="ij")
+        """verify_normalization built on the full (r, theta) mesh."""
+        coeffs = derive_coefficients(spec, energy)
+        w, n = coeffs.decay.real, spec.qn.n
+        if isinstance(spec.potential, Kratzer):
+            scale = (coeffs.zeta.real + n + 1.0) / w
+        else:
+            scale = math.sqrt((coeffs.ell_eff.real + n + 1.0) / w)
+        x, wx, th, wt = wavefun._double_exponential(wavefun.DE_STEP)
+        rr, tt = np.meshgrid(scale * x, th, indexing="ij")
         vals = np.abs(assemble_component(spec, energy, rr, tt, 0.0)) ** 2 * rr**2 * np.sin(tt)
-        return abs(2.0 * math.pi * np.einsum("i,j,ij->", wr, wt, vals) - 1.0)
+        return abs(4.0 * math.pi * np.einsum("i,j,ij->", scale * wx, wt, vals) - 1.0)
 
     @pytest.mark.parametrize(
         "cell",
