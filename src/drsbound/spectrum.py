@@ -312,7 +312,7 @@ def _secant_complex(f, z0, z1):
         if f1 == f0:
             return None
         z2 = z1 - f1 * (z1 - z0) / (f1 - f0)
-        if not (np.isfinite(z2.real) and np.isfinite(z2.imag)):
+        if not cmath.isfinite(z2):
             return None
         z0, f0, z1, f1 = z1, f1, z2, f(z2)
         if abs(z1 - z0) < 1e-13 * (1.0 + abs(z1)):
@@ -934,8 +934,9 @@ def _ladder_candidates(spec, branch, comp, value, starts):
     The ladder of a start e0 is e_j = value + 0.5 (e_{j-1} - value) for
     j = 1 .. LADDER_POINTS - 1, ending before the first point within
     1e-15 (1 + |value|) of value: the points the scalar ladder tests after
-    e0, built with the same float recurrence.  All ladders are evaluated in
-    one `_residual_array` call.  A point is dropped only where the array
+    e0.  The recurrence runs on Python floats, the same IEEE operations the
+    scalar ladder makes, and all ladders are then evaluated in one
+    `_residual_array` call.  A point is dropped only where the array
     clearly rejects it: finite, not a pole, and the component other than
     `comp` above the usable threshold 1e-9 (1 + |main|) by more than 1e-6 of
     the threshold.
@@ -945,18 +946,23 @@ def _ladder_candidates(spec, branch, comp, value, starts):
     one list of floats per start, in ladder order.
     """
     stop = 1e-15 * (1.0 + abs(value))
-    e = np.asarray(starts, dtype=float)
-    pts = np.empty((e.size, LADDER_POINTS - 1))
-    for j in range(LADDER_POINTS - 1):
-        e = value + 0.5 * (e - value)
-        pts[:, j] = e
-    live = np.logical_and.accumulate(np.abs(pts - value) >= stop, axis=1)
-    vals, ok = _residual_array(spec, pts[live], branch.sigma_rhs, branch.sigma_inner)
+    ladders = []
+    for e in starts:
+        ladder = []
+        d = e - value
+        for _ in range(LADDER_POINTS - 1):
+            e = value + 0.5 * d
+            d = e - value
+            if -stop < d < stop:
+                break
+            ladder.append(e)
+        ladders.append(ladder)
+    pts = np.array([e for ladder in ladders for e in ladder], dtype=float)
+    vals, ok = _residual_array(spec, pts, branch.sigma_rhs, branch.sigma_inner)
     main = np.abs(getattr(vals, comp))
     other = np.abs(vals.imag if comp == "real" else vals.real)
-    keep = np.zeros(pts.shape, dtype=bool)
-    keep[live] = ~ok | (other <= 1e-9 * (1.0 + main) * (1.0 + 1e-6))
-    return [row[k].tolist() for row, k in zip(pts, keep)]
+    keep = iter((~ok | (other <= 1e-9 * (1.0 + main) * (1.0 + 1e-6))).tolist())
+    return [[e for e in ladder if next(keep)] for ladder in ladders]
 
 
 #: Bracket widths `_polish_branch_root` tries: span, 2 span, .. 128 span.
@@ -992,7 +998,7 @@ def _polish_branch_root(spec, branch, value, span=2e-3):
             r = residual(e, spec, branch)
         except SpectralPoleError:
             return None
-        if not (np.isfinite(r.real) and np.isfinite(r.imag)):
+        if not cmath.isfinite(r):
             return None
         main = getattr(r, comp)
         other = r.imag if comp == "real" else r.real
@@ -1059,13 +1065,26 @@ def _modulus_sqrt(z):
 def classify_value(spec: ProblemSpec, value: float, match_tol):
     """Audit one published number against every branch and squared form.
 
-    Each search branch is polished from the value; for a central spec
-    (a = b = 0) the exact polynomial path adds its real roots, computed
-    only from the eliminant zeros whose real part x lies within match_tol
-    + R of the value, R = 1e-6 2^(POLISH_GROW_STEPS - 1) = 1.28e-4.  The
-    path's span-1e-6 polish cannot carry a root out of its widest bracket
-    [x - R, x + R], so the restriction is exact: it drops only zeros whose
-    root cannot match.  Complex pairs are read from all the zeros.
+    Candidates are gathered one class at a time, and the first class that
+    has one decides: A (the canonical branch's polish and the central
+    polynomial path's A roots), then B (the sigma_rhs = -1 polishes and
+    path roots), then C (complex pairs), then D (the rhs+inner- polish and
+    path roots).  Within the class the candidate nearest the value wins,
+    the first gathered on a tie.  Each search branch is polished from the
+    value at most once per call, and only when its class is reached; a
+    value with no candidate has polished every branch, for the class-D
+    diagnostic.  The result is the one ranking every candidate would give,
+    since a later class can only lose; a polish or multistart skipped
+    because an earlier class matched can no longer raise.
+
+    For a central spec (a = b = 0) the exact polynomial path adds real
+    roots, computed only from the eliminant zeros whose real part x lies
+    within match_tol + R of the value, R = 1e-6 2^(POLISH_GROW_STEPS - 1)
+    = 1.28e-4.  The path's span-1e-6 polish cannot carry a root out of its
+    widest bracket [x - R, x + R], so the restriction is exact: it drops
+    only zeros whose root cannot match.  Complex pairs are read from all
+    the zeros; for the ring-dressed oscillator a secant multistart from the
+    value finds them.
 
     Raises ValueError if the value is not finite or the match tolerance is
     not finite and positive.
@@ -1074,19 +1093,24 @@ def classify_value(spec: ProblemSpec, value: float, match_tol):
         raise ValueError(f"value must be finite, got {value!r}")
     _check_tolerance(match_tol)
     search = _search_branches(spec)
-    candidates = []
-    nearest = None
-    for br in search:
-        root = _polish_branch_root(spec, br, value)
-        if root is not None and (nearest is None or abs(root - value) < abs(nearest - value)):
-            nearest = root
-        if root is None or abs(root - value) > match_tol:
-            continue
-        hit = _best_branch(spec, root, [br], tol=1e-8)
-        if hit is not None:
-            candidates.append((_class_for_branch(br), abs(root - value), br.label(), hit[1]))
+    roots = {}  # branch -> its polished root, or None
+
+    def polish_candidates(klass):
+        out = []
+        for br in search:
+            if _class_for_branch(br) is not klass:
+                continue
+            root = roots[br] = _polish_branch_root(spec, br, value)
+            if root is None or abs(root - value) > match_tol:
+                continue
+            hit = _best_branch(spec, root, [br], tol=1e-8)
+            if hit is not None:
+                out.append((abs(root - value), br.label(), hit[1]))
+        return out
+
     t = spec._condition_terms
     central = t.a == 0 and t.b == 0
+    path = []  # (class, deviation, branch label, residual) of the polynomial path
     pair_zeros = []
     if central:
         # the exact polynomial paths catch real roots the bracketing polish
@@ -1098,27 +1122,36 @@ def classify_value(spec: ProblemSpec, value: float, match_tol):
         near = lambda x: np.maximum(x - reach - value, value - (x + reach)) <= match_tol
         zeros_near = [(srhs, zs[near(zs.real)]) for srhs, zs in zeros]
         for r in _polynomial_roots(spec, zeros_near, paper_compat=False):
-            if abs(r.energy.real - value) <= match_tol:
-                candidates.append(
-                    (r.root_class, abs(r.energy.real - value), r.branch.label(), r.residual_norm)
-                )
+            dev = abs(r.energy.real - value)
+            if dev <= match_tol:
+                path.append((r.root_class, dev, r.branch.label(), r.residual_norm))
         pair_zeros = [z for _, zs in zeros for z in zs if z.imag > 1e-7]
-    elif t.oscillator:
-        pair_zeros = _complex_multistart(spec, value, (0.25, 0.5, 1.0, 2.0, 4.0, 8.0))
-    for z in pair_zeros:
-        dev = abs(z.real - value)
-        best = _best_branch(spec, z, search) if dev <= match_tol else None
-        if best is not None:
-            candidates.append((RootClass.C, dev, best[0].label(), best[1]))
-    if candidates:
-        order = {RootClass.A: 0, RootClass.B: 1, RootClass.C: 2, RootClass.D: 3}
-        candidates.sort(key=lambda c: (order[c[0]], c[1]))
-        klass, dev, br, res = candidates[0]
-        return klass, dev, br, res, None
-    # class D: report how close the search came.  branch_residuals holds
+    for klass in (RootClass.A, RootClass.B, RootClass.C, RootClass.D):
+        if klass is RootClass.C:
+            if t.oscillator and not central:
+                pair_zeros = _complex_multistart(spec, value, (0.25, 0.5, 1.0, 2.0, 4.0, 8.0))
+            candidates = []
+            for z in pair_zeros:
+                dev = abs(z.real - value)
+                best = _best_branch(spec, z, search) if dev <= match_tol else None
+                if best is not None:
+                    candidates.append((dev, best[0].label(), best[1]))
+        else:
+            candidates = polish_candidates(klass) + [c[1:] for c in path if c[0] is klass]
+        if candidates:
+            dev, br, res = min(candidates, key=lambda c: c[0])
+            return klass, dev, br, res, None
+    # class D: report how close the search came.  Every search branch has
+    # been polished by now (class D still polishes them all), and
+    # nearest_root is their root nearest the value (reach 128 x 2e-3), the
+    # first in search order on a tie, else None.  branch_residuals holds
     # |lhs - rhs| on the four strategies under principal roots, then under
-    # the modulus reading; None at a pole.  nearest_root is the deciding
-    # polish's root nearest the value (reach 128 x 2e-3), else None.
+    # the modulus reading; None at a pole.
+    nearest = None
+    for br in search:
+        root = roots[br]
+        if root is not None and (nearest is None or abs(root - value) < abs(nearest - value)):
+            nearest = root
     diag = {"branch_residuals": {}, "nearest_root": nearest, "nearest_pair_re": None}
     for reading, sq in (("principal", branch_sqrt), ("modulus", _modulus_sqrt)):
         for br in principal_branches():
@@ -1131,9 +1164,9 @@ def classify_value(spec: ProblemSpec, value: float, match_tol):
             diag["branch_residuals"][f"{_sign_text(br)},{reading}"] = res
     near_pairs = []
     if not t.oscillator and not central:
-        # informational only: the ring-dressed squared Kratzer form's zeros are
-        # zeros of its polynomial form, the eliminant, but not part of the
-        # search space
+        # informational only, so it runs for a class-D value alone: the
+        # ring-dressed squared Kratzer form's zeros are zeros of its
+        # polynomial form, the eliminant, but not part of the search space
         for srhs in (1, -1):
             near_pairs.extend(_complex_multistart(spec, value, (0.5, 1.0, 2.0, 4.0), srhs))
     if pair_zeros:

@@ -959,9 +959,125 @@ class TestNearValuePolynomialPath:
         assert matched >= 50 and passed < total
 
     def test_audit_polish_count(self, instrumented_audit):
-        # one audit pass polishes 1,230 times; polishing each central
-        # value's whole real spectrum would make it 2,221
-        assert instrumented_audit.polishes == 1230
+        # one audit pass polishes 901 times, stopping at the first class
+        # that has a candidate; polishing every branch of every value would
+        # make it 1,230, and each central value's whole real spectrum 2,221
+        assert instrumented_audit.polishes == 901
+
+
+def _classify_oracle(spec, value, match_tol):
+    """`classify_value` gathering every candidate before it ranks them.
+
+    Every search branch is polished, the polynomial path and the complex
+    pairs are read, and the winner is the first of the candidates sorted by
+    (class order, deviation).
+    """
+    from drsbound import spectrum as sp
+
+    search = sp._search_branches(spec)
+    candidates = []
+    nearest = None
+    for br in search:
+        root = sp._polish_branch_root(spec, br, value)
+        if root is not None and (nearest is None or abs(root - value) < abs(nearest - value)):
+            nearest = root
+        if root is None or abs(root - value) > match_tol:
+            continue
+        hit = sp._best_branch(spec, root, [br], tol=1e-8)
+        if hit is not None:
+            candidates.append((sp._class_for_branch(br), abs(root - value), br.label(), hit[1]))
+    t = spec._condition_terms
+    central = t.a == 0 and t.b == 0
+    pair_zeros = []
+    if central:
+        zeros = spec._eliminant_zeros
+        reach = 1e-6 * 2.0 ** (sp.POLISH_GROW_STEPS - 1)
+        near = lambda x: np.maximum(x - reach - value, value - (x + reach)) <= match_tol
+        zeros_near = [(srhs, zs[near(zs.real)]) for srhs, zs in zeros]
+        for r in sp._polynomial_roots(spec, zeros_near, paper_compat=False):
+            if abs(r.energy.real - value) <= match_tol:
+                candidates.append(
+                    (r.root_class, abs(r.energy.real - value), r.branch.label(), r.residual_norm)
+                )
+        pair_zeros = [z for _, zs in zeros for z in zs if z.imag > 1e-7]
+    elif t.oscillator:
+        pair_zeros = sp._complex_multistart(spec, value, (0.25, 0.5, 1.0, 2.0, 4.0, 8.0))
+    for z in pair_zeros:
+        dev = abs(z.real - value)
+        best = sp._best_branch(spec, z, search) if dev <= match_tol else None
+        if best is not None:
+            candidates.append((RootClass.C, dev, best[0].label(), best[1]))
+    if candidates:
+        order = {RootClass.A: 0, RootClass.B: 1, RootClass.C: 2, RootClass.D: 3}
+        candidates.sort(key=lambda c: (order[c[0]], c[1]))
+        klass, dev, br, res = candidates[0]
+        return klass, dev, br, res, None
+    diag = {"branch_residuals": {}, "nearest_root": nearest, "nearest_pair_re": None}
+    for reading, sq in (("principal", sp.branch_sqrt), ("modulus", sp._modulus_sqrt)):
+        for br in principal_branches():
+            signs = br.sigma_rhs, br.sigma_inner
+            try:
+                lhs, rhs, _ = sp._condition(complex(value), spec, *signs, sq, sp._raise_at_pole)
+                res = abs(lhs - rhs)
+            except sp.SpectralPoleError:
+                res = None
+            diag["branch_residuals"][f"{sp._sign_text(br)},{reading}"] = res
+    near_pairs = []
+    if not t.oscillator and not central:
+        for srhs in (1, -1):
+            near_pairs.extend(sp._complex_multistart(spec, value, (0.5, 1.0, 2.0, 4.0), srhs))
+    near_pairs.extend(pair_zeros)
+    if near_pairs:
+        diag["nearest_pair_re"] = min(near_pairs, key=lambda z: abs(z.real - value)).real
+    return RootClass.D, None, None, None, diag
+
+
+def _hex_tree(x):
+    """x with every float replaced by its float.hex, through dicts and tuples."""
+    if isinstance(x, dict):
+        return {k: _hex_tree(v) for k, v in x.items()}
+    if isinstance(x, tuple):
+        return tuple(_hex_tree(v) for v in x)
+    return float(x).hex() if isinstance(x, float) else x
+
+
+def _oracle_values(seed):
+    """(spec, value) pairs around `_random_table_specs(seed)`.
+
+    Per spec: each paper-compat root, shifted by 0, +3e-5, -7e-5 and +2e-3;
+    three uniform values; and `_special_values(spec)`.
+    """
+    rng = np.random.default_rng(seed + 1000)
+    out = []
+    for spec in _random_table_specs(seed):
+        roots = [r.energy.real for r in find_roots(spec, mode="paper-compat")]
+        width = abs(spec.mass) + 12.0
+        values = [x + d for x in roots for d in (0.0, 3e-5, -7e-5, 2e-3)]
+        values += rng.uniform(-width, width, size=3).tolist() + _special_values(spec)
+        out += [(spec, v) for v in values]
+    return out
+
+
+class TestClassOrderedAudit:
+    """classify_value stops at the first class with a candidate; its result is the eager one."""
+
+    def test_published_values(self, table_audits):
+        got, want = [], []
+        for table, run in table_audits.items():
+            for e in run.report.entries:
+                spec = table_spec(table, e.n, e.n_prime, e.m, e.a, e.b)
+                entry = e.root_class, e.deviation, e.branch, e.residual, e.diagnostics
+                got.append(_hex_tree(entry))
+                want.append(_hex_tree(_classify_oracle(spec, e.value, 1e-4)))
+        assert len(got) == 342 and got == want
+        assert {klass for klass, *_ in got} == set(RootClass)
+
+    def test_random_specs(self):
+        cases = [case for seed in (3, 11, 29, 47) for case in _oracle_values(seed)]
+        got = [_hex_tree(classify_value(spec, v, 1e-4)) for spec, v in cases]
+        want = [_hex_tree(_classify_oracle(spec, v, 1e-4)) for spec, v in cases]
+        assert len(got) > 800 and got == want
+        assert {klass for klass, *_ in got} == set(RootClass)
 
 
 class TestTableDataFormat:
@@ -1128,8 +1244,8 @@ class TestAudit:
         ids=["ring-dressed", "central"],
     )
     def test_class_d_polishes_once_per_branch(self, monkeypatch, cell, value):
-        # the class-D diagnostic reads the deciding polish: one polish per
-        # search branch, besides those of the central polynomial path
+        # a class-D value polishes every search branch once, in class
+        # order, besides the polishes of the central polynomial path
         from drsbound import spectrum
 
         spec = table_spec(*cell)
@@ -1152,7 +1268,10 @@ class TestAudit:
         monkeypatch.setattr(spectrum, "_polynomial_roots", marked_polynomial)
         klass, *_ = classify_value(spec, value, 1e-4)
         assert klass is RootClass.D
-        assert calls == list(spectrum._search_branches(spec))
+        # class order: A (canonical), B (sigma_rhs = -1), D (rhs+inner-)
+        order = {RootClass.A: 0, RootClass.B: 1, RootClass.D: 2}
+        search = spectrum._search_branches(spec)
+        assert calls == sorted(search, key=lambda br: order[spectrum._class_for_branch(br)])
 
     def test_nearest_root_is_the_deciding_polish_root(self):
         spec = table_spec(3, 1, 0, 1, 1.0, 0.5)
