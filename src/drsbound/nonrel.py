@@ -1,7 +1,7 @@
 """Nonrelativistic limit: the closed-form ring-shaped Kratzer spectrum.
 
 Obtained from the spin-limit solutions through E - M -> E, E + M -> 2 mu
-(hbar = 1) with C_s = 0, and evaluated that way: `coefficients_nr` is the
+(hbar = 1) with C_s = 0, and evaluated that way: energy_kratzer_nr reads the
 relativistic coefficient set (model.coefficients_at_gamma) at gamma = 2 mu.
 The Kratzer spectrum is fully closed-form (the square root no longer
 depends on the energy); oracle.nonrel_energy_fd is its independent
@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 from .model import (
-    CoefficientSet,
     Kratzer,
     QuantumNumbers,
     RingParams,
@@ -39,17 +38,9 @@ class NonRelParams:
             raise SpecError("mu must be positive")
 
 
-def coefficients_nr(p: NonRelParams, qn: QuantumNumbers) -> CoefficientSet:
-    """The relativistic coefficient set in the nonrelativistic limit.
-
-    gamma = E + M - C_s becomes g = 2 mu; without an energy, decay is None.
-    """
-    return coefficients_at_gamma(2.0 * p.mu, None, p.potential, p.ring, qn)
-
-
 def energy_kratzer_nr(p: NonRelParams, qn: QuantumNumbers) -> float:
     """Rovibrational spectrum of the ring-shaped Kratzer molecule: -g (De re)^2 / (n + zeta)^2."""
     if not isinstance(p.potential, Kratzer):
         raise TypeError("params do not carry a Kratzer potential")
-    c = coefficients_nr(p, qn)
+    c = coefficients_at_gamma(2.0 * p.mu, None, p.potential, p.ring, qn)
     return -c.gamma * (p.potential.d_e * p.potential.r_e) ** 2 / (qn.n + c.zeta.real) ** 2

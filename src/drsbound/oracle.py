@@ -327,18 +327,25 @@ def fd_angular_eigs(gamma, ring: RingParams, m: int, index: int):
     and in exact arithmetic a Ritz level lies at or above the level it
     approximates, so a level below it is float breakdown (from gamma 1e30
     on a ring of order 1 the basis's normalization underflows and the
-    level reads 0.0 or far too low).  A level that drifts but stays above
-    the bound passes: at a = b = 1, m = index = 0 the relative error is
-    1.5e-11 at gamma 1e8 and 1.9e-2 at 1e26.  Raises ValueError unless
+    level reads 0.0 or far too low).  Above the bound the level drifts as
+    c_a + c_b grows: at a = b = 1, m = index = 0 its relative error is
+    1.5e-11 at gamma 1e8, 8.8e-6 at 1e20 and 1.9e-2 at 1e26.  Over rings
+    a, b in {0, 1e-6, 0.1, 1, 5}, |m| <= 4 and index <= 3 it first misses
+    the quantization rule by more than the 1e-10 settling tolerance at
+    c_a + c_b = 4.2e8 (a = b; with a != b the matrix leaves the float range
+    first, from c_a + c_b between 1.6e6 and 6e7).  So the solve serves
+    c_a + c_b <= ANGULAR_RANGE = 1e8, and a level beyond it that passes
+    both checks above raises DivergenceError.  Raises ValueError unless
     index is an int >= 0, OracleError unless index < ANGULAR_LEVELS, and
-    OracleError in the complex sector, where c_a + 1/4 < 0 or c_b < 0.
+    DivergenceError in the complex sector, where c_a + 1/4 < 0 or c_b < 0:
+    the sweep counts it as a failed sweep.
     """
     _check_index(index)
     if index >= ANGULAR_LEVELS:
         raise OracleError(f"level {index} lies beyond the {ANGULAR_LEVELS}-level angular basis")
     c_b, c_a = m * m + gamma * ring.b, gamma * ring.a
     if c_a + 0.25 < 0 or c_b < 0:
-        raise OracleError("complex angular sector: radicals not real")
+        raise DivergenceError("complex angular sector: radicals not real")
     size = index + ANGULAR_MARGIN
     mu, s = math.sqrt(c_b), 0.5 + math.sqrt(0.25 + c_a)
     matrix = _jacobi_matrix(c_b, c_a, mu, s, size + ANGULAR_MARGIN)
@@ -348,6 +355,8 @@ def fd_angular_eigs(gamma, ring: RingParams, m: int, index: int):
         raise DivergenceError(f"angular level unsettled at {size + ANGULAR_MARGIN} functions")
     if level < 0.25 + c_b + c_a:
         raise DivergenceError("angular level below the operator's bound 1/4 + c_b + c_a")
+    if c_a + c_b > ANGULAR_RANGE:
+        raise DivergenceError(f"c_a + c_b = {c_a + c_b:.3g} lies beyond the angular range")
     return float(level)
 
 
@@ -362,10 +371,7 @@ def _consistency_map(spec: ProblemSpec, e: float) -> float:
     """
     g = gamma_of(spec, e).real
     n, n_prime = spec.qn.n, spec.qn.n_prime
-    try:
-        lam_ang = fd_angular_eigs(g, spec.ring, spec.qn.m, n_prime)
-    except OracleError as exc:
-        raise DivergenceError(str(exc)) from exc
+    lam_ang = fd_angular_eigs(g, spec.ring, spec.qn.m, n_prime)
     b = radial_equation_beta_sq(spec, e).real
     return fd_radial_eigs(spec.potential, g, lam_ang, n, b) - b
 
@@ -386,6 +392,9 @@ ANGULAR_MARGIN = 2
 #: matrix, of ANGULAR_LEVELS + 3 functions, takes tens of milliseconds, and
 #: its level at n' = ANGULAR_LEVELS - 1 keeps 11 digits.
 ANGULAR_LEVELS = 500
+#: Largest c_a + c_b the polar level serves; beyond it the level drifts
+#: from the quantization rule (see fd_angular_eigs).
+ANGULAR_RANGE = 1e8
 
 
 def _sign_change(f_lo, f_hi):
@@ -410,12 +419,13 @@ def self_consistent_energy(spec: ProblemSpec, initial_energy: float):
     sign change beside it is a bound root's.  Brent's method (`brent.brentq`)
     closes the bracket to BRACKET_TOL, and a sweep that fails inside it
     raises DivergenceError.  No such sweep fails: gamma is linear in E and
-    the polar equation's real-sector conditions are linear in gamma, so the
-    energies where a sweep completes form an interval, which holds both
-    bracket ends.  DivergenceError is the documented outcome whenever no
-    bound root exists in reach of the march, as it is from a start so far
-    from any root (E = 1e6 on table 3's ring spec) that every sweep's
-    matrix leaves the float range (see _finite).  The returned energy must
+    the polar equation's real-sector conditions and its range
+    (fd_angular_eigs) are linear in gamma, so the energies where a sweep
+    completes form an interval, which holds both bracket ends.
+    DivergenceError is the documented outcome whenever no bound root exists
+    in reach of the march, as it is from a start so far from any root
+    (E = 1e6 on table 3's ring spec) that every sweep's matrix leaves the
+    float range (see _finite).  The returned energy must
     satisfy |F(E)| <= 1e-6 (1 + |b(E)|); Brent's method returns a point it
     has swept, so that check solves nothing again.
 
@@ -491,9 +501,10 @@ def nonrel_energy_fd(params, qn):
     independent check for the closed-form nonrelativistic spectra, both
     halves.  DivergenceError if a level does not settle, settles at or
     above the continuum (a Kratzer level >= 0, as at mu = 1e-8 and
-    below), or leaves the float range (2 mu D_e r_e^2 above about 1e4,
-    see fd_radial_eigs); OracleError for n >= RADIAL_FUNCTIONS or
-    n' >= ANGULAR_LEVELS.
+    below), leaves the float range (2 mu D_e r_e^2 above about 1e4,
+    see fd_radial_eigs) or lies beyond the polar level's range
+    (2 mu (a + b) + m^2 > ANGULAR_RANGE); OracleError for
+    n >= RADIAL_FUNCTIONS or n' >= ANGULAR_LEVELS.
     """
     gamma = 2.0 * params.mu
     ell_eff_sq = fd_angular_eigs(gamma, params.ring, qn.m, qn.n_prime)

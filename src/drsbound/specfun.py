@@ -19,14 +19,9 @@ class PoleError(ValueError):
     """Evaluation at a pole of Gamma or a Pochhammer symbol."""
 
 
-def _is_nonpositive_int(z):
-    z = complex(z)
-    return abs(z.imag) < 1e-12 and z.real < 0.5 and abs(z.real - round(z.real)) < 1e-12
-
-
 def gamma_fn(x: float) -> float:
     """Real Gamma function; poles at 0, -1, -2, ... are rejected."""
-    if _is_nonpositive_int(x):
+    if x < 0.5 and abs(x - round(x)) < 1e-12:
         raise PoleError(f"Gamma pole at x = {x}")
     return math.gamma(x)
 

@@ -102,12 +102,17 @@ def gamma_prefactor(spec: ProblemSpec, coeffs: CoefficientSet, n: int):
     return rad * ang
 
 
-def component_norm_integral(spec: ProblemSpec, energy) -> float:
-    """Exact norm integral of one unnormalized component (prefactors included).
+def normalization_constant(spec: ProblemSpec, energy) -> float:
+    """Closed-form constant that normalizes the single printed component.
 
-    The radial part reduces to a weighted Laguerre integral, the polar part
-    to the Jacobi orthogonality norm via the terminating-hypergeometric
-    conversions; the azimuthal part is already unit-normalized.
+    It is 1/sqrt of the exact norm integral of the unnormalized component,
+    prefactors included: the radial part reduces to a weighted Laguerre
+    integral, the polar part to the Jacobi orthogonality norm via the
+    terminating-hypergeometric conversions, and the azimuthal part is
+    already unit-normalized.  The other component is left out: it is not
+    evaluable whenever the other symmetry sector is complex.  Raises
+    OverflowError when a Gamma factor of the norm integral leaves the float
+    range (high m or n').
     """
     coeffs = derive_coefficients(spec, energy)
     n, npr = spec.qn.n, spec.qn.n_prime
@@ -140,17 +145,7 @@ def component_norm_integral(spec: ProblemSpec, energy) -> float:
             * gamma_fn(npr + 2 * eta + 2 * p)
         )
     )
-    return pref**2 * i_r * i_theta
-
-
-def normalization_constant(spec: ProblemSpec, energy) -> float:
-    """Closed-form constant that normalizes the single printed component.
-
-    The other component is left out: it is not evaluable whenever the
-    other symmetry sector is complex.  Raises OverflowError when a Gamma
-    factor of the norm integral leaves the float range (high m or n').
-    """
-    return 1.0 / math.sqrt(component_norm_integral(spec, energy))
+    return 1.0 / math.sqrt(pref**2 * i_r * i_theta)
 
 
 def assemble_component(spec: ProblemSpec, energy, r, theta, phi, normalization=None):

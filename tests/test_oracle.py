@@ -1,5 +1,6 @@
 import importlib
 import importlib.util
+import itertools
 import json
 import math
 import pathlib
@@ -29,7 +30,7 @@ from drsbound.oracle import (
     self_consistent_energy,
 )
 from drsbound.spectrum import RootClass, find_roots, load_table_data, table_spec
-from drsbound.wavefun import radial_kratzer
+from drsbound.wavefun import radial_kratzer, radial_oscillator
 
 import angular_fd
 
@@ -110,11 +111,19 @@ class TestRadialSolver:
     def test_nonrel_level_refused(self, mu, ring, qn):
         # the closed form gives -2.88e-8, -8e-20 and -8.18.  The first two levels
         # settled at or above 0, where no Kratzer level lies (energies +9.90e-6
-        # and +1.65); at mu = 1e10 eigvalsh raised LinAlgError on a NaN matrix
+        # and +1.65); at mu = 1e10 c_a + c_b = 2e10 lies beyond the polar
+        # level's range, and the radial matrix beyond the float range (below)
         params = NonRelParams(mu=mu, potential=Kratzer(15.0, 0.4), ring=RingParams(ring, ring))
         assert energy_kratzer_nr(params, QuantumNumbers(*qn)) < 0
-        with pytest.raises(DivergenceError, match="continuum" if mu < 1 else "float range"):
+        with pytest.raises(DivergenceError, match="continuum" if mu < 1 else "angular range"):
             nonrel_energy_fd(params, QuantumNumbers(*qn))
+
+    def test_nonrel_radial_matrix_beyond_the_float_range_refused(self):
+        # at gamma = 2 mu = 2e10 with the exact polar level, eigvalsh raised
+        # LinAlgError on a NaN matrix
+        terms = coefficients_at_gamma(2e10, None, None, RingParams(0.5, 0.5), QuantumNumbers(0, 0, 0))
+        with pytest.raises(DivergenceError, match="float range"):
+            fd_radial_eigs(Kratzer(15.0, 0.4), 2e10, terms.ell_eff.real**2, 0, None)
 
 
 class TestAngularSolver:
@@ -153,7 +162,8 @@ class TestAngularSolver:
         assert [float(x).hex() for x in eigs] == ["0x1.ea463000f8565p+3", "0x1.17d2c8cd3c8d7p+5"]
 
     def test_complex_sector_rejected(self):
-        with pytest.raises(OracleError):
+        # a failed level, which the sweep counts as a failed sweep
+        with pytest.raises(DivergenceError, match="complex angular sector"):
             fd_angular_eigs(-2.0, RingParams(1.0, 0.0), 0, 0)
 
     @pytest.mark.parametrize("gamma", [1e30, 1e50, 1e100, 1e200])
@@ -163,6 +173,38 @@ class TestAngularSolver:
         # level of the operator lies below 1/4 + c_b + c_a = 2 gamma + 1/4
         with pytest.raises(DivergenceError, match="below the operator's bound"):
             fd_angular_eigs(gamma, RingParams(1.0, 1.0), 0, 0)
+
+    def test_drift_beyond_the_range_refused(self):
+        # the level settles above the operator's bound but misses
+        # (2 sqrt(gamma) + 1)^2 by 8.8e-6 relative
+        with pytest.raises(DivergenceError, match="beyond the angular range"):
+            fd_angular_eigs(1e20, RingParams(1.0, 1.0), 0, 0)
+
+    def test_range_ends_below_the_first_drift(self, monkeypatch):
+        # with the range lifted, step c = gamma (a + b) up in half decades
+        # from 1e4 to 1e10 until the level misses the quantization rule by
+        # more than the 1e-10 settling tolerance or raises DivergenceError.
+        # No level misses within the range, and only the rings with a = b
+        # miss at all: with a != b the matrix leaves the float range first.
+        # On a 0.02-decade grid the first miss is at c_a + c_b = 4.2e8
+        served = oracle.ANGULAR_RANGE
+        monkeypatch.setattr(oracle, "ANGULAR_RANGE", math.inf)
+        strengths = (0.0, 1e-6, 0.1, 1.0, 5.0)
+        rings = [RingParams(a, b) for a, b in itertools.product(strengths, repeat=2) if a + b > 0]
+        first_miss = {}
+        for ring, m, n_prime in itertools.product(rings, range(5), range(4)):
+            for c in 10.0 ** np.arange(4.0, 10.25, 0.5):
+                gamma = c / (ring.a + ring.b)
+                try:
+                    level = fd_angular_eigs(gamma, ring, m, n_prime)
+                except DivergenceError:
+                    break
+                exact = _closed_polar(gamma, ring, m, n_prime)
+                if abs(level - exact) > 1e-10 * exact:
+                    first_miss[ring, m, n_prime] = c + m * m
+                    break
+        assert min(first_miss.values()) > served
+        assert {ring for ring, _, _ in first_miss} == {RingParams(s, s) for s in strengths[1:]}
 
     def test_grid_too_coarse_rejected(self):
         # the basis serves ANGULAR_LEVELS polar levels; the last one is solved
@@ -664,23 +706,37 @@ class TestLevelArguments:
 
 
 @pytest.fixture(scope="module")
-def table3_roots():
+def class_a_roots():
+    """{table: [(spec, E*)]} at every strict class-A root of the bundled tables."""
+    roots = {
+        table: [
+            (spec, root.energy.real)
+            for spec in (table_spec(table, *row[:5]) for row in load_table_data(table))
+            for root in find_roots(spec, mode="strict")
+            if root.root_class is RootClass.A
+        ]
+        for table in (1, 2, 3, 4)
+    }
+    assert {table: len(cases) for table, cases in roots.items()} == {1: 17, 2: 2, 3: 60, 4: 15}
+    return roots
+
+
+@pytest.fixture(scope="module")
+def table3_roots(class_a_roots):
     """(spec, gamma, ell_eff^2, b) at each of the 60 table-3 class-A roots E* (strict find_roots).
 
     gamma = gamma(E*), ell_eff from derive_coefficients and b = b(E*), which is
     the exact radial level n there; ell_eff^2 is the exact polar level n'.
     """
-    cases = []
-    for row in load_table_data(3):
-        spec = table_spec(3, *row[:5])
-        for root in find_roots(spec, mode="strict"):
-            if root.root_class is RootClass.A:
-                e = root.energy.real
-                g = gamma_of(spec, e).real
-                ell_eff_sq = derive_coefficients(spec, e).ell_eff.real ** 2
-                cases.append((spec, g, ell_eff_sq, radial_equation_beta_sq(spec, e).real))
-    assert len(cases) == 60
-    return cases
+    return [
+        (
+            spec,
+            gamma_of(spec, e).real,
+            derive_coefficients(spec, e).ell_eff.real ** 2,
+            radial_equation_beta_sq(spec, e).real,
+        )
+        for spec, e in class_a_roots[3]
+    ]
 
 
 class TestRadialErrorTable:
@@ -710,44 +766,105 @@ class TestRadialErrorTable:
                 assert abs(fd_radial_eigs(*args, hint) - level) <= 1e-12
 
 
+def _radial_residual(spec, e, v_signs, b_sign):
+    """max |residual| / max |b u| of the closed-form radial factor u at E* in
+    -u'' + [(ell_eff^2 - 1/4)/r^2 + W(r)] u = b_sign b(E*) u.
+
+    W is gamma V with its terms signed by v_signs: (1/r^2 term, 1/r term)
+    of the Kratzer's gamma D_e r_e^2 / r^2 - 2 gamma D_e r_e / r, and the
+    first sign alone on the oscillator's gamma k r^2 / 2.  u takes the
+    decay w = sqrt(-b(E*)) (Kratzer) or sqrt(-gamma k / 8) (oscillator),
+    as derive_coefficients does, and is sampled over r in [0.2, 8] / w or
+    [0.2, 8] / sqrt(w), with u'' from a five-point stencil of step 1e-3 r.
+    """
+    coeffs = derive_coefficients(spec, e)
+    g = gamma_of(spec, e).real
+    b = radial_equation_beta_sq(spec, e).real
+    w = coeffs.decay.real
+    pot, n = spec.potential, spec.qn.n
+    if isinstance(pot, Kratzer):
+        r = np.linspace(0.2, 8.0, 400) / w
+        v = v_signs[0] * g * pot.d_e * pot.r_e**2 / r**2 - v_signs[1] * 2.0 * g * pot.d_e * pot.r_e / r
+
+        def u(x):
+            return radial_kratzer(x, coeffs, n)
+
+    else:
+        r = np.linspace(0.2, 8.0, 400) / math.sqrt(w)
+        v = v_signs[0] * g * pot.radial(r)
+
+        def u(x):
+            return radial_oscillator(x, coeffs, n)
+
+    h = 1e-3 * r
+    u_pp = (-u(r + 2 * h) + 16 * u(r + h) - 30 * u(r) + 16 * u(r - h) - u(r - 2 * h)) / (12 * h * h)
+    residual = -u_pp + ((coeffs.ell_eff.real**2 - 0.25) / r**2 + v - b_sign * b) * u(r)
+    return np.max(np.abs(residual)) / np.max(np.abs(b * u(r)))
+
+
+#: Readings of the potential term as the signs of gamma V's (1/r^2, 1/r)
+#: terms; the oscillator's V has one term, so only the first two apply there
+V_READINGS = {"plus_gamma_v": (1, 1), "minus_gamma_v": (-1, -1), "coulomb_flipped": (1, -1)}
+#: The operator (reading, sign of b) whose solution each table's closed-form
+#: radial factor is, and the worst residual at its strict class-A roots
+SECTOR_OPERATORS = {
+    1: ("coulomb_flipped", 1),  # pseudospin Kratzer, gamma < 0: 6.7e-9
+    2: ("minus_gamma_v", -1),  # pseudospin oscillator, gamma < 0: 1.5e-10
+    3: ("plus_gamma_v", 1),  # spin Kratzer, gamma > 0, the sweep's: 1.4e-9
+    4: ("minus_gamma_v", 1),  # spin oscillator, gamma < 0: 1.8e-10
+}
+
+
 class TestClosedFormSolvesTheSweepOperator:
     """wavefun.radial_kratzer solves the sweep's radial equation at the 60
-    table-3 class-A roots: -u'' + [(ell_eff^2 - 1/4)/r^2 + gamma V] u = b(E*) u.
+    table-3 class-A roots: -u'' + [(ell_eff^2 - 1/4)/r^2 + gamma V] u = b(E*) u,
+    and each sector's closed-form radial factor solves one operator at all
+    94 strict class-A roots of the bundled tables (ROADMAP item 12).
 
-    Spin Kratzer only, the sector whose operator the oracle sweeps; the
-    other sectors' signs are ROADMAP item 12's to decide.
+    Table 3's roots lie at gamma > 0 and the other 34 at gamma < 0, where
+    the solved operator differs from the sweep's (SECTOR_OPERATORS): the
+    oscillators take -gamma V, table 2 with -b, and the pseudospin Kratzer
+    keeps +gamma V's 1/r^2 term but flips its 1/r term to
+    +2 gamma D_e r_e / r.  Each residual at or below 1e-7 is the stencil's
+    own error; every other reading and sign of b (V_READINGS) leaves at
+    least 1.18 at every root.  Flipping the Kratzer's 1/r^2 term alone is
+    no reading of the reduction and is not tested (it leaves 0.54 at one
+    table-3 root).
     """
 
-    @staticmethod
-    def _residuals(table3_roots, v_sign, b_sign):
-        """Per root, max |residual| / max |b u| over r in [0.2, 8] / w,
-        w = sqrt(-b), with u'' from a five-point stencil of step 1e-3 r."""
-        residuals = []
-        for spec, g, ell_eff_sq, b in table3_roots:
-            w = math.sqrt(-b)
-            coeffs = coefficients_at_gamma(g, w, spec.potential, spec.ring, spec.qn)
-            r = np.linspace(0.2, 8.0, 400) / w
-            h = 1e-3 * r
-
-            def u(x):
-                return radial_kratzer(x, coeffs, spec.qn.n)
-
-            stencil = -u(r + 2 * h) + 16 * u(r + h) - 30 * u(r) + 16 * u(r - h) - u(r - 2 * h)
-            u_pp = stencil / (12 * h * h)
-            potential = (ell_eff_sq - 0.25) / r**2 + v_sign * g * spec.potential.radial(r)
-            residual = -u_pp + potential * u(r) - b_sign * b * u(r)
-            residuals.append(np.max(np.abs(residual)) / np.max(np.abs(b * u(r))))
-        return residuals
-
-    def test_radial_factor_solves_the_operator(self, table3_roots):
+    def test_radial_factor_solves_the_operator(self, class_a_roots):
         # worst 1.4e-9, the stencil's own error
-        assert max(self._residuals(table3_roots, 1, 1)) <= 1e-7
+        assert max(_radial_residual(spec, e, (1, 1), 1) for spec, e in class_a_roots[3]) <= 1e-7
 
     @pytest.mark.parametrize("v_sign, b_sign", [(-1, 1), (1, -1)], ids=["minus_gamma_v", "minus_b"])
-    def test_flipped_sign_does_not_solve(self, table3_roots, v_sign, b_sign):
+    def test_flipped_sign_does_not_solve(self, class_a_roots, v_sign, b_sign):
         # flipping gamma V or b leaves an O(1) residual at every root (at
         # least 3.9 and 2.0)
-        assert min(self._residuals(table3_roots, v_sign, b_sign)) >= 1.0
+        residuals = [_radial_residual(spec, e, (v_sign, v_sign), b_sign) for spec, e in class_a_roots[3]]
+        assert min(residuals) >= 1.0
+
+    @pytest.mark.parametrize("table", sorted(SECTOR_OPERATORS))
+    def test_each_sector_solves_its_operator(self, class_a_roots, table):
+        reading, b_sign = SECTOR_OPERATORS[table]
+        v_signs = V_READINGS[reading]
+        residuals = [_radial_residual(spec, e, v_signs, b_sign) for spec, e in class_a_roots[table]]
+        assert max(residuals) <= 1e-7
+
+    @pytest.mark.parametrize("table", sorted(SECTOR_OPERATORS))
+    def test_every_other_operator_does_not_solve(self, class_a_roots, table):
+        # at least 1.49, 1.18, 2.0 and 1.18 for tables 1 to 4
+        kratzer = isinstance(class_a_roots[table][0][0].potential, Kratzer)
+        readings = list(V_READINGS) if kratzer else ["plus_gamma_v", "minus_gamma_v"]
+        others = [
+            (reading, b_sign)
+            for reading in readings
+            for b_sign in (1, -1)
+            if (reading, b_sign) != SECTOR_OPERATORS[table]
+        ]
+        for reading, b_sign in others:
+            v_signs = V_READINGS[reading]
+            residuals = [_radial_residual(spec, e, v_signs, b_sign) for spec, e in class_a_roots[table]]
+            assert min(residuals) >= 1.0, (reading, b_sign)
 
 
 @pytest.fixture(scope="module")
