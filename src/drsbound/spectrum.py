@@ -54,15 +54,17 @@ zeros.  The search does not take them as roots, so those table entries are
 audited to class D, with the multistart's nearest pair as a diagnostic.
 The audit's complex multistart (`classify_value`) stays scalar: it keeps
 every zero its few starts find, so a batch would save nothing.  Its bracket
-polish (`_polish_branch_root`) evaluates the halving ladders of endpoints
-that need them as one array, which only locates: the scalar residual
-decides every endpoint.
+polish (`_polish_branch_root`) builds the halving ladders of a value's
+endpoints once and evaluates them as one array for every principal branch
+(`_ladder_record`), which the branches polished at that value share; the
+array only locates: the scalar residual decides every endpoint.
 """
 
 from __future__ import annotations
 
 import cmath
 import enum
+import functools
 from dataclasses import dataclass, replace, field
 from importlib import resources
 
@@ -928,41 +930,60 @@ class AuditReport:
 LADDER_POINTS = 60
 
 
-def _ladder_candidates(spec, branch, comp, value, starts):
-    """Points of each start's halving ladder that the scalar test must decide.
+@functools.lru_cache(maxsize=1)
+def _ladder_record(spec, value, ends):
+    """(points, bounds, values, valid) of the halving ladders of every end, on every branch.
 
-    The ladder of a start e0 is e_j = value + 0.5 (e_{j-1} - value) for
+    The ladder of an end e0 is e_j = value + 0.5 (e_{j-1} - value) for
     j = 1 .. LADDER_POINTS - 1, ending before the first point within
     1e-15 (1 + |value|) of value: the points the scalar ladder tests after
     e0.  The recurrence runs on Python floats, the same IEEE operations the
-    scalar ladder makes, and all ladders are then evaluated in one
-    `_residual_array` call.  A point is dropped only where the array
-    clearly rejects it: finite, not a pole, and the component other than
-    `comp` above the usable threshold 1e-9 (1 + |main|) by more than 1e-6 of
-    the threshold.
-    Anything else (array-usable, near the threshold, non-finite or masked
-    as a pole) is kept for the scalar test, because numpy's complex sqrt,
-    multiply and divide can differ from CPython's in the last bit.  Returns
-    one list of floats per start, in ladder order.
+    scalar ladder makes.  All points are kept in one array, end i's at
+    points[bounds[i]:bounds[i + 1]], and evaluated in one `_residual_array`
+    call on (B, 1) columns of the `principal_branches()` signs, one row per
+    branch in that order.  A record is a pure function of its arguments, so
+    every branch polished at one value shares the one record kept; its
+    arrays are read-only.
     """
     stop = 1e-15 * (1.0 + abs(value))
-    ladders = []
-    for e in starts:
-        ladder = []
+    pts, bounds = [], [0]
+    for e in ends:
         d = e - value
         for _ in range(LADDER_POINTS - 1):
             e = value + 0.5 * d
             d = e - value
             if -stop < d < stop:
                 break
-            ladder.append(e)
-        ladders.append(ladder)
-    pts = np.array([e for ladder in ladders for e in ladder], dtype=float)
-    vals, ok = _residual_array(spec, pts, branch.sigma_rhs, branch.sigma_inner)
+            pts.append(e)
+        bounds.append(len(pts))
+    pts = np.array(pts, dtype=float)
+    branches = principal_branches()
+    signs = [np.array([[getattr(b, s)] for b in branches]) for s in ("sigma_rhs", "sigma_inner")]
+    vals, ok = _residual_array(spec, pts, *signs)
+    for a in (pts, vals, ok):
+        a.setflags(write=False)
+    return pts, tuple(bounds), vals, ok
+
+
+def _ladder_candidates(spec, branch, comp, value, ends, i):
+    """Points of the halving ladders of ends[i:] that the scalar test must decide.
+
+    They are read from the branch's row of the `_ladder_record` of (spec,
+    value, ends).  A point is dropped only where the row clearly rejects it:
+    finite, not a pole, and the component other than `comp` above the
+    usable threshold 1e-9 (1 + |main|) by more than 1e-6 of the threshold.
+    Anything else (array-usable, near the threshold, non-finite or masked
+    as a pole) is kept for the scalar test, because numpy's complex sqrt,
+    multiply and divide can differ from CPython's in the last bit.  Returns
+    one list of floats per end, in ladder order.
+    """
+    pts, bounds, vals, ok = _ladder_record(spec, value, ends)
+    row = principal_branches().index(branch)
+    vals = vals[row]
     main = np.abs(getattr(vals, comp))
     other = np.abs(vals.imag if comp == "real" else vals.real)
-    keep = iter((~ok | (other <= 1e-9 * (1.0 + main) * (1.0 + 1e-6))).tolist())
-    return [[e for e in ladder if next(keep)] for ladder in ladders]
+    keep = ~ok[row] | (other <= 1e-9 * (1.0 + main) * (1.0 + 1e-6))
+    return [pts[a:b][keep[a:b]].tolist() for a, b in zip(bounds[i:-1], bounds[i + 1 :])]
 
 
 #: Bracket widths `_polish_branch_root` tries: span, 2 span, .. 128 span.
@@ -978,7 +999,8 @@ def _polish_branch_root(spec, branch, value, span=2e-3):
     radicals, poles) are shrunk back toward the value along a halving
     ladder.  Each endpoint's first point is tested by the scalar residual;
     the first time one fails, the ladders of every remaining endpoint are
-    built and evaluated as one array (`_ladder_candidates`).  The batch only
+    read from the value's `_ladder_record`, built and evaluated once for
+    every branch polished there (`_ladder_candidates`).  The batch only
     locates: each endpoint is the first of its kept ladder points that the
     scalar test accepts, with the value and sign that test computed, so the
     bracket, and brentq's root, are those of the plain scalar ladder.
@@ -1025,7 +1047,7 @@ def _polish_branch_root(spec, branch, value, span=2e-3):
         if val is not None:
             return e, val
         if i not in ladders:
-            found = _ladder_candidates(spec, branch, comp, value, ends[i:])
+            found = _ladder_candidates(spec, branch, comp, value, tuple(ends), i)
             ladders.update(zip(range(i, len(ends)), found))
         for e in ladders[i]:
             val = usable(e)

@@ -20,6 +20,7 @@ class InstrumentedAudit(NamedTuple):
     brackets: list  # (a, b, port outcome, scipy outcome) of each brentq call
     polishes: int  # calls of `_polish_branch_root`
     eliminants: list  # (spec, sigma_rhs) of each `_eliminant` build
+    ladder_records: int  # `_ladder_record` builds, its cache misses
 
 
 @pytest.fixture(scope="session")
@@ -46,8 +47,9 @@ def instrumented_audit():
     Its brentq runs scipy's beside the package's port on every bracket
     (`test_brent._twin`); the `_polish_branch_root` calls are counted and
     the `_eliminant` builds recorded, each with the spec it built for, which
-    keeps the spec alive so its id stays unique.  `table_audits` stays
-    uninstrumented, because its wall times are read.
+    keeps the spec alive so its id stays unique.  The ladder record cache is
+    cleared before the pass, so its misses count the pass's record builds.
+    `table_audits` stays uninstrumented, because its wall times are read.
     """
     from drsbound import spectrum
     from test_brent import _twin
@@ -67,6 +69,8 @@ def instrumented_audit():
         mp.setattr(spectrum, "brentq", _twin(brackets))
         mp.setattr(spectrum, "_polish_branch_root", counted_polish)
         mp.setattr(spectrum, "_eliminant", recorded_eliminant)
+        spectrum._ladder_record.cache_clear()
         for table in (1, 2, 3, 4):
             spectrum.audit_table(table, spectrum.load_table_data(table), 1e-4, None)
-    return InstrumentedAudit(brackets, len(polishes), eliminants)
+    records = spectrum._ladder_record.cache_info().misses
+    return InstrumentedAudit(brackets, len(polishes), eliminants, records)

@@ -804,23 +804,60 @@ def ladder_calls(monkeypatch):
     return calls
 
 
+#: Orders of the principal branches polished at one value, as indices into
+#: principal_branches() (A, B, C, D), and whether another value is polished
+#: before each branch: A, D, B, C and its reverse share the value's ladder
+#: record, the third evicts it every time.
+POLISH_ORDERS = (((0, 3, 1, 2), False), ((2, 1, 3, 0), False), ((0, 3, 1, 2), True))
+
+
+def _polish_orders_bits(cases, spans=(2e-3, 0.05)):
+    """(got, want) bits of every POLISH_ORDERS polish of each value of each (spec, values).
+
+    want is the scalar-ladder oracle's result for the same branch and span.
+    The value polished to evict the record is the next one of the list,
+    or for the last the first plus 1.
+    """
+    from drsbound.spectrum import _polish_branch_root
+
+    branches = principal_branches()
+    got, want = [], []
+    for spec, values in cases:
+        for v, other in zip(values, values[1:] + [values[0] + 1.0]):
+            for span in spans:
+                oracle = [_bits(_polish_oracle(spec, br, v, span=span)) for br in branches]
+                for order, evict in POLISH_ORDERS:
+                    for j in order:
+                        if evict:
+                            _polish_branch_root(spec, branches[j], other, span)
+                        got.append(_bits(_polish_branch_root(spec, branches[j], v, span)))
+                        want.append(oracle[j])
+    return got, want
+
+
 class TestBatchedPolishLadder:
-    """`_polish_branch_root` batches its halving ladders; results stay those of the scalar ladder."""
+    """`_polish_branch_root` batches its halving ladders; results stay those of the scalar ladder.
+
+    The bit-identity tests polish all four principal branches, in orders
+    that share one value's ladder record and in one that evicts it, at
+    classify_value's span and a wider one.
+    """
 
     def test_published_values_bit_identical(self, ladder_calls):
-        # every polish classify_value makes at span 2e-3, on all 342 values
-        from drsbound.spectrum import _polish_branch_root, _search_branches
+        # every polish classify_value makes (span 2e-3) on all 342 values,
+        # on all four branches, and the same at span 0.05
+        from drsbound.spectrum import _ladder_record
 
-        got, want = [], []
+        cases = []
         for table in (1, 2, 3, 4):
             for n, npr, m, a, b, values in load_table_data(table):
-                spec = table_spec(table, n, npr, m, a, b)
-                for v in values:
-                    for br in _search_branches(spec):
-                        got.append(_bits(_polish_branch_root(spec, br, v)))
-                        want.append(_bits(_polish_oracle(spec, br, v)))
+                cases.append((table_spec(table, n, npr, m, a, b), list(values)))
+        built = _ladder_record.cache_info().misses
+        got, want = _polish_orders_bits(cases)
         assert got == want
         assert ladder_calls and any(w is not None for w in want)
+        # the sharing orders do share: fewer records built than polishes read
+        assert _ladder_record.cache_info().misses - built < len(ladder_calls)
 
     def test_class_d_diagnostic_bit_identical(self, table_audits, ladder_calls):
         # a property of the polish at a span wider than classify_value's:
@@ -840,31 +877,19 @@ class TestBatchedPolishLadder:
         assert ladder_calls  # these all end without a bracket
 
     def test_random_specs_bit_identical(self, ladder_calls):
-        from drsbound.spectrum import _polish_branch_root, _search_branches
-
         rng = np.random.default_rng(103)
-        got, want = [], []
+        cases = []
         for spec in _random_table_specs(3):
             width = abs(spec.mass) + 12.0
-            for v in rng.uniform(-width, width, size=4):
-                for br in _search_branches(spec):
-                    for span in (2e-3, 0.05):
-                        got.append(_bits(_polish_branch_root(spec, br, float(v), span=span)))
-                        want.append(_bits(_polish_oracle(spec, br, float(v), span=span)))
+            cases.append((spec, rng.uniform(-width, width, size=4).tolist()))
+        got, want = _polish_orders_bits(cases)
         assert got == want
         assert ladder_calls and any(w is not None for w in want)
 
     def test_poles_and_branch_points_bit_identical(self, ladder_calls):
-        from drsbound.spectrum import _polish_branch_root
-
         specs = [table_spec(t, 0, 0, 0, 0.0, 0.0) for t in (1, 2, 3, 4)]
         specs += [table_spec(t, 1, 0, 1, 1.0, 0.5) for t in (1, 2, 3, 4)]
-        got, want = [], []
-        for spec in specs:
-            for v in _special_values(spec):
-                for br in principal_branches():
-                    got.append(_bits(_polish_branch_root(spec, br, v)))
-                    want.append(_bits(_polish_oracle(spec, br, v)))
+        got, want = _polish_orders_bits([(spec, _special_values(spec)) for spec in specs])
         assert got == want
         assert ladder_calls and any(w is not None for w in want)
 
@@ -872,7 +897,9 @@ class TestBatchedPolishLadder:
     def test_batch_only_locates(self, perturb, monkeypatch, ladder_calls):
         # the endpoints and their signs come from the scalar test: a batch
         # that sends every lane to it, or one that accepts every lane with a
-        # wrong value, must not move a single result
+        # wrong value, must not move a single result.  The kept ladder
+        # record is cleared first, so every record read here is perturbed,
+        # and last, so none outlives the test
         from drsbound import spectrum
 
         exact = spectrum._residual_array
@@ -883,15 +910,19 @@ class TestBatchedPolishLadder:
                 return vals, np.zeros_like(ok)
             return np.zeros_like(vals), np.ones_like(ok)
 
+        spectrum._ladder_record.cache_clear()
         monkeypatch.setattr(spectrum, "_residual_array", perturbed)
         got, want = [], []
-        for table in (1, 3):
-            for n, npr, m, a, b, values in load_table_data(table)[:12]:
-                spec = table_spec(table, n, npr, m, a, b)
-                for v in values:
-                    for br in spectrum._search_branches(spec):
-                        got.append(_bits(spectrum._polish_branch_root(spec, br, v)))
-                        want.append(_bits(_polish_oracle(spec, br, v)))
+        try:
+            for table in (1, 3):
+                for n, npr, m, a, b, values in load_table_data(table)[:12]:
+                    spec = table_spec(table, n, npr, m, a, b)
+                    for v in values:
+                        for br in spectrum._search_branches(spec):
+                            got.append(_bits(spectrum._polish_branch_root(spec, br, v)))
+                            want.append(_bits(_polish_oracle(spec, br, v)))
+        finally:
+            spectrum._ladder_record.cache_clear()
         assert got == want
         assert ladder_calls and any(w is not None for w in want)
 
@@ -963,6 +994,12 @@ class TestNearValuePolynomialPath:
         # that has a candidate; polishing every branch of every value would
         # make it 1,230, and each central value's whole real spectrum 2,221
         assert instrumented_audit.polishes == 901
+
+    def test_audit_ladder_record_count(self, instrumented_audit):
+        # the 404 polishes of one audit pass that meet an unusable endpoint
+        # read 156 ladder records: one per value and span, shared by the
+        # branches polished there
+        assert instrumented_audit.ladder_records == 156
 
 
 def _classify_oracle(spec, value, match_tol):
